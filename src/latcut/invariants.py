@@ -124,22 +124,14 @@ def rank_gen_of(lat, elements, offset=0):
 
 
 def _q_census(lat):
-    """Pair formula: every Boolean interval below a fixed top..., i.e. every
-    interval [a, b] with antichain difference, arises from a filter F = filter(a)
-    and a subset of its minimal elements.  So q_k = sum over F of C(|Min F|, k)."""
-    base = lat.base
-    width = 0
-    degs = []
-    for f in lat.filters:
-        m = base.min_of(f).bit_count()
-        degs.append(m)
-        if m > width:
-            width = m
-    q = [0] * (width + 1)
-    for m in degs:
-        for k in range(m + 1):
-            q[k] += comb(m, k)
-    return q
+    """Pair formula: every Boolean interval [a, b] arises from the filter
+    F = filter(a) and a subset of its minimal elements, and |Min F| is a's
+    number of up-covers.  So q_k = sum over F of C(|Min F|, k), the binomial
+    transform of the up-cover degree histogram d_minus."""
+    hist = [0] * (max(map(len, lat.up_covers)) + 1)
+    for covs in lat.up_covers:
+        hist[len(covs)] += 1
+    return binomial_transform(hist)
 
 
 def _q_scan(lat):
@@ -169,9 +161,9 @@ def _scan_feasible(lat):
 def q_vector(lat, method="auto"):
     """Counts of Boolean-cube intervals by dimension.
 
-    method "census" uses the minimal-element pair formula, "scan" the direct
-    interval enumeration; "auto" runs the census and, whenever the scan is
-    affordable, also the scan, insisting they agree.
+    method "census" uses the pair formula over up-cover degrees, "scan" the
+    direct interval enumeration; "auto" runs the census and, whenever the
+    scan is affordable, also the scan, insisting they agree.
     """
     if method == "census":
         return _q_census(lat)
@@ -288,9 +280,11 @@ class EulerReport:
         return self.derivative_at_minus_one == self.mi_count
 
 
-def euler_checks(lat):
-    """Q(-1) = 1 and Q'(-1) = number of meet-irreducibles."""
-    q = q_vector(lat)
+def euler_checks(lat, q=None):
+    """Q(-1) = 1 and Q'(-1) = number of meet-irreducibles.  ``q`` is the
+    lattice's q vector when the caller has already computed it."""
+    if q is None:
+        q = q_vector(lat)
     return EulerReport(
         alternating_sum=poly_eval(q, -1),
         derivative_at_minus_one=poly_eval(poly_deriv(q), -1),
@@ -421,7 +415,7 @@ class InvariantReport:
 def invariant_report(lat):
     q = q_vector(lat)
     d = d_vectors(lat)
-    e = euler_checks(lat)
+    e = euler_checks(lat, q)
     return InvariantReport(
         n=lat.base.n, size=lat.size, q=q,
         d_minus=d.minus, d_plus=d.plus, d_total=d.total,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .bits import iter_bits, mask_of
+from .bits import mask_of
 from .errors import InvalidInterval
 from .poset import FILTER_CAP, Poset, poset_isomorphic, poset_isomorphism
 
@@ -31,26 +31,44 @@ class IntervalRef(NamedTuple):
 
 
 class DistLattice:
-    """The lattice of filters of a base poset."""
+    """The lattice of filters of a base poset.
 
-    def __init__(self, base, filters):
+    Construction enumerates the filters with their minimal elements
+    (:meth:`Poset.filters_with_minima`) and raises CapacityExceeded beyond
+    ``cap`` filters.  The up-covers of filter F are F - y for y in min F.
+    """
+
+    def __init__(self, base, cap=FILTER_CAP):
         self.base = base
-        # Canonical element order: largest filter first, ties by mask value.
-        # That puts the bottom at index 0 and the top at index size-1.
-        self.filters = tuple(sorted(filters, key=lambda f: (-f.bit_count(), f)))
-        self.index_of = {f: i for i, f in enumerate(self.filters)}
         n = base.n
-        self.heights = tuple(n - f.bit_count() for f in self.filters)
+        full = base.full_mask
+        # Canonical element order: largest filter first, ties by mask value.
+        # That puts the bottom at index 0 and the top at index size-1.  One
+        # sort of (n - |F|, F, min F) packed into an int gives that order.
+        keys = [((n - f.bit_count()) << n | f) << n | a
+                for f, a in base.filters_with_minima(cap)]
+        keys.sort()
+        self.filters = tuple([k >> n & full for k in keys])
+        self.index_of = index_of = {f: i for i, f in enumerate(self.filters)}
+        self.heights = tuple([k >> 2 * n for k in keys])
         up = []
-        for f in self.filters:
-            up.append(tuple(sorted(
-                self.index_of[f & ~(1 << y)] for y in iter_bits(base.min_of(f)))))
+        for k, f in zip(keys, self.filters):
+            a = k & full
+            covs = []
+            # F - y has the same size for every y, so dropping the highest y
+            # first gives the smallest mask, i.e. ascending indices.
+            while a:
+                bit = 1 << a.bit_length() - 1
+                a ^= bit
+                covs.append(index_of[f ^ bit])
+            up.append(tuple(covs))
+        del keys    # freed before the down-covers are built, to lower the peak
         self.up_covers = tuple(up)
         down = [[] for _ in self.filters]
         for a, covs in enumerate(self.up_covers):
             for b in covs:
                 down[b].append(a)
-        self.down_covers = tuple(tuple(sorted(d)) for d in down)
+        self.down_covers = tuple([tuple(d) for d in down])
         self._chains = None
         self._above = None
 
@@ -214,7 +232,7 @@ class DistLattice:
 
 def filter_lattice(p, cap=FILTER_CAP):
     """The distributive lattice of all filters of poset ``p``."""
-    return DistLattice(p, p.filters(cap=cap))
+    return DistLattice(p, cap=cap)
 
 
 def lattice_isomorphism(l1, l2):

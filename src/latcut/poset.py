@@ -20,10 +20,6 @@ from .errors import CapacityExceeded, CycleDetected, DuplicateLabel, UnknownLabe
 #: Default guard against runaway filter/antichain enumerations.
 FILTER_CAP = 1 << 20
 
-# Above this element count the 2^n subset scan in filters() gives way to a
-# DFS over antichains, whose cost is bounded by the output size.
-_SCAN_LIMIT = 18
-
 
 class Poset:
     """A finite partial order.
@@ -153,58 +149,68 @@ class Poset:
 
     # -- enumeration ---------------------------------------------------------
 
+    def filters_with_minima(self, cap=FILTER_CAP):
+        """Yield ``(F, A)`` for every filter F of the poset, where A = min F.
+
+        Filters correspond one to one with antichains via A -> up(A), and
+        min(up(A)) = A.  This is an iterative DFS over antichains: members are
+        picked in increasing index order, so each antichain appears exactly
+        once, and a node carries (A, up(A), candidates) so that
+        up(A + j) = up(A) | up[j] | j costs O(1) big-int operations.  Nodes
+        come in preorder: A before its extensions, smaller picks first.
+
+        Raises CapacityExceeded when more than ``cap`` filters exist: before
+        the DFS starts when the minimal or the maximal elements (each an
+        antichain of size w, so each forcing 2^w filters) already exceed it,
+        otherwise as soon as the DFS passes it.
+        """
+        n = self.n
+        wide = max(self.min_of(self.full_mask).bit_count(),
+                   self.max_of(self.full_mask).bit_count())
+        if 1 << wide > cap:
+            raise CapacityExceeded(
+                "an antichain of %d elements forces more than %d filters"
+                % (wide, cap))
+        closed = [self.up[j] | 1 << j for j in range(n)]
+        incomp = [~self.comparable_mask(j) & self.full_mask for j in range(n)]
+        seen = 0
+        stack = [(0, 0, self.full_mask)]
+        while stack:
+            a, f, cand = stack.pop()
+            seen += 1
+            if seen > cap:
+                raise CapacityExceeded("more than %d filters" % cap)
+            yield f, a
+            # Push the extensions by decreasing pick, so the smallest pops
+            # first; each may only add candidates above its own pick.
+            later = 0
+            while cand:
+                j = cand.bit_length() - 1
+                bit = 1 << j
+                cand ^= bit
+                stack.append((a | bit, f | closed[j], later & incomp[j]))
+                later |= bit
+
     def filters(self, cap=FILTER_CAP):
         """All upward closed subsets, sorted by (size, numeric mask value).
 
-        Uses a full subset scan with an incremental closure-requirement table
-        for small n, and a DFS over antichains (whose cost is bounded by the
-        number of filters) beyond that.  Raises CapacityExceeded when more
+        Runs the antichain DFS of :meth:`filters_with_minima`, whose cost is
+        bounded by the number of filters.  Raises CapacityExceeded when more
         than ``cap`` filters exist.
         """
         n = self.n
-        if n == 0:
-            return [0]
-        if n <= _SCAN_LIMIT:
-            up = self.up
-            req = [0] * (1 << n)
-            out = [0]
-            for m in range(1, 1 << n):
-                low = m & -m
-                r = req[m ^ low] | up[low.bit_length() - 1]
-                req[m] = r
-                if r & ~m == 0:
-                    out.append(m)
-            if len(out) > cap:
-                raise CapacityExceeded(
-                    "%d filters exceed cap %d" % (len(out), cap))
-        else:
-            out = []
-            for a in self.antichains(cap=cap):
-                out.append(self.up_closure(a))
-        out.sort(key=lambda f: (f.bit_count(), f))
-        return out
+        keys = sorted([f.bit_count() << n | f
+                       for f, _ in self.filters_with_minima(cap)])
+        full = self.full_mask
+        return [k & full for k in keys]
 
     def antichains(self, cap=FILTER_CAP):
-        """Yield every antichain mask (members picked in increasing index
-        order, so each appears exactly once).  Antichains are in bijection
-        with filters via A -> up-closure of A, so the same cap applies."""
-        incomp = [~self.comparable_mask(i) & self.full_mask for i in range(self.n)]
-        seen = 0
-
-        def rec(chosen, candidates):
-            nonlocal seen
-            seen += 1
-            if seen > cap:
-                raise CapacityExceeded("more than %d antichains" % cap)
-            yield chosen
-            m = candidates
-            while m:
-                low = m & -m
-                j = low.bit_length() - 1
-                m ^= low
-                yield from rec(chosen | low, m & incomp[j])
-
-        yield from rec(0, self.full_mask)
+        """Yield every antichain mask, in the preorder of
+        :meth:`filters_with_minima` (members picked in increasing index
+        order).  Antichains are in bijection with filters, so the same cap
+        applies."""
+        for _, a in self.filters_with_minima(cap):
+            yield a
 
     def antichains_of_size(self, k, cap=FILTER_CAP):
         """All antichains with exactly k elements."""

@@ -1,0 +1,213 @@
+"""The antichain DFS behind F(P): every filter with its minimal elements,
+checked against the naive oracles, the 2^n subset scan and closed forms."""
+
+import io
+import sys
+
+import pytest
+from hypothesis import given, settings
+
+import oracles
+from conftest import posets
+from latcut import (CapacityExceeded, Poset, all_labeled_posets, antichain,
+                    antichain_census, binomial_transform, chain, crown,
+                    disjoint_union, fence, fib, filter_lattice, lucas,
+                    ordinal_sum, q_vector, stats_dict, write_poset_file)
+from latcut.bits import iter_bits
+from latcut.cli import cli_run
+from latcut.invariants import poly_eval
+from latcut.verify import filters_by_scan, verify_birkhoff
+
+
+def labelset(p, bits):
+    return frozenset(p.labels[i] for i in range(p.n) if bits >> i & 1)
+
+
+def check_pairs(p):
+    """Every emitted (F, A) has F = up(A) and A = min F; returns the F."""
+    out = []
+    for f, a in p.filters_with_minima():
+        assert f == p.up_closure(a)
+        assert a == p.min_of(f)
+        out.append(f)
+    return out
+
+
+def reference_antichains(p):
+    """The antichain order the package has always used: recursive DFS,
+    members picked in increasing index order."""
+    out = []
+
+    def rec(chosen, cand):
+        out.append(chosen)
+        for j in iter_bits(cand):
+            above = cand & ~((2 << j) - 1)
+            rec(chosen | 1 << j, above & ~p.comparable_mask(j))
+
+    rec(0, p.full_mask)
+    return out
+
+
+def check_against_naive(p):
+    emitted = check_pairs(p)
+    filters = p.filters()
+    assert sorted(emitted) == sorted(filters)
+    assert filters == sorted(filters, key=lambda f: (f.bit_count(), f))
+    assert {labelset(p, f) for f in filters} == oracles.naive_filters(p)
+    assert len(set(filters)) == len(filters)
+    assert list(p.antichains()) == reference_antichains(p)
+
+
+def test_kernel_on_every_labeled_poset_up_to_4():
+    for n in range(5):
+        for p in all_labeled_posets(n):
+            check_against_naive(p)
+
+
+@settings(max_examples=80, deadline=None)
+@given(posets(max_n=7))
+def test_kernel_on_random_posets(p):
+    check_against_naive(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(posets(max_n=7))
+def test_subset_scan_oracle_matches_naive(p):
+    scanned = filters_by_scan(p)
+    assert scanned == sorted(scanned)
+    assert {labelset(p, f) for f in scanned} == oracles.naive_filters(p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(posets(max_n=6))
+def test_lattice_covers_come_from_the_minima(p):
+    lat = filter_lattice(p)
+    assert list(lat.filters) == sorted(lat.filters,
+                                       key=lambda f: (-f.bit_count(), f))
+    for x, f in enumerate(lat.filters):
+        want = sorted(lat.index_of[f & ~(1 << y)]
+                      for y in iter_bits(p.min_of(f)))
+        assert list(lat.up_covers[x]) == want
+        assert lat.heights[x] == p.n - f.bit_count()
+    assert sorted(lat.covering_graph()) == sorted(oracles.naive_covers(lat))
+
+
+def test_birkhoff_suite_checks_the_kernel_against_the_scan(monkeypatch):
+    real = Poset.filters_with_minima
+
+    def duplicate_bottom(self, cap):
+        yield from real(self, cap)
+        if self.n == 3:
+            yield self.full_mask, self.min_of(self.full_mask)
+
+    monkeypatch.setattr(Poset, "filters_with_minima", duplicate_bottom)
+    res = verify_birkhoff(trials=0, exhaustive_max=3)
+    assert not res.ok
+    assert "differs from the subset scan" in res.failures[0][1]
+
+
+def _composite_18():
+    return ordinal_sum(disjoint_union(fence(7), crown(6)),
+                       disjoint_union(chain(2), antichain(3)))
+
+
+def _composite_20():
+    return disjoint_union(ordinal_sum(fence(8), crown(6)),
+                          disjoint_union(chain(3), antichain(3)))
+
+
+@pytest.mark.parametrize("make,n,count", [
+    (lambda: fence(18), 18, fib(20)),
+    (lambda: fence(19), 19, fib(21)),
+    (_composite_18, 18, fib(9) * lucas(6) + 3 * 8 - 1),
+    (_composite_20, 20, (fib(10) + lucas(6) - 1) * 4 * 8),
+])
+def test_kernel_on_both_sides_of_the_old_scan_switch(make, n, count):
+    """Above a few elements the naive oracle is too slow, so these compare
+    with the 2^n subset scan and test every filter against the relation."""
+    p = make()
+    assert p.n == n
+    emitted = check_pairs(p)
+    filters = p.filters()
+    assert len(filters) == count
+    assert sorted(emitted) == filters_by_scan(p)
+    rel = oracles.relation(p)
+    for f in filters:
+        s = labelset(p, f)
+        assert all(b in s for a, b in rel if a in s)
+
+
+def test_fence_filters_are_fibonacci_at_scale():
+    for n in range(27):
+        census = antichain_census(fence(n))
+        assert sum(census) == fib(n + 2)
+        assert poly_eval(binomial_transform(census), -1) == 1
+
+
+def test_crown_filters_are_lucas_at_scale():
+    for two_n in range(4, 25, 2):
+        census = antichain_census(crown(two_n))
+        assert sum(census) == lucas(two_n)
+        assert poly_eval(binomial_transform(census), -1) == 1
+
+
+def test_alternating_q_sum_on_large_lattices():
+    for p, size in ((fence(20), fib(22)), (crown(20), lucas(20))):
+        lat = filter_lattice(p)
+        assert lat.size == size
+        assert poly_eval(q_vector(lat), -1) == 1
+
+
+# -- the cap ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p", [fence(6), fence(19), crown(20), chain(30)])
+def test_cap_is_exact(p):
+    size = len(p.filters())
+    assert filter_lattice(p, cap=size).size == size
+    with pytest.raises(CapacityExceeded):
+        p.filters(cap=size - 1)
+    with pytest.raises(CapacityExceeded):
+        filter_lattice(p, cap=size - 1)
+
+
+def test_wide_posets_are_refused_before_enumerating():
+    with pytest.raises(CapacityExceeded):
+        filter_lattice(antichain(1200))
+    with pytest.raises(CapacityExceeded):
+        list(antichain(1200).antichains())
+    # Wide only at the top: one element below a 1200-element antichain.
+    with pytest.raises(CapacityExceeded):
+        filter_lattice(ordinal_sum(chain(1), antichain(1200)))
+    assert len(antichain(5).filters(cap=32)) == 32
+    with pytest.raises(CapacityExceeded):
+        antichain(5).filters(cap=31)
+
+
+def test_cli_stats_refuses_a_wide_poset(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin",
+                        io.StringIO(write_poset_file(antichain(1200))))
+    assert cli_run(["stats"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error:" in err and "filters" in err
+
+
+# -- stats computes q once -----------------------------------------------------------
+
+
+def test_stats_dict_computes_q_once(monkeypatch):
+    import latcut.invariants as inv
+
+    calls = []
+    real = inv.q_vector
+
+    def counting(lat, method="auto"):
+        calls.append(method)
+        return real(lat, method)
+
+    lat = filter_lattice(fence(7))
+    want = stats_dict(lat)
+    monkeypatch.setattr(inv, "q_vector", counting)
+    assert stats_dict(lat) == want
+    assert calls == ["auto"]
