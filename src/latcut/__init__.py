@@ -20,9 +20,8 @@ from .errors import (CapacityExceeded, CycleDetected, DuplicateLabel,
                      ParseError, UnknownLabel)
 from .expansion import (CUTTING_METHODS, CuttingBoundary, DecomposeResult,
                         ExpansionResult, SumLawsReport, boundary, cut_elements,
-                        decompose, expand_chain, expand_chain_steps,
-                        expand_lattice, expand_poset, is_cutting,
-                        lattice_as_poset, sum_laws)
+                        cuttings, decompose, expand_chain, expand_chain_steps,
+                        expand_poset, is_cutting, lattice_as_poset, sum_laws)
 from .families import (CubeGraph, FibonacciReport, LucasReport, antichain,
                        chain, cover_cube, crown, fence, fib, fibonacci_cube,
                        graph_isomorphic, lucas, lucas_cube,
@@ -47,4 +46,41 @@ from .verify import (SUITE_NAMES, SuiteResult, run_cutting_suite, run_suite,
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # bits
+    "iter_bits", "mask_of",
+    # catalog
+    "all_labeled_posets", "natural_posets", "posets_up_to_iso",
+    "random_poset", "trial_seed",
+    # errors
+    "CapacityExceeded", "CycleDetected", "DuplicateLabel", "InvalidInterval",
+    "LatcutError", "NotACutting", "OddSize", "ParseError", "UnknownLabel",
+    # expansion
+    "CUTTING_METHODS", "CuttingBoundary", "DecomposeResult",
+    "ExpansionResult", "SumLawsReport", "boundary", "cut_elements",
+    "cuttings", "decompose", "expand_chain", "expand_chain_steps",
+    "expand_poset", "is_cutting", "lattice_as_poset", "sum_laws",
+    # families
+    "CubeGraph", "FibonacciReport", "LucasReport", "antichain", "chain",
+    "cover_cube", "crown", "fence", "fib", "fibonacci_cube",
+    "graph_isomorphic", "lucas", "lucas_cube",
+    "verify_fibonacci_decomposition", "verify_lucas_decomposition",
+    # fileio
+    "export_dot", "parse_poset_file", "write_poset_file",
+    # invariants
+    "BinomialReport", "DegreeVectors", "EulerReport", "antichain_census",
+    "binomial_relations", "binomial_transform", "check_d_recurrences",
+    "check_q_recurrence", "check_rank_recurrence", "d_vectors",
+    "euler_checks", "invariant_report", "inverse_binomial_transform",
+    "q_vector", "rank_gen", "rank_gen_of", "stats_dict",
+    # lattice
+    "DistLattice", "IntervalRef", "birkhoff_roundtrip", "filter_lattice",
+    "lattice_isomorphism",
+    # poset
+    "FILTER_CAP", "Poset", "canonical_key", "disjoint_union", "ordinal_sum",
+    "poset_from_covers", "poset_isomorphic", "poset_isomorphism", "singleton",
+    # verify
+    "SUITE_NAMES", "SuiteResult", "run_cutting_suite", "run_suite",
+    "verify_birkhoff", "verify_cubes", "verify_fibonacci", "verify_lucas",
+    "verify_random",
+]

@@ -17,7 +17,8 @@ import json
 import sys
 
 from .errors import LatcutError
-from .expansion import CUTTING_METHODS, decompose, expand_poset, is_cutting
+from .expansion import (CUTTING_METHODS, cuttings, decompose, expand_poset,
+                        is_cutting)
 from .families import (antichain, chain, cover_cube, crown, fence,
                        fibonacci_cube, lucas_cube)
 from .fileio import export_dot, parse_poset_file, write_poset_file
@@ -130,6 +131,11 @@ def cli_run(argv=None):
     except (OSError, ValueError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
+    except AssertionError as e:
+        # A built-in cross-check (the q census against the interval scan,
+        # the boundary partition, an expansion step) found a contradiction.
+        print("error: verified property failed: %s" % e, file=sys.stderr)
+        return 1
 
 
 def _dispatch(args):
@@ -164,14 +170,9 @@ def _dispatch(args):
             return 2
         lat = filter_lattice(_read_poset(args.input), cap=cap)
         if args.bottom is None:
-            lines = []
-            above = lat.above_masks()
-            for a in range(lat.size):
-                for b in range(lat.size):
-                    if above[a] >> b & 1 and is_cutting(lat, (a, b)):
-                        lines.append("%s %s\n" % (lat.bitstring(a),
-                                                  lat.bitstring(b)))
-            _emit("".join(lines), out)
+            bits = [lat.bitstring(a) for a in range(lat.size)]
+            _emit("".join(["%s %s\n" % (bits[a], bits[b])
+                           for a, b in cuttings(lat)]), out)
             return 0
         k = _interval_from_flags(lat, args)
         votes = {m: is_cutting(lat, k, m) for m in CUTTING_METHODS}
@@ -221,9 +222,9 @@ def _dispatch(args):
         if args.kind == "cover":
             g = cover_cube(filter_lattice(_read_poset(args.arg), cap=cap))
         elif args.kind == "fibonacci":
-            g = fibonacci_cube(int(args.arg))
+            g = fibonacci_cube(int(args.arg), cap=cap)
         else:
-            g = lucas_cube(int(args.arg))
+            g = lucas_cube(int(args.arg), cap=cap)
         _emit(g.edge_list_text(), out)
         return 0
 

@@ -163,6 +163,40 @@ def cut_elements(lat, method="chains"):
             if is_cutting(lat, IntervalRef(a, a), method=method)]
 
 
+def cuttings(lat):
+    """Every cutting of ``lat`` as a (bottom, top) index pair, sorted by
+    bottom and then by top.
+
+    This lists in poset space rather than testing intervals.  By the order
+    criterion [B, T] is a cutting exactly when every element of P - B lies
+    strictly below every element of T, i.e. when P - B is a down-set inside
+    lower(T), the common strict lower bounds of T.  So the bottoms that go
+    with top T are the filters containing u = P - lower(T), which are the
+    lattice elements below u: one walk down the covers from u collects them.
+    """
+    base = lat.base
+    full, down = base.full_mask, base.down
+    index_of, down_covers = lat.index_of, lat.down_covers
+    size = lat.size
+    keys = []
+    for t, tf in enumerate(lat.filters):
+        lower = full
+        for y in iter_bits(tf):
+            lower &= down[y]
+        u = index_of[full & ~lower]
+        seen = {u}
+        stack = [u]
+        while stack:
+            for a in down_covers[stack.pop()]:
+                if a not in seen:
+                    seen.add(a)
+                    stack.append(a)
+        keys += [a * size + t for a in seen]
+    # bottom * size + top orders the pairs by bottom, then top.
+    keys.sort()
+    return [divmod(k, size) for k in keys]
+
+
 # -- expansion ----------------------------------------------------------------
 
 
@@ -215,11 +249,6 @@ def expand_poset(lat, k, label=None, cap=FILTER_CAP):
                                    big.index_of[tf | xbit]),
     )
     return result
-
-
-def expand_lattice(lat, k, label=None, cap=FILTER_CAP):
-    """expand_poset, returning just the enlarged lattice."""
-    return expand_poset(lat, k, label=label, cap=cap).lattice
 
 
 # -- decomposition -------------------------------------------------------------

@@ -136,26 +136,39 @@ def _cube_from_strings(strings):
 
 
 def _no_adjacent_ones(n):
+    """Every length-n binary string without "11": strings of length k are
+    "0" + those of length k-1 and "10" + those of length k-2."""
+    shorter, strings = [""], ["0", "1"]
     if n == 0:
-        return [""]
-    if n == 1:
-        return ["0", "1"]
-    return (["0" + s for s in _no_adjacent_ones(n - 1)]
-            + ["10" + s for s in _no_adjacent_ones(n - 2)])
+        return shorter
+    for _ in range(n - 1):
+        shorter, strings = strings, (["0" + s for s in strings]
+                                     + ["10" + s for s in shorter])
+    return strings
 
 
-def fibonacci_cube(n):
-    """All length-n binary strings without "11", edges at Hamming distance 1."""
+def fibonacci_cube(n, cap=FILTER_CAP):
+    """All length-n binary strings without "11", edges at Hamming distance 1.
+
+    Raises CapacityExceeded, before generating anything, when the F(n+2)
+    vertices would exceed ``cap``."""
     if n < 0:
         raise ValueError("negative cube dimension")
+    if fib(n + 2) > cap:
+        raise CapacityExceeded("Fibonacci cube of dimension %d has %d > %d "
+                               "vertices" % (n, fib(n + 2), cap))
     return _cube_from_strings(_no_adjacent_ones(n))
 
 
-def lucas_cube(two_n):
+def lucas_cube(two_n, cap=FILTER_CAP):
     """Fibonacci-cube strings with the cyclic constraint: no 1 in both the
-    first and last position."""
+    first and last position.  Capped like fibonacci_cube, at L(two_n)
+    vertices."""
     if two_n % 2:
         raise OddSize("Lucas cube needs an even length, got %d" % two_n)
+    if lucas(two_n) > cap:
+        raise CapacityExceeded("Lucas cube of dimension %d has %d > %d "
+                               "vertices" % (two_n, lucas(two_n), cap))
     strings = [s for s in _no_adjacent_ones(two_n)
                if not (s and s[0] == "1" and s[-1] == "1")]
     return _cube_from_strings(strings)

@@ -136,15 +136,6 @@ class DistLattice:
             self._above = tuple(above)
         return self._above
 
-    def up_set(self, a):
-        """Mask over lattice indices of elements >= a."""
-        fa = self.filters[a]
-        return mask_of(x for x, fx in enumerate(self.filters) if fx & ~fa == 0)
-
-    def down_set(self, a):
-        fa = self.filters[a]
-        return mask_of(x for x, fx in enumerate(self.filters) if fa & ~fx == 0)
-
     # -- intervals ----------------------------------------------------------
 
     def interval(self, bottom, top):
@@ -242,10 +233,6 @@ def lattice_isomorphism(l1, l2):
     if l1.size != l2.size:
         return None
     return poset_isomorphism(l1.mi_poset(), l2.mi_poset())
-
-
-def lattice_isomorphic(l1, l2):
-    return lattice_isomorphism(l1, l2) is not None
 
 
 def birkhoff_roundtrip(p, cap=FILTER_CAP):

@@ -81,10 +81,6 @@ class Poset:
         """The labels of a subset, in index order."""
         return [self.labels[i] for i in iter_bits(bits)]
 
-    def bits_of(self, labels):
-        """Pack labels into a subset mask."""
-        return mask_of(self.idx(lab) for lab in labels)
-
     def bitstring(self, bits):
         """Render a subset as a 0/1 string, element 0 leftmost.
 
@@ -211,10 +207,6 @@ class Poset:
         applies."""
         for _, a in self.filters_with_minima(cap):
             yield a
-
-    def antichains_of_size(self, k, cap=FILTER_CAP):
-        """All antichains with exactly k elements."""
-        return [a for a in self.antichains(cap=cap) if a.bit_count() == k]
 
     def width(self):
         """Size of a largest antichain."""

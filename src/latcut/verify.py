@@ -6,9 +6,10 @@ deterministic for a fixed seed; on failure the smallest failing instance is
 inlined as a poset file so it can be replayed directly.
 
 The cutting suite is one shared pass: it enumerates every interval of every
-pooled lattice, requires the four cutting criteria to agree, and then runs
-the counting, rank, q/d, binomial, Euler and degree checks off the cuttings
-and lattices it collected.  run_cutting_suite returns the per-topic slices.
+pooled lattice, requires the four cutting criteria to agree and
+``cuttings`` to list exactly the cuttings they found, and then runs the
+counting, rank, q/d, binomial, Euler and degree checks off the cuttings and
+lattices it collected.  run_cutting_suite returns the per-topic slices.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import time
 from dataclasses import dataclass, field
 
 from .catalog import all_labeled_posets, posets_up_to_iso, random_poset, trial_seed
-from .expansion import decompose, expand_poset, is_cutting
+from .expansion import cuttings, decompose, expand_poset, is_cutting
 from .families import (cover_cube, crown, fence, fib, fibonacci_cube,
                        graph_isomorphic, lucas, lucas_cube,
                        verify_fibonacci_decomposition,
@@ -225,7 +226,7 @@ def run_cutting_suite(trials=200, max_size=7, seed=1, exhaustive_max=5):
         lat = filter_lattice(p)
 
         te = time.time()
-        cuttings = []
+        found = []
         above = lat.above_masks()
         for a in range(lat.size):
             mask = above[a]
@@ -246,13 +247,22 @@ def run_cutting_suite(trials=200, max_size=7, seed=1, exhaustive_max=5):
                             % (lat.bitstring(a), lat.bitstring(b), tag),
                             "chains=%r union=%r order=%r star=%r" % votes)
                     elif votes[0]:
-                        cuttings.append(k)
+                        found.append(k)
                 mask >>= 1
                 b += 1
+        listed = cuttings(lat)
+        if listed != found:
+            missing = sorted(set(found) - set(listed))
+            extra = sorted(set(listed) - set(found))
+            eq.add_failure(
+                p, "cuttings() differs from the four-vote scan (%s)" % tag,
+                "missing=%s extra=%s" % (
+                    [(lat.bitstring(a), lat.bitstring(b)) for a, b in missing],
+                    [(lat.bitstring(a), lat.bitstring(b)) for a, b in extra]))
         equivalence_time += time.time() - te
 
         _check_lattice_invariants(results, p, lat, tag)
-        for k in cuttings:
+        for k in found:
             n_cuttings += 1
             exp = _check_cutting(results, p, lat, k, tag)
             _check_lattice_invariants(results, exp.poset, exp.lattice,

@@ -142,3 +142,20 @@ def naive_mi(lat):
     covers = naive_covers(lat)
     return sorted(x for x in range(lat.size)
                   if sum(1 for a, _ in covers if a == x) == 1)
+
+
+def naive_cutting_count(p):
+    """Number of cuttings of F(p) by the order criterion read off label sets:
+    the sum over filters T of the down-sets D with every element of D
+    strictly below every element of T (the bottom is then P - D)."""
+    rel = relation(p)
+    labs = list(p.labels)
+    total = 0
+    for top in naive_filters(p):
+        lower = [a for a in labs if all((a, y) in rel for y in top)]
+        for r in range(len(lower) + 1):
+            for sub in combinations(lower, r):
+                d = set(sub)
+                if all(a in d for (a, b) in rel if b in d):
+                    total += 1
+    return total

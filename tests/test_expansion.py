@@ -1,14 +1,21 @@
 """Cutting intervals, convex expansion, decomposition, sum laws."""
 
+import io
+import sys
+
 import pytest
 from hypothesis import given, settings
 
 import oracles
 from conftest import posets
-from latcut import (CUTTING_METHODS, IntervalRef, NotACutting, boundary,
-                    cut_elements, decompose, expand_chain, expand_chain_steps,
-                    expand_poset, filter_lattice, is_cutting, lattice_as_poset,
-                    poset_from_covers, poset_isomorphic, singleton, sum_laws)
+from latcut import (CUTTING_METHODS, IntervalRef, NotACutting,
+                    all_labeled_posets, antichain, boundary, crown,
+                    cut_elements, cuttings, decompose, expand_chain,
+                    expand_chain_steps, expand_poset, fence, filter_lattice,
+                    is_cutting, lattice_as_poset, parse_poset_file,
+                    poset_from_covers, poset_isomorphic, singleton, sum_laws,
+                    write_poset_file)
+from latcut.cli import cli_run
 
 
 def z3():
@@ -89,6 +96,60 @@ def test_cut_elements_of_z3():
 def test_is_cutting_rejects_unknown_method():
     with pytest.raises(ValueError):
         is_cutting(z3_lattice(), (0, 1), "magic")
+
+
+# -- listing cuttings ---------------------------------------------------------------
+
+
+def scan_cuttings(lat, method):
+    """Every comparable pair, in index order, tested by one criterion."""
+    return [(a, b) for a in range(lat.size) for b in range(lat.size)
+            if lat.le(a, b) and is_cutting(lat, (a, b), method)]
+
+
+def test_cuttings_match_every_criterion_on_labeled_posets():
+    for n in range(5):
+        for p in all_labeled_posets(n):
+            lat = filter_lattice(p)
+            got = cuttings(lat)
+            for m in CUTTING_METHODS:
+                assert got == scan_cuttings(lat, m), (n, m)
+            assert len(got) == oracles.naive_cutting_count(p)
+
+
+@settings(max_examples=50, deadline=None)
+@given(posets(max_n=7))
+def test_cuttings_match_every_criterion_on_random_posets(p):
+    lat = filter_lattice(p)
+    got = cuttings(lat)
+    for m in CUTTING_METHODS:
+        assert got == scan_cuttings(lat, m), m
+
+
+@settings(max_examples=60, deadline=None)
+@given(posets(max_n=7))
+def test_cutting_count_matches_the_order_oracle(p):
+    assert len(cuttings(filter_lattice(p))) == oracles.naive_cutting_count(p)
+
+
+def listing_by_interval_test(lat):
+    """What `latcut cutting` printed before it listed cuttings in poset
+    space: every pair a <= b by the containment masks, in index order,
+    kept when the chain criterion holds."""
+    above = lat.above_masks()
+    return "".join("%s %s\n" % (lat.bitstring(a), lat.bitstring(b))
+                   for a in range(lat.size) for b in range(lat.size)
+                   if above[a] >> b & 1 and is_cutting(lat, (a, b)))
+
+
+@pytest.mark.parametrize("p", [crown(6), fence(5), antichain(3)],
+                         ids=["crown6", "fence5", "antichain3"])
+def test_cli_cutting_listing_matches_the_interval_test(p, capsys, monkeypatch):
+    text = write_poset_file(p)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert cli_run(["cutting"]) == 0
+    out = capsys.readouterr().out
+    assert out == listing_by_interval_test(filter_lattice(parse_poset_file(text)))
 
 
 # -- expansion ----------------------------------------------------------------------

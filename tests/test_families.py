@@ -1,5 +1,8 @@
 """Zigzag and crown generators, Fibonacci/Lucas counts, cube graphs."""
 
+import time
+from itertools import combinations, product
+
 import pytest
 
 import oracles
@@ -8,6 +11,7 @@ from latcut import (CapacityExceeded, OddSize, antichain, chain, cover_cube,
                     graph_isomorphic, lucas, lucas_cube,
                     verify_fibonacci_decomposition,
                     verify_lucas_decomposition)
+from latcut.cli import cli_run
 from latcut.invariants import poly_eval
 
 
@@ -90,6 +94,44 @@ def test_cube_vertex_counts_follow_the_sequences():
         assert fibonacci_cube(n).vertex_count == fib(n + 2)
     for two_n in (4, 6, 8):
         assert lucas_cube(two_n).vertex_count == lucas(two_n)
+
+
+def string_cube(n, cyclic):
+    """Sorted vertices and sorted edges of the cube on length-n strings
+    without "11" (nor a 1 at both ends when ``cyclic``), by brute force."""
+    verts = sorted(s for s in ("".join(t) for t in product("01", repeat=n))
+                   if "11" not in s
+                   and not (cyclic and n and s[0] == s[-1] == "1"))
+    edges = [(u, v) for u, v in combinations(verts, 2)
+             if sum(a != b for a, b in zip(u, v)) == 1]
+    return tuple(verts), tuple(sorted(edges))
+
+
+def test_cube_lists_match_brute_force_up_to_12():
+    for n in range(13):
+        g = fibonacci_cube(n)
+        assert (g.vertices, g.edges) == string_cube(n, cyclic=False), n
+    for two_n in range(2, 13, 2):
+        g = lucas_cube(two_n)
+        assert (g.vertices, g.edges) == string_cube(two_n, cyclic=True), two_n
+
+
+def test_cube_caps_are_exact():
+    assert fibonacci_cube(10, cap=fib(12)).vertex_count == fib(12)
+    with pytest.raises(CapacityExceeded):
+        fibonacci_cube(10, cap=fib(12) - 1)
+    assert lucas_cube(10, cap=lucas(10)).vertex_count == lucas(10)
+    with pytest.raises(CapacityExceeded):
+        lucas_cube(10, cap=lucas(10) - 1)
+
+
+@pytest.mark.parametrize("kind", ["fibonacci", "lucas"])
+def test_cli_cube_refuses_beyond_the_cap_at_once(kind, capsys):
+    t0 = time.perf_counter()
+    code = cli_run(["cube", kind, "60", "--cap", "1000"])
+    assert code == 2 and time.perf_counter() - t0 < 1.0
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:")
 
 
 def test_covering_graphs_are_the_cubes():

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import latcut
 from latcut import (ParseError, UnknownLabel, expand_poset, export_dot,
                     filter_lattice, parse_poset_file, poset_from_covers,
                     write_poset_file)
@@ -287,3 +288,31 @@ def test_cli_module_entry_point():
                            "fence", "3"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "element 1 2 3\ncover 2 1\ncover 2 3\n"
+
+
+def _planted_failure(*_args):
+    raise AssertionError("planted failure")
+
+
+@pytest.mark.parametrize("target,replacement,argv", [
+    # an interval scan that disagrees with the q census inside `stats`
+    ("latcut.invariants._q_scan", lambda lat: [0], ["stats"]),
+    # a boundary check that fails inside the order criterion's vote
+    ("latcut.expansion.boundary", _planted_failure,
+     ["cutting", "--bottom", "101", "--top", "000"]),
+])
+def test_cli_reports_failed_cross_checks_without_traceback(
+        target, replacement, argv, capsys, monkeypatch):
+    monkeypatch.setattr(target, replacement)
+    code, out, err = run_cli(argv, stdin_text=write_poset_file(z3()),
+                             capsys=capsys, monkeypatch=monkeypatch)
+    assert code == 1 and out == ""
+    assert err.startswith("error: verified property failed: ")
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
+def test_public_names_resolve():
+    assert len(set(latcut.__all__)) == len(latcut.__all__)
+    for name in latcut.__all__:
+        assert not isinstance(getattr(latcut, name), type(latcut)), name
+    assert "cuttings" in latcut.__all__ and "expansion" not in latcut.__all__
