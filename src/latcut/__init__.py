@@ -33,8 +33,8 @@ from .invariants import (BinomialReport, DegreeVectors, EulerReport,
                          binomial_transform, check_d_recurrences,
                          check_q_recurrence, check_rank_recurrence, d_vectors,
                          euler_checks, invariant_report,
-                         inverse_binomial_transform, q_vector, rank_gen,
-                         rank_gen_of, stats_dict)
+                         inverse_binomial_transform, poset_stats, q_vector,
+                         rank_gen, rank_gen_of, stats_dict)
 from .lattice import (DistLattice, IntervalRef, birkhoff_roundtrip,
                       filter_lattice, lattice_isomorphism)
 from .poset import (FILTER_CAP, Poset, canonical_key, disjoint_union,
@@ -72,7 +72,7 @@ __all__ = [
     "binomial_relations", "binomial_transform", "check_d_recurrences",
     "check_q_recurrence", "check_rank_recurrence", "d_vectors",
     "euler_checks", "invariant_report", "inverse_binomial_transform",
-    "q_vector", "rank_gen", "rank_gen_of", "stats_dict",
+    "poset_stats", "q_vector", "rank_gen", "rank_gen_of", "stats_dict",
     # lattice
     "DistLattice", "IntervalRef", "birkhoff_roundtrip", "filter_lattice",
     "lattice_isomorphism",

@@ -22,7 +22,7 @@ from .expansion import (CUTTING_METHODS, cuttings, decompose, expand_poset,
 from .families import (antichain, chain, cover_cube, crown, fence,
                        fibonacci_cube, lucas_cube)
 from .fileio import export_dot, parse_poset_file, write_poset_file
-from .invariants import stats_dict
+from .invariants import poset_stats
 from .lattice import filter_lattice
 from .poset import FILTER_CAP
 from .verify import SUITE_NAMES, run_suite
@@ -210,8 +210,7 @@ def _dispatch(args):
         return 0 if dec.counts_ok and dec.expansion_iso_ok else 1
 
     if args.command == "stats":
-        lat = filter_lattice(_read_poset(args.input), cap=cap)
-        _emit(_json_line(stats_dict(lat)), out)
+        _emit(_json_line(poset_stats(_read_poset(args.input), cap=cap)), out)
         return 0
 
     if args.command == "family":

@@ -292,8 +292,10 @@ def decompose(p, x, cap=FILTER_CAP):
     k = host.interval(host.index_of[bf], host.index_of[tf])
 
     exp = expand_poset(host, k, label=x, cap=cap)
-    size = len(p.filters(cap=cap))
-    star_size = len(star.filters(cap=cap))
+    # Counted by the antichain walk on P and on P*x, independently of the
+    # expansion.
+    size = sum(1 for _ in p.filters_with_minima(cap))
+    star_size = sum(1 for _ in star.filters_with_minima(cap))
     counts_ok = size == host.size + star_size == exp.lattice.size
     expansion_iso_ok = poset_isomorphic(exp.poset, p)
     product_form = poset_isomorphic(minus, star)

@@ -29,12 +29,15 @@ and the vectors satisfy
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
 import numpy as np
 
 from .expansion import expand_poset
+from .lattice import filter_lattice
+from .poset import FILTER_CAP
 
 # The interval-scan oracle builds a 2^n antichain table and a size^2
 # containment matrix; past these bounds only the census route is run.
@@ -153,9 +156,17 @@ def _q_scan(lat):
     return [int(c) for c in counts]
 
 
-def _scan_feasible(lat):
-    return (lat.base.n <= _SCAN_BASE_LIMIT
-            and lat.size * lat.size <= _SCAN_PAIR_LIMIT)
+def _scan_feasible(n, size):
+    """Whether the interval scan is affordable for an n-element base poset
+    with ``size`` filters."""
+    return n <= _SCAN_BASE_LIMIT and size * size <= _SCAN_PAIR_LIMIT
+
+
+def _require_scan_agrees(lat, q):
+    scanned = _q_scan(lat)
+    if poly_trim(scanned) != poly_trim(q):
+        raise AssertionError(
+            "interval scan %r disagrees with census %r" % (scanned, q))
 
 
 def q_vector(lat, method="auto"):
@@ -172,11 +183,8 @@ def q_vector(lat, method="auto"):
     if method != "auto":
         raise ValueError("method must be census, scan or auto")
     q = _q_census(lat)
-    if _scan_feasible(lat):
-        scanned = _q_scan(lat)
-        if poly_trim(scanned) != poly_trim(q):
-            raise AssertionError(
-                "interval scan %r disagrees with census %r" % (scanned, q))
+    if _scan_feasible(lat.base.n, lat.size):
+        _require_scan_agrees(lat, q)
     return q
 
 
@@ -206,18 +214,23 @@ def antichain_census(p):
     return poly_trim(out)
 
 
-def d_vectors(lat):
-    ups = [len(c) for c in lat.up_covers]
-    downs = [len(c) for c in lat.down_covers]
-    width = max(max(ups), max(downs)) if ups else 0
+def _degree_vectors(pairs):
+    """The three histograms from a count of (up-degree, down-degree) pairs.
+    ``minus`` and ``plus`` share one length, the largest degree plus one."""
+    width = max(max(u, d) for u, d in pairs)
     minus = [0] * (width + 1)
     plus = [0] * (width + 1)
-    total = [0] * (max(u + d for u, d in zip(ups, downs)) + 1) if ups else [0]
-    for u, d in zip(ups, downs):
-        minus[u] += 1
-        plus[d] += 1
-        total[u + d] += 1
+    total = [0] * (max(u + d for u, d in pairs) + 1)
+    for (u, d), c in pairs.items():
+        minus[u] += c
+        plus[d] += c
+        total[u + d] += c
     return DegreeVectors(minus=minus, plus=plus, total=total)
+
+
+def d_vectors(lat):
+    return _degree_vectors(Counter(zip(map(len, lat.up_covers),
+                                       map(len, lat.down_covers))))
 
 
 # -- binomial transform and Euler relations ------------------------------------------
@@ -285,10 +298,14 @@ def euler_checks(lat, q=None):
     lattice's q vector when the caller has already computed it."""
     if q is None:
         q = q_vector(lat)
+    return _euler_report(q, len(lat.meet_irreducibles()))
+
+
+def _euler_report(q, mi_count):
     return EulerReport(
         alternating_sum=poly_eval(q, -1),
         derivative_at_minus_one=poly_eval(poly_deriv(q), -1),
-        mi_count=len(lat.meet_irreducibles()))
+        mi_count=mi_count)
 
 
 # -- recurrences under expansion ----------------------------------------------------
@@ -425,7 +442,46 @@ def invariant_report(lat):
 
 def stats_dict(lat):
     """The JSON-facing report: integer-only values, fixed key set."""
-    r = invariant_report(lat)
+    return _report_json(invariant_report(lat))
+
+
+def poset_stats(p, cap=FILTER_CAP):
+    """``stats_dict(filter_lattice(p, cap))``, computed without the lattice.
+
+    The element F of F(P) has height n - |F|, |min F| upper covers (F - a
+    for a in min F) and |max(P - F)| lower covers (F + y for y in
+    max(P - F)).  One antichain walk over P yields each filter with its
+    minima; the same walk over the dual yields each down-set D = P - F with
+    its maxima.  Joining the two on F = P - D counts the triples (height,
+    up-degree, down-degree), and the report is a function of those counts.
+    Both walks raise CapacityExceeded beyond ``cap`` filters.
+
+    Where ``q_vector`` would cross-check q against the interval scan, the
+    lattice is built for that scan, and a disagreement raises AssertionError.
+    """
+    n, full = p.n, p.full_mask
+    up_degree = {f: a.bit_count() for f, a in p.filters_with_minima(cap)}
+    triples = Counter((d.bit_count(), up_degree[full ^ d], m.bit_count())
+                      for d, m in p.dual().filters_with_minima(cap))
+    rank = [0] * (n + 1)
+    pairs = Counter()
+    for (h, u, d), c in triples.items():
+        rank[h] += c
+        pairs[u, d] += c
+    size = sum(rank)
+    deg = _degree_vectors(pairs)
+    q = binomial_transform(deg.minus)
+    if _scan_feasible(n, size):
+        _require_scan_agrees(filter_lattice(p, cap), q)
+    e = _euler_report(q, deg.minus[1] if deg.width else 0)
+    return _report_json(InvariantReport(
+        n=n, size=size, q=q,
+        d_minus=deg.minus, d_plus=deg.plus, d_total=deg.total,
+        rank_poly=rank, width_m=deg.width,
+        mi_count=e.mi_count, euler_ok=e.ok, euler_derivative_ok=e.derivative_ok))
+
+
+def _report_json(r):
     return {
         "n": r.n,
         "size": r.size,

@@ -25,10 +25,11 @@ class Poset:
     """A finite partial order.
 
     Construct with :func:`poset_from_covers`; the raw constructor trusts its
-    arguments (``up`` must already be transitively closed and acyclic).
+    arguments (``up`` must already be transitively closed and acyclic, and
+    ``_down``, when given, its transpose).
     """
 
-    def __init__(self, labels, up, _trusted=False):
+    def __init__(self, labels, up, _trusted=False, _down=None):
         if not _trusted:
             raise TypeError("use poset_from_covers() to build a Poset")
         self.labels = tuple(labels)
@@ -36,11 +37,12 @@ class Poset:
         self.full_mask = (1 << self.n) - 1
         self.index = {lab: i for i, lab in enumerate(self.labels)}
         self.up = tuple(up)
-        down = [0] * self.n
-        for i in range(self.n):
-            for j in iter_bits(self.up[i]):
-                down[j] |= 1 << i
-        self.down = tuple(down)
+        if _down is None:
+            _down = [0] * self.n
+            for i in range(self.n):
+                for j in iter_bits(self.up[i]):
+                    _down[j] |= 1 << i
+        self.down = tuple(_down)
         self._covers_up = None
         self._antichain_table = None
 
@@ -252,7 +254,7 @@ class Poset:
 
     def dual(self):
         """Order-reversed poset on the same labels."""
-        return Poset(self.labels, self.down, _trusted=True)
+        return Poset(self.labels, self.down, _trusted=True, _down=self.up)
 
 
 # -- construction ------------------------------------------------------------

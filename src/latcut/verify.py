@@ -152,7 +152,7 @@ def _check_lattice_invariants(results, p, lat, tag):
             p, "binomial transform mismatch (%s)" % tag,
             "q=%r d_minus=%r" % (br.q, br.d_minus))
 
-    eu = euler_checks(lat)
+    eu = euler_checks(lat, q=br.q)
     results["euler"].checks += 1
     if not (eu.ok and eu.derivative_ok):
         results["euler"].add_failure(
@@ -374,7 +374,7 @@ def verify_random(trials=200, max_size=7, seed=2):
         lat = filter_lattice(p)
         ok = birkhoff_roundtrip(p)
         br = binomial_relations(lat)
-        eu = euler_checks(lat)
+        eu = euler_checks(lat, q=br.q)
         d = d_vectors(lat)
         if not (ok and br.ok and eu.ok and eu.derivative_ok
                 and d.minus == d.plus):

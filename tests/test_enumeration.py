@@ -12,11 +12,14 @@ from conftest import posets
 from latcut import (CapacityExceeded, Poset, all_labeled_posets, antichain,
                     antichain_census, binomial_transform, chain, crown,
                     disjoint_union, fence, fib, filter_lattice, lucas,
-                    ordinal_sum, q_vector, stats_dict, write_poset_file)
+                    ordinal_sum, poset_from_covers, poset_stats, q_vector,
+                    stats_dict, verify_random, write_poset_file)
 from latcut.bits import iter_bits
-from latcut.cli import cli_run
+from latcut.cli import _json_line, cli_run
 from latcut.invariants import poly_eval
-from latcut.verify import filters_by_scan, verify_birkhoff
+from latcut.verify import (_CUTTING_TOPICS, SuiteResult,
+                           _check_lattice_invariants, filters_by_scan,
+                           verify_birkhoff)
 
 
 def labelset(p, bits):
@@ -211,3 +214,141 @@ def test_stats_dict_computes_q_once(monkeypatch):
     monkeypatch.setattr(inv, "q_vector", counting)
     assert stats_dict(lat) == want
     assert calls == ["auto"]
+
+
+# -- stats in poset space ------------------------------------------------------------
+
+
+def test_poset_stats_on_every_labeled_poset_up_to_4():
+    for n in range(5):
+        for p in all_labeled_posets(n):
+            assert poset_stats(p) == stats_dict(filter_lattice(p))
+
+
+def test_poset_stats_on_the_empty_poset():
+    p = poset_from_covers([], [])
+    got = poset_stats(p)
+    assert got == stats_dict(filter_lattice(p))
+    assert got["size"] == 1 and got["mi_count"] == 0
+    assert got["d_minus"] == got["d_plus"] == got["d_total"] == [1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(posets(max_n=7))
+def test_poset_stats_on_random_posets(p):
+    assert poset_stats(p) == stats_dict(filter_lattice(p))
+
+
+def _scan_calls(monkeypatch, run):
+    import latcut.invariants as inv
+
+    calls = []
+    real = inv._q_scan
+
+    def counting(lat):
+        calls.append(lat.size)
+        return real(lat)
+
+    monkeypatch.setattr(inv, "_q_scan", counting)
+    result = run()
+    monkeypatch.setattr(inv, "_q_scan", real)
+    return result, len(calls)
+
+
+@pytest.mark.parametrize("make,scanned", [
+    (lambda: fence(19), False),
+    (lambda: fence(20), False),
+    (lambda: crown(20), False),
+    (lambda: antichain(14), False),
+    (lambda: antichain(15), False),
+    # n <= 20 and size^2 <= 2^23: the interval scan runs
+    (lambda: disjoint_union(fence(8), crown(6)), True),
+    (lambda: fence(16), True),
+    # n <= 20, but 4183^2 pairs of filters are too many
+    (lambda: disjoint_union(fence(9), crown(8)), False),
+    # 499 filters but 22 elements
+    (lambda: ordinal_sum(fence(12), crown(10)), False),
+    (_composite_18, True),
+    (_composite_20, True),
+])
+def test_poset_stats_at_scale_and_the_scan_switch(make, scanned, monkeypatch):
+    """The streamed report equals the lattice's, and the q cross-check
+    against the interval scan runs exactly where ``q_vector`` runs it."""
+    p = make()
+    got, streamed_scans = _scan_calls(monkeypatch, lambda: poset_stats(p))
+    want, lattice_scans = _scan_calls(
+        monkeypatch, lambda: stats_dict(filter_lattice(p)))
+    assert got == want
+    assert streamed_scans == lattice_scans == int(scanned)
+
+
+def test_poset_stats_on_fence_28():
+    got = poset_stats(fence(28))
+    assert got["size"] == fib(30) == 832040
+    assert poly_eval(got["q"], -1) == 1 and got["euler_ok"]
+    assert got["euler_derivative_ok"]
+    assert sum(got["rank_poly"]) == sum(got["d_total"]) == got["size"]
+
+
+def test_poset_stats_respects_the_cap():
+    p = fence(19)
+    assert poset_stats(p, cap=fib(21))["size"] == fib(21)
+    with pytest.raises(CapacityExceeded):
+        poset_stats(p, cap=fib(21) - 1)
+    with pytest.raises(CapacityExceeded):
+        poset_stats(antichain(1200))
+
+
+@pytest.mark.parametrize("p", [
+    poset_from_covers([], []), fence(9), crown(10), antichain(6),
+    disjoint_union(fence(9), crown(8)),
+])
+def test_cli_stats_prints_the_lattice_report(p, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(write_poset_file(p)))
+    assert cli_run(["stats"]) == 0
+    out, err = capsys.readouterr()
+    assert out == _json_line(stats_dict(filter_lattice(p)))
+    assert err == ""
+
+
+def test_cli_stats_refuses_over_the_cap(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(write_poset_file(fence(21))))
+    assert cli_run(["stats", "--cap", "4096"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: more than 4096 filters\n"
+
+
+# -- each pooled lattice computes q once ------------------------------------------
+
+
+def _count_q_vector(monkeypatch):
+    import latcut.invariants as inv
+
+    calls = []
+    real = inv.q_vector
+
+    def counting(lat, method="auto"):
+        calls.append(method)
+        return real(lat, method)
+
+    monkeypatch.setattr(inv, "q_vector", counting)
+    return calls
+
+
+def test_lattice_invariant_checks_compute_q_once(monkeypatch):
+    p = crown(6)
+    lat = filter_lattice(p)
+    calls = _count_q_vector(monkeypatch)
+    results = {name: SuiteResult(name) for name in _CUTTING_TOPICS}
+    _check_lattice_invariants(results, p, lat, "crown(6)")
+    assert calls == ["auto"]
+    assert all(r.ok for r in results.values())
+    assert results["euler"].checks == results["binomial"].checks == 1
+
+
+def test_random_layer_computes_q_once_per_poset(monkeypatch):
+    calls = _count_q_vector(monkeypatch)
+    res = verify_random(trials=6, max_size=5, seed=3)
+    assert res.ok
+    assert calls == ["auto"] * 6

@@ -1,5 +1,6 @@
 """Poset file format, DOT export, and the command line interface."""
 
+import contextlib
 import io
 import json
 import subprocess
@@ -7,11 +8,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import latcut
-from latcut import (ParseError, UnknownLabel, expand_poset, export_dot,
-                    filter_lattice, parse_poset_file, poset_from_covers,
-                    write_poset_file)
+from conftest import posets
+from latcut import (LatcutError, ParseError, UnknownLabel, expand_poset,
+                    export_dot, filter_lattice, parse_poset_file,
+                    poset_from_covers, write_poset_file)
 from latcut.cli import cli_run
 
 DATA = Path(__file__).parent / "data"
@@ -316,3 +320,101 @@ def test_public_names_resolve():
     for name in latcut.__all__:
         assert not isinstance(getattr(latcut, name), type(latcut)), name
     assert "cuttings" in latcut.__all__ and "expansion" not in latcut.__all__
+
+
+# -- fuzzing the file format and the command line ----------------------------------
+
+# Garbage lines draw their labels from six names, so whatever parses has at
+# most six elements and no draw starts a large enumeration.
+_WORDS = ["element", "cover", "a", "b", "c", "d", "1", "2", "#", "elem", "\t"]
+_POSET_TEXT = st.one_of(
+    posets(max_n=5).map(write_poset_file),
+    st.lists(st.lists(st.sampled_from(_WORDS), max_size=5).map(" ".join),
+             max_size=6).map("\n".join),
+    st.text(max_size=40),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_POSET_TEXT)
+def test_fuzz_parse_raises_only_latcut_errors(text):
+    try:
+        p = parse_poset_file(text)
+    except LatcutError:
+        return
+    assert parse_poset_file(write_poset_file(p)) == p
+
+
+_INPUT_COMMANDS = ("filters", "lattice", "mi", "stats", "cutting", "expand",
+                   "decompose", "export-dot")
+_BITS = st.text(alphabet="01e,", max_size=5)
+_SMALL = st.integers(min_value=-3, max_value=12).map(str)
+_LABEL = st.sampled_from(["a", "b", "1", "2", "zz"])
+_GARBAGE = st.sampled_from(["--cap", "--bottom", "--top", "-1", "0", "x",
+                            "--nope", "fence", ""])
+
+
+@st.composite
+def _argv(draw):
+    cmd = draw(st.sampled_from(_INPUT_COMMANDS
+                               + ("family", "cube", "verify", "nope")))
+    argv = [cmd]
+    if cmd in _INPUT_COMMANDS:
+        argv.append(draw(st.sampled_from(["-", "-", "-", "no-such-file"])))
+    if cmd in ("cutting", "expand"):
+        for flag in ("--bottom", "--top"):
+            if cmd == "expand" or draw(st.booleans()):
+                argv += [flag, draw(_BITS)]
+        if cmd == "expand" and draw(st.booleans()):
+            argv += ["--label", draw(_LABEL)]
+    elif cmd == "decompose":
+        argv.append(draw(_LABEL))
+    elif cmd == "export-dot":
+        for flag in ("--highlight", "--expand"):
+            if draw(st.booleans()):
+                argv += [flag, draw(_BITS)]
+    elif cmd == "family":
+        argv += [draw(st.sampled_from(["fence", "crown", "chain",
+                                       "antichain", "wheel"])), draw(_SMALL)]
+    elif cmd == "cube":
+        kind = draw(st.sampled_from(["fibonacci", "lucas", "cover", "torus"]))
+        argv += [kind, draw(st.one_of(_SMALL, st.sampled_from(["-", "x"])))]
+    elif cmd == "verify":
+        # The cutting suites are left out: each walks every labeled poset up
+        # to five elements whatever its flags say.
+        argv.append(draw(st.sampled_from(["birkhoff", "random", "fibonacci",
+                                          "lucas", "cubes", "nope"])))
+        for flag, hi in (("--trials", 3), ("--max-size", 5), ("--seed", 9),
+                         ("--max", 8)):
+            if draw(st.booleans()):
+                argv += [flag, str(draw(st.integers(min_value=-2,
+                                                    max_value=hi)))]
+    if draw(st.booleans()):
+        argv += ["--cap", str(draw(st.integers(min_value=-2, max_value=64)))]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        argv.append(draw(_GARBAGE))
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(_argv(), _POSET_TEXT)
+def test_fuzz_cli_exits_cleanly(argv, stdin_text):
+    """No exception escapes ``cli_run``.  Bad input is exit 2 with one
+    message on stderr; exit 1 would mean that a verified property failed,
+    which these small inputs must never do."""
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin_text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli_run(argv)
+            except SystemExit as e:     # argparse rejects the argv
+                code = e.code
+    finally:
+        sys.stdin = saved
+    err = err.getvalue()
+    assert code in (0, 2), (argv, code, err)
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith(("error: ", "usage: ")), (argv, err)
