@@ -107,7 +107,9 @@ def build_parser():
     p = cmd("verify", "run a named verification suite", poset_input=False)
     p.add_argument("suite", choices=list(SUITE_NAMES))
     p.add_argument("--trials", type=int, help="random posets to draw")
-    p.add_argument("--max-size", type=int, help="largest random poset")
+    p.add_argument("--max-size", type=int,
+                   help="largest random poset; the cutting suites also walk "
+                        "every poset up to min(5, this) elements")
     p.add_argument("--seed", type=int, help="base seed for the random layer")
     p.add_argument("--max", type=int, dest="max_param",
                    help="family bound (fibonacci: m+n-2, lucas: 2n, "

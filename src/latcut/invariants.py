@@ -31,10 +31,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
+from .errors import CapacityExceeded
 from .expansion import expand_poset
 from .lattice import filter_lattice
 from .poset import FILTER_CAP
@@ -226,6 +227,17 @@ def _degree_vectors(pairs):
         plus[d] += c
         total[u + d] += c
     return DegreeVectors(minus=minus, plus=plus, total=total)
+
+
+def _padded_degree_vectors(minus, plus, total):
+    """The DegreeVectors of the three histograms, in the shape that
+    ``_degree_vectors`` gives: trailing zeros dropped, then ``minus`` and
+    ``plus`` padded to one length."""
+    minus, plus = poly_trim(minus), poly_trim(plus)
+    width = max(len(minus), len(plus))
+    return DegreeVectors(minus=minus + [0] * (width - len(minus)),
+                         plus=plus + [0] * (width - len(plus)),
+                         total=poly_trim(total))
 
 
 def d_vectors(lat):
@@ -450,35 +462,133 @@ def poset_stats(p, cap=FILTER_CAP):
 
     The element F of F(P) has height n - |F|, |min F| upper covers (F - a
     for a in min F) and |max(P - F)| lower covers (F + y for y in
-    max(P - F)).  One antichain walk over P yields each filter with its
-    minima; the same walk over the dual yields each down-set D = P - F with
-    its maxima.  Joining the two on F = P - D counts the triples (height,
-    up-degree, down-degree), and the report is a function of those counts.
-    Both walks raise CapacityExceeded beyond ``cap`` filters.
+    max(P - F)).  The report is a function of four histograms over the
+    filters: of the height, of each degree and of their sum.
+
+    P is first split by the sum laws (:meth:`Poset.split`, with an explicit
+    stack, so any depth of nesting is fine), and only the blocks that do
+    not split are walked (:func:`_walked_histograms`).  A disjoint union's
+    histograms are the convolutions of its parts': its filter lattice is
+    the product of theirs, and height, both degrees and their sum each add
+    up over the parts.  An ordinal sum
+    stacks its parts' lattices with one element shared at each junction
+    (:func:`_stacked_histograms`).
+
+    Raises CapacityExceeded beyond ``cap`` filters, with the messages of a
+    walk over all of P: first when the minimal or maximal elements of P
+    already force more (:meth:`Poset.refuse_wide`), then "more than cap
+    filters" as soon as one block, or the exact size of a union or sum of
+    blocks, passes it.  A block is walked at most to the cap.
 
     Where ``q_vector`` would cross-check q against the interval scan, the
     lattice is built for that scan, and a disagreement raises AssertionError.
     """
-    n, full = p.n, p.full_mask
-    up_degree = {f: a.bit_count() for f, a in p.filters_with_minima(cap)}
-    triples = Counter((d.bit_count(), up_degree[full ^ d], m.bit_count())
-                      for d, m in p.dual().filters_with_minima(cap))
-    rank = [0] * (n + 1)
-    pairs = Counter()
-    for (h, u, d), c in triples.items():
-        rank[h] += c
-        pairs[u, d] += c
+    p.refuse_wide(cap)
+    rank, minus, plus, total = _split_histograms(p, cap)
     size = sum(rank)
-    deg = _degree_vectors(pairs)
+    deg = _padded_degree_vectors(minus, plus, total)
     q = binomial_transform(deg.minus)
-    if _scan_feasible(n, size):
+    if _scan_feasible(p.n, size):
         _require_scan_agrees(filter_lattice(p, cap), q)
     e = _euler_report(q, deg.minus[1] if deg.width else 0)
     return _report_json(InvariantReport(
-        n=n, size=size, q=q,
+        n=p.n, size=size, q=q,
         d_minus=deg.minus, d_plus=deg.plus, d_total=deg.total,
         rank_poly=rank, width_m=deg.width,
         mi_count=e.mi_count, euler_ok=e.ok, euler_derivative_ok=e.derivative_ok))
+
+
+def _split_histograms(p, cap):
+    """The [rank, minus, plus, total] histograms of F(P), combined up the
+    split tree of P: the tree is listed parents first, then folded in
+    reverse, so every block's parts are done before the block."""
+    nodes = []
+    stack = [p.full_mask]
+    while stack:
+        mask = stack.pop()
+        kind, parts = p.split(mask)
+        nodes.append((mask, kind, parts))
+        if kind != "prime":
+            stack.extend(parts)
+    done = {}
+    for mask, kind, parts in reversed(nodes):
+        if kind == "prime":
+            block = p if mask == p.full_mask else p.restrict(mask)
+            try:
+                done[mask] = _walked_histograms(block, cap)
+            except CapacityExceeded:
+                # A block over the cap puts P over it, and a walk over P
+                # would have said so in these words.
+                raise CapacityExceeded("more than %d filters" % cap) from None
+            continue
+        hists = [done.pop(m) for m in parts]
+        sizes = [sum(h[0]) for h in hists]
+        size = prod(sizes) if kind == "union" else sum(sizes) - len(sizes) + 1
+        if size > cap:
+            raise CapacityExceeded("more than %d filters" % cap)
+        done[mask] = (_convolved_histograms(hists) if kind == "union"
+                      else _stacked_histograms(p, parts, hists))
+    return done[p.full_mask]
+
+
+def _walked_histograms(q, cap):
+    """The histograms of F(Q) for a poset Q that does not split.  One
+    antichain walk over Q yields each filter with its minima; the same walk
+    over the dual yields each down-set D = Q - F with its maxima.  Joining
+    the two on F = Q - D counts the triples (height, up-degree,
+    down-degree).  Both walks raise CapacityExceeded beyond ``cap``
+    filters."""
+    full = q.full_mask
+    up_degree = {f: a.bit_count() for f, a in q.filters_with_minima(cap)}
+    triples = Counter((d.bit_count(), up_degree[full ^ d], m.bit_count())
+                      for d, m in q.dual().filters_with_minima(cap))
+    rank, minus, plus, total = hists = [[0] * (q.n + 1) for _ in range(4)]
+    for (h, u, d), c in triples.items():
+        rank[h] += c
+        minus[u] += c
+        plus[d] += c
+        total[u + d] += c
+    return hists
+
+
+def _convolved_histograms(hists):
+    """Histograms of a disjoint union from its parts'."""
+    out = hists[0]
+    for other in hists[1:]:
+        out = [poly_mul(a, b) for a, b in zip(out, other)]
+    return out
+
+
+def _stacked_histograms(p, parts, hists):
+    """Histograms of the ordinal sum of ``parts`` (masks, bottom-first) from
+    their histograms.  With A below B, the filters of the sum are those of
+    B, each of height |A| more than in F(B), and the union of G and B for
+    each nonempty filter G of A.  B itself, the one filter of both kinds,
+    is B's full filter (height 0, up-degree |min B|, down-degree 0) and
+    A's empty filter (height |A|, up-degree 0, down-degree |max A|); in the
+    sum it has height |A|, up-degree |min B| and down-degree |max A|."""
+    n = sum(m.bit_count() for m in parts)
+    rank, minus, plus, total = out = [[0] * (n + 1) for _ in range(4)]
+    offset = 0
+    for mask, (r, *degrees) in zip(parts, hists):
+        for h, c in enumerate(r):
+            rank[offset + h] += c
+        for acc, hist in zip(out[1:], degrees):
+            for k, c in enumerate(hist):
+                acc[k] += c
+        offset += mask.bit_count()
+    offset = 0
+    for below, above in zip(parts, parts[1:]):
+        offset += below.bit_count()
+        a = p.max_of(below).bit_count()
+        b = p.min_of(above).bit_count()
+        rank[offset] -= 1
+        minus[0] -= 1
+        plus[0] -= 1
+        total[a] -= 1
+        total[b] -= 1
+        total[a + b] += 1
+    return out
 
 
 def _report_json(r):

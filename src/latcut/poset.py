@@ -147,6 +147,40 @@ class Poset:
 
     # -- enumeration ---------------------------------------------------------
 
+    def refuse_wide(self, cap=FILTER_CAP):
+        """Raise CapacityExceeded, in O(n), when the minimal or the maximal
+        elements alone force more than ``cap`` filters: each is an antichain
+        of some size w, and every subset of an antichain generates its own
+        filter, so there are at least 2^w."""
+        wide = max(self.min_of(self.full_mask).bit_count(),
+                   self.max_of(self.full_mask).bit_count())
+        if 1 << wide > cap:
+            raise CapacityExceeded(
+                "an antichain of %d elements forces more than %d filters"
+                % (wide, cap))
+
+    def split(self, mask):
+        """How the subposet on ``mask`` splits by the sum laws.
+
+        Returns ``("union", parts)`` when its comparability graph has two or
+        more components (the subposet is their disjoint union), else
+        ``("sum", parts)`` when its incomparability graph has two or more
+        (the subposet is their ordinal sum; parts come bottom-first), else
+        ``("prime", [mask])``.  Parts are masks.
+        """
+        parts = _components(mask, self.comparable_mask)
+        if len(parts) > 1:
+            return "union", parts
+        parts = _components(mask, lambda j: ~self.comparable_mask(j))
+        if len(parts) > 1:
+            # Each part lies wholly above or below each other one, so the
+            # elements below a part's first element, outside the part, are
+            # exactly the parts beneath it.
+            parts.sort(key=lambda c: (
+                self.down[(c & -c).bit_length() - 1] & mask & ~c).bit_count())
+            return "sum", parts
+        return "prime", [mask]
+
     def filters_with_minima(self, cap=FILTER_CAP):
         """Yield ``(F, A)`` for every filter F of the poset, where A = min F.
 
@@ -158,17 +192,11 @@ class Poset:
         come in preorder: A before its extensions, smaller picks first.
 
         Raises CapacityExceeded when more than ``cap`` filters exist: before
-        the DFS starts when the minimal or the maximal elements (each an
-        antichain of size w, so each forcing 2^w filters) already exceed it,
-        otherwise as soon as the DFS passes it.
+        the DFS starts when :meth:`refuse_wide` does, otherwise as soon as
+        the DFS passes it.
         """
         n = self.n
-        wide = max(self.min_of(self.full_mask).bit_count(),
-                   self.max_of(self.full_mask).bit_count())
-        if 1 << wide > cap:
-            raise CapacityExceeded(
-                "an antichain of %d elements forces more than %d filters"
-                % (wide, cap))
+        self.refuse_wide(cap)
         closed = [self.up[j] | 1 << j for j in range(n)]
         incomp = [~self.comparable_mask(j) & self.full_mask for j in range(n)]
         seen = 0
@@ -255,6 +283,23 @@ class Poset:
     def dual(self):
         """Order-reversed poset on the same labels."""
         return Poset(self.labels, self.down, _trusted=True, _down=self.up)
+
+
+def _components(mask, neighbours):
+    """Connected components of the graph on ``mask`` in which j is adjacent
+    to the members of ``neighbours(j) & mask``, as masks, lowest first."""
+    parts = []
+    while mask:
+        part = frontier = mask & -mask
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = neighbours(low.bit_length() - 1) & mask & ~part
+            part |= new
+            frontier |= new
+        parts.append(part)
+        mask &= ~part
+    return parts
 
 
 # -- construction ------------------------------------------------------------

@@ -104,7 +104,7 @@ def filters_by_scan(p):
 
 def verify_birkhoff(trials=1000, max_size=8, seed=0, exhaustive_max=4):
     res = SuiteResult("birkhoff", seed=seed)
-    t0 = time.time()
+    t0 = time.perf_counter()
 
     def check(tag, p):
         res.checks += 1
@@ -131,7 +131,7 @@ def verify_birkhoff(trials=1000, max_size=8, seed=0, exhaustive_max=4):
         check(tag, p)
     res.lines.append("random posets: trials=%d max_size=%d seed=%d"
                      % (trials, max_size, seed))
-    res.elapsed = time.time() - t0
+    res.elapsed = time.perf_counter() - t0
     return res
 
 
@@ -211,7 +211,7 @@ def run_cutting_suite(trials=200, max_size=7, seed=1, exhaustive_max=5):
     """One pass over exhaustive-iso plus random posets; returns a dict of
     SuiteResults keyed by topic (see _CUTTING_TOPICS)."""
     results = {name: SuiteResult(name, seed=seed) for name in _CUTTING_TOPICS}
-    t0 = time.time()
+    t0 = time.perf_counter()
     eq = results["cutting-equivalence"]
 
     pool = list(_pool_iso(exhaustive_max)) + list(
@@ -225,7 +225,7 @@ def run_cutting_suite(trials=200, max_size=7, seed=1, exhaustive_max=5):
         n_posets += 1
         lat = filter_lattice(p)
 
-        te = time.time()
+        te = time.perf_counter()
         found = []
         above = lat.above_masks()
         for a in range(lat.size):
@@ -259,7 +259,7 @@ def run_cutting_suite(trials=200, max_size=7, seed=1, exhaustive_max=5):
                 "missing=%s extra=%s" % (
                     [(lat.bitstring(a), lat.bitstring(b)) for a, b in missing],
                     [(lat.bitstring(a), lat.bitstring(b)) for a, b in extra]))
-        equivalence_time += time.time() - te
+        equivalence_time += time.perf_counter() - te
 
         _check_lattice_invariants(results, p, lat, tag)
         for k in found:
@@ -272,7 +272,7 @@ def run_cutting_suite(trials=200, max_size=7, seed=1, exhaustive_max=5):
                "intervals=%d, cuttings=%d"
                % (n_posets, exhaustive_max, trials, max_size,
                   n_intervals, n_cuttings))
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     for name in _CUTTING_TOPICS:
         results[name].lines.append(summary)
         results[name].elapsed = elapsed
@@ -293,7 +293,7 @@ def verify_fibonacci(max_s=16):
     """All m, n >= 2 with m+n-2 <= max_s: sizes, the F identity, and the
     q recurrence, via the realized decomposition."""
     res = SuiteResult("fibonacci")
-    t0 = time.time()
+    t0 = time.perf_counter()
     for s in range(2, max_s + 1):
         for m in range(2, s + 1):
             n = s + 2 - m
@@ -306,7 +306,7 @@ def verify_fibonacci(max_s=16):
                     "count=%r identity=%r minus=%r star=%r expansion=%r q=%r"
                     % (r.count_ok, r.identity_ok, r.minus_iso_ok,
                        r.star_iso_ok, r.expansion_ok, r.q_identity_ok))
-    res.elapsed = time.time() - t0
+    res.elapsed = time.perf_counter() - t0
     return res
 
 
@@ -314,7 +314,7 @@ def verify_lucas(max_two_n=10):
     """Crown sizes, the Lucas identity, the q recurrence, and the covering
     graph against the string-model Lucas cube."""
     res = SuiteResult("lucas")
-    t0 = time.time()
+    t0 = time.perf_counter()
     for n in range(2, max_two_n // 2 + 1):
         r = verify_lucas_decomposition(n)
         res.checks += 1
@@ -328,7 +328,7 @@ def verify_lucas(max_two_n=10):
                 "count=%r minus=%r star=%r dual_q=%r expansion=%r q=%r cube=%r"
                 % (r.count_ok, r.minus_iso_ok, r.star_iso_ok, r.dual_q_ok,
                    r.expansion_ok, r.q_identity_ok, cube_ok))
-    res.elapsed = time.time() - t0
+    res.elapsed = time.perf_counter() - t0
     return res
 
 
@@ -336,7 +336,7 @@ def verify_cubes(max_fence=9, max_crown=10):
     """Covering graphs of fence/crown filter lattices against the binary
     string models."""
     res = SuiteResult("cubes")
-    t0 = time.time()
+    t0 = time.perf_counter()
     for n in range(max_fence + 1):
         g = cover_cube(filter_lattice(fence(n)))
         model = fibonacci_cube(n)
@@ -357,7 +357,7 @@ def verify_cubes(max_fence=9, max_crown=10):
                          % (two_n, g.vertex_count, "ok" if ok else "FAIL"))
         if not ok:
             res.add_failure(crown(two_n), "lucas cube mismatch at 2n=%d" % two_n)
-    res.elapsed = time.time() - t0
+    res.elapsed = time.perf_counter() - t0
     return res
 
 
@@ -368,7 +368,7 @@ def verify_random(trials=200, max_size=7, seed=2):
     """Random-only layer: Birkhoff round trip plus the per-lattice invariant
     bundle on every sampled poset."""
     res = SuiteResult("random", seed=seed)
-    t0 = time.time()
+    t0 = time.perf_counter()
     for tag, p in _pool_random(trials, max_size, seed):
         res.checks += 1
         lat = filter_lattice(p)
@@ -382,7 +382,7 @@ def verify_random(trials=200, max_size=7, seed=2):
                             "roundtrip=%r binomial=%r euler=%r" % (ok, br.ok,
                                                                    eu.ok))
     res.lines.append("trials=%d max_size=%d seed=%d" % (trials, max_size, seed))
-    res.elapsed = time.time() - t0
+    res.elapsed = time.perf_counter() - t0
     return res
 
 
@@ -403,9 +403,12 @@ def run_suite(name, trials=None, max_size=None, seed=None, max_param=None):
                                max_size=pick(max_size, 8),
                                seed=pick(seed, 0))
     if name in _CUTTING_TOPICS:
+        # The exhaustive layer walks every poset up to five elements, fewer
+        # when the largest random poset is smaller.
         return verify_cutting_topic(name, trials=pick(trials, 200),
                                     max_size=pick(max_size, 7),
-                                    seed=pick(seed, 1))
+                                    seed=pick(seed, 1),
+                                    exhaustive_max=min(5, pick(max_size, 5)))
     if name == "fibonacci":
         return verify_fibonacci(max_s=pick(max_param, 16))
     if name == "lucas":

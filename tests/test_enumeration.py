@@ -6,6 +6,7 @@ import sys
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import posets
@@ -16,7 +17,9 @@ from latcut import (CapacityExceeded, Poset, all_labeled_posets, antichain,
                     stats_dict, verify_random, write_poset_file)
 from latcut.bits import iter_bits
 from latcut.cli import _json_line, cli_run
-from latcut.invariants import poly_eval
+from latcut.invariants import (_split_histograms, _walked_histograms,
+                               poly_eval, poly_trim)
+from latcut.poset import FILTER_CAP
 from latcut.verify import (_CUTTING_TOPICS, SuiteResult,
                            _check_lattice_invariants, filters_by_scan,
                            verify_birkhoff)
@@ -225,6 +228,11 @@ def test_poset_stats_on_every_labeled_poset_up_to_4():
             assert poset_stats(p) == stats_dict(filter_lattice(p))
 
 
+def test_poset_stats_on_every_labeled_poset_of_5_elements():
+    for p in all_labeled_posets(5):
+        assert poset_stats(p) == stats_dict(filter_lattice(p))
+
+
 def test_poset_stats_on_the_empty_poset():
     p = poset_from_covers([], [])
     got = poset_stats(p)
@@ -280,6 +288,146 @@ def test_poset_stats_at_scale_and_the_scan_switch(make, scanned, monkeypatch):
         monkeypatch, lambda: stats_dict(filter_lattice(p)))
     assert got == want
     assert streamed_scans == lattice_scans == int(scanned)
+
+
+# -- the split by the sum laws -------------------------------------------------------
+
+
+_LEAVES = st.one_of(posets(max_n=3),
+                    st.builds(disjoint_union, posets(max_n=2), posets(max_n=2)))
+_SUM_TREES = st.recursive(
+    _LEAVES,
+    lambda parts: st.one_of(st.builds(disjoint_union, parts, parts),
+                            st.builds(ordinal_sum, parts, parts)),
+    max_leaves=4).filter(lambda p: p.n <= 11)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_SUM_TREES)
+def test_poset_stats_on_nested_sums(p):
+    """Leaves of 0 to 3 elements and unions of two, under any nesting of
+    disjoint unions and ordinal sums."""
+    assert poset_stats(p) == stats_dict(filter_lattice(p))
+
+
+def _trimmed(hists):
+    return [poly_trim(h) for h in hists]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ordinal_sum(fence(12), crown(10)),
+    lambda: disjoint_union(ordinal_sum(fence(9), antichain(4)),
+                           ordinal_sum(crown(8), chain(3))),
+    lambda: ordinal_sum(chain(2), ordinal_sum(
+        disjoint_union(fence(7), disjoint_union(crown(6), chain(4))),
+        ordinal_sum(antichain(3), fence(6)))),
+    lambda: disjoint_union(antichain(6), ordinal_sum(
+        disjoint_union(chain(3), antichain(2)), crown(12))),
+])
+def test_split_histograms_equal_one_walk_over_all_of_p(make):
+    """Beyond the scan bound the lattice is too costly to compare with, so
+    the split is checked against the two-walk join over the unsplit P."""
+    p = make()
+    assert p.n > 20
+    assert p.split(p.full_mask)[0] != "prime"
+    assert (_trimmed(_split_histograms(p, FILTER_CAP))
+            == _trimmed(_walked_histograms(p, FILTER_CAP)))
+
+
+def _count_walked_filters(monkeypatch):
+    real = Poset.filters_with_minima
+    walked = []
+
+    def counting(self, cap=FILTER_CAP):
+        for pair in real(self, cap):
+            walked.append(self.n)
+            yield pair
+
+    monkeypatch.setattr(Poset, "filters_with_minima", counting)
+    return walked
+
+
+@pytest.mark.parametrize("p,walked", [
+    # fifteen one-element blocks, two walks of two filters each
+    (antichain(15), 15 * 2 * 2),
+    (disjoint_union(fence(9), crown(8)), 2 * (fib(11) + lucas(8))),
+    (chain(300), 300 * 2 * 2),
+])
+def test_poset_stats_walks_only_the_prime_blocks(p, walked, monkeypatch):
+    counted = _count_walked_filters(monkeypatch)
+    got = poset_stats(p)
+    assert len(counted) == walked
+    monkeypatch.undo()
+    assert got == stats_dict(filter_lattice(p))
+
+
+def test_poset_stats_on_nesting_deeper_than_the_recursion_limit():
+    """P_k = (P_(k-1) + x_k) (+) y_k, one union and one ordinal sum per
+    level, so the split tree is 2k + 1 blocks deep and
+    |F(P_k)| = 2 |F(P_(k-1))| + 1 = 3 * 2^k - 1."""
+    k = sys.getrecursionlimit() // 2 + 1
+    labels, covers = ["y0"], []
+    for i in range(1, k + 1):
+        labels += ["x%d" % i, "y%d" % i]
+        covers += [("y%d" % (i - 1), "y%d" % i), ("x%d" % i, "y%d" % i)]
+    got = poset_stats(poset_from_covers(labels, covers), cap=1 << 4000)
+    assert got["size"] == 3 * 2 ** k - 1
+    assert got["euler_ok"] and got["euler_derivative_ok"]
+    assert sum(got["rank_poly"]) == sum(got["d_total"]) == got["size"]
+
+
+def test_poset_stats_on_a_long_chain():
+    got = poset_stats(chain(2000))
+    assert got["size"] == 2001
+    assert got["rank_poly"] == [1] * 2001
+    assert got["d_minus"] == got["d_plus"] == [1, 2000]
+    assert got["d_total"] == [0, 2, 1999]
+    assert got["mi_count"] == 2000 and got["euler_ok"]
+
+
+@pytest.mark.parametrize("p,size", [
+    # small enough for the q scan, which builds the lattice under the cap
+    (disjoint_union(fence(5), crown(6)), fib(7) * lucas(6)),
+    (ordinal_sum(fence(5), crown(6)), fib(7) + lucas(6) - 1),
+    # 22 elements: the lattice is never built
+    (disjoint_union(fence(12), crown(10)), fib(14) * lucas(10)),
+    (ordinal_sum(fence(12), crown(10)), fib(14) + lucas(10) - 1),
+])
+def test_cli_stats_cap_on_the_exact_size_of_a_sum(p, size, capsys,
+                                                  monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(write_poset_file(p)))
+    assert cli_run(["stats", "--cap", str(size)]) == 0
+    out, err = capsys.readouterr()
+    assert out == _json_line(stats_dict(filter_lattice(p))) and err == ""
+    monkeypatch.setattr(sys, "stdin", io.StringIO(write_poset_file(p)))
+    assert cli_run(["stats", "--cap", str(size - 1)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: more than %d filters\n" % (size - 1)
+
+
+@pytest.mark.parametrize("p,message", [
+    (antichain(1200), "an antichain of 1200 elements forces more than "
+                      "1048576 filters"),
+    (ordinal_sum(chain(1), antichain(1200)), "an antichain of 1200 elements "
+                                             "forces more than 1048576 "
+                                             "filters"),
+    # Wide only inside: P itself passes the pre-check, as it would before a
+    # walk over all of P, and the refusal names the cap.
+    (ordinal_sum(ordinal_sum(chain(1), antichain(1200)), chain(1)),
+     "more than 1048576 filters"),
+    (ordinal_sum(ordinal_sum(chain(1), antichain(30)), chain(1)),
+     "more than 1048576 filters"),
+    # a prime block with 22 minimal elements
+    (ordinal_sum(ordinal_sum(chain(1), crown(44)), chain(1)),
+     "more than 1048576 filters"),
+])
+def test_cli_stats_refusal_messages(p, message, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(write_poset_file(p)))
+    assert cli_run(["stats"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: %s\n" % message
 
 
 def test_poset_stats_on_fence_28():

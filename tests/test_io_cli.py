@@ -17,6 +17,7 @@ from latcut import (LatcutError, ParseError, UnknownLabel, expand_poset,
                     export_dot, filter_lattice, parse_poset_file,
                     poset_from_covers, write_poset_file)
 from latcut.cli import cli_run
+from latcut.verify import _CUTTING_TOPICS
 
 DATA = Path(__file__).parent / "data"
 
@@ -238,6 +239,19 @@ def test_cli_verify_smoke(capsys):
     assert "ok" in out
 
 
+def test_cli_verify_max_size_bounds_the_exhaustive_layer(capsys):
+    code, out, _ = run_cli(["verify", "euler", "--trials", "0",
+                            "--max-size", "0"], capsys=capsys)
+    assert code == 0
+    assert out == ("suite euler: 2 checks, ok (seed=1)\n"
+                   "posets=1 (iso classes <=0 plus 0 random <=0), "
+                   "intervals=1, cuttings=1\n")
+    code, out, _ = run_cli(["verify", "binomial", "--trials", "1",
+                            "--max-size", "3"], capsys=capsys)
+    assert code == 0
+    assert "(iso classes <=3 plus 1 random <=3)" in out
+
+
 def test_cli_export_dot_and_highlight(capsys, monkeypatch):
     poset_text = write_poset_file(z3())
     code, out, _ = run_cli(["export-dot"], stdin_text=poset_text,
@@ -380,13 +394,18 @@ def _argv(draw):
         kind = draw(st.sampled_from(["fibonacci", "lucas", "cover", "torus"]))
         argv += [kind, draw(st.one_of(_SMALL, st.sampled_from(["-", "x"])))]
     elif cmd == "verify":
-        # The cutting suites are left out: each walks every labeled poset up
-        # to five elements whatever its flags say.
-        argv.append(draw(st.sampled_from(["birkhoff", "random", "fibonacci",
-                                          "lucas", "cubes", "nope"])))
-        for flag, hi in (("--trials", 3), ("--max-size", 5), ("--seed", 9),
-                         ("--max", 8)):
-            if draw(st.booleans()):
+        suite = draw(st.sampled_from(["birkhoff", "random", "fibonacci",
+                                      "lucas", "cubes", "nope"]
+                                     + list(_CUTTING_TOPICS)))
+        argv.append(suite)
+        # A cutting suite walks every poset up to min(5, --max-size)
+        # elements and 200 random ones by default, so it always gets a small
+        # --max-size and --trials.
+        cutting = suite in _CUTTING_TOPICS
+        for flag, hi in (("--trials", 3), ("--max-size", 3 if cutting else 5),
+                         ("--seed", 9), ("--max", 8)):
+            if (cutting and flag in ("--trials", "--max-size")
+                    or draw(st.booleans())):
                 argv += [flag, str(draw(st.integers(min_value=-2,
                                                     max_value=hi)))]
     if draw(st.booleans()):

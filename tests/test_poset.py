@@ -141,6 +141,66 @@ def test_label_collision_gets_prefixes():
     assert set(u.labels) == {"L.x", "R.x"}
 
 
+# -- the split by the sum laws -------------------------------------------------------
+
+
+def _connected(labels, adjacent):
+    """Naive graph search over a label set."""
+    labels = set(labels)
+    if not labels:
+        return True
+    seen, todo = set(), [next(iter(labels))]
+    while todo:
+        a = todo.pop()
+        if a not in seen:
+            seen.add(a)
+            todo += [b for b in labels if b != a and adjacent(a, b)]
+    return seen == labels
+
+
+@settings(max_examples=120, deadline=None)
+@given(posets(max_n=7))
+def test_split_follows_the_sum_laws(p):
+    rel = oracles.relation(p)
+
+    def comparable(a, b):
+        return (a, b) in rel or (b, a) in rel
+
+    def incomparable(a, b):
+        return not comparable(a, b)
+
+    kind, parts = p.split(p.full_mask)
+    labels = [set(p.labels_of(m)) for m in parts]
+    assert sorted(x for ls in labels for x in ls) == sorted(p.labels)
+    if kind == "prime":
+        assert parts == [p.full_mask]
+        assert _connected(p.labels, comparable)
+        assert _connected(p.labels, incomparable)
+        return
+    assert len(parts) >= 2
+    for i, low in enumerate(labels):
+        for high in labels[i + 1:]:
+            for a in low:
+                for b in high:
+                    if kind == "union":
+                        assert incomparable(a, b)
+                    else:
+                        assert kind == "sum" and (a, b) in rel
+    inner = comparable if kind == "union" else incomparable
+    assert all(_connected(ls, inner) for ls in labels)
+
+
+def test_split_of_nested_sums():
+    a, b, c = chain3(), z3(), singleton("x")
+    p = ordinal_sum(disjoint_union(a, b), c)
+    assert p.split(p.full_mask) == ("sum", [0b111111, 0b1000000])
+    assert p.split(0b111111) == ("union", [0b000111, 0b111000])
+    assert p.split(0b000111) == ("sum", [0b001, 0b010, 0b100])
+    assert p.split(0b111000) == ("sum", [0b010000, 0b101000])
+    assert p.split(0b101000) == ("union", [0b001000, 0b100000])
+    assert p.split(0) == ("prime", [0])
+
+
 # -- isomorphism -------------------------------------------------------------------
 
 
