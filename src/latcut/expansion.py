@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bits import iter_bits, mask_of
-from .errors import NotACutting
+from .errors import CapacityExceeded, NotACutting
 from .lattice import DistLattice, IntervalRef, filter_lattice
 from .poset import (FILTER_CAP, Poset, disjoint_union, ordinal_sum,
                     poset_from_covers, poset_isomorphic, singleton)
@@ -125,7 +125,10 @@ def _candidate_expansion(lat, k, label):
     xbit = 1 << base.n
     up = [base.up[i] | (xbit if below_x >> i & 1 else 0) for i in range(base.n)]
     up.append(above_x)
-    return Poset(list(base.labels) + [label], up, _trusted=True)
+    down = [base.down[i] | (xbit if above_x >> i & 1 else 0)
+            for i in range(base.n)]
+    down.append(below_x)
+    return Poset(list(base.labels) + [label], up, _trusted=True, _down=down)
 
 
 def _cutting_star(lat, k):
@@ -228,6 +231,16 @@ def expand_poset(lat, k, label=None, cap=FILTER_CAP):
 
     Raises NotACutting when some maximal chain avoids ``k``.  The default
     label for the new element is "x@<i>" with the smallest free i.
+
+    The filters of P + x are read off ``lat`` in O(|L|), with no walk over
+    P + x.  With B = filter(bottom) and T = filter(top), x lies above P - B
+    and below T, so they are the filters G of P with G inside B, whose
+    minima are unchanged, and G + x for the filters G containing T, whose
+    minima are (min G - T), plus x when G lies inside B.  Every filter of
+    a cutting's host lies inside B or contains T, and K is those that do
+    both, so there are |L| + |K| of them.  Raises CapacityExceeded on that
+    exact size, before the lattice is built, with the message a walk over
+    P + x would give.
     """
     k = lat.interval(*k)
     if label is None:
@@ -237,9 +250,19 @@ def expand_poset(lat, k, label=None, cap=FILTER_CAP):
         raise NotACutting(
             "[%s, %s] is avoided by some maximal chain"
             % (lat.bitstring(k.bottom), lat.bitstring(k.top)))
-    big = filter_lattice(cand, cap=cap)
     bf, tf = lat.filters[k.bottom], lat.filters[k.top]
     xbit = 1 << lat.base.n
+    pairs = []
+    for f, a in zip(lat.filters, lat.minima):
+        inside = f & ~bf == 0
+        if inside:
+            pairs.append((f, a))
+        if tf & ~f == 0:
+            pairs.append((f | xbit, a & ~tf | (xbit if inside else 0)))
+    if len(pairs) > cap:
+        cand.refuse_wide(cap)
+        raise CapacityExceeded("more than %d filters" % cap)
+    big = DistLattice(cand, pairs=pairs)
     result = ExpansionResult(
         poset=cand,
         new_element=label,
@@ -265,7 +288,8 @@ class DecomposeResult:
     interval: IntervalRef      # the cutting of the host determined by x
     expansion: ExpansionResult
     size: int                  # |F(P)|
-    counts_ok: bool            # |F(P)| == |F(P-x)| + |F(P*x)|
+    counts_ok: bool            # |F(P)| == |F(P-x)| + |F(P*x)|, and a walk
+                               # over P finds the expansion's (F, min F)
     expansion_iso_ok: bool     # expanded poset isomorphic to P
     product_form: bool         # P - x isomorphic to P * x
     product_iso_ok: bool       # ... and then P iso (P - x) + singleton side by side
@@ -292,11 +316,21 @@ def decompose(p, x, cap=FILTER_CAP):
     k = host.interval(host.index_of[bf], host.index_of[tf])
 
     exp = expand_poset(host, k, label=x, cap=cap)
-    # Counted by the antichain walk on P and on P*x, independently of the
-    # expansion.
-    size = sum(1 for _ in p.filters_with_minima(cap))
+    # The antichain walks on P and on P*x, independent of the expansion.
+    # The expansion puts x last, so its masks are P's with bit i moved to
+    # the top; moving it back labels both sides alike.
+    walked = dict(p.filters_with_minima(cap))
     star_size = sum(1 for _ in star.filters_with_minima(cap))
-    counts_ok = size == host.size + star_size == exp.lattice.size
+    size = len(walked)
+    top, low = p.n - 1, (1 << i) - 1
+
+    def relabel(mask):
+        rest = mask & ~(1 << top)
+        return rest & low | (rest & ~low) << 1 | (mask >> top) << i
+
+    expanded = dict(zip(map(relabel, exp.lattice.filters),
+                        map(relabel, exp.lattice.minima)))
+    counts_ok = size == host.size + star_size and walked == expanded
     expansion_iso_ok = poset_isomorphic(exp.poset, p)
     product_form = poset_isomorphic(minus, star)
     product_iso_ok = (product_form

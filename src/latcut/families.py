@@ -255,7 +255,10 @@ def _fence_pair_iso(p, a, b):
     return False
 
 
-def verify_fibonacci_decomposition(m, n, cap=FILTER_CAP):
+def verify_fibonacci_decomposition(m, n, cap=FILTER_CAP, direct=None):
+    """``direct`` is F(fence(m + n - 2)) built from scratch, when the caller
+    has it; it is built here otherwise.  It never comes from the
+    expansion."""
     if m < 2 or n < 2:
         raise ValueError("need m, n >= 2")
     s = m + n - 2
@@ -274,7 +277,9 @@ def verify_fibonacci_decomposition(m, n, cap=FILTER_CAP):
     q_int = q_vector(dec.host.interval_lattice(dec.interval))
     q_big = q_vector(dec.expansion.lattice)
     # Independent rebuild of the big lattice, not reusing the expansion.
-    q_direct = q_vector(filter_lattice(p, cap=cap))
+    if direct is None:
+        direct = filter_lattice(p, cap=cap)
+    q_direct = q_vector(direct)
     q_ok = (poly_eq(q_big, q_direct)
             and poly_eq(q_big, poly_add(q_host,
                                         poly_add(q_int, poly_shift(q_int, 1)))))

@@ -175,7 +175,9 @@ def q_vector(lat, method="auto"):
 
     method "census" uses the pair formula over up-cover degrees, "scan" the
     direct interval enumeration; "auto" runs the census and, whenever the
-    scan is affordable, also the scan, insisting they agree.
+    scan is affordable, also the scan, insisting they agree.  The "auto"
+    result is computed once per lattice and cached on it; each call
+    returns a fresh list.
     """
     if method == "census":
         return _q_census(lat)
@@ -183,10 +185,12 @@ def q_vector(lat, method="auto"):
         return _q_scan(lat)
     if method != "auto":
         raise ValueError("method must be census, scan or auto")
-    q = _q_census(lat)
-    if _scan_feasible(lat.base.n, lat.size):
-        _require_scan_agrees(lat, q)
-    return q
+    if lat._q is None:
+        q = _q_census(lat)
+        if _scan_feasible(lat.base.n, lat.size):
+            _require_scan_agrees(lat, q)
+        lat._q = tuple(q)
+    return list(lat._q)
 
 
 # -- degree vectors --------------------------------------------------------------------
@@ -241,8 +245,14 @@ def _padded_degree_vectors(minus, plus, total):
 
 
 def d_vectors(lat):
-    return _degree_vectors(Counter(zip(map(len, lat.up_covers),
-                                       map(len, lat.down_covers))))
+    """The degree histograms of ``lat``, computed once per lattice and
+    cached on it; each call returns fresh lists."""
+    if lat._d is None:
+        lat._d = _degree_vectors(Counter(zip(map(len, lat.up_covers),
+                                             map(len, lat.down_covers))))
+    d = lat._d
+    return DegreeVectors(minus=list(d.minus), plus=list(d.plus),
+                         total=list(d.total))
 
 
 # -- binomial transform and Euler relations ------------------------------------------
@@ -262,9 +272,17 @@ class BinomialReport:
 
 
 def binomial_transform(d):
-    m = len(d) - 1
-    return poly_trim([sum(comb(j, k) * d[j] for j in range(k, m + 1))
-                      for k in range(m + 1)])
+    """q_k = sum over j of C(j, k) d_j.  Row j of Pascal's triangle is made
+    from row j - 1 as the sum runs, so this takes O(w^2) additions and
+    multiplications by the d_j, and no comb()."""
+    q = [0] * len(d)
+    row = [1]       # C(j, 0), ..., C(j, j)
+    for dj in d:
+        if dj:
+            for k, c in enumerate(row):
+                q[k] += c * dj
+        row = [1] + [a + b for a, b in zip(row, row[1:])] + [1]
+    return poly_trim(q)
 
 
 def inverse_binomial_transform(q):
@@ -277,7 +295,10 @@ def binomial_relations(lat):
     """Check all three forms of the q / d_minus correspondence."""
     q = q_vector(lat)
     d = d_vectors(lat).minus
-    q_from_d = binomial_transform(d)
+    # The comb() sum, independent of the census's Pascal row and of the
+    # substitution below.
+    q_from_d = [sum(comb(j, k) * d[j] for j in range(k, len(d)))
+                for k in range(len(d))]
     d_from_q = inverse_binomial_transform(q)
     # Substitution route, by polynomial arithmetic rather than comb().
     sub = []
@@ -380,11 +401,19 @@ class QRecurrenceReport:
     ok: bool
 
 
-def check_q_recurrence(lat, k, exp=None, method="auto"):
+def _ensure_klat(lat, k, klat):
+    if klat is None:
+        klat = lat.interval_lattice(k)
+    return klat
+
+
+def check_q_recurrence(lat, k, exp=None, method="auto", klat=None):
+    """``exp`` and ``klat``, the expansion at ``k`` and the interval lattice
+    of ``k``, are built here unless the caller has them."""
     k = lat.interval(*k)
     exp = _ensure_exp(lat, k, exp)
     q_host = q_vector(lat, method)
-    q_int = q_vector(lat.interval_lattice(k), method)
+    q_int = q_vector(_ensure_klat(lat, k, klat), method)
     q_exp = q_vector(exp.lattice, method)
     want = poly_add(q_host, poly_add(q_int, poly_shift(q_int, 1)))
     size_ok = exp.lattice.size == lat.size + len(lat.interval_elements(k))
@@ -400,13 +429,14 @@ class DRecurrenceReport:
     ok: bool
 
 
-def check_d_recurrences(lat, k, exp=None):
+def check_d_recurrences(lat, k, exp=None, klat=None):
     """One expansion for the up-cover histogram, a second expansion at the
-    copy interval for the total-degree histogram."""
+    copy interval for the total-degree histogram.  ``exp`` and ``klat`` as
+    in :func:`check_q_recurrence`."""
     k = lat.interval(*k)
     exp = _ensure_exp(lat, k, exp)
     d_host = d_vectors(lat)
-    d_int = d_vectors(lat.interval_lattice(k))
+    d_int = d_vectors(_ensure_klat(lat, k, klat))
     d_exp = d_vectors(exp.lattice)
 
     minus_ok = poly_eq(d_exp.minus,

@@ -10,9 +10,9 @@ So index 0 is the bottom (the full ground set), the last index is the top
 Element heights are |P| - |filter|, which agrees with longest-chain rank
 because the lattice is graded.
 
-A ``DistLattice`` is immutable; lazily computed caches (cover lists, maximal
-chains, containment masks) depend only on the relation, so concurrent reads
-are safe.
+A ``DistLattice`` is immutable; lazily computed caches (maximal chains,
+containment masks, the q vector and the degree histograms) depend only on
+the relation, so concurrent reads are safe.
 """
 
 from __future__ import annotations
@@ -33,34 +33,41 @@ class IntervalRef(NamedTuple):
 class DistLattice:
     """The lattice of filters of a base poset.
 
-    Construction enumerates the filters with their minimal elements
-    (:meth:`Poset.filters_with_minima`) and raises CapacityExceeded beyond
-    ``cap`` filters.  The up-covers of filter F are F - y for y in min F.
+    Construction takes every filter F with its minimal elements min F
+    (kept as ``minima``); the up-covers of F are F - y for y in min F.  By
+    default the pairs come from the antichain walk
+    (:meth:`Poset.filters_with_minima`), which raises CapacityExceeded
+    beyond ``cap`` filters.  A caller that derives them another way, as
+    convex expansion does, passes them as ``pairs``: every (F, min F) of
+    the base poset, in any order.  They are trusted, and the caller checks
+    the cap.
     """
 
-    def __init__(self, base, cap=FILTER_CAP):
+    def __init__(self, base, cap=FILTER_CAP, pairs=None):
         self.base = base
         n = base.n
         full = base.full_mask
+        if pairs is None:
+            pairs = base.filters_with_minima(cap)
         # Canonical element order: largest filter first, ties by mask value.
         # That puts the bottom at index 0 and the top at index size-1.  One
         # sort of (n - |F|, F, min F) packed into an int gives that order.
-        keys = [((n - f.bit_count()) << n | f) << n | a
-                for f, a in base.filters_with_minima(cap)]
+        keys = [((n - f.bit_count()) << n | f) << n | a for f, a in pairs]
         keys.sort()
         self.filters = tuple([k >> n & full for k in keys])
+        self.minima = tuple([k & full for k in keys])
         self.index_of = index_of = {f: i for i, f in enumerate(self.filters)}
         self.heights = tuple([k >> 2 * n for k in keys])
         up = []
-        for k, f in zip(keys, self.filters):
-            a = k & full
+        for a, f in zip(self.minima, self.filters):
             covs = []
-            # F - y has the same size for every y, so dropping the highest y
-            # first gives the smallest mask, i.e. ascending indices.
+            # F - y has the same size for every y, so dropping the lowest y
+            # first gives the largest mask, i.e. descending indices.
             while a:
-                bit = 1 << a.bit_length() - 1
-                a ^= bit
-                covs.append(index_of[f ^ bit])
+                low = a & -a
+                a ^= low
+                covs.append(index_of[f ^ low])
+            covs.reverse()
             up.append(tuple(covs))
         del keys    # freed before the down-covers are built, to lower the peak
         self.up_covers = tuple(up)
@@ -71,6 +78,10 @@ class DistLattice:
         self.down_covers = tuple([tuple(d) for d in down])
         self._chains = None
         self._above = None
+        # The q vector and the degree histograms, filled in by
+        # invariants.q_vector(lat, "auto") and invariants.d_vectors.
+        self._q = None
+        self._d = None
 
     # -- basics -----------------------------------------------------------
 

@@ -266,7 +266,9 @@ class Poset:
             labels = [self.labels[o] for o in old]
         up = [mask_of(newidx[j] for j in iter_bits(self.up[o] & keep_mask))
               for o in old]
-        return Poset(labels, up, _trusted=True)
+        down = [mask_of(newidx[j] for j in iter_bits(self.down[o] & keep_mask))
+                for o in old]
+        return Poset(labels, up, _trusted=True, _down=down)
 
     def restrict(self, keep_mask):
         """Induced subposet on a subset mask, labels preserved."""
@@ -322,6 +324,7 @@ def poset_from_covers(labels, covers):
     index = {lab: i for i, lab in enumerate(labels)}
     n = len(labels)
     succ = [0] * n
+    pred = [0] * n
     for lo, hi in covers:
         if lo not in index:
             raise UnknownLabel("no element labelled %r" % (lo,))
@@ -332,9 +335,11 @@ def poset_from_covers(labels, covers):
             raise CycleDetected("cover (%r, %r) relates an element to itself"
                                 % (lo, hi))
         succ[i] |= 1 << j
+        pred[j] |= 1 << i
 
-    # Kahn's algorithm: a topological order proves acyclicity, and closing
-    # in reverse topological order needs a single pass.
+    # Kahn's algorithm: a topological order proves acyclicity.  Closing up
+    # in reverse topological order, and down in topological order, takes
+    # one pass each.
     indeg = [0] * n
     for i in range(n):
         for j in iter_bits(succ[i]):
@@ -357,7 +362,13 @@ def poset_from_covers(labels, covers):
         for j in iter_bits(succ[i]):
             m |= up[j]
         up[i] = m
-    return Poset(labels, up, _trusted=True)
+    down = [0] * n
+    for j in topo:
+        m = pred[j]
+        for i in iter_bits(pred[j]):
+            m |= down[i]
+        down[j] = m
+    return Poset(labels, up, _trusted=True, _down=down)
 
 
 def singleton(label="x"):
@@ -378,7 +389,8 @@ def disjoint_union(p, q):
     """Side-by-side union; colliding labels get "L."/"R." prefixes."""
     pl, ql = _merge_labels(p, q)
     up = list(p.up) + [m << p.n for m in q.up]
-    return Poset(pl + ql, up, _trusted=True)
+    down = list(p.down) + [m << p.n for m in q.down]
+    return Poset(pl + ql, up, _trusted=True, _down=down)
 
 
 def ordinal_sum(p, q):
@@ -386,7 +398,8 @@ def ordinal_sum(p, q):
     pl, ql = _merge_labels(p, q)
     q_above = ((1 << q.n) - 1) << p.n
     up = [m | q_above for m in p.up] + [m << p.n for m in q.up]
-    return Poset(pl + ql, up, _trusted=True)
+    down = list(p.down) + [m << p.n | p.full_mask for m in q.down]
+    return Poset(pl + ql, up, _trusted=True, _down=down)
 
 
 # -- isomorphism ----------------------------------------------------------------

@@ -2,6 +2,7 @@
 checked against the naive oracles, the 2^n subset scan and closed forms."""
 
 import io
+import re
 import sys
 
 import pytest
@@ -22,7 +23,7 @@ from latcut.invariants import (_split_histograms, _walked_histograms,
 from latcut.poset import FILTER_CAP
 from latcut.verify import (_CUTTING_TOPICS, SuiteResult,
                            _check_lattice_invariants, filters_by_scan,
-                           verify_birkhoff)
+                           run_cutting_suite, verify_birkhoff)
 
 
 def labelset(p, bits):
@@ -493,6 +494,32 @@ def test_lattice_invariant_checks_compute_q_once(monkeypatch):
     assert calls == ["auto"]
     assert all(r.ok for r in results.values())
     assert results["euler"].checks == results["binomial"].checks == 1
+
+
+def test_cutting_suite_scans_each_distinct_lattice_once(monkeypatch):
+    import latcut.invariants as inv
+
+    scanned = []
+    real = inv._q_scan
+
+    def counting(lat):
+        scanned.append(lat)
+        return real(lat)
+
+    monkeypatch.setattr(inv, "_q_scan", counting)
+    results = run_cutting_suite(trials=4, max_size=5, seed=3,
+                                exhaustive_max=3)
+    assert all(r.ok for r in results.values())
+    summary = results["cutting-equivalence"].lines[0]
+    posets, cuttings = (int(x) for x in re.search(
+        r"posets=(\d+) .* cuttings=(\d+)", summary).groups())
+    # Each pooled lattice, and for each cutting its interval lattice and
+    # its expansion; the other lattices of a cutting (decompose's host and
+    # expansion, the second expansion) never ask for q.
+    assert len(scanned) == posets + 2 * cuttings
+    assert len({id(lat) for lat in scanned}) == len(scanned)
+    assert results["q-d-recurrences"].checks == cuttings
+    assert results["binomial"].checks == posets + cuttings
 
 
 def test_random_layer_computes_q_once_per_poset(monkeypatch):

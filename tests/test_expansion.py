@@ -16,6 +16,7 @@ from latcut import (CUTTING_METHODS, IntervalRef, NotACutting,
                     poset_from_covers, poset_isomorphic, singleton, sum_laws,
                     write_poset_file)
 from latcut.cli import cli_run
+from latcut.poset import FILTER_CAP
 
 
 def z3():
@@ -193,6 +194,99 @@ def test_singleton_interval_expansion_inserts_mid_element():
     exp = expand_poset(lat, (1, 1))
     assert exp.lattice.size == 3
     assert len(exp.lattice.maximal_chains()) == 1
+
+
+def test_expand_cap_refusal_is_exact(capsys, monkeypatch):
+    # F(z3) has 5 elements and the cutting [101, 000] has 4, so the
+    # expansion has exactly 9; antichain(3) expanded at the whole lattice is
+    # antichain(4), whose 4 minimal elements alone force 16 filters.  The
+    # messages are those of a walk over the enlarged poset.
+    for text, bottom, top, size, refusal in [
+            (write_poset_file(z3()), "101", "000", 9,
+             "error: more than 8 filters\n"),
+            (write_poset_file(antichain(3)), "111", "000", 16,
+             "error: an antichain of 4 elements forces more than 15 "
+             "filters\n")]:
+        argv = ["expand", "--bottom", bottom, "--top", top, "--cap"]
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        assert cli_run(argv + [str(size)]) == 0
+        assert capsys.readouterr().out.startswith("element ")
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        assert cli_run(argv + [str(size - 1)]) == 2
+        assert capsys.readouterr() == ("", refusal)
+
+
+# -- expansion against the from-scratch build ----------------------------------------
+
+
+def rebuild_mismatch(exp):
+    """The first part of the expanded lattice that differs from
+    filter_lattice(exp.poset), a walk over the enlarged poset; None when
+    they agree."""
+    want = filter_lattice(exp.poset)
+    for name in ("filters", "minima", "heights", "up_covers", "down_covers"):
+        if getattr(exp.lattice, name) != getattr(want, name):
+            return name
+    return None
+
+
+def test_expansion_matches_the_rebuild_on_every_labeled_poset_up_to_5():
+    expansions = 0
+    for n in range(6):
+        for p in all_labeled_posets(n):
+            lat = filter_lattice(p)
+            xbit = 1 << n
+            for k in cuttings(lat):
+                exp = expand_poset(lat, k)
+                assert rebuild_mismatch(exp) is None, (write_poset_file(p), k)
+                big = exp.lattice.filters
+                src, copy = exp.source_interval, exp.copy_interval
+                assert (big[src.bottom], big[src.top]) == (
+                    lat.filters[k[0]], lat.filters[k[1]])
+                assert (big[copy.bottom], big[copy.top]) == (
+                    lat.filters[k[0]] | xbit, lat.filters[k[1]] | xbit)
+                expansions += 1
+    # Each labeled poset on m + 1 <= 6 elements is exactly one expansion of
+    # one on m, with the new element last: all 1 + 3 + 19 + 219 + 4231 +
+    # 130023 of them are checked.
+    assert expansions == 134496
+
+
+def plant_dropped_new_element(monkeypatch):
+    """A builder bug: expansion leaves the new element, the last of the
+    enlarged poset, out of every set of minima it derives."""
+    import latcut.expansion as ex
+
+    real = ex.DistLattice
+
+    def build(base, cap=FILTER_CAP, pairs=None):
+        if pairs is not None:
+            xbit = 1 << base.n - 1
+            pairs = [(f, a & ~xbit) for f, a in pairs]
+        return real(base, cap, pairs)
+
+    monkeypatch.setattr(ex, "DistLattice", build)
+
+
+def test_planted_builder_bug_is_caught(capsys, monkeypatch):
+    plant_dropped_new_element(monkeypatch)
+    lat = z3_lattice()
+    exp = expand_poset(lat, lat.interval_by_strings("101", "000"))
+    assert rebuild_mismatch(exp) == "minima"
+    assert not decompose(exp.poset, exp.new_element).counts_ok
+    assert cli_run(["verify", "expansion-counts", "--trials", "0",
+                    "--max-size", "2"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("suite expansion-counts: 17 checks, 17 FAILURES")
+    assert "FAIL expansion-counts: expansion size or decomposition round " \
+           "trip" in out
+    # The q census of each wrong lattice disagrees with its interval scan,
+    # which fails the q checks without stopping the pass.
+    assert cli_run(["verify", "q-d-recurrences", "--trials", "0",
+                    "--max-size", "2"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("suite q-d-recurrences: 17 checks, 17 FAILURES")
+    assert "interval scan [2, 1] disagrees with census [2]" in out
 
 
 # -- decomposition ------------------------------------------------------------------

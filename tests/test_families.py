@@ -13,6 +13,8 @@ from latcut import (CapacityExceeded, OddSize, antichain, chain, cover_cube,
                     verify_lucas_decomposition)
 from latcut.cli import cli_run
 from latcut.invariants import poly_eval
+from latcut.poset import FILTER_CAP
+from latcut.verify import verify_fibonacci
 
 
 # -- poset generators -----------------------------------------------------------------
@@ -177,6 +179,31 @@ def test_fence_deletion_worked_case():
     assert poly_eval(list(rep.q), -1) == 1
     with pytest.raises(ValueError):
         verify_fibonacci_decomposition(1, 3)
+
+
+def test_fence_deletion_takes_the_rebuilt_lattice():
+    direct = filter_lattice(fence(7))
+    for m in range(2, 8):
+        assert verify_fibonacci_decomposition(9 - m, m, direct=direct) == \
+            verify_fibonacci_decomposition(9 - m, m)
+
+
+def test_fibonacci_suite_rebuilds_each_fence_once(monkeypatch):
+    import latcut.verify as ver
+
+    built = []
+    real = ver.filter_lattice
+
+    def counting(p, cap=FILTER_CAP):
+        built.append(p.n)
+        return real(p, cap)
+
+    monkeypatch.setattr(ver, "filter_lattice", counting)
+    res = verify_fibonacci(max_s=6)
+    assert res.ok and res.checks == 15
+    assert built == [2, 3, 4, 5, 6]
+    assert res.report().splitlines()[1:4] == ["m=2,n=2,ok", "m=2,n=3,ok",
+                                              "m=3,n=2,ok"]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

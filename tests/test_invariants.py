@@ -1,16 +1,18 @@
 """Rank polynomials, cube counts, degree vectors, and their recurrences."""
 
 import json
+from math import comb
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import posets
 from latcut import (antichain_census, binomial_relations, binomial_transform,
                     check_d_recurrences, check_q_recurrence,
                     check_rank_recurrence, d_vectors, euler_checks,
-                    filter_lattice, invariant_report,
+                    expand_poset, filter_lattice, invariant_report,
                     inverse_binomial_transform, is_cutting,
                     poset_from_covers, posets_up_to_iso, q_vector, rank_gen,
                     rank_gen_of, stats_dict)
@@ -108,6 +110,33 @@ def test_binomial_transform_pair():
     assert binomial_transform([]) == []
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=10 ** 6), max_size=30))
+def test_binomial_transform_is_the_comb_sum(d):
+    want = poly_trim([sum(comb(j, k) * d[j] for j in range(k, len(d)))
+                      for k in range(len(d))])
+    assert binomial_transform(d) == want
+    assert inverse_binomial_transform(binomial_transform(d)) == poly_trim(d)
+
+
+def test_binomial_transform_at_width_600():
+    # q_k = sum over j of C(j, k) = C(601, k + 1) for d = [1] * 601
+    q = binomial_transform([1] * 601)
+    assert q == [comb(601, k + 1) for k in range(601)]
+
+
+def test_cached_q_and_d_cannot_be_mutated_by_callers():
+    lat = filter_lattice(poset_from_covers(["a", "b", "c"], []))
+    q = q_vector(lat)
+    q.append(99)
+    q[0] = -1
+    assert q_vector(lat) == [8, 12, 6, 1] == stats_dict(lat)["q"]
+    d = d_vectors(lat)
+    d.minus[0] = d.plus[0] = d.total[0] = -1
+    assert d_vectors(lat) == d_vectors(filter_lattice(lat.base))
+    assert d_vectors(lat).minus == [1, 3, 3, 1]
+
+
 def test_trivial_lattice_invariants():
     lat = filter_lattice(poset_from_covers([], []))
     assert rank_gen(lat) == [1]
@@ -155,6 +184,21 @@ def test_d_recurrences_worked_case():
     rep = check_d_recurrences(lat, lat.interval_by_strings("101", "000"))
     assert rep.ok
     assert rep.d_minus_ok and rep.d_total_ok and rep.mi_growth_ok
+
+
+def test_recurrences_take_a_built_expansion_and_interval_lattice():
+    lat = z3_lattice()
+    k = lat.interval_by_strings("101", "000")
+    exp = expand_poset(lat, k)
+    klat = lat.interval_lattice(k)
+    assert check_q_recurrence(lat, k, exp, klat=klat) == \
+        check_q_recurrence(lat, k)
+    assert check_d_recurrences(lat, k, exp, klat=klat) == \
+        check_d_recurrences(lat, k)
+    # The interval lattice handed in is the one used.
+    wrong = filter_lattice(poset_from_covers(["u"], []))
+    assert check_q_recurrence(lat, k, exp, klat=wrong).q_interval == [2, 1]
+    assert not check_d_recurrences(lat, k, exp, klat=wrong).ok
 
 
 def test_recurrences_across_small_catalog():

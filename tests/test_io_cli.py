@@ -252,6 +252,22 @@ def test_cli_verify_max_size_bounds_the_exhaustive_layer(capsys):
     assert "(iso classes <=3 plus 1 random <=3)" in out
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["euler", "--trials", "0", "--max-size", "-2"],
+     "--max-size must not be negative, got -2"),
+    (["euler", "--trials", "-1"], "--trials must not be negative, got -1"),
+    (["birkhoff", "--trials", "-1"], "--trials must not be negative, got -1"),
+    (["random", "--max-size", "-1"],
+     "--max-size must not be negative, got -1"),
+    (["fibonacci", "--max", "-3"], "--max must not be negative, got -3"),
+    (["lucas", "--max", "-1"], "--max must not be negative, got -1"),
+    (["cubes", "--max", "-1"], "--max must not be negative, got -1"),
+])
+def test_cli_verify_rejects_negative_counts_and_sizes(argv, message, capsys):
+    code, out, err = run_cli(["verify"] + argv, capsys=capsys)
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
+
+
 def test_cli_export_dot_and_highlight(capsys, monkeypatch):
     poset_text = write_poset_file(z3())
     code, out, _ = run_cli(["export-dot"], stdin_text=poset_text,
@@ -400,11 +416,14 @@ def _argv(draw):
         argv.append(suite)
         # A cutting suite walks every poset up to min(5, --max-size)
         # elements and 200 random ones by default, so it always gets a small
-        # --max-size and --trials.
+        # --max-size and --trials.  A family suite runs up to fence(16) by
+        # default, so it always gets a small --max.
         cutting = suite in _CUTTING_TOPICS
+        family = suite in ("fibonacci", "lucas", "cubes")
         for flag, hi in (("--trials", 3), ("--max-size", 3 if cutting else 5),
                          ("--seed", 9), ("--max", 8)):
             if (cutting and flag in ("--trials", "--max-size")
+                    or family and flag == "--max"
                     or draw(st.booleans())):
                 argv += [flag, str(draw(st.integers(min_value=-2,
                                                     max_value=hi)))]

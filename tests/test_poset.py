@@ -2,13 +2,14 @@
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import posets, shuffled_relabeling
 from latcut import (CycleDetected, DuplicateLabel, Poset, UnknownLabel,
-                    canonical_key, disjoint_union, ordinal_sum,
-                    poset_from_covers, poset_isomorphic, poset_isomorphism,
-                    singleton)
+                    canonical_key, cuttings, disjoint_union, expand_poset,
+                    filter_lattice, ordinal_sum, poset_from_covers,
+                    poset_isomorphic, poset_isomorphism, singleton)
 
 
 def z3():
@@ -251,6 +252,34 @@ def test_up_down_transpose(p):
     for i in range(p.n):
         for j in range(p.n):
             assert bool(p.up[i] >> j & 1) == bool(p.down[j] >> i & 1)
+
+
+def _down_is_transpose(p):
+    return all(bool(p.up[i] >> j & 1) == bool(p.down[j] >> i & 1)
+               for i in range(p.n) for j in range(p.n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(posets(max_n=7), posets(max_n=3), st.randoms(use_true_random=False))
+def test_built_and_derived_posets_keep_down_the_transpose_of_up(p, q, rnd):
+    # The whole relation, in a random order, so that the closure has both
+    # redundant and missing pairs to deal with.
+    pairs = [(p.labels[i], p.labels[j]) for i in range(p.n)
+             for j in range(p.n) if p.up[i] >> j & 1]
+    rnd.shuffle(pairs)
+    built = poset_from_covers(p.labels, pairs[:rnd.randint(0, len(pairs))])
+    full = poset_from_covers(p.labels, pairs)
+    assert full == p
+    lat = filter_lattice(full)
+    derived = [built, full, disjoint_union(full, q), ordinal_sum(full, q),
+               ordinal_sum(q, full),
+               expand_poset(lat, rnd.choice(cuttings(lat))).poset]
+    if p.n:
+        x = p.labels[rnd.randrange(p.n)]
+        derived += [full.minus(x), full.star(x),
+                    full.restrict(rnd.getrandbits(p.n))]
+    for d in derived:
+        assert _down_is_transpose(d)
 
 
 @settings(max_examples=40, deadline=None)
