@@ -20,7 +20,7 @@ from .errors import (CapacityExceeded, CycleDetected, DuplicateLabel,
                      ParseError, UnknownLabel)
 from .expansion import (CUTTING_METHODS, CuttingBoundary, DecomposeResult,
                         ExpansionResult, SumLawsReport, boundary, cut_elements,
-                        cuttings, decompose, expand_chain, expand_chain_steps,
+                        cuttings, decompose, expand_chain_steps,
                         expand_poset, is_cutting, lattice_as_poset, sum_laws)
 from .families import (CubeGraph, FibonacciReport, LucasReport, antichain,
                        chain, cover_cube, crown, fence, fib, fibonacci_cube,
@@ -58,7 +58,7 @@ __all__ = [
     # expansion
     "CUTTING_METHODS", "CuttingBoundary", "DecomposeResult",
     "ExpansionResult", "SumLawsReport", "boundary", "cut_elements",
-    "cuttings", "decompose", "expand_chain", "expand_chain_steps",
+    "cuttings", "decompose", "expand_chain_steps",
     "expand_poset", "is_cutting", "lattice_as_poset", "sum_laws",
     # families
     "CubeGraph", "FibonacciReport", "LucasReport", "antichain", "chain",

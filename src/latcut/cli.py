@@ -54,10 +54,6 @@ def _json_line(obj):
     return json.dumps(obj, sort_keys=True) + "\n"
 
 
-def _interval_from_flags(lat, args):
-    return lat.interval_by_strings(args.bottom, args.top)
-
-
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="latcut",
@@ -176,7 +172,7 @@ def _dispatch(args):
             _emit("".join(["%s %s\n" % (bits[a], bits[b])
                            for a, b in cuttings(lat)]), out)
             return 0
-        k = _interval_from_flags(lat, args)
+        k = lat.interval_by_strings(args.bottom, args.top)
         votes = {m: is_cutting(lat, k, m) for m in CUTTING_METHODS}
         if len(set(votes.values())) != 1:
             _emit("cutting: DISAGREE (%s)\n" % ",".join(
@@ -188,7 +184,7 @@ def _dispatch(args):
 
     if args.command == "expand":
         lat = filter_lattice(_read_poset(args.input), cap=cap)
-        exp = expand_poset(lat, _interval_from_flags(lat, args),
+        exp = expand_poset(lat, lat.interval_by_strings(args.bottom, args.top),
                            label=args.label, cap=cap)
         _emit(write_poset_file(exp.poset), out)
         return 0
@@ -201,7 +197,7 @@ def _dispatch(args):
             "element": args.element,
             "size": dec.size,
             "host_size": host.size,
-            "interval_size": len(host.interval_elements(dec.interval)),
+            "interval_size": len(host.between(*dec.interval)),
             "interval": [host.bitstring(dec.interval.bottom),
                          host.bitstring(dec.interval.top)],
             "counts_ok": dec.counts_ok,

@@ -64,17 +64,12 @@ def boundary(lat, k):
 # -- the four cutting criteria ---------------------------------------------
 
 
-def _interval_flags(lat, k):
-    bf, tf = lat.filters[k.bottom], lat.filters[k.top]
-    return [fx & ~bf == 0 and tf & ~fx == 0 for fx in lat.filters]
-
-
 def _cutting_chains(lat, k):
     # Definition-level criterion: does some maximal chain avoid K?  Maximal
     # chains are exactly the bottom-to-top cover paths, so search for an
     # avoiding path.
-    in_k = _interval_flags(lat, k)
-    if in_k[lat.bottom] or in_k[lat.top]:
+    in_k = set(lat.between(*k))
+    if lat.bottom in in_k or lat.top in in_k:
         return True
     seen = bytearray(lat.size)
     seen[lat.bottom] = 1
@@ -83,7 +78,7 @@ def _cutting_chains(lat, k):
     while stack:
         a = stack.pop()
         for b in lat.up_covers[a]:
-            if in_k[b]:
+            if b in in_k:
                 continue
             if b == top:
                 return False
@@ -95,8 +90,8 @@ def _cutting_chains(lat, k):
 
 def _cutting_union(lat, k):
     # L must be (everything above bottom) union (everything below top).
-    bf, tf = lat.filters[k.bottom], lat.filters[k.top]
-    return all(fx & ~bf == 0 or tf & ~fx == 0 for fx in lat.filters)
+    le, (b, t) = lat.le, k
+    return all(le(b, x) or le(x, t) for x in range(lat.size))
 
 
 def _cutting_order(lat, k):
@@ -138,7 +133,8 @@ def _cutting_star(lat, k):
     if cand is None:
         return False
     star = cand.star(cand.labels[-1])
-    return poset_isomorphic(star, lat.interval_subposet(k))
+    return poset_isomorphic(
+        star, lat.base.restrict(lat.filters[k.bottom] & ~lat.filters[k.top]))
 
 
 def is_cutting(lat, k, method="chains"):
@@ -263,15 +259,11 @@ def expand_poset(lat, k, label=None, cap=FILTER_CAP):
         cand.refuse_wide(cap)
         raise CapacityExceeded("more than %d filters" % cap)
     big = DistLattice(cand, pairs=pairs)
-    result = ExpansionResult(
-        poset=cand,
-        new_element=label,
-        lattice=big,
-        source_interval=big.interval(big.index_of[bf], big.index_of[tf]),
-        copy_interval=big.interval(big.index_of[bf | xbit],
-                                   big.index_of[tf | xbit]),
-    )
-    return result
+    return ExpansionResult(
+        poset=cand, new_element=label, lattice=big,
+        source_interval=IntervalRef(big.index_of[bf], big.index_of[tf]),
+        copy_interval=IntervalRef(big.index_of[bf | xbit],
+                                  big.index_of[tf | xbit]))
 
 
 # -- decomposition -------------------------------------------------------------
@@ -313,7 +305,7 @@ def decompose(p, x, cap=FILTER_CAP):
 
     bf = compress(keep & ~p.down[i])
     tf = compress(p.up[i])
-    k = host.interval(host.index_of[bf], host.index_of[tf])
+    k = IntervalRef(host.index_of[bf], host.index_of[tf])
 
     exp = expand_poset(host, k, label=x, cap=cap)
     # The antichain walks on P and on P*x, independent of the expansion.
@@ -362,20 +354,12 @@ def expand_chain_steps(base, additions, cap=FILTER_CAP):
         i = grown.idx(label)
         bf = p.full_mask & ~grown.down[i]
         tf = grown.up[i]
-        k = lat.interval(lat.index_of[bf], lat.index_of[tf])
-        exp = expand_poset(lat, k, label=label, cap=cap)
+        exp = expand_poset(lat, IntervalRef(lat.index_of[bf], lat.index_of[tf]),
+                           label=label, cap=cap)
         if exp.poset != grown:
             raise AssertionError("expansion step does not match the rebuilt poset")
         p, lat = grown, exp.lattice
         yield p, lat
-
-
-def expand_chain(base, additions, cap=FILTER_CAP):
-    """Final lattice after applying all additions (see expand_chain_steps)."""
-    lat = None
-    for _p, lat in expand_chain_steps(base, additions, cap=cap):
-        pass
-    return lat
 
 
 # -- sum laws ---------------------------------------------------------------------
@@ -424,10 +408,7 @@ def _vertical_sum_poset(l1, l2):
 
 def lattice_as_poset(lat):
     """The lattice order as a plain poset, labelled by filter bitstrings."""
-    up = []
-    for a, fa in enumerate(lat.filters):
-        up.append(mask_of(b for b, fb in enumerate(lat.filters)
-                          if b != a and fb & ~fa == 0 and fb != fa))
+    up = [mask_of(lat.between(a, lat.top)) & ~(1 << a) for a in range(lat.size)]
     return Poset([lat.bitstring(a) for a in range(lat.size)], up, _trusted=True)
 
 

@@ -29,7 +29,7 @@ import networkx as nx
 
 from .errors import CapacityExceeded, OddSize
 from .expansion import decompose
-from .invariants import poly_add, poly_eq, poly_eval, poly_shift, q_vector
+from .invariants import check_q_recurrence, poly_eq, poly_eval, q_vector
 from .lattice import filter_lattice
 from .poset import FILTER_CAP, disjoint_union, poset_from_covers, poset_isomorphic
 
@@ -268,21 +268,15 @@ def verify_fibonacci_decomposition(m, n, cap=FILTER_CAP, direct=None):
     minus_iso = _fence_pair_iso(dec.minus, n - 1, m - 2)
     star_iso = _fence_pair_iso(dec.star, n - 2, m - 3)
 
-    int_size = len(dec.host.interval_elements(dec.interval))
+    int_size = len(dec.host.between(*dec.interval))
     identity_ok = (dec.host.size == fib(m) * fib(n + 1)
                    and int_size == fib(m - 1) * fib(n)
                    and fib(m + n) == fib(m) * fib(n + 1) + fib(m - 1) * fib(n))
 
-    q_host = q_vector(dec.host)
-    q_int = q_vector(dec.host.interval_lattice(dec.interval))
-    q_big = q_vector(dec.expansion.lattice)
+    qr = check_q_recurrence(dec.host, dec.interval, dec.expansion)
     # Independent rebuild of the big lattice, not reusing the expansion.
     if direct is None:
         direct = filter_lattice(p, cap=cap)
-    q_direct = q_vector(direct)
-    q_ok = (poly_eq(q_big, q_direct)
-            and poly_eq(q_big, poly_add(q_host,
-                                        poly_add(q_int, poly_shift(q_int, 1)))))
 
     return FibonacciReport(
         m=m, n=n, lattice_size=dec.size,
@@ -290,7 +284,8 @@ def verify_fibonacci_decomposition(m, n, cap=FILTER_CAP, direct=None):
         identity_ok=identity_ok,
         minus_iso_ok=minus_iso, star_iso_ok=star_iso,
         expansion_ok=dec.counts_ok and dec.expansion_iso_ok,
-        q_identity_ok=q_ok, q=tuple(q_big))
+        q_identity_ok=qr.ok and poly_eq(qr.q_expanded, q_vector(direct)),
+        q=tuple(qr.q_expanded))
 
 
 @dataclass(frozen=True)
@@ -325,17 +320,13 @@ def verify_lucas_decomposition(n, cap=FILTER_CAP):
     # bottom element and its two neighbours leaves the zigzag bottom-heavy.
     star_iso = poset_isomorphic(dec.star, fence(2 * n - 3).dual())
 
-    q_host = q_vector(dec.host)
-    q_int = q_vector(dec.host.interval_lattice(dec.interval))
-    q_big = q_vector(dec.expansion.lattice)
-    q_direct = q_vector(filter_lattice(p, cap=cap))
-    q_ok = (poly_eq(q_big, q_direct)
-            and poly_eq(q_big, poly_add(q_host,
-                                        poly_add(q_int, poly_shift(q_int, 1)))))
+    qr = check_q_recurrence(dec.host, dec.interval, dec.expansion)
+    q_big = qr.q_expanded
+    q_ok = qr.ok and poly_eq(q_big, q_vector(filter_lattice(p, cap=cap)))
 
     # The second summand enters the lattice-level statement through the dual
     # fence; q is invariant under dualizing, checked here rather than assumed.
-    dual_q_ok = poly_eq(q_int,
+    dual_q_ok = poly_eq(qr.q_interval,
                         q_vector(filter_lattice(dec.star.dual(), cap=cap)))
 
     count_ok = (dec.size == lucas(2 * n) == fib(2 * n + 1) + fib(2 * n - 1)

@@ -81,24 +81,18 @@ def export_dot(lat, highlight=None, graph_name="lattice"):
     source and copy).  Highlighted intervals become labelled clusters; cover
     edges running between the two clusters of a pair are dashed.
     """
-    single, pair = None, None
-    if isinstance(highlight, IntervalRef):
-        single = highlight
-    elif highlight is not None:
+    if highlight is None:
+        marked = []
+    elif isinstance(highlight, IntervalRef):
+        marked = [highlight]
+    else:
         a, b = highlight
-        pair = (lat.interval(*a), lat.interval(*b))
+        marked = [a, b]
+    clusters = [(cname, lat.interval_elements(k))
+                for cname, k in zip(("K", "K_copy"), marked)]
+    in_cluster = {a: cname for cname, members in clusters for a in members}
 
     names = [lat.bitstring(a) for a in range(lat.size)]
-    in_cluster = {}
-    clusters = []
-    if single is not None:
-        clusters.append(("K", sorted(lat.interval_elements(single))))
-    elif pair is not None:
-        clusters.append(("K", sorted(lat.interval_elements(pair[0]))))
-        clusters.append(("K_copy", sorted(lat.interval_elements(pair[1]))))
-    for cname, members in clusters:
-        for a in members:
-            in_cluster[a] = cname
 
     out = []
     out.append("digraph %s {" % graph_name)
@@ -120,9 +114,8 @@ def export_dot(lat, highlight=None, graph_name="lattice"):
             out.append("  { rank=same; %s }"
                        % " ".join("%s;" % _quote(names[a]) for a in group))
     cross = set()
-    if pair is not None:
-        left = set(lat.interval_elements(pair[0]))
-        right = set(lat.interval_elements(pair[1]))
+    if len(clusters) == 2:
+        left, right = (set(members) for _, members in clusters)
         cross = {(a, b) for a in range(lat.size) for b in lat.up_covers[a]
                  if (a in left and b in right) or (a in right and b in left)}
     for a in range(lat.size):

@@ -219,24 +219,10 @@ def antichain_census(p):
     return poly_trim(out)
 
 
-def _degree_vectors(pairs):
-    """The three histograms from a count of (up-degree, down-degree) pairs.
-    ``minus`` and ``plus`` share one length, the largest degree plus one."""
-    width = max(max(u, d) for u, d in pairs)
-    minus = [0] * (width + 1)
-    plus = [0] * (width + 1)
-    total = [0] * (max(u + d for u, d in pairs) + 1)
-    for (u, d), c in pairs.items():
-        minus[u] += c
-        plus[d] += c
-        total[u + d] += c
-    return DegreeVectors(minus=minus, plus=plus, total=total)
-
-
 def _padded_degree_vectors(minus, plus, total):
-    """The DegreeVectors of the three histograms, in the shape that
-    ``_degree_vectors`` gives: trailing zeros dropped, then ``minus`` and
-    ``plus`` padded to one length."""
+    """The DegreeVectors of the three histograms: trailing zeros dropped,
+    then ``minus`` and ``plus`` padded to one length, the largest degree
+    plus one."""
     minus, plus = poly_trim(minus), poly_trim(plus)
     width = max(len(minus), len(plus))
     return DegreeVectors(minus=minus + [0] * (width - len(minus)),
@@ -248,8 +234,14 @@ def d_vectors(lat):
     """The degree histograms of ``lat``, computed once per lattice and
     cached on it; each call returns fresh lists."""
     if lat._d is None:
-        lat._d = _degree_vectors(Counter(zip(map(len, lat.up_covers),
-                                             map(len, lat.down_covers))))
+        # An element's up- and down-covers drop and add distinct elements
+        # of the base, so both degrees and their sum are at most n.
+        minus, plus, total = hists = [[0] * (lat.base.n + 1) for _ in range(3)]
+        for u, d in zip(map(len, lat.up_covers), map(len, lat.down_covers)):
+            minus[u] += 1
+            plus[d] += 1
+            total[u + d] += 1
+        lat._d = _padded_degree_vectors(*hists)
     d = lat._d
     return DegreeVectors(minus=list(d.minus), plus=list(d.plus),
                          total=list(d.total))
@@ -344,12 +336,6 @@ def _euler_report(q, mi_count):
 # -- recurrences under expansion ----------------------------------------------------
 
 
-def _ensure_exp(lat, k, exp):
-    if exp is None:
-        exp = expand_poset(lat, k)
-    return exp
-
-
 @dataclass(frozen=True)
 class RankRecurrenceReport:
     lhs: list                 # rank polynomial of the expanded lattice
@@ -361,12 +347,12 @@ class RankRecurrenceReport:
 
 def check_rank_recurrence(lat, k, exp=None):
     k = lat.interval(*k)
-    exp = _ensure_exp(lat, k, exp)
+    if exp is None:
+        exp = expand_poset(lat, k)
     lhs = rank_gen(exp.lattice)
 
-    tf, bf = lat.filters[k.top], lat.filters[k.bottom]
-    below_top = [x for x, fx in enumerate(lat.filters) if tf & ~fx == 0]
-    above_bottom = [x for x, fx in enumerate(lat.filters) if fx & ~bf == 0]
+    below_top = lat.between(lat.bottom, k.top)
+    above_bottom = lat.between(k.bottom, lat.top)
     h0 = lat.heights[k.bottom]
 
     rhs_host = poly_add(rank_gen_of(lat, below_top),
@@ -376,7 +362,7 @@ def check_rank_recurrence(lat, k, exp=None):
                                    h0 + 1))
 
     rhs_case = None
-    interval = lat.interval_elements(k)
+    interval = lat.between(*k)
     if k.top == lat.top:
         rhs_case = poly_add(rank_gen(lat),
                             poly_shift(rank_gen_of(lat, interval, offset=h0),
@@ -401,22 +387,19 @@ class QRecurrenceReport:
     ok: bool
 
 
-def _ensure_klat(lat, k, klat):
-    if klat is None:
-        klat = lat.interval_lattice(k)
-    return klat
-
-
-def check_q_recurrence(lat, k, exp=None, method="auto", klat=None):
+def check_q_recurrence(lat, k, exp=None, klat=None):
     """``exp`` and ``klat``, the expansion at ``k`` and the interval lattice
     of ``k``, are built here unless the caller has them."""
     k = lat.interval(*k)
-    exp = _ensure_exp(lat, k, exp)
-    q_host = q_vector(lat, method)
-    q_int = q_vector(_ensure_klat(lat, k, klat), method)
-    q_exp = q_vector(exp.lattice, method)
+    if exp is None:
+        exp = expand_poset(lat, k)
+    if klat is None:
+        klat = lat.interval_lattice(k)
+    q_host = q_vector(lat)
+    q_int = q_vector(klat)
+    q_exp = q_vector(exp.lattice)
     want = poly_add(q_host, poly_add(q_int, poly_shift(q_int, 1)))
-    size_ok = exp.lattice.size == lat.size + len(lat.interval_elements(k))
+    size_ok = exp.lattice.size == lat.size + len(lat.between(*k))
     return QRecurrenceReport(q_host=q_host, q_interval=q_int, q_expanded=q_exp,
                              size_ok=size_ok, ok=size_ok and poly_eq(q_exp, want))
 
@@ -434,9 +417,12 @@ def check_d_recurrences(lat, k, exp=None, klat=None):
     copy interval for the total-degree histogram.  ``exp`` and ``klat`` as
     in :func:`check_q_recurrence`."""
     k = lat.interval(*k)
-    exp = _ensure_exp(lat, k, exp)
+    if exp is None:
+        exp = expand_poset(lat, k)
+    if klat is None:
+        klat = lat.interval_lattice(k)
     d_host = d_vectors(lat)
-    d_int = d_vectors(_ensure_klat(lat, k, klat))
+    d_int = d_vectors(klat)
     d_exp = d_vectors(exp.lattice)
 
     minus_ok = poly_eq(d_exp.minus,

@@ -137,14 +137,8 @@ class DistLattice:
         """For each element a, a bitmask over lattice indices of {x : x >= a}.
         Cached; quadratic, intended for desk-scale lattices."""
         if self._above is None:
-            above = []
-            for fa in self.filters:
-                m = 0
-                for x, fx in enumerate(self.filters):
-                    if fx & ~fa == 0:
-                        m |= 1 << x
-                above.append(m)
-            self._above = tuple(above)
+            self._above = tuple([mask_of(self.between(a, self.top))
+                                 for a in range(self.size)])
         return self._above
 
     # -- intervals ----------------------------------------------------------
@@ -163,12 +157,17 @@ class DistLattice:
         return self.interval(self.element_by_string(bottom_bits),
                              self.element_by_string(top_bits))
 
-    def interval_elements(self, k):
-        """All element indices x with bottom <= x <= top, ascending."""
-        k = self.interval(*k)
-        fb, ft = self.filters[k.bottom], self.filters[k.top]
+    def between(self, bottom, top):
+        """The indices x with bottom <= x <= top, ascending: the containment
+        primitive, F(top) within F(x) within F(bottom).  Like ``le``, it
+        trusts its indices; ``interval`` is the check for untrusted ones."""
+        fb, ft = self.filters[bottom], self.filters[top]
         return [x for x, fx in enumerate(self.filters)
                 if fx & ~fb == 0 and ft & ~fx == 0]
+
+    def interval_elements(self, k):
+        """All element indices x with bottom <= x <= top, ascending."""
+        return self.between(*self.interval(*k))
 
     def interval_subposet(self, k):
         """The convex base subposet S = filter(bottom) minus filter(top).
@@ -202,12 +201,8 @@ class DistLattice:
         labelled by their filter bitstrings."""
         mi = self.meet_irreducibles()
         labels = [self.bitstring(a) for a in mi]
-        up = []
-        for a in mi:
-            fa = self.filters[a]
-            up.append(mask_of(t for t, b in enumerate(mi)
-                              if b != a and self.filters[b] & ~fa == 0
-                              and self.filters[b] != fa))
+        up = [mask_of(t for t, b in enumerate(mi) if b != a and self.le(a, b))
+              for a in mi]
         return Poset(labels, up, _trusted=True)
 
     def covering_graph(self):

@@ -186,7 +186,7 @@ def _check_cutting(results, p, lat, k, tag):
     # The expansion has |L| + |K| elements by construction; decompose's walk
     # over the enlarged poset is the independent count, and it compares
     # the filters themselves.
-    ok = exp.lattice.size == lat.size + len(lat.interval_elements(k))
+    ok = exp.lattice.size == lat.size + len(lat.between(*k))
     dec = decompose(exp.poset, exp.new_element)
     ok = (ok and dec.counts_ok and dec.expansion_iso_ok
           and poset_isomorphic(dec.minus, lat.base)
@@ -391,14 +391,19 @@ def verify_random(trials=200, max_size=7, seed=2):
         res.checks += 1
         lat = filter_lattice(p)
         ok = birkhoff_roundtrip(p)
-        br = binomial_relations(lat)
-        eu = euler_checks(lat, q=br.q)
+        try:
+            br = binomial_relations(lat)
+            eu = euler_checks(lat, q=br.q)
+            broken = None
+        except AssertionError as e:
+            # The q census and the interval scan disagree on this poset.
+            broken = str(e)
         d = d_vectors(lat)
-        if not (ok and br.ok and eu.ok and eu.derivative_ok
-                and d.minus == d.plus):
+        if broken or not (ok and br.ok and eu.ok and eu.derivative_ok
+                          and d.minus == d.plus):
             res.add_failure(p, "random-layer invariants (%s)" % tag,
-                            "roundtrip=%r binomial=%r euler=%r" % (ok, br.ok,
-                                                                   eu.ok))
+                            broken or "roundtrip=%r binomial=%r euler=%r"
+                            % (ok, br.ok, eu.ok))
     res.lines.append("trials=%d max_size=%d seed=%d" % (trials, max_size, seed))
     res.elapsed = time.perf_counter() - t0
     return res

@@ -8,11 +8,11 @@ from hypothesis import given, settings
 
 import oracles
 from conftest import posets
-from latcut import (CUTTING_METHODS, IntervalRef, NotACutting,
+from latcut import (CUTTING_METHODS, DistLattice, IntervalRef, NotACutting,
                     all_labeled_posets, antichain, boundary, crown,
-                    cut_elements, cuttings, decompose, expand_chain,
-                    expand_chain_steps, expand_poset, fence, filter_lattice,
-                    is_cutting, lattice_as_poset, parse_poset_file,
+                    cut_elements, cuttings, decompose, expand_chain_steps,
+                    expand_poset, fence, filter_lattice, is_cutting,
+                    lattice_as_poset, parse_poset_file,
                     poset_from_covers, poset_isomorphic, singleton, sum_laws,
                     write_poset_file)
 from latcut.cli import cli_run
@@ -319,6 +319,27 @@ def test_decompose_product_form():
     assert not decompose(q, "b").product_form
 
 
+def test_expand_poset_validates_its_interval_once(monkeypatch):
+    lat = z3_lattice()
+    k = lat.interval_by_strings("101", "000")
+    real = DistLattice.interval
+    calls = []
+
+    def counting(self, bottom, top):
+        calls.append((self, bottom, top))
+        return real(self, bottom, top)
+
+    monkeypatch.setattr(DistLattice, "interval", counting)
+    exp = expand_poset(lat, k)
+    assert calls == [(lat, k.bottom, k.top)]
+    # The two intervals it derives are built directly, and they are valid.
+    big = exp.lattice
+    for ref in (exp.source_interval, exp.copy_interval):
+        assert isinstance(ref, IntervalRef) and real(big, *ref) == ref
+    assert big.between(*exp.source_interval) == [2, 5, 6, 8]
+    assert big.between(*exp.copy_interval) == [1, 3, 4, 7]
+
+
 # -- growing chains of expansions ----------------------------------------------------
 
 
@@ -327,13 +348,13 @@ def test_expand_chain_rebuilds_z3():
              ("a", ["b"], []),
              ("c", ["b"], [])]
     sizes = []
-    final = None
+    final = final_lat = None
     for p, lat in expand_chain_steps(poset_from_covers([], []), steps):
         sizes.append(lat.size)
-        final = p
+        final, final_lat = p, lat
     assert sizes == [1, 2, 3, 5]
     assert poset_isomorphic(final, z3())
-    assert expand_chain(poset_from_covers([], []), steps).size == 5
+    assert final_lat.size == 5
 
 
 # -- sum laws -----------------------------------------------------------------------

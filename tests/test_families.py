@@ -6,8 +6,9 @@ from itertools import combinations, product
 import pytest
 
 import oracles
-from latcut import (CapacityExceeded, OddSize, antichain, chain, cover_cube,
-                    crown, fence, fib, fibonacci_cube, filter_lattice,
+from latcut import (CapacityExceeded, DistLattice, OddSize, antichain, chain,
+                    cover_cube, crown, fence, fib, fibonacci_cube,
+                    filter_lattice,
                     graph_isomorphic, lucas, lucas_cube,
                     verify_fibonacci_decomposition,
                     verify_lucas_decomposition)
@@ -204,6 +205,25 @@ def test_fibonacci_suite_rebuilds_each_fence_once(monkeypatch):
     assert built == [2, 3, 4, 5, 6]
     assert res.report().splitlines()[1:4] == ["m=2,n=2,ok", "m=2,n=3,ok",
                                               "m=3,n=2,ok"]
+
+
+def test_fence_deletion_catches_a_wrong_direct_lattice():
+    # F(fence(s - 1)) in place of F(fence(s)): only the q comparison sees it.
+    rep = verify_fibonacci_decomposition(4, 3, direct=filter_lattice(fence(4)))
+    assert rep.q_identity_ok is False and not rep.ok
+    assert rep.count_ok and rep.identity_ok and rep.expansion_ok
+    assert rep.q == verify_fibonacci_decomposition(4, 3).q
+
+
+def test_crown_deletion_compares_the_dual_star_with_the_interval_q(monkeypatch):
+    # A wrong interval lattice breaks the q recurrence, and dual_q_ok, which
+    # compares the interval's own q with that of the dual star, sees it too.
+    assert verify_lucas_decomposition(3).dual_q_ok
+    monkeypatch.setattr(DistLattice, "interval_lattice",
+                        lambda self, k: filter_lattice(antichain(1)))
+    rep = verify_lucas_decomposition(3)
+    assert rep.dual_q_ok is False and rep.q_identity_ok is False
+    assert rep.count_ok and rep.expansion_ok
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

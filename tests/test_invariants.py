@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import posets
-from latcut import (antichain_census, binomial_relations, binomial_transform,
-                    check_d_recurrences, check_q_recurrence,
+from latcut import (CUTTING_METHODS, IntervalRef, InvalidInterval,
+                    antichain_census, binomial_relations, binomial_transform,
+                    boundary, check_d_recurrences, check_q_recurrence,
                     check_rank_recurrence, d_vectors, euler_checks,
                     expand_poset, filter_lattice, invariant_report,
                     inverse_binomial_transform, is_cutting,
@@ -199,6 +200,37 @@ def test_recurrences_take_a_built_expansion_and_interval_lattice():
     wrong = filter_lattice(poset_from_covers(["u"], []))
     assert check_q_recurrence(lat, k, exp, klat=wrong).q_interval == [2, 1]
     assert not check_d_recurrences(lat, k, exp, klat=wrong).ok
+
+
+# Every public entry that takes an interval validates it, whatever the caller
+# has already built: reversed, incomparable, out of range, negative.
+_BAD_INTERVALS = [IntervalRef(4, 0), (2, 3), (0, 5), (-1, 4)]
+
+
+@pytest.mark.parametrize("k", _BAD_INTERVALS, ids=str)
+@pytest.mark.parametrize("call", [
+    expand_poset, boundary, check_rank_recurrence, check_q_recurrence,
+    check_d_recurrences,
+    lambda lat, k: lat.interval_elements(k),
+    lambda lat, k: [is_cutting(lat, k, m) for m in CUTTING_METHODS],
+], ids=["expand_poset", "boundary", "rank", "q", "d", "interval_elements",
+        "is_cutting"])
+def test_bad_intervals_raise_invalid_interval(call, k):
+    with pytest.raises(InvalidInterval):
+        call(z3_lattice(), k)
+
+
+@pytest.mark.parametrize("k", _BAD_INTERVALS, ids=str)
+def test_recurrences_validate_even_with_a_built_expansion(k):
+    lat = z3_lattice()
+    good = lat.interval_by_strings("101", "000")
+    exp = expand_poset(lat, good)
+    klat = lat.interval_lattice(good)
+    for check in (check_q_recurrence, check_d_recurrences):
+        with pytest.raises(InvalidInterval):
+            check(lat, k, exp, klat=klat)
+    with pytest.raises(InvalidInterval):
+        check_rank_recurrence(lat, k, exp)
 
 
 def test_recurrences_across_small_catalog():

@@ -345,6 +345,21 @@ def test_cli_reports_failed_cross_checks_without_traceback(
     assert "Traceback" not in err and err.count("\n") == 1
 
 
+def test_cli_verify_random_records_a_q_disagreement_per_poset(capsys,
+                                                             monkeypatch):
+    # A census that disagrees with its interval scan fails that poset, and
+    # the suite goes on to name the smallest failing one.
+    monkeypatch.setattr("latcut.invariants._q_scan", lambda lat: [0])
+    code, out, err = run_cli(["verify", "random", "--trials", "3"],
+                             capsys=capsys)
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert lines[0] == "suite random: 3 checks, 3 FAILURES (seed=2)"
+    assert "smallest failing instance:" in lines
+    assert lines[lines.index("smallest failing instance:") + 2].startswith(
+        "interval scan [0] disagrees with census ")
+
+
 def test_public_names_resolve():
     assert len(set(latcut.__all__)) == len(latcut.__all__)
     for name in latcut.__all__:

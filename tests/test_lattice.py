@@ -5,8 +5,9 @@ from hypothesis import given, settings
 
 import oracles
 from conftest import posets, shuffled_relabeling
-from latcut import (InvalidInterval, birkhoff_roundtrip, filter_lattice,
-                    lattice_isomorphism, poset_from_covers, poset_isomorphic)
+from latcut import (InvalidInterval, all_labeled_posets, birkhoff_roundtrip,
+                    filter_lattice, lattice_isomorphism, poset_from_covers,
+                    poset_isomorphic)
 
 
 def z3_lattice():
@@ -47,6 +48,34 @@ def test_element_lookup_errors():
         lat.element_by_bits(0b010)   # not a filter
     with pytest.raises(InvalidInterval):
         lat.interval(lat.element_by_string("100"), lat.element_by_string("001"))
+
+
+# -- the containment primitive --------------------------------------------------
+
+
+def _check_between_against_le(lat):
+    """``between`` on every ordered pair, comparable or not, against a scan
+    with ``le``; and the routes built on it."""
+    for b in range(lat.size):
+        for t in range(lat.size):
+            want = [x for x in range(lat.size) if lat.le(b, x) and lat.le(x, t)]
+            assert lat.between(b, t) == want
+            if lat.le(b, t):
+                assert lat.interval_elements((b, t)) == want
+        assert lat.above_masks()[b] == sum(
+            1 << x for x in range(lat.size) if lat.le(b, x))
+
+
+def test_between_matches_le_on_every_labeled_poset_up_to_4():
+    for n in range(5):
+        for p in all_labeled_posets(n):
+            _check_between_against_le(filter_lattice(p))
+
+
+@settings(max_examples=60, deadline=None)
+@given(posets(max_n=6))
+def test_between_matches_le_on_random_posets(p):
+    _check_between_against_le(filter_lattice(p))
 
 
 def test_covers_against_naive():
