@@ -46,7 +46,11 @@ class CuttingBoundary:
 def boundary(lat, k):
     """Compute (S, S0, S1) for an interval and verify the partition
     P = down(S0) + S + up(S1) and that no element of S0 lies above one of S1."""
-    k = lat.interval(*k)
+    return _boundary(lat, lat.interval(*k))
+
+
+def _boundary(lat, k):
+    """:func:`boundary` of an interval already validated."""
     base = lat.base
     bf, tf = lat.filters[k.bottom], lat.filters[k.top]
     outside = base.full_mask & ~bf
@@ -97,7 +101,7 @@ def _cutting_union(lat, k):
 def _cutting_order(lat, k):
     # z < y for every z in S0, y in S1.
     base = lat.base
-    b = boundary(lat, k)
+    b = _boundary(lat, k)
     return all(b.s1 & ~base.up[z] == 0 for z in iter_bits(b.s0))
 
 

@@ -2,6 +2,7 @@
 checked against the naive oracles, the 2^n subset scan and closed forms."""
 
 import io
+import json
 import re
 import sys
 
@@ -18,8 +19,9 @@ from latcut import (CapacityExceeded, Poset, all_labeled_posets, antichain,
                     stats_dict, verify_random, write_poset_file)
 from latcut.bits import iter_bits
 from latcut.cli import _json_line, cli_run
-from latcut.invariants import (_split_histograms, _walked_histograms,
-                               poly_eval, poly_trim)
+from latcut.invariants import (_split_histograms, _transfer_histograms,
+                               _transfer_order, _walked_histograms,
+                               poly_deriv, poly_eval, poly_trim)
 from latcut.poset import FILTER_CAP
 from latcut.verify import (_CUTTING_TOPICS, SuiteResult,
                            _check_lattice_invariants, filters_by_scan,
@@ -315,7 +317,8 @@ def _trimmed(hists):
     return [poly_trim(h) for h in hists]
 
 
-@pytest.mark.parametrize("make", [
+# Composites of 21 to 30 elements, past the scan bound.
+_UNSPLIT_COMPOSITES = [
     lambda: ordinal_sum(fence(12), crown(10)),
     lambda: disjoint_union(ordinal_sum(fence(9), antichain(4)),
                            ordinal_sum(crown(8), chain(3))),
@@ -324,7 +327,10 @@ def _trimmed(hists):
         ordinal_sum(antichain(3), fence(6)))),
     lambda: disjoint_union(antichain(6), ordinal_sum(
         disjoint_union(chain(3), antichain(2)), crown(12))),
-])
+]
+
+
+@pytest.mark.parametrize("make", _UNSPLIT_COMPOSITES)
 def test_split_histograms_equal_one_walk_over_all_of_p(make):
     """Beyond the scan bound the lattice is too costly to compare with, so
     the split is checked against the two-walk join over the unsplit P."""
@@ -348,18 +354,114 @@ def _count_walked_filters(monkeypatch):
     return walked
 
 
-@pytest.mark.parametrize("p,walked", [
-    # fifteen one-element blocks, two walks of two filters each
-    (antichain(15), 15 * 2 * 2),
-    (disjoint_union(fence(9), crown(8)), 2 * (fib(11) + lucas(8))),
-    (chain(300), 300 * 2 * 2),
-])
-def test_poset_stats_walks_only_the_prime_blocks(p, walked, monkeypatch):
-    counted = _count_walked_filters(monkeypatch)
+def _count_transfers(monkeypatch):
+    import latcut.invariants as inv
+
+    real = inv._transfer_histograms
+    counted = []
+
+    def counting(q, steps=None):
+        counted.append(q.n)
+        return real(q, steps)
+
+    monkeypatch.setattr(inv, "_transfer_histograms", counting)
+    return counted
+
+
+@pytest.mark.parametrize("p,walked,counted", [
+    # One-element blocks have two filters and the state bound S = 1, so
+    # each walk stops before its first filter and the DP counts the block.
+    (antichain(15), 0, [1] * 15),
+    (chain(300), 0, [1] * 300),
+    # fence(9): S = 33 < 89 filters, so 33 are walked and the DP counts it.
+    # crown(8): 47 filters within S = 101, walked in full both ways.
+    (disjoint_union(fence(9), crown(8)), 33 + 2 * lucas(8), [9]),
+], ids=["antichain15", "chain300", "fence9+crown8"])
+def test_poset_stats_walks_prime_blocks_up_to_their_state_bound(
+        p, walked, counted, monkeypatch):
+    walks = _count_walked_filters(monkeypatch)
+    transfers = _count_transfers(monkeypatch)
     got = poset_stats(p)
-    assert len(counted) == walked
+    assert len(walks) == walked and transfers == counted
     monkeypatch.undo()
     assert got == stats_dict(filter_lattice(p))
+
+
+def test_transfer_state_bounds_of_fences_and_crowns():
+    """A BFS from an end of a fence keeps one vertex on the frontier, and
+    one round a crown keeps two: S = sum of 4^frontier over the steps."""
+    for n in range(1, 40):
+        assert _transfer_order(fence(n))[1] == 4 * (n - 1) + 1
+    for two_n in range(4, 40, 2):
+        assert _transfer_order(crown(two_n))[1] == 4 + 16 * (two_n - 2) + 1
+
+
+@pytest.mark.parametrize("cap,transfers", [
+    (fib(21) + 2, 1),
+    (fib(21) + 1, 1),      # the DP's exact size is over the cap
+    (74, 1),
+    (73, 0),               # S = 73: the walk refuses at the cap
+    (4, 0),
+])
+def test_the_rule_never_runs_the_dp_past_the_cap(cap, transfers,
+                                                  monkeypatch):
+    # fence(19) between two one-element blocks, so P has one minimal and
+    # one maximal element and passes the pre-check at any of these caps.
+    p = ordinal_sum(ordinal_sum(chain(1), fence(19)), chain(1))
+    counted = _count_transfers(monkeypatch)
+    if cap > fib(21) + 1:
+        assert poset_stats(p, cap=cap)["size"] == fib(21) + 2
+    else:
+        with pytest.raises(CapacityExceeded,
+                           match="^more than %d filters$" % cap):
+            poset_stats(p, cap=cap)
+    assert counted.count(19) == transfers
+
+
+# -- the transfer-matrix DP against the walk ----------------------------------
+
+
+def test_transfer_histograms_on_every_labeled_poset_up_to_5():
+    for n in range(6):
+        for p in all_labeled_posets(n):
+            assert _transfer_histograms(p) == _walked_histograms(p, FILTER_CAP)
+
+
+@settings(max_examples=100, deadline=None)
+@given(posets(max_n=14))
+def test_transfer_histograms_on_random_posets(p):
+    assert _transfer_histograms(p) == _walked_histograms(p, FILTER_CAP)
+
+
+@pytest.mark.parametrize("make", _UNSPLIT_COMPOSITES)
+def test_transfer_histograms_on_unsplit_composites(make):
+    p = make()
+    assert _transfer_histograms(p) == _walked_histograms(p, FILTER_CAP)
+
+
+# A cap above every size below: |F(P)| <= 2^n.
+_BIG_CAP = 1 << 300
+
+
+def _check_closed_forms(got, n, size):
+    assert got["n"] == n and got["size"] == size
+    assert sum(got["rank_poly"]) == sum(got["d_total"]) == size
+    # F(P) has one meet-irreducible per element of P.
+    assert got["mi_count"] == n
+    assert poly_eval(got["q"], -1) == 1
+    assert poly_eval(poly_deriv(got["q"]), -1) == n
+    assert got["euler_ok"] and got["euler_derivative_ok"]
+
+
+@pytest.mark.parametrize("n", [21, 34, 55, 89, 144, 233, 300])
+def test_poset_stats_on_fences_is_fibonacci(n):
+    _check_closed_forms(poset_stats(fence(n), cap=_BIG_CAP), n, fib(n + 2))
+
+
+@pytest.mark.parametrize("two_n", [22, 40, 64, 100, 150, 200])
+def test_poset_stats_on_crowns_is_lucas(two_n):
+    _check_closed_forms(poset_stats(crown(two_n), cap=_BIG_CAP), two_n,
+                        lucas(two_n))
 
 
 def test_poset_stats_on_nesting_deeper_than_the_recursion_limit():
@@ -458,6 +560,15 @@ def test_cli_stats_prints_the_lattice_report(p, capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert out == _json_line(stats_dict(filter_lattice(p)))
     assert err == ""
+
+
+def test_cli_stats_on_fence_300_under_a_big_cap(capsys, monkeypatch):
+    text = write_poset_file(fence(300))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert cli_run(["stats", "--cap", str(_BIG_CAP)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    _check_closed_forms(json.loads(out), 300, fib(302))
 
 
 def test_cli_stats_refuses_over_the_cap(capsys, monkeypatch):

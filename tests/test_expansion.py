@@ -340,6 +340,24 @@ def test_expand_poset_validates_its_interval_once(monkeypatch):
     assert big.between(*exp.copy_interval) == [1, 3, 4, 7]
 
 
+@pytest.mark.parametrize("method", CUTTING_METHODS)
+def test_is_cutting_validates_its_interval_once(method, monkeypatch):
+    # The order criterion takes the boundary of the interval is_cutting has
+    # validated, without validating it again.
+    lat = z3_lattice()
+    k = lat.interval_by_strings("101", "000")
+    real = DistLattice.interval
+    calls = []
+
+    def counting(self, bottom, top):
+        calls.append((bottom, top))
+        return real(self, bottom, top)
+
+    monkeypatch.setattr(DistLattice, "interval", counting)
+    assert is_cutting(lat, k, method)
+    assert calls == [(k.bottom, k.top)]
+
+
 # -- growing chains of expansions ----------------------------------------------------
 
 

@@ -332,7 +332,7 @@ def _planted_failure(*_args):
     # an interval scan that disagrees with the q census inside `stats`
     ("latcut.invariants._q_scan", lambda lat: [0], ["stats"]),
     # a boundary check that fails inside the order criterion's vote
-    ("latcut.expansion.boundary", _planted_failure,
+    ("latcut.expansion._boundary", _planted_failure,
      ["cutting", "--bottom", "101", "--top", "000"]),
 ])
 def test_cli_reports_failed_cross_checks_without_traceback(
