@@ -13,6 +13,7 @@ All output is deterministic for fixed inputs, flags and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -119,8 +120,15 @@ def build_parser():
     return ap
 
 
+@functools.cache
+def _parser():
+    """The one parser of this process: building it costs more than most
+    commands, and parsing leaves it unchanged."""
+    return build_parser()
+
+
 def cli_run(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _dispatch(args)
     except LatcutError as e:

@@ -8,7 +8,10 @@ Fibonacci convention F_1 = F_2 = 1 in |F(Z_n)| = F_{n+2}.
 
 The cubes are built independently as graphs on binary strings (no "11"
 substring, additionally no cyclic "11" for the Lucas cube) so that the
-identification with covering graphs is a genuine two-sided check.
+identification with covering graphs is a genuine two-sided check.  The
+check, graph_isomorphic, is an exact certificate search: it answers True
+only with an explicit edge-preserving vertex map in hand, and False only
+after an exhaustive individualization-refinement search.
 
 Deleting element n from Z_{m+n-2} splits it into two smaller fences, and the
 induced convex expansion turns that into the identity
@@ -24,8 +27,6 @@ the whole chain of checks on one instance each.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import networkx as nx
 
 from .errors import CapacityExceeded, OddSize
 from .expansion import decompose
@@ -188,31 +189,122 @@ def cover_cube(lat):
     return CubeGraph(vertices=verts, edges=tuple(sorted(edges)))
 
 
-def _as_graph(g):
-    if isinstance(g, nx.Graph):
-        return g
-    out = nx.Graph()
+def _read_graph(g):
+    """Index the vertices of ``g`` as 0..n-1; returns (adjacency sets, edge
+    count).  Parallel and reversed edges count once, as in a simple graph."""
     if isinstance(g, CubeGraph):
-        out.add_nodes_from(g.vertices)
-        out.add_edges_from(g.edges)
+        nodes, edges = g.vertices, g.edges
+    elif hasattr(g, "nodes") and hasattr(g, "edges"):
+        nodes, edges = g.nodes(), g.edges()
     else:
-        out.add_edges_from(tuple(e) for e in g)
-    return out
+        nodes, edges = (), g
+    index = {}
+    for x in nodes:
+        index.setdefault(x, len(index))
+    pairs = [(index.setdefault(u, len(index)), index.setdefault(v, len(index)))
+             for u, v in edges]
+    adj = [set() for _ in range(len(index))]
+    for a, b in pairs:
+        adj[a].add(b)
+        adj[b].add(a)
+    return adj, len({frozenset(p) for p in pairs})
+
+
+def _refine(adj_g, adj_h, cg, ch):
+    """Colour refinement of both graphs in lockstep.
+
+    A vertex's signature is its colour and the sorted colours of its
+    neighbours; the new colours are ranks in the one sorted list of both
+    graphs' signatures, so a colour means the same in ``g`` and ``h``.
+    Returns (colours of g, colours of h, number of colours) once the number
+    stops growing or every vertex has its own colour, or None as soon as the
+    signature multisets differ."""
+    n, count = len(cg), len(set(cg))
+    while True:
+        sg = [(c, tuple(sorted(map(cg.__getitem__, nbrs))))
+              for c, nbrs in zip(cg, adj_g)]
+        sh = [(c, tuple(sorted(map(ch.__getitem__, nbrs))))
+              for c, nbrs in zip(ch, adj_h)]
+        rank = {s: i for i, s in enumerate(sorted(set(sg).union(sh)))}
+        cg = [rank[s] for s in sg]
+        ch = [rank[s] for s in sh]
+        if sorted(cg) != sorted(ch):
+            return None
+        if len(rank) in (count, n):
+            return cg, ch, len(rank)
+        count = len(rank)
+
+
+def _maps_edges(adj_g, adj_h, cg, ch):
+    """At a discrete colouring, map each vertex of g to the vertex of h with
+    its colour and test that every edge of g lands on an edge of h."""
+    vertex_of = [0] * len(ch)
+    for w, c in enumerate(ch):
+        vertex_of[c] = w
+    f = [vertex_of[c] for c in cg]
+    return all(f[b] in adj_h[f[a]]
+               for a, nbrs in enumerate(adj_g) for b in nbrs)
 
 
 def graph_isomorphic(g, h, cap=GRAPH_ISO_CAP):
-    """Undirected graph isomorphism (CubeGraph, edge list or nx.Graph)."""
-    a, b = _as_graph(g), _as_graph(h)
-    if max(a.number_of_nodes(), b.number_of_nodes()) > cap:
+    """Whether two undirected graphs are isomorphic, decided exactly.
+
+    Each graph is a CubeGraph, an iterable of (u, v) edges, or any object
+    with ``.nodes()`` and ``.edges()`` (a networkx Graph works that way).
+    Beyond ``cap`` vertices in either graph it raises CapacityExceeded
+    before any search; different vertex counts, edge counts or degree
+    sequences return False at once.
+
+    The search is individualization-refinement, the method behind nauty
+    (McKay and Piperno, J. Symb. Comput. 60, 2014).  Colour refinement runs
+    on both graphs in lockstep (see _refine); while the colouring is not
+    discrete, the first vertex v of g in the smallest non-singleton cell is
+    given a fresh colour together with each vertex w of h in that cell in
+    turn, and the search refines and descends, backtracking over every w.
+    A discrete colouring is accepted only when the colour-to-colour map
+    sends every edge of g to an edge of h, which with equal edge counts is
+    an isomorphism.  So a True carries a certificate and a False follows an
+    exhaustive search.  The worst case is exponential, as VF2's is; the
+    depth is at most the number of vertices, and the search keeps its own
+    stack rather than recursing.
+    """
+    adj_g, m_g = _read_graph(g)
+    adj_h, m_h = _read_graph(h)
+    n = len(adj_g)
+    if max(n, len(adj_h)) > cap:
         raise CapacityExceeded(
             "graph isomorphism capped at %d vertices" % cap)
-    if a.number_of_nodes() != b.number_of_nodes():
+    if n != len(adj_h) or m_g != m_h:
         return False
-    if a.number_of_edges() != b.number_of_edges():
+    if sorted(map(len, adj_g)) != sorted(map(len, adj_h)):
         return False
-    if sorted(d for _, d in a.degree()) != sorted(d for _, d in b.degree()):
-        return False
-    return nx.is_isomorphic(a, b)
+
+    stack = []      # (colours of g, colours of h, v, fresh colour, the w left)
+    coloured = _refine(adj_g, adj_h, [0] * n, [0] * n)
+    while True:
+        if coloured is not None:
+            cg, ch, count = coloured
+            if count == n:
+                if _maps_edges(adj_g, adj_h, cg, ch):
+                    return True
+            else:
+                sizes = [0] * count
+                for c in cg:
+                    sizes[c] += 1
+                cell = min((s, c) for c, s in enumerate(sizes) if s > 1)[1]
+                stack.append((cg, ch, cg.index(cell), count,
+                              iter([w for w, c in enumerate(ch) if c == cell])))
+        while stack:
+            cg, ch, v, fresh, ws = stack[-1]
+            w = next(ws, None)
+            if w is not None:
+                break
+            stack.pop()
+        else:
+            return False
+        cg, ch = cg.copy(), ch.copy()
+        cg[v] = ch[w] = fresh
+        coloured = _refine(adj_g, adj_h, cg, ch)
 
 
 # -- decomposition reports --------------------------------------------------------

@@ -1,0 +1,46 @@
+"""The runtime dependencies declared in pyproject.toml are exactly what the
+package imports."""
+
+import ast
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "latcut"
+
+
+def _imported_packages():
+    """Top-level names of every absolute import in src/latcut/*.py, without
+    the standard library and latcut itself."""
+    names = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {"latcut"}
+
+
+def test_declared_runtime_dependencies_are_the_imported_ones():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        declared = tomllib.load(fh)["project"]["dependencies"]
+    names = {re.match(r"[A-Za-z0-9_.-]+", d).group().lower().replace("-", "_")
+             for d in declared}
+    assert names == _imported_packages() == {"numpy"}
+
+
+def test_importing_the_package_and_cli_leaves_networkx_out():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, latcut, latcut.cli; print('networkx' in sys.modules)"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

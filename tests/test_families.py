@@ -1,18 +1,24 @@
 """Zigzag and crown generators, Fibonacci/Lucas counts, cube graphs."""
 
+import contextlib
+import random
 import time
 from itertools import combinations, product
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from latcut import (CapacityExceeded, DistLattice, OddSize, antichain, chain,
-                    cover_cube, crown, fence, fib, fibonacci_cube,
-                    filter_lattice,
-                    graph_isomorphic, lucas, lucas_cube,
-                    verify_fibonacci_decomposition,
+from latcut import (CapacityExceeded, CubeGraph, DistLattice, OddSize,
+                    antichain, chain, cover_cube, crown, fence, fib,
+                    fibonacci_cube, filter_lattice, graph_isomorphic, lucas,
+                    lucas_cube, verify_fibonacci_decomposition,
                     verify_lucas_decomposition)
+from latcut import families
 from latcut.cli import cli_run
+from latcut.families import GRAPH_ISO_CAP
 from latcut.invariants import poly_eval
 from latcut.poset import FILTER_CAP
 from latcut.verify import verify_fibonacci
@@ -138,10 +144,12 @@ def test_cli_cube_refuses_beyond_the_cap_at_once(kind, capsys):
 
 
 def test_covering_graphs_are_the_cubes():
-    assert graph_isomorphic(cover_cube(filter_lattice(fence(4))),
-                            fibonacci_cube(4))
-    assert graph_isomorphic(cover_cube(filter_lattice(crown(4))),
-                            lucas_cube(4))
+    for n in range(13):
+        assert graph_isomorphic(cover_cube(filter_lattice(fence(n))),
+                                fibonacci_cube(n))
+    for two_n in range(4, 13, 2):
+        assert graph_isomorphic(cover_cube(filter_lattice(crown(two_n))),
+                                lucas_cube(two_n))
 
 
 def test_graph_isomorphism_edges_and_caps():
@@ -151,6 +159,153 @@ def test_graph_isomorphism_edges_and_caps():
     assert not graph_isomorphic(g, triangle)
     with pytest.raises(CapacityExceeded):
         graph_isomorphic(fibonacci_cube(3), fibonacci_cube(3), cap=2)
+
+
+# -- graph isomorphism against networkx --------------------------------------------
+
+
+def _relabelled(g, rng):
+    """A networkx copy of ``g`` on shuffled vertex names, with its vertices
+    and edges listed in random order, so that the i-th vertex of the copy
+    is not the image of the i-th vertex of ``g``."""
+    names = list(g.nodes())
+    rng.shuffle(names)
+    name = dict(zip(g.nodes(), names))
+    edges = [(name[u], name[v]) for u, v in g.edges()]
+    rng.shuffle(edges)
+    h = nx.Graph()
+    h.add_nodes_from(rng.sample(names, len(names)))
+    h.add_edges_from(edges)
+    return h
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(min_value=0, max_value=9))
+    pairs = list(combinations(range(n), 2))
+    bits = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    g = nx.Graph()
+    g.add_nodes_from(range(n))
+    g.add_edges_from(e for e, bit in zip(pairs, bits) if bit)
+    return g
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs(), st.randoms(use_true_random=False))
+def test_graph_isomorphic_agrees_with_networkx_on_small_graphs(g, rng):
+    as_cube = CubeGraph(vertices=tuple(g.nodes()), edges=tuple(g.edges()))
+    h = _relabelled(g, rng)
+    assert graph_isomorphic(as_cube, h)
+    if g.number_of_edges() >= 2 and g.number_of_nodes() >= 4:
+        # a degree-preserving double-edge swap, isomorphic or not
+        with contextlib.suppress(nx.NetworkXAlgorithmError):
+            nx.double_edge_swap(h, nswap=1, max_tries=100,
+                                seed=rng.randrange(2 ** 32))
+    assert graph_isomorphic(as_cube, h) == nx.is_isomorphic(g, h)
+
+
+def test_graph_isomorphic_agrees_with_networkx_on_cubic_graphs():
+    """Random 3-regular pairs, which the degree pre-check cannot tell
+    apart, and relabelled copies."""
+    rng = random.Random(20)
+    for seed in range(25):
+        g = nx.random_regular_graph(3, 20, seed=2 * seed)
+        h = nx.random_regular_graph(3, 20, seed=2 * seed + 1)
+        assert graph_isomorphic(g, h) == nx.is_isomorphic(g, h)
+        assert graph_isomorphic(g, _relabelled(g, rng))
+
+
+def test_graph_isomorphic_backtracks_over_the_candidates():
+    """K_{3,3} and the triangular prism are both 3-regular on six vertices,
+    so refinement leaves one cell, and the first candidate for vertex 0 of
+    g = K_{3,3} + prism lies in the prism of h = prism + K_{3,3}."""
+    k33 = [(a, b) for a in range(3) for b in range(3, 6)]
+    prism = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+             (0, 3), (1, 4), (2, 5)]
+    g = k33 + [(a + 6, b + 6) for a, b in prism]
+    h = prism + [(a + 6, b + 6) for a, b in k33]
+    assert graph_isomorphic(g, h)
+    assert not graph_isomorphic(g, k33 + [(a + 6, b + 6) for a, b in k33])
+
+
+def test_graph_isomorphic_refuses_by_refinement_alone(monkeypatch):
+    """A 4-cycle with a pendant vertex and a triangle with a pendant path
+    have one degree sequence; the second round of refinement tells them
+    apart, because a colour means the same in both graphs, so the search
+    stops in its first refinement without individualizing a vertex."""
+    refine, calls = families._refine, []
+    monkeypatch.setattr(families, "_refine",
+                        lambda *args: calls.append(args) or refine(*args))
+    c4_pendant = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)]
+    triangle_path = [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4)]
+    assert not graph_isomorphic(c4_pendant, triangle_path)
+    assert len(calls) == 1
+
+
+def test_graph_isomorphic_on_equal_degree_sequences():
+    triangles = [((i, a), (i, (a + 1) % 3))
+                 for i in range(40) for a in range(3)]
+    hexagons = [((i, a), (i, (a + 1) % 6))
+                for i in range(20) for a in range(6)]
+    assert not graph_isomorphic(triangles, hexagons)
+    assert not nx.is_isomorphic(nx.Graph(triangles), nx.Graph(hexagons))
+    # a pair whose search reaches discrete colourings that map some edge of
+    # g to a non-edge of h: only the edge check at the leaf refuses them
+    g = [(0, 1), (0, 4), (0, 5), (1, 2), (2, 3), (2, 6), (3, 4), (3, 6),
+         (4, 5)]
+    h = [(0, 1), (0, 3), (0, 5), (1, 2), (2, 4), (2, 6), (3, 4), (3, 6),
+         (4, 5)]
+    assert not graph_isomorphic(g, h)
+    assert not nx.is_isomorphic(nx.Graph(g), nx.Graph(h))
+
+
+def test_graph_isomorphic_on_the_hypercube_q8():
+    """cover_cube(F(antichain 8)) is Q8, whose colour refinement never splits
+    a cell: the search individualizes its way down.  The copy permutes the
+    coordinates and then renames the vertices at random."""
+    q8 = cover_cube(filter_lattice(antichain(8)))
+    perm = [3, 0, 6, 1, 7, 2, 5, 4]
+    names = list(q8.vertices)
+    random.Random(8).shuffle(names)
+    name = dict(zip(q8.vertices, names))
+    moved = [tuple(name["".join(x[i] for i in perm)] for x in edge)
+             for edge in q8.edges]
+    assert graph_isomorphic(q8, moved)
+
+
+@pytest.mark.parametrize("edges_of", [
+    lambda n: [],
+    lambda n: [(2 * i, 2 * i + 1) for i in range(n // 2)],
+], ids=["no-edges", "perfect-matching"])
+def test_graph_isomorphic_at_the_cap(edges_of):
+    """Graphs at the cap are searched to a discrete colouring one vertex at
+    a time, without recursion; one more vertex is refused before the
+    search."""
+    rng = random.Random(400)
+    perm = list(range(GRAPH_ISO_CAP))
+    rng.shuffle(perm)
+    names = ["v%03d" % i for i in range(GRAPH_ISO_CAP)]
+    g = CubeGraph(vertices=tuple(names),
+                  edges=tuple((names[a], names[b])
+                              for a, b in edges_of(GRAPH_ISO_CAP)))
+    h = CubeGraph(vertices=tuple(names[perm[i]] for i in range(GRAPH_ISO_CAP)),
+                  edges=tuple((names[perm[a]], names[perm[b]])
+                              for a, b in edges_of(GRAPH_ISO_CAP)))
+    t0 = time.perf_counter()
+    assert graph_isomorphic(g, h)
+    assert time.perf_counter() - t0 < 2.0
+    big = CubeGraph(vertices=tuple(names) + ("extra",), edges=g.edges)
+    with pytest.raises(CapacityExceeded,
+                       match="^graph isomorphism capped at 400 vertices$"):
+        graph_isomorphic(big, big)
+
+
+def test_cli_verify_cubes_past_the_cap(capsys):
+    assert cli_run(["verify", "cubes", "--max", "13"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: graph isomorphism capped at 400 vertices\n"
 
 
 def test_cover_cube_edges_match_naive_covers():

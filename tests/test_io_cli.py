@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -322,6 +323,37 @@ def test_cli_module_entry_point():
                            "fence", "3"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "element 1 2 3\ncover 2 1\ncover 2 3\n"
+
+
+def test_cli_reuses_one_parser_and_prints_what_fresh_processes_print(
+        capsys, monkeypatch):
+    """A usage error, then a successful stats, in one process: the parser is
+    built once and each call prints what a fresh ``latcut`` process does."""
+    monkeypatch.setenv("COLUMNS", "80")
+    build, builds = latcut.cli.build_parser, []
+    monkeypatch.setattr(latcut.cli, "build_parser",
+                        lambda: builds.append(1) or build())
+    latcut.cli._parser.cache_clear()
+    fence3 = "element 1 2 3\ncover 2 1\ncover 2 3\n"
+    got = []
+    for argv, stdin_text in ((["stats", "--cap", "x"], ""),
+                             (["stats"], fence3)):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
+        try:
+            code = cli_run(argv)
+        except SystemExit as e:
+            code = e.code
+        fresh = subprocess.run([sys.executable, "-m", "latcut", *argv],
+                               input=stdin_text, capture_output=True,
+                               text=True, env=dict(os.environ, COLUMNS="80"))
+        got.append(((code, *capsys.readouterr()),
+                    (fresh.returncode, fresh.stdout, fresh.stderr)))
+    assert len(builds) == 1
+    (usage, usage_fresh), (stats, stats_fresh) = got
+    assert usage == usage_fresh
+    assert usage[0] == 2 and "invalid int value: 'x'" in usage[2]
+    assert stats == stats_fresh
+    assert stats[0] == 0 and json.loads(stats[1])["size"] == 5
 
 
 def _planted_failure(*_args):
