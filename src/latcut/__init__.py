@@ -37,9 +37,9 @@ from .invariants import (BinomialReport, DegreeVectors, EulerReport,
                          rank_gen, rank_gen_of, stats_dict)
 from .lattice import (DistLattice, IntervalRef, birkhoff_roundtrip,
                       filter_lattice, lattice_isomorphism)
-from .poset import (FILTER_CAP, Poset, canonical_key, disjoint_union,
-                    ordinal_sum, poset_from_covers, poset_isomorphic,
-                    poset_isomorphism, singleton)
+from .poset import (FILTER_CAP, Poset, disjoint_union, ordinal_sum,
+                    poset_from_covers, poset_isomorphic, poset_isomorphism,
+                    singleton)
 from .verify import (SUITE_NAMES, SuiteResult, run_cutting_suite, run_suite,
                      verify_birkhoff, verify_cubes, verify_fibonacci,
                      verify_lucas, verify_random)
@@ -77,7 +77,7 @@ __all__ = [
     "DistLattice", "IntervalRef", "birkhoff_roundtrip", "filter_lattice",
     "lattice_isomorphism",
     # poset
-    "FILTER_CAP", "Poset", "canonical_key", "disjoint_union", "ordinal_sum",
+    "FILTER_CAP", "Poset", "disjoint_union", "ordinal_sum",
     "poset_from_covers", "poset_isomorphic", "poset_isomorphism", "singleton",
     # verify
     "SUITE_NAMES", "SuiteResult", "run_cutting_suite", "run_suite",

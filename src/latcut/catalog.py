@@ -8,7 +8,8 @@ Exhaustive layers:
 Every poset has a linear extension, so each isomorphism class contains a
 naturally labelled member; relabelling the natural ones by all permutations
 and deduplicating gives the labelled count (1, 1, 3, 19, 219, 4231, ...),
-while canonical-form deduplication gives the class count (1, 1, 2, 5, 16, 63).
+while keeping one natural poset per isomorphism class, by pairwise
+isomorphism tests, gives the class count (1, 1, 2, 5, 16, 63, 318).
 
 random_poset draws the size, then one edge probability for the whole poset,
 then upper-triangle relations i < j, and transitively closes.  Everything is
@@ -21,7 +22,7 @@ import random
 from itertools import permutations
 
 from .bits import iter_bits, mask_of
-from .poset import Poset, canonical_key
+from .poset import Poset, _profile, poset_isomorphic
 
 _ENUM_LIMIT = 7
 
@@ -74,15 +75,18 @@ def all_labeled_posets(n):
 
 
 def posets_up_to_iso(n):
-    """One representative per isomorphism class of n-element posets."""
+    """One representative per isomorphism class of n-element posets: the
+    first natural poset of each class.  Each poset is tested with
+    poset_isomorphic only against the representatives that share its
+    sorted (|down|, |up|) profile."""
     labels = _labels(n)
-    seen = set()
+    reps = {}
     out = []
     for up in natural_posets(n):
         p = Poset(labels, up, _trusted=True)
-        key = canonical_key(p)
-        if key not in seen:
-            seen.add(key)
+        bucket = reps.setdefault(tuple(sorted(_profile(p))), [])
+        if not any(poset_isomorphic(p, r) for r in bucket):
+            bucket.append(p)
             out.append(p)
     return out
 

@@ -9,9 +9,10 @@ Fibonacci convention F_1 = F_2 = 1 in |F(Z_n)| = F_{n+2}.
 The cubes are built independently as graphs on binary strings (no "11"
 substring, additionally no cyclic "11" for the Lucas cube) so that the
 identification with covering graphs is a genuine two-sided check.  The
-check, graph_isomorphic, is an exact certificate search: it answers True
-only with an explicit edge-preserving vertex map in hand, and False only
-after an exhaustive individualization-refinement search.
+check, graph_isomorphic, runs the individualization-refinement search of
+latcut.poset, which also decides poset isomorphism: it answers True only
+with an explicit edge-preserving vertex map in hand, and False only after
+an exhaustive search.
 
 Deleting element n from Z_{m+n-2} splits it into two smaller fences, and the
 induced convex expansion turns that into the identity
@@ -32,7 +33,8 @@ from .errors import CapacityExceeded, OddSize
 from .expansion import decompose
 from .invariants import check_q_recurrence, poly_eq, poly_eval, q_vector
 from .lattice import filter_lattice
-from .poset import FILTER_CAP, disjoint_union, poset_from_covers, poset_isomorphic
+from .poset import (FILTER_CAP, _search, disjoint_union, poset_from_covers,
+                    poset_isomorphic)
 
 GRAPH_ISO_CAP = 400
 
@@ -210,42 +212,6 @@ def _read_graph(g):
     return adj, len({frozenset(p) for p in pairs})
 
 
-def _refine(adj_g, adj_h, cg, ch):
-    """Colour refinement of both graphs in lockstep.
-
-    A vertex's signature is its colour and the sorted colours of its
-    neighbours; the new colours are ranks in the one sorted list of both
-    graphs' signatures, so a colour means the same in ``g`` and ``h``.
-    Returns (colours of g, colours of h, number of colours) once the number
-    stops growing or every vertex has its own colour, or None as soon as the
-    signature multisets differ."""
-    n, count = len(cg), len(set(cg))
-    while True:
-        sg = [(c, tuple(sorted(map(cg.__getitem__, nbrs))))
-              for c, nbrs in zip(cg, adj_g)]
-        sh = [(c, tuple(sorted(map(ch.__getitem__, nbrs))))
-              for c, nbrs in zip(ch, adj_h)]
-        rank = {s: i for i, s in enumerate(sorted(set(sg).union(sh)))}
-        cg = [rank[s] for s in sg]
-        ch = [rank[s] for s in sh]
-        if sorted(cg) != sorted(ch):
-            return None
-        if len(rank) in (count, n):
-            return cg, ch, len(rank)
-        count = len(rank)
-
-
-def _maps_edges(adj_g, adj_h, cg, ch):
-    """At a discrete colouring, map each vertex of g to the vertex of h with
-    its colour and test that every edge of g lands on an edge of h."""
-    vertex_of = [0] * len(ch)
-    for w, c in enumerate(ch):
-        vertex_of[c] = w
-    f = [vertex_of[c] for c in cg]
-    return all(f[b] in adj_h[f[a]]
-               for a, nbrs in enumerate(adj_g) for b in nbrs)
-
-
 def graph_isomorphic(g, h, cap=GRAPH_ISO_CAP):
     """Whether two undirected graphs are isomorphic, decided exactly.
 
@@ -253,20 +219,10 @@ def graph_isomorphic(g, h, cap=GRAPH_ISO_CAP):
     with ``.nodes()`` and ``.edges()`` (a networkx Graph works that way).
     Beyond ``cap`` vertices in either graph it raises CapacityExceeded
     before any search; different vertex counts, edge counts or degree
-    sequences return False at once.
-
-    The search is individualization-refinement, the method behind nauty
-    (McKay and Piperno, J. Symb. Comput. 60, 2014).  Colour refinement runs
-    on both graphs in lockstep (see _refine); while the colouring is not
-    discrete, the first vertex v of g in the smallest non-singleton cell is
-    given a fresh colour together with each vertex w of h in that cell in
-    turn, and the search refines and descends, backtracking over every w.
-    A discrete colouring is accepted only when the colour-to-colour map
-    sends every edge of g to an edge of h, which with equal edge counts is
-    an isomorphism.  So a True carries a certificate and a False follows an
-    exhaustive search.  The worst case is exponential, as VF2's is; the
-    depth is at most the number of vertices, and the search keeps its own
-    stack rather than recursing.
+    sequences return False at once.  Otherwise it runs the
+    individualization-refinement search of latcut.poset (_search) from one
+    colour for every vertex, so a True carries an explicit edge-preserving
+    vertex map and a False follows an exhaustive search.
     """
     adj_g, m_g = _read_graph(g)
     adj_h, m_h = _read_graph(h)
@@ -278,33 +234,7 @@ def graph_isomorphic(g, h, cap=GRAPH_ISO_CAP):
         return False
     if sorted(map(len, adj_g)) != sorted(map(len, adj_h)):
         return False
-
-    stack = []      # (colours of g, colours of h, v, fresh colour, the w left)
-    coloured = _refine(adj_g, adj_h, [0] * n, [0] * n)
-    while True:
-        if coloured is not None:
-            cg, ch, count = coloured
-            if count == n:
-                if _maps_edges(adj_g, adj_h, cg, ch):
-                    return True
-            else:
-                sizes = [0] * count
-                for c in cg:
-                    sizes[c] += 1
-                cell = min((s, c) for c, s in enumerate(sizes) if s > 1)[1]
-                stack.append((cg, ch, cg.index(cell), count,
-                              iter([w for w, c in enumerate(ch) if c == cell])))
-        while stack:
-            cg, ch, v, fresh, ws = stack[-1]
-            w = next(ws, None)
-            if w is not None:
-                break
-            stack.pop()
-        else:
-            return False
-        cg, ch = cg.copy(), ch.copy()
-        cg[v] = ch[w] = fresh
-        coloured = _refine(adj_g, adj_h, cg, ch)
+    return _search(adj_g, adj_h, [0] * n, [0] * n) is not None
 
 
 # -- decomposition reports --------------------------------------------------------

@@ -6,6 +6,11 @@ holds the elements strictly above element i, ``down[i]`` those strictly
 below.  Subsets handed in and out of the API (filters, antichains, boundary
 sets) are plain int bitmasks over these indices; see :mod:`latcut.bits`.
 
+Isomorphism is decided by the one individualization-refinement search of
+the package (_search), on graphs given as neighbour sets and starting
+colours: poset_isomorphism runs it on the cover graphs, coloured by
+(|down|, |up|), and latcut.families.graph_isomorphic on plain graphs.
+
 Instances are immutable by convention: every operation returns a new poset.
 Concurrent readers are safe because the only mutation ever performed is the
 one-shot population of internal caches with values that are functions of the
@@ -405,91 +410,136 @@ def ordinal_sum(p, q):
 # -- isomorphism ----------------------------------------------------------------
 
 
-def _refine_colors(p):
-    """Iterated neighbourhood refinement; returns a tuple of hashable colors."""
-    colors = [(p.down[i].bit_count(), p.up[i].bit_count()) for i in range(p.n)]
-    for _ in range(3):
-        new = []
-        for i in range(p.n):
-            below = tuple(sorted(colors[j] for j in iter_bits(p.down[i])))
-            above = tuple(sorted(colors[j] for j in iter_bits(p.up[i])))
-            new.append((colors[i], below, above))
-        if len(set(new)) == len(set(colors)):
-            colors = new
-            break
-        colors = new
-    return tuple(colors)
+def _refine(adj_g, adj_h, cg, ch):
+    """Colour refinement of both graphs in lockstep.
+
+    A vertex's signature is its colour and the sorted colours of its
+    neighbours; the new colours are ranks in the one sorted list of both
+    graphs' signatures, so a colour means the same in ``g`` and ``h``.
+    Returns (colours of g, colours of h, number of colours) once the number
+    stops growing or every vertex has its own colour, or None as soon as the
+    signature multisets differ."""
+    n, count = len(cg), len(set(cg))
+    while True:
+        sg = [(c, tuple(sorted(map(cg.__getitem__, nbrs))))
+              for c, nbrs in zip(cg, adj_g)]
+        sh = [(c, tuple(sorted(map(ch.__getitem__, nbrs))))
+              for c, nbrs in zip(ch, adj_h)]
+        rank = {s: i for i, s in enumerate(sorted(set(sg).union(sh)))}
+        cg = [rank[s] for s in sg]
+        ch = [rank[s] for s in sh]
+        if sorted(cg) != sorted(ch):
+            return None
+        if len(rank) in (count, n):
+            return cg, ch, len(rank)
+        count = len(rank)
+
+
+def _leaf_map(adj_g, adj_h, cg, ch):
+    """At a discrete colouring, map each vertex of g to the vertex of h with
+    its colour; returns that map as a list if every edge of g lands on an
+    edge of h, else None."""
+    vertex_of = [0] * len(ch)
+    for w, c in enumerate(ch):
+        vertex_of[c] = w
+    f = [vertex_of[c] for c in cg]
+    if all(f[b] in adj_h[f[a]] for a, nbrs in enumerate(adj_g) for b in nbrs):
+        return f
+    return None
+
+
+def _search(adj_g, adj_h, cg, ch):
+    """An isomorphism between two undirected graphs of equal vertex and edge
+    counts that keeps the starting colours ``cg``/``ch``: the list f with
+    vertex v of g sent to f[v] of h, or None when there is none.
+
+    Individualization-refinement, the method behind nauty (McKay and
+    Piperno, J. Symb. Comput. 60, 2014).  Colour refinement runs on both
+    graphs in lockstep (see _refine); while the colouring is not discrete,
+    the first vertex v of g in the smallest non-singleton cell is given a
+    fresh colour together with each vertex w of h in that cell in turn, and
+    the search refines and descends, backtracking over every w.  A discrete
+    colouring is accepted only when the colour-to-colour map sends every
+    edge of g to an edge of h (see _leaf_map), which with equal edge counts
+    is an isomorphism.  So a map comes with a certificate and None follows
+    an exhaustive search.  The worst case is exponential; the depth is at
+    most the number of vertices, and the search keeps its own stack rather
+    than recursing.
+    """
+    n = len(adj_g)
+    stack = []      # (colours of g, colours of h, v, fresh colour, the w left)
+    coloured = _refine(adj_g, adj_h, cg, ch)
+    while True:
+        if coloured is not None:
+            cg, ch, count = coloured
+            if count == n:
+                f = _leaf_map(adj_g, adj_h, cg, ch)
+                if f is not None:
+                    return f
+            else:
+                sizes = [0] * count
+                for c in cg:
+                    sizes[c] += 1
+                cell = min((s, c) for c, s in enumerate(sizes) if s > 1)[1]
+                stack.append((cg, ch, cg.index(cell), count,
+                              iter([w for w, c in enumerate(ch) if c == cell])))
+        while stack:
+            cg, ch, v, fresh, ws = stack[-1]
+            w = next(ws, None)
+            if w is not None:
+                break
+            stack.pop()
+        else:
+            return None
+        cg, ch = cg.copy(), ch.copy()
+        cg[v] = ch[w] = fresh
+        coloured = _refine(adj_g, adj_h, cg, ch)
+
+
+def _profile(p):
+    """(|down i|, |up i|) for each element i."""
+    return [(d.bit_count(), u.bit_count()) for d, u in zip(p.down, p.up)]
+
+
+def _cover_graph(p):
+    """The covers of p as an undirected graph: one neighbour set per element."""
+    adj = [set() for _ in range(p.n)]
+    for i, j in p.cover_masks():
+        adj[i].add(j)
+        adj[j].add(i)
+    return adj
 
 
 def poset_isomorphism(p, q):
     """An order isomorphism as a label mapping, or None.
 
-    Backtracking over color classes from invariant refinement; tries the
-    index-identity mapping first since many callers compare a poset with a
-    relabelled or reconstructed copy of itself.
+    Tries the index-identity mapping first, since many callers compare a
+    poset with a relabelled or reconstructed copy of itself.  Otherwise the
+    cover counts and the sorted (|down|, |up|) profiles must agree, and
+    _search looks for a map between the undirected cover graphs that keeps
+    each element's colour, its rank in the one sorted list of both posets'
+    (|down i|, |up i|) pairs.  That map is an order isomorphism: if a < b
+    then |down a| < |down b|, so a cover a < b, sent to an edge of q's cover
+    graph with |down f(a)| < |down f(b)|, lands on the cover f(a) < f(b);
+    with equal cover counts the covers correspond one to one, and the order
+    is their transitive closure.
     """
     if p.n != q.n:
         return None
     if p.up == q.up:
         return dict(zip(p.labels, q.labels))
-    if sorted(m.bit_count() for m in p.up) != sorted(m.bit_count() for m in q.up):
+    if len(p.cover_masks()) != len(q.cover_masks()):
         return None
-
-    pc, qc = _refine_colors(p), _refine_colors(q)
-    if sorted(pc) != sorted(qc):
+    prof_p, prof_q = _profile(p), _profile(q)
+    if sorted(prof_p) != sorted(prof_q):
         return None
-    candidates = {}
-    for i in range(p.n):
-        candidates[i] = [j for j in range(q.n) if qc[j] == pc[i]]
-    order = sorted(range(p.n), key=lambda i: len(candidates[i]))
-
-    assigned = [-1] * p.n
-    used = [False] * q.n
-
-    def extend(k):
-        if k == p.n:
-            return True
-        i = order[k]
-        for j in candidates[i]:
-            if used[j]:
-                continue
-            ok = True
-            for t in range(k):
-                a, b = order[t], assigned[order[t]]
-                if (p.up[a] >> i & 1) != (q.up[b] >> j & 1) or \
-                   (p.up[i] >> a & 1) != (q.up[j] >> b & 1):
-                    ok = False
-                    break
-            if ok:
-                assigned[i] = j
-                used[j] = True
-                if extend(k + 1):
-                    return True
-                used[j] = False
-                assigned[i] = -1
-        return False
-
-    if not extend(0):
+    rank = {s: c for c, s in enumerate(sorted(set(prof_p)))}
+    f = _search(_cover_graph(p), _cover_graph(q),
+                [rank[s] for s in prof_p], [rank[s] for s in prof_q])
+    if f is None:
         return None
-    return {p.labels[i]: q.labels[assigned[i]] for i in range(p.n)}
+    return {p.labels[i]: q.labels[f[i]] for i in range(p.n)}
 
 
 def poset_isomorphic(p, q):
     return poset_isomorphism(p, q) is not None
-
-
-def canonical_key(p):
-    """A complete isomorphism invariant: the lexicographically smallest
-    relation encoding over all relabellings.  Exponential; intended for
-    deduplicating tiny posets."""
-    from itertools import permutations
-
-    n = p.n
-    best = None
-    for perm in permutations(range(n)):
-        enc = tuple(sorted(
-            mask_of(perm[j] for j in iter_bits(p.up[i])) << n | (1 << perm[i])
-            for i in range(n)))
-        if best is None or enc < best:
-            best = enc
-    return (n, best)

@@ -5,7 +5,7 @@ definitions.  Slowness is the point: no bitmasks, no DP tables, no sharing
 with the package internals beyond reading the order relation itself.
 """
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 
 def relation(p):
@@ -13,6 +13,30 @@ def relation(p):
     return {(p.labels[i], p.labels[j])
             for i in range(p.n) for j in range(p.n) if p.lt(i, j)}
 
+
+
+def canonical_key(p):
+    """A complete isomorphism invariant: the smallest sorted list of
+    relation pairs over every renaming of the elements by 0..n-1."""
+    rel = relation(p)
+    best = None
+    for perm in permutations(range(p.n)):
+        name = dict(zip(p.labels, perm))
+        enc = sorted((name[a], name[b]) for a, b in rel)
+        if best is None or enc < best:
+            best = enc
+    return p.n, tuple(best)
+
+
+def classes_by_key(posets):
+    """The first poset of each class of equal canonical_key, in order."""
+    seen, out = set(), []
+    for p in posets:
+        key = canonical_key(p)
+        if key not in seen:
+            seen.add(key)
+            out.append(p)
+    return out
 
 def naive_filters(p):
     """All up-closed label sets, by checking every subset against the

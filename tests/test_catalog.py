@@ -1,8 +1,8 @@
 """Exhaustive poset catalogs and the seeded random poset stream."""
 
 import oracles
-from latcut import (all_labeled_posets, natural_posets, posets_up_to_iso,
-                    random_poset, trial_seed)
+from latcut import (Poset, all_labeled_posets, natural_posets,
+                    posets_up_to_iso, random_poset, trial_seed)
 
 
 def test_natural_poset_counts():
@@ -16,7 +16,18 @@ def test_labeled_poset_counts():
 
 
 def test_isomorphism_class_counts():
-    assert [len(posets_up_to_iso(n)) for n in range(6)] == [1, 1, 2, 5, 16, 63]
+    assert [len(posets_up_to_iso(n)) for n in range(7)] == [1, 1, 2, 5, 16, 63,
+                                                            318]
+
+
+def test_class_representatives_match_the_canonical_key_oracle():
+    """The same representatives, poset for poset: the first natural poset
+    of each class."""
+    for n in range(6):
+        labels = [str(i) for i in range(1, n + 1)]
+        natural = [Poset(labels, up, _trusted=True) for up in natural_posets(n)]
+        assert ([p.up for p in posets_up_to_iso(n)]
+                == [p.up for p in oracles.classes_by_key(natural)])
 
 
 def test_labeled_posets_are_distinct_orders():

@@ -16,7 +16,7 @@ from latcut import (CapacityExceeded, CubeGraph, DistLattice, OddSize,
                     fibonacci_cube, filter_lattice, graph_isomorphic, lucas,
                     lucas_cube, verify_fibonacci_decomposition,
                     verify_lucas_decomposition)
-from latcut import families
+from latcut import poset
 from latcut.cli import cli_run
 from latcut.families import GRAPH_ISO_CAP
 from latcut.invariants import poly_eval
@@ -234,8 +234,8 @@ def test_graph_isomorphic_refuses_by_refinement_alone(monkeypatch):
     have one degree sequence; the second round of refinement tells them
     apart, because a colour means the same in both graphs, so the search
     stops in its first refinement without individualizing a vertex."""
-    refine, calls = families._refine, []
-    monkeypatch.setattr(families, "_refine",
+    refine, calls = poset._refine, []
+    monkeypatch.setattr(poset, "_refine",
                         lambda *args: calls.append(args) or refine(*args))
     c4_pendant = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)]
     triangle_path = [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4)]

@@ -218,6 +218,16 @@ def test_cli_decompose(capsys, monkeypatch):
     assert doc["counts_ok"] and doc["expansion_iso_ok"]
 
 
+
+def test_cli_decompose_a_long_chain(capsys, monkeypatch):
+    """The isomorphism checks of a 1100-element chain run without a
+    recursion as deep as the chain."""
+    code, out, err = run_cli(["decompose", "550"],
+                             stdin_text=write_poset_file(latcut.chain(1100)),
+                             capsys=capsys, monkeypatch=monkeypatch)
+    assert code == 0 and err == ""
+    assert '"expansion_iso_ok": true' in out
+
 def test_cli_cube_commands(capsys, monkeypatch):
     code, out, _ = run_cli(["cube", "fibonacci", "2"], capsys=capsys)
     assert code == 0

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 import oracles
 from conftest import posets, shuffled_relabeling
 from latcut import (CycleDetected, DuplicateLabel, Poset, UnknownLabel,
-                    canonical_key, cuttings, disjoint_union, expand_poset,
-                    filter_lattice, ordinal_sum, poset_from_covers,
-                    poset_isomorphic, poset_isomorphism, singleton)
+                    all_labeled_posets, chain, crown, cuttings,
+                    disjoint_union, expand_poset, filter_lattice,
+                    ordinal_sum, poset_from_covers, poset_isomorphic,
+                    poset_isomorphism, singleton)
 
 
 def z3():
@@ -230,8 +231,50 @@ def test_canonical_key_is_invariant():
     p = poset_from_covers(list("abcd"), [("a", "b"), ("c", "b"), ("c", "d")])
     for seed in range(5):
         q, _ = shuffled_relabeling(p, seed)
-        assert canonical_key(q) == canonical_key(p)
-    assert canonical_key(p) != canonical_key(poset_from_covers(list("abcd"), []))
+        assert oracles.canonical_key(q) == oracles.canonical_key(p)
+    assert (oracles.canonical_key(p)
+            != oracles.canonical_key(poset_from_covers(list("abcd"), [])))
+
+
+def _is_order_isomorphism(p, q, f):
+    """f is a bijection from p's labels onto q's that preserves < in both
+    directions."""
+    return (sorted(f) == sorted(p.labels)
+            and sorted(f.values()) == sorted(q.labels)
+            and ({(f[a], f[b]) for a, b in oracles.relation(p)}
+                 == oracles.relation(q)))
+
+
+def test_poset_isomorphism_agrees_with_the_oracle_on_labelled_posets():
+    """Every pair of labelled posets on up to 4 elements."""
+    for n in range(5):
+        batch = all_labeled_posets(n)
+        keys = [oracles.canonical_key(p) for p in batch]
+        for p, kp in zip(batch, keys):
+            for q, kq in zip(batch, keys):
+                f = poset_isomorphism(p, q)
+                assert (f is not None) == (kp == kq)
+                assert f is None or _is_order_isomorphism(p, q, f)
+
+
+def test_two_crowns_are_not_one_crown():
+    """Refinement cannot split these: each minimal element has the profile
+    (0, 2), each maximal one (2, 0), and every element two cover
+    neighbours, so only individualizing tells the two 12-cycles of covers
+    from the one 24-cycle."""
+    assert not poset_isomorphic(disjoint_union(crown(12), crown(12)),
+                                crown(24))
+    assert poset_isomorphic(disjoint_union(crown(12), crown(12)),
+                            disjoint_union(crown(12), crown(12)).dual())
+
+
+def test_isomorphism_of_a_long_chain():
+    """A chain longer than Python's recursion limit."""
+    p = chain(1100)
+    q, _ = shuffled_relabeling(p, seed=11)
+    f = poset_isomorphism(p, q)
+    assert f is not None and sorted(f.values()) == sorted(q.labels)
+    assert all(q.lt(q.idx(f[a]), q.idx(f[b])) for a, b in p.cover_pairs())
 
 
 # -- properties ---------------------------------------------------------------------
@@ -291,8 +334,9 @@ def test_dual_involution_and_filter_count(p):
     assert len(p.filters()) == len(d.filters())
 
 
-@settings(max_examples=40, deadline=None)
-@given(posets(max_n=5))
-def test_relabeling_is_isomorphic(p):
-    q, _ = shuffled_relabeling(p, seed=13)
-    assert poset_isomorphic(p, q)
+@settings(max_examples=150, deadline=None)
+@given(posets(max_n=12), st.integers(min_value=0, max_value=2 ** 32))
+def test_relabeling_is_isomorphic(p, seed):
+    q, _ = shuffled_relabeling(p, seed)
+    f = poset_isomorphism(p, q)
+    assert f is not None and _is_order_isomorphism(p, q, f)
