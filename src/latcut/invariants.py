@@ -34,18 +34,19 @@ from dataclasses import dataclass
 from math import comb, prod
 from operator import add
 
-import numpy as np
-
 from .bits import iter_bits
 from .errors import CapacityExceeded
 from .expansion import expand_poset
 from .lattice import filter_lattice
 from .poset import FILTER_CAP
 
-# The interval-scan oracle builds a 2^n antichain table and a size^2
-# containment matrix; past these bounds only the census route is run.
+# The interval-scan oracle builds a 2^n antichain table and tests all size^2
+# pairs.  Its memory is bounded per row block (_SCAN_BLOCK_PAIRS), so the
+# pair limit bounds its time; past these bounds only the census route is run.
 _SCAN_BASE_LIMIT = 20
 _SCAN_PAIR_LIMIT = 1 << 23
+# Pair entries per row block of the scan: 4 MiB of uint32 temporaries.
+_SCAN_BLOCK_PAIRS = 1 << 20
 
 
 # -- polynomial helpers (coefficient lists, exact ints) -------------------------
@@ -142,21 +143,38 @@ def _q_census(lat):
 
 def _q_scan(lat):
     """Interval-scan oracle: enumerate every comparable pair (a, b), take the
-    set difference of their filters, and count it when it is an antichain."""
+    set difference of their filters, and count it by its size when it is an
+    antichain (looked up in the cached Poset.antichain_table).
+
+    Filters are held as uint32 masks.  The pairs are taken in blocks of
+    rows a, about _SCAN_BLOCK_PAIRS entries each, so the temporaries stay
+    near 4 MiB at any lattice size; the time is still O(|F|^2).  numpy is
+    imported here, when a scan runs, so importing latcut does not load it.
+    Raises CapacityExceeded past _SCAN_BASE_LIMIT base elements, where the
+    2^n table and the uint32 masks no longer fit.
+    """
     base = lat.base
     n = base.n
+    if n > _SCAN_BASE_LIMIT:
+        raise CapacityExceeded("the interval scan takes at most %d base "
+                               "elements, not %d" % (_SCAN_BASE_LIMIT, n))
     if n == 0:
         return [1]
-    full = np.uint64(base.full_mask)
-    f = np.array(lat.filters, dtype=np.uint64)
-    notf = (~f) & full
-    sub = (f[None, :] & notf[:, None]) == 0      # sub[a, b]: a <= b in L
-    ai, bi = np.nonzero(sub)
-    s = (f[ai] & notf[bi]).astype(np.int64)
-    table = np.frombuffer(base.antichain_table(), dtype=np.uint8)
-    s = s[table[s] != 0]
-    counts = np.bincount(np.bitwise_count(s.astype(np.uint64)).astype(np.int64))
-    return [int(c) for c in counts]
+    import numpy as np
+
+    f = np.array(lat.filters, dtype=np.uint32)
+    # No mask by base.full_mask is needed: notf is only ever ANDed with a
+    # filter, whose bits all lie inside it.
+    notf = ~f
+    table = np.frombuffer(base.antichain_table(), dtype=bool)
+    step = max(1, _SCAN_BLOCK_PAIRS // len(f))
+    counts = np.zeros(n + 1, dtype=np.int64)
+    for start in range(0, len(f), step):
+        blk = slice(start, start + step)
+        below = (f[None, :] & notf[blk, None]) == 0    # F_b within F_a
+        s = (f[blk, None] & notf)[below]
+        counts += np.bincount(np.bitwise_count(s[table[s]]), minlength=n + 1)
+    return poly_trim(counts.tolist())
 
 
 def _scan_feasible(n, size):

@@ -264,16 +264,30 @@ class Poset:
 
     # -- derived posets --------------------------------------------------------
 
-    def _induced(self, keep_mask, labels=None):
+    def _induced(self, keep_mask):
+        # Each maximal run of kept bits moves down as one block: a mask is
+        # compressed by one shift and one AND per run (two for minus(x)).
+        runs = []
+        rest, dest = keep_mask, 0
+        while rest:
+            start = (rest & -rest).bit_length() - 1
+            high = rest >> start
+            length = ((high + 1) & ~high).bit_length() - 1
+            width = (1 << length) - 1
+            runs.append((start, width, dest))
+            rest &= ~(width << start)
+            dest += length
+
+        def squeeze(mask):
+            out = 0
+            for start, width, to in runs:
+                out |= (mask >> start & width) << to
+            return out
+
         old = list(iter_bits(keep_mask))
-        newidx = {o: i for i, o in enumerate(old)}
-        if labels is None:
-            labels = [self.labels[o] for o in old]
-        up = [mask_of(newidx[j] for j in iter_bits(self.up[o] & keep_mask))
-              for o in old]
-        down = [mask_of(newidx[j] for j in iter_bits(self.down[o] & keep_mask))
-                for o in old]
-        return Poset(labels, up, _trusted=True, _down=down)
+        return Poset([self.labels[o] for o in old],
+                     [squeeze(self.up[o]) for o in old], _trusted=True,
+                     _down=[squeeze(self.down[o]) for o in old])
 
     def restrict(self, keep_mask):
         """Induced subposet on a subset mask, labels preserved."""

@@ -38,6 +38,16 @@ def classes_by_key(posets):
             out.append(p)
     return out
 
+def induced_masks(p, keep_mask):
+    """The subposet on the elements in ``keep_mask``, remapped bit by bit:
+    its labels, up masks and down masks, kept elements renumbered
+    0, 1, ... in index order."""
+    kept = [i for i in range(p.n) if keep_mask >> i & 1]
+    up = [sum(1 << t for t, j in enumerate(kept) if p.lt(i, j)) for i in kept]
+    down = [sum(1 << t for t, j in enumerate(kept) if p.lt(j, i)) for i in kept]
+    return tuple(p.labels[i] for i in kept), tuple(up), tuple(down)
+
+
 def naive_filters(p):
     """All up-closed label sets, by checking every subset against the
     definition."""

@@ -36,11 +36,20 @@ def test_declared_runtime_dependencies_are_the_imported_ones():
     assert names == _imported_packages() == {"numpy"}
 
 
-def test_importing_the_package_and_cli_leaves_networkx_out():
+def _loaded_after_importing_latcut(name):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, latcut, latcut.cli; print('networkx' in sys.modules)"],
+         "import sys, latcut, latcut.cli; print(%r in sys.modules)" % name],
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    return proc.stdout
+
+
+def test_importing_the_package_and_cli_leaves_networkx_out():
+    assert _loaded_after_importing_latcut("networkx") == "False\n"
+
+
+def test_importing_the_package_and_cli_leaves_numpy_out():
+    # numpy is imported by the interval scan alone, when a scan runs.
+    assert _loaded_after_importing_latcut("numpy") == "False\n"

@@ -1,6 +1,7 @@
 """Rank polynomials, cube counts, degree vectors, and their recurrences."""
 
 import json
+from functools import reduce
 from math import comb
 
 import pytest
@@ -9,16 +10,19 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import posets
-from latcut import (CUTTING_METHODS, IntervalRef, InvalidInterval,
-                    antichain_census, binomial_relations, binomial_transform,
-                    boundary, check_d_recurrences, check_q_recurrence,
-                    check_rank_recurrence, d_vectors, euler_checks,
-                    expand_poset, filter_lattice, invariant_report,
-                    inverse_binomial_transform, is_cutting,
+from latcut import (CUTTING_METHODS, CapacityExceeded, IntervalRef,
+                    InvalidInterval, antichain, antichain_census,
+                    binomial_relations, binomial_transform, boundary, chain,
+                    check_d_recurrences, check_q_recurrence,
+                    check_rank_recurrence, crown, d_vectors, disjoint_union,
+                    euler_checks, expand_poset, fence, filter_lattice,
+                    invariant_report, inverse_binomial_transform, is_cutting,
                     poset_from_covers, posets_up_to_iso, q_vector, rank_gen,
                     rank_gen_of, stats_dict)
-from latcut.invariants import (poly_add, poly_deriv, poly_eq, poly_eval,
+from latcut.invariants import (_SCAN_BLOCK_PAIRS, _q_census, _q_scan,
+                               poly_add, poly_deriv, poly_eq, poly_eval,
                                poly_mul, poly_shift, poly_trim)
+from latcut.verify import _pool_iso, _pool_random
 
 
 def z3():
@@ -141,7 +145,7 @@ def test_cached_q_and_d_cannot_be_mutated_by_callers():
 def test_trivial_lattice_invariants():
     lat = filter_lattice(poset_from_covers([], []))
     assert rank_gen(lat) == [1]
-    assert q_vector(lat) == [1]
+    assert q_vector(lat) == q_vector(lat, "scan") == [1]
     d = d_vectors(lat)
     assert d.minus == [1] and d.plus == [1] and d.total == [1]
     e = euler_checks(lat)
@@ -289,6 +293,41 @@ def test_invariant_identities_on_random_posets(p):
 def test_q_routes_agree_on_random_posets(p):
     lat = filter_lattice(p)
     assert poly_eq(q_vector(lat, "census"), q_vector(lat, "scan"))
+
+
+def _chain_product(*lengths):
+    """chain(a) + chain(b) + ... side by side; its filter lattice is the
+    product of chains of a+1, b+1, ... elements."""
+    return reduce(disjoint_union, map(chain, lengths))
+
+
+@pytest.mark.parametrize("make,size", [
+    (lambda: fence(16), 2584),                  # 7 row blocks, ragged last
+    (lambda: crown(16), 2207),                  # 5 row blocks, ragged last
+    (lambda: antichain(11), 2048),              # 4 full row blocks
+    (lambda: _chain_product(2, 3, 4, 5, 6), 2520),  # n = 20, 7 row blocks
+], ids=["fence16", "crown16", "antichain11", "chains23456"])
+def test_blocked_scan_matches_the_census_across_row_blocks(make, size):
+    lat = filter_lattice(make())
+    assert lat.size == size
+    assert lat.size > _SCAN_BLOCK_PAIRS // lat.size      # several blocks
+    assert _q_scan(lat) == _q_census(lat)
+
+
+def test_scan_matches_the_interval_oracle_on_the_cutting_pool():
+    pool = list(_pool_iso(5)) + list(_pool_random(200, 7, 1))
+    for tag, p in pool:
+        lat = filter_lattice(p)
+        assert _q_scan(lat) == poly_trim(oracles.naive_q(lat)), tag
+
+
+def test_scan_refuses_a_base_past_its_limit():
+    lat = filter_lattice(chain(21))
+    assert (lat.size, lat.base.n) == (22, 21)
+    with pytest.raises(CapacityExceeded, match="at most 20 base elements"):
+        q_vector(lat, "scan")
+    # The "auto" route never scans such a base: it returns the census.
+    assert q_vector(lat) == [22, 21]
 
 
 # -- summary reports ------------------------------------------------------------------

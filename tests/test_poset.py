@@ -116,6 +116,31 @@ def test_minus_and_star():
     assert p.star("a").labels == ("c",)
 
 
+def _induced_parts(q):
+    return q.labels, q.up, q.down
+
+
+@settings(max_examples=150, deadline=None)
+@given(posets(max_n=12), st.integers(min_value=0), st.integers(min_value=0))
+def test_induced_subposets_match_the_bitwise_remap(p, keep, pick):
+    keep &= p.full_mask
+    assert _induced_parts(p.restrict(keep)) == oracles.induced_masks(p, keep)
+    if p.n:
+        i = pick % p.n
+        x = p.labels[i]
+        assert _induced_parts(p.minus(x)) == oracles.induced_masks(
+            p, p.full_mask & ~(1 << i))
+        assert _induced_parts(p.star(x)) == oracles.induced_masks(
+            p, p.full_mask & ~p.comparable_mask(i))
+
+
+def test_minus_in_the_middle_of_a_long_chain():
+    q = chain(1100).minus("550")
+    assert q.labels == tuple(str(i) for i in range(1, 1101) if i != 550)
+    assert q.up == tuple(q.full_mask & ~((2 << t) - 1) for t in range(1099))
+    assert q.down == tuple((1 << t) - 1 for t in range(1099))
+
+
 def test_dual_reverses_and_involutes():
     p = chain3()
     assert oracles.relation(p.dual()) == {("b", "a"), ("c", "b"), ("c", "a")}
