@@ -19,9 +19,8 @@ from .errors import (CapacityExceeded, CycleDetected, DuplicateLabel,
                      InvalidInterval, LatcutError, NotACutting, OddSize,
                      ParseError, UnknownLabel)
 from .expansion import (CUTTING_METHODS, CuttingBoundary, DecomposeResult,
-                        ExpansionResult, SumLawsReport, boundary, cut_elements,
-                        cuttings, decompose, expand_chain_steps,
-                        expand_poset, is_cutting, lattice_as_poset, sum_laws)
+                        ExpansionResult, boundary, cuttings, decompose,
+                        expand_poset, is_cutting)
 from .families import (CubeGraph, FibonacciReport, LucasReport, antichain,
                        chain, cover_cube, crown, fence, fib, fibonacci_cube,
                        graph_isomorphic, lucas, lucas_cube,
@@ -32,11 +31,10 @@ from .invariants import (BinomialReport, DegreeVectors, EulerReport,
                          antichain_census, binomial_relations,
                          binomial_transform, check_d_recurrences,
                          check_q_recurrence, check_rank_recurrence, d_vectors,
-                         euler_checks, invariant_report,
-                         inverse_binomial_transform, poset_stats, q_vector,
-                         rank_gen, rank_gen_of, stats_dict)
-from .lattice import (DistLattice, IntervalRef, birkhoff_roundtrip,
-                      filter_lattice, lattice_isomorphism)
+                         euler_checks, inverse_binomial_transform,
+                         poset_stats, q_vector, rank_gen, rank_gen_of,
+                         stats_dict)
+from .lattice import DistLattice, IntervalRef, birkhoff_roundtrip, filter_lattice
 from .poset import (FILTER_CAP, Poset, disjoint_union, ordinal_sum,
                     poset_from_covers, poset_isomorphic, poset_isomorphism,
                     singleton)
@@ -57,9 +55,8 @@ __all__ = [
     "LatcutError", "NotACutting", "OddSize", "ParseError", "UnknownLabel",
     # expansion
     "CUTTING_METHODS", "CuttingBoundary", "DecomposeResult",
-    "ExpansionResult", "SumLawsReport", "boundary", "cut_elements",
-    "cuttings", "decompose", "expand_chain_steps",
-    "expand_poset", "is_cutting", "lattice_as_poset", "sum_laws",
+    "ExpansionResult", "boundary", "cuttings", "decompose", "expand_poset",
+    "is_cutting",
     # families
     "CubeGraph", "FibonacciReport", "LucasReport", "antichain", "chain",
     "cover_cube", "crown", "fence", "fib", "fibonacci_cube",
@@ -71,11 +68,10 @@ __all__ = [
     "BinomialReport", "DegreeVectors", "EulerReport", "antichain_census",
     "binomial_relations", "binomial_transform", "check_d_recurrences",
     "check_q_recurrence", "check_rank_recurrence", "d_vectors",
-    "euler_checks", "invariant_report", "inverse_binomial_transform",
-    "poset_stats", "q_vector", "rank_gen", "rank_gen_of", "stats_dict",
+    "euler_checks", "inverse_binomial_transform", "poset_stats", "q_vector",
+    "rank_gen", "rank_gen_of", "stats_dict",
     # lattice
     "DistLattice", "IntervalRef", "birkhoff_roundtrip", "filter_lattice",
-    "lattice_isomorphism",
     # poset
     "FILTER_CAP", "Poset", "disjoint_union", "ordinal_sum",
     "poset_from_covers", "poset_isomorphic", "poset_isomorphism", "singleton",

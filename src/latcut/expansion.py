@@ -22,11 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bits import iter_bits, mask_of
+from .bits import iter_bits
 from .errors import CapacityExceeded, NotACutting
 from .lattice import DistLattice, IntervalRef, filter_lattice
-from .poset import (FILTER_CAP, Poset, disjoint_union, ordinal_sum,
-                    poset_from_covers, poset_isomorphic, singleton)
+from .poset import (FILTER_CAP, Poset, disjoint_union, poset_isomorphic,
+                    singleton)
 
 CUTTING_METHODS = ("chains", "union", "order", "star")
 
@@ -158,12 +158,6 @@ def is_cutting(lat, k, method="chains"):
     if method == "star":
         return _cutting_star(lat, k)
     raise ValueError("method must be one of %s" % (CUTTING_METHODS,))
-
-
-def cut_elements(lat, method="chains"):
-    """Elements other than bottom and top that lie on every maximal chain."""
-    return [a for a in range(1, lat.size - 1)
-            if is_cutting(lat, IntervalRef(a, a), method=method)]
 
 
 def cuttings(lat):
@@ -299,13 +293,13 @@ def decompose(p, x, cap=FILTER_CAP):
     host = filter_lattice(minus, cap=cap)
 
     # The interval of the host determined by x: bottom is the complement of
-    # down(x), top is up(x); both survive deleting x unchanged.
+    # down(x), top is up(x); both survive deleting x unchanged.  Neither
+    # holds bit i, so compressing is moving the bits above i down by one.
     keep = p.full_mask & ~(1 << i)
-    old = list(iter_bits(keep))
-    newidx = {o: t for t, o in enumerate(old)}
+    low = (1 << i) - 1
 
     def compress(mask):
-        return mask_of(newidx[j] for j in iter_bits(mask & keep))
+        return mask & low | mask >> 1 & ~low
 
     bf = compress(keep & ~p.down[i])
     tf = compress(p.up[i])
@@ -318,7 +312,7 @@ def decompose(p, x, cap=FILTER_CAP):
     walked = dict(p.filters_with_minima(cap))
     star_size = sum(1 for _ in star.filters_with_minima(cap))
     size = len(walked)
-    top, low = p.n - 1, (1 << i) - 1
+    top = p.n - 1
 
     def relabel(mask):
         rest = mask & ~(1 << top)
@@ -335,127 +329,3 @@ def decompose(p, x, cap=FILTER_CAP):
         minus=minus, star=star, host=host, interval=k, expansion=exp,
         size=size, counts_ok=counts_ok, expansion_iso_ok=expansion_iso_ok,
         product_form=product_form, product_iso_ok=product_iso_ok)
-
-
-# -- iterated expansion ----------------------------------------------------------
-
-
-def expand_chain_steps(base, additions, cap=FILTER_CAP):
-    """Grow a poset one element at a time, yielding the lattice after each
-    step.  ``additions`` is a sequence of (label, lower_labels, upper_labels):
-    the new element covers each of ``lower_labels`` and is covered by each of
-    ``upper_labels``.  Each step is performed as a convex expansion of the
-    previous lattice and cross-checked against the rebuilt poset."""
-    p = base
-    lat = filter_lattice(p, cap=cap)
-    yield p, lat
-    for label, lowers, uppers in additions:
-        labels = list(p.labels) + [label]
-        covers = p.cover_pairs()
-        covers += [(lo, label) for lo in lowers]
-        covers += [(label, hi) for hi in uppers]
-        grown = poset_from_covers(labels, covers)
-        i = grown.idx(label)
-        bf = p.full_mask & ~grown.down[i]
-        tf = grown.up[i]
-        exp = expand_poset(lat, IntervalRef(lat.index_of[bf], lat.index_of[tf]),
-                           label=label, cap=cap)
-        if exp.poset != grown:
-            raise AssertionError("expansion step does not match the rebuilt poset")
-        p, lat = grown, exp.lattice
-        yield p, lat
-
-
-# -- sum laws ---------------------------------------------------------------------
-
-
-def _pair_product_poset(l1, l2):
-    """The componentwise-order product of two lattices, as a poset on
-    index pairs."""
-    labels = []
-    up = []
-    n2 = l2.size
-    for a in range(l1.size):
-        for b in range(l2.size):
-            labels.append("%d,%d" % (a, b))
-            m = 0
-            for c in range(l1.size):
-                if not l1.le(a, c):
-                    continue
-                for d in range(l2.size):
-                    if l2.le(b, d) and (a != c or b != d):
-                        m |= 1 << (c * n2 + d)
-            up.append(m)
-    return Poset(labels, up, _trusted=True)
-
-
-def _vertical_sum_poset(l1, l2):
-    """Stack l2 on top of l1, identifying top(l1) with bottom(l2)."""
-    items = [("p", a) for a in range(l1.size)]
-    items += [("q", b) for b in range(1, l2.size)]
-    pos = {it: t for t, it in enumerate(items)}
-    up = []
-    for side, a in items:
-        m = 0
-        for side2, b in items:
-            if (side, a) == (side2, b):
-                continue
-            if side == side2:
-                le = l1.le(a, b) if side == "p" else l2.le(a, b)
-            else:
-                le = side == "p"
-            if le:
-                m |= 1 << pos[(side2, b)]
-        up.append(m)
-    return Poset(["%s%d" % it for it in items], up, _trusted=True)
-
-
-def lattice_as_poset(lat):
-    """The lattice order as a plain poset, labelled by filter bitstrings."""
-    up = [mask_of(lat.between(a, lat.top)) & ~(1 << a) for a in range(lat.size)]
-    return Poset([lat.bitstring(a) for a in range(lat.size)], up, _trusted=True)
-
-
-@dataclass(frozen=True)
-class SumLawsReport:
-    disjoint_product_ok: bool   # F(P + Q side by side) is the direct product
-    vertical_sum_ok: bool       # F(P over Q stacked) is the vertical sum
-    top_adjoined_ok: bool       # F(P + new global top) adds a new lattice top
-    bottom_adjoined_ok: bool    # F(new global bottom + P) adds a new lattice bottom
-
-    @property
-    def ok(self):
-        return (self.disjoint_product_ok and self.vertical_sum_ok
-                and self.top_adjoined_ok and self.bottom_adjoined_ok)
-
-
-def sum_laws(p, q, cap=FILTER_CAP):
-    """Check the four sum laws for a pair of posets by explicit construction
-    on both sides of each isomorphism (desk scale)."""
-    lp = filter_lattice(p, cap=cap)
-    lq = filter_lattice(q, cap=cap)
-
-    du = filter_lattice(disjoint_union(p, q), cap=cap)
-    product = _pair_product_poset(lp, lq)
-    disjoint_ok = (du.size == lp.size * lq.size
-                   and poset_isomorphic(lattice_as_poset(du), product))
-
-    vs = filter_lattice(ordinal_sum(p, q), cap=cap)
-    stacked = _vertical_sum_poset(lp, lq)
-    vertical_ok = (vs.size == lp.size + lq.size - 1
-                   and poset_isomorphic(lattice_as_poset(vs), stacked))
-
-    one = singleton("adjoined")
-    ptop = filter_lattice(ordinal_sum(p, one), cap=cap)
-    top_ok = poset_isomorphic(
-        lattice_as_poset(ptop),
-        _vertical_sum_poset(lp, filter_lattice(one)))
-    pbot = filter_lattice(ordinal_sum(one, p), cap=cap)
-    bottom_ok = poset_isomorphic(
-        lattice_as_poset(pbot),
-        _vertical_sum_poset(filter_lattice(one), lp))
-
-    return SumLawsReport(disjoint_product_ok=disjoint_ok,
-                         vertical_sum_ok=vertical_ok,
-                         top_adjoined_ok=top_ok,
-                         bottom_adjoined_ok=bottom_ok)

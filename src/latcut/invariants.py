@@ -190,21 +190,11 @@ def _require_scan_agrees(lat, q):
             "interval scan %r disagrees with census %r" % (scanned, q))
 
 
-def q_vector(lat, method="auto"):
-    """Counts of Boolean-cube intervals by dimension.
-
-    method "census" uses the pair formula over up-cover degrees, "scan" the
-    direct interval enumeration; "auto" runs the census and, whenever the
-    scan is affordable, also the scan, insisting they agree.  The "auto"
-    result is computed once per lattice and cached on it; each call
-    returns a fresh list.
-    """
-    if method == "census":
-        return _q_census(lat)
-    if method == "scan":
-        return _q_scan(lat)
-    if method != "auto":
-        raise ValueError("method must be census, scan or auto")
+def q_vector(lat):
+    """Counts of Boolean-cube intervals by dimension: the census
+    (:func:`_q_census`), checked against the interval scan
+    (:func:`_q_scan`) whenever the scan is affordable.  Computed once per
+    lattice and cached on it; each call returns a fresh list."""
     if lat._q is None:
         q = _q_census(lat)
         if _scan_feasible(lat.base.n, lat.size):
@@ -462,35 +452,28 @@ def check_d_recurrences(lat, k, exp=None, klat=None):
 # -- summary report -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InvariantReport:
-    n: int
-    size: int
-    q: list
-    d_minus: list
-    d_plus: list
-    d_total: list
-    rank_poly: list
-    width_m: int
-    mi_count: int
-    euler_ok: bool
-    euler_derivative_ok: bool
-
-
-def invariant_report(lat):
-    q = q_vector(lat)
-    d = d_vectors(lat)
-    e = euler_checks(lat, q)
-    return InvariantReport(
-        n=lat.base.n, size=lat.size, q=q,
-        d_minus=d.minus, d_plus=d.plus, d_total=d.total,
-        rank_poly=rank_gen(lat), width_m=d.width,
-        mi_count=e.mi_count, euler_ok=e.ok, euler_derivative_ok=e.derivative_ok)
+def _stats_json(n, size, q, deg, rank, mi_count):
+    """The report of :func:`stats_dict` and :func:`poset_stats`, from the
+    q vector, the DegreeVectors, the rank polynomial and |Mi|."""
+    e = _euler_report(q, mi_count)
+    return {
+        "n": n,
+        "size": size,
+        "q": list(q),
+        "d_minus": list(deg.minus),
+        "d_plus": list(deg.plus),
+        "d_total": list(deg.total),
+        "rank_poly": list(rank),
+        "mi_count": mi_count,
+        "euler_ok": e.ok,
+        "euler_derivative_ok": e.derivative_ok,
+    }
 
 
 def stats_dict(lat):
     """The JSON-facing report: integer-only values, fixed key set."""
-    return _report_json(invariant_report(lat))
+    return _stats_json(lat.base.n, lat.size, q_vector(lat), d_vectors(lat),
+                       rank_gen(lat), len(lat.meet_irreducibles()))
 
 
 def poset_stats(p, cap=FILTER_CAP):
@@ -535,12 +518,8 @@ def poset_stats(p, cap=FILTER_CAP):
     q = binomial_transform(deg.minus)
     if _scan_feasible(p.n, size):
         _require_scan_agrees(filter_lattice(p, cap), q)
-    e = _euler_report(q, deg.minus[1] if deg.width else 0)
-    return _report_json(InvariantReport(
-        n=p.n, size=size, q=q,
-        d_minus=deg.minus, d_plus=deg.plus, d_total=deg.total,
-        rank_poly=rank, width_m=deg.width,
-        mi_count=e.mi_count, euler_ok=e.ok, euler_derivative_ok=e.derivative_ok))
+    return _stats_json(p.n, size, q, deg, rank,
+                       deg.minus[1] if deg.width else 0)
 
 
 def _split_histograms(p, cap):
@@ -747,18 +726,3 @@ def _stacked_histograms(p, parts, hists):
         total[b] -= 1
         total[a + b] += 1
     return out
-
-
-def _report_json(r):
-    return {
-        "n": r.n,
-        "size": r.size,
-        "q": list(r.q),
-        "d_minus": list(r.d_minus),
-        "d_plus": list(r.d_plus),
-        "d_total": list(r.d_total),
-        "rank_poly": list(r.rank_poly),
-        "mi_count": r.mi_count,
-        "euler_ok": r.euler_ok,
-        "euler_derivative_ok": r.euler_derivative_ok,
-    }

@@ -10,9 +10,9 @@ So index 0 is the bottom (the full ground set), the last index is the top
 Element heights are |P| - |filter|, which agrees with longest-chain rank
 because the lattice is graded.
 
-A ``DistLattice`` is immutable; lazily computed caches (maximal chains,
-containment masks, the q vector and the degree histograms) depend only on
-the relation, so concurrent reads are safe.
+A ``DistLattice`` is immutable; lazily computed caches (containment
+masks, the q vector and the degree histograms) depend only on the
+relation, so concurrent reads are safe.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .bits import mask_of
 from .errors import InvalidInterval
-from .poset import FILTER_CAP, Poset, poset_isomorphic, poset_isomorphism
+from .poset import FILTER_CAP, Poset, poset_isomorphic
 
 
 class IntervalRef(NamedTuple):
@@ -76,10 +76,9 @@ class DistLattice:
             for b in covs:
                 down[b].append(a)
         self.down_covers = tuple([tuple(d) for d in down])
-        self._chains = None
         self._above = None
         # The q vector and the degree histograms, filled in by
-        # invariants.q_vector(lat, "auto") and invariants.d_vectors.
+        # invariants.q_vector and invariants.d_vectors.
         self._q = None
         self._d = None
 
@@ -113,9 +112,6 @@ class DistLattice:
 
     def join(self, a, b):
         return self.index_of[self.filters[a] & self.filters[b]]
-
-    def height(self, a):
-        return self.heights[a]
 
     def bitstring(self, a):
         return self.base.bitstring(self.filters[a])
@@ -181,15 +177,6 @@ class DistLattice:
         """The interval as a lattice in its own right (built from S)."""
         return filter_lattice(self.interval_subposet(k))
 
-    def is_boolean_interval(self, k, kk=None):
-        """True when [bottom, top] is a Boolean cube; with ``kk`` given,
-        additionally of that dimension.  Equivalent to S being an antichain."""
-        k = self.interval(*k)
-        s = self.filters[k.bottom] & ~self.filters[k.top]
-        if kk is not None and s.bit_count() != kk:
-            return False
-        return self.base.is_antichain(s)
-
     # -- structure ------------------------------------------------------------
 
     def meet_irreducibles(self):
@@ -209,36 +196,10 @@ class DistLattice:
         """Undirected cover edges as sorted (lower, upper) index pairs."""
         return [(a, b) for a in range(self.size) for b in self.up_covers[a]]
 
-    def maximal_chains(self):
-        """Every maximal chain as a tuple of element indices, bottom first.
-        Cached.  The count equals the number of linear extensions of the
-        base poset, so this is for desk-scale use."""
-        if self._chains is None:
-            chains = []
-            stack = [(0, (0,))]
-            while stack:
-                a, path = stack.pop()
-                if not self.up_covers[a]:
-                    chains.append(path)
-                    continue
-                for b in self.up_covers[a]:
-                    stack.append((b, path + (b,)))
-            self._chains = tuple(sorted(chains))
-        return self._chains
-
 
 def filter_lattice(p, cap=FILTER_CAP):
     """The distributive lattice of all filters of poset ``p``."""
     return DistLattice(p, cap=cap)
-
-
-def lattice_isomorphism(l1, l2):
-    """Lattice isomorphism via base posets: finite distributive lattices are
-    isomorphic exactly when their meet-irreducible posets are.  Returns the
-    witness mapping between the bases' labels, or None."""
-    if l1.size != l2.size:
-        return None
-    return poset_isomorphism(l1.mi_poset(), l2.mi_poset())
 
 
 def birkhoff_roundtrip(p, cap=FILTER_CAP):

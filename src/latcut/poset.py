@@ -109,11 +109,18 @@ class Poset:
     def cover_masks(self):
         """Transitive reduction: list of (lower, upper) index pairs."""
         if self._covers_up is None:
+            up, down = self.up, self.down
             covers = []
             for i in range(self.n):
-                for j in iter_bits(self.up[i]):
+                rest = up[i]
+                while rest:
+                    low = rest & -rest
+                    j = low.bit_length() - 1
+                    # Whatever lies above j is above i through j, so it is
+                    # no cover of i: it leaves the bits still to visit.
+                    rest &= ~(up[j] | low)
                     # i < j is a cover when nothing sits strictly between.
-                    if self.up[i] & self.down[j] == 0:
+                    if up[i] & down[j] == 0:
                         covers.append((i, j))
             self._covers_up = tuple(covers)
         return self._covers_up
@@ -127,9 +134,6 @@ class Poset:
     def is_filter(self, bits):
         """True when ``bits`` is upward closed."""
         return all(self.up[i] & ~bits == 0 for i in iter_bits(bits))
-
-    def is_antichain(self, bits):
-        return all((self.up[i] | self.down[i]) & bits == 0 for i in iter_bits(bits))
 
     def min_of(self, bits):
         """Mask of the minimal elements of a subset."""
@@ -242,10 +246,6 @@ class Poset:
         applies."""
         for _, a in self.filters_with_minima(cap):
             yield a
-
-    def width(self):
-        """Size of a largest antichain."""
-        return max(a.bit_count() for a in self.antichains())
 
     def antichain_table(self):
         """DP table over all 2^n subsets: entry m is True when m is an

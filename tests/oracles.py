@@ -38,6 +38,15 @@ def classes_by_key(posets):
             out.append(p)
     return out
 
+def naive_cover_masks(p):
+    """The (lower, upper) index pairs of the transitive reduction, by the
+    definition: i < j with no k strictly between; i ascending, then j."""
+    n = p.n
+    return tuple((i, j) for i in range(n) for j in range(n)
+                 if p.lt(i, j)
+                 and not any(p.lt(i, k) and p.lt(k, j) for k in range(n)))
+
+
 def induced_masks(p, keep_mask):
     """The subposet on the elements in ``keep_mask``, remapped bit by bit:
     its labels, up masks and down masks, kept elements renumbered

@@ -1,5 +1,6 @@
 """The runtime dependencies declared in pyproject.toml are exactly what the
-package imports."""
+package imports, and every name the package exports is used outside the
+tests."""
 
 import ast
 import os
@@ -53,3 +54,28 @@ def test_importing_the_package_and_cli_leaves_networkx_out():
 def test_importing_the_package_and_cli_leaves_numpy_out():
     # numpy is imported by the interval scan alone, when a scan runs.
     assert _loaded_after_importing_latcut("numpy") == "False\n"
+
+
+def _texts_outside_tests():
+    """Every file where a public name can earn its place: the package
+    modules other than __init__.py, the demos, README.md and the benchmark
+    harness without its own tests (read, never written)."""
+    paths = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    paths += sorted((ROOT / "demos").glob("*.py"))
+    paths += sorted((ROOT / "perfbench").glob("*.py"))
+    paths.append(ROOT / "README.md")
+    return [p.read_text(encoding="utf-8") for p in paths]
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    import latcut
+
+    texts = _texts_outside_tests()
+    unused = []
+    for name in latcut.__all__:
+        word = re.compile(r"\b%s\b" % re.escape(name))
+        own = re.compile(r"^\s*(?:def|class)\s+%s\b" % re.escape(name))
+        if not any(word.search(line) and not own.match(line)
+                   for text in texts for line in text.splitlines()):
+            unused.append(name)
+    assert unused == []

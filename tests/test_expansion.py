@@ -2,6 +2,7 @@
 
 import io
 import sys
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -9,12 +10,11 @@ from hypothesis import given, settings
 import oracles
 from conftest import posets
 from latcut import (CUTTING_METHODS, DistLattice, IntervalRef, NotACutting,
-                    all_labeled_posets, antichain, boundary, crown,
-                    cut_elements, cuttings, decompose, expand_chain_steps,
-                    expand_poset, fence, filter_lattice, is_cutting,
-                    lattice_as_poset, parse_poset_file,
-                    poset_from_covers, poset_isomorphic, singleton, sum_laws,
-                    write_poset_file)
+                    Poset, all_labeled_posets, antichain, boundary, crown,
+                    cuttings, decompose, disjoint_union, expand_poset, fence,
+                    filter_lattice, is_cutting, mask_of, ordinal_sum,
+                    parse_poset_file, poset_from_covers, poset_isomorphic,
+                    singleton, write_poset_file)
 from latcut.cli import cli_run
 from latcut.poset import FILTER_CAP
 
@@ -85,13 +85,6 @@ def test_atom_of_square_is_not_cutting():
     atom = lat.element_by_string("10")
     assert not is_cutting(lat, (atom, atom))
     assert oracles.naive_cut_elements(lat) == []
-
-
-def test_cut_elements_of_z3():
-    lat = z3_lattice()
-    got = cut_elements(lat)
-    assert [lat.bitstring(a) for a in got] == ["101"]
-    assert got == oracles.naive_cut_elements(lat)
 
 
 def test_is_cutting_rejects_unknown_method():
@@ -193,7 +186,7 @@ def test_singleton_interval_expansion_inserts_mid_element():
     assert lat.size == 2
     exp = expand_poset(lat, (1, 1))
     assert exp.lattice.size == 3
-    assert len(exp.lattice.maximal_chains()) == 1
+    assert len(oracles.naive_maximal_chains(exp.lattice)) == 1
 
 
 def test_expand_cap_refusal_is_exact(capsys, monkeypatch):
@@ -361,6 +354,32 @@ def test_is_cutting_validates_its_interval_once(method, monkeypatch):
 # -- growing chains of expansions ----------------------------------------------------
 
 
+def expand_chain_steps(base, additions, cap=FILTER_CAP):
+    """Grow a poset one element at a time, yielding the lattice after each
+    step.  ``additions`` is a sequence of (label, lower_labels, upper_labels):
+    the new element covers each of ``lower_labels`` and is covered by each of
+    ``upper_labels``.  Each step is performed as a convex expansion of the
+    previous lattice and cross-checked against the rebuilt poset."""
+    p = base
+    lat = filter_lattice(p, cap=cap)
+    yield p, lat
+    for label, lowers, uppers in additions:
+        labels = list(p.labels) + [label]
+        covers = p.cover_pairs()
+        covers += [(lo, label) for lo in lowers]
+        covers += [(label, hi) for hi in uppers]
+        grown = poset_from_covers(labels, covers)
+        i = grown.idx(label)
+        bf = p.full_mask & ~grown.down[i]
+        tf = grown.up[i]
+        exp = expand_poset(lat, IntervalRef(lat.index_of[bf], lat.index_of[tf]),
+                           label=label, cap=cap)
+        if exp.poset != grown:
+            raise AssertionError("expansion step does not match the rebuilt poset")
+        p, lat = grown, exp.lattice
+        yield p, lat
+
+
 def test_expand_chain_rebuilds_z3():
     steps = [("b", [], []),
              ("a", ["b"], []),
@@ -376,6 +395,98 @@ def test_expand_chain_rebuilds_z3():
 
 
 # -- sum laws -----------------------------------------------------------------------
+
+
+def _pair_product_poset(l1, l2):
+    """The componentwise-order product of two lattices, as a poset on
+    index pairs."""
+    labels = []
+    up = []
+    n2 = l2.size
+    for a in range(l1.size):
+        for b in range(l2.size):
+            labels.append("%d,%d" % (a, b))
+            m = 0
+            for c in range(l1.size):
+                if not l1.le(a, c):
+                    continue
+                for d in range(l2.size):
+                    if l2.le(b, d) and (a != c or b != d):
+                        m |= 1 << (c * n2 + d)
+            up.append(m)
+    return Poset(labels, up, _trusted=True)
+
+
+def _vertical_sum_poset(l1, l2):
+    """Stack l2 on top of l1, identifying top(l1) with bottom(l2)."""
+    items = [("p", a) for a in range(l1.size)]
+    items += [("q", b) for b in range(1, l2.size)]
+    pos = {it: t for t, it in enumerate(items)}
+    up = []
+    for side, a in items:
+        m = 0
+        for side2, b in items:
+            if (side, a) == (side2, b):
+                continue
+            if side == side2:
+                le = l1.le(a, b) if side == "p" else l2.le(a, b)
+            else:
+                le = side == "p"
+            if le:
+                m |= 1 << pos[(side2, b)]
+        up.append(m)
+    return Poset(["%s%d" % it for it in items], up, _trusted=True)
+
+
+def lattice_as_poset(lat):
+    """The lattice order as a plain poset, labelled by filter bitstrings."""
+    up = [mask_of(lat.between(a, lat.top)) & ~(1 << a) for a in range(lat.size)]
+    return Poset([lat.bitstring(a) for a in range(lat.size)], up, _trusted=True)
+
+
+@dataclass(frozen=True)
+class SumLawsReport:
+    disjoint_product_ok: bool   # F(P + Q side by side) is the direct product
+    vertical_sum_ok: bool       # F(P over Q stacked) is the vertical sum
+    top_adjoined_ok: bool       # F(P + new global top) adds a new lattice top
+    bottom_adjoined_ok: bool    # F(new global bottom + P) adds a new lattice bottom
+
+    @property
+    def ok(self):
+        return (self.disjoint_product_ok and self.vertical_sum_ok
+                and self.top_adjoined_ok and self.bottom_adjoined_ok)
+
+
+def sum_laws(p, q, cap=FILTER_CAP):
+    """Check the four sum laws for a pair of posets by explicit construction
+    on both sides of each isomorphism (desk scale)."""
+    lp = filter_lattice(p, cap=cap)
+    lq = filter_lattice(q, cap=cap)
+
+    du = filter_lattice(disjoint_union(p, q), cap=cap)
+    product = _pair_product_poset(lp, lq)
+    disjoint_ok = (du.size == lp.size * lq.size
+                   and poset_isomorphic(lattice_as_poset(du), product))
+
+    vs = filter_lattice(ordinal_sum(p, q), cap=cap)
+    stacked = _vertical_sum_poset(lp, lq)
+    vertical_ok = (vs.size == lp.size + lq.size - 1
+                   and poset_isomorphic(lattice_as_poset(vs), stacked))
+
+    one = singleton("adjoined")
+    ptop = filter_lattice(ordinal_sum(p, one), cap=cap)
+    top_ok = poset_isomorphic(
+        lattice_as_poset(ptop),
+        _vertical_sum_poset(lp, filter_lattice(one)))
+    pbot = filter_lattice(ordinal_sum(one, p), cap=cap)
+    bottom_ok = poset_isomorphic(
+        lattice_as_poset(pbot),
+        _vertical_sum_poset(filter_lattice(one), lp))
+
+    return SumLawsReport(disjoint_product_ok=disjoint_ok,
+                         vertical_sum_ok=vertical_ok,
+                         top_adjoined_ok=top_ok,
+                         bottom_adjoined_ok=bottom_ok)
 
 
 @pytest.mark.parametrize("covers_p,covers_q", [

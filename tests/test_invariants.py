@@ -16,9 +16,9 @@ from latcut import (CUTTING_METHODS, CapacityExceeded, IntervalRef,
                     check_d_recurrences, check_q_recurrence,
                     check_rank_recurrence, crown, d_vectors, disjoint_union,
                     euler_checks, expand_poset, fence, filter_lattice,
-                    invariant_report, inverse_binomial_transform, is_cutting,
-                    poset_from_covers, posets_up_to_iso, q_vector, rank_gen,
-                    rank_gen_of, stats_dict)
+                    inverse_binomial_transform, is_cutting, poset_from_covers,
+                    posets_up_to_iso, q_vector, rank_gen, rank_gen_of,
+                    stats_dict)
 from latcut.invariants import (_SCAN_BLOCK_PAIRS, _q_census, _q_scan,
                                poly_add, poly_deriv, poly_eq, poly_eval,
                                poly_mul, poly_shift, poly_trim)
@@ -73,11 +73,9 @@ def test_rank_gen_of_subsets_and_offsets():
 def test_cube_counts_by_both_routes():
     lat = z3_lattice()
     # 5 points, 5 cover edges, one square, no 3-cube
-    assert q_vector(lat, "census") == [5, 5, 1]
-    assert q_vector(lat, "scan") == [5, 5, 1]
+    assert _q_census(lat) == [5, 5, 1]
+    assert _q_scan(lat) == [5, 5, 1]
     assert q_vector(lat) == [5, 5, 1]
-    with pytest.raises(ValueError):
-        q_vector(lat, "guesswork")
 
 
 def test_degree_vectors_frozen():
@@ -145,7 +143,7 @@ def test_cached_q_and_d_cannot_be_mutated_by_callers():
 def test_trivial_lattice_invariants():
     lat = filter_lattice(poset_from_covers([], []))
     assert rank_gen(lat) == [1]
-    assert q_vector(lat) == q_vector(lat, "scan") == [1]
+    assert q_vector(lat) == _q_scan(lat) == [1]
     d = d_vectors(lat)
     assert d.minus == [1] and d.plus == [1] and d.total == [1]
     e = euler_checks(lat)
@@ -292,7 +290,7 @@ def test_invariant_identities_on_random_posets(p):
 @given(posets(max_n=5))
 def test_q_routes_agree_on_random_posets(p):
     lat = filter_lattice(p)
-    assert poly_eq(q_vector(lat, "census"), q_vector(lat, "scan"))
+    assert poly_eq(_q_census(lat), _q_scan(lat))
 
 
 def _chain_product(*lengths):
@@ -325,8 +323,8 @@ def test_scan_refuses_a_base_past_its_limit():
     lat = filter_lattice(chain(21))
     assert (lat.size, lat.base.n) == (22, 21)
     with pytest.raises(CapacityExceeded, match="at most 20 base elements"):
-        q_vector(lat, "scan")
-    # The "auto" route never scans such a base: it returns the census.
+        _q_scan(lat)
+    # q_vector never scans such a base: it returns the census.
     assert q_vector(lat) == [22, 21]
 
 
@@ -334,11 +332,12 @@ def test_scan_refuses_a_base_past_its_limit():
 
 
 def test_invariant_report_fields():
-    rep = invariant_report(z3_lattice())
-    assert rep.n == 3 and rep.size == 5
-    assert rep.q == [5, 5, 1]
-    assert rep.width_m == 2 and rep.mi_count == 3
-    assert rep.euler_ok and rep.euler_derivative_ok
+    lat = z3_lattice()
+    stats = stats_dict(lat)
+    assert stats["n"] == 3 and stats["size"] == 5
+    assert stats["q"] == [5, 5, 1]
+    assert d_vectors(lat).width == 2 and stats["mi_count"] == 3
+    assert stats["euler_ok"] and stats["euler_derivative_ok"]
 
 
 def test_stats_dict_shape_and_json():

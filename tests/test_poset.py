@@ -99,9 +99,21 @@ def test_antichain_table_agrees_with_generator():
         assert bool(table[mask]) == (mask in listed)
 
 
-def test_width():
-    assert z3().width() == 2
-    assert chain3().width() == 1
+# -- covers -------------------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(posets(max_n=12), st.integers(min_value=0, max_value=2 ** 32))
+def test_cover_masks_match_the_definition(p, seed):
+    # The strategy numbers elements bottom-up; the dual numbers them
+    # top-down and the relabeling in no order at all.
+    shuffled, _ = shuffled_relabeling(p, seed)
+    for q in (p, p.dual(), shuffled):
+        assert q.cover_masks() == oracles.naive_cover_masks(q)
+
+
+def test_cover_masks_of_a_long_chain():
+    assert chain(3000).cover_masks() == tuple((i, i + 1) for i in range(2999))
 
 
 # -- derived posets ----------------------------------------------------------------
