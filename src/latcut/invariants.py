@@ -40,9 +40,9 @@ from .expansion import expand_poset
 from .lattice import filter_lattice
 from .poset import FILTER_CAP
 
-# The interval-scan oracle builds a 2^n antichain table and tests all size^2
-# pairs.  Its memory is bounded per row block (_SCAN_BLOCK_PAIRS), so the
-# pair limit bounds its time; past these bounds only the census route is run.
+# The interval-scan oracle builds a 2^n-bit antichain table and tests at most
+# size^2 pairs.  Its memory is bounded per row block (_SCAN_BLOCK_PAIRS), so
+# the pair limit bounds its time; past these bounds only the census route runs.
 _SCAN_BASE_LIMIT = 20
 _SCAN_PAIR_LIMIT = 1 << 23
 # Pair entries per row block of the scan: 4 MiB of uint32 temporaries.
@@ -144,14 +144,17 @@ def _q_census(lat):
 def _q_scan(lat):
     """Interval-scan oracle: enumerate every comparable pair (a, b), take the
     set difference of their filters, and count it by its size when it is an
-    antichain (looked up in the cached Poset.antichain_table).
+    antichain (looked up in the cached Poset.antichain_table bitset, unpacked
+    once per call).
 
     Filters are held as uint32 masks.  The pairs are taken in blocks of
     rows a, about _SCAN_BLOCK_PAIRS entries each, so the temporaries stay
-    near 4 MiB at any lattice size; the time is still O(|F|^2).  numpy is
-    imported here, when a scan runs, so importing latcut does not load it.
-    Raises CapacityExceeded past _SCAN_BASE_LIMIT base elements, where the
-    2^n table and the uint32 masks no longer fit.
+    near 4 MiB at any lattice size; the time is still O(|F|^2).  F_b within
+    F_a puts b at or after a in the canonical order (larger filters first),
+    so each block is compared only with the columns from its first row on.
+    numpy is imported here, when a scan runs, so importing latcut does not
+    load it.  Raises CapacityExceeded past _SCAN_BASE_LIMIT base elements,
+    where the 2^n-bit table and the uint32 masks no longer fit.
     """
     base = lat.base
     n = base.n
@@ -166,13 +169,17 @@ def _q_scan(lat):
     # No mask by base.full_mask is needed: notf is only ever ANDed with a
     # filter, whose bits all lie inside it.
     notf = ~f
-    table = np.frombuffer(base.antichain_table(), dtype=bool)
+    packed = base.antichain_table().to_bytes(((1 << n) + 7) // 8, "little")
+    table = np.unpackbits(np.frombuffer(packed, dtype=np.uint8),
+                          bitorder="little", count=1 << n).view(bool)
     step = max(1, _SCAN_BLOCK_PAIRS // len(f))
     counts = np.zeros(n + 1, dtype=np.int64)
     for start in range(0, len(f), step):
         blk = slice(start, start + step)
-        below = (f[None, :] & notf[blk, None]) == 0    # F_b within F_a
-        s = (f[blk, None] & notf)[below]
+        # A column before start precedes every row a of the block, so its
+        # filter is a different one at least as large as F_a: not within it.
+        below = (f[None, start:] & notf[blk, None]) == 0    # F_b within F_a
+        s = (f[blk, None] & notf[start:])[below]
         counts += np.bincount(np.bitwise_count(s[table[s]]), minlength=n + 1)
     return poly_trim(counts.tolist())
 

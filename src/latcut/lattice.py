@@ -107,12 +107,6 @@ class DistLattice:
         """Lattice order: reverse inclusion of filters."""
         return self.filters[b] & ~self.filters[a] == 0
 
-    def meet(self, a, b):
-        return self.index_of[self.filters[a] | self.filters[b]]
-
-    def join(self, a, b):
-        return self.index_of[self.filters[a] & self.filters[b]]
-
     def bitstring(self, a):
         return self.base.bitstring(self.filters[a])
 

@@ -131,10 +131,6 @@ class Poset:
 
     # -- subset predicates ---------------------------------------------------
 
-    def is_filter(self, bits):
-        """True when ``bits`` is upward closed."""
-        return all(self.up[i] & ~bits == 0 for i in iter_bits(bits))
-
     def min_of(self, bits):
         """Mask of the minimal elements of a subset."""
         return mask_of(i for i in iter_bits(bits) if self.down[i] & bits == 0)
@@ -248,18 +244,24 @@ class Poset:
             yield a
 
     def antichain_table(self):
-        """DP table over all 2^n subsets: entry m is True when m is an
-        antichain.  Cached; only sensible for small n (guarded by callers)."""
+        """Bitset over all 2^n subsets, as an int: bit m is set when subset m
+        is an antichain.  Cached; 2^n bits, so only sensible for small n
+        (guarded by callers).
+
+        Built by doubling over the elements.  With t the table of the
+        subsets of {0..k-1}, a subset m + {k} is an antichain when m is one
+        and misses everything comparable to k; z, the bitset of those m, is
+        itself doubled up from the incomparable j < k.  That is O(n^2)
+        big-int operations, each run in C.
+        """
         if self._antichain_table is None:
-            n = self.n
-            table = bytearray(1 << n)
-            table[0] = 1
-            comp = [self.comparable_mask(i) for i in range(n)]
-            for m in range(1, 1 << n):
-                low = m & -m
-                rest = m ^ low
-                table[m] = table[rest] and comp[low.bit_length() - 1] & rest == 0
-            self._antichain_table = bytes(table)
+            t = 1
+            for k in range(self.n):
+                z = 1
+                for j in iter_bits(~self.comparable_mask(k) & ((1 << k) - 1)):
+                    z |= z << (1 << j)
+                t |= (t & z) << (1 << k)
+            self._antichain_table = t
         return self._antichain_table
 
     # -- derived posets --------------------------------------------------------

@@ -57,6 +57,19 @@ def induced_masks(p, keep_mask):
     return tuple(p.labels[i] for i in kept), tuple(up), tuple(down)
 
 
+def is_filter(p, bits):
+    """True when the subset ``bits`` is upward closed."""
+    return all(p.up[i] & ~bits == 0 for i in range(p.n) if bits >> i & 1)
+
+
+def is_antichain(p, bits):
+    """True when no two members of the subset ``bits`` are comparable,
+    read off ``p.lt`` pair by pair."""
+    members = [i for i in range(p.n) if bits >> i & 1]
+    return not any(p.lt(i, j) or p.lt(j, i)
+                   for i, j in combinations(members, 2))
+
+
 def naive_filters(p):
     """All up-closed label sets, by checking every subset against the
     definition."""
@@ -81,6 +94,16 @@ def naive_antichains(p):
                    for a, b in combinations(sub, 2)):
                 out.add(frozenset(sub))
     return out
+
+
+def meet(lat, a, b):
+    """Meet of two lattice elements: the union of their filters."""
+    return lat.index_of[lat.filters[a] | lat.filters[b]]
+
+
+def join(lat, a, b):
+    """Join of two lattice elements: the intersection of their filters."""
+    return lat.index_of[lat.filters[a] & lat.filters[b]]
 
 
 def filter_labelset(lat, a):

@@ -1,12 +1,16 @@
 """Filter lattices: order, meet/join, intervals, meet-irreducibles."""
 
+from functools import partial
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from conftest import posets
+from conftest import posets, shuffled_relabeling
 from latcut import (InvalidInterval, all_labeled_posets, birkhoff_roundtrip,
-                    filter_lattice, poset_from_covers, poset_isomorphic)
+                    cuttings, expand_poset, filter_lattice, poset_from_covers,
+                    poset_isomorphic)
 
 
 def z3_lattice():
@@ -22,6 +26,26 @@ def test_canonical_element_order():
     assert lat.bottom == 0 and lat.top == lat.size - 1
 
 
+def _check_order_extends_le(lat):
+    for a in range(lat.size):
+        for b in range(lat.size):
+            if lat.le(a, b):
+                assert a <= b, (lat.bitstring(a), lat.bitstring(b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(posets(max_n=6), st.integers(min_value=0, max_value=2 ** 32))
+def test_index_order_extends_the_lattice_order(p, seed):
+    """le(a, b) implies a <= b: the interval scan compares each row block
+    only with the columns from its first row on, and relies on this.  Also
+    on the lattices convex expansion builds from (F, min F) pairs."""
+    for q in (p, p.dual(), shuffled_relabeling(p, seed)[0]):
+        lat = filter_lattice(q)
+        _check_order_extends_le(lat)
+        for k in cuttings(lat)[:4]:
+            _check_order_extends_le(expand_poset(lat, k).lattice)
+
+
 def test_order_is_reverse_inclusion():
     lat = z3_lattice()
     full = lat.element_by_string("111")
@@ -35,10 +59,10 @@ def test_order_is_reverse_inclusion():
 def test_meet_is_union_join_is_intersection():
     lat = z3_lattice()
     a, c = lat.element_by_string("100"), lat.element_by_string("001")
-    assert lat.bitstring(lat.meet(a, c)) == "101"
-    assert lat.bitstring(lat.join(a, c)) == "000"
+    assert lat.bitstring(oracles.meet(lat, a, c)) == "101"
+    assert lat.bitstring(oracles.join(lat, a, c)) == "000"
     top = lat.element_by_string("000")
-    assert lat.meet(a, top) == a and lat.join(a, top) == top
+    assert oracles.meet(lat, a, top) == a and oracles.join(lat, a, top) == top
 
 
 def test_element_lookup_errors():
@@ -139,17 +163,17 @@ def test_birkhoff_roundtrip_property(p):
 @given(posets(max_n=5))
 def test_lattice_axioms_hold(p):
     lat = filter_lattice(p)
+    meet, join = partial(oracles.meet, lat), partial(oracles.join, lat)
     elems = range(lat.size)
     for a in elems:
-        assert lat.meet(a, a) == a and lat.join(a, a) == a
+        assert meet(a, a) == a and join(a, a) == a
         for b in elems:
-            m, j = lat.meet(a, b), lat.join(a, b)
+            m, j = meet(a, b), join(a, b)
             assert lat.le(m, a) and lat.le(a, j)
-            assert lat.meet(a, j) == a and lat.join(a, m) == a
+            assert meet(a, j) == a and join(a, m) == a
             for c in elems:
                 # distributivity, the defining property of these lattices
-                assert lat.meet(a, lat.join(b, c)) == \
-                    lat.join(lat.meet(a, b), lat.meet(a, c))
+                assert meet(a, join(b, c)) == join(meet(a, b), meet(a, c))
 
 
 @settings(max_examples=40, deadline=None)

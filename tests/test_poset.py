@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 import oracles
 from conftest import posets, shuffled_relabeling
 from latcut import (CycleDetected, DuplicateLabel, Poset, UnknownLabel,
-                    all_labeled_posets, chain, crown, cuttings,
-                    disjoint_union, expand_poset, filter_lattice,
+                    all_labeled_posets, antichain, chain, crown, cuttings,
+                    disjoint_union, expand_poset, fence, filter_lattice,
                     ordinal_sum, poset_from_covers, poset_isomorphic,
                     poset_isomorphism, singleton)
 
@@ -91,12 +91,33 @@ def test_antichains_match_naive():
         assert got == oracles.naive_antichains(p)
 
 
-def test_antichain_table_agrees_with_generator():
-    p = z3()
+def _check_antichain_table(p):
     table = p.antichain_table()
-    listed = set(p.antichains())
+    assert table >> (1 << p.n) == 0
     for mask in range(1 << p.n):
-        assert bool(table[mask]) == (mask in listed)
+        assert bool(table >> mask & 1) == oracles.is_antichain(p, mask), mask
+
+
+@settings(max_examples=100, deadline=None)
+@given(posets(max_n=12), st.integers(min_value=0, max_value=2 ** 32))
+def test_antichain_table_matches_the_definition_in_every_index_order(p, seed):
+    # The strategy numbers elements bottom-up; the dual numbers them
+    # top-down and the relabeling in no order at all.
+    for q in (p, p.dual(), shuffled_relabeling(p, seed)[0]):
+        _check_antichain_table(q)
+
+
+@pytest.mark.parametrize("k", range(11))
+def test_antichain_table_of_an_antichain_and_a_chain(k):
+    assert antichain(k).antichain_table() == (1 << (1 << k)) - 1
+    # The empty set and the k singletons.
+    assert chain(k).antichain_table().bit_count() == k + 1
+
+
+@pytest.mark.parametrize("make", [lambda: fence(16), lambda: crown(16)],
+                         ids=["fence16", "crown16"])
+def test_antichain_table_on_sixteen_elements(make):
+    _check_antichain_table(make())
 
 
 # -- covers -------------------------------------------------------------------------
@@ -322,7 +343,7 @@ def test_isomorphism_of_a_long_chain():
 def test_filters_are_filters_and_counted_by_antichains(p):
     filters = p.filters()
     assert len(set(filters)) == len(filters)
-    assert all(p.is_filter(f) for f in filters)
+    assert all(oracles.is_filter(p, f) for f in filters)
     assert len(filters) == sum(1 for _ in p.antichains())
 
 
