@@ -20,10 +20,13 @@ def pytest_terminal_summary(terminalreporter):
 
 @st.composite
 def posets(draw, max_n=6):
-    """Random poset via upper-triangle relation bits plus transitive closure.
+    """Random poset via upper-triangle relation bits plus transitive closure,
+    then a drawn permutation of the element indices.
 
     Keeping the relation upper-triangular guarantees acyclicity; closure is
     done here so the strategy never depends on the package's own closure.
+    The permutation lets every test fed by this strategy also see index
+    orders that are not bottom-up.
     """
     n = draw(st.integers(min_value=0, max_value=max_n))
     up = [0] * n
@@ -35,7 +38,13 @@ def posets(draw, max_n=6):
         for j in range(i + 1, n):
             if up[i] >> j & 1:
                 up[i] |= up[j]
-    return Poset([str(i + 1) for i in range(n)], tuple(up), _trusted=True)
+    perm = draw(st.permutations(range(n)))
+    moved = [0] * n
+    for i in range(n):
+        for j in range(n):
+            if up[i] >> j & 1:
+                moved[perm[i]] |= 1 << perm[j]
+    return Poset([str(i + 1) for i in range(n)], tuple(moved), _trusted=True)
 
 
 def shuffled_relabeling(p, seed):

@@ -56,6 +56,29 @@ def test_importing_the_package_and_cli_leaves_numpy_out():
     assert _loaded_after_importing_latcut("numpy") == "False\n"
 
 
+_STATS_ON_FENCE_12 = """\
+import contextlib, io, json, sys
+from latcut import fence, write_poset_file
+from latcut.cli import cli_run
+sys.stdin = io.StringIO(write_poset_file(fence(12)))
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli_run(["stats"])
+print(json.dumps([code, json.loads(out.getvalue())["size"],
+                  "numpy" in sys.modules]))
+"""
+
+
+def test_stats_leaves_numpy_out_where_the_scan_is_affordable():
+    # fence(12) has 377 filters, well inside the interval scan's bounds, but
+    # `stats` reports the q census alone: only q_vector cross-checks it.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", _STATS_ON_FENCE_12],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[0, 377, false]\n"
+
+
 def _texts_outside_tests():
     """Every file where a public name can earn its place: the package
     modules other than __init__.py, the demos, README.md and the benchmark

@@ -250,6 +250,17 @@ def test_cli_verify_smoke(capsys):
     assert "ok" in out
 
 
+def test_cli_verify_cutting_equivalence_prints_the_same_bytes_twice(capsys):
+    # Timings stay off stdout: the suite's time is in its `elapsed` field.
+    argv = ["verify", "cutting-equivalence", "--trials", "2",
+            "--max-size", "3", "--seed", "1"]
+    first = run_cli(argv, capsys=capsys)
+    assert run_cli(argv, capsys=capsys) == first
+    assert first == (0, "suite cutting-equivalence: 125 checks, ok (seed=1)\n"
+                        "posets=11 (iso classes <=3 plus 2 random <=3), "
+                        "intervals=125, cuttings=97\n", "")
+
+
 def test_cli_verify_max_size_bounds_the_exhaustive_layer(capsys):
     code, out, _ = run_cli(["verify", "euler", "--trials", "0",
                             "--max-size", "0"], capsys=capsys)
@@ -371,8 +382,9 @@ def _planted_failure(*_args):
 
 
 @pytest.mark.parametrize("target,replacement,argv", [
-    # an interval scan that disagrees with the q census inside `stats`
-    ("latcut.invariants._q_scan", lambda lat: [0], ["stats"]),
+    # an expansion step that fails inside `decompose`'s round trip
+    ("latcut.expansion._candidate_expansion", _planted_failure,
+     ["decompose", "b"]),
     # a boundary check that fails inside the order criterion's vote
     ("latcut.expansion._boundary", _planted_failure,
      ["cutting", "--bottom", "101", "--top", "000"]),
