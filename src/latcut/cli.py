@@ -69,8 +69,9 @@ def build_parser():
             p.add_argument("input", nargs="?", default="-",
                            help="poset file ('-' = stdin, the default)")
         p.add_argument("--out", help="write output to this path")
-        p.add_argument("--cap", type=int, default=FILTER_CAP,
-                       help="abort beyond this many filters")
+        if poset_input or name == "cube":
+            p.add_argument("--cap", type=int, default=FILTER_CAP,
+                           help="abort beyond this many filters")
         return p
 
     cmd("filters", "list the filters of F(P), one bitstring per line")

@@ -197,12 +197,12 @@ def cuttings(lat):
 # -- expansion ----------------------------------------------------------------
 
 
-def _fresh_label(base, stem="x@"):
+def _fresh_label(base):
     k = 1
     taken = set(base.labels)
-    while "%s%d" % (stem, k) in taken:
+    while "x@%d" % k in taken:
         k += 1
-    return "%s%d" % (stem, k)
+    return "x@%d" % k
 
 
 @dataclass(frozen=True)

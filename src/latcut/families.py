@@ -9,10 +9,10 @@ Fibonacci convention F_1 = F_2 = 1 in |F(Z_n)| = F_{n+2}.
 The cubes are built independently as graphs on binary strings (no "11"
 substring, additionally no cyclic "11" for the Lucas cube) so that the
 identification with covering graphs is a genuine two-sided check.  The
-check, graph_isomorphic, runs the individualization-refinement search of
-latcut.poset, which also decides poset isomorphism: it answers True only
-with an explicit edge-preserving vertex map in hand, and False only after
-an exhaustive search.
+verify suites certify it by the classical isomorphism (Gansner 1982),
+_zigzag_translate: flipping every other bit turns the filter condition on a
+zigzag into "no two adjacent 1s".  graph_isomorphic is the general tool, the
+exact individualization-refinement search of latcut.poset.
 
 Deleting element n from Z_{m+n-2} splits it into two smaller fences, and the
 induced convex expansion turns that into the identity
@@ -181,14 +181,25 @@ def cover_cube(lat):
     """Covering graph of a lattice as a CubeGraph on filter bitstrings.
 
     Covers in a filter lattice drop exactly one element, so this really is a
-    Hamming-distance-1 graph on strings of length |base|.
+    Hamming-distance-1 graph on strings of length |base|; the empty base's
+    one filter is the empty string.
     """
-    verts = tuple(sorted(lat.bitstring(a) for a in range(lat.size)))
-    edges = set()
-    for a, b in lat.covering_graph():
-        u, v = lat.bitstring(a), lat.bitstring(b)
-        edges.add((u, v) if u < v else (v, u))
-    return CubeGraph(vertices=verts, edges=tuple(sorted(edges)))
+    names = [lat.bitstring(a) if lat.base.n else "" for a in range(lat.size)]
+    return CubeGraph(vertices=tuple(sorted(names)), edges=tuple(sorted(
+        tuple(sorted((names[a], names[b]))) for a, b in lat.covering_graph())))
+
+
+def _zigzag_translate(g):
+    """``g`` with every string XORed with "1010..." (a 1 at each even 0-based
+    position): a map that keeps Hamming distance, so equality with a model
+    cube is an isomorphism with the map in hand."""
+    n = len(g.vertices[0])
+    mask = ("10" * n)[:n]
+    moved = {s: "".join("01"[a != b] for a, b in zip(s, mask))
+             for s in g.vertices}
+    return CubeGraph(vertices=tuple(sorted(moved.values())),
+                     edges=tuple(sorted(tuple(sorted((moved[u], moved[v])))
+                                        for u, v in g.edges)))
 
 
 def _read_graph(g):

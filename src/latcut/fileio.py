@@ -74,7 +74,7 @@ def _quote(s):
     return '"%s"' % s.replace('"', '\\"')
 
 
-def export_dot(lat, highlight=None, graph_name="lattice"):
+def export_dot(lat, highlight=None):
     """DOT text for the Hasse diagram of ``lat``.
 
     highlight: None, an IntervalRef, or a pair of IntervalRefs (an expansion's
@@ -95,7 +95,7 @@ def export_dot(lat, highlight=None, graph_name="lattice"):
     names = [lat.bitstring(a) for a in range(lat.size)]
 
     out = []
-    out.append("digraph %s {" % graph_name)
+    out.append("digraph lattice {")
     out.append("  rankdir=BT;")
     out.append("  node [shape=box];")
     for a in range(lat.size):

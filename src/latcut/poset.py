@@ -266,7 +266,8 @@ class Poset:
 
     # -- derived posets --------------------------------------------------------
 
-    def _induced(self, keep_mask):
+    def restrict(self, keep_mask):
+        """Induced subposet on a subset mask, labels preserved."""
         # Each maximal run of kept bits moves down as one block: a mask is
         # compressed by one shift and one AND per run (two for minus(x)).
         runs = []
@@ -291,17 +292,13 @@ class Poset:
                      [squeeze(self.up[o]) for o in old], _trusted=True,
                      _down=[squeeze(self.down[o]) for o in old])
 
-    def restrict(self, keep_mask):
-        """Induced subposet on a subset mask, labels preserved."""
-        return self._induced(keep_mask)
-
     def minus(self, x):
         """Delete the element labelled x."""
-        return self._induced(self.full_mask & ~(1 << self.idx(x)))
+        return self.restrict(self.full_mask & ~(1 << self.idx(x)))
 
     def star(self, x):
         """Delete x together with everything comparable to it."""
-        return self._induced(self.full_mask & ~self.comparable_mask(self.idx(x)))
+        return self.restrict(self.full_mask & ~self.comparable_mask(self.idx(x)))
 
     def dual(self):
         """Order-reversed poset on the same labels."""

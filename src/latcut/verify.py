@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 from .catalog import all_labeled_posets, posets_up_to_iso, random_poset, trial_seed
 from .errors import LatcutError
 from .expansion import cuttings, decompose, expand_poset, is_cutting
-from .families import (cover_cube, crown, fence, fib, fibonacci_cube,
-                       graph_isomorphic, lucas, lucas_cube,
+from .families import (_zigzag_translate, cover_cube, crown, fence, fib,
+                       fibonacci_cube, lucas, lucas_cube,
                        verify_fibonacci_decomposition,
                        verify_lucas_decomposition)
 from .fileio import write_poset_file
@@ -335,8 +335,8 @@ def verify_lucas(max_two_n=10):
     for n in range(2, max_two_n // 2 + 1):
         r = verify_lucas_decomposition(n)
         res.checks += 1
-        cube_ok = graph_isomorphic(cover_cube(filter_lattice(crown(2 * n))),
-                                   lucas_cube(2 * n))
+        cube_ok = (_zigzag_translate(cover_cube(filter_lattice(crown(2 * n))))
+                   == lucas_cube(2 * n))
         res.lines.append("n=%d,size=%d,%s" % (
             n, r.lattice_size, "ok" if r.ok and cube_ok else "FAIL"))
         if not (r.ok and cube_ok):
@@ -351,29 +351,22 @@ def verify_lucas(max_two_n=10):
 
 def verify_cubes(max_fence=9, max_crown=10):
     """Covering graphs of fence/crown filter lattices against the binary
-    string models."""
+    string models, certified by the zigzag translation."""
     res = SuiteResult("cubes")
     t0 = time.perf_counter()
-    for n in range(max_fence + 1):
-        g = cover_cube(filter_lattice(fence(n)))
-        model = fibonacci_cube(n)
+    cases = ([(fence(n), fibonacci_cube, n, fib(n + 2), "fence n=%d",
+               "fibonacci cube mismatch at n=%d") for n in range(max_fence + 1)]
+             + [(crown(k), lucas_cube, k, lucas(k), "crown 2n=%d",
+                 "lucas cube mismatch at 2n=%d")
+                for k in range(4, max_crown + 1, 2)])
+    for p, model, k, count, name, mismatch in cases:
+        g = cover_cube(filter_lattice(p))
         res.checks += 1
-        ok = (g.vertex_count == model.vertex_count == fib(n + 2)
-              and graph_isomorphic(g, model))
-        res.lines.append("fence n=%d,vertices=%d,%s"
-                         % (n, g.vertex_count, "ok" if ok else "FAIL"))
+        ok = g.vertex_count == count and _zigzag_translate(g) == model(k)
+        res.lines.append("%s,vertices=%d,%s"
+                         % (name % k, g.vertex_count, "ok" if ok else "FAIL"))
         if not ok:
-            res.add_failure(fence(n), "fibonacci cube mismatch at n=%d" % n)
-    for two_n in range(4, max_crown + 1, 2):
-        g = cover_cube(filter_lattice(crown(two_n)))
-        model = lucas_cube(two_n)
-        res.checks += 1
-        ok = (g.vertex_count == model.vertex_count == lucas(two_n)
-              and graph_isomorphic(g, model))
-        res.lines.append("crown 2n=%d,vertices=%d,%s"
-                         % (two_n, g.vertex_count, "ok" if ok else "FAIL"))
-        if not ok:
-            res.add_failure(crown(two_n), "lucas cube mismatch at 2n=%d" % two_n)
+            res.add_failure(p, mismatch % k)
     res.elapsed = time.perf_counter() - t0
     return res
 

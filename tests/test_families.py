@@ -18,7 +18,7 @@ from latcut import (CapacityExceeded, CubeGraph, DistLattice, OddSize,
                     verify_lucas_decomposition)
 from latcut import poset
 from latcut.cli import cli_run
-from latcut.families import GRAPH_ISO_CAP
+from latcut.families import GRAPH_ISO_CAP, _zigzag_translate
 from latcut.invariants import poly_eval
 from latcut.poset import FILTER_CAP
 from latcut.verify import verify_fibonacci
@@ -144,12 +144,15 @@ def test_cli_cube_refuses_beyond_the_cap_at_once(kind, capsys):
 
 
 def test_covering_graphs_are_the_cubes():
+    """The search and the zigzag certificate of the verify suites agree."""
     for n in range(13):
-        assert graph_isomorphic(cover_cube(filter_lattice(fence(n))),
-                                fibonacci_cube(n))
+        g, model = cover_cube(filter_lattice(fence(n))), fibonacci_cube(n)
+        assert graph_isomorphic(g, model)
+        assert _zigzag_translate(g) == model, n
     for two_n in range(4, 13, 2):
-        assert graph_isomorphic(cover_cube(filter_lattice(crown(two_n))),
-                                lucas_cube(two_n))
+        g, model = cover_cube(filter_lattice(crown(two_n))), lucas_cube(two_n)
+        assert graph_isomorphic(g, model)
+        assert _zigzag_translate(g) == model, two_n
 
 
 def test_graph_isomorphism_edges_and_caps():
@@ -301,11 +304,17 @@ def test_graph_isomorphic_at_the_cap(edges_of):
         graph_isomorphic(big, big)
 
 
-def test_cli_verify_cubes_past_the_cap(capsys):
-    assert cli_run(["verify", "cubes", "--max", "13"]) == 2
+@pytest.mark.parametrize("suite,bound,largest", [
+    ("cubes", "13", "fence n=13,vertices=610,ok"),
+    ("lucas", "14", "n=7,size=843,ok"),
+], ids=["cubes", "lucas"])
+def test_cli_verify_cubes_past_the_search_cap(suite, bound, largest, capsys):
+    """Past GRAPH_ISO_CAP vertices, where the search refuses, the zigzag
+    certificate still decides."""
+    assert cli_run(["verify", suite, "--max", bound]) == 0
     out, err = capsys.readouterr()
-    assert out == ""
-    assert err == "error: graph isomorphism capped at 400 vertices\n"
+    assert out.startswith("suite %s: " % suite) and ", ok\n" in out
+    assert largest in out.splitlines() and err == ""
 
 
 def test_cover_cube_edges_match_naive_covers():

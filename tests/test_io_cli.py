@@ -290,6 +290,16 @@ def test_cli_verify_rejects_negative_counts_and_sizes(argv, message, capsys):
     assert (code, out, err) == (2, "", "error: %s\n" % message)
 
 
+@pytest.mark.parametrize("argv", [["verify", "cubes", "--cap", "5"],
+                                  ["family", "fence", "3", "--cap", "1"]])
+def test_cli_refuses_cap_where_no_cap_applies(argv, capsys):
+    with pytest.raises(SystemExit) as e:
+        cli_run(argv)
+    out, err = capsys.readouterr()
+    assert (e.value.code, out) == (2, "")
+    assert err.startswith("usage:")
+
+
 def test_cli_export_dot_and_highlight(capsys, monkeypatch):
     poset_text = write_poset_file(z3())
     code, out, _ = run_cli(["export-dot"], stdin_text=poset_text,
