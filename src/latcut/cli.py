@@ -111,7 +111,7 @@ def build_parser():
     p.add_argument("--seed", type=int, help="base seed for the random layer")
     p.add_argument("--max", type=int, dest="max_param",
                    help="family bound (fibonacci: m+n-2, lucas: 2n, "
-                        "cubes: fence size)")
+                        "cubes: fence size, crowns one more)")
 
     p = cmd("export-dot", "DOT Hasse diagram of F(P)")
     p.add_argument("--highlight", metavar="B,T",
@@ -221,6 +221,8 @@ def _dispatch(args):
         return 0
 
     if args.command == "family":
+        if args.n < 0:
+            raise LatcutError("n must not be negative, got %d" % args.n)
         _emit(write_poset_file(_FAMILIES[args.kind](args.n)), out)
         return 0
 

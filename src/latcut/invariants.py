@@ -325,12 +325,9 @@ class EulerReport:
         return self.derivative_at_minus_one == self.mi_count
 
 
-def euler_checks(lat, q=None):
-    """Q(-1) = 1 and Q'(-1) = number of meet-irreducibles.  ``q`` is the
-    lattice's q vector when the caller has already computed it."""
-    if q is None:
-        q = q_vector(lat)
-    return _euler_report(q, len(lat.meet_irreducibles()))
+def euler_checks(lat):
+    """Q(-1) = 1 and Q'(-1) = number of meet-irreducibles."""
+    return _euler_report(q_vector(lat), len(lat.meet_irreducibles()))
 
 
 def _euler_report(q, mi_count):

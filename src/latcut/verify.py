@@ -5,13 +5,14 @@ Each suite returns a SuiteResult whose report is line-oriented and
 deterministic for a fixed seed; on failure the smallest failing instance is
 inlined as a poset file so it can be replayed directly.
 
-The cutting suite is one shared pass: it enumerates every interval of every
-pooled lattice, requires the four cutting criteria to agree and
-``cuttings`` to list exactly the cuttings they found, and then runs the
-counting, rank, q/d, binomial, Euler and degree checks off the cuttings and
-lattices it collected.  A q census that disagrees with its interval scan
-fails the checks that use q, and the pass goes on.  run_cutting_suite
-returns the per-topic slices.
+The seven cutting topics share one pass over the pooled lattices, driven by
+a table of (topic, failure text, check) rows.  binomial, euler and
+degree-symmetry check each pooled lattice and each of its expansions;
+expansion-counts, rank-recurrence and q-d-recurrences check each cutting
+that ``cuttings`` lists; cutting-equivalence is the four-way vote on every
+interval.  A topic runs only its own rows, so only cutting-equivalence
+votes.  A row that raises AssertionError (a q census that disagrees with
+its interval scan) fails with the message, and the pass goes on.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+from .bits import iter_bits
 from .catalog import all_labeled_posets, posets_up_to_iso, random_poset, trial_seed
-from .errors import LatcutError
+from .errors import CapacityExceeded, LatcutError
 from .expansion import cuttings, decompose, expand_poset, is_cutting
 from .families import (_zigzag_translate, cover_cube, crown, fence, fib,
                        fibonacci_cube, lucas, lucas_cube,
@@ -32,7 +34,7 @@ from .invariants import (antichain_census, binomial_relations,
                          check_rank_recurrence, d_vectors, euler_checks,
                          poly_eq)
 from .lattice import IntervalRef, birkhoff_roundtrip, filter_lattice
-from .poset import poset_isomorphic
+from .poset import FILTER_CAP, poset_isomorphic
 
 
 @dataclass
@@ -138,175 +140,168 @@ def verify_birkhoff(trials=1000, max_size=8, seed=0, exhaustive_max=4):
     return res
 
 
-# -- the shared cutting pass ----------------------------------------------------------
+# -- the cutting pass: one table of checks ------------------------------------------
 
 
-_CUTTING_TOPICS = ("cutting-equivalence", "expansion-counts", "rank-recurrence",
-                   "q-d-recurrences", "binomial", "euler", "degree-symmetry")
+def _binomial_row(lat):
+    br = binomial_relations(lat)
+    return None if br.ok else "q=%r d_minus=%r" % (br.q, br.d_minus)
 
 
-def _check_lattice_invariants(results, p, lat, tag):
-    """Per-lattice checks: binomial transform, Euler, and degree symmetry
-    with the antichain census of the meet-irreducibles as the oracle."""
-    try:
-        br = binomial_relations(lat)
-        eu = euler_checks(lat, q=br.q)
-        broken = None
-    except AssertionError as e:
-        # The q census and the interval scan disagree: both checks on q fail.
-        broken = str(e)
-    results["binomial"].checks += 1
-    if broken or not br.ok:
-        results["binomial"].add_failure(
-            p, "binomial transform mismatch (%s)" % tag,
-            broken or "q=%r d_minus=%r" % (br.q, br.d_minus))
+def _euler_row(lat):
+    eu = euler_checks(lat)
+    if not (eu.ok and eu.derivative_ok):
+        return "Q(-1)=%d Q'(-1)=%d |Mi|=%d" % (
+            eu.alternating_sum, eu.derivative_at_minus_one, eu.mi_count)
 
-    results["euler"].checks += 1
-    if broken or not (eu.ok and eu.derivative_ok):
-        results["euler"].add_failure(
-            p, "Euler check failed (%s)" % tag,
-            broken or "Q(-1)=%d Q'(-1)=%d |Mi|=%d"
-            % (eu.alternating_sum, eu.derivative_at_minus_one, eu.mi_count))
 
-    d = d_vectors(lat)
-    census = antichain_census(lat.mi_poset())
-    results["degree-symmetry"].checks += 1
+def _degree_row(lat):
+    # The antichain census of the meet-irreducibles is the oracle.
+    d, census = d_vectors(lat), antichain_census(lat.mi_poset())
     if not (d.minus == d.plus and poly_eq(d.minus, census)):
-        results["degree-symmetry"].add_failure(
-            p, "degree vectors disagree (%s)" % tag,
-            "d_minus=%r d_plus=%r census=%r" % (d.minus, d.plus, census))
+        return "d_minus=%r d_plus=%r census=%r" % (d.minus, d.plus, census)
 
 
-def _check_cutting(results, p, lat, k, tag):
-    """Per-cutting checks: counting + decomposition round trip, rank
-    recurrence, q and d recurrences.  Returns the expansion for reuse."""
-    exp = expand_poset(lat, k)
-    klat = lat.interval_lattice(k)
-
-    # The expansion has |L| + |K| elements by construction; decompose's walk
-    # over the enlarged poset is the independent count, and it compares
-    # the filters themselves.
-    ok = exp.lattice.size == lat.size + len(lat.between(*k))
+def _counts_row(lat, k, exp, klat):
+    # |L| + |K| holds by construction; decompose's walk over the enlarged
+    # poset is the independent count, and it compares the filters themselves.
     dec = decompose(exp.poset, exp.new_element)
-    ok = (ok and dec.counts_ok and dec.expansion_iso_ok
-          and poset_isomorphic(dec.minus, lat.base)
-          and poset_isomorphic(dec.star, klat.base))
-    results["expansion-counts"].checks += 1
-    if not ok:
-        results["expansion-counts"].add_failure(
-            p, "expansion size or decomposition round trip (%s interval %s,%s)"
-            % (tag, lat.bitstring(k.bottom), lat.bitstring(k.top)))
+    oks = (exp.lattice.size == lat.size + len(lat.between(*k)), dec.counts_ok,
+           dec.expansion_iso_ok, poset_isomorphic(dec.minus, lat.base),
+           poset_isomorphic(dec.star, klat.base))
+    if not all(oks):
+        return "size=%r counts=%r expansion=%r minus=%r star=%r" % oks
 
+
+def _rank_row(lat, k, exp, klat):
     rr = check_rank_recurrence(lat, k, exp)
-    results["rank-recurrence"].checks += 1
-    if not rr.ok:
-        results["rank-recurrence"].add_failure(
-            p, "rank recurrence (%s interval %s,%s)"
-            % (tag, lat.bitstring(k.bottom), lat.bitstring(k.top)),
-            "lhs=%r host=%r self=%r" % (rr.lhs, rr.rhs_host_graded,
-                                        rr.rhs_self_graded))
-
-    try:
-        qr = check_q_recurrence(lat, k, exp, klat=klat)
-        dr = check_d_recurrences(lat, k, exp, klat=klat)
-        broken = None
-    except AssertionError as e:
-        # A q census disagrees with its interval scan.
-        broken = str(e)
-    results["q-d-recurrences"].checks += 1
-    if broken or not (qr.ok and dr.ok):
-        results["q-d-recurrences"].add_failure(
-            p, "q/d recurrences (%s interval %s,%s)"
-            % (tag, lat.bitstring(k.bottom), lat.bitstring(k.top)),
-            broken or "q=%r size_ok=%r d_minus_ok=%r d_total_ok=%r"
-            % (qr.q_expanded, qr.size_ok, dr.d_minus_ok, dr.d_total_ok))
-    return exp
+    return None if rr.ok else "lhs=%r host=%r self=%r" % (
+        rr.lhs, rr.rhs_host_graded, rr.rhs_self_graded)
 
 
-def run_cutting_suite(trials=200, max_size=7, seed=1, exhaustive_max=5):
-    """One pass over exhaustive-iso plus random posets; returns a dict of
-    SuiteResults keyed by topic (see _CUTTING_TOPICS)."""
-    results = {name: SuiteResult(name, seed=seed) for name in _CUTTING_TOPICS}
+def _q_d_row(lat, k, exp, klat):
+    qr = check_q_recurrence(lat, k, exp, klat=klat)
+    dr = check_d_recurrences(lat, k, exp, klat=klat)
+    if not (qr.ok and dr.ok):
+        return "q=%r size_ok=%r d_minus_ok=%r d_total_ok=%r" % (
+            qr.q_expanded, qr.size_ok, dr.d_minus_ok, dr.d_total_ok)
+
+
+# (topic, failure text, check), where a check returns None when its identity
+# holds and the failure detail otherwise.  Lattice rows check(lat) run on each
+# pooled lattice and each expansion; cutting rows check(lat, k, expansion at
+# k, interval lattice of k) on each cutting k.
+_LATTICE_ROWS = (("binomial", "binomial transform mismatch", _binomial_row),
+                 ("euler", "Euler check failed", _euler_row),
+                 ("degree-symmetry", "degree vectors disagree", _degree_row))
+_CUTTING_ROWS = (("expansion-counts",
+                  "expansion size or decomposition round trip", _counts_row),
+                 ("rank-recurrence", "rank recurrence", _rank_row),
+                 ("q-d-recurrences", "q/d recurrences", _q_d_row))
+_CUTTING_TOPICS = ("cutting-equivalence",) + tuple(
+    topic for topic, _, _ in _CUTTING_ROWS + _LATTICE_ROWS)
+
+
+def _run_rows(results, rows, p, where, *args):
+    """Each row's check(*args); ``where()`` names the place of a failure."""
+    for topic, what, check in rows:
+        res = results[topic]
+        res.checks += 1
+        try:
+            detail = check(*args)
+        except AssertionError as e:
+            # A q census disagrees with its interval scan.
+            detail = str(e)
+        if detail is not None:
+            res.add_failure(p, "%s (%s)" % (what, where()), detail)
+
+
+def _vote(res, p, lat, tag, listed):
+    """The four cutting criteria must agree on every interval, and accept
+    exactly the cuttings ``listed`` by ``cuttings(lat)``."""
+    found = []
+    above = lat.above_masks()
+    for a in range(lat.size):
+        for b in iter_bits(above[a]):
+            k = IntervalRef(a, b)
+            votes = (is_cutting(lat, k, "chains"), is_cutting(lat, k, "union"),
+                     is_cutting(lat, k, "order"), is_cutting(lat, k, "star"))
+            res.checks += 1
+            if len(set(votes)) > 1:
+                res.add_failure(p, "methods disagree on [%s,%s] (%s)"
+                                % (lat.bitstring(a), lat.bitstring(b), tag),
+                                "chains=%r union=%r order=%r star=%r" % votes)
+            elif votes[0]:
+                found.append(k)
+    if listed != found:
+        missing, extra = (
+            [(lat.bitstring(a), lat.bitstring(b)) for a, b in sorted(s)]
+            for s in (set(found) - set(listed), set(listed) - set(found)))
+        res.add_failure(p, "cuttings() differs from the four-vote scan (%s)"
+                        % tag, "missing=%s extra=%s" % (missing, extra))
+
+
+def _cutting_pass(topics, trials, max_size, seed, exhaustive_max):
+    """One pass over exhaustive-iso plus random posets, running only the
+    checks of ``topics``; returns their SuiteResults keyed by topic."""
+    results = {name: SuiteResult(name, seed=seed) for name in topics}
+    lattice_rows = [row for row in _LATTICE_ROWS if row[0] in results]
+    cutting_rows = [row for row in _CUTTING_ROWS if row[0] in results]
+    eq = results.get("cutting-equivalence")
     t0 = time.perf_counter()
-    eq = results["cutting-equivalence"]
-
-    pool = list(_pool_iso(exhaustive_max)) + list(
-        _pool_random(trials, max_size, seed))
-    n_posets = 0
-    n_intervals = 0
-    n_cuttings = 0
-    equivalence_time = 0.0
-
+    pool = [*_pool_iso(exhaustive_max), *_pool_random(trials, max_size, seed)]
+    n_intervals = n_cuttings = vote_time = 0
     for tag, p in pool:
-        n_posets += 1
         lat = filter_lattice(p)
-
+        n_intervals += sum(m.bit_count() for m in lat.above_masks())
         te = time.perf_counter()
-        found = []
-        above = lat.above_masks()
-        for a in range(lat.size):
-            mask = above[a]
-            b = 0
-            while mask:
-                if mask & 1:
-                    k = IntervalRef(a, b)
-                    votes = (is_cutting(lat, k, "chains"),
-                             is_cutting(lat, k, "union"),
-                             is_cutting(lat, k, "order"),
-                             is_cutting(lat, k, "star"))
-                    n_intervals += 1
-                    eq.checks += 1
-                    if votes[0] != votes[1] or votes[0] != votes[2] \
-                            or votes[0] != votes[3]:
-                        eq.add_failure(
-                            p, "methods disagree on [%s,%s] (%s)"
-                            % (lat.bitstring(a), lat.bitstring(b), tag),
-                            "chains=%r union=%r order=%r star=%r" % votes)
-                    elif votes[0]:
-                        found.append(k)
-                mask >>= 1
-                b += 1
         listed = cuttings(lat)
-        if listed != found:
-            missing = sorted(set(found) - set(listed))
-            extra = sorted(set(listed) - set(found))
-            eq.add_failure(
-                p, "cuttings() differs from the four-vote scan (%s)" % tag,
-                "missing=%s extra=%s" % (
-                    [(lat.bitstring(a), lat.bitstring(b)) for a, b in missing],
-                    [(lat.bitstring(a), lat.bitstring(b)) for a, b in extra]))
-        equivalence_time += time.perf_counter() - te
-
-        _check_lattice_invariants(results, p, lat, tag)
-        for k in found:
-            n_cuttings += 1
-            exp = _check_cutting(results, p, lat, k, tag)
-            _check_lattice_invariants(results, exp.poset, exp.lattice,
-                                      tag + " expanded")
-
+        n_cuttings += len(listed)
+        if eq is not None:
+            _vote(eq, p, lat, tag, listed)
+            vote_time += time.perf_counter() - te
+        if lattice_rows or cutting_rows:
+            _run_rows(results, lattice_rows, p, lambda: tag, lat)
+            for a, b in listed:
+                k = IntervalRef(a, b)
+                exp = expand_poset(lat, k)
+                if cutting_rows:
+                    _run_rows(results, cutting_rows, p,
+                              lambda: "%s interval %s,%s" % (
+                                  tag, lat.bitstring(a), lat.bitstring(b)),
+                              lat, k, exp, lat.interval_lattice(k))
+                _run_rows(results, lattice_rows, exp.poset,
+                          lambda: tag + " expanded", exp.lattice)
+    elapsed = time.perf_counter() - t0
     summary = ("posets=%d (iso classes <=%d plus %d random <=%d), "
                "intervals=%d, cuttings=%d"
-               % (n_posets, exhaustive_max, trials, max_size,
+               % (len(pool), exhaustive_max, trials, max_size,
                   n_intervals, n_cuttings))
-    elapsed = time.perf_counter() - t0
-    for name in _CUTTING_TOPICS:
-        results[name].lines.append(summary)
-        results[name].elapsed = elapsed
-    eq.elapsed = equivalence_time
+    for res in results.values():
+        res.lines.append(summary)
+        res.elapsed = vote_time if res is eq else elapsed
     return results
 
 
-def verify_cutting_topic(name, trials=200, max_size=7, seed=1, exhaustive_max=5):
-    return run_cutting_suite(trials=trials, max_size=max_size, seed=seed,
-                             exhaustive_max=exhaustive_max)[name]
+def run_cutting_suite(trials=200, max_size=7, seed=1, exhaustive_max=5):
+    """The cutting pass over all seven topics (see _CUTTING_TOPICS)."""
+    return _cutting_pass(_CUTTING_TOPICS, trials, max_size, seed,
+                         exhaustive_max)
 
 
 # -- family suites ------------------------------------------------------------------
 
 
+def _refuse_over_cap(*sizes):
+    """Refuse, before any work, a suite whose largest lattice passes the cap."""
+    if max(sizes) > FILTER_CAP:
+        raise CapacityExceeded("more than %d filters" % FILTER_CAP)
+
+
 def verify_fibonacci(max_s=16):
     """All m, n >= 2 with m+n-2 <= max_s: sizes, the F identity, and the
     q recurrence, via the realized decomposition."""
+    _refuse_over_cap(fib(max_s + 2))
     res = SuiteResult("fibonacci")
     t0 = time.perf_counter()
     for s in range(2, max_s + 1):
@@ -330,6 +325,7 @@ def verify_fibonacci(max_s=16):
 def verify_lucas(max_two_n=10):
     """Crown sizes, the Lucas identity, the q recurrence, and the covering
     graph against the string-model Lucas cube."""
+    _refuse_over_cap(lucas(max_two_n // 2 * 2))
     res = SuiteResult("lucas")
     t0 = time.perf_counter()
     for n in range(2, max_two_n // 2 + 1):
@@ -349,9 +345,12 @@ def verify_lucas(max_two_n=10):
     return res
 
 
-def verify_cubes(max_fence=9, max_crown=10):
+def verify_cubes(max_fence=9):
     """Covering graphs of fence/crown filter lattices against the binary
-    string models, certified by the zigzag translation."""
+    string models, certified by the zigzag translation: fences up to
+    ``max_fence`` elements, crowns up to one more."""
+    max_crown = (max_fence + 1) // 2 * 2
+    _refuse_over_cap(fib(max_fence + 2), lucas(max_crown))
     res = SuiteResult("cubes")
     t0 = time.perf_counter()
     cases = ([(fence(n), fibonacci_cube, n, fib(n + 2), "fence n=%d",
@@ -375,8 +374,8 @@ def verify_cubes(max_fence=9, max_crown=10):
 
 
 def verify_random(trials=200, max_size=7, seed=2):
-    """Random-only layer: Birkhoff round trip plus the per-lattice invariant
-    bundle on every sampled poset."""
+    """Random-only layer: Birkhoff round trip, the binomial and Euler rows
+    of the cutting pass and d- = d+, as one check on every sampled poset."""
     res = SuiteResult("random", seed=seed)
     t0 = time.perf_counter()
     for tag, p in _pool_random(trials, max_size, seed):
@@ -384,18 +383,15 @@ def verify_random(trials=200, max_size=7, seed=2):
         lat = filter_lattice(p)
         ok = birkhoff_roundtrip(p)
         try:
-            br = binomial_relations(lat)
-            eu = euler_checks(lat, q=br.q)
-            broken = None
+            detail = _binomial_row(lat) or _euler_row(lat)
         except AssertionError as e:
             # The q census and the interval scan disagree on this poset.
-            broken = str(e)
+            detail = str(e)
         d = d_vectors(lat)
-        if broken or not (ok and br.ok and eu.ok and eu.derivative_ok
-                          and d.minus == d.plus):
-            res.add_failure(p, "random-layer invariants (%s)" % tag,
-                            broken or "roundtrip=%r binomial=%r euler=%r"
-                            % (ok, br.ok, eu.ok))
+        if detail or not (ok and d.minus == d.plus):
+            res.add_failure(p, "random-layer invariants (%s)" % tag, detail
+                            or "roundtrip=%r d_minus=%r d_plus=%r"
+                            % (ok, d.minus, d.plus))
     res.lines.append("trials=%d max_size=%d seed=%d" % (trials, max_size, seed))
     res.elapsed = time.perf_counter() - t0
     return res
@@ -427,10 +423,9 @@ def run_suite(name, trials=None, max_size=None, seed=None, max_param=None):
     if name in _CUTTING_TOPICS:
         # The exhaustive layer walks every poset up to five elements, fewer
         # when the largest random poset is smaller.
-        return verify_cutting_topic(name, trials=pick(trials, 200),
-                                    max_size=pick(max_size, 7),
-                                    seed=pick(seed, 1),
-                                    exhaustive_max=min(5, pick(max_size, 5)))
+        return _cutting_pass((name,), trials=pick(trials, 200),
+                             max_size=pick(max_size, 7), seed=pick(seed, 1),
+                             exhaustive_max=min(5, pick(max_size, 5)))[name]
     if name == "fibonacci":
         return verify_fibonacci(max_s=pick(max_param, 16))
     if name == "lucas":

@@ -101,7 +101,7 @@ def test_criterion_09_lucas_suite():
 
 
 def test_criterion_10_cube_graphs():
-    res = verify_cubes(max_fence=9, max_crown=10)
+    res = verify_cubes(max_fence=9)
     spot = fibonacci_cube(9).vertex_count == fib(11) == 89
     ok = res.ok and spot and res.elapsed < 10.0
     _record(10, ok, "covering graphs match string cubes, fences 0..9 and "

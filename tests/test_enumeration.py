@@ -1,6 +1,7 @@
 """The antichain DFS behind F(P): every filter with its minimal elements,
 checked against the naive oracles, the 2^n subset scan and closed forms."""
 
+import dataclasses
 import io
 import json
 import re
@@ -23,9 +24,9 @@ from latcut.invariants import (_split_histograms, _transfer_histograms,
                                _transfer_order, _walked_histograms,
                                poly_deriv, poly_eval, poly_trim)
 from latcut.poset import FILTER_CAP
-from latcut.verify import (_CUTTING_TOPICS, SuiteResult,
-                           _check_lattice_invariants, filters_by_scan,
-                           run_cutting_suite, verify_birkhoff)
+from latcut.verify import (_CUTTING_TOPICS, _LATTICE_ROWS, SuiteResult,
+                           _run_rows, filters_by_scan, run_cutting_suite,
+                           run_suite, verify_birkhoff)
 
 
 def labelset(p, bits):
@@ -584,42 +585,40 @@ def test_cli_stats_refuses_over_the_cap(capsys, monkeypatch):
 # -- each pooled lattice computes q once ------------------------------------------
 
 
-def _count_q_vector(monkeypatch):
-    import latcut.invariants as inv
-
+def _count_calls(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper that records its first argument."""
     calls = []
-    real = inv.q_vector
+    real = getattr(module, name)
 
-    def counting(lat):
-        calls.append(lat)
-        return real(lat)
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(inv, "q_vector", counting)
+    monkeypatch.setattr(module, name, counting)
     return calls
 
 
 def test_lattice_invariant_checks_compute_q_once(monkeypatch):
+    # The binomial and Euler rows both ask for q: the lattice is censused
+    # and scanned once, and the second row reads the cached vector.
+    import latcut.invariants as inv
+
     p = crown(6)
     lat = filter_lattice(p)
-    calls = _count_q_vector(monkeypatch)
+    censused = _count_calls(monkeypatch, inv, "_q_census")
+    scanned = _count_calls(monkeypatch, inv, "_q_scan")
     results = {name: SuiteResult(name) for name in _CUTTING_TOPICS}
-    _check_lattice_invariants(results, p, lat, "crown(6)")
-    assert calls == [lat]
+    _run_rows(results, _LATTICE_ROWS, p, lambda: "crown(6)", lat)
+    assert censused == scanned == [lat]
     assert all(r.ok for r in results.values())
-    assert results["euler"].checks == results["binomial"].checks == 1
+    assert [results[topic].checks
+            for topic, _, _ in _LATTICE_ROWS] == [1, 1, 1]
 
 
 def test_cutting_suite_scans_each_distinct_lattice_once(monkeypatch):
     import latcut.invariants as inv
 
-    scanned = []
-    real = inv._q_scan
-
-    def counting(lat):
-        scanned.append(lat)
-        return real(lat)
-
-    monkeypatch.setattr(inv, "_q_scan", counting)
+    scanned = _count_calls(monkeypatch, inv, "_q_scan")
     results = run_cutting_suite(trials=4, max_size=5, seed=3,
                                 exhaustive_max=3)
     assert all(r.ok for r in results.values())
@@ -636,7 +635,62 @@ def test_cutting_suite_scans_each_distinct_lattice_once(monkeypatch):
 
 
 def test_random_layer_computes_q_once_per_poset(monkeypatch):
-    calls = _count_q_vector(monkeypatch)
+    # The binomial and Euler checks both ask for q; the second reads the
+    # vector cached on the lattice.
+    import latcut.invariants as inv
+
+    censused = _count_calls(monkeypatch, inv, "_q_census")
+    scanned = _count_calls(monkeypatch, inv, "_q_scan")
     res = verify_random(trials=6, max_size=5, seed=3)
     assert res.ok
-    assert len(calls) == 6
+    assert len(censused) == len(scanned) == 6
+    assert censused == scanned
+
+
+# -- each cutting topic runs only its own rows -------------------------------------
+
+# run_suite walks every poset up to min(5, max_size) elements, so these
+# match run_cutting_suite with exhaustive_max=4.
+_SMALL_PASS = dict(trials=3, max_size=4, seed=3)
+
+
+@pytest.fixture(scope="module")
+def whole_pass():
+    return run_cutting_suite(exhaustive_max=4, **_SMALL_PASS)
+
+
+@pytest.mark.parametrize("topic", _CUTTING_TOPICS)
+def test_a_cutting_topic_alone_reports_what_the_whole_pass_reports(
+        topic, whole_pass):
+    alone = run_suite(topic, **_SMALL_PASS)
+    assert alone.ok and alone.checks > 0
+    assert alone.report() == whole_pass[topic].report()
+
+
+@pytest.mark.parametrize("topic", _CUTTING_TOPICS)
+def test_only_the_equivalence_topic_votes_and_only_counts_decompose(
+        topic, monkeypatch):
+    import latcut.expansion as ex
+    import latcut.verify as ver
+
+    # Counted under both names: the pass's own and the one inside
+    # latcut.expansion, in case a production route reaches it there.
+    votes = [_count_calls(monkeypatch, m, "is_cutting") for m in (ver, ex)]
+    splits = [_count_calls(monkeypatch, m, "decompose") for m in (ver, ex)]
+    assert run_suite(topic, trials=2, max_size=4, seed=3).ok
+    assert any(votes) == (topic == "cutting-equivalence")
+    assert any(splits) == (topic == "expansion-counts")
+
+
+def test_a_planted_rank_recurrence_failure_fails_only_its_topic(monkeypatch):
+    import latcut.verify as ver
+
+    real = ver.check_rank_recurrence
+    monkeypatch.setattr(ver, "check_rank_recurrence", lambda *args:
+                        dataclasses.replace(real(*args), ok=False))
+    results = run_cutting_suite(trials=2, max_size=4, seed=3,
+                                exhaustive_max=3)
+    rank = results.pop("rank-recurrence")
+    assert rank.checks > 0 and len(rank.failures) == rank.checks
+    assert "FAIL rank-recurrence: rank recurrence (iso n=" in rank.report()
+    assert all(r.ok for r in results.values())

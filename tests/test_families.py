@@ -21,7 +21,7 @@ from latcut.cli import cli_run
 from latcut.families import GRAPH_ISO_CAP, _zigzag_translate
 from latcut.invariants import poly_eval
 from latcut.poset import FILTER_CAP
-from latcut.verify import verify_fibonacci
+from latcut.verify import verify_cubes, verify_fibonacci
 
 
 # -- poset generators -----------------------------------------------------------------
@@ -315,6 +315,15 @@ def test_cli_verify_cubes_past_the_search_cap(suite, bound, largest, capsys):
     out, err = capsys.readouterr()
     assert out.startswith("suite %s: " % suite) and ", ok\n" in out
     assert largest in out.splitlines() and err == ""
+
+
+@pytest.mark.parametrize("bound,last", [(9, "crown 2n=10,vertices=123,ok"),
+                                        (11, "crown 2n=12,vertices=322,ok"),
+                                        (12, "crown 2n=12,vertices=322,ok")])
+def test_verify_cubes_bounds_crowns_by_one_more_than_fences(bound, last):
+    lines = verify_cubes(max_fence=bound).report().splitlines()
+    assert "fence n=%d,vertices=%d,ok" % (bound, fib(bound + 2)) in lines
+    assert lines[-1] == last
 
 
 def test_cover_cube_edges_match_naive_covers():

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -143,6 +144,19 @@ def test_cli_family_then_stats(capsys, monkeypatch):
     stats = json.loads(stats_out)
     assert stats["size"] == 5 and stats["q"] == [5, 5, 1]
     assert json.dumps(stats, sort_keys=True) + "\n" == stats_out
+
+
+@pytest.mark.parametrize("kind,n", [("chain", -1), ("antichain", -1),
+                                    ("fence", -1), ("crown", -4)])
+def test_cli_family_refuses_a_negative_size(kind, n, capsys):
+    code, out, err = run_cli(["family", kind, str(n)], capsys=capsys)
+    assert (code, out, err) == (2, "", "error: n must not be negative, got %d\n"
+                                % n)
+
+
+@pytest.mark.parametrize("kind", ["chain", "antichain", "fence"])
+def test_cli_family_of_size_zero_is_the_empty_poset(kind, capsys):
+    assert run_cli(["family", kind, "0"], capsys=capsys) == (0, "", "")
 
 
 def test_cli_filters_and_mi(capsys, monkeypatch):
@@ -288,6 +302,21 @@ def test_cli_verify_max_size_bounds_the_exhaustive_layer(capsys):
 def test_cli_verify_rejects_negative_counts_and_sizes(argv, message, capsys):
     code, out, err = run_cli(["verify"] + argv, capsys=capsys)
     assert (code, out, err) == (2, "", "error: %s\n" % message)
+
+
+@pytest.mark.parametrize("suite,bound", [
+    ("cubes", 40), ("fibonacci", 40), ("lucas", 40),
+    # The first bounds whose largest lattice passes the cap: F(fence(29))
+    # has fib(31) = 1346269 filters, F(crown(30)) has lucas(30) = 1860498.
+    ("cubes", 29), ("fibonacci", 29), ("lucas", 30),
+])
+def test_cli_verify_refuses_an_oversized_family_before_any_work(suite, bound,
+                                                                capsys):
+    t0 = time.perf_counter()
+    code, out, err = run_cli(["verify", suite, "--max", str(bound)],
+                             capsys=capsys)
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out, err) == (2, "", "error: more than 1048576 filters\n")
 
 
 @pytest.mark.parametrize("argv", [["verify", "cubes", "--cap", "5"],
