@@ -46,6 +46,11 @@ _SCAN_BASE_LIMIT = 20
 _SCAN_PAIR_LIMIT = 1 << 23
 # Pair entries per row block of the scan: 4 MiB of uint32 temporaries.
 _SCAN_BLOCK_PAIRS = 1 << 20
+# Lattices up to this size are scanned on Python ints, without numpy.  It
+# covers every lattice of a poset of at most 6 elements, so the exhaustive
+# layer of the cutting pass (posets of up to 5 elements and their
+# expansions); past it numpy's blocks are several times faster.
+_SCAN_INT_LIMIT = 64
 
 
 # -- polynomial helpers (coefficient lists, exact ints) -------------------------
@@ -143,33 +148,69 @@ def _q_census(lat):
 def _q_scan(lat):
     """Interval-scan oracle: enumerate every comparable pair (a, b), take the
     set difference of their filters, and count it by its size when it is an
-    antichain (looked up in the cached Poset.antichain_table bitset, unpacked
-    once per call).
+    antichain (looked up in the bytes of the cached Poset.antichain_table).
 
-    Filters are held as uint32 masks.  The pairs are taken in blocks of
-    rows a, about _SCAN_BLOCK_PAIRS entries each, so the temporaries stay
-    near 4 MiB at any lattice size; the time is still O(|F|^2).  F_b within
-    F_a puts b at or after a in the canonical order (larger filters first),
-    so each block is compared only with the columns from its first row on.
-    numpy is imported here, when a scan runs, so importing latcut does not
-    load it.  Raises CapacityExceeded past _SCAN_BASE_LIMIT base elements,
+    Two kernels of that one definition, chosen by lattice size: up to
+    _SCAN_INT_LIMIT elements (2^12 ordered pairs) the pairs are walked on
+    Python ints (:func:`_q_scan_ints`), where numpy's fixed cost per call
+    and on import would exceed the whole scan; larger lattices go to the
+    numpy row blocks of :func:`_q_scan_blocks`, the only code that imports
+    numpy.  Raises CapacityExceeded past _SCAN_BASE_LIMIT base elements,
     where the 2^n-bit table and the uint32 masks no longer fit.
     """
-    base = lat.base
-    n = base.n
+    n = lat.base.n
     if n > _SCAN_BASE_LIMIT:
         raise CapacityExceeded("the interval scan takes at most %d base "
                                "elements, not %d" % (_SCAN_BASE_LIMIT, n))
     if n == 0:
         return [1]
+    if lat.size <= _SCAN_INT_LIMIT:
+        return _q_scan_ints(lat)
+    return _q_scan_blocks(lat)
+
+
+def _antichain_bytes(base):
+    """Poset.antichain_table as little-endian bytes: subset m is an antichain
+    when bit m % 8 of byte m // 8 is set."""
+    return base.antichain_table().to_bytes(((1 << base.n) + 7) // 8, "little")
+
+
+def _q_scan_ints(lat):
+    """The interval scan on Python ints.  F_b within F_a puts b at or after a
+    in the canonical order (larger filters first), so each row a walks only
+    the columns from a on.  The antichain test indexes the table's bytes:
+    shifting the 2^n-bit int instead would cost a copy of it per pair."""
+    n = lat.base.n
+    table = _antichain_bytes(lat.base)
+    filters = lat.filters
+    counts = [0] * (n + 1)
+    for a, fa in enumerate(filters):
+        outside = ~fa
+        for fb in filters[a:]:
+            if not fb & outside:                       # F_b within F_a
+                s = fa ^ fb
+                if table[s >> 3] >> (s & 7) & 1:
+                    counts[s.bit_count()] += 1
+    return poly_trim(counts)
+
+
+def _q_scan_blocks(lat):
+    """The interval scan in numpy row blocks.  Filters are held as uint32
+    masks.  The pairs are taken in blocks of rows a, about _SCAN_BLOCK_PAIRS
+    entries each, so the temporaries stay near 4 MiB at any lattice size;
+    the time is still O(|F|^2).  As in :func:`_q_scan_ints`, each block is
+    compared only with the columns from its first row on.  numpy is imported
+    here, so importing latcut, and scanning only small lattices, does not
+    load it."""
     import numpy as np
 
+    n = lat.base.n
     f = np.array(lat.filters, dtype=np.uint32)
     # No mask by base.full_mask is needed: notf is only ever ANDed with a
     # filter, whose bits all lie inside it.
     notf = ~f
-    packed = base.antichain_table().to_bytes(((1 << n) + 7) // 8, "little")
-    table = np.unpackbits(np.frombuffer(packed, dtype=np.uint8),
+    table = np.unpackbits(np.frombuffer(_antichain_bytes(lat.base),
+                                        dtype=np.uint8),
                           bitorder="little", count=1 << n).view(bool)
     step = max(1, _SCAN_BLOCK_PAIRS // len(f))
     counts = np.zeros(n + 1, dtype=np.int64)
@@ -186,8 +227,10 @@ def _q_scan(lat):
 def q_vector(lat):
     """Counts of Boolean-cube intervals by dimension: the census
     (:func:`_q_census`), checked against the interval scan
-    (:func:`_q_scan`) whenever the scan is affordable.  Computed once per
-    lattice and cached on it; each call returns a fresh list."""
+    (:func:`_q_scan`) whenever the scan is affordable.  The scan loads
+    numpy only for a lattice of more than _SCAN_INT_LIMIT elements.
+    Computed once per lattice and cached on it; each call returns a fresh
+    list."""
     if lat._q is None:
         q = _q_census(lat)
         if (lat.base.n <= _SCAN_BASE_LIMIT

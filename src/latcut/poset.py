@@ -156,9 +156,10 @@ class Poset:
         """Raise CapacityExceeded, in O(n), when the minimal or the maximal
         elements alone force more than ``cap`` filters: each is an antichain
         of some size w, and every subset of an antichain generates its own
-        filter, so there are at least 2^w."""
-        wide = max(self.min_of(self.full_mask).bit_count(),
-                   self.max_of(self.full_mask).bit_count())
+        filter, so there are at least 2^w.  The minimal elements of the
+        whole poset are those with nothing below, the maximal ones those
+        with nothing above."""
+        wide = max(self.down.count(0), self.up.count(0))
         if 1 << wide > cap:
             raise CapacityExceeded(
                 "an antichain of %d elements forces more than %d filters"

@@ -52,7 +52,8 @@ def test_importing_the_package_and_cli_leaves_networkx_out():
 
 
 def test_importing_the_package_and_cli_leaves_numpy_out():
-    # numpy is imported by the interval scan alone, when a scan runs.
+    # numpy is imported by the interval scan alone, when it scans a lattice
+    # of more than 64 elements.
     assert _loaded_after_importing_latcut("numpy") == "False\n"
 
 
@@ -77,6 +78,41 @@ def test_stats_leaves_numpy_out_where_the_scan_is_affordable():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[0, 377, false]\n"
+
+
+_NUMPY_AFTER = """\
+import contextlib, io, json, sys
+from latcut import fence, filter_lattice, q_vector
+from latcut.cli import cli_run
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    %s
+print(json.dumps([result, "numpy" in sys.modules]))
+"""
+
+
+def _numpy_loaded_after(statement):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_AFTER % statement],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_a_verify_run_on_small_lattices_leaves_numpy_out():
+    # Posets of at most 5 elements: lattices of at most 32 elements and
+    # expansions of at most 64, all scanned on Python ints.
+    assert _numpy_loaded_after(
+        "result = cli_run(['verify', 'euler', '--trials', '20', "
+        "'--max-size', '5'])") == "[0, false]\n"
+
+
+def test_a_scan_past_the_int_kernel_loads_numpy():
+    # F(fence(16)) has 2584 elements: its scan runs in numpy row blocks.
+    assert _numpy_loaded_after(
+        "result = q_vector(filter_lattice(fence(16)))"
+    ) == ("[[2584, 11822, 23109, 25088, 16435, 6588, 1554, 192, 9], "
+          "true]\n")
 
 
 def _texts_outside_tests():

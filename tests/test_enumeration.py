@@ -6,6 +6,7 @@ import io
 import json
 import re
 import sys
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -446,8 +447,11 @@ def test_transfer_histograms_on_unsplit_composites(make):
 _BIG_CAP = 1 << 300
 
 
-def _check_closed_forms(got, n, size):
+def _check_closed_forms(got, n, size, d_minus):
     assert got["n"] == n and got["size"] == size
+    # By Birkhoff d_minus is the antichain census of P (criterion 11), and
+    # every F(P) has d_plus == d_minus.
+    assert got["d_minus"] == got["d_plus"] == d_minus
     assert sum(got["rank_poly"]) == sum(got["d_total"]) == size
     # F(P) has one meet-irreducible per element of P.
     assert got["mi_count"] == n
@@ -456,15 +460,27 @@ def _check_closed_forms(got, n, size):
     assert got["euler_ok"] and got["euler_derivative_ok"]
 
 
+def _fence_d(n):
+    # The antichains of a fence are the independent sets of a path.
+    return [comb(n - k + 1, k) for k in range((n + 1) // 2 + 1)]
+
+
+def _crown_d(two_n):
+    # The antichains of a crown are the independent sets of a cycle.
+    return [1] + [two_n * comb(two_n - k, k) // (two_n - k)
+                  for k in range(1, two_n // 2 + 1)]
+
+
 @pytest.mark.parametrize("n", [21, 34, 55, 89, 144, 233, 300])
 def test_poset_stats_on_fences_is_fibonacci(n):
-    _check_closed_forms(poset_stats(fence(n), cap=_BIG_CAP), n, fib(n + 2))
+    _check_closed_forms(poset_stats(fence(n), cap=_BIG_CAP), n, fib(n + 2),
+                        _fence_d(n))
 
 
 @pytest.mark.parametrize("two_n", [22, 40, 64, 100, 150, 200])
 def test_poset_stats_on_crowns_is_lucas(two_n):
     _check_closed_forms(poset_stats(crown(two_n), cap=_BIG_CAP), two_n,
-                        lucas(two_n))
+                        lucas(two_n), _crown_d(two_n))
 
 
 def test_poset_stats_on_nesting_deeper_than_the_recursion_limit():
@@ -571,7 +587,7 @@ def test_cli_stats_on_fence_300_under_a_big_cap(capsys, monkeypatch):
     assert cli_run(["stats", "--cap", str(_BIG_CAP)]) == 0
     out, err = capsys.readouterr()
     assert err == ""
-    _check_closed_forms(json.loads(out), 300, fib(302))
+    _check_closed_forms(json.loads(out), 300, fib(302), _fence_d(300))
 
 
 def test_cli_stats_refuses_over_the_cap(capsys, monkeypatch):

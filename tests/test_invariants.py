@@ -19,7 +19,8 @@ from latcut import (CUTTING_METHODS, CapacityExceeded, IntervalRef,
                     inverse_binomial_transform, is_cutting, poset_from_covers,
                     posets_up_to_iso, q_vector, rank_gen, rank_gen_of,
                     stats_dict)
-from latcut.invariants import (_SCAN_BLOCK_PAIRS, _q_census, _q_scan,
+from latcut.invariants import (_SCAN_BLOCK_PAIRS, _SCAN_INT_LIMIT, _q_census,
+                               _q_scan, _q_scan_blocks, _q_scan_ints,
                                poly_add, poly_deriv, poly_eq, poly_eval,
                                poly_mul, poly_shift, poly_trim)
 from latcut.verify import _pool_iso, _pool_random
@@ -310,6 +311,43 @@ def test_blocked_scan_matches_the_census_across_row_blocks(make, size):
     assert lat.size == size
     assert lat.size > _SCAN_BLOCK_PAIRS // lat.size      # several blocks
     assert _q_scan(lat) == _q_census(lat)
+
+
+@settings(max_examples=60, deadline=None)
+@given(posets(max_n=7))
+def test_scan_kernels_agree_at_every_size(p):
+    # Both kernels run on every lattice here, whichever one _q_scan picks.
+    lat = filter_lattice(p)
+    assert _q_scan_ints(lat) == _q_scan_blocks(lat) == poly_trim(
+        _q_census(lat))
+
+
+@pytest.mark.parametrize("make,size,kernel", [
+    (lambda: antichain(6), 64, "_q_scan_ints"),
+    (lambda: _chain_product(4, 12), 65, "_q_scan_blocks"),
+], ids=["antichain6", "chains4_12"])
+def test_scan_picks_its_kernel_by_lattice_size(make, size, kernel,
+                                               monkeypatch):
+    import latcut.invariants as inv
+
+    lat = filter_lattice(make())
+    assert lat.size == size
+    assert (size <= _SCAN_INT_LIMIT) == (kernel == "_q_scan_ints")
+    assert _q_scan_ints(lat) == _q_scan_blocks(lat) == _q_census(lat)
+    picked = []
+
+    def recording(name):
+        real = getattr(inv, name)
+
+        def run(lat):
+            picked.append(name)
+            return real(lat)
+        return run
+
+    for name in ("_q_scan_ints", "_q_scan_blocks"):
+        monkeypatch.setattr(inv, name, recording(name))
+    assert _q_scan(lat) == _q_census(lat)
+    assert picked == [kernel]
 
 
 def test_scan_matches_the_interval_oracle_on_the_cutting_pool():
