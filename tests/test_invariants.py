@@ -19,10 +19,10 @@ from latcut import (CUTTING_METHODS, CapacityExceeded, IntervalRef,
                     inverse_binomial_transform, is_cutting, poset_from_covers,
                     posets_up_to_iso, q_vector, rank_gen, rank_gen_of,
                     stats_dict)
-from latcut.invariants import (_SCAN_BLOCK_PAIRS, _SCAN_INT_LIMIT, _q_census,
-                               _q_scan, _q_scan_blocks, _q_scan_ints,
-                               poly_add, poly_deriv, poly_eq, poly_eval,
-                               poly_mul, poly_shift, poly_trim)
+from latcut.invariants import (_SCAN_BLOCK_PAIRS, _q_census, _q_scan,
+                               _q_scan_blocks, _q_scan_ints, poly_add,
+                               poly_deriv, poly_eq, poly_eval, poly_mul,
+                               poly_shift, poly_trim)
 from latcut.verify import _pool_iso, _pool_random
 
 
@@ -332,7 +332,6 @@ def test_scan_picks_its_kernel_by_lattice_size(make, size, kernel,
 
     lat = filter_lattice(make())
     assert lat.size == size
-    assert (size <= _SCAN_INT_LIMIT) == (kernel == "_q_scan_ints")
     assert _q_scan_ints(lat) == _q_scan_blocks(lat) == _q_census(lat)
     picked = []
 
