@@ -5,8 +5,8 @@ Run:  python3 demos/zigzag_walkthrough.py
 """
 
 from latcut import (boundary, expand_poset, filter_lattice, is_cutting,
-                    poset_from_covers, rank_gen, q_vector, d_vectors,
-                    euler_checks)
+                    poset_from_covers, rank_gen, q_vector, d_vectors)
+from latcut.invariants import poly_deriv, poly_eval
 
 p = poset_from_covers(["a", "b", "c"], [("b", "a"), ("b", "c")])
 lat = filter_lattice(p)
@@ -17,11 +17,12 @@ for x in range(lat.size):
     print("  %s  height %d  {%s}" % (lat.bitstring(x), lat.heights[x], labs))
 
 print("rank polynomial coefficients:", rank_gen(lat))
-print("cube counts q:", q_vector(lat))
+q = q_vector(lat)
+print("cube counts q:", q)
 print("up-cover histogram:", d_vectors(lat).minus)
-e = euler_checks(lat)
 print("Q(-1) = %d, Q'(-1) = %d, meet-irreducibles = %d"
-      % (e.alternating_sum, e.derivative_at_minus_one, e.mi_count))
+      % (poly_eval(q, -1), poly_eval(poly_deriv(q), -1),
+         len(lat.meet_irreducibles())))
 
 # the interval from 101 up to the top is a cutting: every maximal chain
 # has to pass through it

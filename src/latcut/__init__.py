@@ -27,8 +27,7 @@ from .families import (CubeGraph, FibonacciReport, LucasReport, antichain,
                        verify_fibonacci_decomposition,
                        verify_lucas_decomposition)
 from .fileio import export_dot, parse_poset_file, write_poset_file
-from .invariants import (BinomialReport, DegreeVectors, EulerReport,
-                         antichain_census, binomial_relations,
+from .invariants import (DegreeVectors, antichain_census, binomial_relations,
                          binomial_transform, check_d_recurrences,
                          check_q_recurrence, check_rank_recurrence, d_vectors,
                          euler_checks, inverse_binomial_transform,
@@ -65,11 +64,11 @@ __all__ = [
     # fileio
     "export_dot", "parse_poset_file", "write_poset_file",
     # invariants
-    "BinomialReport", "DegreeVectors", "EulerReport", "antichain_census",
-    "binomial_relations", "binomial_transform", "check_d_recurrences",
-    "check_q_recurrence", "check_rank_recurrence", "d_vectors",
-    "euler_checks", "inverse_binomial_transform", "poset_stats", "q_vector",
-    "rank_gen", "rank_gen_of", "stats_dict",
+    "DegreeVectors", "antichain_census", "binomial_relations",
+    "binomial_transform", "check_d_recurrences", "check_q_recurrence",
+    "check_rank_recurrence", "d_vectors", "euler_checks",
+    "inverse_binomial_transform", "poset_stats", "q_vector", "rank_gen",
+    "rank_gen_of", "stats_dict",
     # lattice
     "DistLattice", "IntervalRef", "birkhoff_roundtrip", "filter_lattice",
     # poset

@@ -30,6 +30,10 @@ from .verify import SUITE_NAMES, run_suite
 
 _FAMILIES = {"fence": fence, "crown": crown, "chain": chain,
              "antichain": antichain}
+# A poset of n elements holds about n^2 bits of order relation: chain(2^14)
+# already peaks near 110 MiB.  Larger families are refused before any is
+# generated.
+_FAMILY_MAX = 1 << 14
 
 
 def _read_text(path):
@@ -223,6 +227,9 @@ def _dispatch(args):
     if args.command == "family":
         if args.n < 0:
             raise LatcutError("n must not be negative, got %d" % args.n)
+        if args.n > _FAMILY_MAX:
+            raise LatcutError("n must be at most %d, got %d"
+                              % (_FAMILY_MAX, args.n))
         _emit(write_poset_file(_FAMILIES[args.kind](args.n)), out)
         return 0
 

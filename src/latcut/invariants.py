@@ -300,19 +300,6 @@ def d_vectors(lat):
 # -- binomial transform and Euler relations ------------------------------------------
 
 
-@dataclass(frozen=True)
-class BinomialReport:
-    q: list
-    d_minus: list
-    q_from_d_ok: bool       # q_k = sum_j C(j, k) d_j
-    d_from_q_ok: bool       # d_k = sum_j (-1)^(j-k) C(j, k) q_j
-    substitution_ok: bool   # Q(x) = D(1 + x) as polynomials
-
-    @property
-    def ok(self):
-        return self.q_from_d_ok and self.d_from_q_ok and self.substitution_ok
-
-
 def binomial_transform(d):
     """q_k = sum over j of C(j, k) d_j.  Row j of Pascal's triangle is made
     from row j - 1 as the sum runs, so this takes O(w^2) additions and
@@ -334,65 +321,49 @@ def inverse_binomial_transform(q):
 
 
 def binomial_relations(lat):
-    """Check all three forms of the q / d_minus correspondence."""
+    """Check all three forms of the q / d_minus correspondence: None when
+    they hold, the failure detail otherwise."""
     q = q_vector(lat)
     d = d_vectors(lat).minus
-    # The comb() sum, independent of the census's Pascal row and of the
-    # substitution below.
+    # q_k = sum_j C(j, k) d_j by the comb() sum, independent of the census's
+    # Pascal row and of the substitution below.
     q_from_d = [sum(comb(j, k) * d[j] for j in range(k, len(d)))
                 for k in range(len(d))]
+    # d_k = sum_j (-1)^(j-k) C(j, k) q_j.
     d_from_q = inverse_binomial_transform(q)
-    # Substitution route, by polynomial arithmetic rather than comb().
+    # Q(x) = D(1 + x), by polynomial arithmetic rather than comb().
     sub = []
     for coeff in reversed(d):
         sub = poly_add(poly_mul(sub, [1, 1]), [coeff])
-    return BinomialReport(
-        q=q, d_minus=d,
-        q_from_d_ok=poly_eq(q_from_d, q),
-        d_from_q_ok=poly_eq(d_from_q, d),
-        substitution_ok=poly_eq(sub, q))
+    if not (poly_eq(q_from_d, q) and poly_eq(d_from_q, d)
+            and poly_eq(sub, q)):
+        return "q=%r d_minus=%r" % (q, d)
 
 
-@dataclass(frozen=True)
-class EulerReport:
-    alternating_sum: int     # Q(-1)
-    derivative_at_minus_one: int
-    mi_count: int
-
-    @property
-    def ok(self):
-        return self.alternating_sum == 1
-
-    @property
-    def derivative_ok(self):
-        return self.derivative_at_minus_one == self.mi_count
+def _euler_sums(q):
+    """Q(-1) and Q'(-1), which the Euler relations put at 1 and |Mi|."""
+    return poly_eval(q, -1), poly_eval(poly_deriv(q), -1)
 
 
 def euler_checks(lat):
-    """Q(-1) = 1 and Q'(-1) = number of meet-irreducibles."""
-    return _euler_report(q_vector(lat), len(lat.meet_irreducibles()))
-
-
-def _euler_report(q, mi_count):
-    return EulerReport(
-        alternating_sum=poly_eval(q, -1),
-        derivative_at_minus_one=poly_eval(poly_deriv(q), -1),
-        mi_count=mi_count)
+    """Q(-1) = 1 and Q'(-1) = number of meet-irreducibles: None when both
+    hold, the failure detail otherwise."""
+    alternating, derivative = _euler_sums(q_vector(lat))
+    mi_count = len(lat.meet_irreducibles())
+    if (alternating, derivative) != (1, mi_count):
+        return "Q(-1)=%d Q'(-1)=%d |Mi|=%d" % (alternating, derivative,
+                                                mi_count)
 
 
 # -- recurrences under expansion ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RankRecurrenceReport:
-    lhs: list                 # rank polynomial of the expanded lattice
-    rhs_host_graded: list     # R_L(below top) + x R_L(above bottom)
-    rhs_self_graded: list     # R(below top) + x^(h(bottom)+1) R(above bottom)
-    rhs_case: list | None     # specialisation when K touches bottom or top
-    ok: bool
+#
+# Each check returns None when its identity holds at the cutting ``k`` and
+# the failure detail otherwise.
 
 
 def check_rank_recurrence(lat, k, exp=None):
+    """The host-graded and self-graded forms, and the specialisation when
+    K touches the bottom or the top of ``lat``."""
     k = lat.interval(*k)
     if exp is None:
         exp = expand_poset(lat, k)
@@ -402,8 +373,10 @@ def check_rank_recurrence(lat, k, exp=None):
     above_bottom = lat.between(k.bottom, lat.top)
     h0 = lat.heights[k.bottom]
 
+    # R_L(below top) + x R_L(above bottom)
     rhs_host = poly_add(rank_gen_of(lat, below_top),
                         poly_shift(rank_gen_of(lat, above_bottom), 1))
+    # R(below top) + x^(h(bottom)+1) R(above bottom)
     rhs_self = poly_add(rank_gen_of(lat, below_top),
                         poly_shift(rank_gen_of(lat, above_bottom, offset=h0),
                                    h0 + 1))
@@ -418,25 +391,16 @@ def check_rank_recurrence(lat, k, exp=None):
         rhs_case = poly_add(rank_gen_of(lat, interval),
                             poly_shift(rank_gen(lat), 1))
 
-    ok = (poly_eq(lhs, rhs_host) and poly_eq(lhs, rhs_self)
-          and (rhs_case is None or poly_eq(lhs, rhs_case)))
-    return RankRecurrenceReport(lhs=lhs, rhs_host_graded=rhs_host,
-                                rhs_self_graded=rhs_self, rhs_case=rhs_case,
-                                ok=ok)
-
-
-@dataclass(frozen=True)
-class QRecurrenceReport:
-    q_host: list
-    q_interval: list
-    q_expanded: list
-    size_ok: bool     # |exp| = |L| + |K|, the k = 0 line
-    ok: bool
+    if not (poly_eq(lhs, rhs_host) and poly_eq(lhs, rhs_self)
+            and (rhs_case is None or poly_eq(lhs, rhs_case))):
+        return "lhs=%r host=%r self=%r case=%r" % (lhs, rhs_host, rhs_self,
+                                                   rhs_case)
 
 
 def check_q_recurrence(lat, k, exp=None, klat=None):
-    """``exp`` and ``klat``, the expansion at ``k`` and the interval lattice
-    of ``k``, are built here unless the caller has them."""
+    """The q recurrence and its k = 0 line, |exp| = |L| + |K|.  ``exp``
+    and ``klat``, the expansion at ``k`` and the interval lattice of ``k``,
+    are built here unless the caller has them."""
     k = lat.interval(*k)
     if exp is None:
         exp = expand_poset(lat, k)
@@ -447,22 +411,14 @@ def check_q_recurrence(lat, k, exp=None, klat=None):
     q_exp = q_vector(exp.lattice)
     want = poly_add(q_host, poly_add(q_int, poly_shift(q_int, 1)))
     size_ok = exp.lattice.size == lat.size + len(lat.between(*k))
-    return QRecurrenceReport(q_host=q_host, q_interval=q_int, q_expanded=q_exp,
-                             size_ok=size_ok, ok=size_ok and poly_eq(q_exp, want))
-
-
-@dataclass(frozen=True)
-class DRecurrenceReport:
-    d_minus_ok: bool     # after one expansion
-    d_total_ok: bool     # after expanding again at the copy interval
-    mi_growth_ok: bool   # d_1 of minus-vector grows by 1: one new meet-irreducible
-    ok: bool
+    if not (size_ok and poly_eq(q_exp, want)):
+        return "q=%r size_ok=%r" % (q_exp, size_ok)
 
 
 def check_d_recurrences(lat, k, exp=None, klat=None):
-    """One expansion for the up-cover histogram, a second expansion at the
-    copy interval for the total-degree histogram.  ``exp`` and ``klat`` as
-    in :func:`check_q_recurrence`."""
+    """One expansion for the up-cover histogram, and the growth of |Mi| by
+    one; a second expansion at the copy interval for the total-degree
+    histogram.  ``exp`` and ``klat`` as in :func:`check_q_recurrence`."""
     k = lat.interval(*k)
     if exp is None:
         exp = expand_poset(lat, k)
@@ -481,9 +437,9 @@ def check_d_recurrences(lat, k, exp=None, klat=None):
     d_exp2 = d_vectors(exp2.lattice)
     total_ok = poly_eq(d_exp2.total,
                        poly_add(d_exp.total, poly_shift(d_int.total, 2)))
-    return DRecurrenceReport(d_minus_ok=minus_ok, d_total_ok=total_ok,
-                             mi_growth_ok=mi_ok,
-                             ok=minus_ok and total_ok and mi_ok)
+    if not (minus_ok and total_ok and mi_ok):
+        return "d_minus_ok=%r d_total_ok=%r mi_growth_ok=%r" % (
+            minus_ok, total_ok, mi_ok)
 
 
 # -- summary report -----------------------------------------------------------------
@@ -492,7 +448,7 @@ def check_d_recurrences(lat, k, exp=None, klat=None):
 def _stats_json(n, size, q, deg, rank, mi_count):
     """The report of :func:`stats_dict` and :func:`poset_stats`, from the
     q vector, the DegreeVectors, the rank polynomial and |Mi|."""
-    e = _euler_report(q, mi_count)
+    alternating, derivative = _euler_sums(q)
     return {
         "n": n,
         "size": size,
@@ -502,8 +458,8 @@ def _stats_json(n, size, q, deg, rank, mi_count):
         "d_total": list(deg.total),
         "rank_poly": list(rank),
         "mi_count": mi_count,
-        "euler_ok": e.ok,
-        "euler_derivative_ok": e.derivative_ok,
+        "euler_ok": alternating == 1,
+        "euler_derivative_ok": derivative == mi_count,
     }
 
 

@@ -10,9 +10,12 @@ a table of (topic, failure text, check) rows.  binomial, euler and
 degree-symmetry check each pooled lattice and each of its expansions;
 expansion-counts, rank-recurrence and q-d-recurrences check each cutting
 that ``cuttings`` lists; cutting-equivalence is the four-way vote on every
-interval.  A topic runs only its own rows, so only cutting-equivalence
-votes.  A row that raises AssertionError (a q census that disagrees with
-its interval scan) fails with the message, and the pass goes on.
+interval.  The rows of binomial, euler, rank-recurrence and q-d-recurrences
+are the public checks of latcut.invariants, which return None when their
+identity holds and the failure detail otherwise.  A topic runs only its own
+rows, so only cutting-equivalence votes.  A row that raises AssertionError
+(a q census that disagrees with its interval scan) fails with the message,
+and the pass goes on.
 """
 
 from __future__ import annotations
@@ -143,18 +146,6 @@ def verify_birkhoff(trials=1000, max_size=8, seed=0, exhaustive_max=4):
 # -- the cutting pass: one table of checks ------------------------------------------
 
 
-def _binomial_row(lat):
-    br = binomial_relations(lat)
-    return None if br.ok else "q=%r d_minus=%r" % (br.q, br.d_minus)
-
-
-def _euler_row(lat):
-    eu = euler_checks(lat)
-    if not (eu.ok and eu.derivative_ok):
-        return "Q(-1)=%d Q'(-1)=%d |Mi|=%d" % (
-            eu.alternating_sum, eu.derivative_at_minus_one, eu.mi_count)
-
-
 def _degree_row(lat):
     # The antichain census of the meet-irreducibles is the oracle.
     d, census = d_vectors(lat), antichain_census(lat.mi_poset())
@@ -173,31 +164,24 @@ def _counts_row(lat, k, exp, klat):
         return "size=%r counts=%r expansion=%r minus=%r star=%r" % oks
 
 
-def _rank_row(lat, k, exp, klat):
-    rr = check_rank_recurrence(lat, k, exp)
-    return None if rr.ok else "lhs=%r host=%r self=%r" % (
-        rr.lhs, rr.rhs_host_graded, rr.rhs_self_graded)
-
-
-def _q_d_row(lat, k, exp, klat):
-    qr = check_q_recurrence(lat, k, exp, klat=klat)
-    dr = check_d_recurrences(lat, k, exp, klat=klat)
-    if not (qr.ok and dr.ok):
-        return "q=%r size_ok=%r d_minus_ok=%r d_total_ok=%r" % (
-            qr.q_expanded, qr.size_ok, dr.d_minus_ok, dr.d_total_ok)
-
-
 # (topic, failure text, check), where a check returns None when its identity
 # holds and the failure detail otherwise.  Lattice rows check(lat) run on each
 # pooled lattice and each expansion; cutting rows check(lat, k, expansion at
-# k, interval lattice of k) on each cutting k.
-_LATTICE_ROWS = (("binomial", "binomial transform mismatch", _binomial_row),
-                 ("euler", "Euler check failed", _euler_row),
+# k, interval lattice of k) on each cutting k.  A q-d-recurrences row reports
+# the q failure first.
+_LATTICE_ROWS = (("binomial", "binomial transform mismatch",
+                  binomial_relations),
+                 ("euler", "Euler check failed", euler_checks),
                  ("degree-symmetry", "degree vectors disagree", _degree_row))
-_CUTTING_ROWS = (("expansion-counts",
-                  "expansion size or decomposition round trip", _counts_row),
-                 ("rank-recurrence", "rank recurrence", _rank_row),
-                 ("q-d-recurrences", "q/d recurrences", _q_d_row))
+_CUTTING_ROWS = (
+    ("expansion-counts", "expansion size or decomposition round trip",
+     _counts_row),
+    ("rank-recurrence", "rank recurrence",
+     lambda lat, k, exp, klat: check_rank_recurrence(lat, k, exp)),
+    ("q-d-recurrences", "q/d recurrences",
+     lambda lat, k, exp, klat: (check_q_recurrence(lat, k, exp, klat=klat)
+                                or check_d_recurrences(lat, k, exp,
+                                                       klat=klat))))
 _CUTTING_TOPICS = ("cutting-equivalence",) + tuple(
     topic for topic, _, _ in _CUTTING_ROWS + _LATTICE_ROWS)
 
@@ -383,7 +367,7 @@ def verify_random(trials=200, max_size=7, seed=2):
         lat = filter_lattice(p)
         ok = birkhoff_roundtrip(p)
         try:
-            detail = _binomial_row(lat) or _euler_row(lat)
+            detail = binomial_relations(lat) or euler_checks(lat)
         except AssertionError as e:
             # The q census and the interval scan disagree on this poset.
             detail = str(e)

@@ -93,17 +93,28 @@ def test_antichain_census_of_base():
 
 
 def test_euler_relations_frozen():
-    e = euler_checks(z3_lattice())
-    assert e.alternating_sum == 1 and e.ok
-    assert e.mi_count == 3
-    assert e.derivative_at_minus_one == 3 and e.derivative_ok
+    lat = z3_lattice()
+    assert euler_checks(lat) is None
+    q = q_vector(lat)
+    assert poly_eval(q, -1) == 1
+    assert len(lat.meet_irreducibles()) == 3
+    assert poly_eval(poly_deriv(q), -1) == 3
 
 
 def test_binomial_routes_frozen():
-    rep = binomial_relations(z3_lattice())
-    assert rep.q == [5, 5, 1] and rep.d_minus == [1, 3, 1]
-    assert rep.q_from_d_ok and rep.d_from_q_ok and rep.substitution_ok
-    assert rep.ok
+    lat = z3_lattice()
+    assert binomial_relations(lat) is None
+    assert q_vector(lat) == [5, 5, 1] and d_vectors(lat).minus == [1, 3, 1]
+
+
+def test_lattice_checks_report_a_planted_failure():
+    # A wrong q cached on the lattice breaks both identities; each check
+    # names the values it saw.
+    lat = z3_lattice()
+    q_vector(lat)
+    lat._q = (5, 6, 1)
+    assert binomial_relations(lat) == "q=[5, 6, 1] d_minus=[1, 3, 1]"
+    assert euler_checks(lat) == "Q(-1)=0 Q'(-1)=4 |Mi|=3"
 
 
 def test_binomial_transform_pair():
@@ -147,9 +158,9 @@ def test_trivial_lattice_invariants():
     assert q_vector(lat) == _q_scan(lat) == [1]
     d = d_vectors(lat)
     assert d.minus == [1] and d.plus == [1] and d.total == [1]
-    e = euler_checks(lat)
-    assert e.ok and e.derivative_ok and e.mi_count == 0
-    assert binomial_relations(lat).ok
+    assert lat.meet_irreducibles() == []
+    assert euler_checks(lat) is None
+    assert binomial_relations(lat) is None
 
 
 # -- recurrences under expansion ------------------------------------------------------
@@ -158,36 +169,38 @@ def test_trivial_lattice_invariants():
 def test_rank_recurrence_worked_case():
     lat = z3_lattice()
     k = lat.interval_by_strings("101", "000")
-    rep = check_rank_recurrence(lat, k)
-    assert rep.ok
-    assert poly_trim(rep.lhs) == [1, 1, 3, 3, 1]
-    assert rep.rhs_case is not None  # interval reaches the top
+    assert check_rank_recurrence(lat, k) is None
+    assert rank_gen(expand_poset(lat, k).lattice) == [1, 1, 3, 3, 1]
 
 
 def test_rank_recurrence_endpoint_cases():
+    # The interval reaches the top, the bottom, or neither: each of the
+    # three shapes of the recurrence holds.
     lat = z3_lattice()
-    at_bottom = lat.interval_by_strings("111", "101")
-    rep = check_rank_recurrence(lat, at_bottom)
-    assert rep.ok and rep.rhs_case is not None
-    inner = lat.interval_by_strings("101", "101")
-    rep = check_rank_recurrence(lat, inner)
-    assert rep.ok and rep.rhs_case is None
+    for bottom, top in (("101", "000"), ("111", "101"), ("101", "101")):
+        assert check_rank_recurrence(
+            lat, lat.interval_by_strings(bottom, top)) is None
 
 
 def test_q_recurrence_worked_case():
     lat = z3_lattice()
-    rep = check_q_recurrence(lat, lat.interval_by_strings("101", "000"))
-    assert rep.ok and rep.size_ok
-    assert rep.q_host == [5, 5, 1]
-    assert rep.q_interval == [4, 4, 1]
-    assert rep.q_expanded == [9, 13, 6, 1]
+    k = lat.interval_by_strings("101", "000")
+    assert check_q_recurrence(lat, k) is None
+    assert q_vector(lat) == [5, 5, 1]
+    assert q_vector(lat.interval_lattice(k)) == [4, 4, 1]
+    assert q_vector(expand_poset(lat, k).lattice) == [9, 13, 6, 1]
 
 
 def test_d_recurrences_worked_case():
     lat = z3_lattice()
-    rep = check_d_recurrences(lat, lat.interval_by_strings("101", "000"))
-    assert rep.ok
-    assert rep.d_minus_ok and rep.d_total_ok and rep.mi_growth_ok
+    k = lat.interval_by_strings("101", "000")
+    assert check_d_recurrences(lat, k) is None
+    exp = expand_poset(lat, k)
+    assert d_vectors(lat).minus == [1, 3, 1]
+    assert d_vectors(lat.interval_lattice(k)).minus == [1, 2, 1]
+    assert d_vectors(exp.lattice).minus == [1, 4, 3, 1]
+    assert (len(exp.lattice.meet_irreducibles())
+            == len(lat.meet_irreducibles()) + 1)
 
 
 def test_recurrences_take_a_built_expansion_and_interval_lattice():
@@ -195,14 +208,24 @@ def test_recurrences_take_a_built_expansion_and_interval_lattice():
     k = lat.interval_by_strings("101", "000")
     exp = expand_poset(lat, k)
     klat = lat.interval_lattice(k)
-    assert check_q_recurrence(lat, k, exp, klat=klat) == \
-        check_q_recurrence(lat, k)
-    assert check_d_recurrences(lat, k, exp, klat=klat) == \
-        check_d_recurrences(lat, k)
-    # The interval lattice handed in is the one used.
-    wrong = filter_lattice(poset_from_covers(["u"], []))
-    assert check_q_recurrence(lat, k, exp, klat=wrong).q_interval == [2, 1]
-    assert not check_d_recurrences(lat, k, exp, klat=wrong).ok
+    assert check_rank_recurrence(lat, k, exp) is None
+    assert check_q_recurrence(lat, k, exp, klat=klat) is None
+    assert check_d_recurrences(lat, k, exp, klat=klat) is None
+    # The expansion and the interval lattice handed in are the ones used:
+    # wrong ones fail each check with its detail.
+    wrong_exp = expand_poset(lat, lat.interval_by_strings("111", "000"))
+    wrong_klat = filter_lattice(poset_from_covers(["u"], []))
+    assert check_rank_recurrence(lat, k, wrong_exp) == (
+        "lhs=[1, 2, 3, 3, 1] host=[1, 1, 3, 3, 1] self=[1, 1, 3, 3, 1] "
+        "case=[1, 1, 3, 3, 1]")
+    assert check_q_recurrence(lat, k, wrong_exp) == (
+        "q=[10, 15, 7, 1] size_ok=False")
+    assert check_q_recurrence(lat, k, exp, klat=wrong_klat) == (
+        "q=[9, 13, 6, 1] size_ok=True")
+    assert check_d_recurrences(lat, k, wrong_exp) == (
+        "d_minus_ok=False d_total_ok=False mi_growth_ok=True")
+    assert check_d_recurrences(lat, k, exp, klat=wrong_klat) == (
+        "d_minus_ok=False d_total_ok=False mi_growth_ok=True")
 
 
 # Every public entry that takes an interval validates it, whatever the caller
@@ -244,9 +267,9 @@ def test_recurrences_across_small_catalog():
                 if not lat.le(a, b) or not is_cutting(lat, (a, b)):
                     continue
                 k = lat.interval(a, b)
-                assert check_rank_recurrence(lat, k).ok
-                assert check_q_recurrence(lat, k).ok
-                assert check_d_recurrences(lat, k).ok
+                assert check_rank_recurrence(lat, k) is None
+                assert check_q_recurrence(lat, k) is None
+                assert check_d_recurrences(lat, k) is None
 
 
 # -- oracle comparisons ---------------------------------------------------------------
@@ -279,9 +302,8 @@ def test_degree_vectors_match_antichain_census_on_catalog():
 @given(posets(max_n=6))
 def test_invariant_identities_on_random_posets(p):
     lat = filter_lattice(p)
-    assert binomial_relations(lat).ok
-    e = euler_checks(lat)
-    assert e.ok and e.derivative_ok
+    assert binomial_relations(lat) is None
+    assert euler_checks(lat) is None
     d = d_vectors(lat)
     assert poly_eq(d.minus, d.plus)
     assert poly_eq(d.minus, antichain_census(lat.mi_poset()))

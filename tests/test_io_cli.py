@@ -154,6 +154,25 @@ def test_cli_family_refuses_a_negative_size(kind, n, capsys):
                                 % n)
 
 
+@pytest.mark.parametrize("kind", ["chain", "antichain", "fence", "crown"])
+def test_cli_family_refuses_a_size_past_the_bound_before_generating(
+        kind, capsys, monkeypatch):
+    import latcut.cli as cli
+
+    # A regressed check would reach the generator, which here fails at once
+    # instead of allocating n^2 bits.
+    monkeypatch.setitem(cli._FAMILIES, kind, lambda n: pytest.fail(
+        "family %s %d was generated" % (kind, n)))
+    for n in (cli._FAMILY_MAX + 2, 50000000):
+        code, out, err = run_cli(["family", kind, str(n)], capsys=capsys)
+        assert (code, out, err) == (
+            2, "", "error: n must be at most 16384, got %d\n" % n)
+    # The bound itself is generated.
+    monkeypatch.setitem(cli._FAMILIES, kind, lambda n: z3())
+    assert run_cli(["family", kind, str(cli._FAMILY_MAX)],
+                   capsys=capsys)[0] == 0
+
+
 @pytest.mark.parametrize("kind", ["chain", "antichain", "fence"])
 def test_cli_family_of_size_zero_is_the_empty_poset(kind, capsys):
     assert run_cli(["family", kind, "0"], capsys=capsys) == (0, "", "")
