@@ -167,8 +167,10 @@ def _counts_row(lat, k, exp, klat):
 # (topic, failure text, check), where a check returns None when its identity
 # holds and the failure detail otherwise.  Lattice rows check(lat) run on each
 # pooled lattice and each expansion; cutting rows check(lat, k, expansion at
-# k, interval lattice of k) on each cutting k.  A q-d-recurrences row reports
-# the q failure first.
+# k, interval lattice of k) on each cutting k.  A q-d-recurrences row runs
+# both checks and joins the details of those that fail, q first.  Lattice rows
+# hold their check functions from import; cutting rows look theirs up by name
+# when called.
 _LATTICE_ROWS = (("binomial", "binomial transform mismatch",
                   binomial_relations),
                  ("euler", "Euler check failed", euler_checks),
@@ -179,9 +181,9 @@ _CUTTING_ROWS = (
     ("rank-recurrence", "rank recurrence",
      lambda lat, k, exp, klat: check_rank_recurrence(lat, k, exp)),
     ("q-d-recurrences", "q/d recurrences",
-     lambda lat, k, exp, klat: (check_q_recurrence(lat, k, exp, klat=klat)
-                                or check_d_recurrences(lat, k, exp,
-                                                       klat=klat))))
+     lambda lat, k, exp, klat: " ".join(filter(None, (
+         check_q_recurrence(lat, k, exp, klat=klat),
+         check_d_recurrences(lat, k, exp, klat=klat)))) or None))
 _CUTTING_TOPICS = ("cutting-equivalence",) + tuple(
     topic for topic, _, _ in _CUTTING_ROWS + _LATTICE_ROWS)
 

@@ -709,3 +709,18 @@ def test_a_planted_rank_recurrence_failure_fails_only_its_topic(monkeypatch):
     assert "FAIL rank-recurrence: rank recurrence (iso n=" in rank.report()
     assert "\nplanted detail\n" in rank.report()
     assert all(r.ok for r in results.values())
+
+
+def test_a_q_d_failure_reports_the_details_of_both_checks(monkeypatch):
+    import latcut.verify as ver
+
+    monkeypatch.setattr(ver, "check_d_recurrences", lambda *a, **kw: "d=bad")
+    qd = run_cutting_suite(trials=1, max_size=3, seed=3,
+                           exhaustive_max=2)["q-d-recurrences"]
+    assert qd.checks > 0 and len(qd.failures) == qd.checks
+    assert "\nd=bad\n" in qd.report()
+    # A failing q recurrence does not hide the d detail.
+    monkeypatch.setattr(ver, "check_q_recurrence", lambda *a, **kw: "q=bad")
+    qd = run_cutting_suite(trials=1, max_size=3, seed=3,
+                           exhaustive_max=2)["q-d-recurrences"]
+    assert "\nq=bad d=bad\n" in qd.report()

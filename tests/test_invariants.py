@@ -180,6 +180,18 @@ def test_rank_recurrence_endpoint_cases():
     for bottom, top in (("101", "000"), ("111", "101"), ("101", "101")):
         assert check_rank_recurrence(
             lat, lat.interval_by_strings(bottom, top)) is None
+    # A wrong expansion shows which forms were computed: the endpoint form
+    # (case=) for an interval at the bottom, none for an inner one.  The
+    # top-reaching shape is pinned in the built-expansion test below.
+    wrong_exp = expand_poset(lat, lat.interval_by_strings("111", "000"))
+    assert check_rank_recurrence(
+        lat, lat.interval_by_strings("111", "101"), wrong_exp) == (
+        "lhs=[1, 2, 3, 3, 1] host=[1, 2, 1, 2, 1] self=[1, 2, 1, 2, 1] "
+        "case=[1, 2, 1, 2, 1]")
+    assert check_rank_recurrence(
+        lat, lat.interval_by_strings("101", "101"), wrong_exp) == (
+        "lhs=[1, 2, 3, 3, 1] host=[1, 1, 1, 2, 1] self=[1, 1, 1, 2, 1] "
+        "case=None")
 
 
 def test_q_recurrence_worked_case():

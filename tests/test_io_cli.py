@@ -163,7 +163,7 @@ def test_cli_family_refuses_a_size_past_the_bound_before_generating(
     # instead of allocating n^2 bits.
     monkeypatch.setitem(cli._FAMILIES, kind, lambda n: pytest.fail(
         "family %s %d was generated" % (kind, n)))
-    for n in (cli._FAMILY_MAX + 2, 50000000):
+    for n in (cli._FAMILY_MAX + 1, 50000000):
         code, out, err = run_cli(["family", kind, str(n)], capsys=capsys)
         assert (code, out, err) == (
             2, "", "error: n must be at most 16384, got %d\n" % n)
