@@ -21,10 +21,9 @@ from .errors import (CapacityExceeded, CycleDetected, DuplicateLabel,
 from .expansion import (CUTTING_METHODS, CuttingBoundary, DecomposeResult,
                         ExpansionResult, boundary, cuttings, decompose,
                         expand_poset, is_cutting)
-from .families import (CubeGraph, FibonacciReport, LucasReport, antichain,
-                       chain, cover_cube, crown, fence, fib, fibonacci_cube,
-                       graph_isomorphic, lucas, lucas_cube,
-                       verify_fibonacci_decomposition,
+from .families import (CubeGraph, FamilyReport, antichain, chain, cover_cube,
+                       crown, fence, fib, fibonacci_cube, graph_isomorphic,
+                       lucas, lucas_cube, verify_fibonacci_decomposition,
                        verify_lucas_decomposition)
 from .fileio import export_dot, parse_poset_file, write_poset_file
 from .invariants import (DegreeVectors, antichain_census, binomial_relations,
@@ -57,9 +56,9 @@ __all__ = [
     "ExpansionResult", "boundary", "cuttings", "decompose", "expand_poset",
     "is_cutting",
     # families
-    "CubeGraph", "FibonacciReport", "LucasReport", "antichain", "chain",
-    "cover_cube", "crown", "fence", "fib", "fibonacci_cube",
-    "graph_isomorphic", "lucas", "lucas_cube",
+    "CubeGraph", "FamilyReport", "antichain", "chain", "cover_cube", "crown",
+    "fence", "fib", "fibonacci_cube", "graph_isomorphic", "lucas",
+    "lucas_cube",
     "verify_fibonacci_decomposition", "verify_lucas_decomposition",
     # fileio
     "export_dot", "parse_poset_file", "write_poset_file",

@@ -22,7 +22,8 @@ from .expansion import (CUTTING_METHODS, cuttings, decompose, expand_poset,
                         is_cutting)
 from .families import (antichain, chain, cover_cube, crown, fence,
                        fibonacci_cube, lucas_cube)
-from .fileio import export_dot, parse_poset_file, write_poset_file
+from .fileio import (ELEMENT_MAX as _FAMILY_MAX, export_dot, parse_poset_file,
+                     write_poset_file)
 from .invariants import poset_stats
 from .lattice import filter_lattice
 from .poset import FILTER_CAP
@@ -30,10 +31,6 @@ from .verify import SUITE_NAMES, run_suite
 
 _FAMILIES = {"fence": fence, "crown": crown, "chain": chain,
              "antichain": antichain}
-# A poset of n elements holds about n^2 bits of order relation: chain(2^14)
-# already peaks near 110 MiB.  Larger families are refused before any is
-# generated.
-_FAMILY_MAX = 1 << 14
 
 
 def _read_text(path):

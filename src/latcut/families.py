@@ -22,7 +22,9 @@ induced convex expansion turns that into the identity
 together with a term-by-term recurrence for the cube-interval counts q_k.
 Deleting any element of a crown gives the Lucas analogue L_{2n} = F_{2n+1} +
 F_{2n-1}.  verify_fibonacci_decomposition and verify_lucas_decomposition run
-the whole chain of checks on one instance each.
+the whole chain of checks on one instance each and return a FamilyReport,
+whose detail names every check when one fails; the fibonacci and lucas
+verify suites print that detail.
 """
 
 from __future__ import annotations
@@ -223,12 +225,12 @@ def _read_graph(g):
     return adj, len({frozenset(p) for p in pairs})
 
 
-def graph_isomorphic(g, h, cap=GRAPH_ISO_CAP):
+def graph_isomorphic(g, h):
     """Whether two undirected graphs are isomorphic, decided exactly.
 
     Each graph is a CubeGraph, an iterable of (u, v) edges, or any object
     with ``.nodes()`` and ``.edges()`` (a networkx Graph works that way).
-    Beyond ``cap`` vertices in either graph it raises CapacityExceeded
+    Beyond GRAPH_ISO_CAP vertices in either graph it raises CapacityExceeded
     before any search; different vertex counts, edge counts or degree
     sequences return False at once.  Otherwise it runs the
     individualization-refinement search of latcut.poset (_search) from one
@@ -238,9 +240,9 @@ def graph_isomorphic(g, h, cap=GRAPH_ISO_CAP):
     adj_g, m_g = _read_graph(g)
     adj_h, m_h = _read_graph(h)
     n = len(adj_g)
-    if max(n, len(adj_h)) > cap:
+    if max(n, len(adj_h)) > GRAPH_ISO_CAP:
         raise CapacityExceeded(
-            "graph isomorphism capped at %d vertices" % cap)
+            "graph isomorphism capped at %d vertices" % GRAPH_ISO_CAP)
     if n != len(adj_h) or m_g != m_h:
         return False
     if sorted(map(len, adj_g)) != sorted(map(len, adj_h)):
@@ -252,24 +254,26 @@ def graph_isomorphic(g, h, cap=GRAPH_ISO_CAP):
 
 
 @dataclass(frozen=True)
-class FibonacciReport:
-    """Deleting element n from the fence on m+n-2 elements."""
-    m: int
-    n: int
+class FamilyReport:
+    """One deletion identity checked on a fence or a crown: the size and the
+    q vector of its filter lattice, and ``detail``, None when every check
+    holds and otherwise one line giving each check as name=True/False."""
     lattice_size: int
-    count_ok: bool        # |F(Z_{m+n-2})| = F_{m+n}
-    identity_ok: bool     # F_{m+n} = F_m F_{n+1} + F_{m-1} F_n, by the part sizes
-    minus_iso_ok: bool    # fence minus n  ~  Z_{n-1} + Z_{m-2} disjoint
-    star_iso_ok: bool     # fence star n   ~  Z_{n-2} + Z_{m-3} disjoint
-    expansion_ok: bool    # expansion of the host at the cut interval rebuilds F
-    q_identity_ok: bool   # q_k = q_k(host) + q_k(interval) + q_{k-1}(interval)
     q: tuple
+    detail: str | None
 
     @property
     def ok(self):
-        return (self.count_ok and self.identity_ok and self.minus_iso_ok
-                and self.star_iso_ok and self.expansion_ok
-                and self.q_identity_ok)
+        return self.detail is None
+
+
+def _family_report(lattice_size, q, /, **checks):
+    """A FamilyReport whose detail, formatted only when a check fails, lists
+    ``checks`` in the order given."""
+    detail = None
+    if not all(checks.values()):
+        detail = " ".join("%s=%r" % item for item in checks.items())
+    return FamilyReport(lattice_size, tuple(q), detail)
 
 
 def _fence_pair_iso(p, a, b):
@@ -288,18 +292,22 @@ def _fence_pair_iso(p, a, b):
     return False
 
 
-def verify_fibonacci_decomposition(m, n, cap=FILTER_CAP, direct=None):
-    """``direct`` is F(fence(m + n - 2)) built from scratch, when the caller
+def verify_fibonacci_decomposition(m, n, direct=None):
+    """Delete element n from the fence on m+n-2 elements.  The checks:
+    count, |F(Z_{m+n-2})| = F_{m+n}; identity, F_{m+n} = F_m F_{n+1} +
+    F_{m-1} F_n by the part sizes; minus and star, the two parts are
+    Z_{n-1} + Z_{m-2} and Z_{n-2} + Z_{m-3} side by side; expansion, the
+    expansion of the host at the cut interval rebuilds F; q, the q
+    recurrence, and q of the expansion against that of ``direct``.
+
+    ``direct`` is F(fence(m + n - 2)) built from scratch, when the caller
     has it; it is built here otherwise.  It never comes from the
     expansion."""
     if m < 2 or n < 2:
         raise ValueError("need m, n >= 2")
     s = m + n - 2
     p = fence(s)
-    dec = decompose(p, str(n), cap=cap)
-
-    minus_iso = _fence_pair_iso(dec.minus, n - 1, m - 2)
-    star_iso = _fence_pair_iso(dec.star, n - 2, m - 3)
+    dec = decompose(p, str(n))
 
     int_size = len(dec.host.between(*dec.interval))
     identity_ok = (dec.host.size == fib(m) * fib(n + 1)
@@ -310,70 +318,49 @@ def verify_fibonacci_decomposition(m, n, cap=FILTER_CAP, direct=None):
     q_big = q_vector(dec.expansion.lattice)
     # Independent rebuild of the big lattice, not reusing the expansion.
     if direct is None:
-        direct = filter_lattice(p, cap=cap)
+        direct = filter_lattice(p)
 
-    return FibonacciReport(
-        m=m, n=n, lattice_size=dec.size,
-        count_ok=dec.size == fib(m + n),
-        identity_ok=identity_ok,
-        minus_iso_ok=minus_iso, star_iso_ok=star_iso,
-        expansion_ok=dec.counts_ok and dec.expansion_iso_ok,
-        q_identity_ok=(q_detail is None
-                       and poly_eq(q_big, q_vector(direct))),
-        q=tuple(q_big))
-
-
-@dataclass(frozen=True)
-class LucasReport:
-    """Deleting one element from the crown on 2n elements."""
-    n: int
-    lattice_size: int
-    count_ok: bool        # |F(crown)| = L_{2n} = F_{2n+1} + F_{2n-1}
-    minus_iso_ok: bool    # crown minus  ~  Z_{2n-1}
-    star_iso_ok: bool     # crown star   ~  Z_{2n-3}
-    dual_q_ok: bool       # q of the dual interval poset agrees (the starred form)
-    expansion_ok: bool
-    q_identity_ok: bool
-    euler_ok: bool
-    q: tuple
-
-    @property
-    def ok(self):
-        return (self.count_ok and self.minus_iso_ok and self.star_iso_ok
-                and self.dual_q_ok and self.expansion_ok
-                and self.q_identity_ok and self.euler_ok)
+    return _family_report(
+        dec.size, q_big,
+        count=dec.size == fib(m + n),
+        identity=identity_ok,
+        minus=_fence_pair_iso(dec.minus, n - 1, m - 2),
+        star=_fence_pair_iso(dec.star, n - 2, m - 3),
+        expansion=dec.counts_ok and dec.expansion_iso_ok,
+        q=q_detail is None and poly_eq(q_big, q_vector(direct)))
 
 
-def verify_lucas_decomposition(n, cap=FILTER_CAP):
+def verify_lucas_decomposition(n):
+    """Delete one element from the crown on 2n elements.  The checks:
+    count, |F(crown)| = L_{2n} = F_{2n+1} + F_{2n-1}; minus and star, the
+    parts are Z_{2n-1} and the dual of Z_{2n-3}; dual_q, q of the interval
+    against q of F(dual star); expansion and q as for the fences; euler,
+    Q(-1) = 1."""
     if n < 2:
         raise ValueError("need n >= 2")
     p = crown(2 * n)
-    dec = decompose(p, str(2 * n), cap=cap)
-
-    minus_iso = poset_isomorphic(dec.minus, fence(2 * n - 1))
-    # The second factor of the crown split is the dual fence: deleting a
-    # bottom element and its two neighbours leaves the zigzag bottom-heavy.
-    star_iso = poset_isomorphic(dec.star, fence(2 * n - 3).dual())
+    dec = decompose(p, str(2 * n))
 
     klat = dec.host.interval_lattice(dec.interval)
     q_detail = check_q_recurrence(dec.host, dec.interval, dec.expansion,
                                  klat=klat)
     q_big = q_vector(dec.expansion.lattice)
-    q_ok = (q_detail is None
-            and poly_eq(q_big, q_vector(filter_lattice(p, cap=cap))))
 
-    # The second summand enters the lattice-level statement through the dual
-    # fence; q is invariant under dualizing, checked here rather than assumed.
-    dual_q_ok = poly_eq(q_vector(klat),
-                        q_vector(filter_lattice(dec.star.dual(), cap=cap)))
-
-    count_ok = (dec.size == lucas(2 * n) == fib(2 * n + 1) + fib(2 * n - 1)
-                and dec.host.size == fib(2 * n + 1))
-
-    return LucasReport(
-        n=n, lattice_size=dec.size, count_ok=count_ok,
-        minus_iso_ok=minus_iso, star_iso_ok=star_iso, dual_q_ok=dual_q_ok,
-        expansion_ok=dec.counts_ok and dec.expansion_iso_ok,
-        q_identity_ok=q_ok,
-        euler_ok=poly_eval(q_big, -1) == 1,
-        q=tuple(q_big))
+    return _family_report(
+        dec.size, q_big,
+        count=(dec.size == lucas(2 * n) == fib(2 * n + 1) + fib(2 * n - 1)
+               and dec.host.size == fib(2 * n + 1)),
+        minus=poset_isomorphic(dec.minus, fence(2 * n - 1)),
+        # The second factor of the crown split is the dual fence: deleting a
+        # bottom element and its two neighbours leaves the zigzag
+        # bottom-heavy.
+        star=poset_isomorphic(dec.star, fence(2 * n - 3).dual()),
+        # The second summand enters the lattice-level statement through the
+        # dual fence; q is invariant under dualizing, checked here rather
+        # than assumed.
+        dual_q=poly_eq(q_vector(klat),
+                       q_vector(filter_lattice(dec.star.dual()))),
+        expansion=dec.counts_ok and dec.expansion_iso_ok,
+        q=(q_detail is None
+           and poly_eq(q_big, q_vector(filter_lattice(p)))),
+        euler=poly_eval(q_big, -1) == 1)

@@ -20,9 +20,14 @@ lattice is best read.
 
 from __future__ import annotations
 
-from .errors import ParseError, UnknownLabel
+from .errors import LatcutError, ParseError, UnknownLabel
 from .lattice import IntervalRef
 from .poset import poset_from_covers
+
+# A poset of n elements holds about n^2 bits of order relation: chain(2^14)
+# already peaks near 110 MiB.  Larger posets are refused, from a file or a
+# family generator, before the order relation is built.
+ELEMENT_MAX = 1 << 14
 
 
 def parse_poset_file(text):
@@ -51,6 +56,9 @@ def parse_poset_file(text):
             covers.append((args[0], args[1]))
         else:
             raise ParseError("unknown directive %r" % word, line=lineno)
+    if len(labels) > ELEMENT_MAX:
+        raise LatcutError("a poset file may declare at most %d elements, "
+                          "got %d" % (ELEMENT_MAX, len(labels)))
     return poset_from_covers(labels, covers)
 
 

@@ -196,7 +196,7 @@ def filter_lattice(p, cap=FILTER_CAP):
     return DistLattice(p, cap=cap)
 
 
-def birkhoff_roundtrip(p, cap=FILTER_CAP):
+def birkhoff_roundtrip(p):
     """Check that the meet-irreducibles of the filter lattice of ``p``
     recover ``p`` up to isomorphism."""
-    return poset_isomorphic(filter_lattice(p, cap=cap).mi_poset(), p)
+    return poset_isomorphic(filter_lattice(p).mi_poset(), p)

@@ -236,12 +236,12 @@ class Poset:
         full = self.full_mask
         return [k & full for k in keys]
 
-    def antichains(self, cap=FILTER_CAP):
+    def antichains(self):
         """Yield every antichain mask, in the preorder of
         :meth:`filters_with_minima` (members picked in increasing index
-        order).  Antichains are in bijection with filters, so the same cap
+        order).  Antichains are in bijection with filters, so FILTER_CAP
         applies."""
-        for _, a in self.filters_with_minima(cap):
+        for _, a in self.filters_with_minima():
             yield a
 
     def antichain_table(self):

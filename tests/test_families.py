@@ -16,12 +16,12 @@ from latcut import (CapacityExceeded, CubeGraph, DistLattice, OddSize,
                     fibonacci_cube, filter_lattice, graph_isomorphic, lucas,
                     lucas_cube, verify_fibonacci_decomposition,
                     verify_lucas_decomposition)
-from latcut import poset
+from latcut import families, poset
 from latcut.cli import cli_run
 from latcut.families import GRAPH_ISO_CAP, _zigzag_translate
 from latcut.invariants import poly_eval
 from latcut.poset import FILTER_CAP
-from latcut.verify import verify_cubes, verify_fibonacci
+from latcut.verify import verify_cubes, verify_fibonacci, verify_lucas
 
 
 # -- poset generators -----------------------------------------------------------------
@@ -155,13 +155,17 @@ def test_covering_graphs_are_the_cubes():
         assert _zigzag_translate(g) == model, two_n
 
 
-def test_graph_isomorphism_edges_and_caps():
+def test_graph_isomorphism_edges_and_caps(monkeypatch):
     g = fibonacci_cube(2)
     assert graph_isomorphic(g, g)
     triangle = [("a", "b"), ("b", "c"), ("a", "c")]
     assert not graph_isomorphic(g, triangle)
+    # 610 vertices, past GRAPH_ISO_CAP: refused before any search.
+    big = fibonacci_cube(13)
+    monkeypatch.setattr(families, "_search",
+                        lambda *args: pytest.fail("searched past the cap"))
     with pytest.raises(CapacityExceeded):
-        graph_isomorphic(fibonacci_cube(3), fibonacci_cube(3), cap=2)
+        graph_isomorphic(big, big)
 
 
 # -- graph isomorphism against networkx --------------------------------------------
@@ -380,23 +384,49 @@ def test_fibonacci_suite_rebuilds_each_fence_once(monkeypatch):
                                               "m=3,n=2,ok"]
 
 
+_WRONG_DIRECT_DETAIL = ("count=True identity=True minus=True star=True "
+                        "expansion=True q=False")
+
+
 def test_fence_deletion_catches_a_wrong_direct_lattice():
     # F(fence(s - 1)) in place of F(fence(s)): only the q comparison sees it.
     rep = verify_fibonacci_decomposition(4, 3, direct=filter_lattice(fence(4)))
-    assert rep.q_identity_ok is False and not rep.ok
-    assert rep.count_ok and rep.identity_ok and rep.expansion_ok
+    assert not rep.ok and rep.detail == _WRONG_DIRECT_DETAIL
     assert rep.q == verify_fibonacci_decomposition(4, 3).q
 
 
 def test_crown_deletion_compares_the_dual_star_with_the_interval_q(monkeypatch):
-    # A wrong interval lattice breaks the q recurrence, and dual_q_ok, which
+    # A wrong interval lattice breaks the q recurrence, and dual_q, which
     # compares the interval's own q with that of the dual star, sees it too.
-    assert verify_lucas_decomposition(3).dual_q_ok
+    assert verify_lucas_decomposition(3).detail is None
     monkeypatch.setattr(DistLattice, "interval_lattice",
                         lambda self, k: filter_lattice(antichain(1)))
-    rep = verify_lucas_decomposition(3)
-    assert rep.dual_q_ok is False and rep.q_identity_ok is False
-    assert rep.count_ok and rep.expansion_ok
+    flags = dict(item.split("=")
+                 for item in verify_lucas_decomposition(3).detail.split())
+    assert flags == {"count": "True", "minus": "True", "star": "True",
+                     "dual_q": "False", "expansion": "True", "q": "False",
+                     "euler": "True"}
+
+
+def test_family_suites_print_every_check_of_a_planted_failure(monkeypatch):
+    """The suites print the report's detail, so a failure of any one check
+    names that check, and only that one, as False."""
+    # Q(-1) = 0 in the Lucas check alone: only euler fails.
+    monkeypatch.setattr(families, "poly_eval", lambda q, x: 0)
+    report = verify_lucas(max_two_n=4).report()
+    assert "FAIL lucas: lucas decomposition n=2\n" in report
+    assert ("count=True minus=True star=True dual_q=True expansion=True "
+            "q=True euler=False\n") in report
+    monkeypatch.undo()
+    # F(fence(s - 1)) as the rebuilt lattice of every split: only q fails.
+    import latcut.verify as ver
+
+    real = ver.filter_lattice
+    monkeypatch.setattr(ver, "filter_lattice",
+                        lambda p: real(fence(p.n - 1)))
+    report = verify_fibonacci(max_s=5).report()
+    assert "FAIL fibonacci: fibonacci decomposition m=2 n=2\n%s\n" % (
+        _WRONG_DIRECT_DETAIL) in report
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -410,6 +440,6 @@ def test_crown_deletion_worked_case():
     rep = verify_lucas_decomposition(2)
     assert rep.lattice_size == 7
     assert rep.q == (7, 8, 2)
-    assert rep.euler_ok
+    assert poly_eval(list(rep.q), -1) == 1
     with pytest.raises(ValueError):
         verify_lucas_decomposition(1)

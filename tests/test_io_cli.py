@@ -173,6 +173,30 @@ def test_cli_family_refuses_a_size_past_the_bound_before_generating(
                    capsys=capsys)[0] == 0
 
 
+def test_cli_refuses_a_poset_file_past_the_bound_before_closing_it(
+        capsys, monkeypatch):
+    import latcut.fileio as fileio
+
+    def chain_text(n):
+        return ("element " + " ".join(map(str, range(n))) + "\n"
+                + "".join("cover %d %d\n" % (i, i + 1) for i in range(n - 1)))
+
+    # A regressed check would close the order relation, which here fails at
+    # once instead of allocating n^2 bits.
+    real = fileio.poset_from_covers
+    monkeypatch.setattr(fileio, "poset_from_covers", lambda labels, covers:
+                        pytest.fail("%d elements were closed" % len(labels)))
+    assert run_cli(["stats"], stdin_text=chain_text(16385), capsys=capsys,
+                   monkeypatch=monkeypatch) == (
+        2, "", "error: a poset file may declare at most 16384 elements, "
+        "got 16385\n")
+    # The bound itself is parsed: an antichain has no order relation to
+    # close.
+    monkeypatch.setattr(fileio, "poset_from_covers", real)
+    text = "element " + " ".join(map(str, range(16384))) + "\n"
+    assert parse_poset_file(text).n == 16384
+
+
 @pytest.mark.parametrize("kind", ["chain", "antichain", "fence"])
 def test_cli_family_of_size_zero_is_the_empty_poset(kind, capsys):
     assert run_cli(["family", kind, "0"], capsys=capsys) == (0, "", "")
