@@ -22,7 +22,7 @@ from .expansion import (CUTTING_METHODS, cuttings, decompose, expand_poset,
                         is_cutting)
 from .families import (antichain, chain, cover_cube, crown, fence,
                        fibonacci_cube, lucas_cube)
-from .fileio import (ELEMENT_MAX as _FAMILY_MAX, export_dot, parse_poset_file,
+from .fileio import (ELEMENT_MAX, export_dot, parse_poset_file,
                      write_poset_file)
 from .invariants import poset_stats
 from .lattice import filter_lattice
@@ -224,9 +224,9 @@ def _dispatch(args):
     if args.command == "family":
         if args.n < 0:
             raise LatcutError("n must not be negative, got %d" % args.n)
-        if args.n > _FAMILY_MAX:
+        if args.n > ELEMENT_MAX:
             raise LatcutError("n must be at most %d, got %d"
-                              % (_FAMILY_MAX, args.n))
+                              % (ELEMENT_MAX, args.n))
         _emit(write_poset_file(_FAMILIES[args.kind](args.n)), out)
         return 0
 

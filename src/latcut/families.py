@@ -253,27 +253,29 @@ def graph_isomorphic(g, h):
 # -- decomposition reports --------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FamilyReport:
     """One deletion identity checked on a fence or a crown: the size and the
     q vector of its filter lattice, and ``detail``, None when every check
-    holds and otherwise one line giving each check as name=True/False."""
+    holds and otherwise one line giving each check as name=True/False.
+
+    The checks come in as ``name_ok=`` flags; the detail is formatted, in the
+    order given, only when one of them is false, and no flag is kept."""
     lattice_size: int
     q: tuple
     detail: str | None
 
+    def __init__(self, lattice_size, q, detail=None, **checks):
+        if not all(checks.values()):
+            detail = " ".join("%s=%r" % (name.removesuffix("_ok"), ok)
+                              for name, ok in checks.items())
+        object.__setattr__(self, "lattice_size", lattice_size)
+        object.__setattr__(self, "q", tuple(q))
+        object.__setattr__(self, "detail", detail)
+
     @property
     def ok(self):
         return self.detail is None
-
-
-def _family_report(lattice_size, q, /, **checks):
-    """A FamilyReport whose detail, formatted only when a check fails, lists
-    ``checks`` in the order given."""
-    detail = None
-    if not all(checks.values()):
-        detail = " ".join("%s=%r" % item for item in checks.items())
-    return FamilyReport(lattice_size, tuple(q), detail)
 
 
 def _fence_pair_iso(p, a, b):
@@ -320,14 +322,14 @@ def verify_fibonacci_decomposition(m, n, direct=None):
     if direct is None:
         direct = filter_lattice(p)
 
-    return _family_report(
+    return FamilyReport(
         dec.size, q_big,
-        count=dec.size == fib(m + n),
-        identity=identity_ok,
-        minus=_fence_pair_iso(dec.minus, n - 1, m - 2),
-        star=_fence_pair_iso(dec.star, n - 2, m - 3),
-        expansion=dec.counts_ok and dec.expansion_iso_ok,
-        q=q_detail is None and poly_eq(q_big, q_vector(direct)))
+        count_ok=dec.size == fib(m + n),
+        identity_ok=identity_ok,
+        minus_ok=_fence_pair_iso(dec.minus, n - 1, m - 2),
+        star_ok=_fence_pair_iso(dec.star, n - 2, m - 3),
+        expansion_ok=dec.counts_ok and dec.expansion_iso_ok,
+        q_ok=q_detail is None and poly_eq(q_big, q_vector(direct)))
 
 
 def verify_lucas_decomposition(n):
@@ -346,21 +348,21 @@ def verify_lucas_decomposition(n):
                                  klat=klat)
     q_big = q_vector(dec.expansion.lattice)
 
-    return _family_report(
+    return FamilyReport(
         dec.size, q_big,
-        count=(dec.size == lucas(2 * n) == fib(2 * n + 1) + fib(2 * n - 1)
-               and dec.host.size == fib(2 * n + 1)),
-        minus=poset_isomorphic(dec.minus, fence(2 * n - 1)),
+        count_ok=(dec.size == lucas(2 * n) == fib(2 * n + 1) + fib(2 * n - 1)
+                  and dec.host.size == fib(2 * n + 1)),
+        minus_ok=poset_isomorphic(dec.minus, fence(2 * n - 1)),
         # The second factor of the crown split is the dual fence: deleting a
         # bottom element and its two neighbours leaves the zigzag
         # bottom-heavy.
-        star=poset_isomorphic(dec.star, fence(2 * n - 3).dual()),
+        star_ok=poset_isomorphic(dec.star, fence(2 * n - 3).dual()),
         # The second summand enters the lattice-level statement through the
         # dual fence; q is invariant under dualizing, checked here rather
         # than assumed.
-        dual_q=poly_eq(q_vector(klat),
-                       q_vector(filter_lattice(dec.star.dual()))),
-        expansion=dec.counts_ok and dec.expansion_iso_ok,
-        q=(q_detail is None
-           and poly_eq(q_big, q_vector(filter_lattice(p)))),
-        euler=poly_eval(q_big, -1) == 1)
+        dual_q_ok=poly_eq(q_vector(klat),
+                          q_vector(filter_lattice(dec.star.dual()))),
+        expansion_ok=dec.counts_ok and dec.expansion_iso_ok,
+        q_ok=(q_detail is None
+              and poly_eq(q_big, q_vector(filter_lattice(p)))),
+        euler_ok=poly_eval(q_big, -1) == 1)

@@ -1,6 +1,7 @@
 """Zigzag and crown generators, Fibonacci/Lucas counts, cube graphs."""
 
 import contextlib
+import dataclasses
 import random
 import time
 from itertools import combinations, product
@@ -11,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from latcut import (CapacityExceeded, CubeGraph, DistLattice, OddSize,
-                    antichain, chain, cover_cube, crown, fence, fib,
+from latcut import (CapacityExceeded, CubeGraph, DistLattice, FamilyReport,
+                    OddSize, antichain, chain, cover_cube, crown, fence, fib,
                     fibonacci_cube, filter_lattice, graph_isomorphic, lucas,
                     lucas_cube, verify_fibonacci_decomposition,
                     verify_lucas_decomposition)
@@ -406,6 +407,16 @@ def test_crown_deletion_compares_the_dual_star_with_the_interval_q(monkeypatch):
     assert flags == {"count": "True", "minus": "True", "star": "True",
                      "dual_q": "False", "expansion": "True", "q": "False",
                      "euler": "True"}
+
+
+def test_family_report_formats_its_flags_only_when_one_fails():
+    passing = FamilyReport(5, [1, 2], count_ok=True, q_ok=True)
+    assert passing == FamilyReport(5, (1, 2), None)
+    assert passing.ok and not hasattr(passing, "count_ok")
+    failing = FamilyReport(5, [1, 2], count_ok=True, dual_q_ok=False)
+    assert not failing.ok and failing.detail == "count=True dual_q=False"
+    # A report rebuilt with one flag false fails, naming that flag.
+    assert dataclasses.replace(passing, count_ok=False).detail == "count=False"
 
 
 def test_family_suites_print_every_check_of_a_planted_failure(monkeypatch):

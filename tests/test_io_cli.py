@@ -163,13 +163,13 @@ def test_cli_family_refuses_a_size_past_the_bound_before_generating(
     # instead of allocating n^2 bits.
     monkeypatch.setitem(cli._FAMILIES, kind, lambda n: pytest.fail(
         "family %s %d was generated" % (kind, n)))
-    for n in (cli._FAMILY_MAX + 1, 50000000):
+    for n in (cli.ELEMENT_MAX + 1, 50000000):
         code, out, err = run_cli(["family", kind, str(n)], capsys=capsys)
         assert (code, out, err) == (
             2, "", "error: n must be at most 16384, got %d\n" % n)
     # The bound itself is generated.
     monkeypatch.setitem(cli._FAMILIES, kind, lambda n: z3())
-    assert run_cli(["family", kind, str(cli._FAMILY_MAX)],
+    assert run_cli(["family", kind, str(cli.ELEMENT_MAX)],
                    capsys=capsys)[0] == 0
 
 
@@ -186,15 +186,15 @@ def test_cli_refuses_a_poset_file_past_the_bound_before_closing_it(
     real = fileio.poset_from_covers
     monkeypatch.setattr(fileio, "poset_from_covers", lambda labels, covers:
                         pytest.fail("%d elements were closed" % len(labels)))
-    assert run_cli(["stats"], stdin_text=chain_text(16385), capsys=capsys,
-                   monkeypatch=monkeypatch) == (
-        2, "", "error: a poset file may declare at most 16384 elements, "
-        "got 16385\n")
+    assert run_cli(["stats"], stdin_text=chain_text(fileio.ELEMENT_MAX + 1),
+                   capsys=capsys, monkeypatch=monkeypatch) == (
+        2, "", "error: a poset file may declare at most %d elements, got %d\n"
+        % (fileio.ELEMENT_MAX, fileio.ELEMENT_MAX + 1))
     # The bound itself is parsed: an antichain has no order relation to
     # close.
     monkeypatch.setattr(fileio, "poset_from_covers", real)
-    text = "element " + " ".join(map(str, range(16384))) + "\n"
-    assert parse_poset_file(text).n == 16384
+    text = "element " + " ".join(map(str, range(fileio.ELEMENT_MAX))) + "\n"
+    assert parse_poset_file(text).n == fileio.ELEMENT_MAX
 
 
 @pytest.mark.parametrize("kind", ["chain", "antichain", "fence"])
