@@ -9,7 +9,11 @@ sets) are plain int bitmasks over these indices; see :mod:`latcut.bits`.
 Isomorphism is decided by the one individualization-refinement search of
 the package (_search), on graphs given as neighbour sets and starting
 colours: poset_isomorphism runs it on the cover graphs, coloured by
-(|down|, |up|), and latcut.families.graph_isomorphic on plain graphs.
+(|down|, |up|), and latcut.families.graph_isomorphic on plain graphs.  Its
+colour refinement (_refine) splits cells by their neighbour counts in one
+splitter cell at a time, in both graphs at once, so a search node that
+individualizes a vertex pays for the splits that follow from that one
+vertex, not for a re-sort of every vertex's neighbour colours.
 
 Instances are immutable by convention: every operation returns a new poset.
 Concurrent readers are safe because the only mutation ever performed is the
@@ -18,6 +22,9 @@ immutable relation.
 """
 
 from __future__ import annotations
+
+from itertools import groupby
+from operator import itemgetter
 
 from .bits import iter_bits, mask_of
 from .errors import CapacityExceeded, CycleDetected, DuplicateLabel, UnknownLabel
@@ -95,7 +102,8 @@ class Poset:
         """
         if self.n == 0:
             return "e"
-        return "".join("1" if bits >> i & 1 else "0" for i in range(self.n))
+        # A 1 above bit n-1 keeps the leading zeros; reversed, it is dropped.
+        return format(bits & self.full_mask | 1 << self.n, "b")[:0:-1]
 
     def bits_from_string(self, s):
         if self.n == 0 and s == "e":
@@ -424,29 +432,116 @@ def ordinal_sum(p, q):
 # -- isomorphism ----------------------------------------------------------------
 
 
-def _refine(adj_g, adj_h, cg, ch):
-    """Colour refinement of both graphs in lockstep.
+def _refine(adj_g, adj_h, cg, ch, splitters=None):
+    """Refine the colourings ``cg`` of g and ``ch`` of h, in lockstep, to
+    the coarsest equitable partition that refines them: any two vertices
+    of one colour, in either graph, have equally many neighbours of each
+    colour.  Both colourings use each of the colours 0..k-1.
 
-    A vertex's signature is its colour and the sorted colours of its
-    neighbours; the new colours are ranks in the one sorted list of both
-    graphs' signatures, so a colour means the same in ``g`` and ``h``.
-    Returns (colours of g, colours of h, number of colours) once the number
-    stops growing or every vertex has its own colour, or None as soon as the
-    signature multisets differ."""
-    n, count = len(cg), len(set(cg))
-    while True:
-        sg = [(c, tuple(sorted(map(cg.__getitem__, nbrs))))
-              for c, nbrs in zip(cg, adj_g)]
-        sh = [(c, tuple(sorted(map(ch.__getitem__, nbrs))))
-              for c, nbrs in zip(ch, adj_h)]
-        rank = {s: i for i, s in enumerate(sorted(set(sg).union(sh)))}
-        cg = [rank[s] for s in sg]
-        ch = [rank[s] for s in sh]
-        if sorted(cg) != sorted(ch):
+    A stack holds the splitter cells: every colour, or only those named in
+    ``splitters`` when each cell already has equal counts into every other
+    one.  For the popped cell, each vertex counts its neighbours inside
+    it, in both graphs (_count_parts), and every cell that a count touches
+    splits by count, in ascending count order, identically in g and h: the
+    first part keeps the cell's colour and the others take new ones, so a
+    colour means the same in ``g`` and ``h``.  When the split cell was
+    still queued its new parts are pushed; otherwise every part but the
+    largest, since the counts into that one follow from those into the
+    cell and the other parts.  The stack is emptied even once every colour
+    is a single vertex in each graph.  Returns (colours of g, colours of h,
+    number of colours), or None as soon as the two graphs' cell sizes or
+    count multisets differ.  The arguments are left unchanged.
+
+    A refinement costs about the degree sums of the cells it pops plus the
+    sizes of the cells they split."""
+    n = len(cg)
+    cg, ch = list(cg), list(ch)
+    k = max(cg, default=-1) + 1
+    cells_g = [[] for _ in range(k)]
+    cells_h = [[] for _ in range(k)]
+    for v, c in enumerate(cg):
+        cells_g[c].append(v)
+    for w, c in enumerate(ch):
+        cells_h[c].append(w)
+    if list(map(len, cells_g)) != list(map(len, cells_h)):
+        return None
+    stack = list(range(k)) if splitters is None else list(splitters)
+    queued = set(stack)
+    tally_g, tally_h = [0] * n, [0] * n
+    while stack:
+        s = stack.pop()
+        queued.discard(s)
+        parts_g = _count_parts(adj_g, cg, cells_g[s], tally_g)
+        parts_h = _count_parts(adj_h, ch, cells_h[s], tally_h)
+        if len(parts_g) != len(parts_h):
             return None
-        if len(rank) in (count, n):
-            return cg, ch, len(rank)
-        count = len(rank)
+        splits = False
+        for key, part in parts_g.items():
+            other = parts_h.get(key)
+            if other is None or len(other) != len(part):
+                return None
+            splits = splits or len(part) < len(cells_g[key[0]])
+        if not splits:
+            continue
+        for cell, keys in groupby(sorted(parts_g), itemgetter(0)):
+            keys = list(keys)
+            members_g, members_h = cells_g[cell], cells_h[cell]
+            if sum(len(parts_g[key]) for key in keys) == len(members_g):
+                del keys[0]     # every member counted: the lowest count stays
+                if not keys:
+                    continue
+            first = len(cells_g)
+            for c, key in enumerate(keys, first):
+                for v in parts_g[key]:
+                    cg[v] = c
+                for w in parts_h[key]:
+                    ch[w] = c
+                cells_g.append(parts_g[key])
+                cells_h.append(parts_h[key])
+            cells_g[cell] = [v for v in members_g if cg[v] == cell]
+            cells_h[cell] = [w for w in members_h if ch[w] == cell]
+            if cell in queued:
+                new = range(first, len(cells_g))
+            else:
+                new = [cell, *range(first, len(cells_g))]
+                new.remove(max(new, key=lambda c: len(cells_g[c])))
+            queued.update(new)
+            stack.extend(new)
+    return cg, ch, len(cells_g)
+
+
+def _count_parts(adj, colour, splitter, tally):
+    """The vertices with a neighbour in ``splitter``, as lists keyed by
+    (their colour, their number of neighbours in it).  ``tally``, one zero
+    per vertex, counts and is left all zeros again."""
+    parts = {}
+    if len(splitter) == 1:
+        # One vertex, as each search node starts from: no tally needed.
+        for x in adj[splitter[0]]:
+            key = colour[x], 1
+            part = parts.get(key)
+            if part is None:
+                parts[key] = [x]
+            else:
+                part.append(x)
+        return parts
+    touched = []
+    for u in splitter:
+        for x in adj[u]:
+            if tally[x]:
+                tally[x] += 1
+            else:
+                tally[x] = 1
+                touched.append(x)
+    for x in touched:
+        key = colour[x], tally[x]
+        tally[x] = 0
+        part = parts.get(key)
+        if part is None:
+            parts[key] = [x]
+        else:
+            part.append(x)
+    return parts
 
 
 def _leaf_map(adj_g, adj_h, cg, ch):
@@ -468,15 +563,19 @@ def _search(adj_g, adj_h, cg, ch):
     vertex v of g sent to f[v] of h, or None when there is none.
 
     Individualization-refinement, the method behind nauty (McKay and
-    Piperno, J. Symb. Comput. 60, 2014).  Colour refinement runs on both
-    graphs in lockstep (see _refine); while the colouring is not discrete,
-    the first vertex v of g in the smallest non-singleton cell is given a
-    fresh colour together with each vertex w of h in that cell in turn, and
-    the search refines and descends, backtracking over every w.  A discrete
-    colouring is accepted only when the colour-to-colour map sends every
-    edge of g to an edge of h (see _leaf_map), which with equal edge counts
-    is an isomorphism.  So a map comes with a certificate and None follows
-    an exhaustive search.  The worst case is exponential; the depth is at
+    Piperno, J. Symb. Comput. 60, 2014).  The starting colours are refined
+    on both graphs in lockstep to their coarsest equitable partition (see
+    _refine); while the colouring is not discrete, the first vertex v of g
+    in the smallest non-singleton cell is given a fresh colour together
+    with each vertex w of h in that cell in turn, and the search refines
+    and descends, backtracking over every w.  Such a node refines from its
+    one new singleton cell alone: the colouring it came from was
+    equitable, so the counts into the rest of the old cell follow from
+    those into the cell and into the singleton.  A discrete colouring is
+    accepted only when the colour-to-colour map sends every edge of g to
+    an edge of h (see _leaf_map), which with equal edge counts is an
+    isomorphism.  So a map comes with a certificate and None follows an
+    exhaustive search.  The worst case is exponential; the depth is at
     most the number of vertices, and the search keeps its own stack rather
     than recursing.
     """
@@ -507,7 +606,7 @@ def _search(adj_g, adj_h, cg, ch):
             return None
         cg, ch = cg.copy(), ch.copy()
         cg[v] = ch[w] = fresh
-        coloured = _refine(adj_g, adj_h, cg, ch)
+        coloured = _refine(adj_g, adj_h, cg, ch, [fresh])
 
 
 def _profile(p):

@@ -225,3 +225,29 @@ def naive_cutting_count(p):
                 if all(a in d for (a, b) in rel if b in d):
                     total += 1
     return total
+
+
+def refine_by_signatures(adj_g, adj_h, cg, ch):
+    """Colour refinement of two graphs in lockstep, by full rounds.
+
+    A vertex's signature is its colour and the sorted colours of its
+    neighbours; the new colours are ranks in the one sorted list of both
+    graphs' signatures, so a colour means the same in ``g`` and ``h``.
+    Returns (colours of g, colours of h, number of colours) once the number
+    stops growing, or None as soon as the signature multisets differ.  It
+    keeps going past a colouring in which every vertex has its own colour,
+    so what it returns is equitable for both graphs together."""
+    count = len(set(cg))
+    while True:
+        sg = [(c, tuple(sorted(map(cg.__getitem__, nbrs))))
+              for c, nbrs in zip(cg, adj_g)]
+        sh = [(c, tuple(sorted(map(ch.__getitem__, nbrs))))
+              for c, nbrs in zip(ch, adj_h)]
+        rank = {s: i for i, s in enumerate(sorted(set(sg).union(sh)))}
+        cg = [rank[s] for s in sg]
+        ch = [rank[s] for s in sh]
+        if sorted(cg) != sorted(ch):
+            return None
+        if len(rank) == count:
+            return cg, ch, len(rank)
+        count = len(rank)

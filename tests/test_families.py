@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import posets
 from latcut import (CapacityExceeded, CubeGraph, DistLattice, FamilyReport,
                     OddSize, antichain, chain, cover_cube, crown, fence, fib,
                     fibonacci_cube, filter_lattice, graph_isomorphic, lucas,
@@ -213,15 +214,139 @@ def test_graph_isomorphic_agrees_with_networkx_on_small_graphs(g, rng):
     assert graph_isomorphic(as_cube, h) == nx.is_isomorphic(g, h)
 
 
+def _agrees_on_regular_pairs(degree, sizes, seeds, rng):
+    for n in sizes:
+        for seed in seeds:
+            g = nx.random_regular_graph(degree, n, seed=2 * seed)
+            h = nx.random_regular_graph(degree, n, seed=2 * seed + 1)
+            assert graph_isomorphic(g, h) == nx.is_isomorphic(g, h)
+            assert graph_isomorphic(g, _relabelled(g, rng))
+
+
 def test_graph_isomorphic_agrees_with_networkx_on_cubic_graphs():
     """Random 3-regular pairs, which the degree pre-check cannot tell
     apart, and relabelled copies."""
-    rng = random.Random(20)
-    for seed in range(25):
-        g = nx.random_regular_graph(3, 20, seed=2 * seed)
-        h = nx.random_regular_graph(3, 20, seed=2 * seed + 1)
-        assert graph_isomorphic(g, h) == nx.is_isomorphic(g, h)
-        assert graph_isomorphic(g, _relabelled(g, rng))
+    _agrees_on_regular_pairs(3, [20], range(25), random.Random(20))
+
+
+def test_graph_isomorphic_agrees_with_networkx_on_4_regular_graphs():
+    """Random 4-regular pairs on 10 to 16 vertices: refinement leaves one
+    cell, so every False follows an exhaustive search."""
+    _agrees_on_regular_pairs(4, range(10, 17), range(6), random.Random(4))
+
+
+def test_graph_isomorphic_refuses_a_switched_lucas_cube():
+    """One degree-preserving 2-switch of the Lucas cube of crown(8) that
+    colour refinement cannot refute, so the search must exhaust its
+    candidates to say no."""
+    g = cover_cube(filter_lattice(crown(8)))
+    switch = {("00000001", "00000101"): ("00000001", "00001010"),
+              ("00000010", "00001010"): ("00000010", "00000101")}
+    cube = lucas_cube(8)
+    edges = [switch.get(tuple(sorted(e)), e) for e in cube.edges]
+    assert sum(tuple(sorted(e)) in switch for e in cube.edges) == 2
+    assert graph_isomorphic(g, cube)
+    assert not nx.is_isomorphic(nx.Graph(list(g.edges)), nx.Graph(edges))
+    adj_g, _ = families._read_graph(g)
+    adj_h, _ = families._read_graph(edges)
+    n = len(adj_g)
+    assert poset._refine(adj_g, adj_h, [0] * n, [0] * n) is not None
+    assert not graph_isomorphic(g, edges)
+
+
+@st.composite
+def coloured_graphs(draw):
+    """Neighbour sets with starting colours 0..k-1: a random graph, or the
+    cover graph of a random poset."""
+    if draw(st.booleans()):
+        g = draw(small_graphs())
+        adj = [set(g[v]) for v in range(g.number_of_nodes())]
+    else:
+        adj = poset._cover_graph(draw(posets(max_n=8)))
+    raw = draw(st.lists(st.integers(min_value=0, max_value=2),
+                        min_size=len(adj), max_size=len(adj)))
+    rank = {c: i for i, c in enumerate(sorted(set(raw)))}
+    return adj, [rank[c] for c in raw]
+
+
+def _cells(coloured):
+    """The partition of the vertices of both graphs, ("g", v) and
+    ("h", w), into colour classes."""
+    cg, ch, _ = coloured
+    cells = {}
+    for side, colours in (("g", cg), ("h", ch)):
+        for v, c in enumerate(colours):
+            cells.setdefault(c, set()).add((side, v))
+    return {frozenset(cell) for cell in cells.values()}
+
+
+def _equitable(adj_g, adj_h, coloured):
+    """Any two vertices of one colour, in either graph, have the same
+    multiset of neighbour colours."""
+    cg, ch, _ = coloured
+    seen = {}
+    for adj, colours in ((adj_g, cg), (adj_h, ch)):
+        for v, nbrs in enumerate(adj):
+            around = sorted(colours[x] for x in nbrs)
+            if seen.setdefault(colours[v], around) != around:
+                return False
+    return True
+
+
+def _refines_as_the_oracle(adj_g, adj_h, cg, ch, *splitters):
+    """_refine's answer, after checking it against the oracle's: None for
+    both, or the same cells, equitable for both graphs together."""
+    got = poset._refine(adj_g, adj_h, cg, ch, *splitters)
+    want = oracles.refine_by_signatures(adj_g, adj_h, cg, ch)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert _equitable(adj_g, adj_h, got)
+        assert _cells(got) == _cells(want)
+    return got
+
+
+def test_refinement_refuses_count_classes_of_unequal_size():
+    """A 4-cycle against a triangle beside an isolated vertex, from one
+    colour: both graphs' vertices count 2 neighbours in the cell, apart
+    from the isolated one, so only the sizes of the count classes differ."""
+    square = [{1, 3}, {0, 2}, {1, 3}, {0, 2}]
+    triangle = [{1, 2}, {0, 2}, {0, 1}, set()]
+    assert _refines_as_the_oracle(square, triangle, [0] * 4, [0] * 4) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(coloured_graphs(), st.randoms(use_true_random=False))
+def test_refinement_matches_the_signature_rounds(graph, rng):
+    """The splitter refinement against the full-round oracle, first on a
+    graph and a permuted copy.  Then, as the search does, one vertex of
+    each graph in one cell gets a fresh colour and the refinement starts
+    from that singleton alone, whether or not the two vertices correspond.
+    Last, against a random graph on as many vertices, which refinement
+    often refutes."""
+    adj_g, cg = graph
+    n = len(adj_g)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    adj_h, ch = [None] * n, [None] * n
+    for v in range(n):
+        adj_h[perm[v]] = {perm[x] for x in adj_g[v]}
+        ch[perm[v]] = cg[v]
+    got = _refines_as_the_oracle(adj_g, adj_h, cg, ch)
+    assert got is not None
+    fine_g, fine_h, count = got
+    shared = [c for c in range(count) if fine_g.count(c) > 1]
+    if shared:
+        cell = rng.choice(shared)
+        fine_g, fine_h = fine_g.copy(), fine_h.copy()
+        fine_g[rng.choice([v for v in range(n) if fine_g[v] == cell])] = count
+        fine_h[rng.choice([w for w in range(n) if fine_h[w] == cell])] = count
+        _refines_as_the_oracle(adj_g, adj_h, fine_g, fine_h, [count])
+    other = [set() for _ in range(n)]
+    for a, b in combinations(range(n), 2):
+        if rng.random() < 0.5:
+            other[a].add(b)
+            other[b].add(a)
+    _refines_as_the_oracle(adj_g, other, cg, ch)
 
 
 def test_graph_isomorphic_backtracks_over_the_candidates():
@@ -239,9 +364,10 @@ def test_graph_isomorphic_backtracks_over_the_candidates():
 
 def test_graph_isomorphic_refuses_by_refinement_alone(monkeypatch):
     """A 4-cycle with a pendant vertex and a triangle with a pendant path
-    have one degree sequence; the second round of refinement tells them
-    apart, because a colour means the same in both graphs, so the search
-    stops in its first refinement without individualizing a vertex."""
+    have one degree sequence; counting neighbours in the degree cells
+    tells them apart, because a colour means the same in both graphs, so
+    the search stops in its first refinement without individualizing a
+    vertex."""
     refine, calls = poset._refine, []
     monkeypatch.setattr(poset, "_refine",
                         lambda *args: calls.append(args) or refine(*args))

@@ -1,5 +1,7 @@
 """Poset core: construction, enumeration, derived posets, isomorphism."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -64,6 +66,19 @@ def test_empty_poset():
     p = poset_from_covers([], [])
     assert p.n == 0 and p.filters() == [0]
     assert p.bitstring(0) == "e"
+
+
+def test_bitstring_matches_its_definition():
+    """Character i is bit i, for every size up to 70; bits at or above n,
+    as a mask of a larger poset may carry, are not rendered."""
+    rng = random.Random(70)
+    for n in range(71):
+        p = antichain(n)
+        for bits in (0, p.full_mask, rng.getrandbits(n),
+                     rng.getrandbits(n + 9), p.full_mask + 1 << rng.randrange(4)):
+            want = "".join("1" if bits >> i & 1 else "0" for i in range(n))
+            assert p.bitstring(bits) == (want or "e"), (n, bits)
+            assert p.bits_from_string(p.bitstring(bits)) == bits & p.full_mask
 
 
 # -- enumeration -------------------------------------------------------------------
