@@ -8,8 +8,8 @@ exits nonzero if anything disagrees.
 import sys
 
 from latcut import (check_d_recurrences, check_q_recurrence,
-                    check_rank_recurrence, cuttings, filter_lattice,
-                    random_poset)
+                    check_rank_recurrence, cuttings, expand_poset,
+                    filter_lattice, random_poset)
 
 TRIALS = 60
 MAX_SIZE = 6
@@ -22,15 +22,17 @@ for t in range(TRIALS):
     p = random_poset(SEED + t, MAX_SIZE)
     lat = filter_lattice(p)
     posets += 1
-    for k in cuttings(lat):
+    for bottom, top in cuttings(lat):
         expanded += 1
+        exp = expand_poset(lat, (bottom, top))
+        klat = lat.interval_lattice(exp.interval)
         # Each check returns None when its recurrence holds.
-        detail = (check_rank_recurrence(lat, k) or check_q_recurrence(lat, k)
-                  or check_d_recurrences(lat, k))
+        detail = (check_rank_recurrence(exp) or check_q_recurrence(exp, klat)
+                  or check_d_recurrences(exp, klat))
         if detail is not None:
             bad += 1
             print("FAIL seed=%d interval %s,%s: %s"
-                  % (SEED + t, lat.bitstring(k.bottom), lat.bitstring(k.top),
+                  % (SEED + t, lat.bitstring(bottom), lat.bitstring(top),
                      detail))
 
 print("%d posets, %d cuttings expanded, %d failures" % (posets, expanded, bad))

@@ -202,14 +202,13 @@ def _dispatch(args):
     if args.command == "decompose":
         p = _read_poset(args.input)
         dec = decompose(p, args.element, cap=cap)
-        host = dec.host
+        host, k = dec.expansion.host, dec.expansion.interval
         _emit(_json_line({
             "element": args.element,
             "size": dec.size,
             "host_size": host.size,
-            "interval_size": len(host.between(*dec.interval)),
-            "interval": [host.bitstring(dec.interval.bottom),
-                         host.bitstring(dec.interval.top)],
+            "interval_size": len(host.between(*k)),
+            "interval": [host.bitstring(k.bottom), host.bitstring(k.top)],
             "counts_ok": dec.counts_ok,
             "expansion_iso_ok": dec.expansion_iso_ok,
             "product_form": dec.product_form,

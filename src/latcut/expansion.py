@@ -209,10 +209,15 @@ def _fresh_label(base):
 class ExpansionResult:
     """Result of splicing a new element into the base poset of a lattice.
 
+    ``host`` is the lattice L that was expanded and ``interval`` the cutting
+    K of it, validated, so the expansion carries the whole triple (L, K, L')
+    that the recurrence checks of latcut.invariants take.
     ``source_interval`` locates the original K inside the enlarged lattice,
     ``copy_interval`` the new copy K' = {G + {x} : G in K}; the new element's
     filters are exactly those of the host that contain T, shifted by x.
     """
+    host: DistLattice
+    interval: IntervalRef
     poset: Poset
     new_element: str
     lattice: DistLattice
@@ -258,7 +263,7 @@ def expand_poset(lat, k, label=None, cap=FILTER_CAP):
         raise CapacityExceeded("more than %d filters" % cap)
     big = DistLattice(cand, pairs=pairs)
     return ExpansionResult(
-        poset=cand, new_element=label, lattice=big,
+        host=lat, interval=k, poset=cand, new_element=label, lattice=big,
         source_interval=IntervalRef(big.index_of[bf], big.index_of[tf]),
         copy_interval=IntervalRef(big.index_of[bf | xbit],
                                   big.index_of[tf | xbit]))
@@ -271,11 +276,10 @@ def expand_poset(lat, k, label=None, cap=FILTER_CAP):
 class DecomposeResult:
     """Splitting F(P) at an element x: F(P) is the convex expansion of
     F(P - x) at the interval whose subposet is P * x (delete x and everything
-    comparable)."""
-    minus: Poset
+    comparable).  ``expansion.host`` is F(P - x), ``expansion.host.base``
+    is P - x and ``expansion.interval`` the cutting of the host determined
+    by x."""
     star: Poset
-    host: DistLattice          # F(P - x)
-    interval: IntervalRef      # the cutting of the host determined by x
     expansion: ExpansionResult
     size: int                  # |F(P)|
     counts_ok: bool            # |F(P)| == |F(P-x)| + |F(P*x)|, and a walk
@@ -303,9 +307,8 @@ def decompose(p, x, cap=FILTER_CAP):
 
     bf = compress(keep & ~p.down[i])
     tf = compress(p.up[i])
-    k = IntervalRef(host.index_of[bf], host.index_of[tf])
-
-    exp = expand_poset(host, k, label=x, cap=cap)
+    exp = expand_poset(host, (host.index_of[bf], host.index_of[tf]),
+                       label=x, cap=cap)
     # The antichain walks on P and on P*x, independent of the expansion.
     # The expansion puts x last, so its masks are P's with bit i moved to
     # the top; moving it back labels both sides alike.
@@ -326,6 +329,6 @@ def decompose(p, x, cap=FILTER_CAP):
     product_iso_ok = (product_form
                       and poset_isomorphic(p, disjoint_union(minus, singleton(x))))
     return DecomposeResult(
-        minus=minus, star=star, host=host, interval=k, expansion=exp,
+        star=star, expansion=exp,
         size=size, counts_ok=counts_ok, expansion_iso_ok=expansion_iso_ok,
         product_form=product_form, product_iso_ok=product_iso_ok)

@@ -310,14 +310,15 @@ def verify_fibonacci_decomposition(m, n, direct=None):
     s = m + n - 2
     p = fence(s)
     dec = decompose(p, str(n))
+    exp = dec.expansion
+    host = exp.host
 
-    int_size = len(dec.host.between(*dec.interval))
-    identity_ok = (dec.host.size == fib(m) * fib(n + 1)
-                   and int_size == fib(m - 1) * fib(n)
+    identity_ok = (host.size == fib(m) * fib(n + 1)
+                   and len(host.between(*exp.interval)) == fib(m - 1) * fib(n)
                    and fib(m + n) == fib(m) * fib(n + 1) + fib(m - 1) * fib(n))
 
-    q_detail = check_q_recurrence(dec.host, dec.interval, dec.expansion)
-    q_big = q_vector(dec.expansion.lattice)
+    q_detail = check_q_recurrence(exp, host.interval_lattice(exp.interval))
+    q_big = q_vector(exp.lattice)
     # Independent rebuild of the big lattice, not reusing the expansion.
     if direct is None:
         direct = filter_lattice(p)
@@ -326,7 +327,7 @@ def verify_fibonacci_decomposition(m, n, direct=None):
         dec.size, q_big,
         count_ok=dec.size == fib(m + n),
         identity_ok=identity_ok,
-        minus_ok=_fence_pair_iso(dec.minus, n - 1, m - 2),
+        minus_ok=_fence_pair_iso(host.base, n - 1, m - 2),
         star_ok=_fence_pair_iso(dec.star, n - 2, m - 3),
         expansion_ok=dec.counts_ok and dec.expansion_iso_ok,
         q_ok=q_detail is None and poly_eq(q_big, q_vector(direct)))
@@ -342,17 +343,18 @@ def verify_lucas_decomposition(n):
         raise ValueError("need n >= 2")
     p = crown(2 * n)
     dec = decompose(p, str(2 * n))
+    exp = dec.expansion
+    host = exp.host
 
-    klat = dec.host.interval_lattice(dec.interval)
-    q_detail = check_q_recurrence(dec.host, dec.interval, dec.expansion,
-                                 klat=klat)
-    q_big = q_vector(dec.expansion.lattice)
+    klat = host.interval_lattice(exp.interval)
+    q_detail = check_q_recurrence(exp, klat)
+    q_big = q_vector(exp.lattice)
 
     return FamilyReport(
         dec.size, q_big,
         count_ok=(dec.size == lucas(2 * n) == fib(2 * n + 1) + fib(2 * n - 1)
-                  and dec.host.size == fib(2 * n + 1)),
-        minus_ok=poset_isomorphic(dec.minus, fence(2 * n - 1)),
+                  and host.size == fib(2 * n + 1)),
+        minus_ok=poset_isomorphic(host.base, fence(2 * n - 1)),
         # The second factor of the crown split is the dual fence: deleting a
         # bottom element and its two neighbours leaves the zigzag
         # bottom-heavy.

@@ -25,6 +25,11 @@ and the vectors satisfy
     q_k(exp)       = q_k(L) + q_k(K) + q_{k-1}(K)
     d_minus_k(exp) = d_minus_k(L) + d_minus_{k-1}(K)
     d_k(exp at K') = d_k(exp) + d_{k-2}(K)     (second expansion at the copy)
+
+The checks of these identities take the ExpansionResult of expand_poset,
+which holds L, K and the expansion together, and the q and d checks take K
+as a lattice as well; none of them validates K again or builds the
+expansion it is given.
 """
 
 from __future__ import annotations
@@ -357,16 +362,15 @@ def euler_checks(lat):
 
 # -- recurrences under expansion ----------------------------------------------------
 #
-# Each check returns None when its identity holds at the cutting ``k`` and
-# the failure detail otherwise.
+# Each check takes an ExpansionResult, which carries its host L, the cutting
+# K of L it was made at, validated by expand_poset, and the expansion L'.
+# It returns None when its identity holds and the failure detail otherwise.
 
 
-def check_rank_recurrence(lat, k, exp=None):
+def check_rank_recurrence(exp):
     """The host-graded and self-graded forms, and the specialisation when
-    K touches the bottom or the top of ``lat``."""
-    k = lat.interval(*k)
-    if exp is None:
-        exp = expand_poset(lat, k)
+    K touches the bottom or the top of the host."""
+    lat, k = exp.host, exp.interval
     lhs = rank_gen(exp.lattice)
 
     below_top = lat.between(lat.bottom, k.top)
@@ -397,33 +401,24 @@ def check_rank_recurrence(lat, k, exp=None):
                                                    rhs_case)
 
 
-def check_q_recurrence(lat, k, exp=None, klat=None):
-    """The q recurrence and its k = 0 line, |exp| = |L| + |K|.  ``exp``
-    and ``klat``, the expansion at ``k`` and the interval lattice of ``k``,
-    are built here unless the caller has them."""
-    k = lat.interval(*k)
-    if exp is None:
-        exp = expand_poset(lat, k)
-    if klat is None:
-        klat = lat.interval_lattice(k)
+def check_q_recurrence(exp, klat):
+    """The q recurrence and its k = 0 line, |L'| = |L| + |K|.  ``klat`` is
+    K as a lattice in its own right (:meth:`DistLattice.interval_lattice`)."""
+    lat = exp.host
     q_host = q_vector(lat)
     q_int = q_vector(klat)
     q_exp = q_vector(exp.lattice)
     want = poly_add(q_host, poly_add(q_int, poly_shift(q_int, 1)))
-    size_ok = exp.lattice.size == lat.size + len(lat.between(*k))
+    size_ok = exp.lattice.size == lat.size + len(lat.between(*exp.interval))
     if not (size_ok and poly_eq(q_exp, want)):
         return "q=%r size_ok=%r" % (q_exp, size_ok)
 
 
-def check_d_recurrences(lat, k, exp=None, klat=None):
+def check_d_recurrences(exp, klat):
     """One expansion for the up-cover histogram, and the growth of |Mi| by
     one; a second expansion at the copy interval for the total-degree
-    histogram.  ``exp`` and ``klat`` as in :func:`check_q_recurrence`."""
-    k = lat.interval(*k)
-    if exp is None:
-        exp = expand_poset(lat, k)
-    if klat is None:
-        klat = lat.interval_lattice(k)
+    histogram.  ``klat`` as in :func:`check_q_recurrence`."""
+    lat = exp.host
     d_host = d_vectors(lat)
     d_int = d_vectors(klat)
     d_exp = d_vectors(exp.lattice)
@@ -628,7 +623,7 @@ def _transfer_order(q):
     return steps, bound
 
 
-def _transfer_histograms(q, steps=None):
+def _transfer_histograms(q, steps):
     """The [rank, minus, plus, total] histograms of F(Q), lists of length
     n + 1, by a transfer-matrix DP over the cover graph (Stanley, EC1
     4.7); no filter is listed.
@@ -644,8 +639,6 @@ def _transfer_histograms(q, steps=None):
     x^|min F|, x^|max(Q - F)| and x^(both), packed into one int each with
     n + 1 bits per coefficient: a count is at most 2^n, so they never
     carry, and multiplying by x^k is a shift."""
-    if steps is None:
-        steps, _ = _transfer_order(q)
     bits = q.n + 1
     states = {(0, 0): (1, 1, 1, 1)}
     for v, lower, upper, retire in steps:

@@ -9,13 +9,15 @@ The seven cutting topics share one pass over the pooled lattices, driven by
 a table of (topic, failure text, check) rows.  binomial, euler and
 degree-symmetry check each pooled lattice and each of its expansions;
 expansion-counts, rank-recurrence and q-d-recurrences check each cutting
-that ``cuttings`` lists; cutting-equivalence is the four-way vote on every
-interval.  The rows of binomial, euler, rank-recurrence and q-d-recurrences
-are the public checks of latcut.invariants, which return None when their
-identity holds and the failure detail otherwise.  A topic runs only its own
-rows, so only cutting-equivalence votes.  A row that raises AssertionError
-(a q census that disagrees with its interval scan) fails with the message,
-and the pass goes on.
+that ``cuttings`` lists, through its one expansion, which carries the host
+and the cutting, and its interval lattice; cutting-equivalence is the
+four-way vote on every interval.  The rows of binomial, euler,
+rank-recurrence and q-d-recurrences are the public checks of
+latcut.invariants, which return None when their identity holds and the
+failure detail otherwise.  A topic runs only its own rows, so only
+cutting-equivalence votes.  A row that raises AssertionError (a q census
+that disagrees with its interval scan) fails with the message, and the pass
+goes on.
 
 The fibonacci and lucas suites print the detail of each failing
 FamilyReport; lucas adds ``cube=False`` when a covering graph is not its
@@ -40,7 +42,7 @@ from .invariants import (antichain_census, binomial_relations,
                          check_d_recurrences, check_q_recurrence,
                          check_rank_recurrence, d_vectors, euler_checks,
                          poly_eq)
-from .lattice import IntervalRef, birkhoff_roundtrip, filter_lattice
+from .lattice import IntervalRef, filter_lattice
 from .poset import FILTER_CAP, poset_isomorphic
 
 
@@ -157,12 +159,14 @@ def _degree_row(lat):
         return "d_minus=%r d_plus=%r census=%r" % (d.minus, d.plus, census)
 
 
-def _counts_row(lat, k, exp, klat):
+def _counts_row(exp, klat):
     # |L| + |K| holds by construction; decompose's walk over the enlarged
     # poset is the independent count, and it compares the filters themselves.
+    lat = exp.host
     dec = decompose(exp.poset, exp.new_element)
-    oks = (exp.lattice.size == lat.size + len(lat.between(*k)), dec.counts_ok,
-           dec.expansion_iso_ok, poset_isomorphic(dec.minus, lat.base),
+    oks = (exp.lattice.size == lat.size + len(lat.between(*exp.interval)),
+           dec.counts_ok, dec.expansion_iso_ok,
+           poset_isomorphic(dec.expansion.host.base, lat.base),
            poset_isomorphic(dec.star, klat.base))
     if not all(oks):
         return "size=%r counts=%r expansion=%r minus=%r star=%r" % oks
@@ -170,8 +174,8 @@ def _counts_row(lat, k, exp, klat):
 
 # (topic, failure text, check), where a check returns None when its identity
 # holds and the failure detail otherwise.  Lattice rows check(lat) run on each
-# pooled lattice and each expansion; cutting rows check(lat, k, expansion at
-# k, interval lattice of k) on each cutting k.  A q-d-recurrences row runs
+# pooled lattice and each expansion; cutting rows check(expansion at k,
+# interval lattice of k) on each cutting k.  A q-d-recurrences row runs
 # both checks and joins the details of those that fail, q first.  Lattice rows
 # hold their check functions from import; cutting rows look theirs up by name
 # when called.
@@ -183,11 +187,11 @@ _CUTTING_ROWS = (
     ("expansion-counts", "expansion size or decomposition round trip",
      _counts_row),
     ("rank-recurrence", "rank recurrence",
-     lambda lat, k, exp, klat: check_rank_recurrence(lat, k, exp)),
+     lambda exp, klat: check_rank_recurrence(exp)),
     ("q-d-recurrences", "q/d recurrences",
-     lambda lat, k, exp, klat: " ".join(filter(None, (
-         check_q_recurrence(lat, k, exp, klat=klat),
-         check_d_recurrences(lat, k, exp, klat=klat)))) or None))
+     lambda exp, klat: " ".join(filter(None, (
+         check_q_recurrence(exp, klat),
+         check_d_recurrences(exp, klat)))) or None))
 _CUTTING_TOPICS = ("cutting-equivalence",) + tuple(
     topic for topic, _, _ in _CUTTING_ROWS + _LATTICE_ROWS)
 
@@ -231,9 +235,11 @@ def _vote(res, p, lat, tag, listed):
                         % tag, "missing=%s extra=%s" % (missing, extra))
 
 
-def _cutting_pass(topics, trials, max_size, seed, exhaustive_max):
+def run_cutting_suite(trials=200, max_size=7, seed=1, exhaustive_max=5,
+                      topics=_CUTTING_TOPICS):
     """One pass over exhaustive-iso plus random posets, running only the
-    checks of ``topics``; returns their SuiteResults keyed by topic."""
+    checks of ``topics``, all seven by default; returns their SuiteResults
+    keyed by topic."""
     results = {name: SuiteResult(name, seed=seed) for name in topics}
     lattice_rows = [row for row in _LATTICE_ROWS if row[0] in results]
     cutting_rows = [row for row in _CUTTING_ROWS if row[0] in results]
@@ -253,13 +259,12 @@ def _cutting_pass(topics, trials, max_size, seed, exhaustive_max):
         if lattice_rows or cutting_rows:
             _run_rows(results, lattice_rows, p, lambda: tag, lat)
             for a, b in listed:
-                k = IntervalRef(a, b)
-                exp = expand_poset(lat, k)
+                exp = expand_poset(lat, (a, b))
                 if cutting_rows:
                     _run_rows(results, cutting_rows, p,
                               lambda: "%s interval %s,%s" % (
                                   tag, lat.bitstring(a), lat.bitstring(b)),
-                              lat, k, exp, lat.interval_lattice(k))
+                              exp, lat.interval_lattice(exp.interval))
                 _run_rows(results, lattice_rows, exp.poset,
                           lambda: tag + " expanded", exp.lattice)
     elapsed = time.perf_counter() - t0
@@ -271,12 +276,6 @@ def _cutting_pass(topics, trials, max_size, seed, exhaustive_max):
         res.lines.append(summary)
         res.elapsed = vote_time if res is eq else elapsed
     return results
-
-
-def run_cutting_suite(trials=200, max_size=7, seed=1, exhaustive_max=5):
-    """The cutting pass over all seven topics (see _CUTTING_TOPICS)."""
-    return _cutting_pass(_CUTTING_TOPICS, trials, max_size, seed,
-                         exhaustive_max)
 
 
 # -- family suites ------------------------------------------------------------------
@@ -367,7 +366,7 @@ def verify_random(trials=200, max_size=7, seed=2):
     for tag, p in _pool_random(trials, max_size, seed):
         res.checks += 1
         lat = filter_lattice(p)
-        ok = birkhoff_roundtrip(p)
+        ok = poset_isomorphic(lat.mi_poset(), p)
         try:
             detail = binomial_relations(lat) or euler_checks(lat)
         except AssertionError as e:
@@ -391,35 +390,34 @@ SUITE_NAMES = (("birkhoff",) + _CUTTING_TOPICS
 
 
 def run_suite(name, trials=None, max_size=None, seed=None, max_param=None):
-    """Dispatch a named suite with CLI-style optional overrides.  Raises
-    LatcutError on a negative count or size, before any suite runs."""
-    def pick(value, default):
-        return default if value is None else value
-
+    """Dispatch a named suite with CLI-style optional overrides; a suite
+    takes its own defaults for those not given.  Raises LatcutError on a
+    negative count or size, before any suite runs."""
     for flag, value in (("--trials", trials), ("--max-size", max_size),
                         ("--max", max_param)):
         if value is not None and value < 0:
             raise LatcutError("%s must not be negative, got %d"
                               % (flag, value))
+    given = {key: value for key, value in (("trials", trials),
+                                           ("max_size", max_size),
+                                           ("seed", seed))
+             if value is not None}
+    bound = () if max_param is None else (max_param,)
 
     if name == "birkhoff":
-        return verify_birkhoff(trials=pick(trials, 1000),
-                               max_size=pick(max_size, 8),
-                               seed=pick(seed, 0))
+        return verify_birkhoff(**given)
     if name in _CUTTING_TOPICS:
         # The exhaustive layer walks every poset up to five elements, fewer
         # when the largest random poset is smaller.
-        return _cutting_pass((name,), trials=pick(trials, 200),
-                             max_size=pick(max_size, 7), seed=pick(seed, 1),
-                             exhaustive_max=min(5, pick(max_size, 5)))[name]
+        if max_size is not None:
+            given["exhaustive_max"] = min(5, max_size)
+        return run_cutting_suite(topics=(name,), **given)[name]
     if name == "fibonacci":
-        return verify_fibonacci(max_s=pick(max_param, 16))
+        return verify_fibonacci(*bound)
     if name == "lucas":
-        return verify_lucas(max_two_n=pick(max_param, 10))
+        return verify_lucas(*bound)
     if name == "cubes":
-        return verify_cubes(max_fence=pick(max_param, 9))
+        return verify_cubes(*bound)
     if name == "random":
-        return verify_random(trials=pick(trials, 200),
-                             max_size=pick(max_size, 7),
-                             seed=pick(seed, 2))
+        return verify_random(**given)
     raise ValueError("unknown suite %r" % name)

@@ -57,9 +57,9 @@ def test_criterion_04_rank_recurrence(cutting):
     res = cutting["rank-recurrence"]
     lat = filter_lattice(poset_from_covers(["a", "b", "c"],
                                            [("b", "a"), ("b", "c")]))
-    k = lat.interval_by_strings("101", "000")
-    worked = (check_rank_recurrence(lat, k) is None
-              and rank_gen(expand_poset(lat, k).lattice) == [1, 1, 3, 3, 1])
+    exp = expand_poset(lat, lat.interval_by_strings("101", "000"))
+    worked = (check_rank_recurrence(exp) is None
+              and rank_gen(exp.lattice) == [1, 1, 3, 3, 1])
     _record(4, res.ok and worked,
             "rank recurrence on %d cuttings; zigzag worked case %s"
             % (res.checks, "reproduced" if worked else "WRONG"))

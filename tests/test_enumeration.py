@@ -363,7 +363,7 @@ def _count_transfers(monkeypatch):
     real = inv._transfer_histograms
     counted = []
 
-    def counting(q, steps=None):
+    def counting(q, steps):
         counted.append(q.n)
         return real(q, steps)
 
@@ -427,19 +427,22 @@ def test_the_rule_never_runs_the_dp_past_the_cap(cap, transfers,
 def test_transfer_histograms_on_every_labeled_poset_up_to_5():
     for n in range(6):
         for p in all_labeled_posets(n):
-            assert _transfer_histograms(p) == _walked_histograms(p, FILTER_CAP)
+            assert (_transfer_histograms(p, _transfer_order(p)[0])
+                    == _walked_histograms(p, FILTER_CAP))
 
 
 @settings(max_examples=100, deadline=None)
 @given(posets(max_n=14))
 def test_transfer_histograms_on_random_posets(p):
-    assert _transfer_histograms(p) == _walked_histograms(p, FILTER_CAP)
+    assert (_transfer_histograms(p, _transfer_order(p)[0])
+            == _walked_histograms(p, FILTER_CAP))
 
 
 @pytest.mark.parametrize("make", _UNSPLIT_COMPOSITES)
 def test_transfer_histograms_on_unsplit_composites(make):
     p = make()
-    assert _transfer_histograms(p) == _walked_histograms(p, FILTER_CAP)
+    assert (_transfer_histograms(p, _transfer_order(p)[0])
+            == _walked_histograms(p, FILTER_CAP))
 
 
 # A cap above every size below: |F(P)| <= 2^n.

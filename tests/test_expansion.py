@@ -1,6 +1,7 @@
 """Cutting intervals, convex expansion, decomposition, sum laws."""
 
 import io
+import re
 import sys
 from dataclasses import dataclass
 
@@ -14,7 +15,7 @@ from latcut import (CUTTING_METHODS, DistLattice, IntervalRef, NotACutting,
                     cuttings, decompose, disjoint_union, expand_poset, fence,
                     filter_lattice, is_cutting, mask_of, ordinal_sum,
                     parse_poset_file, poset_from_covers, poset_isomorphic,
-                    singleton, write_poset_file)
+                    run_cutting_suite, singleton, write_poset_file)
 from latcut.cli import cli_run
 from latcut.poset import FILTER_CAP
 
@@ -290,8 +291,9 @@ def test_decompose_fence5_worked():
                           [("2", "1"), ("2", "3"), ("4", "3"), ("4", "5")])
     dec = decompose(p, "4")
     assert dec.size == 13
-    assert dec.host.size == 10
-    assert len(dec.host.interval_elements(dec.interval)) == 3
+    host = dec.expansion.host
+    assert host.size == 10
+    assert len(host.interval_elements(dec.expansion.interval)) == 3
     assert dec.counts_ok and dec.expansion_iso_ok
 
 
@@ -300,7 +302,7 @@ def test_decompose_every_element_of_z3():
     for x in p.labels:
         dec = decompose(p, x)
         assert dec.counts_ok and dec.expansion_iso_ok
-        assert poset_isomorphic(dec.minus, p.minus(x))
+        assert poset_isomorphic(dec.expansion.host.base, p.minus(x))
         assert poset_isomorphic(dec.star, p.star(x))
 
 
@@ -349,6 +351,30 @@ def test_is_cutting_validates_its_interval_once(method, monkeypatch):
     monkeypatch.setattr(DistLattice, "interval", counting)
     assert is_cutting(lat, k, method)
     assert calls == [(k.bottom, k.top)]
+
+
+def test_the_cutting_pass_validates_each_interval_a_bounded_number_of_times(
+        monkeypatch):
+    # The vote's is_cutting validates each interval once per criterion.
+    # Each cutting is validated by expand_poset, by interval_lattice, by the
+    # d check's second expansion and by decompose's expansion; the
+    # recurrence checks take the expansion and validate nothing.
+    real = DistLattice.interval
+    calls = []
+
+    def counting(self, bottom, top):
+        calls.append((bottom, top))
+        return real(self, bottom, top)
+
+    monkeypatch.setattr(DistLattice, "interval", counting)
+    results = run_cutting_suite(trials=2, max_size=5, seed=3,
+                                exhaustive_max=3)
+    assert all(r.ok for r in results.values())
+    intervals, cuttings_ = (int(x) for x in re.search(
+        r"intervals=(\d+), cuttings=(\d+)",
+        results["cutting-equivalence"].lines[0]).groups())
+    assert cuttings_ > 0
+    assert len(calls) <= 4 * intervals + 4 * cuttings_
 
 
 # -- growing chains of expansions ----------------------------------------------------

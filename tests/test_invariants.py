@@ -1,6 +1,7 @@
 """Rank polynomials, cube counts, degree vectors, and their recurrences."""
 
 import json
+from dataclasses import replace
 from functools import reduce
 from math import comb
 
@@ -166,11 +167,17 @@ def test_trivial_lattice_invariants():
 # -- recurrences under expansion ------------------------------------------------------
 
 
+def expansion_and_interval(lat, bottom, top):
+    """The expansion of ``lat`` at [bottom, top], given as bitstrings, and
+    the interval lattice of that cutting: the arguments of the checks."""
+    exp = expand_poset(lat, lat.interval_by_strings(bottom, top))
+    return exp, lat.interval_lattice(exp.interval)
+
+
 def test_rank_recurrence_worked_case():
-    lat = z3_lattice()
-    k = lat.interval_by_strings("101", "000")
-    assert check_rank_recurrence(lat, k) is None
-    assert rank_gen(expand_poset(lat, k).lattice) == [1, 1, 3, 3, 1]
+    exp, _ = expansion_and_interval(z3_lattice(), "101", "000")
+    assert check_rank_recurrence(exp) is None
+    assert rank_gen(exp.lattice) == [1, 1, 3, 3, 1]
 
 
 def test_rank_recurrence_endpoint_cases():
@@ -178,38 +185,38 @@ def test_rank_recurrence_endpoint_cases():
     # three shapes of the recurrence holds.
     lat = z3_lattice()
     for bottom, top in (("101", "000"), ("111", "101"), ("101", "101")):
-        assert check_rank_recurrence(
-            lat, lat.interval_by_strings(bottom, top)) is None
+        exp, _ = expansion_and_interval(lat, bottom, top)
+        assert check_rank_recurrence(exp) is None
     # A wrong expansion shows which forms were computed: the endpoint form
     # (case=) for an interval at the bottom, none for an inner one.  The
     # top-reaching shape is pinned in the built-expansion test below.
-    wrong_exp = expand_poset(lat, lat.interval_by_strings("111", "000"))
+    wrong, _ = expansion_and_interval(lat, "111", "000")
+    at_bottom, _ = expansion_and_interval(lat, "111", "101")
     assert check_rank_recurrence(
-        lat, lat.interval_by_strings("111", "101"), wrong_exp) == (
+        replace(at_bottom, lattice=wrong.lattice)) == (
         "lhs=[1, 2, 3, 3, 1] host=[1, 2, 1, 2, 1] self=[1, 2, 1, 2, 1] "
         "case=[1, 2, 1, 2, 1]")
-    assert check_rank_recurrence(
-        lat, lat.interval_by_strings("101", "101"), wrong_exp) == (
+    inner, _ = expansion_and_interval(lat, "101", "101")
+    assert check_rank_recurrence(replace(inner, lattice=wrong.lattice)) == (
         "lhs=[1, 2, 3, 3, 1] host=[1, 1, 1, 2, 1] self=[1, 1, 1, 2, 1] "
         "case=None")
 
 
 def test_q_recurrence_worked_case():
     lat = z3_lattice()
-    k = lat.interval_by_strings("101", "000")
-    assert check_q_recurrence(lat, k) is None
+    exp, klat = expansion_and_interval(lat, "101", "000")
+    assert check_q_recurrence(exp, klat) is None
     assert q_vector(lat) == [5, 5, 1]
-    assert q_vector(lat.interval_lattice(k)) == [4, 4, 1]
-    assert q_vector(expand_poset(lat, k).lattice) == [9, 13, 6, 1]
+    assert q_vector(klat) == [4, 4, 1]
+    assert q_vector(exp.lattice) == [9, 13, 6, 1]
 
 
 def test_d_recurrences_worked_case():
     lat = z3_lattice()
-    k = lat.interval_by_strings("101", "000")
-    assert check_d_recurrences(lat, k) is None
-    exp = expand_poset(lat, k)
+    exp, klat = expansion_and_interval(lat, "101", "000")
+    assert check_d_recurrences(exp, klat) is None
     assert d_vectors(lat).minus == [1, 3, 1]
-    assert d_vectors(lat.interval_lattice(k)).minus == [1, 2, 1]
+    assert d_vectors(klat).minus == [1, 2, 1]
     assert d_vectors(exp.lattice).minus == [1, 4, 3, 1]
     assert (len(exp.lattice.meet_irreducibles())
             == len(lat.meet_irreducibles()) + 1)
@@ -217,38 +224,49 @@ def test_d_recurrences_worked_case():
 
 def test_recurrences_take_a_built_expansion_and_interval_lattice():
     lat = z3_lattice()
-    k = lat.interval_by_strings("101", "000")
-    exp = expand_poset(lat, k)
-    klat = lat.interval_lattice(k)
-    assert check_rank_recurrence(lat, k, exp) is None
-    assert check_q_recurrence(lat, k, exp, klat=klat) is None
-    assert check_d_recurrences(lat, k, exp, klat=klat) is None
-    # The expansion and the interval lattice handed in are the ones used:
-    # wrong ones fail each check with its detail.
-    wrong_exp = expand_poset(lat, lat.interval_by_strings("111", "000"))
+    exp, klat = expansion_and_interval(lat, "101", "000")
+    assert exp.host is lat
+    assert exp.interval == lat.interval_by_strings("101", "000")
+    assert check_rank_recurrence(exp) is None
+    assert check_q_recurrence(exp, klat) is None
+    assert check_d_recurrences(exp, klat) is None
+    # The expansion and the interval lattice handed in are the ones used: a
+    # wrong enlarged lattice, with its copy interval for the d check's second
+    # expansion, planted in the expansion, or a wrong interval lattice, fails
+    # each check with its detail.
+    wrong, _ = expansion_and_interval(lat, "111", "000")
+    planted = replace(exp, lattice=wrong.lattice,
+                      copy_interval=wrong.copy_interval)
     wrong_klat = filter_lattice(poset_from_covers(["u"], []))
-    assert check_rank_recurrence(lat, k, wrong_exp) == (
+    assert check_rank_recurrence(planted) == (
         "lhs=[1, 2, 3, 3, 1] host=[1, 1, 3, 3, 1] self=[1, 1, 3, 3, 1] "
         "case=[1, 1, 3, 3, 1]")
-    assert check_q_recurrence(lat, k, wrong_exp) == (
+    assert check_q_recurrence(planted, klat) == (
         "q=[10, 15, 7, 1] size_ok=False")
-    assert check_q_recurrence(lat, k, exp, klat=wrong_klat) == (
+    assert check_q_recurrence(exp, wrong_klat) == (
         "q=[9, 13, 6, 1] size_ok=True")
-    assert check_d_recurrences(lat, k, wrong_exp) == (
+    assert check_d_recurrences(planted, klat) == (
         "d_minus_ok=False d_total_ok=False mi_growth_ok=True")
-    assert check_d_recurrences(lat, k, exp, klat=wrong_klat) == (
+    assert check_d_recurrences(exp, wrong_klat) == (
         "d_minus_ok=False d_total_ok=False mi_growth_ok=True")
 
 
 # Every public entry that takes an interval validates it, whatever the caller
-# has already built: reversed, incomparable, out of range, negative.
+# has already built: reversed, incomparable, out of range, negative.  The
+# recurrence checks take an expansion, so the interval they check is the one
+# expand_poset validated; their cases pin that the only way to them is
+# through that check.
 _BAD_INTERVALS = [IntervalRef(4, 0), (2, 3), (0, 5), (-1, 4)]
 
 
 @pytest.mark.parametrize("k", _BAD_INTERVALS, ids=str)
 @pytest.mark.parametrize("call", [
-    expand_poset, boundary, check_rank_recurrence, check_q_recurrence,
-    check_d_recurrences,
+    expand_poset, boundary,
+    lambda lat, k: check_rank_recurrence(expand_poset(lat, k)),
+    lambda lat, k: check_q_recurrence(expand_poset(lat, k),
+                                      lat.interval_lattice(k)),
+    lambda lat, k: check_d_recurrences(expand_poset(lat, k),
+                                       lat.interval_lattice(k)),
     lambda lat, k: lat.interval_elements(k),
     lambda lat, k: [is_cutting(lat, k, m) for m in CUTTING_METHODS],
 ], ids=["expand_poset", "boundary", "rank", "q", "d", "interval_elements",
@@ -258,19 +276,6 @@ def test_bad_intervals_raise_invalid_interval(call, k):
         call(z3_lattice(), k)
 
 
-@pytest.mark.parametrize("k", _BAD_INTERVALS, ids=str)
-def test_recurrences_validate_even_with_a_built_expansion(k):
-    lat = z3_lattice()
-    good = lat.interval_by_strings("101", "000")
-    exp = expand_poset(lat, good)
-    klat = lat.interval_lattice(good)
-    for check in (check_q_recurrence, check_d_recurrences):
-        with pytest.raises(InvalidInterval):
-            check(lat, k, exp, klat=klat)
-    with pytest.raises(InvalidInterval):
-        check_rank_recurrence(lat, k, exp)
-
-
 def test_recurrences_across_small_catalog():
     for p in posets_up_to_iso(3):
         lat = filter_lattice(p)
@@ -278,10 +283,11 @@ def test_recurrences_across_small_catalog():
             for b in range(lat.size):
                 if not lat.le(a, b) or not is_cutting(lat, (a, b)):
                     continue
-                k = lat.interval(a, b)
-                assert check_rank_recurrence(lat, k) is None
-                assert check_q_recurrence(lat, k) is None
-                assert check_d_recurrences(lat, k) is None
+                exp = expand_poset(lat, (a, b))
+                klat = lat.interval_lattice(exp.interval)
+                assert check_rank_recurrence(exp) is None
+                assert check_q_recurrence(exp, klat) is None
+                assert check_d_recurrences(exp, klat) is None
 
 
 # -- oracle comparisons ---------------------------------------------------------------
