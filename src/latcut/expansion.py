@@ -16,6 +16,9 @@ B = filter(bottom), T = filter(top):
 P partitions into (down-closure of S0) + S + (up-closure of S1), and K is a
 cutting exactly when z < y for every z in S0, y in S1.  The new element sits
 above all of S0, below all of S1, incomparable to S.
+
+``is_cutting`` votes four independent criteria on one interval; the
+production routes, ``cuttings`` and ``expand_poset``, do not vote.
 """
 
 from __future__ import annotations
@@ -141,23 +144,19 @@ def _cutting_star(lat, k):
         star, lat.base.restrict(lat.filters[k.bottom] & ~lat.filters[k.top]))
 
 
-def is_cutting(lat, k, method="chains"):
-    """Is the interval met by every maximal chain?
+# (name, criterion) in the order of CUTTING_METHODS; is_cutting runs each.
+_CRITERIA = tuple(zip(CUTTING_METHODS, (_cutting_chains, _cutting_union,
+                                        _cutting_order, _cutting_star)))
 
-    ``method`` picks one of four independent criteria ("chains", "union",
-    "order", "star"); they agree on every interval, which the test suite
-    checks exhaustively at small sizes.
-    """
+
+def is_cutting(lat, k):
+    """Is the interval met by every maximal chain?  Each of the four
+    criteria decides it once; AssertionError lists the votes if they differ."""
     k = lat.interval(*k)
-    if method == "chains":
-        return _cutting_chains(lat, k)
-    if method == "union":
-        return _cutting_union(lat, k)
-    if method == "order":
-        return _cutting_order(lat, k)
-    if method == "star":
-        return _cutting_star(lat, k)
-    raise ValueError("method must be one of %s" % (CUTTING_METHODS,))
+    votes = [(name, criterion(lat, k)) for name, criterion in _CRITERIA]
+    if len({vote for _, vote in votes}) > 1:
+        raise AssertionError(" ".join("%s=%r" % v for v in votes))
+    return votes[0][1]
 
 
 def cuttings(lat):

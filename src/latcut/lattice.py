@@ -110,16 +110,14 @@ class DistLattice:
     def bitstring(self, a):
         return self.base.bitstring(self.filters[a])
 
-    def element_by_bits(self, bits):
+    def element_by_string(self, s):
+        bits = self.base.bits_from_string(s)
         try:
             return self.index_of[bits]
         except KeyError:
             raise InvalidInterval(
                 "%s is not a filter of the base poset"
                 % self.base.bitstring(bits)) from None
-
-    def element_by_string(self, s):
-        return self.element_by_bits(self.base.bits_from_string(s))
 
     # -- containment masks -------------------------------------------------
 
@@ -159,17 +157,12 @@ class DistLattice:
         """All element indices x with bottom <= x <= top, ascending."""
         return self.between(*self.interval(*k))
 
-    def interval_subposet(self, k):
-        """The convex base subposet S = filter(bottom) minus filter(top).
-
-        The interval [bottom, top] is isomorphic to the filter lattice of S.
-        """
-        k = self.interval(*k)
-        return self.base.restrict(self.filters[k.bottom] & ~self.filters[k.top])
-
     def interval_lattice(self, k):
-        """The interval as a lattice in its own right (built from S)."""
-        return filter_lattice(self.interval_subposet(k))
+        """The interval as a lattice in its own right: the filter lattice
+        of the convex base subposet S = filter(bottom) minus filter(top)."""
+        k = self.interval(*k)
+        return filter_lattice(
+            self.base.restrict(self.filters[k.bottom] & ~self.filters[k.top]))
 
     # -- structure ------------------------------------------------------------
 

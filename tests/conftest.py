@@ -1,7 +1,9 @@
 import random
 
+import pytest
 from hypothesis import strategies as st
 
+import latcut.expansion
 from latcut import Poset
 
 _ACCEPTANCE_LINES = []
@@ -60,3 +62,12 @@ def shuffled_relabeling(p, seed):
             if p.up[i] >> j & 1:
                 up[perm[i]] |= 1 << perm[j]
     return Poset(labels, tuple(up), _trusted=True), perm
+
+
+@pytest.fixture
+def negated_star(monkeypatch):
+    """Plant a cutting-criterion disagreement: the star criterion, negated,
+    in the table of criteria that ``is_cutting`` runs."""
+    monkeypatch.setattr(latcut.expansion, "_CRITERIA", tuple(
+        (name, (lambda lat, k, c=c: not c(lat, k)) if name == "star" else c)
+        for name, c in latcut.expansion._CRITERIA))

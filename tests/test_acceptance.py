@@ -34,7 +34,7 @@ def _record(num, ok, detail):
 
 
 def test_criterion_01_birkhoff_round_trip():
-    res = verify_birkhoff(trials=1000, max_size=8, seed=0, exhaustive_max=4)
+    res = verify_birkhoff(trials=1000, max_size=8, seed=0)
     ok = res.ok and len(all_labeled_posets(4)) == 219 and res.elapsed < 10.0
     _record(1, ok, "Birkhoff round trip, %d posets in %.2fs (budget 10s)"
             % (res.checks, res.elapsed))

@@ -22,7 +22,8 @@ from latcut.bits import iter_bits
 from latcut.cli import _json_line, cli_run
 from latcut.invariants import (_split_histograms, _transfer_histograms,
                                _transfer_order, _walked_histograms,
-                               poly_deriv, poly_eval, poly_trim)
+                               poly_add, poly_deriv, poly_eval, poly_shift,
+                               poly_trim, rank_gen)
 from latcut.poset import FILTER_CAP
 from latcut.verify import (_CUTTING_TOPICS, _LATTICE_ROWS, SuiteResult,
                            _run_rows, filters_by_scan, run_cutting_suite,
@@ -111,7 +112,7 @@ def test_birkhoff_suite_checks_the_kernel_against_the_scan(monkeypatch):
             yield self.full_mask, self.min_of(self.full_mask)
 
     monkeypatch.setattr(Poset, "filters_with_minima", duplicate_bottom)
-    res = verify_birkhoff(trials=0, exhaustive_max=3)
+    res = verify_birkhoff(trials=0)
     assert not res.ok
     assert "differs from the subset scan" in res.failures[0][1]
 
@@ -473,16 +474,44 @@ def _crown_d(two_n):
                   for k in range(1, two_n // 2 + 1)]
 
 
+def _fence_rank(n):
+    # R_n, the rank polynomial of F(fence(n)) in fence()'s orientation:
+    # R_0 = 1, R_1 = 1 + x, then R_n = x R_(n-1) + R_(n-2) for even n and
+    # R_n = R_(n-1) + x^2 R_(n-2) for odd n (Munarini and Zagaglia Salvi,
+    # Discrete Math. 259 (2002)).
+    r = [[1], [1, 1]]
+    for m in range(2, n + 1):
+        r.append(poly_add(r[m - 1], poly_shift(r[m - 2], 2)) if m % 2
+                 else poly_add(poly_shift(r[m - 1], 1), r[m - 2]))
+    return r[n]
+
+
+def _crown_rank(two_n):
+    # x^(2n-1) R_(2n-1)(1/x) + x^3 R_(2n-3)(x); R_(2n-1) has degree 2n - 1
+    # with leading coefficient 1, so the first term is its reversed list.
+    return poly_add(_fence_rank(two_n - 1)[::-1],
+                    poly_shift(_fence_rank(two_n - 3), 3))
+
+
+def test_rank_polynomials_of_fences_and_crowns_match_the_walk():
+    for n in range(16):
+        assert rank_gen(filter_lattice(fence(n))) == _fence_rank(n), n
+    for two_n in range(4, 17, 2):
+        assert rank_gen(filter_lattice(crown(two_n))) == _crown_rank(two_n)
+
+
 @pytest.mark.parametrize("n", [21, 34, 55, 89, 144, 233, 300])
 def test_poset_stats_on_fences_is_fibonacci(n):
-    _check_closed_forms(poset_stats(fence(n), cap=_BIG_CAP), n, fib(n + 2),
-                        _fence_d(n))
+    got = poset_stats(fence(n), cap=_BIG_CAP)
+    _check_closed_forms(got, n, fib(n + 2), _fence_d(n))
+    assert got["rank_poly"] == _fence_rank(n)
 
 
 @pytest.mark.parametrize("two_n", [22, 40, 64, 100, 150, 200])
 def test_poset_stats_on_crowns_is_lucas(two_n):
-    _check_closed_forms(poset_stats(crown(two_n), cap=_BIG_CAP), two_n,
-                        lucas(two_n), _crown_d(two_n))
+    got = poset_stats(crown(two_n), cap=_BIG_CAP)
+    _check_closed_forms(got, two_n, lucas(two_n), _crown_d(two_n))
+    assert got["rank_poly"] == _crown_rank(two_n)
 
 
 def test_poset_stats_on_nesting_deeper_than_the_recursion_limit():

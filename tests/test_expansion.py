@@ -10,13 +10,14 @@ from hypothesis import given, settings
 
 import oracles
 from conftest import posets
-from latcut import (CUTTING_METHODS, DistLattice, IntervalRef, NotACutting,
-                    Poset, all_labeled_posets, antichain, boundary, crown,
+from latcut import (DistLattice, IntervalRef, NotACutting, Poset,
+                    all_labeled_posets, antichain, boundary, crown,
                     cuttings, decompose, disjoint_union, expand_poset, fence,
                     filter_lattice, is_cutting, mask_of, ordinal_sum,
                     parse_poset_file, poset_from_covers, poset_isomorphic,
                     run_cutting_suite, singleton, write_poset_file)
 from latcut.cli import cli_run
+from latcut.expansion import _CRITERIA
 from latcut.poset import FILTER_CAP
 
 
@@ -65,11 +66,9 @@ def test_four_methods_match_chain_oracle_on_z3():
     lat = z3_lattice()
     for a in range(lat.size):
         for b in range(lat.size):
-            if not lat.le(a, b):
-                continue
-            want = oracles.naive_is_cutting(lat, a, b)
-            for m in CUTTING_METHODS:
-                assert is_cutting(lat, (a, b), m) == want, (a, b, m)
+            if lat.le(a, b):
+                assert is_cutting(lat, (a, b)) == \
+                    oracles.naive_is_cutting(lat, a, b), (a, b)
 
 
 def test_worked_examples():
@@ -88,18 +87,50 @@ def test_atom_of_square_is_not_cutting():
     assert oracles.naive_cut_elements(lat) == []
 
 
-def test_is_cutting_rejects_unknown_method():
-    with pytest.raises(ValueError):
-        is_cutting(z3_lattice(), (0, 1), "magic")
+def test_is_cutting_raises_with_every_vote_when_the_criteria_disagree(
+        negated_star):
+    lat = z3_lattice()
+    with pytest.raises(AssertionError) as err:
+        is_cutting(lat, lat.interval_by_strings("101", "000"))
+    assert str(err.value) == "chains=True union=True order=True star=False"
+
+
+def test_is_cutting_runs_each_criterion_once_and_the_routes_none(
+        monkeypatch, capsys):
+    # is_cutting runs each of the four criteria once; the listing of
+    # `latcut cutting` and expand_poset run none of them.
+    import latcut.expansion as ex
+
+    calls = []
+
+    def counted(name, criterion):
+        def run(lat, k):
+            calls.append(name)
+            return criterion(lat, k)
+        return run
+
+    monkeypatch.setattr(ex, "_CRITERIA", tuple(
+        (name, counted(name, c)) for name, c in _CRITERIA))
+    lat = filter_lattice(fence(5))
+    assert is_cutting(lat, (lat.bottom, lat.top))
+    assert calls == ["chains", "union", "order", "star"]
+    calls.clear()
+    monkeypatch.setattr(sys, "stdin", io.StringIO(write_poset_file(fence(5))))
+    assert cli_run(["cutting"]) == 0
+    listed = capsys.readouterr().out.splitlines()
+    assert len(listed) == len(cuttings(lat)) > 0
+    for k in cuttings(lat):
+        expand_poset(lat, k)
+    assert calls == []
 
 
 # -- listing cuttings ---------------------------------------------------------------
 
 
-def scan_cuttings(lat, method):
-    """Every comparable pair, in index order, tested by one criterion."""
+def scan_cuttings(lat):
+    """Every comparable pair, in index order, tested by the four criteria."""
     return [(a, b) for a in range(lat.size) for b in range(lat.size)
-            if lat.le(a, b) and is_cutting(lat, (a, b), method)]
+            if lat.le(a, b) and is_cutting(lat, (a, b))]
 
 
 def test_cuttings_match_every_criterion_on_labeled_posets():
@@ -107,8 +138,7 @@ def test_cuttings_match_every_criterion_on_labeled_posets():
         for p in all_labeled_posets(n):
             lat = filter_lattice(p)
             got = cuttings(lat)
-            for m in CUTTING_METHODS:
-                assert got == scan_cuttings(lat, m), (n, m)
+            assert got == scan_cuttings(lat), n
             assert len(got) == oracles.naive_cutting_count(p)
 
 
@@ -116,9 +146,7 @@ def test_cuttings_match_every_criterion_on_labeled_posets():
 @given(posets(max_n=7))
 def test_cuttings_match_every_criterion_on_random_posets(p):
     lat = filter_lattice(p)
-    got = cuttings(lat)
-    for m in CUTTING_METHODS:
-        assert got == scan_cuttings(lat, m), m
+    assert cuttings(lat) == scan_cuttings(lat)
 
 
 @settings(max_examples=60, deadline=None)
@@ -177,8 +205,7 @@ def test_copy_interval_is_always_cutting():
         for b in range(lat.size):
             if lat.le(a, b) and is_cutting(lat, (a, b)):
                 exp = expand_poset(lat, (a, b))
-                for m in CUTTING_METHODS:
-                    assert is_cutting(exp.lattice, exp.copy_interval, m)
+                assert is_cutting(exp.lattice, exp.copy_interval)
 
 
 def test_singleton_interval_expansion_inserts_mid_element():
@@ -335,10 +362,9 @@ def test_expand_poset_validates_its_interval_once(monkeypatch):
     assert big.between(*exp.copy_interval) == [1, 3, 4, 7]
 
 
-@pytest.mark.parametrize("method", CUTTING_METHODS)
-def test_is_cutting_validates_its_interval_once(method, monkeypatch):
-    # The order criterion takes the boundary of the interval is_cutting has
-    # validated, without validating it again.
+def test_is_cutting_validates_its_interval_once(monkeypatch):
+    # The four criteria take the interval is_cutting has validated; the
+    # order criterion's boundary does not validate it again.
     lat = z3_lattice()
     k = lat.interval_by_strings("101", "000")
     real = DistLattice.interval
@@ -349,13 +375,13 @@ def test_is_cutting_validates_its_interval_once(method, monkeypatch):
         return real(self, bottom, top)
 
     monkeypatch.setattr(DistLattice, "interval", counting)
-    assert is_cutting(lat, k, method)
+    assert is_cutting(lat, k)
     assert calls == [(k.bottom, k.top)]
 
 
 def test_the_cutting_pass_validates_each_interval_a_bounded_number_of_times(
         monkeypatch):
-    # The vote's is_cutting validates each interval once per criterion.
+    # The vote's is_cutting validates each interval once.
     # Each cutting is validated by expand_poset, by interval_lattice, by the
     # d check's second expansion and by decompose's expansion; the
     # recurrence checks take the expansion and validate nothing.
@@ -374,7 +400,7 @@ def test_the_cutting_pass_validates_each_interval_a_bounded_number_of_times(
         r"intervals=(\d+), cuttings=(\d+)",
         results["cutting-equivalence"].lines[0]).groups())
     assert cuttings_ > 0
-    assert len(calls) <= 4 * intervals + 4 * cuttings_
+    assert len(calls) <= intervals + 4 * cuttings_
 
 
 # -- growing chains of expansions ----------------------------------------------------
@@ -546,8 +572,8 @@ def test_methods_agree_everywhere(p):
     for a in range(lat.size):
         for b in range(lat.size):
             if lat.le(a, b):
-                votes = {is_cutting(lat, (a, b), m) for m in CUTTING_METHODS}
-                assert len(votes) == 1
+                # Raises AssertionError when the four criteria disagree.
+                is_cutting(lat, (a, b))
 
 
 @settings(max_examples=30, deadline=None)

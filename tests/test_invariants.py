@@ -11,15 +11,14 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import posets
-from latcut import (CUTTING_METHODS, CapacityExceeded, IntervalRef,
-                    InvalidInterval, antichain, antichain_census,
-                    binomial_relations, binomial_transform, boundary, chain,
-                    check_d_recurrences, check_q_recurrence,
-                    check_rank_recurrence, crown, d_vectors, disjoint_union,
-                    euler_checks, expand_poset, fence, filter_lattice,
-                    inverse_binomial_transform, is_cutting, poset_from_covers,
-                    posets_up_to_iso, q_vector, rank_gen, rank_gen_of,
-                    stats_dict)
+from latcut import (CapacityExceeded, IntervalRef, InvalidInterval,
+                    antichain, antichain_census, binomial_relations,
+                    binomial_transform, boundary, chain, check_d_recurrences,
+                    check_q_recurrence, check_rank_recurrence, crown,
+                    d_vectors, disjoint_union, euler_checks, expand_poset,
+                    fence, filter_lattice, inverse_binomial_transform,
+                    is_cutting, poset_from_covers, posets_up_to_iso, q_vector,
+                    rank_gen, rank_gen_of, stats_dict)
 from latcut.invariants import (_SCAN_BLOCK_PAIRS, _q_census, _q_scan,
                                _q_scan_blocks, _q_scan_ints, poly_add,
                                poly_deriv, poly_eq, poly_eval, poly_mul,
@@ -268,7 +267,7 @@ _BAD_INTERVALS = [IntervalRef(4, 0), (2, 3), (0, 5), (-1, 4)]
     lambda lat, k: check_d_recurrences(expand_poset(lat, k),
                                        lat.interval_lattice(k)),
     lambda lat, k: lat.interval_elements(k),
-    lambda lat, k: [is_cutting(lat, k, m) for m in CUTTING_METHODS],
+    is_cutting,
 ], ids=["expand_poset", "boundary", "rank", "q", "d", "interval_elements",
         "is_cutting"])
 def test_bad_intervals_raise_invalid_interval(call, k):

@@ -243,6 +243,31 @@ def test_cli_cutting_single_and_list(capsys, monkeypatch):
     assert code == 2 and "error" in err
 
 
+_STAR_DISSENTS = "chains=True union=True order=True star=False"
+
+
+def test_cli_cutting_reports_a_disagreement_as_a_failed_property(
+        negated_star, capsys, monkeypatch):
+    code, out, err = run_cli(["cutting", "--bottom", "101", "--top", "000"],
+                             stdin_text=write_poset_file(z3()),
+                             capsys=capsys, monkeypatch=monkeypatch)
+    assert (code, out, err) == (
+        1, "", "error: verified property failed: %s\n" % _STAR_DISSENTS)
+
+
+def test_cli_verify_cutting_equivalence_reports_a_disagreement(negated_star,
+                                                                capsys):
+    code, out, err = run_cli(["verify", "cutting-equivalence", "--trials",
+                              "0", "--max-size", "1"], capsys=capsys)
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    # The one-element lattice of the empty poset is the smallest instance.
+    at = lines.index("smallest failing instance:")
+    assert lines[at + 1:at + 3] == [
+        "FAIL cutting-equivalence: methods disagree on [e,e] (iso n=0)",
+        _STAR_DISSENTS]
+
+
 def test_cli_expand_pipes_back_in(capsys, monkeypatch):
     poset_text = write_poset_file(z3())
     code, out, _ = run_cli(["expand", "--bottom", "101", "--top", "000"],
@@ -360,6 +385,43 @@ def test_cli_verify_refuses_an_oversized_family_before_any_work(suite, bound,
                              capsys=capsys)
     assert time.perf_counter() - t0 < 1.0
     assert (code, out, err) == (2, "", "error: more than 1048576 filters\n")
+
+
+def test_cli_verify_refuses_the_second_random_poset_of_a_wide_pool(capsys):
+    # Seed 1000004 has 32 elements, 14,156 filters and 54,890 cuttings: one
+    # expansion per cutting alone would take about half an hour.
+    t0 = time.perf_counter()
+    code, out, err = run_cli(["verify", "euler", "--max-size", "40",
+                              "--trials", "2"], capsys=capsys)
+    assert time.perf_counter() - t0 < 5.0
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the cutting pass refuses seed=1000004: "
+                          "14156 lattice elements and 54890 cuttings")
+
+
+@pytest.mark.parametrize("big,sizes", [
+    # |L|^2 = 2048^2 alone passes the bound.
+    (latcut.antichain(11), "2048 lattice elements and 4095 cuttings"),
+    # |L|^2 = 63,001, but every interval of a chain is a cutting.
+    (latcut.chain(250), "251 lattice elements and 31626 cuttings"),
+])
+@pytest.mark.parametrize("topic", ["euler", "cutting-equivalence"])
+def test_cli_verify_refuses_a_pooled_poset_past_the_pass_work(
+        topic, big, sizes, capsys, monkeypatch):
+    import latcut.verify as ver
+
+    work = []
+    monkeypatch.setattr(ver, "_pool_iso", lambda n_max: [])
+    monkeypatch.setattr(ver, "_pool_random",
+                        lambda trials, max_size, seed: [("seed=7", big)])
+    for name in ("expand_poset", "is_cutting"):
+        monkeypatch.setattr(ver, name, lambda *args, **kw: work.append(args))
+    monkeypatch.setattr(latcut.DistLattice, "above_masks", work.append)
+    code, out, err = run_cli(["verify", topic], capsys=capsys)
+    # Refused before the containment masks, the first vote or expansion.
+    assert (code, out, work) == (2, "", [])
+    assert err == ("error: the cutting pass refuses seed=7: %s, "
+                   "cuttings*|L| past 4000000\n" % sizes)
 
 
 @pytest.mark.parametrize("argv", [["verify", "cubes", "--cap", "5"],
