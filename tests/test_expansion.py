@@ -17,7 +17,7 @@ from latcut import (DistLattice, IntervalRef, NotACutting, Poset,
                     parse_poset_file, poset_from_covers, poset_isomorphic,
                     run_cutting_suite, singleton, write_poset_file)
 from latcut.cli import cli_run
-from latcut.expansion import _CRITERIA
+from latcut.expansion import CUTTING_METHODS, _CRITERIA
 from latcut.poset import FILTER_CAP
 
 
@@ -362,21 +362,39 @@ def test_expand_poset_validates_its_interval_once(monkeypatch):
     assert big.between(*exp.copy_interval) == [1, 3, 4, 7]
 
 
-def test_is_cutting_validates_its_interval_once(monkeypatch):
-    # The four criteria take the interval is_cutting has validated; the
-    # order criterion's boundary does not validate it again.
+@pytest.mark.parametrize("method", CUTTING_METHODS)
+def test_is_cutting_validates_its_interval_once(method, monkeypatch):
+    # Each criterion takes the interval is_cutting has validated and does
+    # not validate it again (the order criterion's boundary included).
+    import latcut.expansion as ex
+
     lat = z3_lattice()
     k = lat.interval_by_strings("101", "000")
     real = DistLattice.interval
     calls = []
+    seen = []
 
     def counting(self, bottom, top):
         calls.append((bottom, top))
         return real(self, bottom, top)
 
+    def watched(name, criterion):
+        if name != method:
+            return name, criterion
+
+        def run(lat_, k_):
+            before = len(calls)
+            vote = criterion(lat_, k_)
+            seen.append((k_, len(calls) - before))
+            return vote
+        return name, run
+
+    monkeypatch.setattr(ex, "_CRITERIA",
+                        tuple(watched(*row) for row in _CRITERIA))
     monkeypatch.setattr(DistLattice, "interval", counting)
     assert is_cutting(lat, k)
     assert calls == [(k.bottom, k.top)]
+    assert seen == [(k, 0)]
 
 
 def test_the_cutting_pass_validates_each_interval_a_bounded_number_of_times(
