@@ -6,6 +6,8 @@ compose through pipes:
     latcut family fence 3 | latcut stats
     latcut family crown 6 | latcut expand --bottom 111110 --top 000000 | latcut mi
 
+Stdout is the one output route; redirect it with ``>`` to keep a result.
+
 Exit codes: 0 success, 1 a verified property failed, 2 usage or input errors.
 All output is deterministic for fixed inputs, flags and seed.
 """
@@ -44,14 +46,6 @@ def _read_poset(path):
     return parse_poset_file(_read_text(path))
 
 
-def _emit(text, out):
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _json_line(obj):
     return json.dumps(obj, sort_keys=True) + "\n"
 
@@ -69,7 +63,6 @@ def build_parser():
         if poset_input:
             p.add_argument("input", nargs="?", default="-",
                            help="poset file ('-' = stdin, the default)")
-        p.add_argument("--out", help="write output to this path")
         if poset_input or name == "cube":
             p.add_argument("--cap", type=int, default=FILTER_CAP,
                            help="abort beyond this many filters")
@@ -107,12 +100,13 @@ def build_parser():
     p.add_argument("suite", choices=list(SUITE_NAMES))
     p.add_argument("--trials", type=int, help="random posets to draw")
     p.add_argument("--max-size", type=int,
-                   help="largest random poset; the cutting suites also walk "
+                   help="largest random poset (birkhoff, random and the "
+                        "cutting suites); the cutting suites also walk "
                         "every poset up to min(5, this) elements")
     p.add_argument("--seed", type=int, help="base seed for the random layer")
     p.add_argument("--max", type=int, dest="max_param",
-                   help="family bound (fibonacci: m+n-2, lucas: 2n, "
-                        "cubes: fence size, crowns one more)")
+                   help="family bound, for fibonacci (m+n-2), lucas (2n) "
+                        "and cubes (fence size, crowns one more) only")
 
     p = cmd("export-dot", "DOT Hasse diagram of F(P)")
     p.add_argument("--highlight", metavar="B,T",
@@ -133,10 +127,7 @@ def cli_run(argv=None):
     args = _parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except LatcutError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as e:
+    except (LatcutError, OSError, ValueError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
     except AssertionError as e:
@@ -148,29 +139,29 @@ def cli_run(argv=None):
 
 
 def _dispatch(args):
-    out = getattr(args, "out", None)
     cap = getattr(args, "cap", FILTER_CAP)
 
     if args.command == "filters":
         lat = filter_lattice(_read_poset(args.input), cap=cap)
-        _emit("".join(lat.bitstring(a) + "\n" for a in range(lat.size)), out)
+        sys.stdout.write("".join(lat.bitstring(a) + "\n"
+                                 for a in range(lat.size)))
         return 0
 
     if args.command == "lattice":
         lat = filter_lattice(_read_poset(args.input), cap=cap)
-        _emit(_json_line({
+        sys.stdout.write(_json_line({
             "size": lat.size,
             "elements": [lat.bitstring(a) for a in range(lat.size)],
             "heights": list(lat.heights),
             "covers": [[a, b] for a in range(lat.size)
                        for b in lat.up_covers[a]],
             "mi": list(lat.meet_irreducibles()),
-        }), out)
+        }))
         return 0
 
     if args.command == "mi":
         lat = filter_lattice(_read_poset(args.input), cap=cap)
-        _emit(write_poset_file(lat.mi_poset()), out)
+        sys.stdout.write(write_poset_file(lat.mi_poset()))
         return 0
 
     if args.command == "cutting":
@@ -180,26 +171,26 @@ def _dispatch(args):
         lat = filter_lattice(_read_poset(args.input), cap=cap)
         if args.bottom is None:
             bits = [lat.bitstring(a) for a in range(lat.size)]
-            _emit("".join(["%s %s\n" % (bits[a], bits[b])
-                           for a, b in cuttings(lat)]), out)
+            sys.stdout.write("".join(["%s %s\n" % (bits[a], bits[b])
+                                      for a, b in cuttings(lat)]))
             return 0
         k = lat.interval_by_strings(args.bottom, args.top)
-        _emit("cutting: %s (%s agree)\n" % (
-            str(is_cutting(lat, k)).lower(), ",".join(CUTTING_METHODS)), out)
+        sys.stdout.write("cutting: %s (%s agree)\n" % (
+            str(is_cutting(lat, k)).lower(), ",".join(CUTTING_METHODS)))
         return 0
 
     if args.command == "expand":
         lat = filter_lattice(_read_poset(args.input), cap=cap)
         exp = expand_poset(lat, lat.interval_by_strings(args.bottom, args.top),
                            label=args.label, cap=cap)
-        _emit(write_poset_file(exp.poset), out)
+        sys.stdout.write(write_poset_file(exp.poset))
         return 0
 
     if args.command == "decompose":
         p = _read_poset(args.input)
         dec = decompose(p, args.element, cap=cap)
         host, k = dec.expansion.host, dec.expansion.interval
-        _emit(_json_line({
+        sys.stdout.write(_json_line({
             "element": args.element,
             "size": dec.size,
             "host_size": host.size,
@@ -209,11 +200,12 @@ def _dispatch(args):
             "expansion_iso_ok": dec.expansion_iso_ok,
             "product_form": dec.product_form,
             "product_iso_ok": dec.product_iso_ok,
-        }), out)
+        }))
         return 0 if dec.counts_ok and dec.expansion_iso_ok else 1
 
     if args.command == "stats":
-        _emit(_json_line(poset_stats(_read_poset(args.input), cap=cap)), out)
+        sys.stdout.write(_json_line(poset_stats(_read_poset(args.input),
+                                                cap=cap)))
         return 0
 
     if args.command == "family":
@@ -222,7 +214,7 @@ def _dispatch(args):
         if args.n > ELEMENT_MAX:
             raise LatcutError("n must be at most %d, got %d"
                               % (ELEMENT_MAX, args.n))
-        _emit(write_poset_file(_FAMILIES[args.kind](args.n)), out)
+        sys.stdout.write(write_poset_file(_FAMILIES[args.kind](args.n)))
         return 0
 
     if args.command == "cube":
@@ -232,14 +224,14 @@ def _dispatch(args):
             g = fibonacci_cube(int(args.arg), cap=cap)
         else:
             g = lucas_cube(int(args.arg), cap=cap)
-        _emit(g.edge_list_text(), out)
+        sys.stdout.write(g.edge_list_text())
         return 0
 
     if args.command == "verify":
         res = run_suite(args.suite, trials=args.trials,
                         max_size=args.max_size, seed=args.seed,
                         max_param=args.max_param)
-        _emit(res.report(), out)
+        sys.stdout.write(res.report())
         return 0 if res.ok else 1
 
     if args.command == "export-dot":
@@ -263,7 +255,7 @@ def _dispatch(args):
                 print("error: --highlight wants B,T", file=sys.stderr)
                 return 2
             highlight = lat.interval_by_strings(*bits)
-        _emit(export_dot(lat, highlight=highlight), out)
+        sys.stdout.write(export_dot(lat, highlight=highlight))
         return 0
 
     raise AssertionError("unhandled command %r" % args.command)

@@ -115,9 +115,7 @@ def _candidate_expansion(lat, k, label):
     base = lat.base
     bf, tf = lat.filters[k.bottom], lat.filters[k.top]
     below_x = base.full_mask & ~bf
-    above_x = tf
-    if below_x & above_x:
-        return None
+    above_x = tf        # inside B, since k is a validated interval
     # Transitivity through the new element: w < x < v forces w < v, which
     # must already hold in P.  (Triples inside P, or with x extremal in
     # them, are closed because below_x is a down-set and above_x a filter.)

@@ -167,8 +167,6 @@ def _q_scan(lat):
     if n > _SCAN_BASE_LIMIT:
         raise CapacityExceeded("the interval scan takes at most %d base "
                                "elements, not %d" % (_SCAN_BASE_LIMIT, n))
-    if n == 0:
-        return [1]
     if lat.size <= _SCAN_INT_LIMIT:
         return _q_scan_ints(lat)
     return _q_scan_blocks(lat)

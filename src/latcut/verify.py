@@ -17,15 +17,18 @@ of latcut.invariants, which return None when their identity holds and the
 failure detail otherwise.  A topic runs only its own rows, so only
 cutting-equivalence votes.  A row or vote that raises AssertionError fails
 with the message, and the pass goes on.  A pooled lattice too large for the
-vote or its expansions is refused before either.
+vote or its expansions is refused before either, and a pooled poset past
+the filter cap, here or in birkhoff and random, is refused by its tag.
 
 The fibonacci and lucas suites print the detail of each failing
 FamilyReport; lucas adds ``cube=False`` when a covering graph is not its
-Lucas cube.
+Lucas cube.  These three family suites take ``--max`` alone, and the others
+``--trials``, ``--max-size`` and ``--seed``; ``run_suite`` refuses the rest.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 
@@ -92,6 +95,17 @@ def _pool_random(trials, max_size, seed):
         yield "seed=%d" % s, random_poset(s, max_size)
 
 
+def _pooled(pool):
+    """Each (tag, poset) of ``pool`` with its filter lattice; a poset past
+    the filter cap is refused with its tag and size named."""
+    for tag, p in pool:
+        try:
+            lat = filter_lattice(p)
+        except CapacityExceeded as e:
+            raise CapacityExceeded("%s (%d elements): %s" % (tag, p.n, e))
+        yield tag, p, lat
+
+
 # -- Birkhoff round trip ------------------------------------------------------------
 
 # The subset scan keeps a table of 2^n closure requirements.
@@ -121,30 +135,22 @@ def filters_by_scan(p):
 def verify_birkhoff(trials=1000, max_size=8, seed=0):
     res = SuiteResult("birkhoff", seed=seed)
     t0 = time.perf_counter()
-
-    def check(tag, p):
+    labeled = [("labeled n=%d" % n, p)
+               for n in range(_BIRKHOFF_EXHAUSTIVE_MAX + 1)
+               for p in all_labeled_posets(n)]
+    res.lines.append("exhaustive labeled posets on <=%d elements: %d"
+                     % (_BIRKHOFF_EXHAUSTIVE_MAX, len(labeled)))
+    pool = itertools.chain(labeled, _pool_random(trials, max_size, seed))
+    for tag, p, lat in _pooled(pool):
         res.checks += 1
-        lat = filter_lattice(p)
         if not poset_isomorphic(lat.mi_poset(), p):
             res.add_failure(p, "Mi(F(P)) not isomorphic to P (%s)" % tag)
-            return
-        if p.n <= _FILTER_SCAN_LIMIT:
+        elif p.n <= _FILTER_SCAN_LIMIT:
             scanned = filters_by_scan(p)
             if sorted(lat.filters) != scanned:
                 res.add_failure(p, "F(P) differs from the subset scan: %d "
                                 "filters against %d (%s)"
                                 % (lat.size, len(scanned), tag))
-
-    total = 0
-    for n in range(_BIRKHOFF_EXHAUSTIVE_MAX + 1):
-        batch = all_labeled_posets(n)
-        total += len(batch)
-        for p in batch:
-            check("labeled n=%d" % n, p)
-    res.lines.append("exhaustive labeled posets on <=%d elements: %d"
-                     % (_BIRKHOFF_EXHAUSTIVE_MAX, total))
-    for tag, p in _pool_random(trials, max_size, seed):
-        check(tag, p)
     res.lines.append("random posets: trials=%d max_size=%d seed=%d"
                      % (trials, max_size, seed))
     res.elapsed = time.perf_counter() - t0
@@ -253,8 +259,7 @@ def run_cutting_suite(trials=200, max_size=7, seed=1, exhaustive_max=5,
     t0 = time.perf_counter()
     pool = [*_pool_iso(exhaustive_max), *_pool_random(trials, max_size, seed)]
     n_intervals = n_cuttings = vote_time = 0
-    for tag, p in pool:
-        lat = filter_lattice(p)
+    for tag, p, lat in _pooled(pool):
         te = time.perf_counter()
         listed = cuttings(lat)
         if len(listed) * lat.size > _PASS_WORK_MAX:
@@ -374,9 +379,8 @@ def verify_random(trials=200, max_size=7, seed=2):
     of the cutting pass and d- = d+, as one check on every sampled poset."""
     res = SuiteResult("random", seed=seed)
     t0 = time.perf_counter()
-    for tag, p in _pool_random(trials, max_size, seed):
+    for tag, p, lat in _pooled(_pool_random(trials, max_size, seed)):
         res.checks += 1
-        lat = filter_lattice(p)
         ok = poset_isomorphic(lat.mi_poset(), p)
         try:
             detail = binomial_relations(lat) or euler_checks(lat)
@@ -396,17 +400,28 @@ def verify_random(trials=200, max_size=7, seed=2):
 # -- orchestration ------------------------------------------------------------------
 
 
-SUITE_NAMES = (("birkhoff",) + _CUTTING_TOPICS
-               + ("fibonacci", "lucas", "cubes", "random"))
+# Each family suite takes --max as its one bound.
+_FAMILY_SUITES = {"fibonacci": verify_fibonacci, "lucas": verify_lucas,
+                  "cubes": verify_cubes}
+SUITE_NAMES = (("birkhoff",) + _CUTTING_TOPICS + tuple(_FAMILY_SUITES)
+               + ("random",))
 
 
 def run_suite(name, trials=None, max_size=None, seed=None, max_param=None):
     """Dispatch a named suite with CLI-style optional overrides; a suite
-    takes its own defaults for those not given.  Raises LatcutError on a
-    negative count or size, before any suite runs."""
+    takes its own defaults for those not given.  The family suites take
+    --max, the others --trials, --max-size and --seed.  Raises LatcutError,
+    before any suite runs, on a flag the suite does not take and on a
+    negative count or size."""
+    takes = (("--max",) if name in _FAMILY_SUITES
+             else ("--trials", "--max-size", "--seed"))
     for flag, value in (("--trials", trials), ("--max-size", max_size),
-                        ("--max", max_param)):
-        if value is not None and value < 0:
+                        ("--seed", seed), ("--max", max_param)):
+        if value is None:
+            continue
+        if flag not in takes:
+            raise LatcutError("verify %s takes no %s" % (name, flag))
+        if value < 0 and flag != "--seed":
             raise LatcutError("%s must not be negative, got %d"
                               % (flag, value))
     given = {key: value for key, value in (("trials", trials),
@@ -423,12 +438,8 @@ def run_suite(name, trials=None, max_size=None, seed=None, max_param=None):
         if max_size is not None:
             given["exhaustive_max"] = min(5, max_size)
         return run_cutting_suite(topics=(name,), **given)[name]
-    if name == "fibonacci":
-        return verify_fibonacci(*bound)
-    if name == "lucas":
-        return verify_lucas(*bound)
-    if name == "cubes":
-        return verify_cubes(*bound)
+    if name in _FAMILY_SUITES:
+        return _FAMILY_SUITES[name](*bound)
     if name == "random":
         return verify_random(**given)
     raise ValueError("unknown suite %r" % name)

@@ -327,7 +327,7 @@ def test_cli_cube_commands(capsys, monkeypatch):
 def test_cli_verify_smoke(capsys):
     code, out, _ = run_cli(["verify", "cutting-equivalence",
                             "--trials", "5", "--max-size", "4",
-                            "--seed", "7", "--max", "0"], capsys=capsys)
+                            "--seed", "7"], capsys=capsys)
     assert code == 0
     assert "ok" in out
 
@@ -434,6 +434,93 @@ def test_cli_refuses_cap_where_no_cap_applies(argv, capsys):
     assert err.startswith("usage:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["filters"], ["lattice"], ["mi"], ["cutting"],
+    ["expand", "--bottom", "1", "--top", "1"], ["decompose", "a"], ["stats"],
+    ["family", "fence", "3"], ["cube", "fibonacci", "2"], ["verify", "cubes"],
+    ["export-dot"]], ids=lambda argv: argv[0])
+def test_cli_refuses_out_on_every_subcommand(argv, capsys, tmp_path):
+    # Stdout is the one output route.
+    target = tmp_path / "out.txt"
+    with pytest.raises(SystemExit) as e:
+        cli_run(argv + ["--out", str(target)])
+    out, err = capsys.readouterr()
+    assert (e.value.code, out) == (2, "")
+    assert err.startswith("usage:") and "--out" in err
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("flag", ["--trials", "--max-size", "--seed", "--max"])
+@pytest.mark.parametrize("suite", latcut.SUITE_NAMES)
+def test_cli_verify_takes_exactly_the_flags_its_suite_reads(
+        suite, flag, capsys, monkeypatch):
+    """A family suite takes --max, the others --trials, --max-size and
+    --seed.  A flag the suite takes changes its report; any other is
+    refused before the suite starts."""
+    import latcut.verify as ver
+
+    small = ({"--max": 4} if suite in ("fibonacci", "lucas", "cubes")
+             else {"--trials": 1, "--max-size": 2, "--seed": 3})
+
+    def run(flags):
+        argv = ["verify", suite]
+        for name, value in flags.items():
+            argv += [name, str(value)]
+        return run_cli(argv, capsys=capsys)
+
+    if flag in small:
+        base, moved = run(small), run({**small, flag: small[flag] + 2})
+        assert base[0] == moved[0] == 0 and base[2] == moved[2] == ""
+        assert base[1] != moved[1]
+        return
+    started = []
+    monkeypatch.setattr(ver, "SuiteResult",
+                        lambda *args, **kw: started.append(args))
+    assert run({**small, flag: 1}) == (
+        2, "", "error: verify %s takes no %s\n" % (suite, flag))
+    assert started == []
+
+
+@pytest.mark.parametrize("suite,message", [
+    ("random", "seed=2000014 (30 elements): more than 1048576 filters"),
+    ("birkhoff", "seed=10 (37 elements): an antichain of 25 elements "
+                 "forces more than 1048576 filters"),
+], ids=["random", "birkhoff"])
+def test_cli_verify_names_a_pooled_poset_past_the_filter_cap(suite, message,
+                                                            capsys):
+    code, out, err = run_cli(["verify", suite, "--max-size", "40",
+                              "--trials", "20"], capsys=capsys)
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
+
+
+def test_cli_verify_degree_symmetry_reports_a_census_mismatch(capsys,
+                                                             monkeypatch):
+    monkeypatch.setattr("latcut.verify.antichain_census", lambda p: [0])
+    code, out, err = run_cli(["verify", "degree-symmetry", "--trials", "0",
+                              "--max-size", "1"], capsys=capsys)
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    at = lines.index("smallest failing instance:")
+    assert lines[at + 1:at + 3] == [
+        "FAIL degree-symmetry: degree vectors disagree (iso n=0)",
+        "d_minus=[1] d_plus=[1] census=[0]"]
+
+
+def test_cli_verify_cubes_reports_a_wrong_model(capsys, monkeypatch):
+    real = latcut.fibonacci_cube
+    monkeypatch.setattr("latcut.verify.fibonacci_cube",
+                        lambda n: real(3 if n == 2 else n))
+    code, out, err = run_cli(["verify", "cubes", "--max", "3"],
+                             capsys=capsys)
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert lines[0] == "suite cubes: 5 checks, 1 FAILURES"
+    assert "fence n=2,vertices=3,FAIL" in lines
+    assert "fence n=3,vertices=5,ok" in lines
+    at = lines.index("smallest failing instance:")
+    assert lines[at + 1] == "FAIL cubes: fibonacci cube mismatch at n=2"
+
+
 def test_cli_export_dot_and_highlight(capsys, monkeypatch):
     poset_text = write_poset_file(z3())
     code, out, _ = run_cli(["export-dot"], stdin_text=poset_text,
@@ -452,6 +539,20 @@ def test_cli_export_dot_and_highlight(capsys, monkeypatch):
     assert code == 2
 
 
+def test_cli_export_dot_highlights_one_interval(capsys, monkeypatch):
+    poset_text, lat = write_poset_file(z3()), filter_lattice(z3())
+    code, out, err = run_cli(["export-dot", "--highlight", "101,000"],
+                             stdin_text=poset_text,
+                             capsys=capsys, monkeypatch=monkeypatch)
+    assert (code, err) == (0, "")
+    assert out == export_dot(lat,
+                             highlight=lat.interval_by_strings("101", "000"))
+    for flag in ("--highlight", "--expand"):
+        assert run_cli(["export-dot", flag, "101"], stdin_text=poset_text,
+                       capsys=capsys, monkeypatch=monkeypatch) == (
+            2, "", "error: %s wants B,T\n" % flag)
+
+
 def test_cli_error_exit_codes(capsys, monkeypatch):
     code, _, err = run_cli(["stats"], stdin_text="cover a b\n",
                            capsys=capsys, monkeypatch=monkeypatch)
@@ -462,7 +563,7 @@ def test_cli_error_exit_codes(capsys, monkeypatch):
     assert code == 2 and err.startswith("error:")
 
 
-def test_cli_outputs_are_deterministic(capsys, monkeypatch, tmp_path):
+def test_cli_outputs_are_deterministic(capsys, monkeypatch):
     first = second = None
     for attempt in range(2):
         code, out, _ = run_cli(["family", "crown", "6"], capsys=capsys)
@@ -475,12 +576,6 @@ def test_cli_outputs_are_deterministic(capsys, monkeypatch, tmp_path):
         else:
             second = out
     assert first == second
-    # --out writes the same bytes as stdout
-    target = tmp_path / "fence.txt"
-    code, out, _ = run_cli(["family", "fence", "4", "--out", str(target)],
-                           capsys=capsys)
-    assert code == 0 and out == ""
-    assert target.read_text() == "element 1 2 3 4\ncover 2 1\ncover 2 3\ncover 4 3\n"
 
 
 def test_cli_module_entry_point():
