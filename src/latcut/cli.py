@@ -8,6 +8,11 @@ compose through pipes:
 
 Stdout is the one output route; redirect it with ``>`` to keep a result.
 
+``_dispatch`` takes one path: ``family``, ``cube fibonacci|lucas`` and
+``verify`` read no poset and return first.  Every usage check runs next,
+before any input is read.  The poset is then read at one site, and every
+command but ``stats`` and ``decompose`` shares one ``filter_lattice``.
+
 Exit codes: 0 success, 1 a verified property failed, 2 usage or input errors.
 All output is deterministic for fixed inputs, flags and seed.
 """
@@ -35,15 +40,21 @@ _FAMILIES = {"fence": fence, "crown": crown, "chain": chain,
              "antichain": antichain}
 
 
-def _read_text(path):
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
-
-
 def _read_poset(path):
-    return parse_poset_file(_read_text(path))
+    if path == "-":
+        return parse_poset_file(sys.stdin.read())
+    with open(path, encoding="utf-8") as fh:
+        return parse_poset_file(fh.read())
+
+
+def _endpoints(flag, value):
+    """The bitstrings of a ``B,T`` value, None if it is absent or empty."""
+    if not value:
+        return None
+    bits = value.split(",")
+    if len(bits) != 2:
+        raise LatcutError("%s wants B,T" % flag)
+    return bits
 
 
 def _json_line(obj):
@@ -140,54 +151,50 @@ def cli_run(argv=None):
 
 def _dispatch(args):
     cap = getattr(args, "cap", FILTER_CAP)
+    cmd = args.command
 
-    if args.command == "filters":
-        lat = filter_lattice(_read_poset(args.input), cap=cap)
-        sys.stdout.write("".join(lat.bitstring(a) + "\n"
-                                 for a in range(lat.size)))
+    # The commands that read no poset.
+    if cmd == "family":
+        if args.n < 0:
+            raise LatcutError("n must not be negative, got %d" % args.n)
+        if args.n > ELEMENT_MAX:
+            raise LatcutError("n must be at most %d, got %d"
+                              % (ELEMENT_MAX, args.n))
+        sys.stdout.write(write_poset_file(_FAMILIES[args.kind](args.n)))
         return 0
 
-    if args.command == "lattice":
-        lat = filter_lattice(_read_poset(args.input), cap=cap)
-        sys.stdout.write(_json_line({
-            "size": lat.size,
-            "elements": [lat.bitstring(a) for a in range(lat.size)],
-            "heights": list(lat.heights),
-            "covers": [[a, b] for a in range(lat.size)
-                       for b in lat.up_covers[a]],
-            "mi": list(lat.meet_irreducibles()),
-        }))
+    if cmd == "cube" and args.kind != "cover":
+        try:
+            dim = int(args.arg)
+        except ValueError:
+            raise LatcutError("cube %s wants an integer dimension, got %r"
+                              % (args.kind, args.arg)) from None
+        make = fibonacci_cube if args.kind == "fibonacci" else lucas_cube
+        sys.stdout.write(make(dim, cap=cap).edge_list_text())
         return 0
 
-    if args.command == "mi":
-        lat = filter_lattice(_read_poset(args.input), cap=cap)
-        sys.stdout.write(write_poset_file(lat.mi_poset()))
+    if cmd == "verify":
+        res = run_suite(args.suite, trials=args.trials,
+                        max_size=args.max_size, seed=args.seed,
+                        max_param=args.max_param)
+        sys.stdout.write(res.report())
+        return 0 if res.ok else 1
+
+    # Usage checks, before any input is read.
+    if cmd == "cutting" and (args.bottom is None) != (args.top is None):
+        raise LatcutError("--bottom and --top go together")
+    if cmd == "export-dot":
+        if args.highlight and args.expand_at:
+            raise LatcutError("--highlight and --expand are exclusive")
+        expand_at = _endpoints("--expand", args.expand_at)
+        highlight = _endpoints("--highlight", args.highlight)
+
+    p = _read_poset(args.arg if cmd == "cube" else args.input)
+    if cmd == "stats":
+        sys.stdout.write(_json_line(poset_stats(p, cap=cap)))
         return 0
 
-    if args.command == "cutting":
-        if (args.bottom is None) != (args.top is None):
-            print("error: --bottom and --top go together", file=sys.stderr)
-            return 2
-        lat = filter_lattice(_read_poset(args.input), cap=cap)
-        if args.bottom is None:
-            bits = [lat.bitstring(a) for a in range(lat.size)]
-            sys.stdout.write("".join(["%s %s\n" % (bits[a], bits[b])
-                                      for a, b in cuttings(lat)]))
-            return 0
-        k = lat.interval_by_strings(args.bottom, args.top)
-        sys.stdout.write("cutting: %s (%s agree)\n" % (
-            str(is_cutting(lat, k)).lower(), ",".join(CUTTING_METHODS)))
-        return 0
-
-    if args.command == "expand":
-        lat = filter_lattice(_read_poset(args.input), cap=cap)
-        exp = expand_poset(lat, lat.interval_by_strings(args.bottom, args.top),
-                           label=args.label, cap=cap)
-        sys.stdout.write(write_poset_file(exp.poset))
-        return 0
-
-    if args.command == "decompose":
-        p = _read_poset(args.input)
+    if cmd == "decompose":
         dec = decompose(p, args.element, cap=cap)
         host, k = dec.expansion.host, dec.expansion.interval
         sys.stdout.write(_json_line({
@@ -203,62 +210,45 @@ def _dispatch(args):
         }))
         return 0 if dec.counts_ok and dec.expansion_iso_ok else 1
 
-    if args.command == "stats":
-        sys.stdout.write(_json_line(poset_stats(_read_poset(args.input),
-                                                cap=cap)))
-        return 0
-
-    if args.command == "family":
-        if args.n < 0:
-            raise LatcutError("n must not be negative, got %d" % args.n)
-        if args.n > ELEMENT_MAX:
-            raise LatcutError("n must be at most %d, got %d"
-                              % (ELEMENT_MAX, args.n))
-        sys.stdout.write(write_poset_file(_FAMILIES[args.kind](args.n)))
-        return 0
-
-    if args.command == "cube":
-        if args.kind == "cover":
-            g = cover_cube(filter_lattice(_read_poset(args.arg), cap=cap))
-        elif args.kind == "fibonacci":
-            g = fibonacci_cube(int(args.arg), cap=cap)
-        else:
-            g = lucas_cube(int(args.arg), cap=cap)
-        sys.stdout.write(g.edge_list_text())
-        return 0
-
-    if args.command == "verify":
-        res = run_suite(args.suite, trials=args.trials,
-                        max_size=args.max_size, seed=args.seed,
-                        max_param=args.max_param)
-        sys.stdout.write(res.report())
-        return 0 if res.ok else 1
-
-    if args.command == "export-dot":
-        lat = filter_lattice(_read_poset(args.input), cap=cap)
-        if args.highlight and args.expand_at:
-            print("error: --highlight and --expand are exclusive",
-                  file=sys.stderr)
-            return 2
-        highlight = None
-        if args.expand_at:
-            bits = args.expand_at.split(",")
-            if len(bits) != 2:
-                print("error: --expand wants B,T", file=sys.stderr)
-                return 2
-            exp = expand_poset(lat, lat.interval_by_strings(*bits), cap=cap)
+    lat = filter_lattice(p, cap=cap)
+    if cmd == "filters":
+        sys.stdout.write("".join(lat.bitstring(a) + "\n"
+                                 for a in range(lat.size)))
+    elif cmd == "lattice":
+        sys.stdout.write(_json_line({
+            "size": lat.size,
+            "elements": [lat.bitstring(a) for a in range(lat.size)],
+            "heights": list(lat.heights),
+            "covers": [[a, b] for a in range(lat.size)
+                       for b in lat.up_covers[a]],
+            "mi": list(lat.meet_irreducibles()),
+        }))
+    elif cmd == "mi":
+        sys.stdout.write(write_poset_file(lat.mi_poset()))
+    elif cmd == "cube":
+        sys.stdout.write(cover_cube(lat).edge_list_text())
+    elif cmd == "cutting" and args.bottom is None:
+        bits = [lat.bitstring(a) for a in range(lat.size)]
+        sys.stdout.write("".join(["%s %s\n" % (bits[a], bits[b])
+                                  for a, b in cuttings(lat)]))
+    elif cmd == "cutting":
+        k = lat.interval_by_strings(args.bottom, args.top)
+        sys.stdout.write("cutting: %s (%s agree)\n" % (
+            str(is_cutting(lat, k)).lower(), ",".join(CUTTING_METHODS)))
+    elif cmd == "expand":
+        exp = expand_poset(lat, lat.interval_by_strings(args.bottom, args.top),
+                           label=args.label, cap=cap)
+        sys.stdout.write(write_poset_file(exp.poset))
+    else:  # export-dot
+        if expand_at:
+            exp = expand_poset(lat, lat.interval_by_strings(*expand_at),
+                               cap=cap)
             lat = exp.lattice
             highlight = (exp.source_interval, exp.copy_interval)
-        elif args.highlight:
-            bits = args.highlight.split(",")
-            if len(bits) != 2:
-                print("error: --highlight wants B,T", file=sys.stderr)
-                return 2
-            highlight = lat.interval_by_strings(*bits)
+        elif highlight:
+            highlight = lat.interval_by_strings(*highlight)
         sys.stdout.write(export_dot(lat, highlight=highlight))
-        return 0
-
-    raise AssertionError("unhandled command %r" % args.command)
+    return 0
 
 
 def main():

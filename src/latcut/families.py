@@ -82,22 +82,25 @@ def crown(two_n):
     return poset_from_covers(labels, covers)
 
 
-def fib(n):
+def fib(n, cap=None):
     """F_1 = F_2 = 1; F_0 = 0 so that fib(m-1) makes sense at m = 1."""
-    if n < 0:
-        raise ValueError("negative Fibonacci index")
-    a, b = 0, 1
-    for _ in range(n):
-        a, b = b, a + b
-    return a
+    return _two_term("Fibonacci", 0, 1, n, cap)
 
 
-def lucas(n):
+def lucas(n, cap=None):
+    return _two_term("Lucas", 2, 1, n, cap)
+
+
+def _two_term(name, a, b, n, cap):
+    """Term n of a, b, a + b, ..., or, given ``cap``, the first term past it.
+    From index 1 on the terms of fib and lucas never fall, so the result
+    passes ``cap`` exactly when term n does, after O(log cap) steps."""
     if n < 0:
-        raise ValueError("negative Lucas index")
-    a, b = 2, 1
+        raise ValueError("negative %s index" % name)
     for _ in range(n):
         a, b = b, a + b
+        if cap is not None and a > cap:
+            break
     return a
 
 
@@ -159,9 +162,9 @@ def fibonacci_cube(n, cap=FILTER_CAP):
     vertices would exceed ``cap``."""
     if n < 0:
         raise ValueError("negative cube dimension")
-    if fib(n + 2) > cap:
-        raise CapacityExceeded("Fibonacci cube of dimension %d has %d > %d "
-                               "vertices" % (n, fib(n + 2), cap))
+    if fib(n + 2, cap) > cap:
+        raise CapacityExceeded("Fibonacci cube of dimension %d has more "
+                               "than %d vertices" % (n, cap))
     return _cube_from_strings(_no_adjacent_ones(n))
 
 
@@ -171,9 +174,9 @@ def lucas_cube(two_n, cap=FILTER_CAP):
     vertices."""
     if two_n % 2:
         raise OddSize("Lucas cube needs an even length, got %d" % two_n)
-    if lucas(two_n) > cap:
-        raise CapacityExceeded("Lucas cube of dimension %d has %d > %d "
-                               "vertices" % (two_n, lucas(two_n), cap))
+    if lucas(two_n, cap) > cap:
+        raise CapacityExceeded("Lucas cube of dimension %d has more than %d "
+                               "vertices" % (two_n, cap))
     strings = [s for s in _no_adjacent_ones(two_n)
                if not (s and s[0] == "1" and s[-1] == "1")]
     return _cube_from_strings(strings)

@@ -143,11 +143,9 @@ def _q_census(lat):
     """Pair formula: every Boolean interval [a, b] arises from the filter
     F = filter(a) and a subset of its minimal elements, and |Min F| is a's
     number of up-covers.  So q_k = sum over F of C(|Min F|, k), the binomial
-    transform of the up-cover degree histogram d_minus."""
-    hist = [0] * (max(map(len, lat.up_covers)) + 1)
-    for covs in lat.up_covers:
-        hist[len(covs)] += 1
-    return binomial_transform(hist)
+    transform of the up-cover degree histogram d_minus, which
+    :func:`d_vectors` builds once per lattice."""
+    return binomial_transform(d_vectors(lat).minus)
 
 
 def _q_scan(lat):

@@ -21,8 +21,9 @@ vote or its expansions is refused before either, and a pooled poset past
 the filter cap, here or in birkhoff and random, is refused by its tag.
 
 The fibonacci and lucas suites print the detail of each failing
-FamilyReport; lucas adds ``cube=False`` when a covering graph is not its
-Lucas cube.  These three family suites take ``--max`` alone, and the others
+FamilyReport, or the message of a case that raises AssertionError, and go
+on; lucas adds ``cube=False`` when a covering graph is not its Lucas cube.
+These three family suites take ``--max`` alone, and the others
 ``--trials``, ``--max-size`` and ``--seed``; ``run_suite`` refuses the rest.
 """
 
@@ -40,7 +41,7 @@ from .families import (_zigzag_translate, cover_cube, crown, fence, fib,
                        fibonacci_cube, lucas, lucas_cube,
                        verify_fibonacci_decomposition,
                        verify_lucas_decomposition)
-from .fileio import write_poset_file
+from .fileio import ELEMENT_MAX, write_poset_file
 from .invariants import (antichain_census, binomial_relations,
                          check_d_recurrences, check_q_recurrence,
                          check_rank_recurrence, d_vectors, euler_checks,
@@ -204,16 +205,22 @@ _CUTTING_TOPICS = ("cutting-equivalence",) + tuple(
     topic for topic, _, _ in _CUTTING_ROWS + _LATTICE_ROWS)
 
 
+def _detail(check, *args):
+    """check(*args): None, or the detail of a failure.  A check that raises
+    AssertionError (a q census that disagrees with its interval scan) fails
+    with the message."""
+    try:
+        return check(*args)
+    except AssertionError as e:
+        return str(e)
+
+
 def _run_rows(results, rows, p, where, *args):
     """Each row's check(*args); ``where()`` names the place of a failure."""
     for topic, what, check in rows:
         res = results[topic]
         res.checks += 1
-        try:
-            detail = check(*args)
-        except AssertionError as e:
-            # A q census disagrees with its interval scan.
-            detail = str(e)
+        detail = _detail(check, *args)
         if detail is not None:
             res.add_failure(p, "%s (%s)" % (what, where()), detail)
 
@@ -306,7 +313,7 @@ def _refuse_over_cap(*sizes):
 def verify_fibonacci(max_s=16):
     """All m, n >= 2 with m+n-2 <= max_s: sizes, the F identity, and the
     q recurrence, via the realized decomposition."""
-    _refuse_over_cap(fib(max_s + 2))
+    _refuse_over_cap(fib(max_s + 2, FILTER_CAP))
     res = SuiteResult("fibonacci")
     t0 = time.perf_counter()
     for s in range(2, max_s + 1):
@@ -314,12 +321,14 @@ def verify_fibonacci(max_s=16):
         direct = filter_lattice(fence(s))
         for m in range(2, s + 1):
             n = s + 2 - m
-            r = verify_fibonacci_decomposition(m, n, direct=direct)
+            detail = _detail(lambda: verify_fibonacci_decomposition(
+                m, n, direct=direct).detail)
             res.checks += 1
-            res.lines.append("m=%d,n=%d,%s" % (m, n, "ok" if r.ok else "FAIL"))
-            if not r.ok:
+            res.lines.append("m=%d,n=%d,%s"
+                             % (m, n, "FAIL" if detail else "ok"))
+            if detail:
                 res.add_failure(fence(s), "fibonacci decomposition m=%d n=%d"
-                                % (m, n), r.detail)
+                                % (m, n), detail)
     res.elapsed = time.perf_counter() - t0
     return res
 
@@ -327,18 +336,18 @@ def verify_fibonacci(max_s=16):
 def verify_lucas(max_two_n=10):
     """Crown sizes, the Lucas identity, the q recurrence, and the covering
     graph against the string-model Lucas cube."""
-    _refuse_over_cap(lucas(max_two_n // 2 * 2))
+    _refuse_over_cap(lucas(max_two_n // 2 * 2, FILTER_CAP))
     res = SuiteResult("lucas")
     t0 = time.perf_counter()
     for n in range(2, max_two_n // 2 + 1):
-        r = verify_lucas_decomposition(n)
+        lat = filter_lattice(crown(2 * n))
         res.checks += 1
-        cube_ok = (_zigzag_translate(cover_cube(filter_lattice(crown(2 * n))))
-                   == lucas_cube(2 * n))
+        cube_ok = _zigzag_translate(cover_cube(lat)) == lucas_cube(2 * n)
         detail = " ".join(filter(None, (
-            r.detail, None if cube_ok else "cube=False")))
+            _detail(lambda: verify_lucas_decomposition(n).detail),
+            None if cube_ok else "cube=False")))
         res.lines.append("n=%d,size=%d,%s" % (
-            n, r.lattice_size, "FAIL" if detail else "ok"))
+            n, lat.size, "FAIL" if detail else "ok"))
         if detail:
             res.add_failure(crown(2 * n), "lucas decomposition n=%d" % n,
                             detail)
@@ -351,7 +360,8 @@ def verify_cubes(max_fence=9):
     string models, certified by the zigzag translation: fences up to
     ``max_fence`` elements, crowns up to one more."""
     max_crown = (max_fence + 1) // 2 * 2
-    _refuse_over_cap(fib(max_fence + 2), lucas(max_crown))
+    _refuse_over_cap(fib(max_fence + 2, FILTER_CAP),
+                     lucas(max_crown, FILTER_CAP))
     res = SuiteResult("cubes")
     t0 = time.perf_counter()
     cases = ([(fence(n), fibonacci_cube, n, fib(n + 2), "fence n=%d",
@@ -382,11 +392,7 @@ def verify_random(trials=200, max_size=7, seed=2):
     for tag, p, lat in _pooled(_pool_random(trials, max_size, seed)):
         res.checks += 1
         ok = poset_isomorphic(lat.mi_poset(), p)
-        try:
-            detail = binomial_relations(lat) or euler_checks(lat)
-        except AssertionError as e:
-            # The q census and the interval scan disagree on this poset.
-            detail = str(e)
+        detail = _detail(lambda: binomial_relations(lat) or euler_checks(lat))
         d = d_vectors(lat)
         if detail or not (ok and d.minus == d.plus):
             res.add_failure(p, "random-layer invariants (%s)" % tag, detail
@@ -411,8 +417,8 @@ def run_suite(name, trials=None, max_size=None, seed=None, max_param=None):
     """Dispatch a named suite with CLI-style optional overrides; a suite
     takes its own defaults for those not given.  The family suites take
     --max, the others --trials, --max-size and --seed.  Raises LatcutError,
-    before any suite runs, on a flag the suite does not take and on a
-    negative count or size."""
+    before any suite runs, on a flag the suite does not take, on a
+    negative count or size and on a --max-size past fileio.ELEMENT_MAX."""
     takes = (("--max",) if name in _FAMILY_SUITES
              else ("--trials", "--max-size", "--seed"))
     for flag, value in (("--trials", trials), ("--max-size", max_size),
@@ -424,6 +430,9 @@ def run_suite(name, trials=None, max_size=None, seed=None, max_param=None):
         if value < 0 and flag != "--seed":
             raise LatcutError("%s must not be negative, got %d"
                               % (flag, value))
+        if flag == "--max-size" and value > ELEMENT_MAX:
+            raise LatcutError("--max-size must be at most %d, got %d"
+                              % (ELEMENT_MAX, value))
     given = {key: value for key, value in (("trials", trials),
                                            ("max_size", max_size),
                                            ("seed", seed))

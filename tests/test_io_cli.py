@@ -366,10 +366,24 @@ def test_cli_verify_max_size_bounds_the_exhaustive_layer(capsys):
     (["fibonacci", "--max", "-3"], "--max must not be negative, got -3"),
     (["lucas", "--max", "-1"], "--max must not be negative, got -1"),
     (["cubes", "--max", "-1"], "--max must not be negative, got -1"),
+    # Past fileio.ELEMENT_MAX, the bound on every poset, before any draw.
+    (["random", "--max-size", "16385"],
+     "--max-size must be at most 16384, got 16385"),
+    (["birkhoff", "--trials", "0", "--max-size", "100000"],
+     "--max-size must be at most 16384, got 100000"),
+    (["euler", "--max-size", "16385"],
+     "--max-size must be at most 16384, got 16385"),
 ])
 def test_cli_verify_rejects_negative_counts_and_sizes(argv, message, capsys):
     code, out, err = run_cli(["verify"] + argv, capsys=capsys)
     assert (code, out, err) == (2, "", "error: %s\n" % message)
+
+
+def test_cli_verify_takes_a_max_size_at_the_element_bound(capsys):
+    code, out, err = run_cli(["verify", "random", "--trials", "0",
+                              "--max-size", "16384"], capsys=capsys)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == "trials=0 max_size=16384 seed=2"
 
 
 @pytest.mark.parametrize("suite,bound", [
@@ -377,6 +391,8 @@ def test_cli_verify_rejects_negative_counts_and_sizes(argv, message, capsys):
     # The first bounds whose largest lattice passes the cap: F(fence(29))
     # has fib(31) = 1346269 filters, F(crown(30)) has lucas(30) = 1860498.
     ("cubes", 29), ("fibonacci", 29), ("lucas", 30),
+    # F(n + 2) and L(n) are compared with the cap without computing them.
+    ("cubes", 1000000), ("fibonacci", 1000000), ("lucas", 1000000),
 ])
 def test_cli_verify_refuses_an_oversized_family_before_any_work(suite, bound,
                                                                 capsys):
@@ -385,6 +401,24 @@ def test_cli_verify_refuses_an_oversized_family_before_any_work(suite, bound,
                              capsys=capsys)
     assert time.perf_counter() - t0 < 1.0
     assert (code, out, err) == (2, "", "error: more than 1048576 filters\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["fibonacci", "1000000"],
+     "Fibonacci cube of dimension 1000000 has more than 1048576 vertices"),
+    (["lucas", "1000000"],
+     "Lucas cube of dimension 1000000 has more than 1048576 vertices"),
+    (["fibonacci", "40", "--cap", "5"],
+     "Fibonacci cube of dimension 40 has more than 5 vertices"),
+    (["fibonacci", "x"], "cube fibonacci wants an integer dimension, got 'x'"),
+    (["lucas", "2.0"], "cube lucas wants an integer dimension, got '2.0'"),
+])
+def test_cli_cube_refuses_a_bad_or_oversized_dimension_before_any_work(
+        argv, message, capsys):
+    t0 = time.perf_counter()
+    code, out, err = run_cli(["cube"] + argv, capsys=capsys)
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
 
 
 def test_cli_verify_refuses_the_second_random_poset_of_a_wide_pool(capsys):
@@ -553,6 +587,23 @@ def test_cli_export_dot_highlights_one_interval(capsys, monkeypatch):
             2, "", "error: %s wants B,T\n" % flag)
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["cutting", "--bottom", "1"], "--bottom and --top go together"),
+    (["export-dot", "--highlight", "101"], "--highlight wants B,T"),
+    (["export-dot", "--expand", "101"], "--expand wants B,T"),
+    (["export-dot", "--highlight", "101,000", "--expand", "101,000"],
+     "--highlight and --expand are exclusive"),
+])
+def test_cli_usage_errors_exit_before_the_input_is_read(argv, message, capsys,
+                                                        monkeypatch):
+    # The input does not parse, so an error raised after reading it would
+    # be the parse error; the stream's position shows it was not read.
+    stdin = io.StringIO("cover a b\n")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    assert run_cli(argv, capsys=capsys) == (2, "", "error: %s\n" % message)
+    assert stdin.tell() == 0
+
+
 def test_cli_error_exit_codes(capsys, monkeypatch):
     code, _, err = run_cli(["stats"], stdin_text="cover a b\n",
                            capsys=capsys, monkeypatch=monkeypatch)
@@ -653,6 +704,28 @@ def test_cli_verify_random_records_a_q_disagreement_per_poset(capsys,
         "interval scan [0] disagrees with census ")
 
 
+@pytest.mark.parametrize("suite,max_param,lines", [
+    ("fibonacci", "4", ["m=2,n=2,FAIL", "m=2,n=3,FAIL", "m=3,n=2,FAIL",
+                        "m=2,n=4,FAIL", "m=3,n=3,FAIL", "m=4,n=2,FAIL"]),
+    ("lucas", "6", ["n=2,size=7,FAIL", "n=3,size=18,FAIL"]),
+])
+def test_cli_verify_family_suites_record_a_q_disagreement_per_case(
+        suite, max_param, lines, capsys, monkeypatch):
+    # As in the random suite: the disagreement fails its case, and the
+    # suite goes on to the next one and names the smallest failing one.
+    monkeypatch.setattr("latcut.invariants._q_scan", lambda lat: [0])
+    code, out, err = run_cli(["verify", suite, "--max", max_param],
+                             capsys=capsys)
+    assert code == 1 and err == ""
+    report = out.splitlines()
+    assert report[0] == "suite %s: %d checks, %d FAILURES" % (
+        suite, len(lines), len(lines))
+    assert report[1:len(lines) + 1] == lines
+    at = report.index("smallest failing instance:")
+    assert report[at + 2].startswith("interval scan [0] disagrees with "
+                                     "census ")
+
+
 def test_public_names_resolve():
     assert len(set(latcut.__all__)) == len(latcut.__all__)
     for name in latcut.__all__:
@@ -722,17 +795,19 @@ def _argv(draw):
                                       "lucas", "cubes", "nope"]
                                      + list(_CUTTING_TOPICS)))
         argv.append(suite)
-        # A cutting suite walks every poset up to min(5, --max-size)
-        # elements and 200 random ones by default, so it always gets a small
+        # Only the suite's own flags are drawn; the refusal of any other is
+        # test_cli_verify_takes_exactly_the_flags_its_suite_reads.  A
+        # cutting suite walks every poset up to min(5, --max-size) elements
+        # and 200 random ones by default, so it always gets a small
         # --max-size and --trials.  A family suite runs up to fence(16) by
         # default, so it always gets a small --max.
         cutting = suite in _CUTTING_TOPICS
         family = suite in ("fibonacci", "lucas", "cubes")
-        for flag, hi in (("--trials", 3), ("--max-size", 3 if cutting else 5),
-                         ("--seed", 9), ("--max", 8)):
-            if (cutting and flag in ("--trials", "--max-size")
-                    or family and flag == "--max"
-                    or draw(st.booleans())):
+        flags = ((("--max", 8),) if family else
+                 (("--trials", 3), ("--max-size", 3 if cutting else 5),
+                  ("--seed", 9)))
+        for flag, hi in flags:
+            if family or cutting and flag != "--seed" or draw(st.booleans()):
                 argv += [flag, str(draw(st.integers(min_value=-2,
                                                     max_value=hi)))]
     if draw(st.booleans()):
