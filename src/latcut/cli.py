@@ -48,8 +48,8 @@ def _read_poset(path):
 
 
 def _endpoints(flag, value):
-    """The bitstrings of a ``B,T`` value, None if it is absent or empty."""
-    if not value:
+    """The bitstrings of a ``B,T`` value, None if the flag is absent."""
+    if value is None:
         return None
     bits = value.split(",")
     if len(bits) != 2:
@@ -184,7 +184,7 @@ def _dispatch(args):
     if cmd == "cutting" and (args.bottom is None) != (args.top is None):
         raise LatcutError("--bottom and --top go together")
     if cmd == "export-dot":
-        if args.highlight and args.expand_at:
+        if args.highlight is not None and args.expand_at is not None:
             raise LatcutError("--highlight and --expand are exclusive")
         expand_at = _endpoints("--expand", args.expand_at)
         highlight = _endpoints("--highlight", args.highlight)
@@ -240,14 +240,15 @@ def _dispatch(args):
                            label=args.label, cap=cap)
         sys.stdout.write(write_poset_file(exp.poset))
     else:  # export-dot
-        if expand_at:
+        intervals = ()
+        if expand_at is not None:
             exp = expand_poset(lat, lat.interval_by_strings(*expand_at),
                                cap=cap)
             lat = exp.lattice
-            highlight = (exp.source_interval, exp.copy_interval)
-        elif highlight:
-            highlight = lat.interval_by_strings(*highlight)
-        sys.stdout.write(export_dot(lat, highlight=highlight))
+            intervals = (exp.source_interval, exp.copy_interval)
+        elif highlight is not None:
+            intervals = (lat.interval_by_strings(*highlight),)
+        sys.stdout.write(export_dot(lat, *intervals))
     return 0
 
 

@@ -258,7 +258,7 @@ def expand_poset(lat, k, label=None, cap=FILTER_CAP):
     if len(pairs) > cap:
         cand.refuse_wide(cap)
         raise CapacityExceeded("more than %d filters" % cap)
-    big = DistLattice(cand, pairs=pairs)
+    big = DistLattice(cand, pairs)
     return ExpansionResult(
         host=lat, interval=k, poset=cand, new_element=label, lattice=big,
         source_interval=IntervalRef(big.index_of[bf], big.index_of[tf]),

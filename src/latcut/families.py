@@ -11,8 +11,9 @@ substring, additionally no cyclic "11" for the Lucas cube) so that the
 identification with covering graphs is a genuine two-sided check.  The
 verify suites certify it by the classical isomorphism (Gansner 1982),
 _zigzag_translate: flipping every other bit turns the filter condition on a
-zigzag into "no two adjacent 1s".  graph_isomorphic is the general tool, the
-exact individualization-refinement search of latcut.poset.
+zigzag into "no two adjacent 1s".  graph_isomorphic is the general tool on
+two CubeGraphs, the exact individualization-refinement search of
+latcut.poset.
 
 Deleting element n from Z_{m+n-2} splits it into two smaller fences, and the
 induced convex expansion turns that into the identity
@@ -208,20 +209,12 @@ def _zigzag_translate(g):
 
 
 def _read_graph(g):
-    """Index the vertices of ``g`` as 0..n-1; returns (adjacency sets, edge
-    count).  Parallel and reversed edges count once, as in a simple graph."""
-    if isinstance(g, CubeGraph):
-        nodes, edges = g.vertices, g.edges
-    elif hasattr(g, "nodes") and hasattr(g, "edges"):
-        nodes, edges = g.nodes(), g.edges()
-    else:
-        nodes, edges = (), g
-    index = {}
-    for x in nodes:
-        index.setdefault(x, len(index))
-    pairs = [(index.setdefault(u, len(index)), index.setdefault(v, len(index)))
-             for u, v in edges]
-    adj = [set() for _ in range(len(index))]
+    """Index the vertices of CubeGraph ``g`` as 0..n-1; returns (adjacency
+    sets, edge count).  Parallel and reversed edges count once, as in a
+    simple graph."""
+    index = {x: i for i, x in enumerate(g.vertices)}
+    pairs = [(index[u], index[v]) for u, v in g.edges]
+    adj = [set() for _ in g.vertices]
     for a, b in pairs:
         adj[a].add(b)
         adj[b].add(a)
@@ -229,10 +222,8 @@ def _read_graph(g):
 
 
 def graph_isomorphic(g, h):
-    """Whether two undirected graphs are isomorphic, decided exactly.
+    """Whether two undirected CubeGraphs are isomorphic, decided exactly.
 
-    Each graph is a CubeGraph, an iterable of (u, v) edges, or any object
-    with ``.nodes()`` and ``.edges()`` (a networkx Graph works that way).
     Beyond GRAPH_ISO_CAP vertices in either graph it raises CapacityExceeded
     before any search; different vertex counts, edge counts or degree
     sequences return False at once.  Otherwise it runs the

@@ -12,16 +12,15 @@ cover lines (elements must be declared before use).
 
 DOT export draws the Hasse diagram bottom-up (rankdir=BT), one node per
 lattice element named by its filter bitstring, with a same-rank group per
-height.  Passing an interval highlights it as a cluster; passing the two
-intervals of a fresh expansion shows the original and the copy as separate
-clusters with the connecting cover edges dashed, which is how the enlarged
-lattice is best read.
+height.  Passing one (bottom, top) interval highlights it as a cluster;
+passing the two intervals of a fresh expansion shows the original and the
+copy as separate clusters with the connecting cover edges dashed, which is
+how the enlarged lattice is best read.
 """
 
 from __future__ import annotations
 
 from .errors import LatcutError, ParseError, UnknownLabel
-from .lattice import IntervalRef
 from .poset import poset_from_covers
 
 # A poset of n elements holds about n^2 bits of order relation: chain(2^14)
@@ -82,22 +81,19 @@ def _quote(s):
     return '"%s"' % s.replace('"', '\\"')
 
 
-def export_dot(lat, highlight=None):
+def export_dot(lat, *intervals):
     """DOT text for the Hasse diagram of ``lat``.
 
-    highlight: None, an IntervalRef, or a pair of IntervalRefs (an expansion's
-    source and copy).  Highlighted intervals become labelled clusters; cover
-    edges running between the two clusters of a pair are dashed.
+    ``intervals``: none, one, or two (bottom, top) pairs (an expansion's
+    source and copy), each validated by ``lat.interval_elements``.  They
+    become the clusters K and K_copy; cover edges running between the two
+    clusters are dashed.
     """
-    if highlight is None:
-        marked = []
-    elif isinstance(highlight, IntervalRef):
-        marked = [highlight]
-    else:
-        a, b = highlight
-        marked = [a, b]
+    if len(intervals) > 2:
+        raise ValueError("export_dot draws at most two intervals, got %d"
+                         % len(intervals))
     clusters = [(cname, lat.interval_elements(k))
-                for cname, k in zip(("K", "K_copy"), marked)]
+                for cname, k in zip(("K", "K_copy"), intervals)]
     in_cluster = {a: cname for cname, members in clusters for a in members}
 
     names = [lat.bitstring(a) for a in range(lat.size)]

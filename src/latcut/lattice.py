@@ -33,22 +33,19 @@ class IntervalRef(NamedTuple):
 class DistLattice:
     """The lattice of filters of a base poset.
 
-    Construction takes every filter F with its minimal elements min F
-    (kept as ``minima``); the up-covers of F are F - y for y in min F.  By
-    default the pairs come from the antichain walk
-    (:meth:`Poset.filters_with_minima`), which raises CapacityExceeded
-    beyond ``cap`` filters.  A caller that derives them another way, as
-    convex expansion does, passes them as ``pairs``: every (F, min F) of
-    the base poset, in any order.  They are trusted, and the caller checks
-    the cap.
+    Construction takes every filter F of ``base`` with its minimal
+    elements min F, as ``pairs`` (F, min F) in any order; the minima are
+    kept as ``minima``, and the up-covers of F are F - y for y in min F.
+    The pairs are trusted, and the caller checks the cap:
+    :func:`filter_lattice` takes them from the antichain walk
+    (:meth:`Poset.filters_with_minima`), and convex expansion derives them
+    from the host lattice.
     """
 
-    def __init__(self, base, cap=FILTER_CAP, pairs=None):
+    def __init__(self, base, pairs):
         self.base = base
         n = base.n
         full = base.full_mask
-        if pairs is None:
-            pairs = base.filters_with_minima(cap)
         # Canonical element order: largest filter first, ties by mask value.
         # That puts the bottom at index 0 and the top at index size-1.  One
         # sort of (n - |F|, F, min F) packed into an int gives that order.
@@ -185,8 +182,9 @@ class DistLattice:
 
 
 def filter_lattice(p, cap=FILTER_CAP):
-    """The distributive lattice of all filters of poset ``p``."""
-    return DistLattice(p, cap=cap)
+    """The distributive lattice of all filters of poset ``p``; raises
+    CapacityExceeded beyond ``cap`` filters."""
+    return DistLattice(p, p.filters_with_minima(cap))
 
 
 def birkhoff_roundtrip(p):

@@ -9,11 +9,12 @@ sets) are plain int bitmasks over these indices; see :mod:`latcut.bits`.
 Isomorphism is decided by the one individualization-refinement search of
 the package (_search), on graphs given as neighbour sets and starting
 colours: poset_isomorphism runs it on the cover graphs, coloured by
-(|down|, |up|), and latcut.families.graph_isomorphic on plain graphs.  Its
-colour refinement (_refine) splits cells by their neighbour counts in one
-splitter cell at a time, in both graphs at once, so a search node that
-individualizes a vertex pays for the splits that follow from that one
-vertex, not for a re-sort of every vertex's neighbour colours.
+(|down|, |up|), and latcut.families.graph_isomorphic on uncoloured
+CubeGraphs.  Its colour refinement (_refine) splits cells by their
+neighbour counts in one splitter cell at a time, in both graphs at once, so
+a search node that individualizes a vertex pays for the splits that follow
+from that one vertex, not for a re-sort of every vertex's neighbour
+colours.
 
 Instances are immutable by convention: every operation returns a new poset.
 Concurrent readers are safe because the only mutation ever performed is the

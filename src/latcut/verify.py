@@ -17,8 +17,10 @@ of latcut.invariants, which return None when their identity holds and the
 failure detail otherwise.  A topic runs only its own rows, so only
 cutting-equivalence votes.  A row or vote that raises AssertionError fails
 with the message, and the pass goes on.  A pooled lattice too large for the
-vote or its expansions is refused before either, and a pooled poset past
-the filter cap, here or in birkhoff and random, is refused by its tag.
+vote or its expansions is refused before either, and before its cuttings
+are listed when the 2|L| - 1 that hold its bottom or top already make it
+too large; a pooled poset past the filter cap, here or in birkhoff and
+random, is refused by its tag.
 
 The fibonacci and lucas suites print the detail of each failing
 FamilyReport, or the message of a case that raises AssertionError, and go
@@ -226,9 +228,18 @@ def _run_rows(results, rows, p, where, *args):
 
 
 # Bounds cuttings * |L|, the expansions' least work, and with it |L|^2, the
-# vote's: every interval holding L's bottom or top is a cutting.  The
-# defaults reach 32,640 and 16,384, more than 100x below.
+# vote's: every interval holding L's bottom or top is a cutting, so there
+# are at least 2|L| - 1 of them, a bound checked before ``cuttings`` lists
+# them.  The defaults reach 32,640 and 16,384, more than 100x below.
 _PASS_WORK_MAX = 4_000_000
+
+
+def _refuse_pass_work(tag, size, n_cuttings, at_least=""):
+    if n_cuttings * size > _PASS_WORK_MAX:
+        raise CapacityExceeded(
+            "the cutting pass refuses %s: %d lattice elements and %s%d "
+            "cuttings, cuttings*|L| past %d"
+            % (tag, size, at_least, n_cuttings, _PASS_WORK_MAX))
 
 
 def _vote(res, p, lat, tag, listed):
@@ -268,12 +279,9 @@ def run_cutting_suite(trials=200, max_size=7, seed=1, exhaustive_max=5,
     n_intervals = n_cuttings = vote_time = 0
     for tag, p, lat in _pooled(pool):
         te = time.perf_counter()
+        _refuse_pass_work(tag, lat.size, 2 * lat.size - 1, "at least ")
         listed = cuttings(lat)
-        if len(listed) * lat.size > _PASS_WORK_MAX:
-            raise CapacityExceeded(
-                "the cutting pass refuses %s: %d lattice elements and %d "
-                "cuttings, cuttings*|L| past %d"
-                % (tag, lat.size, len(listed), _PASS_WORK_MAX))
+        _refuse_pass_work(tag, lat.size, len(listed))
         n_intervals += sum(m.bit_count() for m in lat.above_masks())
         n_cuttings += len(listed)
         if eq is not None:

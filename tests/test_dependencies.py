@@ -51,6 +51,17 @@ def test_importing_the_package_and_cli_leaves_networkx_out():
     assert _loaded_after_importing_latcut("networkx") == "False\n"
 
 
+def test_no_package_file_names_networkx_or_reads_its_graphs():
+    # networkx is a test-only dependency: graph_isomorphic takes CubeGraphs,
+    # not objects read through networkx's ``.nodes()``.
+    found = [(path.name, lineno)
+             for path in sorted(PACKAGE.glob("*.py"))
+             for lineno, line in enumerate(
+                 path.read_text(encoding="utf-8").splitlines(), start=1)
+             if "networkx" in line or ".nodes()" in line]
+    assert found == []
+
+
 def test_importing_the_package_and_cli_leaves_numpy_out():
     # numpy is imported by the interval scan alone, when it scans a lattice
     # of more than 64 elements.

@@ -280,11 +280,9 @@ def plant_dropped_new_element(monkeypatch):
 
     real = ex.DistLattice
 
-    def build(base, cap=FILTER_CAP, pairs=None):
-        if pairs is not None:
-            xbit = 1 << base.n - 1
-            pairs = [(f, a & ~xbit) for f, a in pairs]
-        return real(base, cap, pairs)
+    def build(base, pairs):
+        xbit = 1 << base.n - 1
+        return real(base, [(f, a & ~xbit) for f, a in pairs])
 
     monkeypatch.setattr(ex, "DistLattice", build)
 

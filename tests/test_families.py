@@ -160,7 +160,7 @@ def test_covering_graphs_are_the_cubes():
 def test_graph_isomorphism_edges_and_caps(monkeypatch):
     g = fibonacci_cube(2)
     assert graph_isomorphic(g, g)
-    triangle = [("a", "b"), ("b", "c"), ("a", "c")]
+    triangle = _graph([("a", "b"), ("b", "c"), ("a", "c")])
     assert not graph_isomorphic(g, triangle)
     # 610 vertices, past GRAPH_ISO_CAP: refused before any search.
     big = fibonacci_cube(13)
@@ -171,6 +171,16 @@ def test_graph_isomorphism_edges_and_caps(monkeypatch):
 
 
 # -- graph isomorphism against networkx --------------------------------------------
+
+
+def _graph(edges, vertices=()):
+    """The CubeGraph of ``edges`` on ``vertices`` and then every endpoint
+    not among them, indexed in that order; a networkx graph ``g`` goes in
+    as ``_graph(g.edges, g.nodes)``."""
+    names = dict.fromkeys(vertices)
+    for e in edges:
+        names.update(dict.fromkeys(e))
+    return CubeGraph(vertices=tuple(names), edges=tuple(edges))
 
 
 def _relabelled(g, rng):
@@ -203,15 +213,16 @@ def small_graphs(draw):
 @settings(max_examples=300, deadline=None)
 @given(small_graphs(), st.randoms(use_true_random=False))
 def test_graph_isomorphic_agrees_with_networkx_on_small_graphs(g, rng):
-    as_cube = CubeGraph(vertices=tuple(g.nodes()), edges=tuple(g.edges()))
+    as_cube = _graph(g.edges, g.nodes)
     h = _relabelled(g, rng)
-    assert graph_isomorphic(as_cube, h)
+    assert graph_isomorphic(as_cube, _graph(h.edges, h.nodes))
     if g.number_of_edges() >= 2 and g.number_of_nodes() >= 4:
         # a degree-preserving double-edge swap, isomorphic or not
         with contextlib.suppress(nx.NetworkXAlgorithmError):
             nx.double_edge_swap(h, nswap=1, max_tries=100,
                                 seed=rng.randrange(2 ** 32))
-    assert graph_isomorphic(as_cube, h) == nx.is_isomorphic(g, h)
+    assert (graph_isomorphic(as_cube, _graph(h.edges, h.nodes))
+            == nx.is_isomorphic(g, h))
 
 
 def _agrees_on_regular_pairs(degree, sizes, seeds, rng):
@@ -219,8 +230,10 @@ def _agrees_on_regular_pairs(degree, sizes, seeds, rng):
         for seed in seeds:
             g = nx.random_regular_graph(degree, n, seed=2 * seed)
             h = nx.random_regular_graph(degree, n, seed=2 * seed + 1)
-            assert graph_isomorphic(g, h) == nx.is_isomorphic(g, h)
-            assert graph_isomorphic(g, _relabelled(g, rng))
+            g_cube, copy = _graph(g.edges, g.nodes), _relabelled(g, rng)
+            assert (graph_isomorphic(g_cube, _graph(h.edges, h.nodes))
+                    == nx.is_isomorphic(g, h))
+            assert graph_isomorphic(g_cube, _graph(copy.edges, copy.nodes))
 
 
 def test_graph_isomorphic_agrees_with_networkx_on_cubic_graphs():
@@ -248,10 +261,10 @@ def test_graph_isomorphic_refuses_a_switched_lucas_cube():
     assert graph_isomorphic(g, cube)
     assert not nx.is_isomorphic(nx.Graph(list(g.edges)), nx.Graph(edges))
     adj_g, _ = families._read_graph(g)
-    adj_h, _ = families._read_graph(edges)
+    adj_h, _ = families._read_graph(_graph(edges))
     n = len(adj_g)
     assert poset._refine(adj_g, adj_h, [0] * n, [0] * n) is not None
-    assert not graph_isomorphic(g, edges)
+    assert not graph_isomorphic(g, _graph(edges))
 
 
 @st.composite
@@ -358,8 +371,9 @@ def test_graph_isomorphic_backtracks_over_the_candidates():
              (0, 3), (1, 4), (2, 5)]
     g = k33 + [(a + 6, b + 6) for a, b in prism]
     h = prism + [(a + 6, b + 6) for a, b in k33]
-    assert graph_isomorphic(g, h)
-    assert not graph_isomorphic(g, k33 + [(a + 6, b + 6) for a, b in k33])
+    assert graph_isomorphic(_graph(g), _graph(h))
+    assert not graph_isomorphic(
+        _graph(g), _graph(k33 + [(a + 6, b + 6) for a, b in k33]))
 
 
 def test_graph_isomorphic_refuses_by_refinement_alone(monkeypatch):
@@ -373,7 +387,7 @@ def test_graph_isomorphic_refuses_by_refinement_alone(monkeypatch):
                         lambda *args: calls.append(args) or refine(*args))
     c4_pendant = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)]
     triangle_path = [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4)]
-    assert not graph_isomorphic(c4_pendant, triangle_path)
+    assert not graph_isomorphic(_graph(c4_pendant), _graph(triangle_path))
     assert len(calls) == 1
 
 
@@ -382,7 +396,7 @@ def test_graph_isomorphic_on_equal_degree_sequences():
                  for i in range(40) for a in range(3)]
     hexagons = [((i, a), (i, (a + 1) % 6))
                 for i in range(20) for a in range(6)]
-    assert not graph_isomorphic(triangles, hexagons)
+    assert not graph_isomorphic(_graph(triangles), _graph(hexagons))
     assert not nx.is_isomorphic(nx.Graph(triangles), nx.Graph(hexagons))
     # a pair whose search reaches discrete colourings that map some edge of
     # g to a non-edge of h: only the edge check at the leaf refuses them
@@ -390,7 +404,7 @@ def test_graph_isomorphic_on_equal_degree_sequences():
          (4, 5)]
     h = [(0, 1), (0, 3), (0, 5), (1, 2), (2, 4), (2, 6), (3, 4), (3, 6),
          (4, 5)]
-    assert not graph_isomorphic(g, h)
+    assert not graph_isomorphic(_graph(g), _graph(h))
     assert not nx.is_isomorphic(nx.Graph(g), nx.Graph(h))
 
 
@@ -405,7 +419,7 @@ def test_graph_isomorphic_on_the_hypercube_q8():
     name = dict(zip(q8.vertices, names))
     moved = [tuple(name["".join(x[i] for i in perm)] for x in edge)
              for edge in q8.edges]
-    assert graph_isomorphic(q8, moved)
+    assert graph_isomorphic(q8, _graph(moved))
 
 
 @pytest.mark.parametrize("edges_of", [

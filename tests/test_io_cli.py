@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 
 import latcut
 from conftest import posets
-from latcut import (LatcutError, ParseError, UnknownLabel, expand_poset,
-                    export_dot, filter_lattice, parse_poset_file,
-                    poset_from_covers, write_poset_file)
+from latcut import (InvalidInterval, LatcutError, ParseError, UnknownLabel,
+                    expand_poset, export_dot, filter_lattice,
+                    parse_poset_file, poset_from_covers, write_poset_file)
 from latcut.cli import cli_run
 from latcut.verify import _CUTTING_TOPICS
 
@@ -101,7 +101,7 @@ def test_dot_single_element_lattice():
 
 def test_dot_single_interval_highlight():
     lat = filter_lattice(z3())
-    text = export_dot(lat, highlight=lat.interval_by_strings("101", "000"))
+    text = export_dot(lat, lat.interval_by_strings("101", "000"))
     assert text.count("subgraph cluster_K {") == 1
     assert "K_copy" not in text
     assert 'label="K";' in text
@@ -110,8 +110,7 @@ def test_dot_single_interval_highlight():
 def test_dot_expansion_highlight():
     lat = filter_lattice(z3())
     exp = expand_poset(lat, lat.interval_by_strings("101", "000"))
-    text = export_dot(exp.lattice,
-                      highlight=(exp.source_interval, exp.copy_interval))
+    text = export_dot(exp.lattice, exp.source_interval, exp.copy_interval)
     assert text.count("subgraph") == 2
     assert "cluster_K_copy" in text
     assert text.count("[style=dashed]") == 4
@@ -121,6 +120,23 @@ def test_dot_expansion_highlight():
                   and "=" not in ln and ln.strip() != "node [shape=box];"]
     for a in range(exp.lattice.size):
         assert node_lines.count('"%s";' % exp.lattice.bitstring(a)) == 1
+
+
+def test_dot_takes_a_plain_pair_as_its_interval():
+    """Like every interval entry point, export_dot takes a (bottom, top)
+    pair and validates it through ``interval_elements``."""
+    lat = filter_lattice(z3())
+    k = lat.interval_by_strings("101", "000")
+    assert export_dot(lat, (k.bottom, k.top)) == export_dot(
+        lat, lat.interval(k.bottom, k.top))
+    with pytest.raises(InvalidInterval):
+        export_dot(lat, (k.top, k.bottom))
+
+
+def test_dot_refuses_a_third_interval():
+    lat = filter_lattice(z3())
+    with pytest.raises(ValueError, match="at most two intervals, got 3"):
+        export_dot(lat, (0, 1), (0, 1), (0, 1))
 
 
 # -- command line ---------------------------------------------------------------------
@@ -430,30 +446,40 @@ def test_cli_verify_refuses_the_second_random_poset_of_a_wide_pool(capsys):
     assert time.perf_counter() - t0 < 5.0
     assert (code, out) == (2, "")
     assert err.startswith("error: the cutting pass refuses seed=1000004: "
-                          "14156 lattice elements and 54890 cuttings")
+                          "14156 lattice elements and at least 28311 "
+                          "cuttings")
 
 
 @pytest.mark.parametrize("big,sizes", [
-    # |L|^2 = 2048^2 alone passes the bound.
-    (latcut.antichain(11), "2048 lattice elements and 4095 cuttings"),
-    # |L|^2 = 63,001, but every interval of a chain is a cutting.
+    # Every interval holding L's bottom or top is a cutting, so at least
+    # 2|L| - 1 are known before they are listed: 4095 * 2048 passes the
+    # bound.
+    (latcut.antichain(11), "2048 lattice elements and at least 4095 cuttings"),
+    # 501 * 251 does not, but every interval of a chain is a cutting.
     (latcut.chain(250), "251 lattice elements and 31626 cuttings"),
+    # The shortest chain past the early bound: 2829 * 1415 > 4,000,000.
+    (latcut.chain(1414), "1415 lattice elements and at least 2829 cuttings"),
 ])
 @pytest.mark.parametrize("topic", ["euler", "cutting-equivalence"])
 def test_cli_verify_refuses_a_pooled_poset_past_the_pass_work(
         topic, big, sizes, capsys, monkeypatch):
     import latcut.verify as ver
 
-    work = []
+    work, listed = [], []
     monkeypatch.setattr(ver, "_pool_iso", lambda n_max: [])
     monkeypatch.setattr(ver, "_pool_random",
                         lambda trials, max_size, seed: [("seed=7", big)])
     for name in ("expand_poset", "is_cutting"):
         monkeypatch.setattr(ver, name, lambda *args, **kw: work.append(args))
     monkeypatch.setattr(latcut.DistLattice, "above_masks", work.append)
+    cuttings = ver.cuttings
+    monkeypatch.setattr(ver, "cuttings",
+                        lambda lat: listed.append(lat) or cuttings(lat))
     code, out, err = run_cli(["verify", topic], capsys=capsys)
-    # Refused before the containment masks, the first vote or expansion.
+    # Refused before the containment masks, the first vote or expansion,
+    # and before the cuttings are listed when a lower bound suffices.
     assert (code, out, work) == (2, "", [])
+    assert len(listed) == ("at least" not in sizes)
     assert err == ("error: the cutting pass refuses seed=7: %s, "
                    "cuttings*|L| past 4000000\n" % sizes)
 
@@ -579,8 +605,7 @@ def test_cli_export_dot_highlights_one_interval(capsys, monkeypatch):
                              stdin_text=poset_text,
                              capsys=capsys, monkeypatch=monkeypatch)
     assert (code, err) == (0, "")
-    assert out == export_dot(lat,
-                             highlight=lat.interval_by_strings("101", "000"))
+    assert out == export_dot(lat, lat.interval_by_strings("101", "000"))
     for flag in ("--highlight", "--expand"):
         assert run_cli(["export-dot", flag, "101"], stdin_text=poset_text,
                        capsys=capsys, monkeypatch=monkeypatch) == (
@@ -592,6 +617,10 @@ def test_cli_export_dot_highlights_one_interval(capsys, monkeypatch):
     (["export-dot", "--highlight", "101"], "--highlight wants B,T"),
     (["export-dot", "--expand", "101"], "--expand wants B,T"),
     (["export-dot", "--highlight", "101,000", "--expand", "101,000"],
+     "--highlight and --expand are exclusive"),
+    (["export-dot", "--highlight", ""], "--highlight wants B,T"),
+    (["export-dot", "--expand", ""], "--expand wants B,T"),
+    (["export-dot", "--highlight", "", "--expand", "101,000"],
      "--highlight and --expand are exclusive"),
 ])
 def test_cli_usage_errors_exit_before_the_input_is_read(argv, message, capsys,
