@@ -102,17 +102,36 @@ def random_poset(seed, n_max):
     rng = random.Random(seed)
     n = rng.randint(1, n_max)
     density = rng.random()
+    rand = rng.random
     up = [0] * n
+    down = [0] * n
     for i in range(n):
+        row, bit = 0, 1 << i
         for j in range(i + 1, n):
-            if rng.random() < density:
-                up[i] |= 1 << j
-    # transitive closure, right to left along the natural order
+            if rand() < density:
+                row |= 1 << j
+                down[j] |= bit
+        up[i] = row
+    # Transitive closure along the natural order: up right to left, down
+    # left to right.  A row ORs in the closed row of its nearest relation
+    # first, then skips every drawn relation that row already implies.
     for i in range(n - 2, -1, -1):
-        m = up[i]
-        for j in iter_bits(m):
-            up[i] |= up[j]
-    return Poset(_labels(n), tuple(up), _trusted=True)
+        m = todo = up[i]
+        while todo:
+            low = todo & -todo
+            reached = up[low.bit_length() - 1]
+            m |= reached
+            todo &= ~(reached | low)
+        up[i] = m
+    for j in range(1, n):
+        m = todo = down[j]
+        while todo:
+            k = todo.bit_length() - 1
+            reached = down[k]
+            m |= reached
+            todo &= ~(reached | 1 << k)
+        down[j] = m
+    return Poset(_labels(n), tuple(up), _trusted=True, _down=down)
 
 
 def trial_seed(seed, t):

@@ -166,18 +166,30 @@ def cuttings(lat):
     strictly below every element of T, i.e. when P - B is a down-set inside
     lower(T), the common strict lower bounds of T.  So the bottoms that go
     with top T are the filters containing u = P - lower(T), which are the
-    lattice elements below u: one walk down the covers from u collects them.
+    lattice elements below u.
+
+    One step per top finds lower(T); the tops are grouped by it, one walk
+    down the covers per distinct bound u collects its bottoms, and one sort
+    orders the pairs.
     """
     base = lat.base
     full, down = base.full_mask, base.down
+    filters, minima = lat.filters, lat.minima
     index_of, down_covers = lat.index_of, lat.down_covers
     size = lat.size
+    # lower(T) for T nonempty is lower(T - y) & down[y], y the lowest
+    # minimal element of T.  T - y is a smaller filter, so it has a larger
+    # index and its lower bound is known when tops go by descending index.
+    lower = [full] * size
+    tops_by_lower = {full: [size - 1]}
+    for t in range(size - 2, -1, -1):
+        y = minima[t] & -minima[t]
+        lower[t] = lo = (lower[index_of[filters[t] ^ y]]
+                         & down[y.bit_length() - 1])
+        tops_by_lower.setdefault(lo, []).append(t)
     keys = []
-    for t, tf in enumerate(lat.filters):
-        lower = full
-        for y in iter_bits(tf):
-            lower &= down[y]
-        u = index_of[full & ~lower]
+    for lo, tops in tops_by_lower.items():
+        u = index_of[full & ~lo]
         seen = {u}
         stack = [u]
         while stack:
@@ -185,7 +197,7 @@ def cuttings(lat):
                 if a not in seen:
                     seen.add(a)
                     stack.append(a)
-        keys += [a * size + t for a in seen]
+        keys += [a * size + t for a in seen for t in tops]
     # bottom * size + top orders the pairs by bottom, then top.
     keys.sort()
     return [divmod(k, size) for k in keys]

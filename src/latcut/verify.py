@@ -275,9 +275,13 @@ def run_cutting_suite(trials=200, max_size=7, seed=1, exhaustive_max=5,
     cutting_rows = [row for row in _CUTTING_ROWS if row[0] in results]
     eq = results.get("cutting-equivalence")
     t0 = time.perf_counter()
-    pool = [*_pool_iso(exhaustive_max), *_pool_random(trials, max_size, seed)]
-    n_intervals = n_cuttings = vote_time = 0
+    # Drawn lazily: a poset the pass refuses is refused before the next
+    # one is drawn.
+    pool = itertools.chain(_pool_iso(exhaustive_max),
+                           _pool_random(trials, max_size, seed))
+    n_posets = n_intervals = n_cuttings = vote_time = 0
     for tag, p, lat in _pooled(pool):
+        n_posets += 1
         te = time.perf_counter()
         _refuse_pass_work(tag, lat.size, 2 * lat.size - 1, "at least ")
         listed = cuttings(lat)
@@ -301,7 +305,7 @@ def run_cutting_suite(trials=200, max_size=7, seed=1, exhaustive_max=5,
     elapsed = time.perf_counter() - t0
     summary = ("posets=%d (iso classes <=%d plus %d random <=%d), "
                "intervals=%d, cuttings=%d"
-               % (len(pool), exhaustive_max, trials, max_size,
+               % (n_posets, exhaustive_max, trials, max_size,
                   n_intervals, n_cuttings))
     for res in results.values():
         res.lines.append(summary)

@@ -5,6 +5,7 @@ definitions.  Slowness is the point: no bitmasks, no DP tables, no sharing
 with the package internals beyond reading the order relation itself.
 """
 
+import random
 from itertools import combinations, permutations
 
 
@@ -251,3 +252,50 @@ def refine_by_signatures(adj_g, adj_h, cg, ch):
         if len(rank) == count:
             return cg, ch, len(rank)
         count = len(rank)
+
+
+def per_top_cuttings(lat):
+    """Every cutting of ``lat``, sorted by bottom and then by top, one top
+    at a time: lower(T) rebuilt over every element of T, and a fresh walk
+    down the covers from u = P - lower(T) for each top.  ``cuttings``
+    shares both among tops and must give the same list."""
+    base = lat.base
+    full, down = base.full_mask, base.down
+    size = lat.size
+    keys = []
+    for t, tf in enumerate(lat.filters):
+        lower = full
+        for y in range(base.n):
+            if tf >> y & 1:
+                lower &= down[y]
+        u = lat.index_of[full & ~lower]
+        seen = {u}
+        stack = [u]
+        while stack:
+            for a in lat.down_covers[stack.pop()]:
+                if a not in seen:
+                    seen.add(a)
+                    stack.append(a)
+        keys += [a * size + t for a in seen]
+    keys.sort()
+    return [divmod(k, size) for k in keys]
+
+
+def random_poset_masks(seed, n_max):
+    """The up and down masks of ``catalog.random_poset(seed, n_max)``, by
+    the same draw and a closure that ORs in the up mask of every element
+    above, then the down masks transposed bit by bit."""
+    rng = random.Random(seed)
+    n = rng.randint(1, n_max)
+    density = rng.random()
+    up = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                up[i] |= 1 << j
+    for i in range(n - 2, -1, -1):
+        for j in range(i + 1, n):
+            if up[i] >> j & 1:
+                up[i] |= up[j]
+    down = [sum(1 << i for i in range(n) if up[i] >> j & 1) for j in range(n)]
+    return tuple(up), tuple(down)

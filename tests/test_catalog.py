@@ -61,3 +61,12 @@ def test_random_posets_vary_with_the_seed():
 def test_trial_seed_spreads_trials():
     seeds = {trial_seed(s, t) for s in range(3) for t in range(100)}
     assert len(seeds) == 300
+
+
+def test_random_poset_matches_the_full_closure_oracle():
+    """The skipping closure and the down masks built with the draw give
+    the masks that ORing in every relation and transposing give."""
+    for n_max in (1, 2, 7, 30, 200):
+        for seed in range(300):
+            p = random_poset(seed, n_max)
+            assert (p.up, p.down) == oracles.random_poset_masks(seed, n_max)

@@ -681,6 +681,22 @@ def test_cutting_suite_scans_each_distinct_lattice_once(monkeypatch):
     assert results["binomial"].checks == posets + cuttings
 
 
+def test_cutting_pass_refuses_a_wide_poset_before_drawing_the_next(
+        monkeypatch):
+    # The pool is drawn as the pass goes: the first random poset (seed
+    # 1000003, 2114 elements) is refused before the other 39 are drawn.
+    import latcut.verify as ver
+
+    drawn = _count_calls(monkeypatch, ver, "random_poset")
+    with pytest.raises(CapacityExceeded) as e:
+        run_cutting_suite(trials=40, max_size=3000, seed=1, exhaustive_max=0,
+                          topics=("euler",))
+    assert str(e.value) == ("the cutting pass refuses seed=1000003: 3889 "
+                            "lattice elements and at least 7777 cuttings, "
+                            "cuttings*|L| past 4000000")
+    assert drawn == [1000003]
+
+
 def test_random_layer_computes_q_once_per_poset(monkeypatch):
     # The binomial and Euler checks both ask for q; the second reads the
     # vector cached on the lattice.

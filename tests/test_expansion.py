@@ -11,7 +11,7 @@ from hypothesis import given, settings
 import oracles
 from conftest import posets
 from latcut import (DistLattice, IntervalRef, NotACutting, Poset,
-                    all_labeled_posets, antichain, boundary, crown,
+                    all_labeled_posets, antichain, boundary, chain, crown,
                     cuttings, decompose, disjoint_union, expand_poset, fence,
                     filter_lattice, is_cutting, mask_of, ordinal_sum,
                     parse_poset_file, poset_from_covers, poset_isomorphic,
@@ -153,6 +153,53 @@ def test_cuttings_match_every_criterion_on_random_posets(p):
 @given(posets(max_n=7))
 def test_cutting_count_matches_the_order_oracle(p):
     assert len(cuttings(filter_lattice(p))) == oracles.naive_cutting_count(p)
+
+
+_NAMED_LATTICES = {"fence12": (fence, 12), "fence16": (fence, 16),
+                   "crown12": (crown, 12), "antichain8": (antichain, 8),
+                   "chain60": (chain, 60)}
+
+
+@pytest.mark.parametrize("name", _NAMED_LATTICES)
+def test_cuttings_equal_the_per_top_oracle(name):
+    family, n = _NAMED_LATTICES[name]
+    lat = filter_lattice(family(n))
+    assert cuttings(lat) == oracles.per_top_cuttings(lat)
+
+
+@settings(max_examples=200, deadline=None)
+@given(posets(max_n=10))
+def test_cuttings_equal_the_per_top_oracle_on_random_posets(p):
+    lat = filter_lattice(p)
+    assert cuttings(lat) == oracles.per_top_cuttings(lat)
+
+
+class _CountingRows(tuple):
+    """A tuple that counts the rows read from it by index."""
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return tuple.__getitem__(self, i)
+
+
+@pytest.mark.parametrize("name", _NAMED_LATTICES)
+def test_cuttings_reads_each_row_a_bounded_number_of_times(name):
+    family, n = _NAMED_LATTICES[name]
+    lat = filter_lattice(family(n))
+    lat.base.down = down = _CountingRows(lat.base.down)
+    lat.down_covers = covers = _CountingRows(lat.down_covers)
+    down.reads = covers.reads = 0
+    listed = cuttings(lat)
+    # One down row for each top but the empty filter, the step from the
+    # lower bound of T - y to that of T.
+    assert down.reads <= lat.size - 1
+    # One walk per distinct lower bound u, reading the covers of each
+    # element below u once.  Each such element is the bottom of a cutting
+    # with every top whose bound is u, so no more rows than cuttings.
+    assert covers.reads <= len(listed)
+    if name == "fence16":
+        # 2,584 tops share 16 bounds; one walk per top reads 5,196 rows.
+        assert covers.reads <= lat.size + 100
 
 
 def listing_by_interval_test(lat):
