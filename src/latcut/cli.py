@@ -228,9 +228,12 @@ def _dispatch(args):
     elif cmd == "cube":
         sys.stdout.write(cover_cube(lat).edge_list_text())
     elif cmd == "cutting" and args.bottom is None:
+        # Up to |L|^2 / 2 lines, so written 4096 at a time.
         bits = [lat.bitstring(a) for a in range(lat.size)]
-        sys.stdout.write("".join(["%s %s\n" % (bits[a], bits[b])
-                                  for a, b in cuttings(lat)]))
+        listed = cuttings(lat)
+        for i in range(0, len(listed), 4096):
+            sys.stdout.write("".join(["%s %s\n" % (bits[a], bits[b])
+                                      for a, b in listed[i:i + 4096]]))
     elif cmd == "cutting":
         k = lat.interval_by_strings(args.bottom, args.top)
         sys.stdout.write("cutting: %s (%s agree)\n" % (

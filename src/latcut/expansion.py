@@ -18,15 +18,17 @@ cutting exactly when z < y for every z in S0, y in S1.  The new element sits
 above all of S0, below all of S1, incomparable to S.
 
 ``is_cutting`` votes four independent criteria on one interval; the
-production routes, ``cuttings`` and ``expand_poset``, do not vote.
+production routes, ``cuttings`` and ``expand_poset``, do not vote.  An
+expansion carries L, K, K's own lattice, built on its first read, and L'.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .bits import iter_bits
-from .errors import CapacityExceeded, NotACutting
+from .errors import CapacityExceeded, DuplicateLabel, NotACutting
 from .lattice import DistLattice, IntervalRef, filter_lattice
 from .poset import (FILTER_CAP, Poset, disjoint_union, poset_isomorphic,
                     singleton)
@@ -218,9 +220,10 @@ def _fresh_label(base):
 class ExpansionResult:
     """Result of splicing a new element into the base poset of a lattice.
 
-    ``host`` is the lattice L that was expanded and ``interval`` the cutting
-    K of it, validated, so the expansion carries the whole triple (L, K, L')
-    that the recurrence checks of latcut.invariants take.
+    ``host`` is the lattice L that was expanded, ``interval`` the cutting K
+    of it, validated, and ``interval_lattice`` K's own lattice, built on
+    first read; so the expansion carries the whole triple (L, K, L') that
+    the recurrence checks of latcut.invariants take.
     ``source_interval`` locates the original K inside the enlarged lattice,
     ``copy_interval`` the new copy K' = {G + {x} : G in K}; the new element's
     filters are exactly those of the host that contain T, shifted by x.
@@ -233,12 +236,17 @@ class ExpansionResult:
     source_interval: IntervalRef
     copy_interval: IntervalRef
 
+    @cached_property
+    def interval_lattice(self):
+        return self.host.interval_lattice(self.interval)
+
 
 def expand_poset(lat, k, label=None, cap=FILTER_CAP):
     """Convex expansion of ``lat`` at the cutting interval ``k``.
 
     Raises NotACutting when some maximal chain avoids ``k``.  The default
-    label for the new element is "x@<i>" with the smallest free i.
+    label for the new element is "x@<i>" with the smallest free i; a label
+    the base poset already has raises DuplicateLabel.
 
     The filters of P + x are read off ``lat`` in O(|L|), with no walk over
     P + x.  With B = filter(bottom) and T = filter(top), x lies above P - B
@@ -250,9 +258,11 @@ def expand_poset(lat, k, label=None, cap=FILTER_CAP):
     exact size, before the lattice is built, with the message a walk over
     P + x would give.
     """
-    k = lat.interval(*k)
     if label is None:
         label = _fresh_label(lat.base)
+    elif label in lat.base.index:
+        raise DuplicateLabel("label %r declared twice" % (label,))
+    k = lat.interval(*k)
     cand = _candidate_expansion(lat, k, label)
     if cand is None:
         raise NotACutting(

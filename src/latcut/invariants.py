@@ -26,9 +26,9 @@ and the vectors satisfy
     d_minus_k(exp) = d_minus_k(L) + d_minus_{k-1}(K)
     d_k(exp at K') = d_k(exp) + d_{k-2}(K)     (second expansion at the copy)
 
-The checks of these identities take the ExpansionResult of expand_poset,
-which holds L, K and the expansion together, and the q and d checks take K
-as a lattice as well; none of them validates K again or builds the
+The checks of these identities take the ExpansionResult of expand_poset
+alone: it holds L, K and the expansion together, and K as a lattice, which
+only the q and d checks read.  None of them validates K again or builds the
 expansion it is given.
 """
 
@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import zip_longest
 from math import comb, prod
 from operator import add
 
@@ -73,12 +74,7 @@ def poly_eq(a, b):
 
 
 def poly_add(a, b):
-    out = [0] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] += x
-    return poly_trim(out)
+    return poly_trim(map(sum, zip_longest(a, b, fillvalue=0)))
 
 
 def poly_mul(a, b):
@@ -124,16 +120,10 @@ def rank_gen_of(lat, elements, offset=0):
     """Rank polynomial of a subset of elements, heights taken in ``lat``
     shifted down by ``offset`` (use offset=height(bottom) for an interval's
     own grading)."""
-    out = {}
+    out = [0] * (lat.base.n + 1)
     for a in elements:
-        h = lat.heights[a] - offset
-        out[h] = out.get(h, 0) + 1
-    if not out:
-        return []
-    poly = [0] * (max(out) + 1)
-    for h, c in out.items():
-        poly[h] = c
-    return poly
+        out[lat.heights[a] - offset] += 1
+    return poly_trim(out)
 
 
 # -- q vector -------------------------------------------------------------------------
@@ -397,12 +387,11 @@ def check_rank_recurrence(exp):
                                                    rhs_case)
 
 
-def check_q_recurrence(exp, klat):
-    """The q recurrence and its k = 0 line, |L'| = |L| + |K|.  ``klat`` is
-    K as a lattice in its own right (:meth:`DistLattice.interval_lattice`)."""
+def check_q_recurrence(exp):
+    """The q recurrence and its k = 0 line, |L'| = |L| + |K|."""
     lat = exp.host
     q_host = q_vector(lat)
-    q_int = q_vector(klat)
+    q_int = q_vector(exp.interval_lattice)
     q_exp = q_vector(exp.lattice)
     want = poly_add(q_host, poly_add(q_int, poly_shift(q_int, 1)))
     size_ok = exp.lattice.size == lat.size + len(lat.between(*exp.interval))
@@ -410,13 +399,13 @@ def check_q_recurrence(exp, klat):
         return "q=%r size_ok=%r" % (q_exp, size_ok)
 
 
-def check_d_recurrences(exp, klat):
+def check_d_recurrences(exp):
     """One expansion for the up-cover histogram, and the growth of |Mi| by
     one; a second expansion at the copy interval for the total-degree
-    histogram.  ``klat`` as in :func:`check_q_recurrence`."""
+    histogram."""
     lat = exp.host
     d_host = d_vectors(lat)
-    d_int = d_vectors(klat)
+    d_int = d_vectors(exp.interval_lattice)
     d_exp = d_vectors(exp.lattice)
 
     minus_ok = poly_eq(d_exp.minus,

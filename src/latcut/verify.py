@@ -9,8 +9,9 @@ The seven cutting topics share one pass over the pooled lattices, driven by
 a table of (topic, failure text, check) rows.  binomial, euler and
 degree-symmetry check each pooled lattice and each of its expansions;
 expansion-counts, rank-recurrence and q-d-recurrences check each cutting
-that ``cuttings`` lists, through its one expansion, which carries the host
-and the cutting, and its interval lattice; cutting-equivalence asks
+that ``cuttings`` lists, through its one expansion, which carries the host,
+the cutting and the cutting's lattice, built when a row first reads it
+(rank-recurrence never does); cutting-equivalence asks
 ``is_cutting``, which votes four criteria, on every interval.  The rows of
 binomial, euler, rank-recurrence and q-d-recurrences are the public checks
 of latcut.invariants, which return None when their identity holds and the
@@ -26,7 +27,8 @@ The fibonacci and lucas suites print the detail of each failing
 FamilyReport, or the message of a case that raises AssertionError, and go
 on; lucas adds ``cube=False`` when a covering graph is not its Lucas cube.
 These three family suites take ``--max`` alone, and the others
-``--trials``, ``--max-size`` and ``--seed``; ``run_suite`` refuses the rest.
+``--trials``, ``--max-size`` and ``--seed``; ``run_suite`` refuses the rest,
+and ``--max-size 0`` unless ``--trials`` is 0.
 """
 
 from __future__ import annotations
@@ -170,7 +172,7 @@ def _degree_row(lat):
         return "d_minus=%r d_plus=%r census=%r" % (d.minus, d.plus, census)
 
 
-def _counts_row(exp, klat):
+def _counts_row(exp):
     # |L| + |K| holds by construction; decompose's walk over the enlarged
     # poset is the independent count, and it compares the filters themselves.
     lat = exp.host
@@ -178,18 +180,18 @@ def _counts_row(exp, klat):
     oks = (exp.lattice.size == lat.size + len(lat.between(*exp.interval)),
            dec.counts_ok, dec.expansion_iso_ok,
            poset_isomorphic(dec.expansion.host.base, lat.base),
-           poset_isomorphic(dec.star, klat.base))
+           poset_isomorphic(dec.star, exp.interval_lattice.base))
     if not all(oks):
         return "size=%r counts=%r expansion=%r minus=%r star=%r" % oks
 
 
 # (topic, failure text, check), where a check returns None when its identity
 # holds and the failure detail otherwise.  Lattice rows check(lat) run on each
-# pooled lattice and each expansion; cutting rows check(expansion at k,
-# interval lattice of k) on each cutting k.  A q-d-recurrences row runs
-# both checks and joins the details of those that fail, q first.  Lattice rows
-# hold their check functions from import; cutting rows look theirs up by name
-# when called.
+# pooled lattice and each expansion; cutting rows check(expansion at k) on
+# each cutting k, and K's lattice is built only when a row reads it.  A
+# q-d-recurrences row runs both checks and joins the details of those that
+# fail, q first.  Lattice rows hold their check functions from import;
+# cutting rows look theirs up by name when called.
 _LATTICE_ROWS = (("binomial", "binomial transform mismatch",
                   binomial_relations),
                  ("euler", "Euler check failed", euler_checks),
@@ -198,11 +200,10 @@ _CUTTING_ROWS = (
     ("expansion-counts", "expansion size or decomposition round trip",
      _counts_row),
     ("rank-recurrence", "rank recurrence",
-     lambda exp, klat: check_rank_recurrence(exp)),
+     lambda exp: check_rank_recurrence(exp)),
     ("q-d-recurrences", "q/d recurrences",
-     lambda exp, klat: " ".join(filter(None, (
-         check_q_recurrence(exp, klat),
-         check_d_recurrences(exp, klat)))) or None))
+     lambda exp: " ".join(filter(None, (
+         check_q_recurrence(exp), check_d_recurrences(exp)))) or None))
 _CUTTING_TOPICS = ("cutting-equivalence",) + tuple(
     topic for topic, _, _ in _CUTTING_ROWS + _LATTICE_ROWS)
 
@@ -295,11 +296,9 @@ def run_cutting_suite(trials=200, max_size=7, seed=1, exhaustive_max=5,
             _run_rows(results, lattice_rows, p, lambda: tag, lat)
             for a, b in listed:
                 exp = expand_poset(lat, (a, b))
-                if cutting_rows:
-                    _run_rows(results, cutting_rows, p,
-                              lambda: "%s interval %s,%s" % (
-                                  tag, lat.bitstring(a), lat.bitstring(b)),
-                              exp, lat.interval_lattice(exp.interval))
+                _run_rows(results, cutting_rows, p,
+                          lambda: "%s interval %s,%s" % (
+                              tag, lat.bitstring(a), lat.bitstring(b)), exp)
                 _run_rows(results, lattice_rows, exp.poset,
                           lambda: tag + " expanded", exp.lattice)
     elapsed = time.perf_counter() - t0
@@ -430,7 +429,8 @@ def run_suite(name, trials=None, max_size=None, seed=None, max_param=None):
     takes its own defaults for those not given.  The family suites take
     --max, the others --trials, --max-size and --seed.  Raises LatcutError,
     before any suite runs, on a flag the suite does not take, on a
-    negative count or size and on a --max-size past fileio.ELEMENT_MAX."""
+    negative count or size, on a --max-size past fileio.ELEMENT_MAX and on
+    --max-size 0 with a --trials, given or default, that is not 0."""
     takes = (("--max",) if name in _FAMILY_SUITES
              else ("--trials", "--max-size", "--seed"))
     for flag, value in (("--trials", trials), ("--max-size", max_size),
@@ -445,6 +445,9 @@ def run_suite(name, trials=None, max_size=None, seed=None, max_param=None):
         if flag == "--max-size" and value > ELEMENT_MAX:
             raise LatcutError("--max-size must be at most %d, got %d"
                               % (ELEMENT_MAX, value))
+    if max_size == 0 and trials != 0:
+        raise LatcutError("--max-size must be at least 1 unless --trials "
+                          "is 0")
     given = {key: value for key, value in (("trials", trials),
                                            ("max_size", max_size),
                                            ("seed", seed))

@@ -32,7 +32,7 @@ def test_recurrence_fuzz_reports_a_failing_cutting(monkeypatch, capsys):
     # The demo names each cutting by the (bottom, top) pair cuttings()
     # lists; a failing check must print it and exit 1.
     monkeypatch.setattr(latcut, "check_q_recurrence",
-                        lambda exp, klat: "q=planted")
+                        lambda exp: "q=planted")
     with pytest.raises(SystemExit) as stop:
         runpy.run_path(str(ROOT / "demos" / "recurrence_fuzz.py"),
                        run_name="__main__")

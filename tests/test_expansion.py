@@ -10,15 +10,16 @@ from hypothesis import given, settings
 
 import oracles
 from conftest import posets
-from latcut import (DistLattice, IntervalRef, NotACutting, Poset,
-                    all_labeled_posets, antichain, boundary, chain, crown,
-                    cuttings, decompose, disjoint_union, expand_poset, fence,
-                    filter_lattice, is_cutting, mask_of, ordinal_sum,
+from latcut import (DistLattice, DuplicateLabel, IntervalRef, NotACutting,
+                    Poset, all_labeled_posets, antichain, boundary, chain,
+                    crown, cuttings, decompose, disjoint_union, expand_poset,
+                    fence, filter_lattice, is_cutting, mask_of, ordinal_sum,
                     parse_poset_file, poset_from_covers, poset_isomorphic,
                     run_cutting_suite, singleton, write_poset_file)
 from latcut.cli import cli_run
 from latcut.expansion import CUTTING_METHODS, _CRITERIA
 from latcut.poset import FILTER_CAP
+from latcut.verify import _CUTTING_TOPICS
 
 
 def z3():
@@ -246,6 +247,14 @@ def test_expand_rejects_non_cutting():
         expand_poset(lat, lat.interval_by_strings("100", "100"))
 
 
+def test_expand_refuses_a_label_the_poset_has():
+    lat = filter_lattice(fence(3))
+    k = lat.interval_by_strings("101", "000")
+    with pytest.raises(DuplicateLabel, match="^label '2' declared twice$"):
+        expand_poset(lat, k, label="2")
+    assert expand_poset(lat, k, label="4").poset.labels[-1] == "4"
+
+
 def test_copy_interval_is_always_cutting():
     lat = z3_lattice()
     for a in range(lat.size):
@@ -464,6 +473,33 @@ def test_the_cutting_pass_validates_each_interval_a_bounded_number_of_times(
         results["cutting-equivalence"].lines[0]).groups())
     assert cuttings_ > 0
     assert len(calls) <= intervals + 4 * cuttings_
+
+
+@pytest.mark.parametrize("topics,per_cutting", [
+    (_CUTTING_TOPICS, 1), (("expansion-counts",), 1), (("q-d-recurrences",), 1),
+    (("rank-recurrence",), 0), (("cutting-equivalence",), 0),
+    (("binomial",), 0), (("euler",), 0), (("degree-symmetry",), 0),
+], ids=["all", "expansion-counts", "q-d-recurrences", "rank-recurrence",
+        "cutting-equivalence", "binomial", "euler", "degree-symmetry"])
+def test_the_cutting_pass_builds_each_cuttings_lattice_once_if_read(
+        topics, per_cutting, monkeypatch):
+    # K's lattice is built on the expansion's first read of it, by the
+    # expansion-counts or the q-d-recurrences row, and kept for the other.
+    real = DistLattice.interval_lattice
+    calls = []
+
+    def counting(self, k):
+        calls.append(k)
+        return real(self, k)
+
+    monkeypatch.setattr(DistLattice, "interval_lattice", counting)
+    results = run_cutting_suite(trials=2, max_size=7, seed=1,
+                                exhaustive_max=4, topics=topics)
+    assert all(r.ok for r in results.values())
+    cuttings_ = int(re.search(r"cuttings=(\d+)",
+                              results[topics[0]].lines[0]).group(1))
+    assert cuttings_ > 0
+    assert len(calls) == per_cutting * cuttings_
 
 
 # -- growing chains of expansions ----------------------------------------------------

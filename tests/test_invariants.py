@@ -166,15 +166,14 @@ def test_trivial_lattice_invariants():
 # -- recurrences under expansion ------------------------------------------------------
 
 
-def expansion_and_interval(lat, bottom, top):
-    """The expansion of ``lat`` at [bottom, top], given as bitstrings, and
-    the interval lattice of that cutting: the arguments of the checks."""
-    exp = expand_poset(lat, lat.interval_by_strings(bottom, top))
-    return exp, lat.interval_lattice(exp.interval)
+def expansion_at(lat, bottom, top):
+    """The expansion of ``lat`` at [bottom, top], given as bitstrings: the
+    one argument of the checks."""
+    return expand_poset(lat, lat.interval_by_strings(bottom, top))
 
 
 def test_rank_recurrence_worked_case():
-    exp, _ = expansion_and_interval(z3_lattice(), "101", "000")
+    exp = expansion_at(z3_lattice(), "101", "000")
     assert check_rank_recurrence(exp) is None
     assert rank_gen(exp.lattice) == [1, 1, 3, 3, 1]
 
@@ -184,18 +183,17 @@ def test_rank_recurrence_endpoint_cases():
     # three shapes of the recurrence holds.
     lat = z3_lattice()
     for bottom, top in (("101", "000"), ("111", "101"), ("101", "101")):
-        exp, _ = expansion_and_interval(lat, bottom, top)
-        assert check_rank_recurrence(exp) is None
+        assert check_rank_recurrence(expansion_at(lat, bottom, top)) is None
     # A wrong expansion shows which forms were computed: the endpoint form
     # (case=) for an interval at the bottom, none for an inner one.  The
     # top-reaching shape is pinned in the built-expansion test below.
-    wrong, _ = expansion_and_interval(lat, "111", "000")
-    at_bottom, _ = expansion_and_interval(lat, "111", "101")
+    wrong = expansion_at(lat, "111", "000")
+    at_bottom = expansion_at(lat, "111", "101")
     assert check_rank_recurrence(
         replace(at_bottom, lattice=wrong.lattice)) == (
         "lhs=[1, 2, 3, 3, 1] host=[1, 2, 1, 2, 1] self=[1, 2, 1, 2, 1] "
         "case=[1, 2, 1, 2, 1]")
-    inner, _ = expansion_and_interval(lat, "101", "101")
+    inner = expansion_at(lat, "101", "101")
     assert check_rank_recurrence(replace(inner, lattice=wrong.lattice)) == (
         "lhs=[1, 2, 3, 3, 1] host=[1, 1, 1, 2, 1] self=[1, 1, 1, 2, 1] "
         "case=None")
@@ -203,19 +201,19 @@ def test_rank_recurrence_endpoint_cases():
 
 def test_q_recurrence_worked_case():
     lat = z3_lattice()
-    exp, klat = expansion_and_interval(lat, "101", "000")
-    assert check_q_recurrence(exp, klat) is None
+    exp = expansion_at(lat, "101", "000")
+    assert check_q_recurrence(exp) is None
     assert q_vector(lat) == [5, 5, 1]
-    assert q_vector(klat) == [4, 4, 1]
+    assert q_vector(exp.interval_lattice) == [4, 4, 1]
     assert q_vector(exp.lattice) == [9, 13, 6, 1]
 
 
 def test_d_recurrences_worked_case():
     lat = z3_lattice()
-    exp, klat = expansion_and_interval(lat, "101", "000")
-    assert check_d_recurrences(exp, klat) is None
+    exp = expansion_at(lat, "101", "000")
+    assert check_d_recurrences(exp) is None
     assert d_vectors(lat).minus == [1, 3, 1]
-    assert d_vectors(klat).minus == [1, 2, 1]
+    assert d_vectors(exp.interval_lattice).minus == [1, 2, 1]
     assert d_vectors(exp.lattice).minus == [1, 4, 3, 1]
     assert (len(exp.lattice.meet_irreducibles())
             == len(lat.meet_irreducibles()) + 1)
@@ -223,30 +221,36 @@ def test_d_recurrences_worked_case():
 
 def test_recurrences_take_a_built_expansion_and_interval_lattice():
     lat = z3_lattice()
-    exp, klat = expansion_and_interval(lat, "101", "000")
+    exp = expansion_at(lat, "101", "000")
     assert exp.host is lat
     assert exp.interval == lat.interval_by_strings("101", "000")
     assert check_rank_recurrence(exp) is None
-    assert check_q_recurrence(exp, klat) is None
-    assert check_d_recurrences(exp, klat) is None
-    # The expansion and the interval lattice handed in are the ones used: a
+    assert check_q_recurrence(exp) is None
+    assert check_d_recurrences(exp) is None
+    # The expansion's K lattice is built once, on first read, and kept.
+    assert exp.interval_lattice is exp.interval_lattice
+    # The expansion and the interval lattice it carries are the ones used: a
     # wrong enlarged lattice, with its copy interval for the d check's second
-    # expansion, planted in the expansion, or a wrong interval lattice, fails
-    # each check with its detail.
-    wrong, _ = expansion_and_interval(lat, "111", "000")
+    # expansion, planted in the expansion, or a wrong interval lattice put
+    # in the cache of a copy, fails each check with its detail.  A copy made
+    # by replace starts with an empty cache.
+    wrong = expansion_at(lat, "111", "000")
     planted = replace(exp, lattice=wrong.lattice,
                       copy_interval=wrong.copy_interval)
-    wrong_klat = filter_lattice(poset_from_covers(["u"], []))
+    wrong_k = replace(exp)
+    assert "interval_lattice" not in vars(wrong_k)
+    vars(wrong_k)["interval_lattice"] = filter_lattice(
+        poset_from_covers(["u"], []))
     assert check_rank_recurrence(planted) == (
         "lhs=[1, 2, 3, 3, 1] host=[1, 1, 3, 3, 1] self=[1, 1, 3, 3, 1] "
         "case=[1, 1, 3, 3, 1]")
-    assert check_q_recurrence(planted, klat) == (
+    assert check_q_recurrence(planted) == (
         "q=[10, 15, 7, 1] size_ok=False")
-    assert check_q_recurrence(exp, wrong_klat) == (
+    assert check_q_recurrence(wrong_k) == (
         "q=[9, 13, 6, 1] size_ok=True")
-    assert check_d_recurrences(planted, klat) == (
+    assert check_d_recurrences(planted) == (
         "d_minus_ok=False d_total_ok=False mi_growth_ok=True")
-    assert check_d_recurrences(exp, wrong_klat) == (
+    assert check_d_recurrences(wrong_k) == (
         "d_minus_ok=False d_total_ok=False mi_growth_ok=True")
 
 
@@ -262,10 +266,8 @@ _BAD_INTERVALS = [IntervalRef(4, 0), (2, 3), (0, 5), (-1, 4)]
 @pytest.mark.parametrize("call", [
     expand_poset, boundary,
     lambda lat, k: check_rank_recurrence(expand_poset(lat, k)),
-    lambda lat, k: check_q_recurrence(expand_poset(lat, k),
-                                      lat.interval_lattice(k)),
-    lambda lat, k: check_d_recurrences(expand_poset(lat, k),
-                                       lat.interval_lattice(k)),
+    lambda lat, k: check_q_recurrence(expand_poset(lat, k)),
+    lambda lat, k: check_d_recurrences(expand_poset(lat, k)),
     lambda lat, k: lat.interval_elements(k),
     is_cutting,
 ], ids=["expand_poset", "boundary", "rank", "q", "d", "interval_elements",
@@ -283,10 +285,9 @@ def test_recurrences_across_small_catalog():
                 if not lat.le(a, b) or not is_cutting(lat, (a, b)):
                     continue
                 exp = expand_poset(lat, (a, b))
-                klat = lat.interval_lattice(exp.interval)
                 assert check_rank_recurrence(exp) is None
-                assert check_q_recurrence(exp, klat) is None
-                assert check_d_recurrences(exp, klat) is None
+                assert check_q_recurrence(exp) is None
+                assert check_d_recurrences(exp) is None
 
 
 # -- oracle comparisons ---------------------------------------------------------------

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import latcut
 from conftest import posets
 from latcut import (InvalidInterval, LatcutError, ParseError, UnknownLabel,
-                    expand_poset, export_dot, filter_lattice,
+                    chain, cuttings, expand_poset, export_dot, filter_lattice,
                     parse_poset_file, poset_from_covers, write_poset_file)
 from latcut.cli import cli_run
 from latcut.verify import _CUTTING_TOPICS
@@ -295,6 +295,38 @@ def test_cli_expand_pipes_back_in(capsys, monkeypatch):
     assert filter_lattice(bigger).size == 9
 
 
+def test_cli_expand_refuses_a_label_the_poset_has(capsys, monkeypatch):
+    # A label taken twice would write a file that no command reads back.
+    fence3 = "element 1 2 3\ncover 2 1\ncover 2 3\n"
+    code, out, err = run_cli(["expand", "--bottom", "101", "--top", "000",
+                              "--label", "1"], stdin_text=fence3,
+                             capsys=capsys, monkeypatch=monkeypatch)
+    assert (code, out, err) == (2, "", "error: label '1' declared twice\n")
+
+
+def test_cli_cutting_writes_its_listing_in_chunks(monkeypatch):
+    # chain(100) has 5,151 cuttings: two writes of 4096 lines or fewer,
+    # and together the bytes of the whole listing.
+    lat = filter_lattice(chain(100))
+    bits = [lat.bitstring(a) for a in range(lat.size)]
+    listing = "".join("%s %s\n" % (bits[a], bits[b]) for a, b in cuttings(lat))
+
+    class Recording:
+        def __init__(self):
+            self.writes = []
+
+        def write(self, text):
+            self.writes.append(text)
+
+    out = Recording()
+    monkeypatch.setattr(sys, "stdin", io.StringIO(write_poset_file(chain(100))))
+    monkeypatch.setattr(sys, "stdout", out)
+    assert cli_run(["cutting"]) == 0
+    assert "".join(out.writes) == listing
+    assert listing.count("\n") == 5151
+    assert [w.count("\n") for w in out.writes] == [4096, 1055]
+
+
 def test_cli_expand_rejects_non_cutting(capsys, monkeypatch):
     # a singleton atom of the Boolean square is not a cutting
     square = write_poset_file(poset_from_covers(["a", "b"], []))
@@ -389,6 +421,15 @@ def test_cli_verify_max_size_bounds_the_exhaustive_layer(capsys):
      "--max-size must be at most 16384, got 100000"),
     (["euler", "--max-size", "16385"],
      "--max-size must be at most 16384, got 16385"),
+    # No random poset has 0 elements; --trials 0 draws none.
+    (["random", "--max-size", "0"],
+     "--max-size must be at least 1 unless --trials is 0"),
+    (["birkhoff", "--max-size", "0"],
+     "--max-size must be at least 1 unless --trials is 0"),
+    (["euler", "--max-size", "0"],
+     "--max-size must be at least 1 unless --trials is 0"),
+    (["q-d-recurrences", "--trials", "1", "--max-size", "0"],
+     "--max-size must be at least 1 unless --trials is 0"),
 ])
 def test_cli_verify_rejects_negative_counts_and_sizes(argv, message, capsys):
     code, out, err = run_cli(["verify"] + argv, capsys=capsys)

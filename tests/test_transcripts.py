@@ -6,6 +6,7 @@ corpus was written (``tests/tools/transcripts.py --write``).  All three
 outputs must come back byte for byte.
 """
 
+import importlib.util
 import io
 import json
 import os
@@ -24,6 +25,15 @@ def test_the_corpus_holds_the_cutting_cases():
     assert {"cutting-fence-12", "cutting-crown-12", "cutting-antichain-8",
             "cutting-fence-6-interval",
             "cutting-bottom-without-top"} <= set(CASES)
+
+
+def test_the_corpus_holds_every_case_of_its_writer():
+    spec = importlib.util.spec_from_file_location(
+        "transcripts", os.path.join(os.path.dirname(__file__), "tools",
+                                    "transcripts.py"))
+    writer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(writer)
+    assert sorted(writer.cases()) == CASES
 
 
 @pytest.mark.parametrize("name", CASES)
