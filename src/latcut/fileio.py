@@ -64,7 +64,7 @@ def parse_poset_file(text):
 def write_poset_file(p):
     """Canonical text form; parse(write(p)) reproduces p exactly."""
     for lab in p.labels:
-        if not lab or any(c.isspace() for c in lab) or lab == "#":
+        if not lab or any(c.isspace() for c in lab) or "#" in lab:
             raise ValueError("label %r not representable in the file format"
                              % (lab,))
     lines = []

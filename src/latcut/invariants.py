@@ -255,7 +255,7 @@ def antichain_census(p):
     histograms, which is the oracle behind the d-vector identities.
     """
     out = [0] * (p.n + 1)
-    for a in p.antichains():
+    for _, a in p.filters_with_minima():
         out[a.bit_count()] += 1
     return poly_trim(out)
 

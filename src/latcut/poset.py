@@ -85,9 +85,6 @@ class Poset:
         """Strict order on element indices."""
         return bool(self.up[i] >> j & 1)
 
-    def le(self, i, j):
-        return i == j or self.lt(i, j)
-
     def comparable_mask(self, i):
         """Everything comparable to element i, including i itself."""
         return self.up[i] | self.down[i] | (1 << i)
@@ -244,14 +241,6 @@ class Poset:
                        for f, _ in self.filters_with_minima(cap)])
         full = self.full_mask
         return [k & full for k in keys]
-
-    def antichains(self):
-        """Yield every antichain mask, in the preorder of
-        :meth:`filters_with_minima` (members picked in increasing index
-        order).  Antichains are in bijection with filters, so FILTER_CAP
-        applies."""
-        for _, a in self.filters_with_minima():
-            yield a
 
     def antichain_table(self):
         """Bitset over all 2^n subsets, as an int: bit m is set when subset m

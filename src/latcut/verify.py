@@ -3,7 +3,8 @@ re-checked by brute force over exhaustive small posets plus a random layer.
 
 Each suite returns a SuiteResult whose report is line-oriented and
 deterministic for a fixed seed; on failure the smallest failing instance is
-inlined as a poset file so it can be replayed directly.
+inlined as a poset file so it can be replayed directly.  birkhoff and
+random check x -> up(x) with ``birkhoff_roundtrip``, without a search.
 
 The seven cutting topics share one pass over the pooled lattices, driven by
 a table of (topic, failure text, check) rows.  binomial, euler and
@@ -50,7 +51,7 @@ from .invariants import (antichain_census, binomial_relations,
                          check_d_recurrences, check_q_recurrence,
                          check_rank_recurrence, d_vectors, euler_checks,
                          poly_eq)
-from .lattice import filter_lattice
+from .lattice import birkhoff_roundtrip, filter_lattice
 from .poset import FILTER_CAP, poset_isomorphic
 
 
@@ -148,7 +149,7 @@ def verify_birkhoff(trials=1000, max_size=8, seed=0):
     pool = itertools.chain(labeled, _pool_random(trials, max_size, seed))
     for tag, p, lat in _pooled(pool):
         res.checks += 1
-        if not poset_isomorphic(lat.mi_poset(), p):
+        if not birkhoff_roundtrip(lat):
             res.add_failure(p, "Mi(F(P)) not isomorphic to P (%s)" % tag)
         elif p.n <= _FILTER_SCAN_LIMIT:
             scanned = filters_by_scan(p)
@@ -402,7 +403,7 @@ def verify_random(trials=200, max_size=7, seed=2):
     t0 = time.perf_counter()
     for tag, p, lat in _pooled(_pool_random(trials, max_size, seed)):
         res.checks += 1
-        ok = poset_isomorphic(lat.mi_poset(), p)
+        ok = birkhoff_roundtrip(lat)
         detail = _detail(lambda: binomial_relations(lat) or euler_checks(lat))
         d = d_vectors(lat)
         if detail or not (ok and d.minus == d.plus):

@@ -73,6 +73,10 @@ def test_parse_requires_declaration_before_use():
 def test_write_rejects_unrepresentable_labels():
     with pytest.raises(ValueError):
         write_poset_file(poset_from_covers(["a b"], []))
+    # parse cuts every line at '#', so such a file would not read back.
+    for label in ("#", "x#1", "#x", "x#"):
+        with pytest.raises(ValueError, match="not representable"):
+            write_poset_file(poset_from_covers([label, "y"], [("y", label)]))
 
 
 # -- DOT export -----------------------------------------------------------------------

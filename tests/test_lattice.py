@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import posets, shuffled_relabeling
-from latcut import (InvalidInterval, all_labeled_posets, birkhoff_roundtrip,
-                    cuttings, expand_poset, filter_lattice, poset_from_covers,
-                    poset_isomorphic)
+from latcut import (DistLattice, InvalidInterval, all_labeled_posets,
+                    birkhoff_roundtrip, chain, cuttings, expand_poset,
+                    filter_lattice, poset_from_covers, poset_isomorphic)
 
 
 def z3_lattice():
@@ -151,13 +151,54 @@ def test_trivial_lattice():
     assert list(lat.meet_irreducibles()) == []
 
 
+# -- Birkhoff's representation ------------------------------------------------------
+
+
+def birkhoff_by_search(lat):
+    """The isomorphism form of the round trip, the certificate's oracle:
+    build the Mi poset and search for any isomorphism onto the base."""
+    return poset_isomorphic(lat.mi_poset(), lat.base)
+
+
+def test_birkhoff_certificate_agrees_with_the_search_up_to_5_elements():
+    seen = 0
+    for n in range(6):
+        for p in all_labeled_posets(n):
+            lat = filter_lattice(p)
+            assert (birkhoff_roundtrip(lat), birkhoff_by_search(lat)) == \
+                (True, True)
+            seen += 1
+    assert seen == 4474
+
+
+def test_birkhoff_certificate_asks_for_the_map_x_to_up_x():
+    # chain(3)'s lattice shape over the reversed chain's filters: Mi is a
+    # 3-chain, so a search finds an isomorphism, but no Mi element is the
+    # principal filter up(x) of the base.
+    p = chain(3)
+    lat = DistLattice(p, p.dual().filters_with_minima())
+    assert birkhoff_by_search(lat)
+    assert not birkhoff_roundtrip(lat)
+
+
+def test_birkhoff_certificate_refuses_a_duplicated_meet_irreducible():
+    p = chain(3)
+    pairs = list(p.filters_with_minima())
+    bottom = [(f, a) for f, a in pairs if f == p.full_mask]
+    assert birkhoff_roundtrip(DistLattice(p, pairs))
+    assert not birkhoff_roundtrip(DistLattice(p, pairs + bottom))
+
+
 # -- properties ---------------------------------------------------------------------
 
 
 @settings(max_examples=50, deadline=None)
-@given(posets(max_n=5))
-def test_birkhoff_roundtrip_property(p):
-    assert birkhoff_roundtrip(p)
+@given(posets(max_n=5), st.integers(min_value=0, max_value=2 ** 32))
+def test_birkhoff_roundtrip_property(p, seed):
+    for q in (p, p.dual(), shuffled_relabeling(p, seed)[0]):
+        lat = filter_lattice(q)
+        assert (birkhoff_roundtrip(lat), birkhoff_by_search(lat)) == \
+            (True, True)
 
 
 @settings(max_examples=40, deadline=None)

@@ -79,6 +79,9 @@ def cases():
         "expand-fence-3-taken-label": (
             ["expand", "--bottom", "101", "--top", "000", "--label", "1"],
             family("fence", 3)),
+        "expand-fence-3-hash-label": (
+            ["expand", "--bottom", "101", "--top", "000", "--label", "a#b"],
+            family("fence", 3)),
         "export-dot-z3": (["export-dot"], Z3),
         "export-dot-z3-highlight": (["export-dot", "--highlight", "101,000"],
                                     Z3),
@@ -95,8 +98,12 @@ def cases():
              "--seed", "9"], "")
     for suite in ("fibonacci", "lucas", "cubes"):
         out["verify-%s-max-8" % suite] = (["verify", suite, "--max", "8"], "")
-    for suite in ("lucas", "cubes", "random"):
+    for suite in ("lucas", "cubes", "random", "birkhoff", "fibonacci"):
         out["verify-%s" % suite] = (["verify", suite], "")
+    for suite in ("birkhoff", "random"):
+        out["verify-%s-trials-20-size-12-seed-4" % suite] = (
+            ["verify", suite, "--trials", "20", "--max-size", "12",
+             "--seed", "4"], "")
     for suite in ("random", "birkhoff", "euler"):
         out["verify-%s-size-0" % suite] = (
             ["verify", suite, "--max-size", "0"], "")
