@@ -131,11 +131,13 @@ def rank_gen_of(lat, elements, offset=0):
 
 def _q_census(lat):
     """Pair formula: every Boolean interval [a, b] arises from the filter
-    F = filter(a) and a subset of its minimal elements, and |Min F| is a's
-    number of up-covers.  So q_k = sum over F of C(|Min F|, k), the binomial
-    transform of the up-cover degree histogram d_minus, which
-    :func:`d_vectors` builds once per lattice."""
-    return binomial_transform(d_vectors(lat).minus)
+    F = filter(a) and a subset of its minimal elements, so q_k = sum over F
+    of C(|min F|, k): the binomial transform of d_minus, read off the minima.
+    Trimmed first, it takes one Pascal row per degree, not per element."""
+    hist = [0] * (lat.base.n + 1)
+    for m in lat.minima:
+        hist[m.bit_count()] += 1
+    return binomial_transform(poly_trim(hist))
 
 
 def _q_scan(lat):
@@ -273,12 +275,14 @@ def _padded_degree_vectors(minus, plus, total):
 
 def d_vectors(lat):
     """The degree histograms of ``lat``, computed once per lattice and
-    cached on it; each call returns fresh lists."""
+    cached on it; each call returns fresh lists.  The up-degree of F is
+    |min F|; only ``plus`` and ``total`` read the down covers."""
     if lat._d is None:
         # An element's up- and down-covers drop and add distinct elements
         # of the base, so both degrees and their sum are at most n.
         minus, plus, total = hists = [[0] * (lat.base.n + 1) for _ in range(3)]
-        for u, d in zip(map(len, lat.up_covers), map(len, lat.down_covers)):
+        for m, d in zip(lat.minima, map(len, lat.down_covers)):
+            u = m.bit_count()
             minus[u] += 1
             plus[d] += 1
             total[u + d] += 1

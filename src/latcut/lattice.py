@@ -11,13 +11,14 @@ Element heights are |P| - |filter|, which agrees with longest-chain rank
 because the lattice is graded.  By Birkhoff, the meet-irreducibles are the
 principal filters up(x), and ``birkhoff_roundtrip`` certifies that map.
 
-A ``DistLattice`` is immutable; lazily computed caches (containment
-masks, the q vector and the degree histograms) depend only on the
-relation, so concurrent reads are safe.
+A ``DistLattice`` is immutable; lazily computed caches (the cover tuples,
+containment masks, the q vector and the degree histograms) depend only on
+the relation, so concurrent reads are safe.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import NamedTuple
 
 from .bits import mask_of
@@ -36,8 +37,9 @@ class DistLattice:
 
     Construction takes every filter F of ``base`` with its minimal
     elements min F, as ``pairs`` (F, min F) in any order; the minima are
-    kept as ``minima``, and the up-covers of F are F - y for y in min F.
-    The pairs are trusted, and the caller checks the cap:
+    kept as ``minima``: |min F| is F's up-degree, and ``up_covers`` (F - y
+    for y in min F) and ``down_covers`` are caches built from them on
+    first read.  The pairs are trusted, and the caller checks the cap:
     :func:`filter_lattice` takes them from the antichain walk
     (:meth:`Poset.filters_with_minima`), and convex expansion derives them
     from the host lattice.
@@ -54,31 +56,40 @@ class DistLattice:
         keys.sort()
         self.filters = tuple([k >> n & full for k in keys])
         self.minima = tuple([k & full for k in keys])
-        self.index_of = index_of = {f: i for i, f in enumerate(self.filters)}
+        self.index_of = {f: i for i, f in enumerate(self.filters)}
         self.heights = tuple([k >> 2 * n for k in keys])
-        up = []
-        for a, f in zip(self.minima, self.filters):
-            covs = []
-            # F - y has the same size for every y, so dropping the lowest y
-            # first gives the largest mask, i.e. descending indices.
-            while a:
-                low = a & -a
-                a ^= low
-                covs.append(index_of[f ^ low])
-            covs.reverse()
-            up.append(tuple(covs))
-        del keys    # freed before the down-covers are built, to lower the peak
-        self.up_covers = tuple(up)
-        down = [[] for _ in self.filters]
-        for a, covs in enumerate(self.up_covers):
-            for b in covs:
-                down[b].append(a)
-        self.down_covers = tuple([tuple(d) for d in down])
         self._above = None
         # The q vector and the degree histograms, filled in by
         # invariants.q_vector and invariants.d_vectors.
         self._q = None
         self._d = None
+
+    @cached_property
+    def up_covers(self):
+        """For each F, the indices of F - y for y in min F, ascending."""
+        index_of, up = self.index_of, []
+        for m, f in zip(self.minima, self.filters):
+            covs = []
+            while m:    # the lowest y first: the largest F - y and index
+                low = m & -m
+                m ^= low
+                covs.append(index_of[f ^ low])
+            up.append(tuple(covs[::-1]))
+        return tuple(up)
+
+    @cached_property
+    def down_covers(self):
+        """For each element, its lower covers, ascending: one pass over the
+        minima lists a under F - y for each y in min F(a)."""
+        index_of, down = self.index_of, [[] for _ in self.filters]
+        for a, (m, f) in enumerate(zip(self.minima, self.filters)):
+            while m:
+                low = m & -m
+                m ^= low
+                down[index_of[f ^ low]].append(a)
+        # From a list: tuple() of an unsized iterator (map) resizes a 10-slot
+        # tuple, which drains and overfills CPython's per-size free lists.
+        return tuple([tuple(d) for d in down])
 
     # -- basics -----------------------------------------------------------
 
@@ -165,8 +176,8 @@ class DistLattice:
     # -- structure ------------------------------------------------------------
 
     def meet_irreducibles(self):
-        """Indices of elements with exactly one upper cover, ascending."""
-        return [a for a in range(self.size) if len(self.up_covers[a]) == 1]
+        """Indices, ascending, of the F with one upper cover: |min F| = 1."""
+        return [a for a, m in enumerate(self.minima) if m.bit_count() == 1]
 
     def mi_poset(self):
         """The meet-irreducibles as a poset under the induced order,

@@ -7,6 +7,7 @@ with the package internals beyond reading the order relation itself.
 
 import random
 from itertools import combinations, permutations
+from math import comb
 
 
 def relation(p):
@@ -189,6 +190,15 @@ def naive_q(lat):
                 if inside == 1 << d:
                     counts[d] = counts.get(d, 0) + 1
     return [counts.get(k, 0) for k in range(max(counts) + 1)]
+
+
+def q_census_by_up_covers(lat):
+    """The census q_k = sum over F of C(|min F|, k), with |min F| taken as
+    the length of F's up-cover tuple rather than read off the minima, and
+    summed by comb() rather than by Pascal's rows."""
+    degrees = [len(covs) for covs in lat.up_covers]
+    return [sum(comb(u, k) for u in degrees)
+            for k in range(max(degrees) + 1)]
 
 
 def naive_d(lat):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import posets
+from conftest import posets, shuffled_relabeling
 from latcut import (CapacityExceeded, IntervalRef, InvalidInterval,
                     antichain, antichain_census, binomial_relations,
                     binomial_transform, boundary, chain, check_d_recurrences,
@@ -328,10 +328,35 @@ def test_invariant_identities_on_random_posets(p):
 
 
 @settings(max_examples=40, deadline=None)
-@given(posets(max_n=5))
-def test_q_routes_agree_on_random_posets(p):
-    lat = filter_lattice(p)
-    assert poly_eq(_q_census(lat), _q_scan(lat))
+@given(posets(max_n=5), st.integers(min_value=0, max_value=2 ** 32))
+def test_q_routes_agree_on_random_posets(p, seed):
+    # The census reads |min F| off the minima.  It must equal the comb()
+    # sum over the up-cover tuples, the transform of d_minus and the
+    # interval scan, on the poset as given, dualized and relabelled.
+    for q in (p, p.dual(), shuffled_relabeling(p, seed)[0]):
+        lat = filter_lattice(q)
+        census = _q_census(lat)
+        assert census == oracles.q_census_by_up_covers(lat)
+        assert census == binomial_transform(d_vectors(lat).minus)
+        assert census == _q_scan(lat)
+
+
+def test_the_census_transforms_a_trimmed_histogram(monkeypatch):
+    # F(chain(4000)) has 4,001 filters of base 4,000, each with at most one
+    # minimal element: the histogram of |min F| is [1, 4000], not 4,001
+    # entries, so the transform makes two Pascal rows, not 4,001.
+    import latcut.invariants as inv
+
+    seen = []
+    real = inv.binomial_transform
+
+    def recording(d):
+        seen.append(list(d))
+        return real(d)
+
+    monkeypatch.setattr(inv, "binomial_transform", recording)
+    assert _q_census(filter_lattice(chain(4000))) == [4001, 4000]
+    assert seen == [[1, 4000]]
 
 
 def _chain_product(*lengths):

@@ -1,6 +1,7 @@
 """Filter lattices: order, meet/join, intervals, meet-irreducibles."""
 
-from functools import partial
+from collections import Counter
+from functools import cached_property, partial
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +10,11 @@ from hypothesis import strategies as st
 import oracles
 from conftest import posets, shuffled_relabeling
 from latcut import (DistLattice, InvalidInterval, all_labeled_posets,
-                    birkhoff_roundtrip, chain, cuttings, expand_poset,
-                    filter_lattice, poset_from_covers, poset_isomorphic)
+                    birkhoff_roundtrip, chain, cover_cube, cuttings,
+                    expand_poset, fence, filter_lattice, poset_from_covers,
+                    poset_isomorphic, run_cutting_suite, verify_birkhoff,
+                    verify_fibonacci_decomposition,
+                    verify_lucas_decomposition)
 
 
 def z3_lattice():
@@ -110,6 +114,19 @@ def test_covers_against_naive():
         got = [(a, b) for a in range(lat.size) for b in lat.up_covers[a]]
         assert sorted(got) == sorted(oracles.naive_covers(lat))
         assert list(lat.heights) == oracles.naive_heights(lat)
+
+
+@settings(max_examples=60, deadline=None)
+@given(posets(max_n=6))
+def test_cover_tuples_are_sorted_and_invert_each_other(p):
+    # Both caches list indices ascending, whatever the base's index order,
+    # and the down covers are the up covers read backwards.
+    lat = filter_lattice(p)
+    naive = oracles.naive_covers(lat)
+    assert lat.up_covers == tuple(
+        tuple(sorted(b for x, b in naive if x == a)) for a in range(lat.size))
+    assert lat.down_covers == tuple(
+        tuple(sorted(x for x, b in naive if b == a)) for a in range(lat.size))
 
 
 def test_covers_drop_exactly_one_element():
@@ -227,3 +244,50 @@ def test_heights_grade_the_lattice(p):
     for a in range(lat.size):
         for b in lat.up_covers[a]:
             assert lat.heights[b] == lat.heights[a] + 1
+
+
+# -- work ledger: the cover tuples are built on first read --------------------------
+
+
+def _count_builds(monkeypatch):
+    """Count DistLattice builds and the builds of each cover tuple."""
+    counts = Counter()
+    real_init = DistLattice.__init__
+
+    def init(self, *args, **kwargs):
+        counts["lattices"] += 1
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(DistLattice, "__init__", init)
+    for name in ("up_covers", "down_covers"):
+        def build(self, real=DistLattice.__dict__[name].func, name=name):
+            counts[name] += 1
+            return real(self)
+
+        prop = cached_property(build)
+        prop.__set_name__(DistLattice, name)
+        monkeypatch.setattr(DistLattice, name, prop)
+    return counts
+
+
+@pytest.mark.parametrize("run, want", [
+    # The q census, the q scan and Mi read the minima and the filters.
+    (lambda: verify_fibonacci_decomposition(7, 4), {"lattices": 4}),
+    (lambda: verify_lucas_decomposition(6), {"lattices": 5}),
+    # The round trip lists Mi off the minima; the scan reads the filters.
+    (lambda: verify_birkhoff(), {"lattices": 1243}),
+    (lambda: cover_cube(filter_lattice(fence(8))),
+     {"lattices": 1, "up_covers": 1}),
+    # cuttings() reads the down covers of each pooled lattice, d_vectors
+    # those of L', K and L'' for each cutting; only the chain criterion of
+    # the vote reads the up covers, and only where K holds neither the
+    # bottom nor the top.
+    (lambda: run_cutting_suite(trials=2, max_size=7, seed=5,
+                               exhaustive_max=4),
+     {"lattices": 2202, "down_covers": 1332, "up_covers": 24}),
+], ids=["fibonacci-7-4", "lucas-6", "birkhoff", "cover-cube-fence-8",
+        "cutting-pass"])
+def test_cover_tuples_are_built_only_by_their_readers(run, want, monkeypatch):
+    counts = _count_builds(monkeypatch)
+    run()
+    assert counts == Counter(want)

@@ -92,6 +92,14 @@ def cases():
     }
     for command in ("stats", "filters", "lattice", "mi"):
         out["%s-fence-12" % command] = ([command], fence12)
+    # crown(8) with its element line reversed, so index order is not the
+    # natural bottom-up one: the cover readers meet a permuted base.
+    head, _, rest = family("crown", 8).partition("\n")
+    crown8_reversed = " ".join(["element"] + head.split()[:0:-1]) + "\n" + rest
+    for command in ("lattice", "export-dot", "cutting", "mi"):
+        out["%s-crown-8-reversed" % command] = ([command], crown8_reversed)
+    out["cube-cover-crown-8-reversed"] = (["cube", "cover", "-"],
+                                          crown8_reversed)
     for suite in _CUTTING_TOPICS + ("birkhoff", "random"):
         out["verify-%s-trials-3-size-4-seed-9" % suite] = (
             ["verify", suite, "--trials", "3", "--max-size", "4",
