@@ -20,6 +20,8 @@ above all of S0, below all of S1, incomparable to S.
 ``is_cutting`` votes four independent criteria on one interval; the
 production routes, ``cuttings`` and ``expand_poset``, do not vote.  An
 expansion carries L, K, K's own lattice, built on its first read, and L'.
+``decompose`` and the cutting pass check one round trip: F(P) against the
+expansion of F(P - x) at x's interval, which the pass already holds.
 """
 
 from __future__ import annotations
@@ -301,40 +303,39 @@ class DecomposeResult:
     star: Poset
     expansion: ExpansionResult
     size: int                  # |F(P)|
-    counts_ok: bool            # |F(P)| == |F(P-x)| + |F(P*x)|, and a walk
-                               # over P finds the expansion's (F, min F)
+    counts_ok: bool            # P-x, P*x, x's interval match the expansion,
+                               # sizes add up, a walk over P finds (F, min F)
     expansion_iso_ok: bool     # expanded poset isomorphic to P
     product_form: bool         # P - x isomorphic to P * x
     product_iso_ok: bool       # ... and then P iso (P - x) + singleton side by side
 
 
-def decompose(p, x, cap=FILTER_CAP):
-    """Decompose F(P) at element x, verifying the expansion round trip."""
-    i = p.idx(x)
-    minus = p.minus(x)
-    star = p.star(x)
-    host = filter_lattice(minus, cap=cap)
-
-    # The interval of the host determined by x: bottom is the complement of
-    # down(x), top is up(x); both survive deleting x unchanged.  Neither
-    # holds bit i, so compressing is moving the bits above i down by one.
-    keep = p.full_mask & ~(1 << i)
+def _x_interval(p, i):
+    """Bottom and top filters of x's interval in P - x, x = P's element i:
+    P - down(x) and up(x), each with its bits above i moved down by one."""
     low = (1 << i) - 1
+    return tuple(m & low | m >> 1 & ~low
+                 for m in (p.full_mask & ~(1 << i) & ~p.down[i], p.up[i]))
 
-    def compress(mask):
-        return mask & low | mask >> 1 & ~low
 
-    bf = compress(keep & ~p.down[i])
-    tf = compress(p.up[i])
-    exp = expand_poset(host, (host.index_of[bf], host.index_of[tf]),
-                       label=x, cap=cap)
-    # The antichain walks on P and on P*x, independent of the expansion.
+def decompose(p, x, cap=FILTER_CAP):
+    """Decompose F(P) at element x and check the round trip on the result."""
+    host = filter_lattice(p.minus(x), cap=cap)
+    k = [host.index_of[f] for f in _x_interval(p, p.idx(x))]
+    return _round_trip(p, x, expand_poset(host, k, label=x, cap=cap), cap)
+
+
+def _round_trip(p, x, exp, cap=FILTER_CAP):
+    """Check ``exp``, an expansion of F(P - x), as F(P) split at x: its L and
+    K have bases P - x and P * x exactly, K is x's interval, and a walk over
+    P, independent of the expansion, finds its (F, min F)."""
+    i = p.idx(x)
+    host, k, klat = exp.host, exp.interval, exp.interval_lattice
+    minus, star = p.minus(x), p.star(x)
+    walked = dict(p.filters_with_minima(cap))
     # The expansion puts x last, so its masks are P's with bit i moved to
     # the top; moving it back labels both sides alike.
-    walked = dict(p.filters_with_minima(cap))
-    star_size = sum(1 for _ in star.filters_with_minima(cap))
-    size = len(walked)
-    top = p.n - 1
+    low, top = (1 << i) - 1, p.n - 1
 
     def relabel(mask):
         rest = mask & ~(1 << top)
@@ -342,12 +343,14 @@ def decompose(p, x, cap=FILTER_CAP):
 
     expanded = dict(zip(map(relabel, exp.lattice.filters),
                         map(relabel, exp.lattice.minima)))
-    counts_ok = size == host.size + star_size and walked == expanded
+    counts_ok = ((minus, star) == (host.base, klat.base) and _x_interval(p, i)
+                 == (host.filters[k.bottom], host.filters[k.top])
+                 and len(walked) == host.size + klat.size and walked == expanded)
     expansion_iso_ok = poset_isomorphic(exp.poset, p)
     product_form = poset_isomorphic(minus, star)
     product_iso_ok = (product_form
                       and poset_isomorphic(p, disjoint_union(minus, singleton(x))))
     return DecomposeResult(
         star=star, expansion=exp,
-        size=size, counts_ok=counts_ok, expansion_iso_ok=expansion_iso_ok,
+        size=len(walked), counts_ok=counts_ok, expansion_iso_ok=expansion_iso_ok,
         product_form=product_form, product_iso_ok=product_iso_ok)

@@ -276,12 +276,18 @@ def _padded_degree_vectors(minus, plus, total):
 def d_vectors(lat):
     """The degree histograms of ``lat``, computed once per lattice and
     cached on it; each call returns fresh lists.  The up-degree of F is
-    |min F|; only ``plus`` and ``total`` read the down covers."""
+    |min F|, and F is a lower cover of F - y for each y in min F."""
     if lat._d is None:
+        index_of, down = lat.index_of, [0] * lat.size
+        for m, f in zip(lat.minima, lat.filters):
+            while m:
+                y = m & -m
+                m ^= y
+                down[index_of[f ^ y]] += 1
         # An element's up- and down-covers drop and add distinct elements
         # of the base, so both degrees and their sum are at most n.
         minus, plus, total = hists = [[0] * (lat.base.n + 1) for _ in range(3)]
-        for m, d in zip(lat.minima, map(len, lat.down_covers)):
+        for m, d in zip(lat.minima, down):
             u = m.bit_count()
             minus[u] += 1
             plus[d] += 1

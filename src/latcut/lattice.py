@@ -19,6 +19,7 @@ the relation, so concurrent reads are safe.
 from __future__ import annotations
 
 from functools import cached_property
+from operator import itemgetter
 from typing import NamedTuple
 
 from .bits import mask_of
@@ -181,12 +182,20 @@ class DistLattice:
 
     def mi_poset(self):
         """The meet-irreducibles as a poset under the induced order,
-        labelled by their filter bitstrings."""
+        labelled by their filter bitstrings.  Mi is the up(x), and up(x_t)
+        lies above up(x_a) iff x_t is in up(x_a): no pairwise test."""
         mi = self.meet_irreducibles()
         labels = [self.bitstring(a) for a in mi]
-        up = [mask_of(t for t, b in enumerate(mi) if b != a and self.le(a, b))
-              for a in mi]
-        return Poset(labels, up, _trusted=True)
+        if not mi:
+            return Poset(labels, [], _trusted=True)
+        # Character n - 1 - y of F's n-digit string is y's bit; row a picks x_t's.
+        n = self.base.n
+        pick = itemgetter(*[n - self.minima[a].bit_length() for a in mi])
+        rows = ["".join(pick(format(self.filters[a], "0%db" % n)))
+                for a in mi]
+        up, down = ([int(s[::-1], 2) & ~(1 << t) for t, s in enumerate(strs)]
+                    for strs in (rows, map("".join, zip(*rows))))
+        return Poset(labels, up, _trusted=True, _down=down)
 
     def covering_graph(self):
         """Undirected cover edges as sorted (lower, upper) index pairs."""

@@ -221,6 +221,15 @@ def naive_mi(lat):
                   if sum(1 for a, _ in covers if a == x) == 1)
 
 
+def mi_poset_by_le(lat):
+    """The meet-irreducibles' order by its definition: one ``le`` test for
+    each ordered pair, as (labels, up masks)."""
+    mi = naive_mi(lat)
+    return ([lat.bitstring(a) for a in mi],
+            [sum(1 << t for t, b in enumerate(mi) if b != a and lat.le(a, b))
+             for a in mi])
+
+
 def naive_cutting_count(p):
     """Number of cuttings of F(p) by the order criterion read off label sets:
     the sum over filters T of the down-sets D with every element of D

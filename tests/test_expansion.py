@@ -15,7 +15,8 @@ from latcut import (DistLattice, DuplicateLabel, IntervalRef, NotACutting,
                     crown, cuttings, decompose, disjoint_union, expand_poset,
                     fence, filter_lattice, is_cutting, mask_of, ordinal_sum,
                     parse_poset_file, poset_from_covers, poset_isomorphic,
-                    run_cutting_suite, singleton, write_poset_file)
+                    posets_up_to_iso, random_poset, run_cutting_suite,
+                    singleton, trial_seed, write_poset_file)
 from latcut.cli import cli_run
 from latcut.expansion import CUTTING_METHODS, _CRITERIA
 from latcut.poset import FILTER_CAP
@@ -395,6 +396,29 @@ def test_decompose_product_form():
     assert not decompose(q, "b").product_form
 
 
+def test_the_round_trip_reads_equal_inputs_off_the_expansion():
+    # The cutting pass checks the round trip on the expansion it holds,
+    # reading F(P' - x) and F(P' * x) as its L and K.  That is lossless
+    # because P' - x is L's base and P' * x is K's, labels and up masks
+    # alike, and decompose derives the cutting the pass expanded at.
+    pool = [p for n in range(6) for p in posets_up_to_iso(n)]
+    pool += [random_poset(trial_seed(1, t), 7) for t in range(10)]
+    seen = 0
+    for p in pool:
+        lat = filter_lattice(p)
+        for k in cuttings(lat):
+            exp = expand_poset(lat, k)
+            x = exp.new_element
+            assert exp.poset.minus(x) == lat.base
+            assert exp.poset.star(x) == exp.interval_lattice.base
+            dec = decompose(exp.poset, x)
+            assert dec.expansion.host.filters == lat.filters
+            assert dec.expansion.interval == exp.interval
+            assert dec.counts_ok and dec.expansion_iso_ok
+            seen += 1
+    assert seen > 1000
+
+
 def test_expand_poset_validates_its_interval_once(monkeypatch):
     lat = z3_lattice()
     k = lat.interval_by_strings("101", "000")
@@ -454,9 +478,9 @@ def test_is_cutting_validates_its_interval_once(method, monkeypatch):
 def test_the_cutting_pass_validates_each_interval_a_bounded_number_of_times(
         monkeypatch):
     # The vote's is_cutting validates each interval once.
-    # Each cutting is validated by expand_poset, by interval_lattice, by the
-    # d check's second expansion and by decompose's expansion; the
-    # recurrence checks take the expansion and validate nothing.
+    # Each cutting is validated by expand_poset, by interval_lattice and by
+    # the d check's second expansion; the round trip and the recurrence
+    # checks take the expansion and validate nothing.
     real = DistLattice.interval
     calls = []
 
@@ -472,7 +496,7 @@ def test_the_cutting_pass_validates_each_interval_a_bounded_number_of_times(
         r"intervals=(\d+), cuttings=(\d+)",
         results["cutting-equivalence"].lines[0]).groups())
     assert cuttings_ > 0
-    assert len(calls) <= intervals + 4 * cuttings_
+    assert len(calls) <= intervals + 3 * cuttings_
 
 
 @pytest.mark.parametrize("topics,per_cutting", [

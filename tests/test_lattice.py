@@ -171,6 +171,21 @@ def test_trivial_lattice():
 # -- Birkhoff's representation ------------------------------------------------------
 
 
+@settings(max_examples=50, deadline=None)
+@given(posets(max_n=6), st.integers(min_value=0, max_value=2 ** 32))
+def test_mi_poset_reads_the_order_of_the_definition(p, seed):
+    # mi_poset reads the order off the filters' bits; the oracle makes one
+    # le test per pair.  down must be the transpose of up.
+    for q in (p, p.dual(), shuffled_relabeling(p, seed)[0]):
+        lat = filter_lattice(q)
+        mi = lat.mi_poset()
+        labels, up = oracles.mi_poset_by_le(lat)
+        assert (list(mi.labels), list(mi.up)) == (labels, up)
+        assert list(mi.down) == [
+            sum(1 << a for a in range(mi.n) if up[a] >> t & 1)
+            for t in range(mi.n)]
+
+
 def birkhoff_by_search(lat):
     """The isomorphism form of the round trip, the certificate's oracle:
     build the Mi poset and search for any isomorphism onto the base."""
@@ -278,15 +293,23 @@ def _count_builds(monkeypatch):
     (lambda: verify_birkhoff(), {"lattices": 1243}),
     (lambda: cover_cube(filter_lattice(fence(8))),
      {"lattices": 1, "up_covers": 1}),
-    # cuttings() reads the down covers of each pooled lattice, d_vectors
-    # those of L', K and L'' for each cutting; only the chain criterion of
-    # the vote reads the up covers, and only where K holds neither the
-    # bottom nor the top.
+    # 27 pooled lattices and 435 cuttings.  Each cutting builds L' (its
+    # expansion), K (read by the round trip and the q and d checks) and L''
+    # (the d check's expansion at the copy): 27 + 3 * 435 = 1332.  Only
+    # cuttings() reads the down covers, once per pooled lattice, since
+    # d_vectors counts the down-degrees off the minima; only the chain
+    # criterion of the vote reads the up covers, and only where K holds
+    # neither the bottom nor the top.
     (lambda: run_cutting_suite(trials=2, max_size=7, seed=5,
                                exhaustive_max=4),
-     {"lattices": 2202, "down_covers": 1332, "up_covers": 24}),
+     {"lattices": 1332, "down_covers": 27, "up_covers": 24}),
+    # The binomial rows run on the 27 pooled lattices and the 435 L':
+    # 27 + 435 = 462 lattices, and the down covers of the 27 for cuttings().
+    (lambda: run_cutting_suite(trials=2, max_size=7, seed=5,
+                               exhaustive_max=4, topics=("binomial",)),
+     {"lattices": 462, "down_covers": 27}),
 ], ids=["fibonacci-7-4", "lucas-6", "birkhoff", "cover-cube-fence-8",
-        "cutting-pass"])
+        "cutting-pass", "binomial"])
 def test_cover_tuples_are_built_only_by_their_readers(run, want, monkeypatch):
     counts = _count_builds(monkeypatch)
     run()
