@@ -26,7 +26,7 @@ expansion of F(P - x) at x's interval, which the pass already holds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .bits import iter_bits
@@ -299,7 +299,9 @@ class DecomposeResult:
     F(P - x) at the interval whose subposet is P * x (delete x and everything
     comparable).  ``expansion.host`` is F(P - x), ``expansion.host.base``
     is P - x and ``expansion.interval`` the cutting of the host determined
-    by x."""
+    by x.  ``walked`` maps each filter F of P to min F, as the walk over P
+    found them: ``DistLattice(P, walked.items())`` is F(P) built without
+    the expansion, and with no second walk."""
     star: Poset
     expansion: ExpansionResult
     size: int                  # |F(P)|
@@ -308,6 +310,8 @@ class DecomposeResult:
     expansion_iso_ok: bool     # expanded poset isomorphic to P
     product_form: bool         # P - x isomorphic to P * x
     product_iso_ok: bool       # ... and then P iso (P - x) + singleton side by side
+    # F -> min F for every filter F of P; left out of ==, hash and repr.
+    walked: dict = field(compare=False, repr=False)
 
 
 def _x_interval(p, i):
@@ -333,16 +337,18 @@ def _round_trip(p, x, exp, cap=FILTER_CAP):
     host, k, klat = exp.host, exp.interval, exp.interval_lattice
     minus, star = p.minus(x), p.star(x)
     walked = dict(p.filters_with_minima(cap))
+    big = exp.lattice
     # The expansion puts x last, so its masks are P's with bit i moved to
-    # the top; moving it back labels both sides alike.
-    low, top = (1 << i) - 1, p.n - 1
-
-    def relabel(mask):
-        rest = mask & ~(1 << top)
-        return rest & low | (rest & ~low) << 1 | (mask >> top) << i
-
-    expanded = dict(zip(map(relabel, exp.lattice.filters),
-                        map(relabel, exp.lattice.minima)))
+    # the top; moving it back labels both sides alike.  When x is P's last
+    # element that move is the identity.
+    top = p.n - 1
+    if i == top:
+        expanded = dict(zip(big.filters, big.minima))
+    else:
+        low, mid = (1 << i) - 1, (1 << top) - (1 << i)
+        expanded = {f & low | (f & mid) << 1 | (f >> top) << i:
+                    a & low | (a & mid) << 1 | (a >> top) << i
+                    for f, a in zip(big.filters, big.minima)}
     counts_ok = ((minus, star) == (host.base, klat.base) and _x_interval(p, i)
                  == (host.filters[k.bottom], host.filters[k.top])
                  and len(walked) == host.size + klat.size and walked == expanded)
@@ -353,4 +359,5 @@ def _round_trip(p, x, exp, cap=FILTER_CAP):
     return DecomposeResult(
         star=star, expansion=exp,
         size=len(walked), counts_ok=counts_ok, expansion_iso_ok=expansion_iso_ok,
-        product_form=product_form, product_iso_ok=product_iso_ok)
+        product_form=product_form, product_iso_ok=product_iso_ok,
+        walked=walked)

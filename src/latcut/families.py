@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from .errors import CapacityExceeded, OddSize
 from .expansion import decompose
 from .invariants import check_q_recurrence, poly_eq, poly_eval, q_vector
-from .lattice import filter_lattice
+from .lattice import DistLattice, filter_lattice
 from .poset import (FILTER_CAP, _search, disjoint_union, poset_from_covers,
                     poset_isomorphic)
 
@@ -292,8 +292,8 @@ def verify_fibonacci_decomposition(m, n, direct=None):
     recurrence, and q of the expansion against that of ``direct``.
 
     ``direct`` is F(fence(m + n - 2)) built from scratch, when the caller
-    has it; it is built here otherwise.  It never comes from the
-    expansion."""
+    has it; it is built here otherwise, from the decomposition's walk over
+    the fence.  It never comes from the expansion."""
     if m < 2 or n < 2:
         raise ValueError("need m, n >= 2")
     s = m + n - 2
@@ -310,7 +310,7 @@ def verify_fibonacci_decomposition(m, n, direct=None):
     q_big = q_vector(exp.lattice)
     # Independent rebuild of the big lattice, not reusing the expansion.
     if direct is None:
-        direct = filter_lattice(p)
+        direct = DistLattice(p, dec.walked.items())
 
     return FamilyReport(
         dec.size, q_big,
@@ -353,6 +353,6 @@ def verify_lucas_decomposition(n):
         dual_q_ok=poly_eq(q_vector(exp.interval_lattice),
                           q_vector(filter_lattice(dec.star.dual()))),
         expansion_ok=dec.counts_ok and dec.expansion_iso_ok,
-        q_ok=(q_detail is None
-              and poly_eq(q_big, q_vector(filter_lattice(p)))),
+        q_ok=(q_detail is None and poly_eq(
+            q_big, q_vector(DistLattice(p, dec.walked.items())))),
         euler_ok=poly_eval(q_big, -1) == 1)

@@ -350,6 +350,8 @@ def test_planted_builder_bug_is_caught(capsys, monkeypatch):
     exp = expand_poset(lat, lat.interval_by_strings("101", "000"))
     assert rebuild_mismatch(exp) == "minima"
     assert not decompose(exp.poset, exp.new_element).counts_ok
+    # decompose at each element of the zigzag, the last one and the others.
+    assert not any(decompose(z3(), x).counts_ok for x in z3().labels)
     assert cli_run(["verify", "expansion-counts", "--trials", "0",
                     "--max-size", "2"]) == 1
     out = capsys.readouterr().out
@@ -386,6 +388,20 @@ def test_decompose_every_element_of_z3():
         assert dec.counts_ok and dec.expansion_iso_ok
         assert poset_isomorphic(dec.expansion.host.base, p.minus(x))
         assert poset_isomorphic(dec.star, p.star(x))
+
+
+@settings(max_examples=60, deadline=None)
+@given(posets(max_n=6))
+def test_the_round_trip_relabels_the_expansion_at_every_element(p):
+    # decompose puts x last in the expansion; the round trip moves it back
+    # to P's index i, which is the identity only when i is P's last index.
+    walked = dict(p.filters_with_minima())
+    for x in p.labels:
+        dec = decompose(p, x)
+        assert dec.counts_ok and dec.expansion_iso_ok, x
+        assert dec.walked == walked and dec.size == len(walked)
+        assert DistLattice(p, dec.walked.items()).filters == \
+            filter_lattice(p).filters
 
 
 def test_decompose_product_form():

@@ -525,6 +525,26 @@ def test_fibonacci_suite_rebuilds_each_fence_once(monkeypatch):
                                               "m=3,n=2,ok"]
 
 
+@pytest.mark.parametrize("run, n", [
+    (lambda: verify_fibonacci_decomposition(5, 4), 7),
+    (lambda: verify_lucas_decomposition(4), 8),
+], ids=["fence7", "crown8"])
+def test_each_deletion_walks_its_family_poset_once(monkeypatch, run, n):
+    # The round trip's walk over the fence or crown is also the lattice
+    # whose q the expansion's is compared with; P - x, P * x and the dual
+    # star are smaller, so only walks over P itself count here.
+    walks = []
+    real = poset.Poset.filters_with_minima
+
+    def counting(self, *args):
+        walks.append(self.n)
+        return real(self, *args)
+
+    monkeypatch.setattr(poset.Poset, "filters_with_minima", counting)
+    assert run().ok
+    assert walks.count(n) == 1
+
+
 _WRONG_DIRECT_DETAIL = ("count=True identity=True minus=True star=True "
                         "expansion=True q=False")
 

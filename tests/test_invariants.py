@@ -20,9 +20,9 @@ from latcut import (CapacityExceeded, IntervalRef, InvalidInterval,
                     is_cutting, poset_from_covers, posets_up_to_iso, q_vector,
                     rank_gen, rank_gen_of, stats_dict)
 from latcut.invariants import (_SCAN_BLOCK_PAIRS, _q_census, _q_scan,
-                               _q_scan_blocks, _q_scan_ints, poly_add,
-                               poly_deriv, poly_eq, poly_eval, poly_mul,
-                               poly_shift, poly_trim)
+                               _q_scan_blocks, _q_scan_ints, _row_blocks,
+                               poly_add, poly_deriv, poly_eq, poly_eval,
+                               poly_mul, poly_shift, poly_trim)
 from latcut.verify import _pool_iso, _pool_random
 
 
@@ -366,16 +366,67 @@ def _chain_product(*lengths):
 
 
 @pytest.mark.parametrize("make,size", [
-    (lambda: fence(16), 2584),                  # 7 row blocks, ragged last
-    (lambda: crown(16), 2207),                  # 5 row blocks, ragged last
-    (lambda: antichain(11), 2048),              # 4 full row blocks
-    (lambda: _chain_product(2, 3, 4, 5, 6), 2520),  # n = 20, 7 row blocks
+    (lambda: fence(16), 2584),                  # 54 row blocks
+    (lambda: crown(16), 2207),                  # 40 row blocks
+    (lambda: antichain(11), 2048),              # 34 row blocks
+    (lambda: _chain_product(2, 3, 4, 5, 6), 2520),  # n = 20, 51 row blocks
 ], ids=["fence16", "crown16", "antichain11", "chains23456"])
 def test_blocked_scan_matches_the_census_across_row_blocks(make, size):
     lat = filter_lattice(make())
     assert lat.size == size
     assert lat.size > _SCAN_BLOCK_PAIRS // lat.size      # several blocks
     assert _q_scan(lat) == _q_census(lat)
+
+
+@pytest.mark.parametrize("make,n,size,blocks", [
+    (lambda: _chain_product(4, 4, 4, 4), 16, 625, 4),       # uint16 masks
+    (lambda: _chain_product(4, 4, 4, 5), 17, 750, 6),       # uint32 masks
+], ids=["n16", "n17"])
+def test_scan_kernels_agree_at_the_mask_width_boundary(make, n, size, blocks):
+    # Either side of the 16-bit masks, over several row blocks and a last
+    # block cut short by the end of the rows.
+    lat = filter_lattice(make())
+    assert (lat.base.n, lat.size) == (n, size)
+    rows = list(_row_blocks(size))
+    assert len(rows) == blocks
+    assert rows[0][0] == 0 and rows[-1][1] == size
+    assert all(stop == nxt for (_, stop), (nxt, _) in zip(rows, rows[1:]))
+    assert all((stop - start) * (size - start) <= _SCAN_BLOCK_PAIRS
+               for start, stop in rows)
+    start, stop = rows[-1]
+    assert stop - start < _SCAN_BLOCK_PAIRS // (size - start)   # ragged
+    assert _q_scan_blocks(lat) == _q_scan_ints(lat) == _q_census(lat)
+
+
+def test_blocked_scan_memory_is_bounded_by_one_block():
+    # The traced peak of the scan of F(fence(16)), its table built inside,
+    # is at most the sum of what it holds at once, with w = 2 bytes a mask
+    # (n <= 16) and P = _SCAN_BLOCK_PAIRS:
+    # - the antichain table: the 2^n-bit int, its bytes, and 2^n bools;
+    # - the masks F and their complements, 2 w |F|;
+    # - one block of B <= P pairs, never two.  A block holds at most three
+    #   of its arrays at once, two of w B bytes and one of B: the XOR of
+    #   the pairs, the AND of the containment test and its mask; then the
+    #   XOR, the mask and the differences it selects; then, the mask
+    #   dropped, the differences, the antichain test and the antichains;
+    #   then the differences, the antichains and their sizes.  So
+    #   (2 w + 1) B;
+    # - 16 KiB of Python objects and small arrays.
+    import numpy  # noqa: F401 -- imported here, so its import is not traced
+    import tracemalloc
+
+    lat = filter_lattice(fence(16))
+    n, w = lat.base.n, 2
+    bound = ((2 * w + 1) * _SCAN_BLOCK_PAIRS + 2 * (1 << n) // 8 + (1 << n)
+             + 2 * w * lat.size + (16 << 10))
+    tracemalloc.start()
+    try:
+        q = _q_scan_blocks(lat)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert q == _q_census(lat)
+    assert peak <= bound, (peak, bound)
 
 
 @settings(max_examples=60, deadline=None)
