@@ -339,16 +339,12 @@ def _round_trip(p, x, exp, cap=FILTER_CAP):
     walked = dict(p.filters_with_minima(cap))
     big = exp.lattice
     # The expansion puts x last, so its masks are P's with bit i moved to
-    # the top; moving it back labels both sides alike.  When x is P's last
-    # element that move is the identity.
+    # the top; moving it back labels both sides alike.
     top = p.n - 1
-    if i == top:
-        expanded = dict(zip(big.filters, big.minima))
-    else:
-        low, mid = (1 << i) - 1, (1 << top) - (1 << i)
-        expanded = {f & low | (f & mid) << 1 | (f >> top) << i:
-                    a & low | (a & mid) << 1 | (a >> top) << i
-                    for f, a in zip(big.filters, big.minima)}
+    low, mid = (1 << i) - 1, (1 << top) - (1 << i)
+    expanded = {f & low | (f & mid) << 1 | (f >> top) << i:
+                a & low | (a & mid) << 1 | (a >> top) << i
+                for f, a in zip(big.filters, big.minima)}
     counts_ok = ((minus, star) == (host.base, klat.base) and _x_interval(p, i)
                  == (host.filters[k.bottom], host.filters[k.top])
                  and len(walked) == host.size + klat.size and walked == expanded)

@@ -191,27 +191,15 @@ def _q_scan_ints(lat):
     return poly_trim(counts)
 
 
-def _row_blocks(size):
-    """The (start, stop) row blocks of the numpy scan of a lattice of
-    ``size`` elements.  Rows start..stop-1 are compared with the columns
-    from start on, and each block takes as many rows as keep that at most
-    _SCAN_BLOCK_PAIRS entries: the blocks grow as the columns left shrink."""
-    start = 0
-    while start < size:
-        stop = min(size, start + max(1, _SCAN_BLOCK_PAIRS // (size - start)))
-        yield start, stop
-        start = stop
-
-
 def _q_scan_blocks(lat):
     """The interval scan in numpy row blocks.  Filters are held as uint16
     masks when n <= 16 and as uint32 otherwise.  As in :func:`_q_scan_ints`,
     each block of rows a is compared only with the columns from its first
-    row on.  Its blocks (:func:`_row_blocks`) hold at most
-    _SCAN_BLOCK_PAIRS pair entries each, and only one is held at a time, so
-    at any lattice size the temporaries take at most 2w + 1 bytes an entry,
-    w the bytes of a mask: 320 KiB at uint16, 576 KiB at uint32.  The time
-    is still O(|F|^2).  numpy is imported here, so importing latcut, and
+    row on.  A block takes as many rows as keep it within _SCAN_BLOCK_PAIRS
+    pair entries, so the blocks grow as the columns left shrink.  Only one
+    block is held at a time, so at any lattice size the temporaries take at
+    most 2w + 1 bytes an entry, w the bytes of a mask: 320 KiB at uint16,
+    576 KiB at uint32.  The time is still O(|F|^2).  numpy is imported here, so importing latcut, and
     scanning only small lattices, does not load it."""
     import numpy as np
 
@@ -224,7 +212,9 @@ def _q_scan_blocks(lat):
                                         dtype=np.uint8),
                           bitorder="little", count=1 << n).view(bool)
     counts = np.zeros(n + 1, dtype=np.int64)
-    for start, stop in _row_blocks(len(f)):
+    size, start = len(f), 0
+    while start < size:
+        stop = min(size, start + max(1, _SCAN_BLOCK_PAIRS // (size - start)))
         # The pairs with F_b within F_a, and on them F_a ^ F_b = F_a & ~F_b,
         # the set difference.  A column before start precedes every row a
         # of the block, so its filter is a different one at least as large
@@ -233,6 +223,7 @@ def _q_scan_blocks(lat):
             (f[None, start:] & notf[start:stop, None]) == 0]
         counts += np.bincount(np.bitwise_count(s[table[s]]), minlength=n + 1)
         del s       # before the next block is made: at most one is held
+        start = stop
     return poly_trim(counts.tolist())
 
 

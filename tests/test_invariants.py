@@ -20,9 +20,9 @@ from latcut import (CapacityExceeded, IntervalRef, InvalidInterval,
                     is_cutting, poset_from_covers, posets_up_to_iso, q_vector,
                     rank_gen, rank_gen_of, stats_dict)
 from latcut.invariants import (_SCAN_BLOCK_PAIRS, _q_census, _q_scan,
-                               _q_scan_blocks, _q_scan_ints, _row_blocks,
-                               poly_add, poly_deriv, poly_eq, poly_eval,
-                               poly_mul, poly_shift, poly_trim)
+                               _q_scan_blocks, _q_scan_ints, poly_add,
+                               poly_deriv, poly_eq, poly_eval, poly_mul,
+                               poly_shift, poly_trim)
 from latcut.verify import _pool_iso, _pool_random
 
 
@@ -370,32 +370,13 @@ def _chain_product(*lengths):
     (lambda: crown(16), 2207),                  # 40 row blocks
     (lambda: antichain(11), 2048),              # 34 row blocks
     (lambda: _chain_product(2, 3, 4, 5, 6), 2520),  # n = 20, 51 row blocks
-], ids=["fence16", "crown16", "antichain11", "chains23456"])
+    (lambda: _chain_product(4, 4, 4, 5), 750),  # n = 17, uint32, 6 row blocks
+], ids=["fence16", "crown16", "antichain11", "chains23456", "chains4445"])
 def test_blocked_scan_matches_the_census_across_row_blocks(make, size):
     lat = filter_lattice(make())
     assert lat.size == size
     assert lat.size > _SCAN_BLOCK_PAIRS // lat.size      # several blocks
     assert _q_scan(lat) == _q_census(lat)
-
-
-@pytest.mark.parametrize("make,n,size,blocks", [
-    (lambda: _chain_product(4, 4, 4, 4), 16, 625, 4),       # uint16 masks
-    (lambda: _chain_product(4, 4, 4, 5), 17, 750, 6),       # uint32 masks
-], ids=["n16", "n17"])
-def test_scan_kernels_agree_at_the_mask_width_boundary(make, n, size, blocks):
-    # Either side of the 16-bit masks, over several row blocks and a last
-    # block cut short by the end of the rows.
-    lat = filter_lattice(make())
-    assert (lat.base.n, lat.size) == (n, size)
-    rows = list(_row_blocks(size))
-    assert len(rows) == blocks
-    assert rows[0][0] == 0 and rows[-1][1] == size
-    assert all(stop == nxt for (_, stop), (nxt, _) in zip(rows, rows[1:]))
-    assert all((stop - start) * (size - start) <= _SCAN_BLOCK_PAIRS
-               for start, stop in rows)
-    start, stop = rows[-1]
-    assert stop - start < _SCAN_BLOCK_PAIRS // (size - start)   # ragged
-    assert _q_scan_blocks(lat) == _q_scan_ints(lat) == _q_census(lat)
 
 
 def test_blocked_scan_memory_is_bounded_by_one_block():
