@@ -21,7 +21,10 @@ above all of S0, below all of S1, incomparable to S.
 production routes, ``cuttings`` and ``expand_poset``, do not vote.  An
 expansion carries L, K, K's own lattice, built on its first read, and L'.
 ``decompose`` and the cutting pass check one round trip: F(P) against the
-expansion of F(P - x) at x's interval, which the pass already holds.
+expansion of F(P - x) at x's interval, which the pass already holds.  The
+round trip compares posets exactly through the one map it knows, x moved
+back from the expansion's last index to P's; it runs no isomorphism
+search.
 """
 
 from __future__ import annotations
@@ -307,9 +310,10 @@ class DecomposeResult:
     size: int                  # |F(P)|
     counts_ok: bool            # P-x, P*x, x's interval match the expansion,
                                # sizes add up, a walk over P finds (F, min F)
-    expansion_iso_ok: bool     # expanded poset isomorphic to P
-    product_form: bool         # P - x isomorphic to P * x
-    product_iso_ok: bool       # ... and then P iso (P - x) + singleton side by side
+    expansion_iso_ok: bool     # expanded poset, x moved back, equal to P
+    product_form: bool         # x comparable to nothing: P * x is P - x
+    product_iso_ok: bool       # ... and then P, x moved back, equal to
+                               # (P - x) + singleton side by side
     # F -> min F for every filter F of P; left out of ==, hash and repr.
     walked: dict = field(compare=False, repr=False)
 
@@ -329,17 +333,30 @@ def decompose(p, x, cap=FILTER_CAP):
     return _round_trip(p, x, expand_poset(host, k, label=x, cap=cap), cap)
 
 
+def _moved_back(q, i):
+    """The labels and up masks of ``q`` with its last element moved to
+    index i and the elements from i on moved up by one.  ``q`` holds P's
+    elements with x, P's element i, last, as an expansion of P - x does;
+    this reads it in P's index order."""
+    top = q.n - 1
+    low, mid = (1 << i) - 1, (1 << top) - (1 << i)
+    up = [m & low | (m & mid) << 1 | (m >> top) << i for m in q.up]
+    up.insert(i, up.pop())
+    return q.labels[:i] + q.labels[top:] + q.labels[i:top], tuple(up)
+
+
 def _round_trip(p, x, exp, cap=FILTER_CAP):
     """Check ``exp``, an expansion of F(P - x), as F(P) split at x: its L and
     K have bases P - x and P * x exactly, K is x's interval, and a walk over
-    P, independent of the expansion, finds its (F, min F)."""
+    P, independent of the expansion, finds its (F, min F).  The expansion
+    puts x last; moving it back to P's index i is the map under which the
+    expanded poset, and P - x with x beside it, must equal P exactly, so no
+    isomorphism search runs."""
     i = p.idx(x)
     host, k, klat = exp.host, exp.interval, exp.interval_lattice
     minus, star = p.minus(x), p.star(x)
     walked = dict(p.filters_with_minima(cap))
     big = exp.lattice
-    # The expansion puts x last, so its masks are P's with bit i moved to
-    # the top; moving it back labels both sides alike.
     top = p.n - 1
     low, mid = (1 << i) - 1, (1 << top) - (1 << i)
     expanded = {f & low | (f & mid) << 1 | (f >> top) << i:
@@ -348,12 +365,14 @@ def _round_trip(p, x, exp, cap=FILTER_CAP):
     counts_ok = ((minus, star) == (host.base, klat.base) and _x_interval(p, i)
                  == (host.filters[k.bottom], host.filters[k.top])
                  and len(walked) == host.size + klat.size and walked == expanded)
-    expansion_iso_ok = poset_isomorphic(exp.poset, p)
-    product_form = poset_isomorphic(minus, star)
-    product_iso_ok = (product_form
-                      and poset_isomorphic(p, disjoint_union(minus, singleton(x))))
+    labelled = (p.labels, p.up)
+    # x is comparable to nothing exactly when P * x is all of P - x.
+    product_form = p.up[i] | p.down[i] == 0
     return DecomposeResult(
         star=star, expansion=exp,
-        size=len(walked), counts_ok=counts_ok, expansion_iso_ok=expansion_iso_ok,
-        product_form=product_form, product_iso_ok=product_iso_ok,
+        size=len(walked), counts_ok=counts_ok,
+        expansion_iso_ok=_moved_back(exp.poset, i) == labelled,
+        product_form=product_form,
+        product_iso_ok=(product_form and _moved_back(
+            disjoint_union(minus, singleton(x)), i) == labelled),
         walked=walked)

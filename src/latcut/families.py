@@ -4,7 +4,9 @@ Fibonacci and Lucas cubes.
 The fence Z_n is the zigzag on elements 1..n with the even positions at the
 bottom (2 < 1, 2 < 3, 4 < 3, ...); the crown on 2n elements closes the zigzag
 into a cycle.  Indexing is pinned down by |F(Z_1)| = 2, which forces the
-Fibonacci convention F_1 = F_2 = 1 in |F(Z_n)| = F_{n+2}.
+Fibonacci convention F_1 = F_2 = 1 in |F(Z_n)| = F_{n+2}.  fence and crown
+read both off their up and down masks: a zigzag has height one, so there
+is no closure to compute.
 
 The cubes are built independently as graphs on binary strings (no "11"
 substring, additionally no cyclic "11" for the Lucas cube) so that the
@@ -25,7 +27,9 @@ Deleting any element of a crown gives the Lucas analogue L_{2n} = F_{2n+1} +
 F_{2n-1}.  verify_fibonacci_decomposition and verify_lucas_decomposition run
 the whole chain of checks on one instance each and return a FamilyReport,
 whose detail names every check when one fails; the fibonacci and lucas
-verify suites print that detail.
+verify suites print that detail.  The reports compare each part with a
+fence, and the round trip compares the expansion with P, exactly through
+maps known by construction, so no report runs an isomorphism search.
 """
 
 from __future__ import annotations
@@ -36,8 +40,8 @@ from .errors import CapacityExceeded, OddSize
 from .expansion import decompose
 from .invariants import check_q_recurrence, poly_eq, poly_eval, q_vector
 from .lattice import DistLattice, filter_lattice
-from .poset import (FILTER_CAP, _search, disjoint_union, poset_from_covers,
-                    poset_isomorphic)
+from .poset import (FILTER_CAP, Poset, _search, disjoint_union,
+                    poset_from_covers)
 
 GRAPH_ISO_CAP = 400
 
@@ -56,12 +60,25 @@ def antichain(n):
     return poset_from_covers([str(i) for i in range(1, n + 1)], [])
 
 
+def _zigzag(n, cyclic):
+    """The zigzag on labels 1..n, read off its masks: element i, labelled
+    i + 1, is minimal when i is odd and lies below its neighbours i - 1 and
+    i + 1, and below 0 too when ``cyclic`` and i = n - 1.  The order has
+    height one, so these masks are already closed."""
+    full = (1 << n) - 1
+    near = [5 << i >> 1 & full for i in range(n)]     # bits i - 1 and i + 1
+    if cyclic:
+        near[0] |= 1 << n - 1
+        near[-1] |= 1
+    return Poset([str(i) for i in range(1, n + 1)],
+                 [m if i & 1 else 0 for i, m in enumerate(near)],
+                 _trusted=True,
+                 _down=[0 if i & 1 else m for i, m in enumerate(near)])
+
+
 def fence(n):
     """Zigzag poset on 1..n, even elements minimal; empty for n <= 0."""
-    labels = [str(i) for i in range(1, n + 1)]
-    return poset_from_covers(labels, [(str(i), str(j))
-                                      for i in range(2, n + 1, 2)
-                                      for j in (i - 1, i + 1) if j <= n])
+    return _zigzag(max(n, 0), cyclic=False)
 
 
 def crown(two_n):
@@ -70,12 +87,7 @@ def crown(two_n):
         raise OddSize("crown needs an even number of elements, got %d" % two_n)
     if two_n < 4:
         raise ValueError("crown needs at least 4 elements, got %d" % two_n)
-    labels = [str(i) for i in range(1, two_n + 1)]
-    covers = []
-    for i in range(2, two_n + 1, 2):
-        covers.append((str(i), str(i - 1)))
-        covers.append((str(i), str(i + 1) if i < two_n else "1"))
-    return poset_from_covers(labels, covers)
+    return _zigzag(two_n, cyclic=True)
 
 
 def fib(n, cap=None):
@@ -268,26 +280,27 @@ class FamilyReport:
 
 
 def _fence_pair_iso(p, a, b):
-    """p isomorphic to a disjoint union of zigzags on a and b elements.
+    """Whether p is fence(a) beside fence(b) or beside fence(b).dual(), up
+    mask by up mask in index order; the labels are not compared.
 
-    A zigzag of odd length comes in two orientations (one more top than
-    bottom, or the reverse); deleting an element from a fence leaves the far
-    piece in the orientation opposite to fence() when the deleted position is
-    odd.  Either orientation counts as "a fence" here.
+    Deleting element n of a fence leaves 1..n-1 as fence(n - 1) itself.
+    The far piece starts at n + 1, which is a top, as in fence(), when n is
+    even and a bottom, as in the dual, when n is odd; deleting n with its
+    neighbours starts it at n + 2, the other way round.  So either index
+    order counts for the far piece, and none other: equal masks are an
+    isomorphism with the map in hand, and no search runs.
     """
-    fa, fb = fence(a), fence(b)
-    for left in (fa, fa.dual()):
-        for right in (fb, fb.dual()):
-            if poset_isomorphic(p, disjoint_union(left, right)):
-                return True
-    return False
+    left, right = fence(a), fence(b)
+    return any(p.up == disjoint_union(left, side).up
+               for side in (right, right.dual()))
 
 
 def verify_fibonacci_decomposition(m, n, direct=None):
     """Delete element n from the fence on m+n-2 elements.  The checks:
     count, |F(Z_{m+n-2})| = F_{m+n}; identity, F_{m+n} = F_m F_{n+1} +
     F_{m-1} F_n by the part sizes; minus and star, the two parts are
-    Z_{n-1} + Z_{m-2} and Z_{n-2} + Z_{m-3} side by side; expansion, the
+    Z_{n-1} + Z_{m-2} and Z_{n-2} + Z_{m-3} side by side, up mask by up
+    mask in index order (_fence_pair_iso); expansion, the
     expansion of the host at the cut interval rebuilds F; q, the q
     recurrence, and q of the expansion against that of ``direct``.
 
@@ -322,12 +335,13 @@ def verify_fibonacci_decomposition(m, n, direct=None):
         q_ok=q_detail is None and poly_eq(q_big, q_vector(direct)))
 
 
-def verify_lucas_decomposition(n):
-    """Delete one element from the crown on 2n elements.  The checks:
+def verify_lucas_decomposition(n, direct=None):
+    """Delete element 2n from the crown on 2n elements.  The checks:
     count, |F(crown)| = L_{2n} = F_{2n+1} + F_{2n-1}; minus and star, the
-    parts are Z_{2n-1} and the dual of Z_{2n-3}; dual_q, q of the interval
-    against q of F(dual star); expansion and q as for the fences; euler,
-    Q(-1) = 1."""
+    parts are Z_{2n-1} and the dual of Z_{2n-3}, up mask by up mask in
+    index order; dual_q, q of the interval against q of F(dual star);
+    expansion and q as for the fences, ``direct`` being F(crown(2n)) when
+    the caller has it; euler, Q(-1) = 1."""
     if n < 2:
         raise ValueError("need n >= 2")
     p = crown(2 * n)
@@ -337,22 +351,23 @@ def verify_lucas_decomposition(n):
 
     q_detail = check_q_recurrence(exp)
     q_big = q_vector(exp.lattice)
+    if direct is None:
+        direct = DistLattice(p, dec.walked.items())
 
     return FamilyReport(
         dec.size, q_big,
         count_ok=(dec.size == lucas(2 * n) == fib(2 * n + 1) + fib(2 * n - 1)
                   and host.size == fib(2 * n + 1)),
-        minus_ok=poset_isomorphic(host.base, fence(2 * n - 1)),
+        minus_ok=host.base.up == fence(2 * n - 1).up,
         # The second factor of the crown split is the dual fence: deleting a
-        # bottom element and its two neighbours leaves the zigzag
-        # bottom-heavy.
-        star_ok=poset_isomorphic(dec.star, fence(2 * n - 3).dual()),
+        # bottom element and its two neighbours leaves the zigzag 2..2n-2,
+        # which starts and ends at a bottom.
+        star_ok=dec.star.up == fence(2 * n - 3).dual().up,
         # The second summand enters the lattice-level statement through the
         # dual fence; q is invariant under dualizing, checked here rather
         # than assumed.
         dual_q_ok=poly_eq(q_vector(exp.interval_lattice),
                           q_vector(filter_lattice(dec.star.dual()))),
         expansion_ok=dec.counts_ok and dec.expansion_iso_ok,
-        q_ok=(q_detail is None and poly_eq(
-            q_big, q_vector(DistLattice(p, dec.walked.items())))),
+        q_ok=q_detail is None and poly_eq(q_big, q_vector(direct)),
         euler_ok=poly_eval(q_big, -1) == 1)

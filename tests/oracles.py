@@ -9,6 +9,8 @@ import random
 from itertools import combinations, permutations
 from math import comb
 
+from latcut import poset_from_covers
+
 
 def relation(p):
     """Strict order as a set of (lower_label, upper_label) pairs."""
@@ -39,6 +41,27 @@ def classes_by_key(posets):
             seen.add(key)
             out.append(p)
     return out
+
+
+def fence_by_covers(n):
+    """The zigzag on labels 1..n, even labels minimal, from its cover pairs
+    through ``poset_from_covers`` and its transitive closure:
+    ``families.fence``, built from masks, must equal it exactly."""
+    labels = [str(i) for i in range(1, n + 1)]
+    return poset_from_covers(labels, [(str(i), str(j))
+                                      for i in range(2, n + 1, 2)
+                                      for j in (i - 1, i + 1) if j <= n])
+
+
+def crown_by_covers(two_n):
+    """``fence_by_covers(two_n)`` with the extra cover two_n < 1."""
+    labels = [str(i) for i in range(1, two_n + 1)]
+    covers = []
+    for i in range(2, two_n + 1, 2):
+        covers.append((str(i), str(i - 1)))
+        covers.append((str(i), str(i + 1) if i < two_n else "1"))
+    return poset_from_covers(labels, covers)
+
 
 def naive_cover_masks(p):
     """The (lower, upper) index pairs of the transitive reduction, by the

@@ -404,6 +404,22 @@ def test_the_round_trip_relabels_the_expansion_at_every_element(p):
             filter_lattice(p).filters
 
 
+@settings(max_examples=60, deadline=None)
+@given(posets(max_n=6))
+def test_the_exact_round_trip_checks_agree_with_the_searches(p):
+    # The round trip compares through its known map; a search for any map
+    # must give the same three answers.
+    for x in p.labels:
+        dec = decompose(p, x)
+        minus = p.minus(x)
+        product_form = poset_isomorphic(minus, p.star(x))
+        assert (dec.expansion_iso_ok, dec.product_form,
+                dec.product_iso_ok) == (
+            poset_isomorphic(dec.expansion.poset, p), product_form,
+            product_form and poset_isomorphic(
+                p, disjoint_union(minus, singleton(x)))), x
+
+
 def test_decompose_product_form():
     p = poset_from_covers(["a", "b", "c"], [])
     dec = decompose(p, "b")

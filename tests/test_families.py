@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 import oracles
 from conftest import posets
 from latcut import (CapacityExceeded, CubeGraph, DistLattice, FamilyReport,
-                    OddSize, antichain, chain, cover_cube, crown, fence, fib,
-                    fibonacci_cube, filter_lattice, graph_isomorphic, lucas,
-                    lucas_cube, verify_fibonacci_decomposition,
+                    OddSize, antichain, chain, cover_cube, crown, decompose,
+                    fence, fib, fibonacci_cube, filter_lattice,
+                    graph_isomorphic, lucas, lucas_cube, posets_up_to_iso,
+                    verify_fibonacci_decomposition,
                     verify_lucas_decomposition)
 from latcut import families, poset
 from latcut.cli import cli_run
@@ -51,6 +52,16 @@ def test_crown_shape():
         crown(5)
     with pytest.raises(ValueError):
         crown(2)
+
+
+def test_fence_and_crown_equal_their_covers_construction():
+    # Built from masks with no closure, labels, up and down masks alike.
+    for n in range(41):
+        p, q = fence(n), oracles.fence_by_covers(n)
+        assert (p.labels, p.up, p.down) == (q.labels, q.up, q.down), n
+    for two_n in range(4, 41, 2):
+        p, q = crown(two_n), oracles.crown_by_covers(two_n)
+        assert (p.labels, p.up, p.down) == (q.labels, q.up, q.down), two_n
 
 
 def test_fence_filter_counts_are_fibonacci():
@@ -545,6 +556,52 @@ def test_each_deletion_walks_its_family_poset_once(monkeypatch, run, n):
     assert walks.count(n) == 1
 
 
+def test_lucas_suite_builds_each_crown_lattice_once(monkeypatch):
+    # The cube check's lattice is also the decomposition's direct F(crown),
+    # so the report builds none from the round trip's walk.  The round trip
+    # still walks the crown, as the enumeration independent of the
+    # expansion.
+    import latcut.verify as ver
+
+    built = []
+    real = ver.filter_lattice
+
+    def counting(p, cap=FILTER_CAP):
+        built.append(p.n)
+        return real(p, cap)
+
+    monkeypatch.setattr(ver, "filter_lattice", counting)
+    monkeypatch.setattr(families, "DistLattice", lambda *args: pytest.fail(
+        "the lucas report built F(crown) again"))
+    assert verify_lucas(max_two_n=10).ok
+    assert built == [4, 6, 8, 10]
+
+
+@pytest.mark.parametrize("case", ["decompose", "fibonacci", "lucas"])
+def test_the_round_trip_and_the_family_reports_run_no_search(monkeypatch,
+                                                            case):
+    # Each check compares through a map it already has, so the
+    # isomorphism search never runs.  The pool is drawn before counting:
+    # posets_up_to_iso itself searches.
+    pool = [p for n in range(6) for p in posets_up_to_iso(n)]
+    calls = []
+    real = poset._search
+
+    def counting(*args):
+        calls.append(len(args[0]))
+        return real(*args)
+
+    monkeypatch.setattr(poset, "_search", counting)
+    if case == "decompose":
+        assert all(decompose(p, x).counts_ok for p in pool for x in p.labels)
+    elif case == "fibonacci":
+        assert all(verify_fibonacci_decomposition(m, s + 2 - m).ok
+                   for s in range(2, 11) for m in range(2, s + 1))
+    else:
+        assert all(verify_lucas_decomposition(n).ok for n in range(2, 7))
+    assert calls == []
+
+
 _WRONG_DIRECT_DETAIL = ("count=True identity=True minus=True star=True "
                         "expansion=True q=False")
 
@@ -554,6 +611,17 @@ def test_fence_deletion_catches_a_wrong_direct_lattice():
     rep = verify_fibonacci_decomposition(4, 3, direct=filter_lattice(fence(4)))
     assert not rep.ok and rep.detail == _WRONG_DIRECT_DETAIL
     assert rep.q == verify_fibonacci_decomposition(4, 3).q
+
+
+def test_crown_deletion_takes_the_rebuilt_lattice():
+    for n in (2, 3, 4):
+        assert verify_lucas_decomposition(
+            n, direct=filter_lattice(crown(2 * n))) == \
+            verify_lucas_decomposition(n)
+    # F(crown(6)) in place of F(crown(8)): only the q comparison sees it.
+    rep = verify_lucas_decomposition(4, direct=filter_lattice(crown(6)))
+    assert rep.detail == ("count=True minus=True star=True dual_q=True "
+                          "expansion=True q=False euler=True")
 
 
 def test_crown_deletion_compares_the_dual_star_with_the_interval_q(monkeypatch):
