@@ -35,8 +35,7 @@ from functools import cached_property
 from .bits import iter_bits
 from .errors import CapacityExceeded, DuplicateLabel, NotACutting
 from .lattice import DistLattice, IntervalRef, filter_lattice
-from .poset import (FILTER_CAP, Poset, disjoint_union, poset_isomorphic,
-                    singleton)
+from .poset import FILTER_CAP, Poset, disjoint_union, singleton
 
 CUTTING_METHODS = ("chains", "union", "order", "star")
 
@@ -140,13 +139,13 @@ def _candidate_expansion(lat, k, label):
 
 def _cutting_star(lat, k):
     # Build the candidate enlarged poset and check that the new element's
-    # star (everything incomparable to it) is the interval's subposet.
+    # star (everything incomparable to it) is the interval's subposet S.
+    # Both list S in P's index order, so they are compared exactly.
     cand = _candidate_expansion(lat, k, _fresh_label(lat.base))
     if cand is None:
         return False
-    star = cand.star(cand.labels[-1])
-    return poset_isomorphic(
-        star, lat.base.restrict(lat.filters[k.bottom] & ~lat.filters[k.top]))
+    s = lat.filters[k.bottom] & ~lat.filters[k.top]
+    return cand.star(cand.labels[-1]) == lat.base.restrict(s)
 
 
 # (name, criterion) in the order of CUTTING_METHODS; is_cutting runs each.

@@ -29,7 +29,8 @@ the whole chain of checks on one instance each and return a FamilyReport,
 whose detail names every check when one fails; the fibonacci and lucas
 verify suites print that detail.  The reports compare each part with a
 fence, and the round trip compares the expansion with P, exactly through
-maps known by construction, so no report runs an isomorphism search.
+maps known by construction, so no report runs an isomorphism search, and
+a report whose round trip holds reads q of F(P) off the expansion.
 """
 
 from __future__ import annotations
@@ -295,6 +296,22 @@ def _fence_pair_iso(p, a, b):
                for side in (right, right.dual()))
 
 
+def _split(p, x, direct):
+    """Decompose F(P) at x; returns the decomposition, q of its expansion
+    L', and the expansion and q flags.  F(P) is ``direct`` when the caller
+    built it; otherwise a round trip that holds proves the walk's lattice
+    to be L' with x moved back, so L''s q is F(P)'s, and only a failed
+    round trip builds F(P) from the walk and scans it."""
+    dec = decompose(p, x)
+    q_big = q_vector(dec.expansion.lattice)
+    expansion_ok = dec.counts_ok and dec.expansion_iso_ok
+    if direct is None and not expansion_ok:
+        direct = DistLattice(p, dec.walked.items())
+    return dec, q_big, expansion_ok, (
+        check_q_recurrence(dec.expansion) is None
+        and (direct is None or poly_eq(q_big, q_vector(direct))))
+
+
 def verify_fibonacci_decomposition(m, n, direct=None):
     """Delete element n from the fence on m+n-2 elements.  The checks:
     count, |F(Z_{m+n-2})| = F_{m+n}; identity, F_{m+n} = F_m F_{n+1} +
@@ -305,13 +322,11 @@ def verify_fibonacci_decomposition(m, n, direct=None):
     recurrence, and q of the expansion against that of ``direct``.
 
     ``direct`` is F(fence(m + n - 2)) built from scratch, when the caller
-    has it; it is built here otherwise, from the decomposition's walk over
-    the fence.  It never comes from the expansion."""
+    has it; without it, q of F is read off the expansion once the round
+    trip holds (_split)."""
     if m < 2 or n < 2:
         raise ValueError("need m, n >= 2")
-    s = m + n - 2
-    p = fence(s)
-    dec = decompose(p, str(n))
+    dec, q_big, expansion_ok, q_ok = _split(fence(m + n - 2), str(n), direct)
     exp = dec.expansion
     host = exp.host
 
@@ -319,20 +334,13 @@ def verify_fibonacci_decomposition(m, n, direct=None):
                    and len(host.between(*exp.interval)) == fib(m - 1) * fib(n)
                    and fib(m + n) == fib(m) * fib(n + 1) + fib(m - 1) * fib(n))
 
-    q_detail = check_q_recurrence(exp)
-    q_big = q_vector(exp.lattice)
-    # Independent rebuild of the big lattice, not reusing the expansion.
-    if direct is None:
-        direct = DistLattice(p, dec.walked.items())
-
     return FamilyReport(
         dec.size, q_big,
         count_ok=dec.size == fib(m + n),
         identity_ok=identity_ok,
         minus_ok=_fence_pair_iso(host.base, n - 1, m - 2),
         star_ok=_fence_pair_iso(dec.star, n - 2, m - 3),
-        expansion_ok=dec.counts_ok and dec.expansion_iso_ok,
-        q_ok=q_detail is None and poly_eq(q_big, q_vector(direct)))
+        expansion_ok=expansion_ok, q_ok=q_ok)
 
 
 def verify_lucas_decomposition(n, direct=None):
@@ -344,15 +352,9 @@ def verify_lucas_decomposition(n, direct=None):
     the caller has it; euler, Q(-1) = 1."""
     if n < 2:
         raise ValueError("need n >= 2")
-    p = crown(2 * n)
-    dec = decompose(p, str(2 * n))
+    dec, q_big, expansion_ok, q_ok = _split(crown(2 * n), str(2 * n), direct)
     exp = dec.expansion
     host = exp.host
-
-    q_detail = check_q_recurrence(exp)
-    q_big = q_vector(exp.lattice)
-    if direct is None:
-        direct = DistLattice(p, dec.walked.items())
 
     return FamilyReport(
         dec.size, q_big,
@@ -368,6 +370,5 @@ def verify_lucas_decomposition(n, direct=None):
         # than assumed.
         dual_q_ok=poly_eq(q_vector(exp.interval_lattice),
                           q_vector(filter_lattice(dec.star.dual()))),
-        expansion_ok=dec.counts_ok and dec.expansion_iso_ok,
-        q_ok=q_detail is None and poly_eq(q_big, q_vector(direct)),
+        expansion_ok=expansion_ok, q_ok=q_ok,
         euler_ok=poly_eval(q_big, -1) == 1)

@@ -126,6 +126,32 @@ def test_is_cutting_runs_each_criterion_once_and_the_routes_none(
     assert calls == []
 
 
+def test_the_star_criterion_is_the_candidate_test_and_runs_no_search(
+        monkeypatch):
+    # The candidate's star and the interval's subposet are both S in index
+    # order with P's labels, so the star vote holds exactly when the
+    # candidate poset exists, and it compares them with no search.  The
+    # pool is drawn before counting: posets_up_to_iso itself searches.
+    from latcut import expansion as ex, poset
+
+    pool = [filter_lattice(p) for n in range(6) for p in posets_up_to_iso(n)]
+    calls = []
+    real = poset._search
+    monkeypatch.setattr(poset, "_search",
+                        lambda *args: calls.append(args) or real(*args))
+    intervals = 0
+    for lat in pool:
+        for a in range(lat.size):
+            for b in range(lat.size):
+                if lat.le(a, b):
+                    k = lat.interval(a, b)
+                    exists = ex._candidate_expansion(lat, k, "x") is not None
+                    assert ex._cutting_star(lat, k) == exists
+                    assert is_cutting(lat, k) == exists
+                    intervals += 1
+    assert intervals == 4671 and calls == []
+
+
 # -- listing cuttings ---------------------------------------------------------------
 
 

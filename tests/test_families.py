@@ -19,7 +19,7 @@ from latcut import (CapacityExceeded, CubeGraph, DistLattice, FamilyReport,
                     graph_isomorphic, lucas, lucas_cube, posets_up_to_iso,
                     verify_fibonacci_decomposition,
                     verify_lucas_decomposition)
-from latcut import families, poset
+from latcut import families, invariants, poset
 from latcut.cli import cli_run
 from latcut.families import GRAPH_ISO_CAP, _zigzag_translate
 from latcut.invariants import poly_eval
@@ -512,10 +512,14 @@ def test_fence_deletion_worked_case():
 
 
 def test_fence_deletion_takes_the_rebuilt_lattice():
-    direct = filter_lattice(fence(7))
-    for m in range(2, 8):
-        assert verify_fibonacci_decomposition(9 - m, m, direct=direct) == \
-            verify_fibonacci_decomposition(9 - m, m)
+    # Without ``direct`` the report reads q of F(fence(s)) off the
+    # expansion; with it, it scans the lattice built from scratch.
+    for s in range(2, 12):
+        direct = filter_lattice(fence(s))
+        for n in range(2, s + 1):
+            assert verify_fibonacci_decomposition(s + 2 - n, n,
+                                                  direct=direct) == \
+                verify_fibonacci_decomposition(s + 2 - n, n), (s, n)
 
 
 def test_fibonacci_suite_rebuilds_each_fence_once(monkeypatch):
@@ -541,9 +545,9 @@ def test_fibonacci_suite_rebuilds_each_fence_once(monkeypatch):
     (lambda: verify_lucas_decomposition(4), 8),
 ], ids=["fence7", "crown8"])
 def test_each_deletion_walks_its_family_poset_once(monkeypatch, run, n):
-    # The round trip's walk over the fence or crown is also the lattice
-    # whose q the expansion's is compared with; P - x, P * x and the dual
-    # star are smaller, so only walks over P itself count here.
+    # The round trip walks the fence or crown once, as the enumeration
+    # independent of the expansion; P - x, P * x and the dual star are
+    # smaller, so only walks over P itself count here.
     walks = []
     real = poset.Poset.filters_with_minima
 
@@ -602,6 +606,73 @@ def test_the_round_trip_and_the_family_reports_run_no_search(monkeypatch,
     assert calls == []
 
 
+def _count_scans(monkeypatch):
+    """The lattices _q_scan runs on, in order."""
+    scanned = []
+    real = invariants._q_scan
+    monkeypatch.setattr(invariants, "_q_scan",
+                        lambda lat: scanned.append(lat) or real(lat))
+    return scanned
+
+
+@pytest.mark.parametrize("run, sizes", [
+    # L = F(fence(n - 1) + fence(m - 2)), K = F(fence(n - 2) + fence(m - 3))
+    # and L' = F(fence(9)): 5 * 13, 3 * 8 and 89; then 21 * 3, 13 * 2, 89.
+    (lambda: verify_fibonacci_decomposition(7, 4), [65, 24, 89]),
+    (lambda: verify_fibonacci_decomposition(4, 7), [63, 26, 89]),
+    # L = F(fence(11)), K = F(fence(9).dual()), L' = F(crown(12)) and
+    # F(dual star).
+    (lambda: verify_lucas_decomposition(6), [233, 89, 322, 89]),
+], ids=["fibonacci-7-4", "fibonacci-4-7", "lucas-6"])
+def test_a_passing_report_scans_each_lattice_once(monkeypatch, run, sizes):
+    # With no ``direct``, a round trip that holds proves F(P) from the walk
+    # equal to L', so the report reads its q off L' and scans it once.
+    scanned = _count_scans(monkeypatch)
+    assert run().ok
+    assert sorted(lat.size for lat in scanned) == sorted(sizes)
+    assert len({id(lat) for lat in scanned}) == len(sizes)
+
+
+# The detail of a report whose round trip was planted to fail: F(P) built
+# from the walk still has the expansion's q, so only ``expansion`` fails.
+_FAILED_ROUND_TRIP_DETAIL = {
+    "fibonacci": ("count=True identity=True minus=True star=True "
+                  "expansion=False q=True"),
+    "lucas": ("count=True minus=True star=True dual_q=True expansion=False "
+              "q=True euler=True"),
+}
+
+
+@pytest.mark.parametrize("flag", ["counts_ok", "expansion_iso_ok"])
+@pytest.mark.parametrize("case, run, p", [
+    ("fibonacci", lambda: verify_fibonacci_decomposition(5, 4), fence(7)),
+    ("lucas", lambda: verify_lucas_decomposition(4), crown(8)),
+])
+def test_a_failed_round_trip_builds_and_scans_f_of_p(monkeypatch, flag, case,
+                                                     run, p):
+    # The q flag may read q off L' only when the round trip holds; when it
+    # fails, F(P) is built from the walk and scanned, and its q compared.
+    real = families.decompose
+
+    def plant(**changes):
+        monkeypatch.setattr(families, "decompose", lambda *args:
+                            dataclasses.replace(real(*args), **changes))
+
+    plant(**{flag: False})
+    built = []
+    monkeypatch.setattr(families, "DistLattice", lambda *args:
+                        built.append(DistLattice(*args)) or built[-1])
+    scanned = _count_scans(monkeypatch)
+    rep = run()
+    assert rep.detail == _FAILED_ROUND_TRIP_DETAIL[case]
+    assert [lat.base for lat in built] == [p]
+    assert [lat is built[0] for lat in scanned].count(True) == 1
+    # ... and a walk that is not F(P)'s fails the q flag too.
+    plant(**{flag: False}, walked=dict(fence(p.n - 1).filters_with_minima()))
+    assert run().detail == _FAILED_ROUND_TRIP_DETAIL[case].replace(
+        " q=True", " q=False")
+
+
 _WRONG_DIRECT_DETAIL = ("count=True identity=True minus=True star=True "
                         "expansion=True q=False")
 
@@ -614,7 +685,7 @@ def test_fence_deletion_catches_a_wrong_direct_lattice():
 
 
 def test_crown_deletion_takes_the_rebuilt_lattice():
-    for n in (2, 3, 4):
+    for n in range(2, 8):
         assert verify_lucas_decomposition(
             n, direct=filter_lattice(crown(2 * n))) == \
             verify_lucas_decomposition(n)
