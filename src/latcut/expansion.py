@@ -17,8 +17,10 @@ P partitions into (down-closure of S0) + S + (up-closure of S1), and K is a
 cutting exactly when z < y for every z in S0, y in S1.  The new element sits
 above all of S0, below all of S1, incomparable to S.
 
-``is_cutting`` votes four independent criteria on one interval; the
-production routes, ``cuttings`` and ``expand_poset``, do not vote.  An
+``is_cutting`` votes four criteria on one interval: three independent
+ones, and the star criterion, which is the existence test of the
+candidate enlarged poset that ``expand_poset`` builds.  The production
+routes, ``cuttings`` and ``expand_poset``, do not vote.  An
 expansion carries L, K, K's own lattice, built on its first read, and L'.
 ``decompose`` and the cutting pass check one round trip: F(P) against the
 expansion of F(P - x) at x's interval, which the pass already holds.  The
@@ -138,14 +140,11 @@ def _candidate_expansion(lat, k, label):
 
 
 def _cutting_star(lat, k):
-    # Build the candidate enlarged poset and check that the new element's
-    # star (everything incomparable to it) is the interval's subposet S.
-    # Both list S in P's index order, so they are compared exactly.
-    cand = _candidate_expansion(lat, k, _fresh_label(lat.base))
-    if cand is None:
-        return False
-    s = lat.filters[k.bottom] & ~lat.filters[k.top]
-    return cand.star(cand.labels[-1]) == lat.base.restrict(s)
+    # The candidate enlarged poset exists.  Its new element's star is then
+    # S = B - T in P's index order with P's labels and masks, by
+    # construction, so the star criterion is the candidate's transitivity
+    # test.
+    return _candidate_expansion(lat, k, _fresh_label(lat.base)) is not None
 
 
 # (name, criterion) in the order of CUTTING_METHODS; is_cutting runs each.

@@ -296,37 +296,32 @@ def _fence_pair_iso(p, a, b):
                for side in (right, right.dual()))
 
 
-def _split(p, x, direct):
+def _split(p, x):
     """Decompose F(P) at x; returns the decomposition, q of its expansion
-    L', and the expansion and q flags.  F(P) is ``direct`` when the caller
-    built it; otherwise a round trip that holds proves the walk's lattice
-    to be L' with x moved back, so L''s q is F(P)'s, and only a failed
-    round trip builds F(P) from the walk and scans it."""
+    L', and the expansion and q flags.  A round trip that holds proves the
+    walk's lattice to be L' with x moved back, so L''s q is F(P)'s; only a
+    failed round trip builds F(P) from the walk and compares its q."""
     dec = decompose(p, x)
     q_big = q_vector(dec.expansion.lattice)
     expansion_ok = dec.counts_ok and dec.expansion_iso_ok
-    if direct is None and not expansion_ok:
-        direct = DistLattice(p, dec.walked.items())
     return dec, q_big, expansion_ok, (
         check_q_recurrence(dec.expansion) is None
-        and (direct is None or poly_eq(q_big, q_vector(direct))))
+        and (expansion_ok or poly_eq(q_big, q_vector(
+            DistLattice(p, dec.walked.items())))))
 
 
-def verify_fibonacci_decomposition(m, n, direct=None):
+def verify_fibonacci_decomposition(m, n):
     """Delete element n from the fence on m+n-2 elements.  The checks:
     count, |F(Z_{m+n-2})| = F_{m+n}; identity, F_{m+n} = F_m F_{n+1} +
     F_{m-1} F_n by the part sizes; minus and star, the two parts are
     Z_{n-1} + Z_{m-2} and Z_{n-2} + Z_{m-3} side by side, up mask by up
     mask in index order (_fence_pair_iso); expansion, the
     expansion of the host at the cut interval rebuilds F; q, the q
-    recurrence, and q of the expansion against that of ``direct``.
-
-    ``direct`` is F(fence(m + n - 2)) built from scratch, when the caller
-    has it; without it, q of F is read off the expansion once the round
-    trip holds (_split)."""
+    recurrence, and, when the round trip fails, q of the expansion against
+    that of F built from the round trip's walk (_split)."""
     if m < 2 or n < 2:
         raise ValueError("need m, n >= 2")
-    dec, q_big, expansion_ok, q_ok = _split(fence(m + n - 2), str(n), direct)
+    dec, q_big, expansion_ok, q_ok = _split(fence(m + n - 2), str(n))
     exp = dec.expansion
     host = exp.host
 
@@ -343,16 +338,15 @@ def verify_fibonacci_decomposition(m, n, direct=None):
         expansion_ok=expansion_ok, q_ok=q_ok)
 
 
-def verify_lucas_decomposition(n, direct=None):
+def verify_lucas_decomposition(n):
     """Delete element 2n from the crown on 2n elements.  The checks:
     count, |F(crown)| = L_{2n} = F_{2n+1} + F_{2n-1}; minus and star, the
     parts are Z_{2n-1} and the dual of Z_{2n-3}, up mask by up mask in
     index order; dual_q, q of the interval against q of F(dual star);
-    expansion and q as for the fences, ``direct`` being F(crown(2n)) when
-    the caller has it; euler, Q(-1) = 1."""
+    expansion and q as for the fences; euler, Q(-1) = 1."""
     if n < 2:
         raise ValueError("need n >= 2")
-    dec, q_big, expansion_ok, q_ok = _split(crown(2 * n), str(2 * n), direct)
+    dec, q_big, expansion_ok, q_ok = _split(crown(2 * n), str(2 * n))
     exp = dec.expansion
     host = exp.host
 

@@ -330,12 +330,10 @@ def verify_fibonacci(max_s=16):
     res = SuiteResult("fibonacci")
     t0 = time.perf_counter()
     for s in range(2, max_s + 1):
-        # Built, and its q computed, once for every split of fence(s).
-        direct = filter_lattice(fence(s))
         for m in range(2, s + 1):
             n = s + 2 - m
-            detail = _detail(lambda: verify_fibonacci_decomposition(
-                m, n, direct=direct).detail)
+            detail = _detail(
+                lambda: verify_fibonacci_decomposition(m, n).detail)
             res.checks += 1
             res.lines.append("m=%d,n=%d,%s"
                              % (m, n, "FAIL" if detail else "ok"))
@@ -349,9 +347,9 @@ def verify_fibonacci(max_s=16):
 def verify_lucas(max_two_n=10):
     """Crown sizes, the Lucas identity, the q recurrence, and the covering
     graph against the string-model Lucas cube.  Each crown's lattice is
-    built once, for the cube check and as the decomposition's ``direct``;
-    the round trip still walks the crown, as the enumeration independent
-    of the expansion."""
+    built here for the cube check only; the decomposition reads q of
+    F(crown) off its expansion, and its round trip walks the crown, as the
+    enumeration independent of the expansion."""
     _refuse_over_cap(lucas(max_two_n // 2 * 2, FILTER_CAP))
     res = SuiteResult("lucas")
     t0 = time.perf_counter()
@@ -360,7 +358,7 @@ def verify_lucas(max_two_n=10):
         res.checks += 1
         cube_ok = _zigzag_translate(cover_cube(lat)) == lucas_cube(2 * n)
         detail = " ".join(filter(None, (
-            _detail(lambda: verify_lucas_decomposition(n, direct=lat).detail),
+            _detail(lambda: verify_lucas_decomposition(n).detail),
             None if cube_ok else "cube=False")))
         res.lines.append("n=%d,size=%d,%s" % (
             n, lat.size, "FAIL" if detail else "ok"))

@@ -128,10 +128,11 @@ def test_is_cutting_runs_each_criterion_once_and_the_routes_none(
 
 def test_the_star_criterion_is_the_candidate_test_and_runs_no_search(
         monkeypatch):
-    # The candidate's star and the interval's subposet are both S in index
-    # order with P's labels, so the star vote holds exactly when the
-    # candidate poset exists, and it compares them with no search.  The
-    # pool is drawn before counting: posets_up_to_iso itself searches.
+    # Whenever the candidate poset exists, its new element's star and the
+    # interval's subposet are equal, both S in index order with P's labels,
+    # so the star vote is the test that the candidate exists.  It agrees
+    # with the vote, and no search runs.  The pool is drawn before
+    # counting: posets_up_to_iso itself searches.
     from latcut import expansion as ex, poset
 
     pool = [filter_lattice(p) for n in range(6) for p in posets_up_to_iso(n)]
@@ -145,9 +146,11 @@ def test_the_star_criterion_is_the_candidate_test_and_runs_no_search(
             for b in range(lat.size):
                 if lat.le(a, b):
                     k = lat.interval(a, b)
-                    exists = ex._candidate_expansion(lat, k, "x") is not None
-                    assert ex._cutting_star(lat, k) == exists
-                    assert is_cutting(lat, k) == exists
+                    cand = ex._candidate_expansion(lat, k, "x")
+                    if cand is not None:
+                        assert cand.star("x") == lat.base.restrict(
+                            lat.filters[a] & ~lat.filters[b])
+                    assert is_cutting(lat, k) == (cand is not None)
                     intervals += 1
     assert intervals == 4671 and calls == []
 

@@ -22,7 +22,7 @@ from latcut import (CapacityExceeded, CubeGraph, DistLattice, FamilyReport,
 from latcut import families, invariants, poset
 from latcut.cli import cli_run
 from latcut.families import GRAPH_ISO_CAP, _zigzag_translate
-from latcut.invariants import poly_eval
+from latcut.invariants import poly_eval, q_vector
 from latcut.poset import FILTER_CAP
 from latcut.verify import verify_cubes, verify_fibonacci, verify_lucas
 
@@ -512,30 +512,26 @@ def test_fence_deletion_worked_case():
 
 
 def test_fence_deletion_takes_the_rebuilt_lattice():
-    # Without ``direct`` the report reads q of F(fence(s)) off the
-    # expansion; with it, it scans the lattice built from scratch.
+    # The report reads q of F(fence(s)) off the expansion, which equals q
+    # of the lattice built from scratch.
     for s in range(2, 12):
-        direct = filter_lattice(fence(s))
+        q = tuple(q_vector(filter_lattice(fence(s))))
         for n in range(2, s + 1):
-            assert verify_fibonacci_decomposition(s + 2 - n, n,
-                                                  direct=direct) == \
-                verify_fibonacci_decomposition(s + 2 - n, n), (s, n)
+            rep = verify_fibonacci_decomposition(s + 2 - n, n)
+            assert rep.ok and rep.q == q, (s, n)
 
 
 def test_fibonacci_suite_rebuilds_each_fence_once(monkeypatch):
+    # Each report reads q of F(fence(s)) off its expansion, so the suite
+    # builds no F(fence(s)), and no report builds one from its walk.
     import latcut.verify as ver
 
-    built = []
-    real = ver.filter_lattice
-
-    def counting(p, cap=FILTER_CAP):
-        built.append(p.n)
-        return real(p, cap)
-
-    monkeypatch.setattr(ver, "filter_lattice", counting)
+    monkeypatch.setattr(ver, "filter_lattice", lambda *args: pytest.fail(
+        "the fibonacci suite built a lattice"))
+    monkeypatch.setattr(families, "DistLattice", lambda *args: pytest.fail(
+        "a fibonacci report built F(fence) again"))
     res = verify_fibonacci(max_s=6)
     assert res.ok and res.checks == 15
-    assert built == [2, 3, 4, 5, 6]
     assert res.report().splitlines()[1:4] == ["m=2,n=2,ok", "m=2,n=3,ok",
                                               "m=3,n=2,ok"]
 
@@ -561,10 +557,10 @@ def test_each_deletion_walks_its_family_poset_once(monkeypatch, run, n):
 
 
 def test_lucas_suite_builds_each_crown_lattice_once(monkeypatch):
-    # The cube check's lattice is also the decomposition's direct F(crown),
-    # so the report builds none from the round trip's walk.  The round trip
-    # still walks the crown, as the enumeration independent of the
-    # expansion.
+    # The suite builds F(crown) for the cube check, and the report reads q
+    # of F(crown) off its expansion, so it builds none from the round
+    # trip's walk.  The round trip still walks the crown, as the
+    # enumeration independent of the expansion.
     import latcut.verify as ver
 
     built = []
@@ -625,8 +621,8 @@ def _count_scans(monkeypatch):
     (lambda: verify_lucas_decomposition(6), [233, 89, 322, 89]),
 ], ids=["fibonacci-7-4", "fibonacci-4-7", "lucas-6"])
 def test_a_passing_report_scans_each_lattice_once(monkeypatch, run, sizes):
-    # With no ``direct``, a round trip that holds proves F(P) from the walk
-    # equal to L', so the report reads its q off L' and scans it once.
+    # A round trip that holds proves F(P) from the walk equal to L', so
+    # the report reads its q off L' and scans it once.
     scanned = _count_scans(monkeypatch)
     assert run().ok
     assert sorted(lat.size for lat in scanned) == sorted(sizes)
@@ -673,26 +669,13 @@ def test_a_failed_round_trip_builds_and_scans_f_of_p(monkeypatch, flag, case,
         " q=True", " q=False")
 
 
-_WRONG_DIRECT_DETAIL = ("count=True identity=True minus=True star=True "
-                        "expansion=True q=False")
-
-
-def test_fence_deletion_catches_a_wrong_direct_lattice():
-    # F(fence(s - 1)) in place of F(fence(s)): only the q comparison sees it.
-    rep = verify_fibonacci_decomposition(4, 3, direct=filter_lattice(fence(4)))
-    assert not rep.ok and rep.detail == _WRONG_DIRECT_DETAIL
-    assert rep.q == verify_fibonacci_decomposition(4, 3).q
-
-
 def test_crown_deletion_takes_the_rebuilt_lattice():
+    # As for the fences: q read off the expansion is q of F(crown) built
+    # from scratch.
     for n in range(2, 8):
-        assert verify_lucas_decomposition(
-            n, direct=filter_lattice(crown(2 * n))) == \
-            verify_lucas_decomposition(n)
-    # F(crown(6)) in place of F(crown(8)): only the q comparison sees it.
-    rep = verify_lucas_decomposition(4, direct=filter_lattice(crown(6)))
-    assert rep.detail == ("count=True minus=True star=True dual_q=True "
-                          "expansion=True q=False euler=True")
+        rep = verify_lucas_decomposition(n)
+        assert rep.ok and rep.q == tuple(q_vector(filter_lattice(
+            crown(2 * n)))), n
 
 
 def test_crown_deletion_compares_the_dual_star_with_the_interval_q(monkeypatch):
@@ -730,15 +713,12 @@ def test_family_suites_print_every_check_of_a_planted_failure(monkeypatch):
     assert ("count=True minus=True star=True dual_q=True expansion=True "
             "q=True euler=False\n") in report
     monkeypatch.undo()
-    # F(fence(s - 1)) as the rebuilt lattice of every split: only q fails.
-    import latcut.verify as ver
-
-    real = ver.filter_lattice
-    monkeypatch.setattr(ver, "filter_lattice",
-                        lambda p: real(fence(p.n - 1)))
+    # A q recurrence that fails in every split: only q fails.
+    monkeypatch.setattr(families, "check_q_recurrence", lambda exp: "q=[]")
     report = verify_fibonacci(max_s=5).report()
-    assert "FAIL fibonacci: fibonacci decomposition m=2 n=2\n%s\n" % (
-        _WRONG_DIRECT_DETAIL) in report
+    assert ("FAIL fibonacci: fibonacci decomposition m=2 n=2\n"
+            "count=True identity=True minus=True star=True expansion=True "
+            "q=False\n") in report
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -67,7 +67,6 @@ def test_rank_gen_of_subsets_and_offsets():
     assert poly_eq(rank_gen_of(lat, all_elems), rank_gen(lat))
     top_only = [lat.top]
     assert rank_gen_of(lat, top_only) == [0, 0, 0, 1]
-    assert rank_gen_of(lat, top_only, offset=3) == [1]
     assert rank_gen_of(lat, []) == []
 
 
@@ -179,24 +178,24 @@ def test_rank_recurrence_worked_case():
 
 
 def test_rank_recurrence_endpoint_cases():
-    # The interval reaches the top, the bottom, or neither: each of the
-    # three shapes of the recurrence holds.
+    # The interval reaches the top, the bottom, or neither: the recurrence
+    # holds in each of the three shapes, where one of its sides is all of L
+    # in the first two.
     lat = z3_lattice()
     for bottom, top in (("101", "000"), ("111", "101"), ("101", "101")):
         assert check_rank_recurrence(expansion_at(lat, bottom, top)) is None
-    # A wrong expansion shows which forms were computed: the endpoint form
-    # (case=) for an interval at the bottom, none for an inner one.  The
-    # top-reaching shape is pinned in the built-expansion test below.
+    # A wrong expansion shows both sides: the right side is R(K) + x R(L)
+    # for an interval at the bottom, and two proper parts of L for an inner
+    # one.  The top-reaching shape is pinned in the built-expansion test
+    # below.
     wrong = expansion_at(lat, "111", "000")
     at_bottom = expansion_at(lat, "111", "101")
     assert check_rank_recurrence(
         replace(at_bottom, lattice=wrong.lattice)) == (
-        "lhs=[1, 2, 3, 3, 1] host=[1, 2, 1, 2, 1] self=[1, 2, 1, 2, 1] "
-        "case=[1, 2, 1, 2, 1]")
+        "lhs=[1, 2, 3, 3, 1] host=[1, 2, 1, 2, 1]")
     inner = expansion_at(lat, "101", "101")
     assert check_rank_recurrence(replace(inner, lattice=wrong.lattice)) == (
-        "lhs=[1, 2, 3, 3, 1] host=[1, 1, 1, 2, 1] self=[1, 1, 1, 2, 1] "
-        "case=None")
+        "lhs=[1, 2, 3, 3, 1] host=[1, 1, 1, 2, 1]")
 
 
 def test_q_recurrence_worked_case():
@@ -242,8 +241,7 @@ def test_recurrences_take_a_built_expansion_and_interval_lattice():
     vars(wrong_k)["interval_lattice"] = filter_lattice(
         poset_from_covers(["u"], []))
     assert check_rank_recurrence(planted) == (
-        "lhs=[1, 2, 3, 3, 1] host=[1, 1, 3, 3, 1] self=[1, 1, 3, 3, 1] "
-        "case=[1, 1, 3, 3, 1]")
+        "lhs=[1, 2, 3, 3, 1] host=[1, 1, 3, 3, 1]")
     assert check_q_recurrence(planted) == (
         "q=[10, 15, 7, 1] size_ok=False")
     assert check_q_recurrence(wrong_k) == (

@@ -23,7 +23,7 @@ CASES = sorted(name[:-len(".json")] for name in os.listdir(CORPUS)
 
 def test_the_corpus_holds_the_cutting_cases():
     assert {"cutting-fence-12", "cutting-crown-12", "cutting-antichain-8",
-            "cutting-fence-6-interval",
+            "cutting-fence-6-interval", "cutting-fence-6-not-a-cutting",
             "cutting-bottom-without-top"} <= set(CASES)
 
 

@@ -72,6 +72,9 @@ def cases():
             family("fence", 6)),
         "cutting-bottom-without-top": (
             ["cutting", "--bottom", "111011"], family("fence", 6)),
+        "cutting-fence-6-not-a-cutting": (
+            ["cutting", "--bottom", "111110", "--top", "111110"],
+            family("fence", 6)),
         "decompose-fence-5-at-4": (["decompose", "4"], family("fence", 5)),
         "expand-z3": (["expand", "--bottom", "101", "--top", "000"], Z3),
         "expand-z3-label": (["expand", "--bottom", "101", "--top", "000",
