@@ -24,14 +24,14 @@ routes, ``cuttings`` and ``expand_poset``, do not vote.  An
 expansion carries L, K, K's own lattice, built on its first read, and L'.
 ``decompose`` and the cutting pass check one round trip: F(P) against the
 expansion of F(P - x) at x's interval, which the pass already holds.  The
-round trip compares posets exactly through the one map it knows, x moved
-back from the expansion's last index to P's; it runs no isomorphism
-search.
+round trip compares each fact once, posets exactly through the one map it
+knows, x moved back from the expansion's last index to P's; it runs no
+isomorphism search.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .bits import iter_bits
@@ -300,20 +300,16 @@ class DecomposeResult:
     F(P - x) at the interval whose subposet is P * x (delete x and everything
     comparable).  ``expansion.host`` is F(P - x), ``expansion.host.base``
     is P - x and ``expansion.interval`` the cutting of the host determined
-    by x.  ``walked`` maps each filter F of P to min F, as the walk over P
-    found them: ``DistLattice(P, walked.items())`` is F(P) built without
-    the expansion, and with no second walk."""
+    by x."""
     star: Poset
     expansion: ExpansionResult
-    size: int                  # |F(P)|
-    counts_ok: bool            # P-x, P*x, x's interval match the expansion,
-                               # sizes add up, a walk over P finds (F, min F)
+    size: int                  # |F(P)|, as a walk over P counts it
+    counts_ok: bool            # P-x and P*x are the expansion's bases, sizes
+                               # add up, a walk over P finds (F, min F)
     expansion_iso_ok: bool     # expanded poset, x moved back, equal to P
     product_form: bool         # x comparable to nothing: P * x is P - x
     product_iso_ok: bool       # ... and then P, x moved back, equal to
                                # (P - x) + singleton side by side
-    # F -> min F for every filter F of P; left out of ==, hash and repr.
-    walked: dict = field(compare=False, repr=False)
 
 
 def _x_interval(p, i):
@@ -344,14 +340,15 @@ def _moved_back(q, i):
 
 
 def _round_trip(p, x, exp, cap=FILTER_CAP):
-    """Check ``exp``, an expansion of F(P - x), as F(P) split at x: its L and
-    K have bases P - x and P * x exactly, K is x's interval, and a walk over
-    P, independent of the expansion, finds its (F, min F).  The expansion
-    puts x last; moving it back to P's index i is the map under which the
-    expanded poset, and P - x with x beside it, must equal P exactly, so no
-    isomorphism search runs."""
+    """Check ``exp``, an expansion of F(P - x) at x's interval, as F(P)
+    split at x: its L and K have bases P - x and P * x exactly, and a walk
+    over P, independent of the expansion, finds its (F, min F).  Each
+    caller's K is x's interval by construction, so it is not compared.  The
+    expansion puts x last; moving it back to P's index i is the map under
+    which the expanded poset, and P - x with x beside it, must equal P
+    exactly, so no isomorphism search runs."""
     i = p.idx(x)
-    host, k, klat = exp.host, exp.interval, exp.interval_lattice
+    host, klat = exp.host, exp.interval_lattice
     minus, star = p.minus(x), p.star(x)
     walked = dict(p.filters_with_minima(cap))
     big = exp.lattice
@@ -360,8 +357,7 @@ def _round_trip(p, x, exp, cap=FILTER_CAP):
     expanded = {f & low | (f & mid) << 1 | (f >> top) << i:
                 a & low | (a & mid) << 1 | (a >> top) << i
                 for f, a in zip(big.filters, big.minima)}
-    counts_ok = ((minus, star) == (host.base, klat.base) and _x_interval(p, i)
-                 == (host.filters[k.bottom], host.filters[k.top])
+    counts_ok = ((minus, star) == (host.base, klat.base)
                  and len(walked) == host.size + klat.size and walked == expanded)
     labelled = (p.labels, p.up)
     # x is comparable to nothing exactly when P * x is all of P - x.
@@ -372,5 +368,4 @@ def _round_trip(p, x, exp, cap=FILTER_CAP):
         expansion_iso_ok=_moved_back(exp.poset, i) == labelled,
         product_form=product_form,
         product_iso_ok=(product_form and _moved_back(
-            disjoint_union(minus, singleton(x)), i) == labelled),
-        walked=walked)
+            disjoint_union(minus, singleton(x)), i) == labelled))

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from .errors import CapacityExceeded, OddSize
 from .expansion import decompose
 from .invariants import check_q_recurrence, poly_eq, poly_eval, q_vector
-from .lattice import DistLattice, filter_lattice
+from .lattice import filter_lattice
 from .poset import (FILTER_CAP, Poset, _search, disjoint_union,
                     poset_from_covers)
 
@@ -300,14 +300,13 @@ def _split(p, x):
     """Decompose F(P) at x; returns the decomposition, q of its expansion
     L', and the expansion and q flags.  A round trip that holds proves the
     walk's lattice to be L' with x moved back, so L''s q is F(P)'s; only a
-    failed round trip builds F(P) from the walk and compares its q."""
+    failed round trip walks P again and compares q of F(P)."""
     dec = decompose(p, x)
     q_big = q_vector(dec.expansion.lattice)
     expansion_ok = dec.counts_ok and dec.expansion_iso_ok
     return dec, q_big, expansion_ok, (
         check_q_recurrence(dec.expansion) is None
-        and (expansion_ok or poly_eq(q_big, q_vector(
-            DistLattice(p, dec.walked.items())))))
+        and (expansion_ok or poly_eq(q_big, q_vector(filter_lattice(p)))))
 
 
 def verify_fibonacci_decomposition(m, n):

@@ -616,9 +616,7 @@ def _cover_graph(p):
 def poset_isomorphism(p, q):
     """An order isomorphism as a label mapping, or None.
 
-    Tries the index-identity mapping first, since many callers compare a
-    poset with a relabelled or reconstructed copy of itself.  Otherwise the
-    cover counts and the sorted (|down|, |up|) profiles must agree, and
+    The cover counts and the sorted (|down|, |up|) profiles must agree, and
     _search looks for a map between the undirected cover graphs that keeps
     each element's colour, its rank in the one sorted list of both posets'
     (|down i|, |up i|) pairs.  That map is an order isomorphism: if a < b
@@ -629,8 +627,6 @@ def poset_isomorphism(p, q):
     """
     if p.n != q.n:
         return None
-    if p.up == q.up:
-        return dict(zip(p.labels, q.labels))
     if len(p.cover_masks()) != len(q.cover_masks()):
         return None
     prof_p, prof_q = _profile(p), _profile(q)

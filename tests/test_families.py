@@ -521,15 +521,29 @@ def test_fence_deletion_takes_the_rebuilt_lattice():
             assert rep.ok and rep.q == q, (s, n)
 
 
+def _refuse_building(monkeypatch, family_posets, what):
+    """Make ``families.filter_lattice`` fail on any of ``family_posets``
+    and build every other lattice as before."""
+    real = families.filter_lattice
+    refused = {p.up for p in family_posets}
+
+    def guarded(p, *args):
+        if p.up in refused:
+            pytest.fail(what)
+        return real(p, *args)
+
+    monkeypatch.setattr(families, "filter_lattice", guarded)
+
+
 def test_fibonacci_suite_rebuilds_each_fence_once(monkeypatch):
     # Each report reads q of F(fence(s)) off its expansion, so the suite
-    # builds no F(fence(s)), and no report builds one from its walk.
+    # builds no F(fence(s)), and no report builds one again.
     import latcut.verify as ver
 
     monkeypatch.setattr(ver, "filter_lattice", lambda *args: pytest.fail(
         "the fibonacci suite built a lattice"))
-    monkeypatch.setattr(families, "DistLattice", lambda *args: pytest.fail(
-        "a fibonacci report built F(fence) again"))
+    _refuse_building(monkeypatch, [fence(s) for s in range(2, 7)],
+                     "a fibonacci report built F(fence) again")
     res = verify_fibonacci(max_s=6)
     assert res.ok and res.checks == 15
     assert res.report().splitlines()[1:4] == ["m=2,n=2,ok", "m=2,n=3,ok",
@@ -558,8 +572,8 @@ def test_each_deletion_walks_its_family_poset_once(monkeypatch, run, n):
 
 def test_lucas_suite_builds_each_crown_lattice_once(monkeypatch):
     # The suite builds F(crown) for the cube check, and the report reads q
-    # of F(crown) off its expansion, so it builds none from the round
-    # trip's walk.  The round trip still walks the crown, as the
+    # of F(crown) off its expansion, so it builds none again; it still
+    # builds F(dual star).  The round trip still walks the crown, as the
     # enumeration independent of the expansion.
     import latcut.verify as ver
 
@@ -571,8 +585,8 @@ def test_lucas_suite_builds_each_crown_lattice_once(monkeypatch):
         return real(p, cap)
 
     monkeypatch.setattr(ver, "filter_lattice", counting)
-    monkeypatch.setattr(families, "DistLattice", lambda *args: pytest.fail(
-        "the lucas report built F(crown) again"))
+    _refuse_building(monkeypatch, [crown(2 * n) for n in range(2, 6)],
+                     "the lucas report built F(crown) again")
     assert verify_lucas(max_two_n=10).ok
     assert built == [4, 6, 8, 10]
 
@@ -647,24 +661,28 @@ _FAILED_ROUND_TRIP_DETAIL = {
 def test_a_failed_round_trip_builds_and_scans_f_of_p(monkeypatch, flag, case,
                                                      run, p):
     # The q flag may read q off L' only when the round trip holds; when it
-    # fails, F(P) is built from the walk and scanned, and its q compared.
+    # fails, F(P) is built and scanned, and its q compared.
     real = families.decompose
+    monkeypatch.setattr(families, "decompose", lambda *args:
+                        dataclasses.replace(real(*args), **{flag: False}))
+    real_build = families.filter_lattice
+    built, wrong = [], None
 
-    def plant(**changes):
-        monkeypatch.setattr(families, "decompose", lambda *args:
-                            dataclasses.replace(real(*args), **changes))
+    def build(q, *args):
+        # The lattice of P itself is built from ``wrong`` once that is set.
+        built.append(real_build(q if wrong is None or q != p else wrong,
+                                *args))
+        return built[-1]
 
-    plant(**{flag: False})
-    built = []
-    monkeypatch.setattr(families, "DistLattice", lambda *args:
-                        built.append(DistLattice(*args)) or built[-1])
+    monkeypatch.setattr(families, "filter_lattice", build)
     scanned = _count_scans(monkeypatch)
     rep = run()
     assert rep.detail == _FAILED_ROUND_TRIP_DETAIL[case]
-    assert [lat.base for lat in built] == [p]
-    assert [lat is built[0] for lat in scanned].count(True) == 1
-    # ... and a walk that is not F(P)'s fails the q flag too.
-    plant(**{flag: False}, walked=dict(fence(p.n - 1).filters_with_minima()))
+    f_of_p = [lat for lat in built if lat.base == p]
+    assert len(f_of_p) == 1
+    assert [lat is f_of_p[0] for lat in scanned].count(True) == 1
+    # ... and an F(P) that is not F(P) fails the q flag too.
+    wrong = fence(p.n - 1)
     assert run().detail == _FAILED_ROUND_TRIP_DETAIL[case].replace(
         " q=True", " q=False")
 

@@ -76,6 +76,9 @@ def cases():
             ["cutting", "--bottom", "111110", "--top", "111110"],
             family("fence", 6)),
         "decompose-fence-5-at-4": (["decompose", "4"], family("fence", 5)),
+        "decompose-fence-5-at-5": (["decompose", "5"], family("fence", 5)),
+        "decompose-antichain-3-at-2": (["decompose", "2"],
+                                       family("antichain", 3)),
         "expand-z3": (["expand", "--bottom", "101", "--top", "000"], Z3),
         "expand-z3-label": (["expand", "--bottom", "101", "--top", "000",
                              "--label", "d"], Z3),
