@@ -95,7 +95,10 @@ def random_poset(seed, n_max):
     """Seed-determined poset with 1 <= |P| <= n_max.
 
     The relation density is itself drawn per poset, so the stream mixes
-    near-chains, near-antichains and everything between.
+    near-chains, near-antichains and everything between.  Each row of drawn
+    relations is collected as bytes and read into its int once, so a dense
+    draw costs about its n^2/2 ``rng.random()`` calls, not an n-bit OR per
+    relation.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
@@ -103,18 +106,13 @@ def random_poset(seed, n_max):
     n = rng.randint(1, n_max)
     density = rng.random()
     rand = rng.random
-    up = [0] * n
-    down = [0] * n
+    up = []
     for i in range(n):
-        row, bit = 0, 1 << i
-        for j in range(i + 1, n):
-            if rand() < density:
-                row |= 1 << j
-                down[j] |= bit
-        up[i] = row
-    # Transitive closure along the natural order: up right to left, down
-    # left to right.  A row ORs in the closed row of its nearest relation
-    # first, then skips every drawn relation that row already implies.
+        drawn = bytes([rand() < density for _ in range(i + 1, n)])
+        up.append(int(drawn.translate(_DIGITS)[::-1] or b"0", 2) << i + 1)
+    # Transitive closure along the natural order, right to left.  A row ORs
+    # in the closed row of its nearest relation first, then skips every
+    # drawn relation that row already implies.
     for i in range(n - 2, -1, -1):
         m = todo = up[i]
         while todo:
@@ -123,15 +121,28 @@ def random_poset(seed, n_max):
             m |= reached
             todo &= ~(reached | low)
         up[i] = m
-    for j in range(1, n):
-        m = todo = down[j]
-        while todo:
-            k = todo.bit_length() - 1
-            reached = down[k]
-            m |= reached
-            todo &= ~(reached | 1 << k)
-        down[j] = m
-    return Poset(_labels(n), tuple(up), _trusted=True, _down=down)
+    return Poset(_labels(n), tuple(up), _trusted=True, _down=_transpose(up))
+
+
+# Bytes 0 and 1 as the digits "0" and "1", and back.
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _transpose(rows):
+    """The columns of the square bit matrix whose row i is ``rows[i]``:
+    column j has bit i set when row i has bit j.  Eight rows at a time
+    become one int whose byte j holds their bits j, so column j is the
+    strided slice of those ints' bytes at j, read into its int once."""
+    n = len(rows)
+    blocks = bytearray()
+    for r in range(0, n, 8):
+        word = 0
+        for t, row in enumerate(rows[r:r + 8]):
+            flags = format(row | 1 << n, "b")[:0:-1].encode().translate(_FLAGS)
+            word |= int.from_bytes(flags, "little") << t
+        blocks += word.to_bytes(n, "little")
+    return [int.from_bytes(blocks[j::n], "little") for j in range(n)]
 
 
 def trial_seed(seed, t):

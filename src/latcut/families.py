@@ -11,11 +11,15 @@ is no closure to compute.
 The cubes are built independently as graphs on binary strings (no "11"
 substring, additionally no cyclic "11" for the Lucas cube) so that the
 identification with covering graphs is a genuine two-sided check.  The
-verify suites certify it by the classical isomorphism (Gansner 1982),
-_zigzag_translate: flipping every other bit turns the filter condition on a
-zigzag into "no two adjacent 1s".  graph_isomorphic is the general tool on
-two CubeGraphs, the exact individualization-refinement search of
-latcut.poset.
+builders work on the strings' int values and name the vertices only at the
+end: a cube sets each zero bit of each vertex and looks the result up, and
+cover_cube pairs the filter bitstrings off the lattice's upper covers.  The
+verify suites certify the identification by the classical isomorphism
+(Gansner 1982), _zigzag_translate: flipping every other bit turns the
+filter condition on a zigzag into "no two adjacent 1s".  graph_isomorphic
+is the general tool on two CubeGraphs: it reads each into neighbour lists
+once (_read_graph) and runs the exact individualization-refinement search
+of latcut.poset from the vertices' degree ranks.
 
 Deleting element n from Z_{m+n-2} splits it into two smaller fences, and the
 induced convex expansion turns that into the identity
@@ -140,16 +144,22 @@ class CubeGraph:
 
 
 def _cube_from_strings(strings):
-    verts = sorted(strings)
-    have = set(verts)
+    """The Hamming-distance-1 graph on equal-length binary strings.  Each
+    string is read as an int, and each of its zero bits is set in turn and
+    looked up among the ints: setting a 0 to a 1 gives a string that sorts
+    after its own, so every edge comes out as (u, v) with u < v."""
+    name = {int(s or "0", 2): s for s in strings}
+    full = (1 << len(strings[0])) - 1 if strings else 0
     edges = []
-    for s in verts:
-        for i, c in enumerate(s):
-            if c == "0":
-                t = s[:i] + "1" + s[i + 1:]
-                if t in have:
-                    edges.append((s, t) if s < t else (t, s))
-    return CubeGraph(vertices=tuple(verts), edges=tuple(sorted(edges)))
+    for v, s in name.items():
+        free = full & ~v
+        while free:
+            low = free & -free
+            free ^= low
+            t = name.get(v | low)
+            if t is not None:
+                edges.append((s, t))
+    return CubeGraph(vertices=tuple(sorted(strings)), edges=tuple(sorted(edges)))
 
 
 def _no_adjacent_ones(n):
@@ -196,11 +206,14 @@ def cover_cube(lat):
 
     Covers in a filter lattice drop exactly one element, so this really is a
     Hamming-distance-1 graph on strings of length |base|; the empty base's
-    one filter is the empty string.
+    one filter is the empty string.  An upper cover F - y of F has a 0
+    where F has a 1, so its string sorts first: each edge is read off
+    ``up_covers`` as (string of F - y, string of F).
     """
     names = [lat.bitstring(a) if lat.base.n else "" for a in range(lat.size)]
     return CubeGraph(vertices=tuple(sorted(names)), edges=tuple(sorted(
-        tuple(sorted((names[a], names[b]))) for a, b in lat.covering_graph())))
+        [(names[b], s) for s, covs in zip(names, lat.up_covers)
+         for b in covs])))
 
 
 def _zigzag_translate(g):
@@ -208,25 +221,33 @@ def _zigzag_translate(g):
     position): a map that keeps Hamming distance, so equality with a model
     cube is an isomorphism with the map in hand."""
     n = len(g.vertices[0])
-    mask = ("10" * n)[:n]
-    moved = {s: "".join("01"[a != b] for a, b in zip(s, mask))
+    mask = int(("10" * n)[:n] or "0", 2)
+    top = 1 << n
+    moved = {s: format(int(s or "0", 2) ^ mask | top, "b")[1:]
              for s in g.vertices}
+    edges = []
+    for u, v in g.edges:
+        u, v = moved[u], moved[v]
+        edges.append((u, v) if u < v else (v, u))
     return CubeGraph(vertices=tuple(sorted(moved.values())),
-                     edges=tuple(sorted(tuple(sorted((moved[u], moved[v])))
-                                        for u, v in g.edges)))
+                     edges=tuple(sorted(edges)))
 
 
 def _read_graph(g):
-    """Index the vertices of CubeGraph ``g`` as 0..n-1; returns (adjacency
-    sets, edge count).  Parallel and reversed edges count once, as in a
-    simple graph."""
+    """Index the vertices of CubeGraph ``g`` as 0..n-1; returns (neighbour
+    lists, edge count).  Each edge becomes its (lower, higher) index pair,
+    so parallel and reversed edges count once, as in a simple graph, and
+    the lists are built from the distinct pairs."""
     index = {x: i for i, x in enumerate(g.vertices)}
-    pairs = [(index[u], index[v]) for u, v in g.edges]
-    adj = [set() for _ in g.vertices]
+    pairs = set()
+    for u, v in g.edges:
+        a, b = index[u], index[v]
+        pairs.add((a, b) if a < b else (b, a))
+    adj = [[] for _ in g.vertices]
     for a, b in pairs:
-        adj[a].add(b)
-        adj[b].add(a)
-    return adj, len({frozenset(p) for p in pairs})
+        adj[a].append(b)
+        adj[b].append(a)
+    return adj, len(pairs)
 
 
 def graph_isomorphic(g, h):
@@ -235,9 +256,11 @@ def graph_isomorphic(g, h):
     Beyond GRAPH_ISO_CAP vertices in either graph it raises CapacityExceeded
     before any search; different vertex counts, edge counts or degree
     sequences return False at once.  Otherwise it runs the
-    individualization-refinement search of latcut.poset (_search) from one
-    colour for every vertex, so a True carries an explicit edge-preserving
-    vertex map and a False follows an exhaustive search.
+    individualization-refinement search of latcut.poset (_search) with each
+    vertex coloured by the rank of its degree among the graphs' degrees.
+    Every isomorphism keeps degrees, so the search loses no map by starting
+    there; a True carries an explicit edge-preserving vertex map and a
+    False follows an exhaustive search.
     """
     adj_g, m_g = _read_graph(g)
     adj_h, m_h = _read_graph(h)
@@ -247,9 +270,12 @@ def graph_isomorphic(g, h):
             "graph isomorphism capped at %d vertices" % GRAPH_ISO_CAP)
     if n != len(adj_h) or m_g != m_h:
         return False
-    if sorted(map(len, adj_g)) != sorted(map(len, adj_h)):
+    deg_g, deg_h = list(map(len, adj_g)), list(map(len, adj_h))
+    if sorted(deg_g) != sorted(deg_h):
         return False
-    return _search(adj_g, adj_h, [0] * n, [0] * n) is not None
+    rank = {d: c for c, d in enumerate(sorted(set(deg_g)))}
+    return _search(adj_g, adj_h, [rank[d] for d in deg_g],
+                   [rank[d] for d in deg_h]) is not None
 
 
 # -- decomposition reports --------------------------------------------------------

@@ -7,10 +7,10 @@ below.  Subsets handed in and out of the API (filters, antichains, boundary
 sets) are plain int bitmasks over these indices; see :mod:`latcut.bits`.
 
 Isomorphism is decided by the one individualization-refinement search of
-the package (_search), on graphs given as neighbour sets and starting
+the package (_search), on graphs given as neighbour lists and starting
 colours: poset_isomorphism runs it on the cover graphs, coloured by
-(|down|, |up|), and latcut.families.graph_isomorphic on uncoloured
-CubeGraphs.  Its colour refinement (_refine) splits cells by their
+(|down|, |up|), and latcut.families.graph_isomorphic on CubeGraphs,
+coloured by degree.  Its colour refinement (_refine) splits cells by their
 neighbour counts in one splitter cell at a time, in both graphs at once, so
 a search node that individualizes a vertex pays for the splits that follow
 from that one vertex, not for a re-sort of every vertex's neighbour
@@ -537,12 +537,14 @@ def _count_parts(adj, colour, splitter, tally):
 def _leaf_map(adj_g, adj_h, cg, ch):
     """At a discrete colouring, map each vertex of g to the vertex of h with
     its colour; returns that map as a list if every edge of g lands on an
-    edge of h, else None."""
+    edge of h, else None.  h's neighbours are read into sets here, once per
+    leaf, and every edge of g is looked up in them."""
     vertex_of = [0] * len(ch)
     for w, c in enumerate(ch):
         vertex_of[c] = w
     f = [vertex_of[c] for c in cg]
-    if all(f[b] in adj_h[f[a]] for a, nbrs in enumerate(adj_g) for b in nbrs):
+    near_h = list(map(set, adj_h))
+    if all(f[b] in near_h[f[a]] for a, nbrs in enumerate(adj_g) for b in nbrs):
         return f
     return None
 
@@ -605,11 +607,12 @@ def _profile(p):
 
 
 def _cover_graph(p):
-    """The covers of p as an undirected graph: one neighbour set per element."""
-    adj = [set() for _ in range(p.n)]
+    """The covers of p as an undirected graph: one neighbour list per
+    element."""
+    adj = [[] for _ in range(p.n)]
     for i, j in p.cover_masks():
-        adj[i].add(j)
-        adj[j].add(i)
+        adj[i].append(j)
+        adj[j].append(i)
     return adj
 
 

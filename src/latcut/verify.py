@@ -19,15 +19,19 @@ rank-recurrence and q-d-recurrences are the public checks of
 latcut.invariants, which return None when their identity holds and the
 failure detail otherwise.  A topic runs only its own rows, so only
 cutting-equivalence votes.  A row or vote that raises AssertionError fails
-with the message, and the pass goes on.  A pooled lattice too large for the
-vote or its expansions is refused before either, and before its cuttings
-are listed when the 2|L| - 1 that hold its bottom or top already make it
-too large; a pooled poset past the filter cap, here or in birkhoff and
-random, is refused by its tag.
+with the message, one that raises anything else fails with ``raised
+<type>: <message>``, an expansion that raises fails every row that would
+read it, and the pass goes on; only CapacityExceeded stops it, as a
+refusal.  A pooled lattice too large for the vote or its expansions is
+refused before either, and before its cuttings are listed when the
+2|L| - 1 that hold its bottom or top already make it too large; a pooled
+poset past the filter cap, here or in birkhoff and random, is refused by
+its tag.
 
 The fibonacci and lucas suites print the detail of each failing
-FamilyReport, or the message of a case that raises AssertionError, and go
-on; lucas adds ``cube=False`` when a covering graph is not its Lucas cube.
+FamilyReport, or that of a case that raises, and go on; lucas adds
+``cube=False`` when a covering graph is not its Lucas cube, and cubes
+fails a case whose graph is not its model or whose check raises.
 These three family suites take ``--max`` alone, and the others
 ``--trials``, ``--max-size`` and ``--seed``; ``run_suite`` refuses the rest,
 and ``--max-size 0`` unless ``--trials`` is 0.
@@ -206,22 +210,37 @@ _CUTTING_TOPICS = ("cutting-equivalence",) + tuple(
     topic for topic, _, _ in _CUTTING_ROWS + _LATTICE_ROWS)
 
 
-def _detail(check, *args):
-    """check(*args): None, or the detail of a failure.  A check that raises
-    AssertionError (a q census that disagrees with its interval scan) fails
-    with the message."""
+def _attempt(check, *args):
+    """(check(*args), None), or (None, the detail of its failure) when the
+    check raises: the message of an AssertionError (a q census that
+    disagrees with its interval scan, four cutting criteria that disagree),
+    else ``raised <type>: <message>``.  CapacityExceeded refuses the input
+    rather than failing a check, and goes through."""
     try:
-        return check(*args)
+        return check(*args), None
+    except CapacityExceeded:
+        raise
     except AssertionError as e:
-        return str(e)
+        return None, str(e) or "raised AssertionError"
+    except Exception as e:
+        return None, "raised %s: %s" % (type(e).__name__, e)
 
 
-def _run_rows(results, rows, p, where, *args):
-    """Each row's check(*args); ``where()`` names the place of a failure."""
+def _detail(check, *args):
+    """check(*args): None, or the detail of a failure, a raise included
+    (_attempt)."""
+    detail, fault = _attempt(check, *args)
+    return fault or detail
+
+
+def _run_rows(results, rows, p, where, *args, fault=None):
+    """Each row's check(*args), or the detail ``fault`` of a failure that
+    kept every row from running; ``where()`` names the place of a
+    failure."""
     for topic, what, check in rows:
         res = results[topic]
         res.checks += 1
-        detail = _detail(check, *args)
+        detail = fault or _detail(check, *args)
         if detail is not None:
             res.add_failure(p, "%s (%s)" % (what, where()), detail)
 
@@ -249,13 +268,13 @@ def _vote(res, p, lat, tag, listed):
     for a in range(lat.size):
         for b in iter_bits(above[a]):
             res.checks += 1
-            try:
-                if is_cutting(lat, (a, b)):
-                    found.append((a, b))
-            except AssertionError as e:
+            cut, fault = _attempt(is_cutting, lat, (a, b))
+            if fault is not None:
                 res.add_failure(p, "methods disagree on [%s,%s] (%s)"
                                 % (lat.bitstring(a), lat.bitstring(b), tag),
-                                str(e))
+                                fault)
+            elif cut:
+                found.append((a, b))
     if listed != found:
         missing, extra = (
             [(lat.bitstring(a), lat.bitstring(b)) for a, b in sorted(s)]
@@ -293,10 +312,16 @@ def run_cutting_suite(trials=200, max_size=7, seed=1, exhaustive_max=5,
         if lattice_rows or cutting_rows:
             _run_rows(results, lattice_rows, p, lambda: tag, lat)
             for a, b in listed:
-                exp = expand_poset(lat, (a, b))
-                _run_rows(results, cutting_rows, p,
-                          lambda: "%s interval %s,%s" % (
-                              tag, lat.bitstring(a), lat.bitstring(b)), exp)
+                def where():
+                    return "%s interval %s,%s" % (
+                        tag, lat.bitstring(a), lat.bitstring(b))
+                exp, fault = _attempt(expand_poset, lat, (a, b))
+                if fault is not None:
+                    # No expansion: every row that would read it fails.
+                    _run_rows(results, cutting_rows + lattice_rows, p, where,
+                              fault=fault)
+                    continue
+                _run_rows(results, cutting_rows, p, where, exp)
                 _run_rows(results, lattice_rows, exp.poset,
                           lambda: tag + " expanded", exp.lattice)
     elapsed = time.perf_counter() - t0
@@ -352,10 +377,10 @@ def verify_lucas(max_two_n=10):
     for n in range(2, max_two_n // 2 + 1):
         lat = filter_lattice(crown(2 * n))
         res.checks += 1
-        cube_ok = _zigzag_translate(cover_cube(lat)) == lucas_cube(2 * n)
         detail = " ".join(filter(None, (
             _detail(lambda: verify_lucas_decomposition(n).detail),
-            None if cube_ok else "cube=False")))
+            _detail(lambda: None if _zigzag_translate(cover_cube(lat))
+                    == lucas_cube(2 * n) else "cube=False"))))
         res.lines.append("n=%d,size=%d,%s" % (
             n, lat.size, "FAIL" if detail else "ok"))
         if detail:
@@ -363,6 +388,14 @@ def verify_lucas(max_two_n=10):
                             detail)
     res.elapsed = time.perf_counter() - t0
     return res
+
+
+def _cube_check(p, model, k, count):
+    """The vertex count of p's covering graph, and whether it has ``count``
+    vertices and the zigzag translation makes it the cube model(k)."""
+    g = cover_cube(filter_lattice(p))
+    return g.vertex_count, (g.vertex_count == count
+                            and _zigzag_translate(g) == model(k))
 
 
 def verify_cubes(max_fence=9):
@@ -380,13 +413,13 @@ def verify_cubes(max_fence=9):
                  "lucas cube mismatch at 2n=%d")
                 for k in range(4, max_crown + 1, 2)])
     for p, model, k, count, name, mismatch in cases:
-        g = cover_cube(filter_lattice(p))
         res.checks += 1
-        ok = g.vertex_count == count and _zigzag_translate(g) == model(k)
-        res.lines.append("%s,vertices=%d,%s"
-                         % (name % k, g.vertex_count, "ok" if ok else "FAIL"))
+        got, fault = _attempt(_cube_check, p, model, k, count)
+        vertices, ok = got or ("?", False)
+        res.lines.append("%s,vertices=%s,%s"
+                         % (name % k, vertices, "ok" if ok else "FAIL"))
         if not ok:
-            res.add_failure(p, mismatch % k)
+            res.add_failure(p, mismatch % k, fault or "")
     res.elapsed = time.perf_counter() - t0
     return res
 

@@ -9,7 +9,7 @@ import random
 from itertools import combinations, permutations
 from math import comb
 
-from latcut import poset_from_covers
+from latcut import CubeGraph, poset_from_covers
 
 
 def relation(p):
@@ -341,3 +341,39 @@ def random_poset_masks(seed, n_max):
                 up[i] |= up[j]
     down = [sum(1 << i for i in range(n) if up[i] >> j & 1) for j in range(n)]
     return tuple(up), tuple(down)
+
+
+def cube_by_slicing(strings):
+    """The Hamming-distance-1 graph on equal-length binary strings: every
+    "0" of every string is set to "1" by slicing, and the result looked up
+    among the strings; each edge sorted, as a CubeGraph."""
+    verts = sorted(strings)
+    have = set(verts)
+    edges = []
+    for s in verts:
+        for i, c in enumerate(s):
+            if c == "0":
+                t = s[:i] + "1" + s[i + 1:]
+                if t in have:
+                    edges.append((s, t) if s < t else (t, s))
+    return CubeGraph(vertices=tuple(verts), edges=tuple(sorted(edges)))
+
+
+def cover_cube_by_sorting(lat):
+    """The covering graph of ``lat`` on filter bitstrings ("" for the empty
+    base), from ``covering_graph``, each edge's two strings sorted."""
+    names = [lat.bitstring(a) if lat.base.n else "" for a in range(lat.size)]
+    return CubeGraph(vertices=tuple(sorted(names)), edges=tuple(sorted(
+        tuple(sorted((names[a], names[b]))) for a, b in lat.covering_graph())))
+
+
+def zigzag_translate_by_chars(g):
+    """``g`` with every string XORed, character by character, with
+    "1010..."; each edge sorted again."""
+    n = len(g.vertices[0])
+    mask = ("10" * n)[:n]
+    moved = {s: "".join("01"[a != b] for a, b in zip(s, mask))
+             for s in g.vertices}
+    return CubeGraph(vertices=tuple(sorted(moved.values())),
+                     edges=tuple(sorted(tuple(sorted((moved[u], moved[v])))
+                                        for u, v in g.edges)))

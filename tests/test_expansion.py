@@ -396,6 +396,50 @@ def test_planted_builder_bug_is_caught(capsys, monkeypatch):
     assert "interval scan [2, 1] disagrees with census [2]" in out
 
 
+
+def plant_dropped_last_pair(monkeypatch):
+    """A builder bug that raises: expansion builds its lattice from every
+    (F, min F) pair but the last, so a filter it then looks up is missing."""
+    import latcut.expansion as ex
+
+    real = ex.DistLattice
+    monkeypatch.setattr(ex, "DistLattice",
+                        lambda base, pairs: real(base, pairs[:-1]))
+
+
+def plant_compress_off_by_one(monkeypatch):
+    """x's interval in P - x, with bit i kept where it should move down, so
+    the derived interval need not be a cutting, nor even two filters."""
+    import latcut.expansion as ex
+
+    def compress(p, i):
+        low = (1 << i + 1) - 1
+        return tuple(m & low | m >> 1 & ~low
+                     for m in (p.full_mask & ~(1 << i) & ~p.down[i], p.up[i]))
+
+    monkeypatch.setattr(ex, "_x_interval", compress)
+
+
+@pytest.mark.parametrize("plant,argv,head,raised", [
+    (plant_dropped_last_pair,
+     ["verify", "expansion-counts", "--trials", "0", "--max-size", "2"],
+     "suite expansion-counts: 17 checks, 17 FAILURES",
+     "raised KeyError: "),
+    (plant_compress_off_by_one, ["verify", "fibonacci"],
+     "suite fibonacci: 120 checks, ", "raised NotACutting: "),
+], ids=["dropped-pair", "compress"])
+def test_a_check_that_raises_is_a_failing_instance(plant, argv, head, raised,
+                                                   capsys, monkeypatch):
+    """A fault that makes a check raise fails that poset with ``raised
+    <type>: <message>``, the suite goes on, and the run exits 1 with
+    nothing on stderr."""
+    plant(monkeypatch)
+    assert cli_run(argv) == 1
+    out, err = capsys.readouterr()
+    assert out.startswith(head) and "FAILURES" in out.splitlines()[0]
+    assert "\nFAIL %s: " % argv[1] in out and raised in out
+    assert err == ""
+
 # -- decomposition ------------------------------------------------------------------
 
 

@@ -490,6 +490,106 @@ def test_cover_cube_edges_match_naive_covers():
     assert set(g.edges) == want
 
 
+
+def test_cube_builders_equal_their_string_oracles():
+    """The int builders of the cubes, the covering graphs and the zigzag
+    translation against the string builders they replaced."""
+    for n in range(13):
+        lat = filter_lattice(fence(n))
+        g = cover_cube(lat)
+        assert g == oracles.cover_cube_by_sorting(lat), n
+        assert _zigzag_translate(g) == oracles.zigzag_translate_by_chars(g)
+        assert fibonacci_cube(n) == oracles.cube_by_slicing(
+            families._no_adjacent_ones(n)), n
+    for two_n in range(4, 13, 2):
+        lat = filter_lattice(crown(two_n))
+        g = cover_cube(lat)
+        assert g == oracles.cover_cube_by_sorting(lat), two_n
+        assert _zigzag_translate(g) == oracles.zigzag_translate_by_chars(g)
+        assert lucas_cube(two_n) == oracles.cube_by_slicing(
+            [s for s in families._no_adjacent_ones(two_n)
+             if not s[0] == s[-1] == "1"]), two_n
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=6).flatmap(
+    lambda n: st.sets(st.text("01", min_size=n, max_size=n), min_size=1)))
+def test_cube_from_strings_on_any_set_of_strings(strings):
+    assert (families._cube_from_strings(list(strings))
+            == oracles.cube_by_slicing(strings))
+
+
+def test_read_graph_counts_parallel_and_reversed_edges_once():
+    g = _graph([("a", "b"), ("b", "a"), ("a", "b"), ("c", "b")])
+    adj, edges = families._read_graph(g)
+    assert (list(map(sorted, adj)), edges) == ([[1], [0, 2], [1]], 2)
+    assert graph_isomorphic(g, _graph([("x", "y"), ("y", "z")]))
+
+def test_graph_isomorphic_starts_from_the_degree_ranks(monkeypatch):
+    """Each vertex starts with the rank of its degree among the degrees of
+    both graphs: a path a-b-c-d against its copy listed from the middle."""
+    seen, search = [], families._search
+    monkeypatch.setattr(families, "_search", lambda *args: seen.append(
+        args[2:]) or search(*args))
+    path = _graph([("a", "b"), ("b", "c"), ("c", "d")])
+    copy = _graph([("b", "c"), ("b", "a"), ("d", "c")], "bcad")
+    assert graph_isomorphic(path, copy)
+    assert seen == [([0, 1, 1, 0], [1, 1, 0, 0])]
+
+
+@pytest.mark.parametrize("kind,k,calls_max,visits_max", [
+    ("fence", 12, 2, 94_176), ("crown", 12, 5, 192_240)])
+def test_cube_search_work_is_bounded(kind, k, calls_max, visits_max,
+                                     monkeypatch):
+    """A work ledger for graph_isomorphic on the covering graph of F(fence
+    (12)) against the Fibonacci cube (n = 377 vertices, m = 1,308 edges)
+    and of F(crown(12)) against the Lucas cube (n = 322, m = 1,068).
+
+    Calls.  The first _refine starts from the degree ranks, and each
+    further one follows one individualization.  On these graphs the
+    refined cells are the orbits of the automorphisms that fix the
+    vertices individualized so far, so the first candidate of every cell
+    extends to an isomorphism, the search never backtracks, and each
+    individualization divides the order of that group by its cell's size,
+    at least 2.  So calls <= 1 + floor(log2 |Aut|): the Fibonacci cube's
+    automorphisms are the identity and the reversal of the strings (2
+    calls), and the Lucas cube's the 24 rotations and reflections of the
+    cyclic strings (1 + floor(log2 24) = 5 calls).
+
+    Pops.  A pop takes one pushed colour; a refinement pushes its starting
+    colours, or the one fresh colour, and then one colour for each colour
+    it creates.  A path that ends in a discrete colouring without
+    backtracking therefore pops exactly n colours in each graph.
+
+    Neighbour visits.  In one refinement a vertex's neighbours are read
+    once for each popped cell that holds it.  It is popped at most once
+    from the starting stack; every later push puts it in a part that is
+    not the largest of its split cell, so into at most half that cell, at
+    most floor(log2 n) = 8 times.  Over both graphs and every call, visits
+    <= calls * 2 * 2m * 9: 2 * 5,232 * 9 = 94,176 and 5 * 4,272 * 9 =
+    192,240.  Measured: 8,308 and 13,008."""
+    calls, pops, visits = [0], [0], [0]
+    refine, count_parts = poset._refine, poset._count_parts
+
+    def counting_refine(*args):
+        calls[0] += 1
+        return refine(*args)
+
+    def counting_parts(adj, colour, splitter, tally):
+        pops[0] += 1
+        visits[0] += sum(len(adj[u]) for u in splitter)
+        return count_parts(adj, colour, splitter, tally)
+
+    monkeypatch.setattr(poset, "_refine", counting_refine)
+    monkeypatch.setattr(poset, "_count_parts", counting_parts)
+    p, model = ((fence(k), fibonacci_cube(k)) if kind == "fence"
+                else (crown(k), lucas_cube(k)))
+    g = cover_cube(filter_lattice(p))
+    assert graph_isomorphic(g, model)
+    assert calls[0] <= calls_max
+    assert pops[0] == 2 * g.vertex_count
+    assert visits[0] <= visits_max
+
 # -- deletion identities --------------------------------------------------------------
 
 

@@ -10,7 +10,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import latcut
@@ -891,12 +891,22 @@ def _argv(draw):
     return argv
 
 
+# The zigzag b < a, b < c, whose intervals [100, 100] and [001, 001] are
+# the two that some maximal chain avoids.
+_Z3_TEXT = "element a b c\ncover b a\ncover b c\n"
+
+
 @settings(max_examples=200, deadline=None)
 @given(_argv(), _POSET_TEXT)
+@example(["cutting", "-", "--bottom", "100", "--top", "100"], _Z3_TEXT)
+@example(["cutting", "-", "--bottom", "001", "--top", "001"], _Z3_TEXT)
 def test_fuzz_cli_exits_cleanly(argv, stdin_text):
     """No exception escapes ``cli_run``.  Bad input is exit 2 with one
     message on stderr; exit 1 would mean that a verified property failed,
-    which these small inputs must never do."""
+    which these small inputs must never do.  The two examples run on every
+    run: ``cutting`` on an interval that is not a cutting, where all four
+    criteria must say no (the star criterion through the candidate
+    expansion's transitivity test)."""
     out, err = io.StringIO(), io.StringIO()
     saved = sys.stdin
     sys.stdin = io.StringIO(stdin_text)
