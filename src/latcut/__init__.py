@@ -13,8 +13,8 @@ claims.
 """
 
 from .bits import iter_bits, mask_of
-from .catalog import (all_labeled_posets, natural_posets, posets_up_to_iso,
-                      random_poset, trial_seed)
+from .catalog import (all_labeled_posets, posets_up_to_iso, random_poset,
+                      trial_seed)
 from .errors import (CapacityExceeded, CycleDetected, DuplicateLabel,
                      InvalidInterval, LatcutError, NotACutting, OddSize,
                      ParseError, UnknownLabel)
@@ -46,8 +46,7 @@ __all__ = [
     # bits
     "iter_bits", "mask_of",
     # catalog
-    "all_labeled_posets", "natural_posets", "posets_up_to_iso",
-    "random_poset", "trial_seed",
+    "all_labeled_posets", "posets_up_to_iso", "random_poset", "trial_seed",
     # errors
     "CapacityExceeded", "CycleDetected", "DuplicateLabel", "InvalidInterval",
     "LatcutError", "NotACutting", "OddSize", "ParseError", "UnknownLabel",

@@ -1,94 +1,82 @@
 """Exhaustive and seeded-random poset sources for the verification suites.
 
-Exhaustive layers:
-  natural_posets(n)    strict orders contained in the integer order 1 < .. < n
-  all_labeled_posets(n)    every partial order on n labelled points
+Exhaustive layers, grown one point at a time by convex expansion:
+  all_labeled_posets(n)    every partial order on the labels 1..n
   posets_up_to_iso(n)      one representative per isomorphism class
 
-Every poset has a linear extension, so each isomorphism class contains a
-naturally labelled member; relabelling the natural ones by all permutations
-and deduplicating gives the labelled count (1, 1, 3, 19, 219, 4231, ...),
-while keeping one natural poset per isomorphism class, by pairwise
-isomorphism tests, gives the class count (1, 1, 2, 5, 16, 63, 318).
+Read backwards, the decomposition says that every poset Q on n + 1 points
+is Q - x expanded at the cutting F(Q * x).  So the extensions of P by a
+last point n + 1 are its expansions at the cuttings of F(P), one each.
+Extending every labelled poset on n - 1 points gives each on n once (1, 1,
+3, 19, 219, 4231, 130023 for n = 0..6); extending one poset per class and
+dropping isomorphic candidates gives one per class (1, 1, 2, 5, 16, 63,
+318, 2045 for n = 0..7), most of them not naturally labelled.
 
 random_poset draws the size, then one edge probability for the whole poset,
 then upper-triangle relations i < j, and transitively closes.  Everything is
-driven by random.Random(seed), so a seed pins the poset down exactly.
+driven by random.Random(seed), so a seed pins the poset down exactly; a
+size past _DRAW_BOUND relation draws is refused before any is drawn.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import permutations
 
-from .bits import iter_bits, mask_of
+from .errors import CapacityExceeded
+from .expansion import _candidate_expansion, cuttings
+from .lattice import IntervalRef, filter_lattice
 from .poset import Poset, _profile, poset_isomorphic
 
 _ENUM_LIMIT = 7
+# n(n - 1)/2 relation draws at most: a random poset has up to 4096 elements.
+_DRAW_BOUND = 1 << 23
 
 
-def _labels(n):
-    return [str(i) for i in range(1, n + 1)]
+def _extensions(p):
+    """Every one-point extension of ``p``: its expansion at each cutting
+    of F(P), the new point last with the label n + 1.  ``cuttings`` lists
+    only cuttings, so no candidate is None."""
+    lat = filter_lattice(p)
+    label = str(p.n + 1)
+    for a, b in cuttings(lat):
+        yield _candidate_expansion(lat, IntervalRef(a, b), label)
 
 
-def natural_posets(n):
-    """Up-mask tuples of every strict order with i < j only for i < j as ints.
-
-    Scans the 2^C(n,2) upper-triangle relations and keeps the transitive
-    ones; fine through n = 7, guarded beyond.
-    """
+def _grow(n, step):
+    """``step`` applied n times to the level of the empty poset."""
     if n < 0:
         raise ValueError("negative size")
     if n > _ENUM_LIMIT:
         raise ValueError("exhaustive enumeration capped at %d elements" % _ENUM_LIMIT)
-    if n == 0:
-        return [()]
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    level = [Poset((), (), _trusted=True)]
+    for _ in range(n):
+        level = step(level)
+    return level
+
+
+def _new_classes(level):
+    """One extension per class.  Each candidate is tested with
+    poset_isomorphic only against the kept ones that share its sorted
+    (|down|, |up|) profile."""
+    reps = {}
     out = []
-    for bits in range(1 << len(pairs)):
-        up = [0] * n
-        for t, (i, j) in enumerate(pairs):
-            if bits >> t & 1:
-                up[i] |= 1 << j
-        if all(up[j] & ~up[i] == 0
-               for i in range(n) for j in iter_bits(up[i])):
-            out.append(tuple(up))
+    for p in level:
+        for q in _extensions(p):
+            bucket = reps.setdefault(tuple(sorted(_profile(q))), [])
+            if not any(poset_isomorphic(q, r) for r in bucket):
+                bucket.append(q)
+                out.append(q)
     return out
 
 
 def all_labeled_posets(n):
     """Every partial order on labels 1..n, as Poset objects."""
-    base = natural_posets(n)
-    seen = set()
-    labels = _labels(n)
-    out = []
-    for up in base:
-        for perm in permutations(range(n)):
-            relabeled = [0] * n
-            for i in range(n):
-                relabeled[perm[i]] = mask_of(perm[j] for j in iter_bits(up[i]))
-            key = tuple(relabeled)
-            if key not in seen:
-                seen.add(key)
-                out.append(Poset(labels, key, _trusted=True))
-    return out
+    return _grow(n, lambda level: [q for p in level for q in _extensions(p)])
 
 
 def posets_up_to_iso(n):
-    """One representative per isomorphism class of n-element posets: the
-    first natural poset of each class.  Each poset is tested with
-    poset_isomorphic only against the representatives that share its
-    sorted (|down|, |up|) profile."""
-    labels = _labels(n)
-    reps = {}
-    out = []
-    for up in natural_posets(n):
-        p = Poset(labels, up, _trusted=True)
-        bucket = reps.setdefault(tuple(sorted(_profile(p))), [])
-        if not any(poset_isomorphic(p, r) for r in bucket):
-            bucket.append(p)
-            out.append(p)
-    return out
+    """One representative per isomorphism class of n-element posets."""
+    return _grow(n, _new_classes)
 
 
 def random_poset(seed, n_max):
@@ -98,12 +86,17 @@ def random_poset(seed, n_max):
     near-chains, near-antichains and everything between.  Each row of drawn
     relations is collected as bytes and read into its int once, so a dense
     draw costs about its n^2/2 ``rng.random()`` calls, not an n-bit OR per
-    relation.
+    relation.  Raises CapacityExceeded, naming the seed and the size, when
+    those calls would pass _DRAW_BOUND (more than 4096 elements).
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     rng = random.Random(seed)
     n = rng.randint(1, n_max)
+    if n * (n - 1) // 2 > _DRAW_BOUND:
+        raise CapacityExceeded(
+            "random poset seed=%d draws %d elements: %d relation draws, "
+            "more than %d" % (seed, n, n * (n - 1) // 2, _DRAW_BOUND))
     density = rng.random()
     rand = rng.random
     up = []
@@ -121,7 +114,8 @@ def random_poset(seed, n_max):
             m |= reached
             todo &= ~(reached | low)
         up[i] = m
-    return Poset(_labels(n), tuple(up), _trusted=True, _down=_transpose(up))
+    return Poset([str(i) for i in range(1, n + 1)], tuple(up), _trusted=True,
+                 _down=_transpose(up))
 
 
 # Bytes 0 and 1 as the digits "0" and "1", and back.

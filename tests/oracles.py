@@ -32,14 +32,32 @@ def canonical_key(p):
     return p.n, tuple(best)
 
 
-def classes_by_key(posets):
-    """The first poset of each class of equal canonical_key, in order."""
-    seen, out = set(), []
-    for p in posets:
-        key = canonical_key(p)
-        if key not in seen:
-            seen.add(key)
-            out.append(p)
+def natural_posets(n):
+    """Up-mask tuples of every strict order on 0..n-1 that holds i < j only
+    for i < j as ints: a scan of all 2^C(n,2) upper-triangle relation sets
+    that keeps the transitive ones."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    out = []
+    for bits in range(1 << len(pairs)):
+        rel = {pair for t, pair in enumerate(pairs) if bits >> t & 1}
+        if all((a, d) in rel for a, b in rel for c, d in rel if b == c):
+            out.append(tuple(sum(1 << j for j in range(n) if (i, j) in rel)
+                             for i in range(n)))
+    return out
+
+
+def labeled_posets(n):
+    """Up-mask tuples of every strict order on 0..n-1: each natural one
+    renamed by every permutation, repeats dropped.  Every order has a
+    linear extension, so every order is reached."""
+    out = set()
+    for up in natural_posets(n):
+        for perm in permutations(range(n)):
+            renamed = [0] * n
+            for i in range(n):
+                renamed[perm[i]] = sum(1 << perm[j] for j in range(n)
+                                       if up[i] >> j & 1)
+            out.add(tuple(renamed))
     return out
 
 

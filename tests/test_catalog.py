@@ -1,33 +1,60 @@
 """Exhaustive poset catalogs and the seeded random poset stream."""
 
 import oracles
-from latcut import (Poset, all_labeled_posets, natural_posets,
+import pytest
+from latcut import (CapacityExceeded, Poset, all_labeled_posets,
                     posets_up_to_iso, random_poset, trial_seed)
 
 
 def test_natural_poset_counts():
-    assert [len(natural_posets(n)) for n in range(7)] == [1, 1, 2, 7, 40, 357,
-                                                          4824]
+    """The oracle scan itself: the naturally labelled orders."""
+    assert [len(oracles.natural_posets(n)) for n in range(7)] == [
+        1, 1, 2, 7, 40, 357, 4824]
 
 
 def test_labeled_poset_counts():
-    assert [len(all_labeled_posets(n)) for n in range(6)] == [1, 1, 3, 19, 219,
-                                                              4231]
+    """That many distinct orders, none repeated."""
+    for n, count in enumerate([1, 1, 3, 19, 219, 4231, 130023]):
+        ups = [p.up for p in all_labeled_posets(n)]
+        assert len(set(ups)) == len(ups) == count
+
+
+def test_labeled_posets_match_the_relabelling_oracle():
+    for n in range(6):
+        assert ({p.up for p in all_labeled_posets(n)}
+                == oracles.labeled_posets(n))
 
 
 def test_isomorphism_class_counts():
-    assert [len(posets_up_to_iso(n)) for n in range(7)] == [1, 1, 2, 5, 16, 63,
-                                                            318]
+    assert [len(posets_up_to_iso(n)) for n in range(8)] == [1, 1, 2, 5, 16, 63,
+                                                            318, 2045]
 
 
 def test_class_representatives_match_the_canonical_key_oracle():
-    """The same representatives, poset for poset: the first natural poset
-    of each class."""
+    """One representative per class: pairwise distinct canonical keys that
+    cover every class of the natural oracle scan."""
     for n in range(6):
         labels = [str(i) for i in range(1, n + 1)]
-        natural = [Poset(labels, up, _trusted=True) for up in natural_posets(n)]
-        assert ([p.up for p in posets_up_to_iso(n)]
-                == [p.up for p in oracles.classes_by_key(natural)])
+        keys = [oracles.canonical_key(p) for p in posets_up_to_iso(n)]
+        assert len(set(keys)) == len(keys)
+        assert set(keys) == {oracles.canonical_key(Poset(labels, up,
+                                                         _trusted=True))
+                             for up in oracles.natural_posets(n)}
+
+
+def test_class_representatives_meet_non_natural_index_orders():
+    """The new point of an extension goes last, so the exhaustive layer
+    holds posets whose index order is not a linear extension."""
+    for n in range(2, 7):
+        assert any(p.up[i] & ((2 << i) - 1)
+                   for p in posets_up_to_iso(n) for i in range(p.n))
+
+
+@pytest.mark.parametrize("n", [-1, 8])
+def test_exhaustive_layers_refuse_a_size_out_of_range(n):
+    for enumerate_ in (all_labeled_posets, posets_up_to_iso):
+        with pytest.raises(ValueError):
+            enumerate_(n)
 
 
 def test_labeled_posets_are_distinct_orders():
@@ -70,3 +97,11 @@ def test_random_poset_matches_the_full_closure_oracle():
         for seed in range(300):
             p = random_poset(seed, n_max)
             assert (p.up, p.down) == oracles.random_poset_masks(seed, n_max)
+
+
+def test_random_poset_refuses_a_draw_past_the_work_bound():
+    """n(n - 1)/2 relation draws are allowed up to 2^23, so up to 4096
+    elements; the refusal comes after the size is drawn and names it."""
+    with pytest.raises(CapacityExceeded, match=r"seed=2000006 draws 14031 "
+                       r"elements: 98427465 relation draws, more than 8388608"):
+        random_poset(2000006, 16384)

@@ -114,7 +114,10 @@ def test_birkhoff_suite_checks_the_kernel_against_the_scan(monkeypatch):
     monkeypatch.setattr(Poset, "filters_with_minima", duplicate_bottom)
     res = verify_birkhoff(trials=0)
     assert not res.ok
-    assert "differs from the subset scan" in res.failures[0][1]
+    # Some 3-element posets fail the round trip first, so the scan does not
+    # run on them; the scan must still catch the others.
+    assert any("differs from the subset scan" in text
+               for _, text in res.failures)
 
 
 def _composite_18():

@@ -495,6 +495,18 @@ def test_cli_verify_refuses_the_second_random_poset_of_a_wide_pool(capsys):
                           "cuttings")
 
 
+def test_cli_verify_refuses_a_random_draw_past_the_work_bound(capsys):
+    # The first poset of the pool, seed 2000006, draws 14,031 elements, so
+    # its 98,427,465 relation draws are refused before the first one.
+    t0 = time.perf_counter()
+    code, out, err = run_cli(["verify", "random", "--max-size", "16384",
+                              "--trials", "3"], capsys=capsys)
+    assert time.perf_counter() - t0 < 5.0
+    assert (code, out) == (2, "")
+    assert err == ("error: random poset seed=2000006 draws 14031 elements: "
+                   "98427465 relation draws, more than 8388608\n")
+
+
 @pytest.mark.parametrize("big,sizes", [
     # Every interval holding L's bottom or top is a cutting, so at least
     # 2|L| - 1 are known before they are listed: 4095 * 2048 passes the

@@ -292,24 +292,33 @@ def _count_builds(monkeypatch):
     (lambda: verify_fibonacci_decomposition(7, 4), {"lattices": 3}),
     (lambda: verify_lucas_decomposition(6), {"lattices": 4}),
     # The round trip lists Mi off the minima; the scan reads the filters.
-    (lambda: verify_birkhoff(), {"lattices": 1243}),
+    # 243 labelled and 1000 random pooled lattices.  all_labeled_posets(n)
+    # for n = 0..4 grows each level from the empty poset and extends at
+    # the cuttings of F of every labelled poset on fewer points, summing
+    # 1, 1, 3, 19 labelled posets: 0 + 1 + 2 + 5 + 24 = 32 more lattices,
+    # and their down covers for cuttings().  1243 + 32 = 1275.
+    (lambda: verify_birkhoff(), {"lattices": 1275, "down_covers": 32}),
     (lambda: cover_cube(filter_lattice(fence(8))),
      {"lattices": 1, "up_covers": 1}),
     # 27 pooled lattices and 435 cuttings.  Each cutting builds L' (its
     # expansion), K (read by the round trip and the q and d checks) and L''
-    # (the d check's expansion at the copy): 27 + 3 * 435 = 1332.  Only
-    # cuttings() reads the down covers, once per pooled lattice, since
-    # d_vectors counts the down-degrees off the minima; only the chain
-    # criterion of the vote reads the up covers, and only where K holds
-    # neither the bottom nor the top.
+    # (the d check's expansion at the copy).  posets_up_to_iso(n) for
+    # n = 0..4 grows each level from the empty poset, extending at the
+    # cuttings of F of 1, 1, 2 and 5 class representatives:
+    # 0 + 1 + 2 + 4 + 9 = 16 lattices.  27 + 3 * 435 + 16 = 1348.  Only
+    # cuttings() reads the down covers, once per pooled or grown lattice
+    # (27 + 16 = 43), since d_vectors counts the down-degrees off the
+    # minima; only the chain criterion of the vote reads the up covers,
+    # and only where K holds neither the bottom nor the top.
     (lambda: run_cutting_suite(trials=2, max_size=7, seed=5,
                                exhaustive_max=4),
-     {"lattices": 1332, "down_covers": 27, "up_covers": 24}),
-    # The binomial rows run on the 27 pooled lattices and the 435 L':
-    # 27 + 435 = 462 lattices, and the down covers of the 27 for cuttings().
+     {"lattices": 1348, "down_covers": 43, "up_covers": 24}),
+    # The binomial rows run on the 27 pooled lattices and the 435 L', and
+    # the pool grows 16: 27 + 435 + 16 = 478 lattices, and the down covers
+    # of the 27 + 16 for cuttings().
     (lambda: run_cutting_suite(trials=2, max_size=7, seed=5,
                                exhaustive_max=4, topics=("binomial",)),
-     {"lattices": 462, "down_covers": 27}),
+     {"lattices": 478, "down_covers": 43}),
 ], ids=["fibonacci-7-4", "lucas-6", "birkhoff", "cover-cube-fence-8",
         "cutting-pass", "binomial"])
 def test_cover_tuples_are_built_only_by_their_readers(run, want, monkeypatch):
