@@ -42,16 +42,18 @@ def _extensions(p):
         yield _candidate_expansion(lat, IntervalRef(a, b), label)
 
 
-def _grow(n, step):
-    """``step`` applied n times to the level of the empty poset."""
+def _levels(n, step):
+    """The levels of 0, 1, ..., n points, lazily: the empty poset's, then
+    each ``step`` of the one before."""
     if n < 0:
         raise ValueError("negative size")
     if n > _ENUM_LIMIT:
         raise ValueError("exhaustive enumeration capped at %d elements" % _ENUM_LIMIT)
     level = [Poset((), (), _trusted=True)]
+    yield level
     for _ in range(n):
         level = step(level)
-    return level
+        yield level
 
 
 def _new_classes(level):
@@ -69,14 +71,18 @@ def _new_classes(level):
     return out
 
 
+def _extend_each(level):
+    return [q for p in level for q in _extensions(p)]
+
+
 def all_labeled_posets(n):
     """Every partial order on labels 1..n, as Poset objects."""
-    return _grow(n, lambda level: [q for p in level for q in _extensions(p)])
+    return list(_levels(n, _extend_each))[-1]
 
 
 def posets_up_to_iso(n):
     """One representative per isomorphism class of n-element posets."""
-    return _grow(n, _new_classes)
+    return list(_levels(n, _new_classes))[-1]
 
 
 def random_poset(seed, n_max):

@@ -166,43 +166,47 @@ def cuttings(lat):
     """Every cutting of ``lat`` as a (bottom, top) index pair, sorted by
     bottom and then by top.
 
-    This lists in poset space rather than testing intervals.  By the order
-    criterion [B, T] is a cutting exactly when every element of P - B lies
-    strictly below every element of T, i.e. when P - B is a down-set inside
-    lower(T), the common strict lower bounds of T.  So the bottoms that go
-    with top T are the filters containing u = P - lower(T), which are the
-    lattice elements below u.
-
-    One step per top finds lower(T); the tops are grouped by it, one walk
-    down the covers per distinct bound u collects its bottoms, and one sort
-    orders the pairs.
+    By the order criterion [B, T] is a cutting exactly when P - B is a
+    down-set inside lower(T), the common strict lower bounds of T; so T's
+    bottoms are the filters that contain P - lower(T).  One step per top
+    finds lower(T) = lower(T - y) & down[y], and the tops are grouped by it.
+    A bound's bottoms are among those of its *parent*, the bound lower(T - y)
+    of the top that first met it: the empty top's group takes all of L, and
+    each other group filters its parent's bottoms, one AND against P - F
+    each.  Only the groups of the tops {y}, y maximal, have all of L as
+    parent; any other was met at a T with T - y among its parent's tops.
+    So at most |max P|*|L| + n*#cuttings containment tests, O(|L|) steps
+    for the bounds, and one sort of the pairs.
     """
     base = lat.base
     full, down = base.full_mask, base.down
-    filters, minima = lat.filters, lat.minima
-    index_of, down_covers = lat.index_of, lat.down_covers
+    filters, minima, index_of = lat.filters, lat.minima, lat.index_of
     size = lat.size
     # lower(T) for T nonempty is lower(T - y) & down[y], y the lowest
     # minimal element of T.  T - y is a smaller filter, so it has a larger
     # index and its lower bound is known when tops go by descending index.
     lower = [full] * size
     tops_by_lower = {full: [size - 1]}
+    parent = {}
     for t in range(size - 2, -1, -1):
         y = minima[t] & -minima[t]
-        lower[t] = lo = (lower[index_of[filters[t] ^ y]]
-                         & down[y.bit_length() - 1])
-        tops_by_lower.setdefault(lo, []).append(t)
+        above = lower[index_of[filters[t] ^ y]]
+        lower[t] = lo = above & down[y.bit_length() - 1]
+        tops = tops_by_lower.get(lo)
+        if tops is None:
+            tops_by_lower[lo] = [t]
+            parent[lo] = above
+        else:
+            tops.append(t)
+    outside = [full ^ f for f in filters]
+    bottoms = {full: range(size)}
     keys = []
     for lo, tops in tops_by_lower.items():
-        u = index_of[full & ~lo]
-        seen = {u}
-        stack = [u]
-        while stack:
-            for a in down_covers[stack.pop()]:
-                if a not in seen:
-                    seen.add(a)
-                    stack.append(a)
-        keys += [a * size + t for a in seen for t in tops]
+        if lo != full:
+            need = full ^ lo
+            bottoms[lo] = [a for a in bottoms[parent[lo]]
+                           if not outside[a] & need]
+        keys += [a * size + t for a in bottoms[lo] for t in tops]
     # bottom * size + top orders the pairs by bottom, then top.
     keys.sort()
     return [divmod(k, size) for k in keys]

@@ -11,9 +11,9 @@ Element heights are |P| - |filter|, which agrees with longest-chain rank
 because the lattice is graded.  By Birkhoff, the meet-irreducibles are the
 principal filters up(x), and ``birkhoff_roundtrip`` certifies that map.
 
-A ``DistLattice`` is immutable; lazily computed caches (the cover tuples,
-containment masks, the q vector and the degree histograms) depend only on
-the relation, so concurrent reads are safe.
+A ``DistLattice`` is immutable; lazily computed caches (the up-cover
+tuples, containment masks, the q vector and the degree histograms) depend
+only on the relation, so concurrent reads are safe.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ class DistLattice:
     Construction takes every filter F of ``base`` with its minimal
     elements min F, as ``pairs`` (F, min F) in any order; the minima are
     kept as ``minima``: |min F| is F's up-degree, and ``up_covers`` (F - y
-    for y in min F) and ``down_covers`` are caches built from them on
-    first read.  The pairs are trusted, and the caller checks the cap:
+    for y in min F) is the one cover cache, built from them on first
+    read.  The pairs are trusted, and the caller checks the cap:
     :func:`filter_lattice` takes them from the antichain walk
     (:meth:`Poset.filters_with_minima`), and convex expansion derives them
     from the host lattice.
@@ -77,20 +77,6 @@ class DistLattice:
                 covs.append(index_of[f ^ low])
             up.append(tuple(covs[::-1]))
         return tuple(up)
-
-    @cached_property
-    def down_covers(self):
-        """For each element, its lower covers, ascending: one pass over the
-        minima lists a under F - y for each y in min F(a)."""
-        index_of, down = self.index_of, [[] for _ in self.filters]
-        for a, (m, f) in enumerate(zip(self.minima, self.filters)):
-            while m:
-                low = m & -m
-                m ^= low
-                down[index_of[f ^ low]].append(a)
-        # From a list: tuple() of an unsized iterator (map) resizes a 10-slot
-        # tuple, which drains and overfills CPython's per-size free lists.
-        return tuple([tuple(d) for d in down])
 
     # -- basics -----------------------------------------------------------
 

@@ -44,7 +44,7 @@ import time
 from dataclasses import dataclass, field
 
 from .bits import iter_bits
-from .catalog import all_labeled_posets, posets_up_to_iso, random_poset, trial_seed
+from .catalog import _extend_each, _levels, _new_classes, random_poset, trial_seed
 from .errors import CapacityExceeded, LatcutError
 from .expansion import _round_trip, cuttings, expand_poset, is_cutting
 from .families import (_zigzag_translate, cover_cube, crown, fence, fib,
@@ -95,8 +95,8 @@ class SuiteResult:
 
 
 def _pool_iso(n_max):
-    for n in range(n_max + 1):
-        for p in posets_up_to_iso(n):
+    for n, level in enumerate(_levels(n_max, _new_classes)):
+        for p in level:
             yield "iso n=%d" % n, p
 
 
@@ -146,9 +146,9 @@ def filters_by_scan(p):
 def verify_birkhoff(trials=1000, max_size=8, seed=0):
     res = SuiteResult("birkhoff", seed=seed)
     t0 = time.perf_counter()
-    labeled = [("labeled n=%d" % n, p)
-               for n in range(_BIRKHOFF_EXHAUSTIVE_MAX + 1)
-               for p in all_labeled_posets(n)]
+    labeled = [("labeled n=%d" % n, p) for n, level in
+               enumerate(_levels(_BIRKHOFF_EXHAUSTIVE_MAX, _extend_each))
+               for p in level]
     res.lines.append("exhaustive labeled posets on <=%d elements: %d"
                      % (_BIRKHOFF_EXHAUSTIVE_MAX, len(labeled)))
     pool = itertools.chain(labeled, _pool_random(trials, max_size, seed))

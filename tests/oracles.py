@@ -314,6 +314,18 @@ def refine_by_signatures(adj_g, adj_h, cg, ch):
         count = len(rank)
 
 
+def down_covers(lat):
+    """For each element, its lower covers, ascending: one pass over the
+    minima lists a under F - y for each y in min F(a)."""
+    index_of, down = lat.index_of, [[] for _ in lat.filters]
+    for a, (m, f) in enumerate(zip(lat.minima, lat.filters)):
+        while m:
+            low = m & -m
+            m ^= low
+            down[index_of[f ^ low]].append(a)
+    return tuple([tuple(d) for d in down])
+
+
 def per_top_cuttings(lat):
     """Every cutting of ``lat``, sorted by bottom and then by top, one top
     at a time: lower(T) rebuilt over every element of T, and a fresh walk
@@ -322,6 +334,7 @@ def per_top_cuttings(lat):
     base = lat.base
     full, down = base.full_mask, base.down
     size = lat.size
+    covers = down_covers(lat)
     keys = []
     for t, tf in enumerate(lat.filters):
         lower = full
@@ -332,7 +345,7 @@ def per_top_cuttings(lat):
         seen = {u}
         stack = [u]
         while stack:
-            for a in lat.down_covers[stack.pop()]:
+            for a in covers[stack.pop()]:
                 if a not in seen:
                     seen.add(a)
                     stack.append(a)

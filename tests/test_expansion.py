@@ -3,6 +3,7 @@
 import io
 import re
 import sys
+from collections import Counter
 from dataclasses import dataclass
 
 import pytest
@@ -186,16 +187,35 @@ def test_cutting_count_matches_the_order_oracle(p):
     assert len(cuttings(filter_lattice(p))) == oracles.naive_cutting_count(p)
 
 
-_NAMED_LATTICES = {"fence12": (fence, 12), "fence16": (fence, 16),
-                   "crown12": (crown, 12), "antichain8": (antichain, 8),
-                   "chain60": (chain, 60)}
+_NAMED_POSETS = {
+    "fence12": lambda: fence(12), "fence16": lambda: fence(16),
+    "crown12": lambda: crown(12), "antichain8": lambda: antichain(8),
+    "chain60": lambda: chain(60),
+    # Where a group of tops keeps far fewer bottoms than its parent has:
+    # the chain-prefix bounds of a chain beside an antichain, the ordinal
+    # sums both ways up, and three chains side by side.
+    "chain200+antichain6": lambda: disjoint_union(chain(200), antichain(6)),
+    "chain60<antichain6": lambda: ordinal_sum(chain(60), antichain(6)),
+    "antichain6<chain60": lambda: ordinal_sum(antichain(6), chain(60)),
+    "chain30^3": lambda: disjoint_union(disjoint_union(chain(30), chain(30)),
+                                        chain(30)),
+    "crown16": lambda: crown(16),
+}
 
 
-@pytest.mark.parametrize("name", _NAMED_LATTICES)
+@pytest.mark.parametrize("name", _NAMED_POSETS)
 def test_cuttings_equal_the_per_top_oracle(name):
-    family, n = _NAMED_LATTICES[name]
-    lat = filter_lattice(family(n))
+    lat = filter_lattice(_NAMED_POSETS[name]())
     assert cuttings(lat) == oracles.per_top_cuttings(lat)
+
+
+def test_cuttings_equal_the_per_top_oracle_on_every_labeled_poset_up_to_5():
+    for n in range(6):
+        for p in all_labeled_posets(n):
+            for q in (p, p.dual()):
+                lat = filter_lattice(q)
+                assert cuttings(lat) == oracles.per_top_cuttings(lat), (
+                    write_poset_file(q))
 
 
 @settings(max_examples=200, deadline=None)
@@ -213,24 +233,50 @@ class _CountingRows(tuple):
         return tuple.__getitem__(self, i)
 
 
-@pytest.mark.parametrize("name", _NAMED_LATTICES)
+def _count_containment_tests(lat):
+    """Make ``lat``'s filters count the ANDs taken against their
+    complements P - F, which are ``cuttings``' containment tests."""
+    count = Counter()
+
+    class Complement(int):
+        def __and__(self, other):
+            count["tests"] += 1
+            return int(self) & other
+
+    class Filter(int):
+        def __rxor__(self, other):
+            return Complement(other ^ int(self))
+
+    lat.filters = tuple(map(Filter, lat.filters))
+    return count
+
+
+@pytest.mark.parametrize("name", _NAMED_POSETS)
 def test_cuttings_reads_each_row_a_bounded_number_of_times(name):
-    family, n = _NAMED_LATTICES[name]
-    lat = filter_lattice(family(n))
+    p = _NAMED_POSETS[name]()
+    lat = filter_lattice(p)
     lat.base.down = down = _CountingRows(lat.base.down)
-    lat.down_covers = covers = _CountingRows(lat.down_covers)
-    down.reads = covers.reads = 0
+    down.reads = 0
+    count = _count_containment_tests(lat)
     listed = cuttings(lat)
     # One down row for each top but the empty filter, the step from the
     # lower bound of T - y to that of T.
     assert down.reads <= lat.size - 1
-    # One walk per distinct lower bound u, reading the covers of each
-    # element below u once.  Each such element is the bottom of a cutting
-    # with every top whose bound is u, so no more rows than cuttings.
-    assert covers.reads <= len(listed)
-    if name == "fence16":
-        # 2,584 tops share 16 bounds; one walk per top reads 5,196 rows.
-        assert covers.reads <= lat.size + 100
+    # Each group of tops with one lower bound tests its parent group's
+    # bottoms.  Only the groups of the singleton tops {y}, y maximal, have
+    # the empty top's group, all of L, as parent: at most |max P| * |L|
+    # tests.  Any other group was first met at a top T with T - y among its
+    # parent's tops, so its tests charge to (bottom, T - y, y), a cutting of
+    # the parent's and one of n elements: at most n * #cuttings.
+    # And some maximal y's group tests all of L, so the count is not empty.
+    maximal = p.max_of(p.full_mask).bit_count()
+    assert lat.size <= count["tests"] <= maximal * lat.size + p.n * len(listed)
+    if name == "chain200+antichain6":
+        # The empty top's two child groups, {top of the chain} and the
+        # antichain's singletons, test all of L each.  Every chain-prefix
+        # group tests its parent's bottoms, one more than its own.  A flat
+        # scan of every index up to u per group makes 1,248,240 tests here.
+        assert count["tests"] <= 2 * lat.size + len(listed)
 
 
 def listing_by_interval_test(lat):
@@ -331,9 +377,11 @@ def rebuild_mismatch(exp):
     filter_lattice(exp.poset), a walk over the enlarged poset; None when
     they agree."""
     want = filter_lattice(exp.poset)
-    for name in ("filters", "minima", "heights", "up_covers", "down_covers"):
+    for name in ("filters", "minima", "heights", "up_covers"):
         if getattr(exp.lattice, name) != getattr(want, name):
             return name
+    if oracles.down_covers(exp.lattice) != oracles.down_covers(want):
+        return "down_covers"
     return None
 
 

@@ -119,13 +119,14 @@ def test_covers_against_naive():
 @settings(max_examples=60, deadline=None)
 @given(posets(max_n=6))
 def test_cover_tuples_are_sorted_and_invert_each_other(p):
-    # Both caches list indices ascending, whatever the base's index order,
-    # and the down covers are the up covers read backwards.
+    # The cache and the oracle's down covers list indices ascending,
+    # whatever the base's index order, and the down covers are the up
+    # covers read backwards.
     lat = filter_lattice(p)
     naive = oracles.naive_covers(lat)
     assert lat.up_covers == tuple(
         tuple(sorted(b for x, b in naive if x == a)) for a in range(lat.size))
-    assert lat.down_covers == tuple(
+    assert oracles.down_covers(lat) == tuple(
         tuple(sorted(x for x, b in naive if b == a)) for a in range(lat.size))
 
 
@@ -261,11 +262,11 @@ def test_heights_grade_the_lattice(p):
             assert lat.heights[b] == lat.heights[a] + 1
 
 
-# -- work ledger: the cover tuples are built on first read --------------------------
+# -- work ledger: the up covers are built on first read ----------------------------
 
 
 def _count_builds(monkeypatch):
-    """Count DistLattice builds and the builds of each cover tuple."""
+    """Count DistLattice builds and the builds of the up-cover tuple."""
     counts = Counter()
     real_init = DistLattice.__init__
 
@@ -274,14 +275,14 @@ def _count_builds(monkeypatch):
         real_init(self, *args, **kwargs)
 
     monkeypatch.setattr(DistLattice, "__init__", init)
-    for name in ("up_covers", "down_covers"):
-        def build(self, real=DistLattice.__dict__[name].func, name=name):
-            counts[name] += 1
-            return real(self)
 
-        prop = cached_property(build)
-        prop.__set_name__(DistLattice, name)
-        monkeypatch.setattr(DistLattice, name, prop)
+    def build(self, real=DistLattice.__dict__["up_covers"].func):
+        counts["up_covers"] += 1
+        return real(self)
+
+    prop = cached_property(build)
+    prop.__set_name__(DistLattice, "up_covers")
+    monkeypatch.setattr(DistLattice, "up_covers", prop)
     return counts
 
 
@@ -292,33 +293,29 @@ def _count_builds(monkeypatch):
     (lambda: verify_fibonacci_decomposition(7, 4), {"lattices": 3}),
     (lambda: verify_lucas_decomposition(6), {"lattices": 4}),
     # The round trip lists Mi off the minima; the scan reads the filters.
-    # 243 labelled and 1000 random pooled lattices.  all_labeled_posets(n)
-    # for n = 0..4 grows each level from the empty poset and extends at
-    # the cuttings of F of every labelled poset on fewer points, summing
-    # 1, 1, 3, 19 labelled posets: 0 + 1 + 2 + 5 + 24 = 32 more lattices,
-    # and their down covers for cuttings().  1243 + 32 = 1275.
-    (lambda: verify_birkhoff(), {"lattices": 1275, "down_covers": 32}),
+    # 243 labelled and 1000 random pooled lattices.  The labelled pool is
+    # one growth from the empty poset to 4 points, which extends at the
+    # cuttings of F of every labelled poset on 0..3 points: 1 + 1 + 3 + 19
+    # = 24 more lattices.  1243 + 24 = 1267.
+    (lambda: verify_birkhoff(), {"lattices": 1267}),
     (lambda: cover_cube(filter_lattice(fence(8))),
      {"lattices": 1, "up_covers": 1}),
     # 27 pooled lattices and 435 cuttings.  Each cutting builds L' (its
     # expansion), K (read by the round trip and the q and d checks) and L''
-    # (the d check's expansion at the copy).  posets_up_to_iso(n) for
-    # n = 0..4 grows each level from the empty poset, extending at the
-    # cuttings of F of 1, 1, 2 and 5 class representatives:
-    # 0 + 1 + 2 + 4 + 9 = 16 lattices.  27 + 3 * 435 + 16 = 1348.  Only
-    # cuttings() reads the down covers, once per pooled or grown lattice
-    # (27 + 16 = 43), since d_vectors counts the down-degrees off the
-    # minima; only the chain criterion of the vote reads the up covers,
-    # and only where K holds neither the bottom nor the top.
+    # (the d check's expansion at the copy).  The exhaustive layer is one
+    # growth from the empty poset to 4 points, which extends at the
+    # cuttings of F of the 1 + 1 + 2 + 5 = 9 class representatives on 0..3
+    # points.  27 + 3 * 435 + 9 = 1341.  Only the chain criterion of the
+    # vote reads the up covers, and only where K holds neither the bottom
+    # nor the top.
     (lambda: run_cutting_suite(trials=2, max_size=7, seed=5,
                                exhaustive_max=4),
-     {"lattices": 1348, "down_covers": 43, "up_covers": 24}),
+     {"lattices": 1341, "up_covers": 24}),
     # The binomial rows run on the 27 pooled lattices and the 435 L', and
-    # the pool grows 16: 27 + 435 + 16 = 478 lattices, and the down covers
-    # of the 27 + 16 for cuttings().
+    # the growth adds its 9: 27 + 435 + 9 = 471 lattices.
     (lambda: run_cutting_suite(trials=2, max_size=7, seed=5,
                                exhaustive_max=4, topics=("binomial",)),
-     {"lattices": 478, "down_covers": 43}),
+     {"lattices": 471}),
 ], ids=["fibonacci-7-4", "lucas-6", "birkhoff", "cover-cube-fence-8",
         "cutting-pass", "binomial"])
 def test_cover_tuples_are_built_only_by_their_readers(run, want, monkeypatch):
