@@ -453,19 +453,20 @@ def poset_stats(p, cap=FILTER_CAP):
     filters: of the height, of each degree and of their sum.
 
     P is first split by the sum laws (:meth:`Poset.split`, with an explicit
-    stack, so any depth of nesting is fine), and only the blocks that do
-    not split are counted.  A disjoint union's histograms are the
-    convolutions of its parts': its filter lattice is the product of
-    theirs, and height, both degrees and their sum each add up over the
-    parts.  An ordinal sum stacks its parts' lattices with one element
-    shared at each junction (:func:`_stacked_histograms`).
+    stack, so any depth of nesting is fine), down to single points, which
+    take the closed form of F({x}) = {{x}, {}}, and prime blocks, which
+    are counted.  A disjoint union's histograms are the convolutions of
+    its parts': its filter lattice is the product of theirs, and height,
+    both degrees and their sum each add up over the parts.  An ordinal
+    sum stacks its parts' lattices with one element shared at each
+    junction (:func:`_stacked_histograms`).
 
-    A block is counted by one fixed rule (:func:`_prime_histograms`).
-    The walk (:func:`_walked_histograms`) lists its filters, and may list
-    up to S of them, the state bound of the transfer-matrix DP
-    (:func:`_transfer_order`): S is the sum over the vertices, in BFS
-    order, of 4^w, w the frontier after the vertex, so 4n - 3 on a
-    fence of n elements.  Past S filters the DP
+    A prime block, of 4 or more elements, is counted by one fixed rule
+    (:func:`_prime_histograms`).  The walk (:func:`_walked_histograms`)
+    lists its filters, and may list up to S of them, the state bound of
+    the transfer-matrix DP (:func:`_transfer_order`): S is the sum over
+    the vertices, in BFS order, of 4^w, w the frontier after the vertex,
+    so 4n - 3 on a fence of n elements.  Past S filters the DP
     (:func:`_transfer_histograms`) counts the block, in time that grows
     with S and not with the number of filters.
 
@@ -479,6 +480,13 @@ def poset_stats(p, cap=FILTER_CAP):
     q is the census, the binomial transform of the up-degree histogram; no
     lattice is built and no interval scan runs.  The scan cross-checks the
     census in :func:`q_vector`, which the verify suites and the tests call.
+
+    So here Q(x) = D(1 + x), D the up-degree polynomial, and the Euler
+    sums are Q(-1) = d_minus[0] and Q'(-1) = d_minus[1].  As ``mi_count``
+    is read as d_minus[1], ``euler_derivative_ok`` holds by definition,
+    and ``euler_ok`` only says that exactly one filter, the empty one, has
+    no minima.  The informative check of this route is d_minus == d_plus:
+    the walk and the DP count min F and max(P - F) separately.
     """
     p.refuse_wide(cap)
     rank, minus, plus, total = _split_histograms(p, cap)
@@ -491,16 +499,25 @@ def poset_stats(p, cap=FILTER_CAP):
 def _split_histograms(p, cap):
     """The [rank, minus, plus, total] histograms of F(P), combined up the
     split tree of P: the tree is listed parents first, then folded in
-    reverse, so every block's parts are done before the block."""
+    reverse, so every block's parts are done before the block.
+
+    A single point x is a leaf, neither split nor restricted: F({x}) is
+    {x} (height 0, up-degree 1, down-degree 0) above the empty filter
+    (height 1, up-degree 0, down-degree 1).  Every poset on 2 or 3
+    elements splits, so the other leaves, the prime blocks, have 4 or more
+    elements, or none when P is empty."""
     nodes = []
+    done = {}
     stack = [p.full_mask]
     while stack:
         mask = stack.pop()
+        if mask.bit_count() == 1:
+            done[mask] = [[1, 1], [1, 1], [1, 1], [0, 2]]
+            continue
         kind, parts = p.split(mask)
         nodes.append((mask, kind, parts))
         if kind != "prime":
             stack.extend(parts)
-    done = {}
     for mask, kind, parts in reversed(nodes):
         if kind == "prime":
             block = p if mask == p.full_mask else p.restrict(mask)
@@ -517,15 +534,15 @@ def _split_histograms(p, cap):
 
 
 def _prime_histograms(q, cap):
-    """The histograms of a prime block Q, by the walk or by the DP, one
-    fixed rule.  The walk costs about as much per filter as the DP per
-    unit of its state bound S: 1.6 to 2.0 us against 1.5 to 2.5 us on
-    fence and crown of 14 to 20 elements (CPython 3.11, one core of a
-    2-vCPU VM).  So the walk may list up to S filters, and past that the
-    DP is the cheaper route; a DP run then follows a cut walk, which costs
-    less than the DP itself.  Neither runs past the cap: when S is over it
-    the walk refuses at the cap, and the DP's exact size is checked
-    against it."""
+    """The histograms of a prime block Q, of 4 or more elements or of
+    none, by the walk or by the DP, one fixed rule.  The walk costs about
+    as much per filter as the DP per unit of its state bound S: 1.6 to
+    2.0 us against 1.5 to 2.5 us on fence and crown of 14 to 20 elements
+    (CPython 3.11, one core of a 2-vCPU VM).  So the walk may list up to
+    S filters, and past that the DP is the cheaper route; a DP run then
+    follows a cut walk, which costs less than the DP itself.  Neither runs
+    past the cap: when S is over it the walk refuses at the cap, and the
+    DP's exact size is checked against it."""
     steps, bound = _transfer_order(q)
     budget = min(cap, bound)
     try:

@@ -375,21 +375,43 @@ def _count_transfers(monkeypatch):
     return counted
 
 
-@pytest.mark.parametrize("p,walked,counted", [
-    # One-element blocks have two filters and the state bound S = 1, so
-    # each walk stops before its first filter and the DP counts the block.
-    (antichain(15), 0, [1] * 15),
-    (chain(300), 0, [1] * 300),
+def _count_masks(monkeypatch, name):
+    real = getattr(Poset, name)
+    masks = []
+
+    def counting(self, mask):
+        masks.append(mask)
+        return real(self, mask)
+
+    monkeypatch.setattr(Poset, name, counting)
+    return masks
+
+
+# Splits: one per node of the split tree with 2 or more elements, since a
+# single point is a leaf.  Restricts: one per prime block other than P, and
+# a prime block has 4 or more elements, as every poset on 2 or 3 splits.
+@pytest.mark.parametrize("p,walked,counted,splits,restricts", [
+    # A single point is a leaf with the closed form of F({x}), so the root's
+    # split is all the work: no walk, no DP, no restrict.
+    (antichain(15), 0, [], 1, 0),
+    (chain(300), 0, [], 1, 0),
     # fence(9): S = 33 < 89 filters, so 33 are walked and the DP counts it.
     # crown(8): 47 filters within S = 101, walked in full both ways.
-    (disjoint_union(fence(9), crown(8)), 33 + 2 * lucas(8), [9]),
+    # Splits: the root and its two prime parts; restricts: those parts.
+    (disjoint_union(fence(9), crown(8)), 33 + 2 * lucas(8), [9], 3, 2),
 ], ids=["antichain15", "chain300", "fence9+crown8"])
 def test_poset_stats_walks_prime_blocks_up_to_their_state_bound(
-        p, walked, counted, monkeypatch):
+        p, walked, counted, splits, restricts, monkeypatch):
     walks = _count_walked_filters(monkeypatch)
     transfers = _count_transfers(monkeypatch)
+    split_masks = _count_masks(monkeypatch, "split")
+    restrict_masks = _count_masks(monkeypatch, "restrict")
     got = poset_stats(p)
     assert len(walks) == walked and transfers == counted
+    assert len(split_masks) == splits
+    assert all(m.bit_count() >= 2 for m in split_masks)
+    assert len(restrict_masks) == restricts
+    assert all(m.bit_count() >= 4 for m in restrict_masks)
     monkeypatch.undo()
     assert got == stats_dict(filter_lattice(p))
 

@@ -17,6 +17,8 @@ import json
 import os
 import sys
 
+from latcut import (antichain, chain, crown, disjoint_union, ordinal_sum,
+                    write_poset_file)
 from latcut.cli import cli_run
 from latcut.verify import _CUTTING_TOPICS
 
@@ -98,6 +100,14 @@ def cases():
     }
     for command in ("stats", "filters", "lattice", "mi"):
         out["%s-fence-12" % command] = ([command], fence12)
+    # Split trees whose leaves are single points: none, all, and beside a
+    # prime block under both sum laws.
+    out["stats-empty"] = (["stats"], "")
+    out["stats-antichain-6"] = (["stats"], family("antichain", 6))
+    out["stats-chain-5"] = (["stats"], family("chain", 5))
+    out["stats-antichain-3-below-crown-6-beside-chain-2"] = (
+        ["stats"], write_poset_file(disjoint_union(
+            ordinal_sum(antichain(3), crown(6)), chain(2))))
     # crown(8) with its element line reversed, so index order is not the
     # natural bottom-up one: the cover readers meet a permuted base.
     head, _, rest = family("crown", 8).partition("\n")
