@@ -25,7 +25,7 @@ import random
 from .errors import CapacityExceeded
 from .expansion import _candidate_expansion, cuttings
 from .lattice import IntervalRef, filter_lattice
-from .poset import Poset, _profile, poset_isomorphic
+from .poset import Poset, _close, _profile, poset_isomorphic
 
 _ENUM_LIMIT = 7
 # n(n - 1)/2 relation draws at most: a random poset has up to 4096 elements.
@@ -92,8 +92,9 @@ def random_poset(seed, n_max):
     near-chains, near-antichains and everything between.  Each row of drawn
     relations is collected as bytes and read into its int once, so a dense
     draw costs about its n^2/2 ``rng.random()`` calls, not an n-bit OR per
-    relation.  Raises CapacityExceeded, naming the seed and the size, when
-    those calls would pass _DRAW_BOUND (more than 4096 elements).
+    relation.  The rows are closed by :func:`latcut.poset._close`.  Raises
+    CapacityExceeded, naming the seed and the size, when those calls would
+    pass _DRAW_BOUND (more than 4096 elements).
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
@@ -109,40 +110,14 @@ def random_poset(seed, n_max):
     for i in range(n):
         drawn = bytes([rand() < density for _ in range(i + 1, n)])
         up.append(int(drawn.translate(_DIGITS)[::-1] or b"0", 2) << i + 1)
-    # Transitive closure along the natural order, right to left.  A row ORs
-    # in the closed row of its nearest relation first, then skips every
-    # drawn relation that row already implies.
-    for i in range(n - 2, -1, -1):
-        m = todo = up[i]
-        while todo:
-            low = todo & -todo
-            reached = up[low.bit_length() - 1]
-            m |= reached
-            todo &= ~(reached | low)
-        up[i] = m
-    return Poset([str(i) for i in range(1, n + 1)], tuple(up), _trusted=True,
-                 _down=_transpose(up))
+    # Relations go up the natural order, so right to left closes each row
+    # after all its successors.
+    return Poset([str(i) for i in range(1, n + 1)],
+                 _close(up, range(n - 1, -1, -1)), _trusted=True)
 
 
-# Bytes 0 and 1 as the digits "0" and "1", and back.
+# Bytes 0 and 1 as the digits "0" and "1".
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
-_FLAGS = bytes.maketrans(b"01", b"\0\1")
-
-
-def _transpose(rows):
-    """The columns of the square bit matrix whose row i is ``rows[i]``:
-    column j has bit i set when row i has bit j.  Eight rows at a time
-    become one int whose byte j holds their bits j, so column j is the
-    strided slice of those ints' bytes at j, read into its int once."""
-    n = len(rows)
-    blocks = bytearray()
-    for r in range(0, n, 8):
-        word = 0
-        for t, row in enumerate(rows[r:r + 8]):
-            flags = format(row | 1 << n, "b")[:0:-1].encode().translate(_FLAGS)
-            word |= int.from_bytes(flags, "little") << t
-        blocks += word.to_bytes(n, "little")
-    return [int.from_bytes(blocks[j::n], "little") for j in range(n)]
 
 
 def trial_seed(seed, t):

@@ -219,8 +219,7 @@ def _dispatch(args):
             "size": lat.size,
             "elements": [lat.bitstring(a) for a in range(lat.size)],
             "heights": list(lat.heights),
-            "covers": [[a, b] for a in range(lat.size)
-                       for b in lat.up_covers[a]],
+            "covers": lat.covering_graph(),
             "mi": list(lat.meet_irreducibles()),
         }))
     elif cmd == "mi":

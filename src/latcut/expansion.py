@@ -37,7 +37,7 @@ from functools import cached_property
 from .bits import iter_bits
 from .errors import CapacityExceeded, DuplicateLabel, NotACutting
 from .lattice import DistLattice, IntervalRef, filter_lattice
-from .poset import FILTER_CAP, Poset, disjoint_union, singleton
+from .poset import FILTER_CAP, Poset, _compress
 
 CUTTING_METHODS = ("chains", "union", "order", "star")
 
@@ -312,16 +312,17 @@ class DecomposeResult:
                                # add up, a walk over P finds (F, min F)
     expansion_iso_ok: bool     # expanded poset, x moved back, equal to P
     product_form: bool         # x comparable to nothing: P * x is P - x
-    product_iso_ok: bool       # ... and then P, x moved back, equal to
-                               # (P - x) + singleton side by side
+    product_iso_ok: bool       # product_form: P is then (P - x) with x
+                               # beside it, by construction
 
 
 def _x_interval(p, i):
     """Bottom and top filters of x's interval in P - x, x = P's element i:
-    P - down(x) and up(x), each with its bits above i moved down by one."""
-    low = (1 << i) - 1
-    return tuple(m & low | m >> 1 & ~low
-                 for m in (p.full_mask & ~(1 << i) & ~p.down[i], p.up[i]))
+    P - down(x) and up(x), moved to P - x's indices by the compress that
+    :meth:`Poset.restrict` builds P - x with."""
+    rest = p.full_mask & ~(1 << i)
+    squeeze = _compress(rest)
+    return squeeze(rest & ~p.down[i]), squeeze(p.up[i])
 
 
 def decompose(p, x, cap=FILTER_CAP):
@@ -331,16 +332,12 @@ def decompose(p, x, cap=FILTER_CAP):
     return _round_trip(p, x, expand_poset(host, k, label=x, cap=cap), cap)
 
 
-def _moved_back(q, i):
-    """The labels and up masks of ``q`` with its last element moved to
-    index i and the elements from i on moved up by one.  ``q`` holds P's
-    elements with x, P's element i, last, as an expansion of P - x does;
-    this reads it in P's index order."""
-    top = q.n - 1
+def _move_back(masks, i, top):
+    """``masks`` moved from an expansion's index order, x last at index
+    ``top``, to P's, x at index i: the bits from i up to top move up by one
+    and bit top moves to i."""
     low, mid = (1 << i) - 1, (1 << top) - (1 << i)
-    up = [m & low | (m & mid) << 1 | (m >> top) << i for m in q.up]
-    up.insert(i, up.pop())
-    return q.labels[:i] + q.labels[top:] + q.labels[i:top], tuple(up)
+    return [m & low | (m & mid) << 1 | (m >> top) << i for m in masks]
 
 
 def _round_trip(p, x, exp, cap=FILTER_CAP):
@@ -348,28 +345,27 @@ def _round_trip(p, x, exp, cap=FILTER_CAP):
     split at x: its L and K have bases P - x and P * x exactly, and a walk
     over P, independent of the expansion, finds its (F, min F).  Each
     caller's K is x's interval by construction, so it is not compared.  The
-    expansion puts x last; moving it back to P's index i is the map under
-    which the expanded poset, and P - x with x beside it, must equal P
-    exactly, so no isomorphism search runs."""
+    expansion puts x last; moving it back to P's index i (one map, for the
+    lattice's masks and the poset's) must give P's pairs and P exactly, so
+    no isomorphism search runs.  The walk stays in P's index order, so a
+    fault in the compress that built P - x cannot agree with itself."""
     i = p.idx(x)
-    host, klat = exp.host, exp.interval_lattice
-    minus, star = p.minus(x), p.star(x)
+    host, klat, q = exp.host, exp.interval_lattice, exp.poset
     walked = dict(p.filters_with_minima(cap))
-    big = exp.lattice
-    top = p.n - 1
-    low, mid = (1 << i) - 1, (1 << top) - (1 << i)
-    expanded = {f & low | (f & mid) << 1 | (f >> top) << i:
-                a & low | (a & mid) << 1 | (a >> top) << i
-                for f, a in zip(big.filters, big.minima)}
-    counts_ok = ((minus, star) == (host.base, klat.base)
+    big, top = exp.lattice, p.n - 1
+    expanded = dict(zip(_move_back(big.filters, i, top),
+                        _move_back(big.minima, i, top)))
+    star = p.star(x)
+    counts_ok = ((p.minus(x), star) == (host.base, klat.base)
                  and len(walked) == host.size + klat.size and walked == expanded)
-    labelled = (p.labels, p.up)
-    # x is comparable to nothing exactly when P * x is all of P - x.
+    up = _move_back(q.up, i, top)
+    up.insert(i, up.pop())
+    labels = q.labels[:i] + q.labels[-1:] + q.labels[i:-1]
+    # x is comparable to nothing exactly when P * x is all of P - x, and
+    # then P is (P - x) with x beside it.
     product_form = p.up[i] | p.down[i] == 0
     return DecomposeResult(
         star=star, expansion=exp,
         size=len(walked), counts_ok=counts_ok,
-        expansion_iso_ok=_moved_back(exp.poset, i) == labelled,
-        product_form=product_form,
-        product_iso_ok=(product_form and _moved_back(
-            disjoint_union(minus, singleton(x)), i) == labelled))
+        expansion_iso_ok=(labels, tuple(up)) == (p.labels, p.up),
+        product_form=product_form, product_iso_ok=product_form)

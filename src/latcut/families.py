@@ -207,13 +207,12 @@ def cover_cube(lat):
     Covers in a filter lattice drop exactly one element, so this really is a
     Hamming-distance-1 graph on strings of length |base|; the empty base's
     one filter is the empty string.  An upper cover F - y of F has a 0
-    where F has a 1, so its string sorts first: each edge is read off
-    ``up_covers`` as (string of F - y, string of F).
+    where F has a 1, so its string sorts first: each cover edge (F, F - y)
+    is read as (string of F - y, string of F).
     """
     names = [lat.bitstring(a) if lat.base.n else "" for a in range(lat.size)]
     return CubeGraph(vertices=tuple(sorted(names)), edges=tuple(sorted(
-        [(names[b], s) for s, covs in zip(names, lat.up_covers)
-         for b in covs])))
+        [(names[b], names[a]) for a, b in lat.covering_graph()])))
 
 
 def _zigzag_translate(g):

@@ -117,15 +117,13 @@ def export_dot(lat, *intervals):
         if group:
             out.append("  { rank=same; %s }"
                        % " ".join("%s;" % _quote(names[a]) for a in group))
-    cross = set()
+    left = right = set()
     if len(clusters) == 2:
         left, right = (set(members) for _, members in clusters)
-        cross = {(a, b) for a in range(lat.size) for b in lat.up_covers[a]
-                 if (a in left and b in right) or (a in right and b in left)}
-    for a in range(lat.size):
-        for b in lat.up_covers[a]:
-            style = " [style=dashed]" if (a, b) in cross else ""
-            out.append("  %s -> %s%s;" % (_quote(names[a]), _quote(names[b]),
-                                          style))
+    for a, b in lat.covering_graph():
+        cross = (a in left and b in right) or (a in right and b in left)
+        style = " [style=dashed]" if cross else ""
+        out.append("  %s -> %s%s;" % (_quote(names[a]), _quote(names[b]),
+                                      style))
     out.append("}")
     return "".join(line + "\n" for line in out)

@@ -37,28 +37,26 @@ class DistLattice:
     """The lattice of filters of a base poset.
 
     Construction takes every filter F of ``base`` with its minimal
-    elements min F, as ``pairs`` (F, min F) in any order; the minima are
-    kept as ``minima``: |min F| is F's up-degree, and ``up_covers`` (F - y
-    for y in min F) is the one cover cache, built from them on first
-    read.  The pairs are trusted, and the caller checks the cap:
-    :func:`filter_lattice` takes them from the antichain walk
-    (:meth:`Poset.filters_with_minima`), and convex expansion derives them
-    from the host lattice.
+    elements min F, as ``pairs`` (F, min F) in any order.  They are sorted
+    by F's mask, then stably by |F|, largest first, and the caller's ints
+    are kept as ``filters`` and ``minima``; each height is n - |F|.
+    |min F| is F's up-degree, and ``up_covers`` (F - y for y in min F) is
+    the one cover cache, built from the minima on first read.  The pairs
+    are trusted, and the caller checks the cap: :func:`filter_lattice`
+    takes them from the antichain walk (:meth:`Poset.filters_with_minima`),
+    and convex expansion derives them from the host lattice.
     """
 
     def __init__(self, base, pairs):
         self.base = base
         n = base.n
-        full = base.full_mask
         # Canonical element order: largest filter first, ties by mask value.
-        # That puts the bottom at index 0 and the top at index size-1.  One
-        # sort of (n - |F|, F, min F) packed into an int gives that order.
-        keys = [((n - f.bit_count()) << n | f) << n | a for f, a in pairs]
-        keys.sort()
-        self.filters = tuple([k >> n & full for k in keys])
-        self.minima = tuple([k & full for k in keys])
+        # That puts the bottom at index 0 and the top at index size-1.
+        pairs = sorted(pairs, key=itemgetter(0))
+        pairs.sort(key=lambda pair: pair[0].bit_count(), reverse=True)
+        self.filters, self.minima = map(tuple, zip(*pairs))
         self.index_of = {f: i for i, f in enumerate(self.filters)}
-        self.heights = tuple([k >> 2 * n for k in keys])
+        self.heights = tuple([n - f.bit_count() for f in self.filters])
         self._above = None
         # The q vector and the degree histograms, filled in by
         # invariants.q_vector and invariants.d_vectors.
@@ -184,7 +182,8 @@ class DistLattice:
         return Poset(labels, up, _trusted=True, _down=down)
 
     def covering_graph(self):
-        """Undirected cover edges as sorted (lower, upper) index pairs."""
+        """The cover edges as sorted (lower, upper) index pairs; the
+        ``lattice`` command, the DOT export and the cover cube read them."""
         return [(a, b) for a in range(self.size) for b in self.up_covers[a]]
 
 

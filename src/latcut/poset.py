@@ -50,12 +50,7 @@ class Poset:
         self.full_mask = (1 << self.n) - 1
         self.index = {lab: i for i, lab in enumerate(self.labels)}
         self.up = tuple(up)
-        if _down is None:
-            _down = [0] * self.n
-            for i in range(self.n):
-                for j in iter_bits(self.up[i]):
-                    _down[j] |= 1 << i
-        self.down = tuple(_down)
+        self.down = tuple(_transpose(self.up) if _down is None else _down)
         self._covers_up = None
         self._antichain_table = None
 
@@ -266,26 +261,9 @@ class Poset:
     # -- derived posets --------------------------------------------------------
 
     def restrict(self, keep_mask):
-        """Induced subposet on a subset mask, labels preserved."""
-        # Each maximal run of kept bits moves down as one block: a mask is
-        # compressed by one shift and one AND per run (two for minus(x)).
-        runs = []
-        rest, dest = keep_mask, 0
-        while rest:
-            start = (rest & -rest).bit_length() - 1
-            high = rest >> start
-            length = ((high + 1) & ~high).bit_length() - 1
-            width = (1 << length) - 1
-            runs.append((start, width, dest))
-            rest &= ~(width << start)
-            dest += length
-
-        def squeeze(mask):
-            out = 0
-            for start, width, to in runs:
-                out |= (mask >> start & width) << to
-            return out
-
+        """Induced subposet on a subset mask, labels preserved; its masks
+        are P's through :func:`_compress`."""
+        squeeze = _compress(keep_mask)
         old = list(iter_bits(keep_mask))
         return Poset([self.labels[o] for o in old],
                      [squeeze(self.up[o]) for o in old], _trusted=True,
@@ -302,6 +280,66 @@ class Poset:
     def dual(self):
         """Order-reversed poset on the same labels."""
         return Poset(self.labels, self.down, _trusted=True, _down=self.up)
+
+
+def _compress(keep_mask):
+    """The map from P's masks to those of its restriction to ``keep_mask``.
+    Each maximal run of kept bits moves down as one block: a mask is
+    compressed by one shift and one AND per run (two for P - x)."""
+    runs = []
+    rest, dest = keep_mask, 0
+    while rest:
+        start = (rest & -rest).bit_length() - 1
+        high = rest >> start
+        length = ((high + 1) & ~high).bit_length() - 1
+        width = (1 << length) - 1
+        runs.append((start, width, dest))
+        rest &= ~(width << start)
+        dest += length
+
+    def squeeze(mask):
+        out = 0
+        for start, width, to in runs:
+            out |= (mask >> start & width) << to
+        return out
+
+    return squeeze
+
+
+# Bytes "0" and "1" as the flags 0 and 1.
+_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _transpose(rows):
+    """The columns of the square bit matrix whose row i is ``rows[i]``:
+    column j has bit i set when row i has bit j.  Eight rows at a time
+    become one int whose byte j holds their bits j, so column j is the
+    strided slice of those ints' bytes at j, read into its int once."""
+    n = len(rows)
+    blocks = bytearray()
+    for r in range(0, n, 8):
+        word = 0
+        for t, row in enumerate(rows[r:r + 8]):
+            flags = format(row | 1 << n, "b")[:0:-1].encode().translate(_FLAGS)
+            word |= int.from_bytes(flags, "little") << t
+        blocks += word.to_bytes(n, "little")
+    return [int.from_bytes(blocks[j::n], "little") for j in range(n)]
+
+
+def _close(rows, order):
+    """Close ``rows``, one successor mask per element, transitively in
+    place, visiting each element after its successors, and return it.  A
+    row ORs in the closed row of its lowest successor still to visit, then
+    skips every successor that row already holds."""
+    for i in order:
+        m = todo = rows[i]
+        while todo:
+            low = todo & -todo
+            reached = rows[low.bit_length() - 1]
+            m |= reached
+            todo ^= todo & reached | low
+        rows[i] = m
+    return rows
 
 
 def _components(mask, neighbours):
@@ -328,8 +366,8 @@ def poset_from_covers(labels, covers):
     """Build a poset from labels (declaration order fixes indices) and a list
     of (lower_label, upper_label) cover pairs.
 
-    The pairs may be any generating relation; the transitive closure is
-    computed here and the reduction recovered on demand.  Raises
+    The pairs may be any generating relation; :func:`_close` closes it up
+    and down here, and the reduction is recovered on demand.  Raises
     DuplicateLabel / UnknownLabel / CycleDetected.
     """
     labels = list(labels)
@@ -373,19 +411,8 @@ def poset_from_covers(labels, covers):
     if len(topo) != n:
         raise CycleDetected("cover relation contains a cycle")
 
-    up = [0] * n
-    for i in reversed(topo):
-        m = succ[i]
-        for j in iter_bits(succ[i]):
-            m |= up[j]
-        up[i] = m
-    down = [0] * n
-    for j in topo:
-        m = pred[j]
-        for i in iter_bits(pred[j]):
-            m |= down[i]
-        down[j] = m
-    return Poset(labels, up, _trusted=True, _down=down)
+    return Poset(labels, _close(succ, reversed(topo)), _trusted=True,
+                 _down=_close(pred, topo))
 
 
 def singleton(label="x"):

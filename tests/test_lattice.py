@@ -12,8 +12,8 @@ from conftest import posets, shuffled_relabeling
 from latcut import (DistLattice, InvalidInterval, all_labeled_posets,
                     birkhoff_roundtrip, chain, cover_cube, cuttings,
                     expand_poset, fence, filter_lattice, poset_from_covers,
-                    poset_isomorphic, run_cutting_suite, verify_birkhoff,
-                    verify_fibonacci_decomposition,
+                    poset_isomorphic, random_poset, run_cutting_suite,
+                    verify_birkhoff, verify_fibonacci_decomposition,
                     verify_lucas_decomposition)
 
 
@@ -322,3 +322,36 @@ def test_cover_tuples_are_built_only_by_their_readers(run, want, monkeypatch):
     counts = _count_builds(monkeypatch)
     run()
     assert counts == Counter(want)
+
+
+# -- memory ledger: a build holds a constant number of bytes per element -------
+
+
+@pytest.mark.parametrize("make", [lambda: random_poset(1000003, 3000),
+                                  lambda: fence(22)],
+                         ids=["random-2114-elements", "fence-22"])
+def test_a_build_holds_a_constant_number_of_bytes_per_element(make):
+    # The pairs are listed first, so the walk is not traced.  Per lattice
+    # element, with N elements in all, the build holds at most:
+    # - the sorted list of the pairs, 8 B, and while it is sorted by size,
+    #   8 B of sort keys and a 32 B int for each size past 256;
+    # - ``filters``, ``minima`` and ``heights``, 8 B each, the list the
+    #   heights are built in, 8 B, and a 32 B int for each height past 256;
+    # - ``index_of``: a dict resized at u <= N keys has fewer than 6u slots
+    #   of at most 4 B and 4u entries of 24 B, so less than 120 B a key.
+    # 8 + 24 + 8 + 32 + 120 = 192 B, whatever n is: the F and min F ints are
+    # the caller's, never copied or packed into 3n-bit keys.  64 KiB covers
+    # the fixed objects.  The random poset has 2,114 elements (3,889
+    # filters), so its heights and sizes pass 256.
+    import tracemalloc
+
+    p = make()
+    pairs = list(p.filters_with_minima())
+    tracemalloc.start()
+    try:
+        lat = DistLattice(p, pairs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert lat.size == len(pairs)
+    assert peak <= 192 * lat.size + (64 << 10), (peak, peak / lat.size)

@@ -45,6 +45,15 @@ def family(kind, n):
     return out
 
 
+def all_relations(levels):
+    """The file of the ordinal sum of the antichains ``levels``, bottom
+    first, with every comparable pair listed as a cover."""
+    labels = [lab for level in levels for lab in level]
+    return "element %s\n" % " ".join(labels) + "".join(
+        "cover %s %s\n" % (lo, hi) for k, level in enumerate(levels)
+        for lo in level for upper in levels[k + 1:] for hi in upper)
+
+
 # The poset with covers b < a and b < c; its lattice holds [101, 000].
 Z3 = "element a b c\ncover b a\ncover b c\n"
 
@@ -108,6 +117,12 @@ def cases():
     out["stats-antichain-3-below-crown-6-beside-chain-2"] = (
         ["stats"], write_poset_file(disjoint_union(
             ordinal_sum(antichain(3), crown(6)), chain(2))))
+    # Every relation listed, not only the covers, so the closure meets
+    # successors that a closed row already holds.
+    out["lattice-chain-6-all-relations"] = (
+        ["lattice"], all_relations([[str(i)] for i in range(1, 7)]))
+    out["lattice-antichain-2-below-antichain-2-below-antichain-2"] = (
+        ["lattice"], all_relations([["1", "2"], ["3", "4"], ["5", "6"]]))
     # crown(8) with its element line reversed, so index order is not the
     # natural bottom-up one: the cover readers meet a permuted base.
     head, _, rest = family("crown", 8).partition("\n")
