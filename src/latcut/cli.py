@@ -143,6 +143,7 @@ def cli_run(argv=None):
         return 2
     except AssertionError as e:
         # A built-in cross-check (the q census against the interval scan,
+        # or past 64 elements against the recurrence on the poset,
         # the four-way cutting vote, the boundary partition, an expansion
         # step) found a contradiction.
         print("error: verified property failed: %s" % e, file=sys.stderr)

@@ -26,6 +26,15 @@ and the vectors satisfy
     d_minus_k(exp) = d_minus_k(L) + d_minus_{k-1}(K)
     d_k(exp at K') = d_k(exp) + d_{k-2}(K)     (second expansion at the copy)
 
+q is counted by a census of the filter minima.  q_vector cross-checks it
+once per lattice, within the interval scan's bounds: by the scan on a
+lattice of at most 64 elements, and past that by the q recurrence read on
+the base poset, with F(P) as F(P - x) expanded at F(P * x):
+
+    Q(P) = Q(P - x) + (1 + t) Q(P * x)
+
+which builds no lattice.
+
 The checks of these identities take the ExpansionResult of expand_poset
 alone: it holds L, K and the expansion together, and K as a lattice, which
 only the q and d checks read.  None of them validates K again or builds the
@@ -36,6 +45,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 from itertools import zip_longest
 from math import comb, prod
 from operator import add
@@ -45,21 +55,17 @@ from .errors import CapacityExceeded
 from .expansion import expand_poset
 from .poset import FILTER_CAP
 
-# The interval-scan oracle builds a 2^n-bit antichain table and tests at most
-# size^2 pairs.  Its memory is bounded per row block (_SCAN_BLOCK_PAIRS), so
-# the pair limit bounds its time; past these bounds only the census route runs.
+# q_vector cross-checks its census where the interval scan would be
+# affordable: at most _SCAN_BASE_LIMIT base elements, whose 2^n-bit antichain
+# table the scan reads, and at most _SCAN_PAIR_LIMIT ordered pairs.  Past
+# these bounds only the census runs: the recurrence has no state bound yet.
 _SCAN_BASE_LIMIT = 20
 _SCAN_PAIR_LIMIT = 1 << 23
-# Pair entries per row block of the scan: 128 KiB per uint16 temporary, 256
-# KiB per uint32 one, so a block's working set stays inside a core's 2 MiB L2
-# cache.  Timed at 2^12 to 2^20 on fence(16), crown(16), antichain(11) and
-# fence(17) (a 2-vCPU Xeon VM, numpy 2.4), 2^16 was the fastest on each, and
-# 2^20 took 1.4 to 1.6 times as long.
-_SCAN_BLOCK_PAIRS = 1 << 16
-# Lattices up to this size are scanned on Python ints, without numpy.  It
+# Lattices up to this size are scanned, pair by pair on Python ints.  It
 # covers every lattice of a poset of at most 6 elements, so the exhaustive
 # layer of the cutting pass (posets of up to 5 elements and their
-# expansions); past it numpy's blocks are several times faster.
+# expansions).  Larger ones are checked by the recurrence on their base,
+# whose cost follows its memo states and not the |L|^2 pairs.
 _SCAN_INT_LIMIT = 64
 
 
@@ -146,37 +152,17 @@ def _q_scan(lat):
     """Interval-scan oracle: enumerate every comparable pair (a, b), take the
     set difference of their filters, and count it by its size when it is an
     antichain (looked up in the bytes of the cached Poset.antichain_table).
-
-    Two kernels of that one definition, chosen by lattice size: up to
-    _SCAN_INT_LIMIT elements (2^12 ordered pairs) the pairs are walked on
-    Python ints (:func:`_q_scan_ints`), where numpy's fixed cost per call
-    and on import would exceed the whole scan; larger lattices go to the
-    numpy row blocks of :func:`_q_scan_blocks`, the only code that imports
-    numpy.  Raises CapacityExceeded past _SCAN_BASE_LIMIT base elements,
-    where the 2^n-bit table and the uint32 masks no longer fit.
-    """
+    F_b within F_a puts b at or after a in the canonical order (larger
+    filters first), so each row a walks only the columns from a on.  The
+    antichain test indexes the table's bytes: shifting the 2^n-bit int
+    instead would cost a copy of it per pair.  Raises CapacityExceeded past
+    _SCAN_BASE_LIMIT base elements, where the 2^n-bit table no longer
+    fits."""
     n = lat.base.n
     if n > _SCAN_BASE_LIMIT:
         raise CapacityExceeded("the interval scan takes at most %d base "
                                "elements, not %d" % (_SCAN_BASE_LIMIT, n))
-    if lat.size <= _SCAN_INT_LIMIT:
-        return _q_scan_ints(lat)
-    return _q_scan_blocks(lat)
-
-
-def _antichain_bytes(base):
-    """Poset.antichain_table as little-endian bytes: subset m is an antichain
-    when bit m % 8 of byte m // 8 is set."""
-    return base.antichain_table().to_bytes(((1 << base.n) + 7) // 8, "little")
-
-
-def _q_scan_ints(lat):
-    """The interval scan on Python ints.  F_b within F_a puts b at or after a
-    in the canonical order (larger filters first), so each row a walks only
-    the columns from a on.  The antichain test indexes the table's bytes:
-    shifting the 2^n-bit int instead would cost a copy of it per pair."""
-    n = lat.base.n
-    table = _antichain_bytes(lat.base)
+    table = lat.base.antichain_table().to_bytes(((1 << n) + 7) // 8, "little")
     filters = lat.filters
     counts = [0] * (n + 1)
     for a, fa in enumerate(filters):
@@ -189,57 +175,79 @@ def _q_scan_ints(lat):
     return poly_trim(counts)
 
 
-def _q_scan_blocks(lat):
-    """The interval scan in numpy row blocks.  Filters are held as uint16
-    masks when n <= 16 and as uint32 otherwise.  As in :func:`_q_scan_ints`,
-    each block of rows a is compared only with the columns from its first
-    row on.  A block takes as many rows as keep it within _SCAN_BLOCK_PAIRS
-    pair entries, so the blocks grow as the columns left shrink.  Only one
-    block is held at a time, so at any lattice size the temporaries take at
-    most 2w + 1 bytes an entry, w the bytes of a mask: 320 KiB at uint16,
-    576 KiB at uint32.  The time is still O(|F|^2).  numpy is imported here, so importing latcut, and
-    scanning only small lattices, does not load it."""
-    import numpy as np
+def _q_recurrence(p):
+    """q of F(P) from P alone, by the paper's q recurrence read on posets.
+    F(P) is F(P - x) expanded at the cutting F(P * x), P * x being P less
+    everything comparable to x, so
 
-    n = lat.base.n
-    f = np.array(lat.filters, dtype=np.uint16 if n <= 16 else np.uint32)
-    # No mask by base.full_mask is needed: notf is only ever ANDed with a
-    # filter, whose bits all lie inside it.
-    notf = ~f
-    table = np.unpackbits(np.frombuffer(_antichain_bytes(lat.base),
-                                        dtype=np.uint8),
-                          bitorder="little", count=1 << n).view(bool)
-    counts = np.zeros(n + 1, dtype=np.int64)
-    size, start = len(f), 0
-    while start < size:
-        stop = min(size, start + max(1, _SCAN_BLOCK_PAIRS // (size - start)))
-        # The pairs with F_b within F_a, and on them F_a ^ F_b = F_a & ~F_b,
-        # the set difference.  A column before start precedes every row a
-        # of the block, so its filter is a different one at least as large
-        # as F_a: not within it.
-        s = (f[start:stop, None] ^ f[start:])[
-            (f[None, start:] & notf[start:stop, None]) == 0]
-        counts += np.bincount(np.bitwise_count(s[table[s]]), minlength=n + 1)
-        del s       # before the next block is made: at most one is held
-        start = stop
-    return poly_trim(counts.tolist())
+        Q(P) = Q(P - x) + (1 + t) Q(P * x).
+
+    The sum laws come first (:meth:`Poset.split`): a disjoint union's
+    lattice is the product of its parts', so their Q polynomials multiply.
+    An ordinal sum of k parts stacks its parts' lattices, one element
+    shared at each junction.  A junction is comparable to every element,
+    so it lies strictly inside no Boolean interval, and each Boolean
+    interval lies in one part: their Q polynomials add, less k - 1 in
+    degree 0 for the junctions counted twice.  A single point has
+    Q = 2 + t and the empty poset Q = 1.  A prime block deletes the x
+    comparable to most of its elements, which leaves P * x smallest.
+    Subposets are masks of P, memoised, and evaluated children first from
+    an explicit stack."""
+    done = {0: [1]}
+    plans = {}
+    stack = [p.full_mask]
+    while stack:
+        mask = stack[-1]
+        if mask in done:
+            stack.pop()
+        elif mask in plans:
+            # Every part of the plan was evaluated above it on the stack.
+            stack.pop()
+            kind, parts = plans.pop(mask)
+            qs = [done[m] for m in parts]
+            if kind == "union":
+                q = reduce(poly_mul, qs)
+            elif kind == "sum":
+                q = reduce(poly_add, qs)
+                q[0] -= len(qs) - 1
+            else:
+                minus, star = qs
+                q = poly_add(minus, poly_add(star, poly_shift(star, 1)))
+            done[mask] = q
+        elif mask.bit_count() == 1:
+            # A point is a leaf: splitting it as a prime block instead took
+            # twice as long on fences, crowns and random posets.
+            stack.pop()
+            done[mask] = [2, 1]
+        else:
+            kind, parts = p.split(mask)
+            if kind == "prime":
+                x = max(iter_bits(mask), key=lambda i: (
+                    p.comparable_mask(i) & mask).bit_count())
+                parts = [mask & ~(1 << x), mask & ~p.comparable_mask(x)]
+            plans[mask] = kind, parts
+            stack.extend(m for m in parts if m not in done)
+    return done[p.full_mask]
 
 
 def q_vector(lat):
     """Counts of Boolean-cube intervals by dimension: the census
-    (:func:`_q_census`), checked against the interval scan
-    (:func:`_q_scan`) whenever the scan is affordable.  The scan loads
-    numpy only for a lattice of more than _SCAN_INT_LIMIT elements.
-    Computed once per lattice and cached on it; each call returns a fresh
-    list."""
+    (:func:`_q_census`), cross-checked once wherever the interval scan
+    would be affordable: by the scan itself (:func:`_q_scan`) on a lattice
+    of at most _SCAN_INT_LIMIT elements, and past that by the recurrence
+    on the base poset (:func:`_q_recurrence`).  Computed once per lattice
+    and cached on it; each call returns a fresh list."""
     if lat._q is None:
         q = _q_census(lat)
         if (lat.base.n <= _SCAN_BASE_LIMIT
                 and lat.size * lat.size <= _SCAN_PAIR_LIMIT):
-            scanned = _q_scan(lat)
-            if poly_trim(scanned) != poly_trim(q):
-                raise AssertionError(
-                    "interval scan %r disagrees with census %r" % (scanned, q))
+            if lat.size <= _SCAN_INT_LIMIT:
+                route, check = "interval scan", _q_scan(lat)
+            else:
+                route, check = "recurrence", _q_recurrence(lat.base)
+            if poly_trim(check) != poly_trim(q):
+                raise AssertionError("%s %r disagrees with census %r"
+                                     % (route, check, q))
         lat._q = tuple(q)
     return list(lat._q)
 
@@ -478,8 +486,9 @@ def poset_stats(p, cap=FILTER_CAP):
     runs only when S is under the cap, and is refused on its exact size.
 
     q is the census, the binomial transform of the up-degree histogram; no
-    lattice is built and no interval scan runs.  The scan cross-checks the
-    census in :func:`q_vector`, which the verify suites and the tests call.
+    lattice is built and no cross-check runs.  The interval scan or the
+    recurrence cross-checks the census in :func:`q_vector`, which the
+    verify suites and the tests call.
 
     So here Q(x) = D(1 + x), D the up-degree polynomial, and the Euler
     sums are Q(-1) = d_minus[0] and Q'(-1) = d_minus[1].  As ``mi_count``

@@ -4,7 +4,9 @@ re-checked by brute force over exhaustive small posets plus a random layer.
 Each suite returns a SuiteResult whose report is line-oriented and
 deterministic for a fixed seed; on failure the smallest failing instance is
 inlined as a poset file so it can be replayed directly.  birkhoff and
-random check x -> up(x) with ``birkhoff_roundtrip``, without a search.
+random check x -> up(x) with ``birkhoff_roundtrip``, without a search;
+birkhoff also compares each poset's ``cover_masks`` with the definition of
+a cover.
 
 The seven cutting topics share one pass over the pooled lattices, driven by
 a table of (topic, failure text, check) rows.  binomial, euler and
@@ -21,12 +23,12 @@ failure detail otherwise.  A topic runs only its own rows, so only
 cutting-equivalence votes.  A row or vote that raises AssertionError fails
 with the message, one that raises anything else fails with ``raised
 <type>: <message>``, an expansion that raises fails every row that would
-read it, and the pass goes on; only CapacityExceeded stops it, as a
-refusal.  A pooled lattice too large for the vote or its expansions is
-refused before either, and before its cuttings are listed when the
-2|L| - 1 that hold its bottom or top already make it too large; a pooled
-poset past the filter cap, here or in birkhoff and random, is refused by
-its tag.
+read it, a ``cuttings`` that raises fails its poset in every topic, and
+the pass goes on; only CapacityExceeded stops it, as a refusal.  A pooled
+lattice too large for the vote or its expansions is refused before either,
+and before its cuttings are listed when the 2|L| - 1 that hold its bottom
+or top already make it too large; a pooled poset past the filter cap, here
+or in birkhoff and random, is refused by its tag.
 
 The fibonacci and lucas suites print the detail of each failing
 FamilyReport, or that of a case that raises, and go on; lucas adds
@@ -143,6 +145,13 @@ def filters_by_scan(p):
     return out
 
 
+def _covers_by_definition(p):
+    """Every pair i < j with nothing strictly between, in (i, j) order:
+    the cover relation read off the order itself, with no walk."""
+    return [(i, j) for i in range(p.n) for j in iter_bits(p.up[i])
+            if p.up[i] & p.down[j] == 0]
+
+
 def verify_birkhoff(trials=1000, max_size=8, seed=0):
     res = SuiteResult("birkhoff", seed=seed)
     t0 = time.perf_counter()
@@ -156,6 +165,9 @@ def verify_birkhoff(trials=1000, max_size=8, seed=0):
         res.checks += 1
         if not birkhoff_roundtrip(lat):
             res.add_failure(p, "Mi(F(P)) not isomorphic to P (%s)" % tag)
+        elif sorted(p.cover_masks()) != _covers_by_definition(p):
+            res.add_failure(p, "cover_masks() differs from its definition "
+                            "(%s)" % tag)
         elif p.n <= _FILTER_SCAN_LIMIT:
             scanned = filters_by_scan(p)
             if sorted(lat.filters) != scanned:
@@ -213,9 +225,9 @@ _CUTTING_TOPICS = ("cutting-equivalence",) + tuple(
 def _attempt(check, *args):
     """(check(*args), None), or (None, the detail of its failure) when the
     check raises: the message of an AssertionError (a q census that
-    disagrees with its interval scan, four cutting criteria that disagree),
-    else ``raised <type>: <message>``.  CapacityExceeded refuses the input
-    rather than failing a check, and goes through."""
+    disagrees with its interval scan or recurrence, four cutting criteria
+    that disagree), else ``raised <type>: <message>``.  CapacityExceeded
+    refuses the input rather than failing a check, and goes through."""
     try:
         return check(*args), None
     except CapacityExceeded:
@@ -302,7 +314,14 @@ def run_cutting_suite(trials=200, max_size=7, seed=1, exhaustive_max=5,
         n_posets += 1
         te = time.perf_counter()
         _refuse_pass_work(tag, lat.size, 2 * lat.size - 1, "at least ")
-        listed = cuttings(lat)
+        listed, fault = _attempt(cuttings, lat)
+        if fault is not None:
+            # Every topic reads the cuttings: the vote, the cutting rows,
+            # and the lattice rows on each expansion.
+            _run_rows(results, [(topic, "cuttings() failed", None)
+                                for topic in results], p, lambda: tag,
+                      fault=fault)
+            continue
         _refuse_pass_work(tag, lat.size, len(listed))
         n_intervals += sum(m.bit_count() for m in lat.above_masks())
         n_cuttings += len(listed)
@@ -436,7 +455,8 @@ def verify_random(trials=200, max_size=7, seed=2):
         res.checks += 1
         ok = birkhoff_roundtrip(lat)
         detail = _detail(lambda: binomial_relations(lat) or euler_checks(lat))
-        d = d_vectors(lat)
+        d, fault = _attempt(d_vectors, lat)
+        detail = detail or fault
         if detail or not (ok and d.minus == d.plus):
             res.add_failure(p, "random-layer invariants (%s)" % tag, detail
                             or "roundtrip=%r d_minus=%r d_plus=%r"

@@ -34,7 +34,7 @@ def test_declared_runtime_dependencies_are_the_imported_ones():
         declared = tomllib.load(fh)["project"]["dependencies"]
     names = {re.match(r"[A-Za-z0-9_.-]+", d).group().lower().replace("-", "_")
              for d in declared}
-    assert names == _imported_packages() == {"numpy"}
+    assert names == _imported_packages() == set()
 
 
 def _loaded_after_importing_latcut(name):
@@ -63,8 +63,8 @@ def test_no_package_file_names_networkx_or_reads_its_graphs():
 
 
 def test_importing_the_package_and_cli_leaves_numpy_out():
-    # numpy is imported by the interval scan alone, when it scans a lattice
-    # of more than 64 elements.
+    # No module of the package imports numpy; the tests below check that
+    # no run loads it either.
     assert _loaded_after_importing_latcut("numpy") == "False\n"
 
 
@@ -118,12 +118,28 @@ def test_a_verify_run_on_small_lattices_leaves_numpy_out():
         "'--max-size', '5'])") == "[0, false]\n"
 
 
-def test_a_scan_past_the_int_kernel_loads_numpy():
-    # F(fence(16)) has 2584 elements: its scan runs in numpy row blocks.
+def test_a_cross_check_past_the_int_kernel_leaves_numpy_out():
+    # F(fence(16)) has 2584 elements: its census is checked by the
+    # recurrence on fence(16).
     assert _numpy_loaded_after(
         "result = q_vector(filter_lattice(fence(16)))"
     ) == ("[[2584, 11822, 23109, 25088, 16435, 6588, 1554, 192, 9], "
-          "true]\n")
+          "false]\n")
+
+
+def test_verify_fibonacci_at_its_defaults_leaves_numpy_out():
+    # Lattices of up to 2584 elements, F(fence(16)) the largest, each
+    # cross-checked.
+    assert _numpy_loaded_after(
+        "result = cli_run(['verify', 'fibonacci'])") == "[0, false]\n"
+
+
+def test_family_fence_16_piped_to_lattice_leaves_numpy_out():
+    # `latcut family fence 16 | latcut lattice`, both in one process.
+    assert _numpy_loaded_after(
+        "cli_run(['family', 'fence', '16']); "
+        "sys.stdin = io.StringIO(out.getvalue()); "
+        "result = cli_run(['lattice'])") == "[0, false]\n"
 
 
 def _texts_outside_tests():

@@ -120,6 +120,30 @@ def test_birkhoff_suite_checks_the_kernel_against_the_scan(monkeypatch):
                for _, text in res.failures)
 
 
+def test_birkhoff_suite_checks_the_covers_against_their_definition(
+        capsys, monkeypatch):
+    # The cover walk with its test for an element in between deleted: it
+    # keeps every pair it visits, which is wrong once an element between i
+    # and j has a larger index than j, first on 3 elements.
+    def every_visited_pair(self):
+        covers = []
+        for i in range(self.n):
+            rest = self.up[i]
+            while rest:
+                low = rest & -rest
+                j = low.bit_length() - 1
+                rest &= ~(self.up[j] | low)
+                covers.append((i, j))
+        return tuple(covers)
+
+    monkeypatch.setattr(Poset, "cover_masks", every_visited_pair)
+    assert cli_run(["verify", "birkhoff"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("suite birkhoff: 1243 checks, ")
+    assert ("smallest failing instance:\nFAIL birkhoff: cover_masks() "
+            "differs from its definition (labeled n=3)\n") in out
+
+
 def _composite_18():
     return ordinal_sum(disjoint_union(fence(7), crown(6)),
                        disjoint_union(chain(2), antichain(3)))
@@ -255,19 +279,17 @@ def test_poset_stats_on_random_posets(p):
     assert poset_stats(p) == stats_dict(filter_lattice(p))
 
 
-def _scan_calls(monkeypatch, run):
+def _cross_check_calls(monkeypatch, run):
+    """run() and the number of q cross-checks it ran, by the interval scan
+    or by the recurrence."""
     import latcut.invariants as inv
 
     calls = []
-    real = inv._q_scan
-
-    def counting(lat):
-        calls.append(lat.size)
-        return real(lat)
-
-    monkeypatch.setattr(inv, "_q_scan", counting)
-    result = run()
-    monkeypatch.setattr(inv, "_q_scan", real)
+    with monkeypatch.context() as m:
+        for name in ("_q_scan", "_q_recurrence"):
+            m.setattr(inv, name, lambda x, real=getattr(inv, name): (
+                calls.append(x) or real(x)))
+        result = run()
     return result, len(calls)
 
 
@@ -277,7 +299,7 @@ def _scan_calls(monkeypatch, run):
     (lambda: crown(20), False),
     (lambda: antichain(14), False),
     (lambda: antichain(15), False),
-    # n <= 20 and size^2 <= 2^23: the interval scan runs
+    # n <= 20 and size^2 <= 2^23: q_vector cross-checks the census
     (lambda: disjoint_union(fence(8), crown(6)), True),
     (lambda: fence(16), True),
     # n <= 20, but 4183^2 pairs of filters are too many
@@ -289,11 +311,13 @@ def _scan_calls(monkeypatch, run):
 ])
 def test_poset_stats_at_scale_and_the_scan_switch(make, scanned, monkeypatch):
     """The streamed report equals the lattice's.  The streamed one never
-    scans; the q cross-check against the interval scan runs on the
-    lattice's side, exactly where ``q_vector`` runs it."""
+    cross-checks q; the cross-check, by the interval scan or by the
+    recurrence, runs on the lattice's side, exactly where ``q_vector``
+    runs it."""
     p = make()
-    got, streamed_scans = _scan_calls(monkeypatch, lambda: poset_stats(p))
-    want, lattice_scans = _scan_calls(
+    got, streamed_scans = _cross_check_calls(monkeypatch,
+                                             lambda: poset_stats(p))
+    want, lattice_scans = _cross_check_calls(
         monkeypatch, lambda: stats_dict(filter_lattice(p)))
     assert got == want
     assert streamed_scans == 0

@@ -468,6 +468,22 @@ def plant_compress_off_by_one(monkeypatch):
     monkeypatch.setattr(ex, "_x_interval", compress)
 
 
+def plant_raising_cuttings(monkeypatch):
+    """The cutting pass's ``cuttings`` looks up a set that is no filter of
+    the lattice, as under a closure that misses part of an up-set."""
+    import latcut.verify as ver
+
+    monkeypatch.setattr(ver, "cuttings", lambda lat: [lat.index_of[-1]])
+
+
+def plant_raising_d_vectors(monkeypatch):
+    """The random suite's own ``d_vectors`` call looks up a set that is no
+    filter; the binomial row's call is left alone."""
+    import latcut.verify as ver
+
+    monkeypatch.setattr(ver, "d_vectors", lambda lat: lat.index_of[-1])
+
+
 @pytest.mark.parametrize("plant,argv,head,raised", [
     (plant_dropped_last_pair,
      ["verify", "expansion-counts", "--trials", "0", "--max-size", "2"],
@@ -475,7 +491,13 @@ def plant_compress_off_by_one(monkeypatch):
      "raised KeyError: "),
     (plant_compress_off_by_one, ["verify", "fibonacci"],
      "suite fibonacci: 120 checks, ", "raised NotACutting: "),
-], ids=["dropped-pair", "compress"])
+    (plant_raising_cuttings,
+     ["verify", "cutting-equivalence", "--trials", "0", "--max-size", "2"],
+     "suite cutting-equivalence: 4 checks, 4 FAILURES",
+     "raised KeyError: -1"),
+    (plant_raising_d_vectors, ["verify", "random", "--trials", "3"],
+     "suite random: 3 checks, 3 FAILURES", "raised KeyError: -1"),
+], ids=["dropped-pair", "compress", "cuttings", "d-vectors"])
 def test_a_check_that_raises_is_a_failing_instance(plant, argv, head, raised,
                                                    capsys, monkeypatch):
     """A fault that makes a check raise fails that poset with ``raised
@@ -486,6 +508,20 @@ def test_a_check_that_raises_is_a_failing_instance(plant, argv, head, raised,
     out, err = capsys.readouterr()
     assert out.startswith(head) and "FAILURES" in out.splitlines()[0]
     assert "\nFAIL %s: " % argv[1] in out and raised in out
+    assert err == ""
+
+
+@pytest.mark.parametrize("topic", _CUTTING_TOPICS)
+def test_a_cuttings_that_raises_fails_each_poset_in_every_topic(
+        topic, capsys, monkeypatch):
+    # The iso classes of at most 2 elements and 3 random posets: 7 posets,
+    # each failed once, and the pass goes on to the end.
+    plant_raising_cuttings(monkeypatch)
+    assert cli_run(["verify", topic, "--trials", "3", "--max-size", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out.startswith("suite %s: 7 checks, 7 FAILURES (seed=1)\n" % topic)
+    assert ("FAIL %s: cuttings() failed (iso n=0)\nraised KeyError: -1\n"
+            % topic) in out
     assert err == ""
 
 # -- decomposition ------------------------------------------------------------------

@@ -716,13 +716,25 @@ def test_the_round_trip_and_the_family_reports_run_no_search(monkeypatch,
     assert calls == []
 
 
-def _count_scans(monkeypatch):
-    """The lattices _q_scan runs on, in order."""
-    scanned = []
-    real = invariants._q_scan
-    monkeypatch.setattr(invariants, "_q_scan",
-                        lambda lat: scanned.append(lat) or real(lat))
-    return scanned
+def _count_cross_checks(monkeypatch):
+    """(size, base) of each lattice whose q is cross-checked, in order: by
+    _q_scan, which takes the lattice, or by _q_recurrence, which takes its
+    base and returns q, whose q_0 is the lattice's size."""
+    checked = []
+    scan, recurrence = invariants._q_scan, invariants._q_recurrence
+
+    def scanning(lat):
+        checked.append((lat.size, lat.base))
+        return scan(lat)
+
+    def recurring(p):
+        q = recurrence(p)
+        checked.append((q[0], p))
+        return q
+
+    monkeypatch.setattr(invariants, "_q_scan", scanning)
+    monkeypatch.setattr(invariants, "_q_recurrence", recurring)
+    return checked
 
 
 @pytest.mark.parametrize("run, sizes", [
@@ -736,11 +748,12 @@ def _count_scans(monkeypatch):
 ], ids=["fibonacci-7-4", "fibonacci-4-7", "lucas-6"])
 def test_a_passing_report_scans_each_lattice_once(monkeypatch, run, sizes):
     # A round trip that holds proves F(P) from the walk equal to L', so
-    # the report reads its q off L' and scans it once.
-    scanned = _count_scans(monkeypatch)
+    # the report reads its q off L' and cross-checks it once: past 64
+    # elements by the recurrence on its base.
+    checked = _count_cross_checks(monkeypatch)
     assert run().ok
-    assert sorted(lat.size for lat in scanned) == sorted(sizes)
-    assert len({id(lat) for lat in scanned}) == len(sizes)
+    assert sorted(size for size, _ in checked) == sorted(sizes)
+    assert len({id(base) for _, base in checked}) == len(sizes)
 
 
 # The detail of a report whose round trip was planted to fail: F(P) built
@@ -775,12 +788,12 @@ def test_a_failed_round_trip_builds_and_scans_f_of_p(monkeypatch, flag, case,
         return built[-1]
 
     monkeypatch.setattr(families, "filter_lattice", build)
-    scanned = _count_scans(monkeypatch)
+    checked = _count_cross_checks(monkeypatch)
     rep = run()
     assert rep.detail == _FAILED_ROUND_TRIP_DETAIL[case]
     f_of_p = [lat for lat in built if lat.base == p]
     assert len(f_of_p) == 1
-    assert [lat is f_of_p[0] for lat in scanned].count(True) == 1
+    assert [base is f_of_p[0].base for _, base in checked].count(True) == 1
     # ... and an F(P) that is not F(P) fails the q flag too.
     wrong = fence(p.n - 1)
     assert run().detail == _FAILED_ROUND_TRIP_DETAIL[case].replace(

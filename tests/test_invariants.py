@@ -12,15 +12,15 @@ from hypothesis import strategies as st
 import oracles
 from conftest import posets, shuffled_relabeling
 from latcut import (CapacityExceeded, IntervalRef, InvalidInterval,
-                    antichain, antichain_census, binomial_relations,
-                    binomial_transform, boundary, chain, check_d_recurrences,
-                    check_q_recurrence, check_rank_recurrence, crown,
-                    d_vectors, disjoint_union, euler_checks, expand_poset,
-                    fence, filter_lattice, inverse_binomial_transform,
-                    is_cutting, poset_from_covers, posets_up_to_iso, q_vector,
-                    rank_gen, rank_gen_of, stats_dict)
-from latcut.invariants import (_SCAN_BLOCK_PAIRS, _q_census, _q_scan,
-                               _q_scan_blocks, _q_scan_ints, poly_add,
+                    all_labeled_posets, antichain, antichain_census,
+                    binomial_relations, binomial_transform, boundary, chain,
+                    check_d_recurrences, check_q_recurrence,
+                    check_rank_recurrence, crown, d_vectors, disjoint_union,
+                    euler_checks, expand_poset, fence, filter_lattice,
+                    inverse_binomial_transform, is_cutting, ordinal_sum,
+                    poset_from_covers, posets_up_to_iso, q_vector, rank_gen,
+                    rank_gen_of, stats_dict)
+from latcut.invariants import (_q_census, _q_recurrence, _q_scan, poly_add,
                                poly_deriv, poly_eq, poly_eval, poly_mul,
                                poly_shift, poly_trim)
 from latcut.verify import _pool_iso, _pool_random
@@ -327,14 +327,23 @@ def test_invariant_identities_on_random_posets(p):
 @given(posets(max_n=5), st.integers(min_value=0, max_value=2 ** 32))
 def test_q_routes_agree_on_random_posets(p, seed):
     # The census reads |min F| off the minima.  It must equal the comb()
-    # sum over the up-cover tuples, the transform of d_minus and the
-    # interval scan, on the poset as given, dualized and relabelled.
+    # sum over the up-cover tuples, the transform of d_minus, the interval
+    # scan and the recurrence on the poset, as given, dualized and
+    # relabelled.
     for q in (p, p.dual(), shuffled_relabeling(p, seed)[0]):
         lat = filter_lattice(q)
         census = _q_census(lat)
         assert census == oracles.q_census_by_up_covers(lat)
         assert census == binomial_transform(d_vectors(lat).minus)
-        assert census == _q_scan(lat)
+        assert census == _q_scan(lat) == _q_recurrence(q)
+
+
+def test_q_routes_agree_on_every_labeled_poset_up_to_5():
+    # 4,474 posets, every index order among them.
+    for n in range(6):
+        for p in all_labeled_posets(n):
+            lat = filter_lattice(p)
+            assert _q_census(lat) == _q_scan(lat) == _q_recurrence(p), p.up
 
 
 def test_the_census_transforms_a_trimmed_histogram(monkeypatch):
@@ -362,84 +371,66 @@ def _chain_product(*lengths):
 
 
 @pytest.mark.parametrize("make,size", [
-    (lambda: fence(16), 2584),                  # 54 row blocks
-    (lambda: crown(16), 2207),                  # 40 row blocks
-    (lambda: antichain(11), 2048),              # 34 row blocks
-    (lambda: _chain_product(2, 3, 4, 5, 6), 2520),  # n = 20, 51 row blocks
-    (lambda: _chain_product(4, 4, 4, 5), 750),  # n = 17, uint32, 6 row blocks
-], ids=["fence16", "crown16", "antichain11", "chains23456", "chains4445"])
-def test_blocked_scan_matches_the_census_across_row_blocks(make, size):
-    lat = filter_lattice(make())
+    (lambda: fence(13), 610),
+    (lambda: fence(16), 2584),
+    (lambda: crown(16), 2207),
+    (lambda: antichain(11), 2048),
+    (lambda: _chain_product(3, 3, 15), 256),    # 2^16 pairs
+    (lambda: _chain_product(2, 3, 4, 5, 6), 2520),  # n = 20
+    (lambda: _chain_product(4, 4, 4, 5), 750),
+    (lambda: ordinal_sum(ordinal_sum(fence(7), crown(6)), fence(6)), 71),
+], ids=["fence13", "fence16", "crown16", "antichain11", "pairs2_16",
+        "chains23456", "chains4445", "stacked"])
+def test_recurrence_matches_the_census_past_the_int_kernel(make, size):
+    p = make()
+    lat = filter_lattice(p)
     assert lat.size == size
-    assert lat.size > _SCAN_BLOCK_PAIRS // lat.size      # several blocks
-    assert _q_scan(lat) == _q_census(lat)
-
-
-def test_blocked_scan_memory_is_bounded_by_one_block():
-    # The traced peak of the scan of F(fence(16)), its table built inside,
-    # is at most the sum of what it holds at once, with w = 2 bytes a mask
-    # (n <= 16) and P = _SCAN_BLOCK_PAIRS:
-    # - the antichain table: the 2^n-bit int, its bytes, and 2^n bools;
-    # - the masks F and their complements, 2 w |F|;
-    # - one block of B <= P pairs, never two.  A block holds at most three
-    #   of its arrays at once, two of w B bytes and one of B: the XOR of
-    #   the pairs, the AND of the containment test and its mask; then the
-    #   XOR, the mask and the differences it selects; then, the mask
-    #   dropped, the differences, the antichain test and the antichains;
-    #   then the differences, the antichains and their sizes.  So
-    #   (2 w + 1) B;
-    # - 16 KiB of Python objects and small arrays.
-    import numpy  # noqa: F401 -- imported here, so its import is not traced
-    import tracemalloc
-
-    lat = filter_lattice(fence(16))
-    n, w = lat.base.n, 2
-    bound = ((2 * w + 1) * _SCAN_BLOCK_PAIRS + 2 * (1 << n) // 8 + (1 << n)
-             + 2 * w * lat.size + (16 << 10))
-    tracemalloc.start()
-    try:
-        q = _q_scan_blocks(lat)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert q == _q_census(lat)
-    assert peak <= bound, (peak, bound)
+    assert _q_recurrence(p) == _q_census(lat)
 
 
 @settings(max_examples=60, deadline=None)
 @given(posets(max_n=7))
-def test_scan_kernels_agree_at_every_size(p):
-    # Both kernels run on every lattice here, whichever one _q_scan picks.
+def test_scan_and_recurrence_agree_at_every_size(p):
+    # Both routes run on every lattice here, whichever one q_vector picks.
     lat = filter_lattice(p)
-    assert _q_scan_ints(lat) == _q_scan_blocks(lat) == poly_trim(
-        _q_census(lat))
+    assert _q_scan(lat) == _q_recurrence(p) == poly_trim(_q_census(lat))
 
 
-@pytest.mark.parametrize("make,size,kernel", [
-    (lambda: antichain(6), 64, "_q_scan_ints"),
-    (lambda: _chain_product(4, 12), 65, "_q_scan_blocks"),
-], ids=["antichain6", "chains4_12"])
-def test_scan_picks_its_kernel_by_lattice_size(make, size, kernel,
-                                               monkeypatch):
+def _cross_checks(monkeypatch):
+    """(route, argument) of each cross-check q_vector runs, in order."""
     import latcut.invariants as inv
 
+    checks = []
+    for name in ("_q_scan", "_q_recurrence"):
+        real = getattr(inv, name)
+        monkeypatch.setattr(inv, name, lambda x, name=name, real=real: (
+            checks.append((name, x)) or real(x)))
+    return checks
+
+
+@pytest.mark.parametrize("make,size,route", [
+    (lambda: antichain(6), 64, "_q_scan"),
+    (lambda: _chain_product(4, 12), 65, "_q_recurrence"),
+    (lambda: fence(16), 2584, "_q_recurrence"),
+    # 20 base elements and 2520^2 < 2^23 pairs: inside both gates.
+    (lambda: _chain_product(2, 3, 4, 5, 6), 2520, "_q_recurrence"),
+    # 21 base elements, or 4183^2 > 2^23 pairs: no cross-check.
+    (lambda: chain(21), 22, None),
+    (lambda: disjoint_union(fence(9), crown(8)), 4183, None),
+], ids=["antichain6", "chains4_12", "fence16", "chains23456", "chain21",
+        "pairs_past_2_23"])
+def test_q_vector_cross_checks_each_lattice_once_by_its_size(
+        make, size, route, monkeypatch):
+    """The ledger: within the gates, a lattice of at most 64 elements is
+    scanned, a larger one is checked by the recurrence on its base, each
+    once however often q is asked for; outside them neither runs."""
     lat = filter_lattice(make())
     assert lat.size == size
-    assert _q_scan_ints(lat) == _q_scan_blocks(lat) == _q_census(lat)
-    picked = []
-
-    def recording(name):
-        real = getattr(inv, name)
-
-        def run(lat):
-            picked.append(name)
-            return real(lat)
-        return run
-
-    for name in ("_q_scan_ints", "_q_scan_blocks"):
-        monkeypatch.setattr(inv, name, recording(name))
-    assert _q_scan(lat) == _q_census(lat)
-    assert picked == [kernel]
+    checks = _cross_checks(monkeypatch)
+    assert q_vector(lat) == q_vector(lat) == _q_census(lat)
+    want = {"_q_scan": [("_q_scan", lat)],
+            "_q_recurrence": [("_q_recurrence", lat.base)], None: []}
+    assert checks == want[route]
 
 
 def test_scan_matches_the_interval_oracle_on_the_cutting_pool():
