@@ -34,12 +34,21 @@ _DRAW_BOUND = 1 << 23
 
 def _extensions(p):
     """Every one-point extension of ``p``: its expansion at each cutting
-    of F(P), the new point last with the label n + 1.  ``cuttings`` lists
-    only cuttings, so no candidate is None."""
+    of F(P), the new point last with the label n + 1.  Every interval that
+    ``cuttings`` lists has its expansion; one that does not raises
+    AssertionError, naming P and the interval."""
     lat = filter_lattice(p)
     label = str(p.n + 1)
     for a, b in cuttings(lat):
-        yield _candidate_expansion(lat, IntervalRef(a, b), label)
+        q = _candidate_expansion(lat, IntervalRef(a, b), label)
+        if q is None:
+            raise AssertionError(
+                "cuttings listed [%s,%s] of F(P), which has no expansion, "
+                "for P with elements %s and covers %s"
+                % (lat.bitstring(a), lat.bitstring(b),
+                   " ".join(p.labels) or "none",
+                   " ".join("%s<%s" % c for c in p.cover_pairs()) or "none"))
+        yield q
 
 
 def _levels(n, step):

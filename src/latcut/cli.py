@@ -142,10 +142,9 @@ def cli_run(argv=None):
         print("error: %s" % e, file=sys.stderr)
         return 2
     except AssertionError as e:
-        # A built-in cross-check (the q census against the interval scan,
-        # or past 64 elements against the recurrence on the poset,
-        # the four-way cutting vote, the boundary partition, an expansion
-        # step) found a contradiction.
+        # A built-in cross-check (the q census against the recurrence on
+        # the poset, the four-way cutting vote, the boundary partition, an
+        # expansion step, the catalog's growth) found a contradiction.
         print("error: verified property failed: %s" % e, file=sys.stderr)
         return 1
 

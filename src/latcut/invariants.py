@@ -27,13 +27,13 @@ and the vectors satisfy
     d_k(exp at K') = d_k(exp) + d_{k-2}(K)     (second expansion at the copy)
 
 q is counted by a census of the filter minima.  q_vector cross-checks it
-once per lattice, within the interval scan's bounds: by the scan on a
-lattice of at most 64 elements, and past that by the q recurrence read on
-the base poset, with F(P) as F(P - x) expanded at F(P * x):
+once per lattice by the q recurrence read on the base poset, with F(P) as
+F(P - x) expanded at F(P * x):
 
     Q(P) = Q(P - x) + (1 + t) Q(P * x)
 
-which builds no lattice.
+which builds no lattice and reads nothing of the lattice it checks.  The
+check is skipped past the recurrence's work bound.
 
 The checks of these identities take the ExpansionResult of expand_poset
 alone: it holds L, K and the expansion together, and K as a lattice, which
@@ -55,18 +55,10 @@ from .errors import CapacityExceeded
 from .expansion import expand_poset
 from .poset import FILTER_CAP
 
-# q_vector cross-checks its census where the interval scan would be
-# affordable: at most _SCAN_BASE_LIMIT base elements, whose 2^n-bit antichain
-# table the scan reads, and at most _SCAN_PAIR_LIMIT ordered pairs.  Past
-# these bounds only the census runs: the recurrence has no state bound yet.
-_SCAN_BASE_LIMIT = 20
-_SCAN_PAIR_LIMIT = 1 << 23
-# Lattices up to this size are scanned, pair by pair on Python ints.  It
-# covers every lattice of a poset of at most 6 elements, so the exhaustive
-# layer of the cutting pass (posets of up to 5 elements and their
-# expansions).  Larger ones are checked by the recurrence on their base,
-# whose cost follows its memo states and not the |L|^2 pairs.
-_SCAN_INT_LIMIT = 64
+# _q_recurrence's work bound, in big-int word operations of its splits.
+# fence(200) reaches it in about 65 ms, and a random draw of 2,000
+# elements finished inside it in 83 ms (CPython 3.11, 2-vCPU VM).
+_RECURRENCE_WORK_MAX = 1 << 17
 
 
 # -- polynomial helpers (coefficient lists, exact ints) -------------------------
@@ -149,34 +141,29 @@ def _q_census(lat):
 
 
 def _q_scan(lat):
-    """Interval-scan oracle: enumerate every comparable pair (a, b), take the
-    set difference of their filters, and count it by its size when it is an
-    antichain (looked up in the bytes of the cached Poset.antichain_table).
+    """q by its definition, the reference the tests hold the census and
+    the recurrence to: enumerate every comparable pair (a, b), take the
+    set difference of their filters, and count it by its size when it is
+    an antichain, that is when no element of it has another above it.
     F_b within F_a puts b at or after a in the canonical order (larger
-    filters first), so each row a walks only the columns from a on.  The
-    antichain test indexes the table's bytes: shifting the 2^n-bit int
-    instead would cost a copy of it per pair.  Raises CapacityExceeded past
-    _SCAN_BASE_LIMIT base elements, where the 2^n-bit table no longer
-    fits."""
-    n = lat.base.n
-    if n > _SCAN_BASE_LIMIT:
-        raise CapacityExceeded("the interval scan takes at most %d base "
-                               "elements, not %d" % (_SCAN_BASE_LIMIT, n))
-    table = lat.base.antichain_table().to_bytes(((1 << n) + 7) // 8, "little")
+    filters first), so each row a walks only the columns from a on.
+    O(|L|^2) pairs; no production route calls it."""
+    up = lat.base.up
     filters = lat.filters
-    counts = [0] * (n + 1)
+    counts = [0] * (lat.base.n + 1)
     for a, fa in enumerate(filters):
         outside = ~fa
         for fb in filters[a:]:
             if not fb & outside:                       # F_b within F_a
                 s = fa ^ fb
-                if table[s >> 3] >> (s & 7) & 1:
+                if not any(up[i] & s for i in iter_bits(s)):
                     counts[s.bit_count()] += 1
     return poly_trim(counts)
 
 
 def _q_recurrence(p):
-    """q of F(P) from P alone, by the paper's q recurrence read on posets.
+    """q of F(P) from P alone, by the paper's q recurrence read on posets,
+    or None past the work bound.
     F(P) is F(P - x) expanded at the cutting F(P * x), P * x being P less
     everything comparable to x, so
 
@@ -192,7 +179,16 @@ def _q_recurrence(p):
     Q = 2 + t and the empty poset Q = 1.  A prime block deletes the x
     comparable to most of its elements, which leaves P * x smallest.
     Subposets are masks of P, memoised, and evaluated children first from
-    an explicit stack."""
+    an explicit stack.
+
+    The work bound: with w = n // 64 + 1 the machine words of a mask of
+    P, the sum of |M| * w over the subposets M that are split stays at
+    most _RECURRENCE_WORK_MAX; the split that would pass it returns None
+    instead.  Splitting M visits each of its elements once or twice with
+    a few operations on n-bit masks, so |M| * w is its cost to within a
+    constant factor."""
+    words = p.n // 64 + 1
+    work = 0
     done = {0: [1]}
     plans = {}
     stack = [p.full_mask]
@@ -220,6 +216,9 @@ def _q_recurrence(p):
             stack.pop()
             done[mask] = [2, 1]
         else:
+            work += mask.bit_count() * words
+            if work > _RECURRENCE_WORK_MAX:
+                return None
             kind, parts = p.split(mask)
             if kind == "prime":
                 x = max(iter_bits(mask), key=lambda i: (
@@ -232,22 +231,17 @@ def _q_recurrence(p):
 
 def q_vector(lat):
     """Counts of Boolean-cube intervals by dimension: the census
-    (:func:`_q_census`), cross-checked once wherever the interval scan
-    would be affordable: by the scan itself (:func:`_q_scan`) on a lattice
-    of at most _SCAN_INT_LIMIT elements, and past that by the recurrence
-    on the base poset (:func:`_q_recurrence`).  Computed once per lattice
-    and cached on it; each call returns a fresh list."""
+    (:func:`_q_census`), cross-checked once by the recurrence on the base
+    poset (:func:`_q_recurrence`), which reads P alone; past its work
+    bound the census goes unchecked.  Raises AssertionError when the two
+    disagree.  Computed once per lattice and cached on it; each call
+    returns a fresh list."""
     if lat._q is None:
         q = _q_census(lat)
-        if (lat.base.n <= _SCAN_BASE_LIMIT
-                and lat.size * lat.size <= _SCAN_PAIR_LIMIT):
-            if lat.size <= _SCAN_INT_LIMIT:
-                route, check = "interval scan", _q_scan(lat)
-            else:
-                route, check = "recurrence", _q_recurrence(lat.base)
-            if poly_trim(check) != poly_trim(q):
-                raise AssertionError("%s %r disagrees with census %r"
-                                     % (route, check, q))
+        check = _q_recurrence(lat.base)
+        if check is not None and check != q:
+            raise AssertionError("recurrence %r disagrees with census %r"
+                                 % (check, q))
         lat._q = tuple(q)
     return list(lat._q)
 
@@ -486,9 +480,9 @@ def poset_stats(p, cap=FILTER_CAP):
     runs only when S is under the cap, and is refused on its exact size.
 
     q is the census, the binomial transform of the up-degree histogram; no
-    lattice is built and no cross-check runs.  The interval scan or the
-    recurrence cross-checks the census in :func:`q_vector`, which the
-    verify suites and the tests call.
+    lattice is built and no cross-check runs.  The recurrence cross-checks
+    the census in :func:`q_vector`, which the verify suites and the tests
+    call.
 
     So here Q(x) = D(1 + x), D the up-degree polynomial, and the Euler
     sums are Q(-1) = d_minus[0] and Q'(-1) = d_minus[1].  As ``mi_count``

@@ -52,7 +52,6 @@ class Poset:
         self.up = tuple(up)
         self.down = tuple(_transpose(self.up) if _down is None else _down)
         self._covers_up = None
-        self._antichain_table = None
 
     # -- basic queries ----------------------------------------------------
 
@@ -236,27 +235,6 @@ class Poset:
                        for f, _ in self.filters_with_minima(cap)])
         full = self.full_mask
         return [k & full for k in keys]
-
-    def antichain_table(self):
-        """Bitset over all 2^n subsets, as an int: bit m is set when subset m
-        is an antichain.  Cached; 2^n bits, so only sensible for small n
-        (guarded by callers).
-
-        Built by doubling over the elements.  With t the table of the
-        subsets of {0..k-1}, a subset m + {k} is an antichain when m is one
-        and misses everything comparable to k; z, the bitset of those m, is
-        itself doubled up from the incomparable j < k.  That is O(n^2)
-        big-int operations, each run in C.
-        """
-        if self._antichain_table is None:
-            t = 1
-            for k in range(self.n):
-                z = 1
-                for j in iter_bits(~self.comparable_mask(k) & ((1 << k) - 1)):
-                    z |= z << (1 << j)
-                t |= (t & z) << (1 << k)
-            self._antichain_table = t
-        return self._antichain_table
 
     # -- derived posets --------------------------------------------------------
 

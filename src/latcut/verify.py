@@ -19,7 +19,9 @@ on it, with no second walk.  cutting-equivalence asks ``is_cutting``, which
 votes four criteria, on every interval.  The rows of binomial, euler,
 rank-recurrence and q-d-recurrences are the public checks of
 latcut.invariants, which return None when their identity holds and the
-failure detail otherwise.  A topic runs only its own rows, so only
+failure detail otherwise.  The q they read is q_vector's census, checked
+once per lattice against the q recurrence on its base poset.  A topic
+runs only its own rows, so only
 cutting-equivalence votes.  A row or vote that raises AssertionError fails
 with the message, one that raises anything else fails with ``raised
 <type>: <message>``, an expansion that raises fails every row that would
@@ -28,7 +30,9 @@ the pass goes on; only CapacityExceeded stops it, as a refusal.  A pooled
 lattice too large for the vote or its expansions is refused before either,
 and before its cuttings are listed when the 2|L| - 1 that hold its bottom
 or top already make it too large; a pooled poset past the filter cap, here
-or in birkhoff and random, is refused by its tag.
+or in birkhoff and random, is refused by its tag.  A listed cutting with no
+expansion, met while the exhaustive pool grows, stops the run with
+AssertionError, which the CLI reports on one line with exit 1.
 
 The fibonacci and lucas suites print the detail of each failing
 FamilyReport, or that of a case that raises, and go on; lucas adds
@@ -225,8 +229,8 @@ _CUTTING_TOPICS = ("cutting-equivalence",) + tuple(
 def _attempt(check, *args):
     """(check(*args), None), or (None, the detail of its failure) when the
     check raises: the message of an AssertionError (a q census that
-    disagrees with its interval scan or recurrence, four cutting criteria
-    that disagree), else ``raised <type>: <message>``.  CapacityExceeded
+    disagrees with the recurrence on P, four cutting criteria that
+    disagree), else ``raised <type>: <message>``.  CapacityExceeded
     refuses the input rather than failing a check, and goes through."""
     try:
         return check(*args), None

@@ -105,14 +105,6 @@ def is_filter(p, bits):
     return all(p.up[i] & ~bits == 0 for i in range(p.n) if bits >> i & 1)
 
 
-def is_antichain(p, bits):
-    """True when no two members of the subset ``bits`` are comparable,
-    read off ``p.lt`` pair by pair."""
-    members = [i for i in range(p.n) if bits >> i & 1]
-    return not any(p.lt(i, j) or p.lt(j, i)
-                   for i, j in combinations(members, 2))
-
-
 def naive_filters(p):
     """All up-closed label sets, by checking every subset against the
     definition."""

@@ -68,7 +68,7 @@ def test_criterion_04_rank_recurrence(cutting):
 def test_criterion_05_q_d_recurrences(cutting):
     res = cutting["q-d-recurrences"]
     _record(5, res.ok, "q and both d recurrences on %d cuttings, q census "
-            "cross-checked by interval scan" % res.checks)
+            "cross-checked by the recurrence on P" % res.checks)
 
 
 def test_criterion_06_binomial_transform(cutting):

@@ -105,3 +105,22 @@ def test_random_poset_refuses_a_draw_past_the_work_bound():
     with pytest.raises(CapacityExceeded, match=r"seed=2000006 draws 14031 "
                        r"elements: 98427465 relation draws, more than 8388608"):
         random_poset(2000006, 16384)
+
+
+def test_a_cutting_with_no_expansion_fails_the_run_in_one_line(capsys,
+                                                               monkeypatch):
+    # A candidate that is not a poset, past the transitivity test, means
+    # that the growth went wrong: the run exits 1 on one line naming the
+    # poset and the interval, and ends in no traceback.
+    import latcut.catalog as catalog
+    from latcut.cli import cli_run
+
+    real = catalog._candidate_expansion
+    monkeypatch.setattr(catalog, "_candidate_expansion", lambda lat, k, label: (
+        None if lat.base.n == 2 else real(lat, k, label)))
+    assert cli_run(["verify", "binomial"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: verified property failed: cuttings listed "
+                   "[11,11] of F(P), which has no expansion, for P with "
+                   "elements 1 2 and covers 2<1\n")

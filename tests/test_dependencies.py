@@ -82,8 +82,8 @@ print(json.dumps([code, json.loads(out.getvalue())["size"],
 
 
 def test_stats_leaves_numpy_out_where_the_scan_is_affordable():
-    # fence(12) has 377 filters, well inside the interval scan's bounds, but
-    # `stats` reports the q census alone: only q_vector cross-checks it.
+    # fence(12) has 377 filters, well inside the recurrence's work bound,
+    # but `stats` reports the q census alone: only q_vector cross-checks it.
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", _STATS_ON_FENCE_12],
                           capture_output=True, text=True, env=env)
@@ -112,7 +112,7 @@ def _numpy_loaded_after(statement):
 
 def test_a_verify_run_on_small_lattices_leaves_numpy_out():
     # Posets of at most 5 elements: lattices of at most 32 elements and
-    # expansions of at most 64, all scanned on Python ints.
+    # expansions of at most 64, each checked by the recurrence on its base.
     assert _numpy_loaded_after(
         "result = cli_run(['verify', 'euler', '--trials', '20', "
         "'--max-size', '5'])") == "[0, false]\n"

@@ -280,48 +280,46 @@ def test_poset_stats_on_random_posets(p):
 
 
 def _cross_check_calls(monkeypatch, run):
-    """run() and the number of q cross-checks it ran, by the interval scan
-    or by the recurrence."""
+    """run() and the number of q cross-checks it ran by the recurrence."""
     import latcut.invariants as inv
 
     calls = []
+    real = inv._q_recurrence
     with monkeypatch.context() as m:
-        for name in ("_q_scan", "_q_recurrence"):
-            m.setattr(inv, name, lambda x, real=getattr(inv, name): (
-                calls.append(x) or real(x)))
+        m.setattr(inv, "_q_recurrence", lambda p: calls.append(p) or real(p))
         result = run()
     return result, len(calls)
 
 
-@pytest.mark.parametrize("make,scanned", [
+@pytest.mark.parametrize("make,inside_old_gates", [
     (lambda: fence(19), False),
     (lambda: fence(20), False),
     (lambda: crown(20), False),
     (lambda: antichain(14), False),
     (lambda: antichain(15), False),
-    # n <= 20 and size^2 <= 2^23: q_vector cross-checks the census
     (lambda: disjoint_union(fence(8), crown(6)), True),
     (lambda: fence(16), True),
-    # n <= 20, but 4183^2 pairs of filters are too many
+    # n <= 20, but 4183^2 pairs of filters
     (lambda: disjoint_union(fence(9), crown(8)), False),
     # 499 filters but 22 elements
     (lambda: ordinal_sum(fence(12), crown(10)), False),
     (_composite_18, True),
     (_composite_20, True),
 ])
-def test_poset_stats_at_scale_and_the_scan_switch(make, scanned, monkeypatch):
+def test_poset_stats_at_scale_and_the_scan_switch(make, inside_old_gates,
+                                                  monkeypatch):
     """The streamed report equals the lattice's.  The streamed one never
-    cross-checks q; the cross-check, by the interval scan or by the
-    recurrence, runs on the lattice's side, exactly where ``q_vector``
-    runs it."""
+    cross-checks q; the lattice's side checks it once by the recurrence,
+    inside the interval scan's old gates (n <= 20 and |L|^2 <= 2^23) and
+    past them alike."""
     p = make()
-    got, streamed_scans = _cross_check_calls(monkeypatch,
-                                             lambda: poset_stats(p))
-    want, lattice_scans = _cross_check_calls(
+    got, streamed_checks = _cross_check_calls(monkeypatch,
+                                              lambda: poset_stats(p))
+    want, lattice_checks = _cross_check_calls(
         monkeypatch, lambda: stats_dict(filter_lattice(p)))
     assert got == want
-    assert streamed_scans == 0
-    assert lattice_scans == int(scanned)
+    assert (p.n <= 20 and got["size"] ** 2 <= 1 << 23) == inside_old_gates
+    assert (streamed_checks, lattice_checks) == (0, 1)
 
 
 # -- the split by the sum laws -------------------------------------------------------
@@ -696,16 +694,17 @@ def _count_calls(monkeypatch, module, name):
 
 def test_lattice_invariant_checks_compute_q_once(monkeypatch):
     # The binomial and Euler rows both ask for q: the lattice is censused
-    # and scanned once, and the second row reads the cached vector.
+    # and checked by the recurrence on its base once, and the second row
+    # reads the cached vector.
     import latcut.invariants as inv
 
     p = crown(6)
     lat = filter_lattice(p)
     censused = _count_calls(monkeypatch, inv, "_q_census")
-    scanned = _count_calls(monkeypatch, inv, "_q_scan")
+    checked = _count_calls(monkeypatch, inv, "_q_recurrence")
     results = {name: SuiteResult(name) for name in _CUTTING_TOPICS}
     _run_rows(results, _LATTICE_ROWS, p, lambda: "crown(6)", lat)
-    assert censused == scanned == [lat]
+    assert (censused, checked) == ([lat], [p])
     assert all(r.ok for r in results.values())
     assert [results[topic].checks
             for topic, _, _ in _LATTICE_ROWS] == [1, 1, 1]
@@ -714,7 +713,8 @@ def test_lattice_invariant_checks_compute_q_once(monkeypatch):
 def test_cutting_suite_scans_each_distinct_lattice_once(monkeypatch):
     import latcut.invariants as inv
 
-    scanned = _count_calls(monkeypatch, inv, "_q_scan")
+    censused = _count_calls(monkeypatch, inv, "_q_census")
+    checked = _count_calls(monkeypatch, inv, "_q_recurrence")
     results = run_cutting_suite(trials=4, max_size=5, seed=3,
                                 exhaustive_max=3)
     assert all(r.ok for r in results.values())
@@ -723,8 +723,10 @@ def test_cutting_suite_scans_each_distinct_lattice_once(monkeypatch):
         r"posets=(\d+) .* cuttings=(\d+)", summary).groups())
     # Each pooled lattice, and for each cutting its interval lattice and
     # its expansion; the second expansion of a cutting never asks for q.
-    assert len(scanned) == posets + 2 * cuttings
-    assert len({id(lat) for lat in scanned}) == len(scanned)
+    # Each is checked once, by the recurrence on its own base.
+    assert len(censused) == posets + 2 * cuttings
+    assert len({id(lat) for lat in censused}) == len(censused)
+    assert checked == [lat.base for lat in censused]
     assert results["q-d-recurrences"].checks == cuttings
     assert results["binomial"].checks == posets + cuttings
 
@@ -751,11 +753,11 @@ def test_random_layer_computes_q_once_per_poset(monkeypatch):
     import latcut.invariants as inv
 
     censused = _count_calls(monkeypatch, inv, "_q_census")
-    scanned = _count_calls(monkeypatch, inv, "_q_scan")
+    checked = _count_calls(monkeypatch, inv, "_q_recurrence")
     res = verify_random(trials=6, max_size=5, seed=3)
     assert res.ok
-    assert len(censused) == len(scanned) == 6
-    assert censused == scanned
+    assert len(censused) == len(checked) == 6
+    assert checked == [lat.base for lat in censused]
 
 
 # -- each cutting topic runs only its own rows -------------------------------------

@@ -435,13 +435,13 @@ def test_planted_builder_bug_is_caught(capsys, monkeypatch):
     assert out.startswith("suite expansion-counts: 17 checks, 17 FAILURES")
     assert "FAIL expansion-counts: expansion size or decomposition round " \
            "trip" in out
-    # The q census of each wrong lattice disagrees with its interval scan,
-    # which fails the q checks without stopping the pass.
+    # The q census of each wrong lattice disagrees with the recurrence on
+    # its base, which fails the q checks without stopping the pass.
     assert cli_run(["verify", "q-d-recurrences", "--trials", "0",
                     "--max-size", "2"]) == 1
     out = capsys.readouterr().out
     assert out.startswith("suite q-d-recurrences: 17 checks, 17 FAILURES")
-    assert "interval scan [2, 1] disagrees with census [2]" in out
+    assert "recurrence [2, 1] disagrees with census [2]" in out
 
 
 

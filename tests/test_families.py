@@ -717,22 +717,17 @@ def test_the_round_trip_and_the_family_reports_run_no_search(monkeypatch,
 
 
 def _count_cross_checks(monkeypatch):
-    """(size, base) of each lattice whose q is cross-checked, in order: by
-    _q_scan, which takes the lattice, or by _q_recurrence, which takes its
-    base and returns q, whose q_0 is the lattice's size."""
+    """(size, base) of each lattice whose q is cross-checked, in order, by
+    _q_recurrence, which takes its base and returns q, whose q_0 is the
+    lattice's size."""
     checked = []
-    scan, recurrence = invariants._q_scan, invariants._q_recurrence
-
-    def scanning(lat):
-        checked.append((lat.size, lat.base))
-        return scan(lat)
+    recurrence = invariants._q_recurrence
 
     def recurring(p):
         q = recurrence(p)
         checked.append((q[0], p))
         return q
 
-    monkeypatch.setattr(invariants, "_q_scan", scanning)
     monkeypatch.setattr(invariants, "_q_recurrence", recurring)
     return checked
 
@@ -748,8 +743,8 @@ def _count_cross_checks(monkeypatch):
 ], ids=["fibonacci-7-4", "fibonacci-4-7", "lucas-6"])
 def test_a_passing_report_scans_each_lattice_once(monkeypatch, run, sizes):
     # A round trip that holds proves F(P) from the walk equal to L', so
-    # the report reads its q off L' and cross-checks it once: past 64
-    # elements by the recurrence on its base.
+    # the report reads its q off L' and cross-checks it once, by the
+    # recurrence on its base.
     checked = _count_cross_checks(monkeypatch)
     assert run().ok
     assert sorted(size for size, _ in checked) == sorted(sizes)
@@ -774,7 +769,7 @@ _FAILED_ROUND_TRIP_DETAIL = {
 def test_a_failed_round_trip_builds_and_scans_f_of_p(monkeypatch, flag, case,
                                                      run, p):
     # The q flag may read q off L' only when the round trip holds; when it
-    # fails, F(P) is built and scanned, and its q compared.
+    # fails, F(P) is built and its q checked and compared.
     real = families.decompose
     monkeypatch.setattr(families, "decompose", lambda *args:
                         dataclasses.replace(real(*args), **{flag: False}))

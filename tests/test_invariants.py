@@ -1,9 +1,11 @@
 """Rank polynomials, cube counts, degree vectors, and their recurrences."""
 
+import ast
 import json
 from dataclasses import replace
 from functools import reduce
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +13,8 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import posets, shuffled_relabeling
-from latcut import (CapacityExceeded, IntervalRef, InvalidInterval,
-                    all_labeled_posets, antichain, antichain_census,
+from latcut import (IntervalRef, InvalidInterval, all_labeled_posets,
+                    antichain, antichain_census,
                     binomial_relations, binomial_transform, boundary, chain,
                     check_d_recurrences, check_q_recurrence,
                     check_rank_recurrence, crown, d_vectors, disjoint_union,
@@ -391,46 +393,110 @@ def test_recurrence_matches_the_census_past_the_int_kernel(make, size):
 @settings(max_examples=60, deadline=None)
 @given(posets(max_n=7))
 def test_scan_and_recurrence_agree_at_every_size(p):
-    # Both routes run on every lattice here, whichever one q_vector picks.
     lat = filter_lattice(p)
     assert _q_scan(lat) == _q_recurrence(p) == poly_trim(_q_census(lat))
 
 
 def _cross_checks(monkeypatch):
-    """(route, argument) of each cross-check q_vector runs, in order."""
+    """(route, argument, whether it returned q) of each cross-check
+    q_vector runs, in order; the scan is patched too, so a production call
+    to it would show here."""
     import latcut.invariants as inv
 
     checks = []
     for name in ("_q_scan", "_q_recurrence"):
-        real = getattr(inv, name)
-        monkeypatch.setattr(inv, name, lambda x, name=name, real=real: (
-            checks.append((name, x)) or real(x)))
+        def route(x, name=name, real=getattr(inv, name)):
+            q = real(x)
+            checks.append((name, x, q is not None))
+            return q
+        monkeypatch.setattr(inv, name, route)
     return checks
 
 
-@pytest.mark.parametrize("make,size,route", [
-    (lambda: antichain(6), 64, "_q_scan"),
-    (lambda: _chain_product(4, 12), 65, "_q_recurrence"),
-    (lambda: fence(16), 2584, "_q_recurrence"),
-    # 20 base elements and 2520^2 < 2^23 pairs: inside both gates.
-    (lambda: _chain_product(2, 3, 4, 5, 6), 2520, "_q_recurrence"),
-    # 21 base elements, or 4183^2 > 2^23 pairs: no cross-check.
-    (lambda: chain(21), 22, None),
-    (lambda: disjoint_union(fence(9), crown(8)), 4183, None),
+@pytest.mark.parametrize("make,size,checked", [
+    (lambda: antichain(6), 64, True),
+    (lambda: _chain_product(4, 12), 65, True),
+    (lambda: fence(16), 2584, True),
+    (lambda: _chain_product(2, 3, 4, 5, 6), 2520, True),
+    # 21 base elements, and 4183^2 > 2^23 pairs: past the scan's old gates.
+    (lambda: chain(21), 22, True),
+    (lambda: disjoint_union(fence(9), crown(8)), 4183, True),
+    # One split of n points, n * (n // 64 + 1) work: 2879 * 45 = 129,555
+    # is inside the bound of 2^17 = 131,072, and 2880 * 46 is past it.
+    (lambda: chain(2879), 2880, True),
+    (lambda: chain(2880), 2881, False),
 ], ids=["antichain6", "chains4_12", "fence16", "chains23456", "chain21",
-        "pairs_past_2_23"])
+        "pairs_past_2_23", "chain2879", "chain2880"])
 def test_q_vector_cross_checks_each_lattice_once_by_its_size(
-        make, size, route, monkeypatch):
-    """The ledger: within the gates, a lattice of at most 64 elements is
-    scanned, a larger one is checked by the recurrence on its base, each
-    once however often q is asked for; outside them neither runs."""
+        make, size, checked, monkeypatch):
+    """The ledger: the recurrence on the base runs once per lattice,
+    however often q is asked for, and checks it whatever its size until
+    the base's work passes the bound, where it returns None and the
+    census stands alone.  The scan never runs."""
     lat = filter_lattice(make())
     assert lat.size == size
     checks = _cross_checks(monkeypatch)
     assert q_vector(lat) == q_vector(lat) == _q_census(lat)
-    want = {"_q_scan": [("_q_scan", lat)],
-            "_q_recurrence": [("_q_recurrence", lat.base)], None: []}
-    assert checks == want[route]
+    assert checks == [("_q_recurrence", lat.base, checked)]
+
+
+def _split_calls(monkeypatch, p):
+    """_q_recurrence(p) and the number of Poset.split calls it made."""
+    from latcut.poset import Poset
+
+    calls = []
+    real = Poset.split
+    monkeypatch.setattr(Poset, "split", lambda self, mask: (
+        calls.append(mask) or real(self, mask)))
+    q = _q_recurrence(p)
+    monkeypatch.setattr(Poset, "split", real)
+    return q, len(calls)
+
+
+def test_recurrence_splits_fences_and_crowns_a_linear_number_of_times(
+        monkeypatch):
+    """The recurrence's work ledger.  fence(n) numbers its elements along
+    the path.  Write S(k) for the suffix fence on elements k, ..., n - 1.
+    A prime S(k), of 4 or more elements, deletes x = k + 1, the first
+    element comparable to three: P - x is the union of {k} and S(k + 2),
+    and P * x is S(k + 3).  From S(0), the suffixes reached are S(0) and
+    every S(k) with k >= 2, so n - 4 of them are prime, each with its one
+    union: 2(n - 4) splits.  Then S(n - 3) is the sum of its middle point
+    and its two ends, an antichain that splits as a union, and S(n - 2)
+    is a two-element chain, a sum: three more, 2n - 5 in all.
+
+    crown(n) is a cycle in index order, every element comparable to
+    three, so the first one, 0, is deleted: P - 0 is the fence on
+    1, ..., n - 1 and P * 0 the fence on 2, ..., n - 2.  Both are fences in
+    index order, whose suffixes end at different elements, so no mask is
+    shared: 1 + (2(n - 1) - 5) + (2(n - 3) - 5) = 4n - 17 splits, for n
+    of at least 8, where the shorter fence has 4 elements."""
+    for n in range(4, 31):
+        q, splits = _split_calls(monkeypatch, fence(n))
+        assert q is not None and splits == 2 * n - 5, n
+    for n in range(8, 41, 2):
+        q, splits = _split_calls(monkeypatch, crown(n))
+        assert q is not None and splits == 4 * n - 17, n
+
+
+def test_recurrence_returns_none_past_its_work_bound(monkeypatch):
+    # fence(200), about 7.3 * 10^41 filters, so no lattice is built: its
+    # splits of up to 200 elements at 4 words each pass 2^17 before the
+    # recurrence ends; q_vector's side of it is the ledger's chain2880.
+    q, splits = _split_calls(monkeypatch, fence(200))
+    assert q is None and 0 < splits < 2 * 200 - 5
+
+
+def test_no_module_in_latcut_reads_the_scan():
+    # The scan is the tests' reference: production checks q by the
+    # recurrence alone.  Its definition is a FunctionDef, not a read.
+    import latcut.invariants as inv
+
+    for path in Path(inv.__file__).parent.glob("*.py"):
+        reads = {node.id if isinstance(node, ast.Name) else node.attr
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, (ast.Name, ast.Attribute))}
+        assert "_q_scan" not in reads, path.name
 
 
 def test_scan_matches_the_interval_oracle_on_the_cutting_pool():
@@ -438,15 +504,6 @@ def test_scan_matches_the_interval_oracle_on_the_cutting_pool():
     for tag, p in pool:
         lat = filter_lattice(p)
         assert _q_scan(lat) == poly_trim(oracles.naive_q(lat)), tag
-
-
-def test_scan_refuses_a_base_past_its_limit():
-    lat = filter_lattice(chain(21))
-    assert (lat.size, lat.base.n) == (22, 21)
-    with pytest.raises(CapacityExceeded, match="at most 20 base elements"):
-        _q_scan(lat)
-    # q_vector never scans such a base: it returns the census.
-    assert q_vector(lat) == [22, 21]
 
 
 # -- summary reports ------------------------------------------------------------------

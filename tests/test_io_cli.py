@@ -777,9 +777,9 @@ def test_cli_reports_failed_cross_checks_without_traceback(
 
 def test_cli_verify_random_records_a_q_disagreement_per_poset(capsys,
                                                              monkeypatch):
-    # A census that disagrees with its interval scan fails that poset, and
+    # A census that disagrees with its recurrence fails that poset, and
     # the suite goes on to name the smallest failing one.
-    monkeypatch.setattr("latcut.invariants._q_scan", lambda lat: [0])
+    monkeypatch.setattr("latcut.invariants._q_recurrence", lambda p: [0])
     code, out, err = run_cli(["verify", "random", "--trials", "3"],
                              capsys=capsys)
     assert code == 1 and err == ""
@@ -787,7 +787,7 @@ def test_cli_verify_random_records_a_q_disagreement_per_poset(capsys,
     assert lines[0] == "suite random: 3 checks, 3 FAILURES (seed=2)"
     assert "smallest failing instance:" in lines
     assert lines[lines.index("smallest failing instance:") + 2].startswith(
-        "interval scan [0] disagrees with census ")
+        "recurrence [0] disagrees with census ")
 
 
 @pytest.mark.parametrize("suite,max_param,lines", [
@@ -799,7 +799,7 @@ def test_cli_verify_family_suites_record_a_q_disagreement_per_case(
         suite, max_param, lines, capsys, monkeypatch):
     # As in the random suite: the disagreement fails its case, and the
     # suite goes on to the next one and names the smallest failing one.
-    monkeypatch.setattr("latcut.invariants._q_scan", lambda lat: [0])
+    monkeypatch.setattr("latcut.invariants._q_recurrence", lambda p: [0])
     code, out, err = run_cli(["verify", suite, "--max", max_param],
                              capsys=capsys)
     assert code == 1 and err == ""
@@ -808,8 +808,7 @@ def test_cli_verify_family_suites_record_a_q_disagreement_per_case(
         suite, len(lines), len(lines))
     assert report[1:len(lines) + 1] == lines
     at = report.index("smallest failing instance:")
-    assert report[at + 2].startswith("interval scan [0] disagrees with "
-                                     "census ")
+    assert report[at + 2].startswith("recurrence [0] disagrees with census ")
 
 
 def test_public_names_resolve():

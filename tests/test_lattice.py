@@ -40,8 +40,8 @@ def _check_order_extends_le(lat):
 @settings(max_examples=60, deadline=None)
 @given(posets(max_n=6), st.integers(min_value=0, max_value=2 ** 32))
 def test_index_order_extends_the_lattice_order(p, seed):
-    """le(a, b) implies a <= b: the interval scan compares each row block
-    only with the columns from its first row on, and relies on this.  Also
+    """le(a, b) implies a <= b: the interval scan compares each row only
+    with the columns from it on, and relies on this.  Also
     on the lattices convex expansion builds from (F, min F) pairs."""
     for q in (p, p.dual(), shuffled_relabeling(p, seed)[0]):
         lat = filter_lattice(q)

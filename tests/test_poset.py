@@ -106,35 +106,6 @@ def test_antichains_match_naive():
         assert got == oracles.naive_antichains(p)
 
 
-def _check_antichain_table(p):
-    table = p.antichain_table()
-    assert table >> (1 << p.n) == 0
-    for mask in range(1 << p.n):
-        assert bool(table >> mask & 1) == oracles.is_antichain(p, mask), mask
-
-
-@settings(max_examples=100, deadline=None)
-@given(posets(max_n=12), st.integers(min_value=0, max_value=2 ** 32))
-def test_antichain_table_matches_the_definition_in_every_index_order(p, seed):
-    # The strategy numbers elements bottom-up; the dual numbers them
-    # top-down and the relabeling in no order at all.
-    for q in (p, p.dual(), shuffled_relabeling(p, seed)[0]):
-        _check_antichain_table(q)
-
-
-@pytest.mark.parametrize("k", range(11))
-def test_antichain_table_of_an_antichain_and_a_chain(k):
-    assert antichain(k).antichain_table() == (1 << (1 << k)) - 1
-    # The empty set and the k singletons.
-    assert chain(k).antichain_table().bit_count() == k + 1
-
-
-@pytest.mark.parametrize("make", [lambda: fence(16), lambda: crown(16)],
-                         ids=["fence16", "crown16"])
-def test_antichain_table_on_sixteen_elements(make):
-    _check_antichain_table(make())
-
-
 # -- covers -------------------------------------------------------------------------
 
 

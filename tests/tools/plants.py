@@ -1,0 +1,153 @@
+"""Run the corpus of planted faults against Tier-1 and the verify suites.
+
+Each plant is one exact source edit: a file, a text that must occur in it
+exactly once, and the text that replaces it.  A plant is applied to a
+``git archive`` export of a revision in a temporary directory, never to
+the working tree.  Per plant, Tier-1 runs with ``--hypothesis-seed=0`` and
+each of the 12 ``latcut verify`` suites runs at its defaults, every run a
+process under a timeout.  The JSON written holds, per plant, the failing
+test ids, Tier-1's exit code, each suite's exit code, and whether any
+suite ended in a traceback.
+
+    python tests/tools/plants.py [--rev REV] [--only NAME] [--tests PATH]
+                                 [--out FILE]
+
+``--rev`` defaults to HEAD; ``git stash create`` names a commit of the
+working tree's tracked changes without touching it.  The Tier-1 test
+``tests/test_plants.py`` checks that each old text occurs exactly once in
+the tree, so a refactor that moves the code fails there instead of
+turning its plant into a no-op.
+"""
+
+import argparse
+import io
+import json
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))))
+
+# name -> (file, old text, new text)
+PLANTS = {
+    "census-histogram-off-by-one": (
+        "src/latcut/invariants.py",
+        "        hist[m.bit_count()] += 1\n",
+        "        hist[m.bit_count() - 1] += 1\n"),
+    "expand-drops-last-pair": (
+        "src/latcut/expansion.py",
+        "    big = DistLattice(cand, pairs)\n",
+        "    big = DistLattice(cand, pairs[:-1])\n"),
+    "expand-drops-new-element": (
+        "src/latcut/expansion.py",
+        "pairs.append((f | xbit, a & ~tf | (xbit if inside else 0)))",
+        "pairs.append((f | xbit, a & ~tf))"),
+    "x-bit-in-wrong-up-mask": (
+        "src/latcut/expansion.py",
+        "(xbit if below_x >> i & 1 else 0) for i in range(base.n)]",
+        "(xbit if below_x >> (i + 1) & 1 else 0) for i in range(base.n)]"),
+    "lattice-sorted-ascending": (
+        "src/latcut/lattice.py",
+        "pairs.sort(key=lambda pair: pair[0].bit_count(), reverse=True)",
+        "pairs.sort(key=lambda pair: pair[0].bit_count())"),
+    "walk-yields-a-for-a-or-bit": (
+        "src/latcut/poset.py",
+        "stack.append((a | bit, f | closed[j], later & incomp[j]))",
+        "stack.append((a, f | closed[j], later & incomp[j]))"),
+    "recurrence-drops-one-plus-t": (
+        "src/latcut/invariants.py",
+        "q = poly_add(minus, poly_add(star, poly_shift(star, 1)))",
+        "q = poly_add(minus, star)"),
+    "recurrence-junction-off-by-one": (
+        "src/latcut/invariants.py",
+        "q[0] -= len(qs) - 1\n",
+        "q[0] -= len(qs)\n"),
+}
+
+# Seconds per suite run; Tier-1 gets four times this.
+TIMEOUT = 300
+
+SUITES = ("birkhoff", "cutting-equivalence", "expansion-counts",
+          "rank-recurrence", "q-d-recurrences", "binomial", "euler",
+          "degree-symmetry", "fibonacci", "lucas", "cubes", "random")
+
+
+def apply(tree, name):
+    """Apply plant ``name`` to the tree at ``tree``."""
+    rel, old, new = PLANTS[name]
+    path = os.path.join(tree, rel)
+    with open(path) as f:
+        text = f.read()
+    if text.count(old) != 1:
+        raise SystemExit("plant %s: the old text occurs %d times in %s"
+                         % (name, text.count(old), rel))
+    with open(path, "w") as f:
+        f.write(text.replace(old, new))
+
+
+def export(rev, dest):
+    """Unpack ``git archive rev`` into ``dest``."""
+    data = subprocess.run(["git", "-C", ROOT, "archive", rev],
+                          capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(data)) as tar:
+        tar.extractall(dest)
+
+
+def _run(argv, cwd, timeout):
+    """(exit code, or "timeout", stdout, stderr) of one process."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(cwd, "src"))
+    try:
+        proc = subprocess.run(argv, cwd=cwd, env=env, capture_output=True,
+                              text=True, timeout=timeout)
+    except subprocess.TimeoutExpired:
+        return "timeout", "", ""
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def run_plant(rev, name, tests):
+    with tempfile.TemporaryDirectory() as tree:
+        export(rev, tree)
+        apply(tree, name)
+        code, out, _ = _run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             "--hypothesis-seed=0", "-rfE", "--tb=no", tests],
+            tree, TIMEOUT * 4)
+        failing = sorted(line.split(" ", 1)[1].split(" - ", 1)[0]
+                         for line in out.splitlines()
+                         if line.startswith(("FAILED ", "ERROR ")))
+        suites = {}
+        for suite in SUITES:
+            c, _, err = _run([sys.executable, "-m", "latcut", "verify",
+                              suite], tree, TIMEOUT)
+            suites[suite] = {"exit": c,
+                             "traceback": "Traceback (most recent" in err}
+    return {"file": PLANTS[name][0], "tier1_exit": code,
+            "failing_tests": failing, "suites": suites,
+            "traceback": any(s["traceback"] for s in suites.values())}
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--rev", default="HEAD")
+    ap.add_argument("--only", choices=sorted(PLANTS), metavar="NAME")
+    ap.add_argument("--tests", default="tests",
+                    help="the pytest path to run, Tier-1 by default")
+    ap.add_argument("--out", help="write the JSON here, not to stdout")
+    args = ap.parse_args(argv)
+    names = [args.only] if args.only else list(PLANTS)
+    report = {"rev": args.rev, "tests": args.tests,
+              "plants": {name: run_plant(args.rev, name, args.tests)
+                         for name in names}}
+    text = json.dumps(report, indent=1, sort_keys=True) + "\n"
+    if args.out:
+        with open(args.out, "w") as f:
+            f.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+if __name__ == "__main__":
+    main()
