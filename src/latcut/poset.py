@@ -172,18 +172,49 @@ class Poset:
         more components (the subposet is their disjoint union), else
         ``("sum", parts)`` when its incomparability graph has two or more
         (the subposet is their ordinal sum; parts come bottom-first), else
-        ``("prime", [mask])``.  Parts are masks.
+        ``("prime", [mask])``.  Parts are masks; a union's come lowest
+        first.
+
+        Each graph is swept inline over ``up[j] | down[j]``, the elements
+        comparable to j.  A part grows from the lowest element left; every
+        element it reaches leaves ``rest`` at once, so each element is
+        visited once per sweep, and the part is what left ``rest``.
         """
-        parts = _components(mask, self.comparable_mask)
+        up, down = self.up, self.down
+        parts = []
+        rest = mask
+        while rest:
+            start = rest
+            frontier = rest & -rest
+            rest ^= frontier
+            while frontier:
+                j = frontier.bit_length() - 1
+                frontier ^= 1 << j
+                new = (up[j] | down[j]) & rest
+                rest ^= new
+                frontier |= new
+            parts.append(start ^ rest)
         if len(parts) > 1:
             return "union", parts
-        parts = _components(mask, lambda j: ~self.comparable_mask(j))
+        parts = []
+        rest = mask
+        while rest:
+            start = rest
+            frontier = rest & -rest
+            rest ^= frontier
+            while frontier:
+                j = frontier.bit_length() - 1
+                frontier ^= 1 << j
+                new = rest & ~(up[j] | down[j])
+                rest ^= new
+                frontier |= new
+            parts.append(start ^ rest)
         if len(parts) > 1:
             # Each part lies wholly above or below each other one, so the
             # elements below a part's first element, outside the part, are
             # exactly the parts beneath it.
             parts.sort(key=lambda c: (
-                self.down[(c & -c).bit_length() - 1] & mask & ~c).bit_count())
+                down[(c & -c).bit_length() - 1] & mask & ~c).bit_count())
             return "sum", parts
         return "prime", [mask]
 
@@ -203,8 +234,10 @@ class Poset:
         """
         n = self.n
         self.refuse_wide(cap)
-        closed = [self.up[j] | 1 << j for j in range(n)]
-        incomp = [~self.comparable_mask(j) & self.full_mask for j in range(n)]
+        up, down = self.up, self.down
+        closed = [up[j] | 1 << j for j in range(n)]
+        incomp = [self.full_mask & ~(up[j] | down[j] | 1 << j)
+                  for j in range(n)]
         seen = 0
         stack = [(0, 0, self.full_mask)]
         while stack:
@@ -318,23 +351,6 @@ def _close(rows, order):
             todo ^= todo & reached | low
         rows[i] = m
     return rows
-
-
-def _components(mask, neighbours):
-    """Connected components of the graph on ``mask`` in which j is adjacent
-    to the members of ``neighbours(j) & mask``, as masks, lowest first."""
-    parts = []
-    while mask:
-        part = frontier = mask & -mask
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            new = neighbours(low.bit_length() - 1) & mask & ~part
-            part |= new
-            frontier |= new
-        parts.append(part)
-        mask &= ~part
-    return parts
 
 
 # -- construction ------------------------------------------------------------

@@ -6,10 +6,14 @@ with the package internals beyond reading the order relation itself.
 """
 
 import random
+from functools import reduce
 from itertools import combinations, permutations
 from math import comb
 
 from latcut import CubeGraph, poset_from_covers
+from latcut.bits import iter_bits
+from latcut.invariants import (_RECURRENCE_WORK_MAX, poly_add, poly_mul,
+                               poly_shift)
 
 
 def relation(p):
@@ -400,3 +404,79 @@ def zigzag_translate_by_chars(g):
     return CubeGraph(vertices=tuple(sorted(moved.values())),
                      edges=tuple(sorted(tuple(sorted((moved[u], moved[v])))
                                         for u, v in g.edges)))
+
+
+def _components(mask, neighbours):
+    """Connected components of the graph on ``mask`` in which j is adjacent
+    to the members of ``neighbours(j) & mask``, as masks, lowest first."""
+    parts = []
+    while mask:
+        part = frontier = mask & -mask
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = neighbours(low.bit_length() - 1) & mask & ~part
+            part |= new
+            frontier |= new
+        parts.append(part)
+        mask &= ~part
+    return parts
+
+
+def split_by_components(p, mask):
+    """``Poset.split`` as a component search behind a neighbour callback,
+    ``comparable_mask`` for the union and its complement for the sum: the
+    reference its inline sweeps are held to, part for part and in order."""
+    parts = _components(mask, p.comparable_mask)
+    if len(parts) > 1:
+        return "union", parts
+    parts = _components(mask, lambda j: ~p.comparable_mask(j))
+    if len(parts) > 1:
+        parts.sort(key=lambda c: (
+            p.down[(c & -c).bit_length() - 1] & mask & ~c).bit_count())
+        return "sum", parts
+    return "prime", [mask]
+
+
+def q_recurrence_by_components(p):
+    """``invariants._q_recurrence`` on :func:`split_by_components`, each
+    prime block's pivot picked by ``max`` over ``comparable_mask``, with
+    the package's polynomial helpers and work bound: the same Q, the same
+    work accounting and the same None past the bound."""
+    words = p.n // 64 + 1
+    work = 0
+    done = {0: [1]}
+    plans = {}
+    stack = [p.full_mask]
+    while stack:
+        mask = stack[-1]
+        if mask in done:
+            stack.pop()
+        elif mask in plans:
+            stack.pop()
+            kind, parts = plans.pop(mask)
+            qs = [done[m] for m in parts]
+            if kind == "union":
+                q = reduce(poly_mul, qs)
+            elif kind == "sum":
+                q = reduce(poly_add, qs)
+                q[0] -= len(qs) - 1
+            else:
+                minus, star = qs
+                q = poly_add(minus, poly_add(star, poly_shift(star, 1)))
+            done[mask] = q
+        elif mask.bit_count() == 1:
+            stack.pop()
+            done[mask] = [2, 1]
+        else:
+            work += mask.bit_count() * words
+            if work > _RECURRENCE_WORK_MAX:
+                return None
+            kind, parts = split_by_components(p, mask)
+            if kind == "prime":
+                x = max(iter_bits(mask), key=lambda i: (
+                    p.comparable_mask(i) & mask).bit_count())
+                parts = [mask & ~(1 << x), mask & ~p.comparable_mask(x)]
+            plans[mask] = kind, parts
+            stack.extend(m for m in parts if m not in done)
+    return done[p.full_mask]

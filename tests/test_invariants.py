@@ -20,8 +20,8 @@ from latcut import (IntervalRef, InvalidInterval, all_labeled_posets,
                     check_rank_recurrence, crown, d_vectors, disjoint_union,
                     euler_checks, expand_poset, fence, filter_lattice,
                     inverse_binomial_transform, is_cutting, ordinal_sum,
-                    poset_from_covers, posets_up_to_iso, q_vector, rank_gen,
-                    rank_gen_of, stats_dict)
+                    poset_from_covers, poset_stats, posets_up_to_iso,
+                    q_vector, rank_gen, rank_gen_of, stats_dict)
 from latcut.invariants import (_q_census, _q_recurrence, _q_scan, poly_add,
                                poly_deriv, poly_eq, poly_eval, poly_mul,
                                poly_shift, poly_trim)
@@ -485,6 +485,31 @@ def test_recurrence_returns_none_past_its_work_bound(monkeypatch):
     # recurrence ends; q_vector's side of it is the ledger's chain2880.
     q, splits = _split_calls(monkeypatch, fence(200))
     assert q is None and 0 < splits < 2 * 200 - 5
+
+
+def test_recurrence_matches_the_component_reference():
+    """The same Q as the reference, or the same None past the work bound:
+    fence(191) and chain(2879) are the largest of their kind inside it."""
+    cases = ([fence(n) for n in range(4, 31)]
+             + [crown(n) for n in range(8, 41, 2)]
+             + [fence(191), fence(200), chain(2879), chain(2880)])
+    got = [_q_recurrence(p) for p in cases]
+    assert got == [oracles.q_recurrence_by_components(p) for p in cases]
+    assert [q is None for q in got[-4:]] == [False, True, False, True]
+
+
+def test_recurrence_and_stats_never_call_comparable_mask(monkeypatch):
+    # The splits, the pivot pick and the walk's table read up[j] | down[j]
+    # inline, with no method call per visited element.
+    from latcut.poset import Poset
+
+    calls = []
+    real = Poset.comparable_mask
+    monkeypatch.setattr(Poset, "comparable_mask", lambda self, i: (
+        calls.append(i) or real(self, i)))
+    assert _q_recurrence(fence(30)) is not None
+    assert poset_stats(fence(25))["size"] == 196418
+    assert calls == []
 
 
 def test_no_module_in_latcut_reads_the_scan():

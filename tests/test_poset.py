@@ -247,6 +247,29 @@ def test_split_of_nested_sums():
     assert p.split(0) == ("prime", [0])
 
 
+def _assert_split_matches_reference(p):
+    for mask in range(p.full_mask + 1):
+        assert p.split(mask) == oracles.split_by_components(p, mask), (
+            p.up, mask)
+
+
+def test_split_matches_the_component_reference_on_every_mask():
+    """The inline sweeps give the reference's kind and parts, in its
+    order, on every subposet of every labelled poset up to 5 elements."""
+    for n in range(6):
+        for up in oracles.labeled_posets(n):
+            _assert_split_matches_reference(
+                Poset([str(i) for i in range(n)], up, _trusted=True))
+
+
+@settings(max_examples=60, deadline=None)
+@given(posets(max_n=8), st.integers(0, 2**16))
+def test_split_matches_the_component_reference_as_given_dual_and_shuffled(
+        p, seed):
+    for q in (p, p.dual(), shuffled_relabeling(p, seed)[0]):
+        _assert_split_matches_reference(q)
+
+
 # -- isomorphism -------------------------------------------------------------------
 
 

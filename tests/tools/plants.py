@@ -65,6 +65,10 @@ PLANTS = {
         "src/latcut/invariants.py",
         "q[0] -= len(qs) - 1\n",
         "q[0] -= len(qs)\n"),
+    "split-union-sweep-reads-up-only": (
+        "src/latcut/poset.py",
+        "new = (up[j] | down[j]) & rest\n",
+        "new = up[j] & rest\n"),
 }
 
 # Seconds per suite run; Tier-1 gets four times this.
