@@ -17,9 +17,11 @@ cover_cube pairs the filter bitstrings off the lattice's upper covers.  The
 verify suites certify the identification by the classical isomorphism
 (Gansner 1982), _zigzag_translate: flipping every other bit turns the
 filter condition on a zigzag into "no two adjacent 1s".  graph_isomorphic
-is the general tool on two CubeGraphs: it reads each into neighbour lists
+is the general tool on two CubeGraphs: it refuses a graph past
+GRAPH_ISO_CAP before it reads either one, reads each into neighbour lists
 once (_read_graph) and runs the exact individualization-refinement search
-of latcut.poset from the vertices' degree ranks.
+of latcut.poset, which colours the disjoint union of the two graphs, from
+the vertices' degree ranks.
 
 Deleting element n from Z_{m+n-2} splits it into two smaller fences, and the
 induced convex expansion turns that into the identity
@@ -253,20 +255,20 @@ def graph_isomorphic(g, h):
     """Whether two undirected CubeGraphs are isomorphic, decided exactly.
 
     Beyond GRAPH_ISO_CAP vertices in either graph it raises CapacityExceeded
-    before any search; different vertex counts, edge counts or degree
-    sequences return False at once.  Otherwise it runs the
+    before it reads either graph; different vertex counts, edge counts or
+    degree sequences return False at once.  Otherwise it runs the
     individualization-refinement search of latcut.poset (_search) with each
     vertex coloured by the rank of its degree among the graphs' degrees.
     Every isomorphism keeps degrees, so the search loses no map by starting
     there; a True carries an explicit edge-preserving vertex map and a
     False follows an exhaustive search.
     """
+    if max(g.vertex_count, h.vertex_count) > GRAPH_ISO_CAP:
+        raise CapacityExceeded(
+            "graph isomorphism capped at %d vertices" % GRAPH_ISO_CAP)
     adj_g, m_g = _read_graph(g)
     adj_h, m_h = _read_graph(h)
     n = len(adj_g)
-    if max(n, len(adj_h)) > GRAPH_ISO_CAP:
-        raise CapacityExceeded(
-            "graph isomorphism capped at %d vertices" % GRAPH_ISO_CAP)
     if n != len(adj_h) or m_g != m_h:
         return False
     deg_g, deg_h = list(map(len, adj_g)), list(map(len, adj_h))

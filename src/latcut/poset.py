@@ -10,11 +10,12 @@ Isomorphism is decided by the one individualization-refinement search of
 the package (_search), on graphs given as neighbour lists and starting
 colours: poset_isomorphism runs it on the cover graphs, coloured by
 (|down|, |up|), and latcut.families.graph_isomorphic on CubeGraphs,
-coloured by degree.  Its colour refinement (_refine) splits cells by their
-neighbour counts in one splitter cell at a time, in both graphs at once, so
-a search node that individualizes a vertex pays for the splits that follow
-from that one vertex, not for a re-sort of every vertex's neighbour
-colours.
+coloured by degree.  The search works on the disjoint union of the two
+graphs, with one colouring of it, so a colour means the same in both.  Its
+colour refinement (_refine) splits cells by their neighbour counts in one
+splitter cell at a time, so a search node that individualizes a pair of
+vertices pays for the splits that follow from that pair, not for a re-sort
+of every vertex's neighbour colours.
 
 Instances are immutable by convention: every operation returns a new poset.
 Concurrent readers are safe because the only mutation ever performed is the
@@ -443,99 +444,80 @@ def ordinal_sum(p, q):
 # -- isomorphism ----------------------------------------------------------------
 
 
-def _refine(adj_g, adj_h, cg, ch, splitters=None):
-    """Refine the colourings ``cg`` of g and ``ch`` of h, in lockstep, to
-    the coarsest equitable partition that refines them: any two vertices
-    of one colour, in either graph, have equally many neighbours of each
-    colour.  Both colourings use each of the colours 0..k-1.
+def _refine(adj, n, colour, splitters=None):
+    """Refine the colouring ``colour`` of the disjoint union of two graphs,
+    g on the vertices 0..n-1 and h on n..2n-1 (``adj`` holds the union's
+    neighbour lists), to the coarsest equitable partition that refines it:
+    any two vertices of one colour, in either graph, have equally many
+    neighbours of each colour.  The colouring uses each of the colours
+    0..k-1.  A colour is one cell of the union, so it means the same in g
+    and h by construction.
 
     A stack holds the splitter cells: every colour, or only those named in
     ``splitters`` when each cell already has equal counts into every other
-    one.  For the popped cell, each vertex counts its neighbours inside
-    it, in both graphs (_count_parts), and every cell that a count touches
-    splits by count, in ascending count order, identically in g and h: the
-    first part keeps the cell's colour and the others take new ones, so a
-    colour means the same in ``g`` and ``h``.  When the split cell was
-    still queued its new parts are pushed; otherwise every part but the
-    largest, since the counts into that one follow from those into the
-    cell and the other parts.  The stack is emptied even once every colour
-    is a single vertex in each graph.  Returns (colours of g, colours of h,
-    number of colours), or None as soon as the two graphs' cell sizes or
-    count multisets differ.  The arguments are left unchanged.
+    one.  For the popped cell, each vertex counts its neighbours inside it
+    (_count_parts), and every cell that a count touches splits by count, in
+    ascending count order: the first part keeps the cell's colour and the
+    others take new ones.  When the split cell was still queued its new
+    parts are pushed; otherwise every part but the largest, since the
+    counts into that one follow from those into the cell and the other
+    parts.  The stack is emptied even once every colour is a single vertex
+    of each graph.
+
+    Returns (colours, number of colours), or None when some colour holds
+    unequally many vertices of g and of h.  One comparison of the two
+    graphs' sorted colours, at the end, refuses whatever a comparison at
+    every pop would: a split divides its cell's surplus of g vertices among
+    its parts, so a cell unbalanced at any pop leaves an unbalanced cell in
+    the result.  The argument is left unchanged.
 
     A refinement costs about the degree sums of the cells it pops plus the
     sizes of the cells they split."""
-    n = len(cg)
-    cg, ch = list(cg), list(ch)
-    k = max(cg, default=-1) + 1
-    cells_g = [[] for _ in range(k)]
-    cells_h = [[] for _ in range(k)]
-    for v, c in enumerate(cg):
-        cells_g[c].append(v)
-    for w, c in enumerate(ch):
-        cells_h[c].append(w)
-    if list(map(len, cells_g)) != list(map(len, cells_h)):
-        return None
-    stack = list(range(k)) if splitters is None else list(splitters)
+    colour = list(colour)
+    cells = [[] for _ in range(max(colour, default=-1) + 1)]
+    for v, c in enumerate(colour):
+        cells[c].append(v)
+    stack = list(range(len(cells))) if splitters is None else list(splitters)
     queued = set(stack)
-    tally_g, tally_h = [0] * n, [0] * n
+    tally = [0] * len(colour)
     while stack:
         s = stack.pop()
         queued.discard(s)
-        parts_g = _count_parts(adj_g, cg, cells_g[s], tally_g)
-        parts_h = _count_parts(adj_h, ch, cells_h[s], tally_h)
-        if len(parts_g) != len(parts_h):
-            return None
-        splits = False
-        for key, part in parts_g.items():
-            other = parts_h.get(key)
-            if other is None or len(other) != len(part):
-                return None
-            splits = splits or len(part) < len(cells_g[key[0]])
-        if not splits:
-            continue
-        for cell, keys in groupby(sorted(parts_g), itemgetter(0)):
+        parts = _count_parts(adj, colour, cells[s], tally)
+        for (c, _), part in parts.items():
+            if len(part) < len(cells[c]):
+                break
+        else:
+            continue    # no cell splits
+        for cell, keys in groupby(sorted(parts), itemgetter(0)):
             keys = list(keys)
-            members_g, members_h = cells_g[cell], cells_h[cell]
-            if sum(len(parts_g[key]) for key in keys) == len(members_g):
+            members = cells[cell]
+            if sum(len(parts[key]) for key in keys) == len(members):
                 del keys[0]     # every member counted: the lowest count stays
                 if not keys:
                     continue
-            first = len(cells_g)
+            first = len(cells)
             for c, key in enumerate(keys, first):
-                for v in parts_g[key]:
-                    cg[v] = c
-                for w in parts_h[key]:
-                    ch[w] = c
-                cells_g.append(parts_g[key])
-                cells_h.append(parts_h[key])
-            cells_g[cell] = [v for v in members_g if cg[v] == cell]
-            cells_h[cell] = [w for w in members_h if ch[w] == cell]
+                for v in parts[key]:
+                    colour[v] = c
+                cells.append(parts[key])
+            cells[cell] = [v for v in members if colour[v] == cell]
             if cell in queued:
-                new = range(first, len(cells_g))
+                new = range(first, len(cells))
             else:
-                new = [cell, *range(first, len(cells_g))]
-                new.remove(max(new, key=lambda c: len(cells_g[c])))
+                new = [cell, *range(first, len(cells))]
+                new.remove(max(new, key=lambda c: len(cells[c])))
             queued.update(new)
             stack.extend(new)
-    return cg, ch, len(cells_g)
+    if sorted(colour[:n]) != sorted(colour[n:]):
+        return None
+    return colour, len(cells)
 
 
 def _count_parts(adj, colour, splitter, tally):
     """The vertices with a neighbour in ``splitter``, as lists keyed by
     (their colour, their number of neighbours in it).  ``tally``, one zero
     per vertex, counts and is left all zeros again."""
-    parts = {}
-    if len(splitter) == 1:
-        # One vertex, as each search node starts from: no tally needed.
-        for x in adj[splitter[0]]:
-            key = colour[x], 1
-            part = parts.get(key)
-            if part is None:
-                parts[key] = [x]
-            else:
-                part.append(x)
-        return parts
     touched = []
     for u in splitter:
         for x in adj[u]:
@@ -544,6 +526,7 @@ def _count_parts(adj, colour, splitter, tally):
             else:
                 tally[x] = 1
                 touched.append(x)
+    parts = {}
     for x in touched:
         key = colour[x], tally[x]
         tally[x] = 0
@@ -555,15 +538,16 @@ def _count_parts(adj, colour, splitter, tally):
     return parts
 
 
-def _leaf_map(adj_g, adj_h, cg, ch):
-    """At a discrete colouring, map each vertex of g to the vertex of h with
-    its colour; returns that map as a list if every edge of g lands on an
-    edge of h, else None.  h's neighbours are read into sets here, once per
-    leaf, and every edge of g is looked up in them."""
-    vertex_of = [0] * len(ch)
-    for w, c in enumerate(ch):
+def _leaf_map(adj_g, adj_h, colour):
+    """At a discrete colouring of g ⊔ h, map each vertex of g to the vertex
+    of h with its colour; returns that map as a list if every edge of g
+    lands on an edge of h, else None.  h's neighbours are read into sets
+    here, once per leaf, and every edge of g is looked up in them."""
+    n = len(adj_g)
+    vertex_of = [0] * n
+    for w, c in enumerate(colour[n:]):
         vertex_of[c] = w
-    f = [vertex_of[c] for c in cg]
+    f = [vertex_of[c] for c in colour[:n]]
     near_h = list(map(set, adj_h))
     if all(f[b] in near_h[f[a]] for a, nbrs in enumerate(adj_g) for b in nbrs):
         return f
@@ -576,50 +560,53 @@ def _search(adj_g, adj_h, cg, ch):
     vertex v of g sent to f[v] of h, or None when there is none.
 
     Individualization-refinement, the method behind nauty (McKay and
-    Piperno, J. Symb. Comput. 60, 2014).  The starting colours are refined
-    on both graphs in lockstep to their coarsest equitable partition (see
-    _refine); while the colouring is not discrete, the first vertex v of g
-    in the smallest non-singleton cell is given a fresh colour together
-    with each vertex w of h in that cell in turn, and the search refines
-    and descends, backtracking over every w.  Such a node refines from its
-    one new singleton cell alone: the colouring it came from was
+    Piperno, J. Symb. Comput. 60, 2014), on the disjoint union g ⊔ h, with
+    g's vertices at 0..n-1 and h's at n..2n-1.  The union's starting
+    colouring is refined to its coarsest equitable partition (see
+    _refine); while a cell holds more than one vertex of each graph, the
+    first vertex v of g in the smallest such cell is given a fresh colour
+    together with each vertex w of h in that cell in turn, and the search
+    refines and descends, backtracking over every w.  Such a node refines
+    from its one new cell {v, w} alone: the colouring it came from was
     equitable, so the counts into the rest of the old cell follow from
-    those into the cell and into the singleton.  A discrete colouring is
-    accepted only when the colour-to-colour map sends every edge of g to
-    an edge of h (see _leaf_map), which with equal edge counts is an
-    isomorphism.  So a map comes with a certificate and None follows an
-    exhaustive search.  The worst case is exponential; the depth is at
-    most the number of vertices, and the search keeps its own stack rather
-    than recursing.
+    those into the cell and into the new one.  A discrete colouring, one
+    vertex of each graph per colour, is accepted only when the
+    colour-to-colour map sends every edge of g to an edge of h (see
+    _leaf_map), which with equal edge counts is an isomorphism.  So a map
+    comes with a certificate and None follows an exhaustive search.  The
+    worst case is exponential; the depth is at most the number of
+    vertices, and the search keeps its own stack rather than recursing.
     """
     n = len(adj_g)
-    stack = []      # (colours of g, colours of h, v, fresh colour, the w left)
-    coloured = _refine(adj_g, adj_h, cg, ch)
+    adj = [*adj_g, *[[x + n for x in nbrs] for nbrs in adj_h]]
+    stack = []      # (colours, v, fresh colour, the w left)
+    coloured = _refine(adj, n, [*cg, *ch])
     while True:
         if coloured is not None:
-            cg, ch, count = coloured
+            colour, count = coloured
             if count == n:
-                f = _leaf_map(adj_g, adj_h, cg, ch)
+                f = _leaf_map(adj_g, adj_h, colour)
                 if f is not None:
                     return f
             else:
                 sizes = [0] * count
-                for c in cg:
+                for c in colour:
                     sizes[c] += 1
-                cell = min((s, c) for c, s in enumerate(sizes) if s > 1)[1]
-                stack.append((cg, ch, cg.index(cell), count,
-                              iter([w for w, c in enumerate(ch) if c == cell])))
+                cell = min((s, c) for c, s in enumerate(sizes) if s > 2)[1]
+                stack.append((colour, colour.index(cell), count,
+                              iter([w for w in range(n, 2 * n)
+                                    if colour[w] == cell])))
         while stack:
-            cg, ch, v, fresh, ws = stack[-1]
+            colour, v, fresh, ws = stack[-1]
             w = next(ws, None)
             if w is not None:
                 break
             stack.pop()
         else:
             return None
-        cg, ch = cg.copy(), ch.copy()
-        cg[v] = ch[w] = fresh
-        coloured = _refine(adj_g, adj_h, cg, ch, [fresh])
+        colour = colour.copy()
+        colour[v] = colour[w] = fresh
+        coloured = _refine(adj, n, colour, [fresh])
 
 
 def _profile(p):

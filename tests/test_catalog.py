@@ -1,5 +1,7 @@
 """Exhaustive poset catalogs and the seeded random poset stream."""
 
+import hashlib
+
 import oracles
 import pytest
 from latcut import (CapacityExceeded, Poset, all_labeled_posets,
@@ -40,6 +42,28 @@ def test_class_representatives_match_the_canonical_key_oracle():
         assert set(keys) == {oracles.canonical_key(Poset(labels, up,
                                                          _trusted=True))
                              for up in oracles.natural_posets(n)}
+
+
+#: SHA-256 of repr([(labels, up) for each representative]) per level, as
+#: the catalog first kept them.  The cutting suites' exhaustive pools and
+#: any "smallest failing instance" read these posets, so which poset each
+#: class keeps, and in what order, is pinned, not only the class counts.
+REPRESENTATIVE_DIGESTS = [
+    "d71d7ab5b3c79b4c5463420c402ac353ef626ae527c688d3ed88796c8b810ba2",
+    "e9dfc3de7acd56bcf9884f8f533cc309f467f07cbe88051dc0957043ca55d19d",
+    "77698a2e1c8f9dedb26dfd812928776e08c164be594c9187f976172201f11ad8",
+    "57848f77078cfebb95c6474b970a6cb870877f67bdc465fdebbf02214dd91511",
+    "c860f6913222b2cff42be47b2ad71bf2929a81c802a10b13fbd4da7913de2432",
+    "30742c9c4b26e9e83766b59e11b2a11ef27c3b2509427f23b5f44ed407746394",
+    "174d41d9361bcf21ebc4c69ef4d2b7b27d7b775d64fbe05ef393a2c4f8c2512e",
+]
+
+
+def test_class_representatives_are_pinned():
+    for n, digest in enumerate(REPRESENTATIVE_DIGESTS):
+        text = repr([(tuple(p.labels), tuple(p.up))
+                     for p in posets_up_to_iso(n)])
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, n
 
 
 def test_class_representatives_meet_non_natural_index_orders():

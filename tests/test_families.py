@@ -173,12 +173,17 @@ def test_graph_isomorphism_edges_and_caps(monkeypatch):
     assert graph_isomorphic(g, g)
     triangle = _graph([("a", "b"), ("b", "c"), ("a", "c")])
     assert not graph_isomorphic(g, triangle)
-    # 610 vertices, past GRAPH_ISO_CAP: refused before any search.
+    # 610 vertices, past GRAPH_ISO_CAP: refused before either graph is
+    # read, whichever side is over the cap.
     big = fibonacci_cube(13)
     monkeypatch.setattr(families, "_search",
                         lambda *args: pytest.fail("searched past the cap"))
-    with pytest.raises(CapacityExceeded):
-        graph_isomorphic(big, big)
+    monkeypatch.setattr(families, "_read_graph",
+                        lambda g: pytest.fail("read a graph past the cap"))
+    for pair in ((big, big), (g, big), (big, g)):
+        with pytest.raises(CapacityExceeded,
+                           match="graph isomorphism capped at 400 vertices"):
+            graph_isomorphic(*pair)
 
 
 # -- graph isomorphism against networkx --------------------------------------------
@@ -274,7 +279,7 @@ def test_graph_isomorphic_refuses_a_switched_lucas_cube():
     adj_g, _ = families._read_graph(g)
     adj_h, _ = families._read_graph(_graph(edges))
     n = len(adj_g)
-    assert poset._refine(adj_g, adj_h, [0] * n, [0] * n) is not None
+    assert _refine_pair(adj_g, adj_h, [0] * n, [0] * n) is not None
     assert not graph_isomorphic(g, _graph(edges))
 
 
@@ -317,10 +322,23 @@ def _equitable(adj_g, adj_h, coloured):
     return True
 
 
+def _refine_pair(adj_g, adj_h, cg, ch, *splitters):
+    """poset._refine on the disjoint union g ⊔ h, with h's vertices after
+    g's, and its answer split back into (colours of g, colours of h,
+    number of colours), or None."""
+    n = len(adj_g)
+    union = [*adj_g, *([x + n for x in nbrs] for nbrs in adj_h)]
+    got = poset._refine(union, n, [*cg, *ch], *splitters)
+    if got is None:
+        return None
+    colour, count = got
+    return colour[:n], colour[n:], count
+
+
 def _refines_as_the_oracle(adj_g, adj_h, cg, ch, *splitters):
     """_refine's answer, after checking it against the oracle's: None for
     both, or the same cells, equitable for both graphs together."""
-    got = poset._refine(adj_g, adj_h, cg, ch, *splitters)
+    got = _refine_pair(adj_g, adj_h, cg, ch, *splitters)
     want = oracles.refine_by_signatures(adj_g, adj_h, cg, ch)
     assert (got is None) == (want is None)
     if got is not None:
@@ -371,6 +389,16 @@ def test_refinement_matches_the_signature_rounds(graph, rng):
             other[a].add(b)
             other[b].add(a)
     _refines_as_the_oracle(adj_g, other, cg, ch)
+
+
+def test_leaf_map_refuses_a_map_that_breaks_an_edge():
+    """The leaf certificate reads the edges themselves.  The search only
+    hands it equitable discrete colourings of g ⊔ h, and those are already
+    isomorphisms, so no search can show the check; here a discrete
+    colouring of two 3-vertex paths sends the edge 1-2 of g to 0-2 of h."""
+    path = [[1], [0, 2], [1]]
+    assert poset._leaf_map(path, path, [0, 1, 2, 0, 1, 2]) == [0, 1, 2]
+    assert poset._leaf_map(path, path, [0, 1, 2, 1, 0, 2]) is None
 
 
 def test_graph_isomorphic_backtracks_over_the_candidates():
@@ -556,18 +584,23 @@ def test_cube_search_work_is_bounded(kind, k, calls_max, visits_max,
     calls), and the Lucas cube's the 24 rotations and reflections of the
     cyclic strings (1 + floor(log2 24) = 5 calls).
 
-    Pops.  A pop takes one pushed colour; a refinement pushes its starting
-    colours, or the one fresh colour, and then one colour for each colour
-    it creates.  A path that ends in a discrete colouring without
-    backtracking therefore pops exactly n colours in each graph.
+    Pops.  The search refines one colouring of the union g ⊔ h.  A pop
+    takes one pushed colour; a refinement pushes its starting colours, or
+    the one fresh colour, and then one colour for each colour it creates.
+    A path that ends in a discrete colouring without backtracking, one
+    vertex of each graph per colour, therefore pops exactly n colours, one
+    per colour of the union.
 
     Neighbour visits.  In one refinement a vertex's neighbours are read
     once for each popped cell that holds it.  It is popped at most once
     from the starting stack; every later push puts it in a part that is
-    not the largest of its split cell, so into at most half that cell, at
-    most floor(log2 n) = 8 times.  Over both graphs and every call, visits
-    <= calls * 2 * 2m * 9: 2 * 5,232 * 9 = 94,176 and 5 * 4,272 * 9 =
-    192,240.  Measured: 8,308 and 13,008."""
+    not the largest of its split cell, so into at most half that cell.  On
+    this path every cell holds as many vertices of g as of h, so a cell
+    shrinks from at most 2n to at least 2 vertices, and the vertex is
+    pushed at most floor(log2 n) = 8 times.  The union's degree sum is
+    2 * 2m, so over every call visits <= calls * 2 * 2m * 9: 2 * 5,232 * 9
+    = 94,176 and 5 * 4,272 * 9 = 192,240.  Measured: 8,308 and
+    13,008."""
     calls, pops, visits = [0], [0], [0]
     refine, count_parts = poset._refine, poset._count_parts
 
@@ -587,7 +620,7 @@ def test_cube_search_work_is_bounded(kind, k, calls_max, visits_max,
     g = cover_cube(filter_lattice(p))
     assert graph_isomorphic(g, model)
     assert calls[0] <= calls_max
-    assert pops[0] == 2 * g.vertex_count
+    assert pops[0] == g.vertex_count
     assert visits[0] <= visits_max
 
 # -- deletion identities --------------------------------------------------------------

@@ -69,6 +69,15 @@ PLANTS = {
         "src/latcut/poset.py",
         "new = (up[j] | down[j]) & rest\n",
         "new = up[j] & rest\n"),
+    "refine-skips-balance-check": (
+        "src/latcut/poset.py",
+        "    if sorted(colour[:n]) != sorted(colour[n:]):\n        return None\n",
+        ""),
+    "leaf-map-skips-edge-test": (
+        "src/latcut/poset.py",
+        "    if all(f[b] in near_h[f[a]] for a, nbrs in enumerate(adj_g) "
+        "for b in nbrs):\n        return f\n    return None\n",
+        "    return f\n"),
 }
 
 # Seconds per suite run; Tier-1 gets four times this.
