@@ -15,7 +15,10 @@ graphs, with one colouring of it, so a colour means the same in both.  Its
 colour refinement (_refine) splits cells by their neighbour counts in one
 splitter cell at a time, so a search node that individualizes a pair of
 vertices pays for the splits that follow from that pair, not for a re-sort
-of every vertex's neighbour colours.
+of every vertex's neighbour colours.  The cells are ranges of one
+permutation of the vertices, and a split moves only the vertices that
+leave their cell.  The refinement stops at its first discrete colouring,
+whose pair map the leaf's edge test (_leaf_map) accepts or refuses.
 
 Instances are immutable by convention: every operation returns a new poset.
 Concurrent readers are safe because the only mutation ever performed is the
@@ -25,7 +28,7 @@ immutable relation.
 
 from __future__ import annotations
 
-from itertools import groupby
+from itertools import accumulate, groupby
 from operator import itemgetter
 
 from .bits import iter_bits, mask_of
@@ -447,71 +450,89 @@ def ordinal_sum(p, q):
 def _refine(adj, n, colour, splitters=None):
     """Refine the colouring ``colour`` of the disjoint union of two graphs,
     g on the vertices 0..n-1 and h on n..2n-1 (``adj`` holds the union's
-    neighbour lists), to the coarsest equitable partition that refines it:
-    any two vertices of one colour, in either graph, have equally many
+    neighbour lists), towards the coarsest equitable partition that refines
+    it: any two vertices of one colour, in either graph, have equally many
     neighbours of each colour.  The colouring uses each of the colours
     0..k-1.  A colour is one cell of the union, so it means the same in g
     and h by construction.
 
-    A stack holds the splitter cells: every colour, or only those named in
-    ``splitters`` when each cell already has equal counts into every other
-    one.  For the popped cell, each vertex counts its neighbours inside it
-    (_count_parts), and every cell that a count touches splits by count, in
-    ascending count order: the first part keeps the cell's colour and the
-    others take new ones.  When the split cell was still queued its new
-    parts are pushed; otherwise every part but the largest, since the
-    counts into that one follow from those into the cell and the other
-    parts.  The stack is emptied even once every colour is a single vertex
-    of each graph.
+    The cells are ranges of one permutation ``order`` of the vertices, a
+    start and a size per colour.  A stack holds the splitter cells: every
+    colour, or only those named in ``splitters`` when each cell already has
+    equal counts into every other one.  For the popped cell, each vertex
+    counts its neighbours inside it (_count_parts), and every cell that a
+    count touches splits by count, in ascending count order: the first part
+    keeps the cell's colour and the others take new ones, each moved by
+    swaps to the end of the cell's range, so a split costs the vertices it
+    moves.  When the split cell was still queued its new parts are pushed;
+    otherwise every part but the largest, since the counts into that one
+    follow from those into the cell and the other parts.
 
-    Returns (colours, number of colours), or None when some colour holds
-    unequally many vertices of g and of h.  One comparison of the two
+    The refinement stops at the first colouring with n colours, or when the
+    stack is empty, so every colouring it returns with fewer colours is
+    equitable.  At n colours, if each holds one vertex of g and one of h,
+    the colouring is discrete, and it is equitable exactly when its pair
+    map is an isomorphism: further splits could only refute that map, and
+    _leaf_map's edge test decides it.  Past n colours some colour holds a
+    single vertex.
+
+    Returns (colours, the number of vertices of each colour), or None when
+    some colour holds unequally many vertices of g and of h.  One comparison of the two
     graphs' sorted colours, at the end, refuses whatever a comparison at
     every pop would: a split divides its cell's surplus of g vertices among
     its parts, so a cell unbalanced at any pop leaves an unbalanced cell in
-    the result.  The argument is left unchanged.
+    every later colouring.  The argument is left unchanged.
 
     A refinement costs about the degree sums of the cells it pops plus the
-    sizes of the cells they split."""
+    sizes of the parts it moves."""
     colour = list(colour)
-    cells = [[] for _ in range(max(colour, default=-1) + 1)]
-    for v, c in enumerate(colour):
-        cells[c].append(v)
-    stack = list(range(len(cells))) if splitters is None else list(splitters)
+    order = sorted(range(len(colour)), key=colour.__getitem__)
+    pos = [0] * len(order)
+    for i, v in enumerate(order):
+        pos[v] = i
+    size = [0] * (max(colour, default=-1) + 1)
+    for c in colour:
+        size[c] += 1
+    start = [0, *accumulate(size)]
+    start.pop()
+    stack = list(range(len(size))) if splitters is None else list(splitters)
     queued = set(stack)
     tally = [0] * len(colour)
-    while stack:
+    while stack and len(size) < n:
         s = stack.pop()
         queued.discard(s)
-        parts = _count_parts(adj, colour, cells[s], tally)
-        for (c, _), part in parts.items():
-            if len(part) < len(cells[c]):
-                break
-        else:
-            continue    # no cell splits
-        for cell, keys in groupby(sorted(parts), itemgetter(0)):
+        parts = _count_parts(adj, colour, order[start[s]:start[s] + size[s]],
+                             tally)
+        # a cell splits exactly when its parts are smaller than it is
+        split = sorted(key for key, part in parts.items()
+                       if len(part) < size[key[0]])
+        for cell, keys in groupby(split, itemgetter(0)):
             keys = list(keys)
-            members = cells[cell]
-            if sum(len(parts[key]) for key in keys) == len(members):
+            if sum(len(parts[key]) for key in keys) == size[cell]:
                 del keys[0]     # every member counted: the lowest count stays
-                if not keys:
-                    continue
-            first = len(cells)
+            first = len(size)
+            end = start[cell] + size[cell]
             for c, key in enumerate(keys, first):
-                for v in parts[key]:
+                part = parts[key]
+                for v in part:
+                    end -= 1
+                    u, i = order[end], pos[v]
+                    order[i], pos[u] = u, i
+                    order[end], pos[v] = v, end
                     colour[v] = c
-                cells.append(parts[key])
-            cells[cell] = [v for v in members if colour[v] == cell]
+                start.append(end)
+                size.append(len(part))
+            size[cell] = end - start[cell]
             if cell in queued:
-                new = range(first, len(cells))
+                new = range(first, len(size))
             else:
-                new = [cell, *range(first, len(cells))]
-                new.remove(max(new, key=lambda c: len(cells[c])))
+                new = [cell, *range(first, len(size))]
+                new.remove(max(new, key=size.__getitem__))
             queued.update(new)
             stack.extend(new)
     if sorted(colour[:n]) != sorted(colour[n:]):
         return None
-    return colour, len(cells)
+    return colour, size
 
 
 def _count_parts(adj, colour, splitter, tally):
@@ -542,7 +563,12 @@ def _leaf_map(adj_g, adj_h, colour):
     """At a discrete colouring of g ⊔ h, map each vertex of g to the vertex
     of h with its colour; returns that map as a list if every edge of g
     lands on an edge of h, else None.  h's neighbours are read into sets
-    here, once per leaf, and every edge of g is looked up in them."""
+    here, once per leaf, and every edge of g is looked up in them.
+
+    This test decides the leaf.  _refine stops at its first discrete
+    colouring, before the splits that would refute a pair map that is not
+    an isomorphism, so the search hands this function colourings that are
+    not equitable."""
     n = len(adj_g)
     vertex_of = [0] * n
     for w, c in enumerate(colour[n:]):
@@ -562,20 +588,24 @@ def _search(adj_g, adj_h, cg, ch):
     Individualization-refinement, the method behind nauty (McKay and
     Piperno, J. Symb. Comput. 60, 2014), on the disjoint union g ⊔ h, with
     g's vertices at 0..n-1 and h's at n..2n-1.  The union's starting
-    colouring is refined to its coarsest equitable partition (see
-    _refine); while a cell holds more than one vertex of each graph, the
-    first vertex v of g in the smallest such cell is given a fresh colour
-    together with each vertex w of h in that cell in turn, and the search
-    refines and descends, backtracking over every w.  Such a node refines
-    from its one new cell {v, w} alone: the colouring it came from was
-    equitable, so the counts into the rest of the old cell follow from
-    those into the cell and into the new one.  A discrete colouring, one
-    vertex of each graph per colour, is accepted only when the
-    colour-to-colour map sends every edge of g to an edge of h (see
-    _leaf_map), which with equal edge counts is an isomorphism.  So a map
-    comes with a certificate and None follows an exhaustive search.  The
-    worst case is exponential; the depth is at most the number of
-    vertices, and the search keeps its own stack rather than recursing.
+    colouring is refined to its coarsest equitable partition, or until it
+    is discrete (see _refine).  While a cell holds more than one vertex of
+    each graph, the first vertex v of g in the largest such cell, ties
+    going to the lowest colour, is given a fresh colour together with each
+    vertex w of h in that cell in turn, and the search refines and
+    descends, backtracking over every w.  A large cell is where one
+    individualization splits off the most: on the Lucas cube of crown(12)
+    it is an orbit of all 24 automorphisms, and the search refines twice.
+    Such a node refines from its one new cell {v, w} alone: the colouring
+    it came from was not discrete, so it was equitable, and the counts into
+    the rest of the old cell follow from those into the cell and into the
+    new one.  A discrete colouring, one vertex of each graph per colour, is
+    accepted only when the colour-to-colour map sends every edge of g to an
+    edge of h (see _leaf_map), which with equal edge counts is an
+    isomorphism.  So a map comes with a certificate and None follows an
+    exhaustive search.  The worst case is exponential; the depth is at most
+    the number of vertices, and the search keeps its own stack rather than
+    recursing.
     """
     n = len(adj_g)
     adj = [*adj_g, *[[x + n for x in nbrs] for nbrs in adj_h]]
@@ -583,16 +613,14 @@ def _search(adj_g, adj_h, cg, ch):
     coloured = _refine(adj, n, [*cg, *ch])
     while True:
         if coloured is not None:
-            colour, count = coloured
+            colour, size = coloured
+            count = len(size)
             if count == n:
                 f = _leaf_map(adj_g, adj_h, colour)
                 if f is not None:
                     return f
             else:
-                sizes = [0] * count
-                for c in colour:
-                    sizes[c] += 1
-                cell = min((s, c) for c, s in enumerate(sizes) if s > 2)[1]
+                cell = max(range(count), key=size.__getitem__)
                 stack.append((colour, colour.index(cell), count,
                               iter([w for w in range(n, 2 * n)
                                     if colour[w] == cell])))

@@ -7,7 +7,9 @@ the working tree.  Per plant, Tier-1 runs with ``--hypothesis-seed=0`` and
 each of the 12 ``latcut verify`` suites runs at its defaults, every run a
 process under a timeout.  The JSON written holds, per plant, the failing
 test ids, Tier-1's exit code, each suite's exit code, and whether any
-suite ended in a traceback.
+suite ended in a traceback.  Tier-1 prints one result line per test, so a
+run that hits its timeout still lists the failures before it, and
+``hung_test`` names the test it was running (None when it finished).
 
     python tests/tools/plants.py [--rev REV] [--only NAME] [--tests PATH]
                                  [--out FILE]
@@ -23,6 +25,7 @@ import argparse
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tarfile
@@ -78,6 +81,14 @@ PLANTS = {
         "    if all(f[b] in near_h[f[a]] for a, nbrs in enumerate(adj_g) "
         "for b in nbrs):\n        return f\n    return None\n",
         "    return f\n"),
+    "split-range-end-off-by-one": (
+        "src/latcut/poset.py",
+        "            end = start[cell] + size[cell]\n",
+        "            end = start[cell] + size[cell] - 1\n"),
+    "refine-stops-before-balance-check": (
+        "src/latcut/poset.py",
+        "    if sorted(colour[:n]) != sorted(colour[n:]):\n",
+        "    if len(size) < n and sorted(colour[:n]) != sorted(colour[n:]):\n"),
 }
 
 # Seconds per suite run; Tier-1 gets four times this.
@@ -110,14 +121,38 @@ def export(rev, dest):
 
 
 def _run(argv, cwd, timeout):
-    """(exit code, or "timeout", stdout, stderr) of one process."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(cwd, "src"))
+    """(exit code, or "timeout", stdout, stderr) of one process; on a
+    timeout, whatever it wrote before it was killed."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(cwd, "src"),
+               PYTHONUNBUFFERED="1")
     try:
         proc = subprocess.run(argv, cwd=cwd, env=env, capture_output=True,
                               text=True, timeout=timeout)
-    except subprocess.TimeoutExpired:
-        return "timeout", "", ""
+    except subprocess.TimeoutExpired as e:
+        return ("timeout", (e.stdout or b"").decode(errors="replace"),
+                (e.stderr or b"").decode(errors="replace"))
     return proc.returncode, proc.stdout, proc.stderr
+
+
+# A per-test line of ``pytest -v``: the test id, then its outcome once the
+# test has one.
+RESULT = re.compile(r"(\S+::.*?)(?: (PASSED|FAILED|ERROR|SKIPPED|XFAIL|XPASS)"
+                    r"\b.*)?$")
+
+
+def tier1_results(out):
+    """(failing test ids, sorted; the test that was running when the output
+    ends, or None) from the per-test lines of ``pytest -v``.  A run killed
+    in a test ends in that test's id with no outcome after it."""
+    lines = out.splitlines()
+    failing = set()
+    for line in lines:
+        m = RESULT.match(line)
+        if m and m.group(2) in ("FAILED", "ERROR"):
+            failing.add(m.group(1))
+    m = RESULT.match(lines[-1]) if lines else None
+    hung = m.group(1).rstrip() if m and m.group(2) is None else None
+    return sorted(failing), hung
 
 
 def run_plant(rev, name, tests):
@@ -125,12 +160,10 @@ def run_plant(rev, name, tests):
         export(rev, tree)
         apply(tree, name)
         code, out, _ = _run(
-            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-             "--hypothesis-seed=0", "-rfE", "--tb=no", tests],
+            [sys.executable, "-m", "pytest", "-v", "-p", "no:cacheprovider",
+             "--hypothesis-seed=0", "--tb=no", tests],
             tree, TIMEOUT * 4)
-        failing = sorted(line.split(" ", 1)[1].split(" - ", 1)[0]
-                         for line in out.splitlines()
-                         if line.startswith(("FAILED ", "ERROR ")))
+        failing, hung = tier1_results(out)
         suites = {}
         for suite in SUITES:
             c, _, err = _run([sys.executable, "-m", "latcut", "verify",
@@ -138,7 +171,7 @@ def run_plant(rev, name, tests):
             suites[suite] = {"exit": c,
                              "traceback": "Traceback (most recent" in err}
     return {"file": PLANTS[name][0], "tier1_exit": code,
-            "failing_tests": failing, "suites": suites,
+            "failing_tests": failing, "hung_test": hung, "suites": suites,
             "traceback": any(s["traceback"] for s in suites.values())}
 
 
