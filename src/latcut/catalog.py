@@ -68,13 +68,19 @@ def _levels(n, step):
 def _new_classes(level):
     """One extension per class.  Each candidate is tested with
     poset_isomorphic only against the kept ones that share its sorted
-    (|down|, |up|) profile."""
+    (|down|, |up|) profile.  Those searches end far below their cap, so
+    one that passes it fails as a check, with AssertionError."""
     reps = {}
     out = []
     for p in level:
         for q in _extensions(p):
             bucket = reps.setdefault(tuple(sorted(_profile(q))), [])
-            if not any(poset_isomorphic(q, r) for r in bucket):
+            try:
+                known = any(poset_isomorphic(q, r) for r in bucket)
+            except CapacityExceeded as e:
+                raise AssertionError("the catalog's isomorphism search on "
+                                     "%d points: %s" % (q.n, e)) from None
+            if not known:
                 bucket.append(q)
                 out.append(q)
     return out

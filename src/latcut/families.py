@@ -261,7 +261,8 @@ def graph_isomorphic(g, h):
     vertex coloured by the rank of its degree among the graphs' degrees.
     Every isomorphism keeps degrees, so the search loses no map by starting
     there; a True carries an explicit edge-preserving vertex map and a
-    False follows an exhaustive search.
+    False follows an exhaustive search.  A search past its cap of
+    refinements raises CapacityExceeded too.
     """
     if max(g.vertex_count, h.vertex_count) > GRAPH_ISO_CAP:
         raise CapacityExceeded(

@@ -3,10 +3,33 @@ re-checked by brute force over exhaustive small posets plus a random layer.
 
 Each suite returns a SuiteResult whose report is line-oriented and
 deterministic for a fixed seed; on failure the smallest failing instance is
-inlined as a poset file so it can be replayed directly.  birkhoff and
-random check x -> up(x) with ``birkhoff_roundtrip``, without a search;
-birkhoff also compares each poset's ``cover_masks`` with the definition of
-a cover.
+inlined as a poset file so it can be replayed directly.
+
+One table, _SUITES, holds the 12 suites by name: the flags each takes and
+the function that runs it.  ``run_suite`` and SUITE_NAMES read it.  The
+family suites take ``--max`` alone, and the others ``--trials``,
+``--max-size`` and ``--seed``; ``run_suite`` refuses the rest, and
+``--max-size 0`` unless ``--trials`` is 0.  Every suite but the cutting
+topics hands its pool of cases, its per-case check and its line format to
+one runner, _run.  The runner alone keeps the clock and the check count,
+refuses a suite whose largest lattice passes the cap before any work, runs
+each check through _attempt and files its failures.  A check returns None
+when its identity holds and the failure detail otherwise; a check that
+raises fails its case, not the suite, with the message of an
+AssertionError, else with ``raised <type>: <message>``.
+  birkhoff    every labelled poset up to four elements, then random ones:
+              x -> up(x) by ``birkhoff_roundtrip``, without a search,
+              ``cover_masks`` against the definition of a cover, and F(P)
+              against the subset scan;
+  fibonacci   the deletion identity on every fence up to ``--max`` (m+n-2);
+  lucas       the deletion identity on every crown up to ``--max`` (2n);
+              the size on each line is the decomposition report's;
+  cubes       the covering graphs of F(fence) and F(crown) against the
+              string-model cubes, certified by the zigzag translation;
+  random      the round trip, the binomial and Euler rows and d- = d+ on
+              random posets.
+A pooled poset past the filter cap, in birkhoff, random or the cutting
+pass, is refused by its tag.
 
 The seven cutting topics share one pass over the pooled lattices, driven by
 a table of (topic, failure text, check) rows.  binomial, euler and
@@ -18,36 +41,27 @@ the cutting and the cutting's lattice, built when a row first reads it
 on it, with no second walk.  cutting-equivalence asks ``is_cutting``, which
 votes four criteria, on every interval.  The rows of binomial, euler,
 rank-recurrence and q-d-recurrences are the public checks of
-latcut.invariants, which return None when their identity holds and the
-failure detail otherwise.  The q they read is q_vector's census, checked
-once per lattice against the q recurrence on its base poset.  A topic
-runs only its own rows, so only
-cutting-equivalence votes.  A row or vote that raises AssertionError fails
-with the message, one that raises anything else fails with ``raised
-<type>: <message>``, an expansion that raises fails every row that would
-read it, a ``cuttings`` that raises fails its poset in every topic, and
-the pass goes on; only CapacityExceeded stops it, as a refusal.  A pooled
-lattice too large for the vote or its expansions is refused before either,
-and before its cuttings are listed when the 2|L| - 1 that hold its bottom
-or top already make it too large; a pooled poset past the filter cap, here
-or in birkhoff and random, is refused by its tag.  A listed cutting with no
-expansion, met while the exhaustive pool grows, stops the run with
-AssertionError, which the CLI reports on one line with exit 1.
-
-The fibonacci and lucas suites print the detail of each failing
-FamilyReport, or that of a case that raises, and go on; lucas adds
-``cube=False`` when a covering graph is not its Lucas cube, and cubes
-fails a case whose graph is not its model or whose check raises.
-These three family suites take ``--max`` alone, and the others
-``--trials``, ``--max-size`` and ``--seed``; ``run_suite`` refuses the rest,
-and ``--max-size 0`` unless ``--trials`` is 0.
+latcut.invariants.  The q they read is q_vector's census, checked once per
+lattice against the q recurrence on its base poset.  A topic runs only its
+own rows, so only cutting-equivalence votes.  A row or vote that raises
+fails like a check of the runner, an expansion that raises fails every row
+that would read it, a ``cuttings`` that raises fails its poset in every
+topic, and the pass goes on; only CapacityExceeded stops it, as a refusal.
+A pooled lattice too large for the vote or its expansions is refused before
+either, and before its cuttings are listed when the 2|L| - 1 that hold its
+bottom or top already make it too large.  A listed cutting with no
+expansion, or an isomorphism search past its bound, met while the
+exhaustive pool grows, stops the run with AssertionError, which the CLI
+reports on one line with exit 1.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from .bits import iter_bits
 from .catalog import _extend_each, _levels, _new_classes, random_poset, trial_seed
@@ -123,6 +137,62 @@ def _pooled(pool):
         yield tag, p, lat
 
 
+# -- the runner ---------------------------------------------------------------------
+
+
+def _attempt(check, *args):
+    """(check(*args), None), or (None, the detail of its failure) when the
+    check raises: the message of an AssertionError (a q census that
+    disagrees with the recurrence on P, four cutting criteria that
+    disagree), else ``raised <type>: <message>``.  CapacityExceeded
+    refuses the input rather than failing a check, and goes through."""
+    try:
+        return check(*args), None
+    except CapacityExceeded:
+        raise
+    except AssertionError as e:
+        return None, str(e) or "raised AssertionError"
+    except Exception as e:
+        return None, "raised %s: %s" % (type(e).__name__, e)
+
+
+def _refuse_over_cap(*sizes):
+    """Refuse, before any work, a suite whose largest lattice passes the cap."""
+    if max(sizes, default=0) > FILTER_CAP:
+        raise CapacityExceeded("more than %d filters" % FILTER_CAP)
+
+
+def _run(name, cases, check, seed=None, lines=(), sizes=()):
+    """The one loop of every suite but the cutting topics.
+
+    ``sizes`` are the suite's largest lattices, refused past the cap
+    before any work.  ``lines`` open the report.  ``cases`` yields
+    (poset, title, label, args), one check each: check(*args) returns None
+    when its identity holds and otherwise the failure detail, which is
+    filed under ``title`` with the poset inlined, or in the title's %s when
+    it has one.  A check that raises fails its case with _attempt's detail,
+    and the suite goes on.  A case with a ``label`` prints it, then ``ok``
+    or ``FAIL``: its check returns (fields, detail), the fields filling the
+    label's %s slots, each one "?" when the check raised."""
+    _refuse_over_cap(*sizes)
+    res = SuiteResult(name, seed=seed, lines=list(lines))
+    t0 = time.perf_counter()
+    for p, title, label, args in cases:
+        res.checks += 1
+        got, fault = _attempt(check, *args)
+        if label is not None:
+            fields, got = got or (None, None)
+            res.lines.append("%s,%s" % (
+                label.replace("%s", "?") if fields is None else label % fields,
+                "ok" if fault is None and got is None else "FAIL"))
+        detail = got if fault is None else fault
+        if detail is not None:
+            res.add_failure(p, *((title % detail,) if "%s" in title
+                                 else (title, detail)))
+    res.elapsed = time.perf_counter() - t0
+    return res
+
+
 # -- Birkhoff round trip ------------------------------------------------------------
 
 # The subset scan keeps a table of 2^n closure requirements.
@@ -156,32 +226,31 @@ def _covers_by_definition(p):
             if p.up[i] & p.down[j] == 0]
 
 
+def _birkhoff_check(p, lat):
+    """None, or the first of three comparisons that fails."""
+    if not birkhoff_roundtrip(lat):
+        return "Mi(F(P)) not isomorphic to P"
+    if sorted(p.cover_masks()) != _covers_by_definition(p):
+        return "cover_masks() differs from its definition"
+    if p.n <= _FILTER_SCAN_LIMIT:
+        scanned = filters_by_scan(p)
+        if sorted(lat.filters) != scanned:
+            return ("F(P) differs from the subset scan: %d filters against %d"
+                    % (lat.size, len(scanned)))
+
+
 def verify_birkhoff(trials=1000, max_size=8, seed=0):
-    res = SuiteResult("birkhoff", seed=seed)
-    t0 = time.perf_counter()
     labeled = [("labeled n=%d" % n, p) for n, level in
                enumerate(_levels(_BIRKHOFF_EXHAUSTIVE_MAX, _extend_each))
                for p in level]
-    res.lines.append("exhaustive labeled posets on <=%d elements: %d"
-                     % (_BIRKHOFF_EXHAUSTIVE_MAX, len(labeled)))
     pool = itertools.chain(labeled, _pool_random(trials, max_size, seed))
-    for tag, p, lat in _pooled(pool):
-        res.checks += 1
-        if not birkhoff_roundtrip(lat):
-            res.add_failure(p, "Mi(F(P)) not isomorphic to P (%s)" % tag)
-        elif sorted(p.cover_masks()) != _covers_by_definition(p):
-            res.add_failure(p, "cover_masks() differs from its definition "
-                            "(%s)" % tag)
-        elif p.n <= _FILTER_SCAN_LIMIT:
-            scanned = filters_by_scan(p)
-            if sorted(lat.filters) != scanned:
-                res.add_failure(p, "F(P) differs from the subset scan: %d "
-                                "filters against %d (%s)"
-                                % (lat.size, len(scanned), tag))
-    res.lines.append("random posets: trials=%d max_size=%d seed=%d"
-                     % (trials, max_size, seed))
-    res.elapsed = time.perf_counter() - t0
-    return res
+    return _run("birkhoff", ((p, "%%s (%s)" % tag, None, (p, lat))
+                             for tag, p, lat in _pooled(pool)),
+                _birkhoff_check, seed=seed, lines=(
+                    "exhaustive labeled posets on <=%d elements: %d"
+                    % (_BIRKHOFF_EXHAUSTIVE_MAX, len(labeled)),
+                    "random posets: trials=%d max_size=%d seed=%d"
+                    % (trials, max_size, seed)))
 
 
 # -- the cutting pass: one table of checks ------------------------------------------
@@ -224,22 +293,6 @@ _CUTTING_ROWS = (
          check_q_recurrence(exp), check_d_recurrences(exp)))) or None))
 _CUTTING_TOPICS = ("cutting-equivalence",) + tuple(
     topic for topic, _, _ in _CUTTING_ROWS + _LATTICE_ROWS)
-
-
-def _attempt(check, *args):
-    """(check(*args), None), or (None, the detail of its failure) when the
-    check raises: the message of an AssertionError (a q census that
-    disagrees with the recurrence on P, four cutting criteria that
-    disagree), else ``raised <type>: <message>``.  CapacityExceeded
-    refuses the input rather than failing a check, and goes through."""
-    try:
-        return check(*args), None
-    except CapacityExceeded:
-        raise
-    except AssertionError as e:
-        return None, str(e) or "raised AssertionError"
-    except Exception as e:
-        return None, "raised %s: %s" % (type(e).__name__, e)
 
 
 def _detail(check, *args):
@@ -361,64 +414,42 @@ def run_cutting_suite(trials=200, max_size=7, seed=1, exhaustive_max=5,
 # -- family suites ------------------------------------------------------------------
 
 
-def _refuse_over_cap(*sizes):
-    """Refuse, before any work, a suite whose largest lattice passes the cap."""
-    if max(sizes) > FILTER_CAP:
-        raise CapacityExceeded("more than %d filters" % FILTER_CAP)
-
-
 def verify_fibonacci(max_s=16):
     """All m, n >= 2 with m+n-2 <= max_s: sizes, the F identity, and the
     q recurrence, via the realized decomposition."""
-    _refuse_over_cap(fib(max_s + 2, FILTER_CAP))
-    res = SuiteResult("fibonacci")
-    t0 = time.perf_counter()
-    for s in range(2, max_s + 1):
-        for m in range(2, s + 1):
-            n = s + 2 - m
-            detail = _detail(
-                lambda: verify_fibonacci_decomposition(m, n).detail)
-            res.checks += 1
-            res.lines.append("m=%d,n=%d,%s"
-                             % (m, n, "FAIL" if detail else "ok"))
-            if detail:
-                res.add_failure(fence(s), "fibonacci decomposition m=%d n=%d"
-                                % (m, n), detail)
-    res.elapsed = time.perf_counter() - t0
-    return res
+    pairs = ((m, s + 2 - m) for s in range(2, max_s + 1)
+             for m in range(2, s + 1))
+    return _run("fibonacci", (
+        (fence(m + n - 2), "fibonacci decomposition m=%d n=%d" % (m, n),
+         "m=%d,n=%d" % (m, n), (m, n)) for m, n in pairs),
+        lambda m, n: ((), verify_fibonacci_decomposition(m, n).detail),
+        sizes=(fib(max_s + 2, FILTER_CAP),))
+
+
+def _lucas_check(n):
+    report = verify_lucas_decomposition(n)
+    return (report.lattice_size,), report.detail
 
 
 def verify_lucas(max_two_n=10):
-    """Crown sizes, the Lucas identity, the q recurrence, and the covering
-    graph against the string-model Lucas cube.  Each crown's lattice is
-    built here for the cube check only; the decomposition reads q of
-    F(crown) off its expansion, and its round trip walks the crown, as the
-    enumeration independent of the expansion."""
-    _refuse_over_cap(lucas(max_two_n // 2 * 2, FILTER_CAP))
-    res = SuiteResult("lucas")
-    t0 = time.perf_counter()
-    for n in range(2, max_two_n // 2 + 1):
-        lat = filter_lattice(crown(2 * n))
-        res.checks += 1
-        detail = " ".join(filter(None, (
-            _detail(lambda: verify_lucas_decomposition(n).detail),
-            _detail(lambda: None if _zigzag_translate(cover_cube(lat))
-                    == lucas_cube(2 * n) else "cube=False"))))
-        res.lines.append("n=%d,size=%d,%s" % (
-            n, lat.size, "FAIL" if detail else "ok"))
-        if detail:
-            res.add_failure(crown(2 * n), "lucas decomposition n=%d" % n,
-                            detail)
-    res.elapsed = time.perf_counter() - t0
-    return res
+    """Crown sizes, the Lucas identity and the q recurrence, via the
+    realized decomposition; each line's size is the report's.  The
+    decomposition reads q of F(crown) off its expansion, and its round
+    trip walks the crown, as the enumeration independent of the expansion.
+    The covering graphs of these lattices are the cubes suite's."""
+    return _run("lucas", (
+        (crown(2 * n), "lucas decomposition n=%d" % n, "n=%d,size=%%s" % n,
+         (n,)) for n in range(2, max_two_n // 2 + 1)),
+        _lucas_check, sizes=(lucas(max_two_n // 2 * 2, FILTER_CAP),))
 
 
 def _cube_check(p, model, k, count):
-    """The vertex count of p's covering graph, and whether it has ``count``
-    vertices and the zigzag translation makes it the cube model(k)."""
+    """The vertex count of p's covering graph, and "cube=False" unless it
+    has ``count`` vertices and the zigzag translation makes it the cube
+    model(k)."""
     g = cover_cube(filter_lattice(p))
-    return g.vertex_count, (g.vertex_count == count
-                            and _zigzag_translate(g) == model(k))
+    ok = g.vertex_count == count and _zigzag_translate(g) == model(k)
+    return (g.vertex_count,), None if ok else "cube=False"
 
 
 def verify_cubes(max_fence=9):
@@ -426,69 +457,78 @@ def verify_cubes(max_fence=9):
     string models, certified by the zigzag translation: fences up to
     ``max_fence`` elements, crowns up to one more."""
     max_crown = (max_fence + 1) // 2 * 2
-    _refuse_over_cap(fib(max_fence + 2, FILTER_CAP),
-                     lucas(max_crown, FILTER_CAP))
-    res = SuiteResult("cubes")
-    t0 = time.perf_counter()
-    cases = ([(fence(n), fibonacci_cube, n, fib(n + 2), "fence n=%d",
-               "fibonacci cube mismatch at n=%d") for n in range(max_fence + 1)]
-             + [(crown(k), lucas_cube, k, lucas(k), "crown 2n=%d",
-                 "lucas cube mismatch at 2n=%d")
-                for k in range(4, max_crown + 1, 2)])
-    for p, model, k, count, name, mismatch in cases:
-        res.checks += 1
-        got, fault = _attempt(_cube_check, p, model, k, count)
-        vertices, ok = got or ("?", False)
-        res.lines.append("%s,vertices=%s,%s"
-                         % (name % k, vertices, "ok" if ok else "FAIL"))
-        if not ok:
-            res.add_failure(p, mismatch % k, fault or "")
-    res.elapsed = time.perf_counter() - t0
-    return res
+    cases = itertools.chain(
+        ((fence(n), fibonacci_cube, n, fib(n + 2), "fence n=%d",
+          "fibonacci cube mismatch at n=%d") for n in range(max_fence + 1)),
+        ((crown(k), lucas_cube, k, lucas(k), "crown 2n=%d",
+          "lucas cube mismatch at 2n=%d")
+         for k in range(4, max_crown + 1, 2)))
+    return _run("cubes", (
+        (p, mismatch % k, name % k + ",vertices=%s", (p, model, k, count))
+        for p, model, k, count, name, mismatch in cases), _cube_check,
+        sizes=(fib(max_fence + 2, FILTER_CAP), lucas(max_crown, FILTER_CAP)))
 
 
 # -- random fuzzing -----------------------------------------------------------------
 
 
+def _random_check(lat):
+    ok = birkhoff_roundtrip(lat)
+    detail = binomial_relations(lat) or euler_checks(lat)
+    if detail:
+        return detail
+    d = d_vectors(lat)
+    if not (ok and d.minus == d.plus):
+        return "roundtrip=%r d_minus=%r d_plus=%r" % (ok, d.minus, d.plus)
+
+
 def verify_random(trials=200, max_size=7, seed=2):
     """Random-only layer: Birkhoff round trip, the binomial and Euler rows
     of the cutting pass and d- = d+, as one check on every sampled poset."""
-    res = SuiteResult("random", seed=seed)
-    t0 = time.perf_counter()
-    for tag, p, lat in _pooled(_pool_random(trials, max_size, seed)):
-        res.checks += 1
-        ok = birkhoff_roundtrip(lat)
-        detail = _detail(lambda: binomial_relations(lat) or euler_checks(lat))
-        d, fault = _attempt(d_vectors, lat)
-        detail = detail or fault
-        if detail or not (ok and d.minus == d.plus):
-            res.add_failure(p, "random-layer invariants (%s)" % tag, detail
-                            or "roundtrip=%r d_minus=%r d_plus=%r"
-                            % (ok, d.minus, d.plus))
-    res.lines.append("trials=%d max_size=%d seed=%d" % (trials, max_size, seed))
-    res.elapsed = time.perf_counter() - t0
-    return res
+    return _run("random", ((p, "random-layer invariants (%s)" % tag, None,
+                            (lat,)) for tag, p, lat in
+                           _pooled(_pool_random(trials, max_size, seed))),
+                _random_check, seed=seed, lines=(
+                    "trials=%d max_size=%d seed=%d" % (trials, max_size, seed),))
 
 
-# -- orchestration ------------------------------------------------------------------
+# -- the suite table ----------------------------------------------------------------
 
 
-# Each family suite takes --max as its one bound.
-_FAMILY_SUITES = {"fibonacci": verify_fibonacci, "lucas": verify_lucas,
-                  "cubes": verify_cubes}
-SUITE_NAMES = (("birkhoff",) + _CUTTING_TOPICS + tuple(_FAMILY_SUITES)
-               + ("random",))
+def _cutting_topic(topic, **given):
+    """One topic of the cutting pass.  Its exhaustive layer walks every
+    poset up to five elements, fewer when the largest random poset is
+    smaller."""
+    if "max_size" in given:
+        given["exhaustive_max"] = min(5, given["max_size"])
+    return run_cutting_suite(topics=(topic,), **given)[topic]
+
+
+class _Suite(NamedTuple):
+    flags: tuple        # the flags of run_suite that it takes
+    run: Callable       # their values in, its own defaults for the rest
+
+
+_SEEDED = ("--trials", "--max-size", "--seed")
+_SUITES = {"birkhoff": _Suite(_SEEDED, verify_birkhoff),
+           **{topic: _Suite(_SEEDED, functools.partial(_cutting_topic, topic))
+              for topic in _CUTTING_TOPICS},
+           "fibonacci": _Suite(("--max",), verify_fibonacci),
+           "lucas": _Suite(("--max",), verify_lucas),
+           "cubes": _Suite(("--max",), verify_cubes),
+           "random": _Suite(_SEEDED, verify_random)}
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name, trials=None, max_size=None, seed=None, max_param=None):
-    """Dispatch a named suite with CLI-style optional overrides; a suite
-    takes its own defaults for those not given.  The family suites take
-    --max, the others --trials, --max-size and --seed.  Raises LatcutError,
+    """Run a named suite of _SUITES with CLI-style optional overrides; a
+    suite takes its own defaults for those not given.  Raises LatcutError,
     before any suite runs, on a flag the suite does not take, on a
     negative count or size, on a --max-size past fileio.ELEMENT_MAX and on
     --max-size 0 with a --trials, given or default, that is not 0."""
-    takes = (("--max",) if name in _FAMILY_SUITES
-             else ("--trials", "--max-size", "--seed"))
+    if name not in _SUITES:
+        raise ValueError("unknown suite %r" % name)
+    takes, run = _SUITES[name]
     for flag, value in (("--trials", trials), ("--max-size", max_size),
                         ("--seed", seed), ("--max", max_param)):
         if value is None:
@@ -504,22 +544,8 @@ def run_suite(name, trials=None, max_size=None, seed=None, max_param=None):
     if max_size == 0 and trials != 0:
         raise LatcutError("--max-size must be at least 1 unless --trials "
                           "is 0")
-    given = {key: value for key, value in (("trials", trials),
-                                           ("max_size", max_size),
-                                           ("seed", seed))
-             if value is not None}
-    bound = () if max_param is None else (max_param,)
-
-    if name == "birkhoff":
-        return verify_birkhoff(**given)
-    if name in _CUTTING_TOPICS:
-        # The exhaustive layer walks every poset up to five elements, fewer
-        # when the largest random poset is smaller.
-        if max_size is not None:
-            given["exhaustive_max"] = min(5, max_size)
-        return run_cutting_suite(topics=(name,), **given)[name]
-    if name in _FAMILY_SUITES:
-        return _FAMILY_SUITES[name](*bound)
-    if name == "random":
-        return verify_random(**given)
-    raise ValueError("unknown suite %r" % name)
+    if max_param is not None:
+        return run(max_param)
+    return run(**{key: value for key, value in (
+        ("trials", trials), ("max_size", max_size), ("seed", seed))
+        if value is not None})

@@ -95,8 +95,8 @@ def test_criterion_09_lucas_suite():
     res = verify_lucas(max_two_n=10)
     spot = lucas_cube(10).vertex_count == lucas(10) == 123
     ok = res.ok and spot and res.elapsed < 30.0
-    _record(9, ok, "crown deletions and cube graphs for 2n<=10 (%d cases) in "
-            "%.2fs (budget 30s); |Lucas cube(10)|=123 %s"
+    _record(9, ok, "crown deletions for 2n<=10 (%d cases) in %.2fs (budget "
+            "30s); |Lucas cube(10)|=123 %s"
             % (res.checks, res.elapsed, "confirmed" if spot else "WRONG"))
 
 

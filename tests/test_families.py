@@ -23,7 +23,6 @@ from latcut import families, invariants, poset
 from latcut.cli import cli_run
 from latcut.families import GRAPH_ISO_CAP, _zigzag_translate
 from latcut.invariants import poly_eval, q_vector
-from latcut.poset import FILTER_CAP
 from latcut.verify import verify_cubes, verify_fibonacci, verify_lucas
 
 
@@ -544,13 +543,60 @@ def test_graph_isomorphic_at_the_cap(edges_of):
         graph_isomorphic(big, big)
 
 
+def _cycles(*lengths):
+    """Disjoint cycles of these lengths, on the vertices 0, 1, ... in turn."""
+    edges, at = [], 0
+    for k in lengths:
+        edges += [(at + i, at + (i + 1) % k) for i in range(k)]
+        at += k
+    return _graph(edges)
+
+
+def test_search_refinements_are_capped(monkeypatch, capsys):
+    """_search refines at most 2n^2 + 2 times.  Four triangles against two
+    triangles and a hexagon take the most refinements measured over the
+    graph tests: the search tries every triangle of h for each one of g,
+    175 refinements at n = 12, under the cap of 290.  With a refinement
+    that splits nothing, C6 against two triangles would try all 720
+    bijections, and graph_isomorphic refuses at the cap instead.  A
+    catalog search past its cap fails as a check: verify exits 1."""
+    calls, refine = [], poset._refine
+    monkeypatch.setattr(poset, "_refine",
+                        lambda *args: calls.append(1) or refine(*args))
+    assert not graph_isomorphic(_cycles(3, 3, 3, 3), _cycles(3, 3, 6))
+    assert len(calls) == 175 <= 2 * 12 ** 2 + 2
+
+    def no_split(adj, n, colour, splitters=None):
+        return colour, [colour.count(c) for c in range(max(colour) + 1)]
+
+    monkeypatch.setattr(poset, "_refine", no_split)
+    with pytest.raises(CapacityExceeded, match="^isomorphism search capped "
+                       "at 74 refinements on 6 vertices$"):
+        graph_isomorphic(_cycles(6), _cycles(3, 3))
+
+    def capped(adj_g, *args):
+        raise CapacityExceeded("isomorphism search capped at %d refinements "
+                               "on %d vertices" % (2 * len(adj_g) ** 2 + 2,
+                                                   len(adj_g)))
+
+    monkeypatch.setattr(poset, "_search", capped)
+    assert cli_run(["verify", "euler", "--trials", "0",
+                    "--max-size", "4"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == (
+        "error: verified property failed: the catalog's isomorphism search "
+        "on 2 points: isomorphism search capped at 10 refinements on 2 "
+        "vertices\n")
+
+
 @pytest.mark.parametrize("suite,bound,largest", [
     ("cubes", "13", "fence n=13,vertices=610,ok"),
     ("lucas", "14", "n=7,size=843,ok"),
 ], ids=["cubes", "lucas"])
 def test_cli_verify_cubes_past_the_search_cap(suite, bound, largest, capsys):
     """Past GRAPH_ISO_CAP vertices, where the search refuses, the zigzag
-    certificate still decides."""
+    certificate still decides the cubes.  The lucas suite checks no cube;
+    its arm checks the size of F(crown(14)) that its report reads."""
     assert cli_run(["verify", suite, "--max", bound]) == 0
     out, err = capsys.readouterr()
     assert out.startswith("suite %s: " % suite) and ", ok\n" in out
@@ -653,6 +699,9 @@ def test_cube_search_work_is_bounded(kind, k, calls_max, visits_max,
     that its last pop created are still on the stack.  So pops <= n - 1.
     Measured: 300 and 217, which leaves 77 and 105 colours unpopped.
 
+    Cap.  Both searches stay far below _search's cap of 2n^2 + 2
+    refinements: 284,260 and 207,370.
+
     Neighbour visits.  In one refinement a vertex's neighbours are read
     once for each popped cell that holds it.  It is popped at most once
     from the starting stack; every later push puts it in a part that is
@@ -681,6 +730,7 @@ def test_cube_search_work_is_bounded(kind, k, calls_max, visits_max,
     g = cover_cube(filter_lattice(p))
     assert graph_isomorphic(g, model)
     assert calls[0] <= calls_max and pops[0] <= g.vertex_count - 1
+    assert calls[0] <= 2 * g.vertex_count ** 2 + 2
     assert visits[0] <= visits_max
     assert (calls[0], pops[0]) == {"fence": (2, 300), "crown": (2, 217)}[kind]
 
@@ -764,25 +814,22 @@ def test_each_deletion_walks_its_family_poset_once(monkeypatch, run, n):
     assert walks.count(n) == 1
 
 
-def test_lucas_suite_builds_each_crown_lattice_once(monkeypatch):
-    # The suite builds F(crown) for the cube check, and the report reads q
-    # of F(crown) off its expansion, so it builds none again; it still
-    # builds F(dual star).  The round trip still walks the crown, as the
+def test_lucas_suite_builds_no_crown_lattice(monkeypatch):
+    # The covering graphs of F(crown) are the cubes suite's, so the lucas
+    # suite builds no lattice; each report reads q of F(crown) off its
+    # expansion, so none builds F(crown) again, and each line's size is
+    # the report's.  The round trip still walks the crown, as the
     # enumeration independent of the expansion.
     import latcut.verify as ver
 
-    built = []
-    real = ver.filter_lattice
-
-    def counting(p, cap=FILTER_CAP):
-        built.append(p.n)
-        return real(p, cap)
-
-    monkeypatch.setattr(ver, "filter_lattice", counting)
+    monkeypatch.setattr(ver, "filter_lattice", lambda *args: pytest.fail(
+        "the lucas suite built a lattice"))
     _refuse_building(monkeypatch, [crown(2 * n) for n in range(2, 6)],
                      "the lucas report built F(crown) again")
-    assert verify_lucas(max_two_n=10).ok
-    assert built == [4, 6, 8, 10]
+    res = verify_lucas(max_two_n=10)
+    assert res.ok and res.checks == 4
+    assert res.report().splitlines()[1:] == [
+        "n=%d,size=%d,ok" % (n, lucas(2 * n)) for n in range(2, 6)]
 
 
 @pytest.mark.parametrize("case", ["decompose", "fibonacci", "lucas"])

@@ -19,7 +19,7 @@ from latcut import (InvalidInterval, LatcutError, ParseError, UnknownLabel,
                     chain, cuttings, expand_poset, export_dot, filter_lattice,
                     parse_poset_file, poset_from_covers, write_poset_file)
 from latcut.cli import cli_run
-from latcut.verify import _CUTTING_TOPICS
+from latcut.verify import _CUTTING_TOPICS, _SUITES
 
 DATA = Path(__file__).parent / "data"
 
@@ -567,6 +567,11 @@ def test_cli_refuses_out_on_every_subcommand(argv, capsys, tmp_path):
     assert not target.exists()
 
 
+# The family suites, which take --max alone, read off the suite table.
+FAMILY_SUITES = tuple(name for name, suite in _SUITES.items()
+                      if suite.flags == ("--max",))
+
+
 @pytest.mark.parametrize("flag", ["--trials", "--max-size", "--seed", "--max"])
 @pytest.mark.parametrize("suite", latcut.SUITE_NAMES)
 def test_cli_verify_takes_exactly_the_flags_its_suite_reads(
@@ -576,7 +581,7 @@ def test_cli_verify_takes_exactly_the_flags_its_suite_reads(
     refused before the suite starts."""
     import latcut.verify as ver
 
-    small = ({"--max": 4} if suite in ("fibonacci", "lucas", "cubes")
+    small = ({"--max": 4} if suite in FAMILY_SUITES
              else {"--trials": 1, "--max-size": 2, "--seed": 3})
 
     def run(flags):
@@ -621,6 +626,24 @@ def test_cli_verify_degree_symmetry_reports_a_census_mismatch(capsys,
     assert lines[at + 1:at + 3] == [
         "FAIL degree-symmetry: degree vectors disagree (iso n=0)",
         "d_minus=[1] d_plus=[1] census=[0]"]
+
+
+@pytest.mark.parametrize("suite,checks", [("birkhoff", 245), ("random", 2)])
+def test_cli_verify_fails_each_poset_whose_round_trip_raises(
+        suite, checks, capsys, monkeypatch):
+    """A round trip that raises fails its poset, as any check that raises
+    does, and the suite goes on to the next: a report, not a traceback."""
+    def raising(lat):
+        raise KeyError("planted")
+
+    monkeypatch.setattr("latcut.verify.birkhoff_roundtrip", raising)
+    code, out, err = run_cli(["verify", suite, "--trials", "2",
+                              "--max-size", "3"], capsys=capsys)
+    assert (code, err) == (1, "")
+    assert out.startswith("suite %s: %d checks, %d FAILURES"
+                          % (suite, checks, checks))
+    at = out.index("smallest failing instance:\nFAIL %s: " % suite)
+    assert "raised KeyError: 'planted'" in out[at:]
 
 
 def test_cli_verify_cubes_reports_a_wrong_model(capsys, monkeypatch):
@@ -793,12 +816,14 @@ def test_cli_verify_random_records_a_q_disagreement_per_poset(capsys,
 @pytest.mark.parametrize("suite,max_param,lines", [
     ("fibonacci", "4", ["m=2,n=2,FAIL", "m=2,n=3,FAIL", "m=3,n=2,FAIL",
                         "m=2,n=4,FAIL", "m=3,n=3,FAIL", "m=4,n=2,FAIL"]),
-    ("lucas", "6", ["n=2,size=7,FAIL", "n=3,size=18,FAIL"]),
+    ("lucas", "6", ["n=2,size=?,FAIL", "n=3,size=?,FAIL"]),
 ])
 def test_cli_verify_family_suites_record_a_q_disagreement_per_case(
         suite, max_param, lines, capsys, monkeypatch):
     # As in the random suite: the disagreement fails its case, and the
     # suite goes on to the next one and names the smallest failing one.
+    # The disagreement raises inside the lucas report, so no size was
+    # measured: the line prints "?".
     monkeypatch.setattr("latcut.invariants._q_recurrence", lambda p: [0])
     code, out, err = run_cli(["verify", suite, "--max", max_param],
                              capsys=capsys)
@@ -876,9 +901,7 @@ def _argv(draw):
         kind = draw(st.sampled_from(["fibonacci", "lucas", "cover", "torus"]))
         argv += [kind, draw(st.one_of(_SMALL, st.sampled_from(["-", "x"])))]
     elif cmd == "verify":
-        suite = draw(st.sampled_from(["birkhoff", "random", "fibonacci",
-                                      "lucas", "cubes", "nope"]
-                                     + list(_CUTTING_TOPICS)))
+        suite = draw(st.sampled_from([*_SUITES, "nope"]))
         argv.append(suite)
         # Only the suite's own flags are drawn; the refusal of any other is
         # test_cli_verify_takes_exactly_the_flags_its_suite_reads.  A
@@ -887,7 +910,7 @@ def _argv(draw):
         # --max-size and --trials.  A family suite runs up to fence(16) by
         # default, so it always gets a small --max.
         cutting = suite in _CUTTING_TOPICS
-        family = suite in ("fibonacci", "lucas", "cubes")
+        family = suite in FAMILY_SUITES
         flags = ((("--max", 8),) if family else
                  (("--trials", 3), ("--max-size", 3 if cutting else 5),
                   ("--seed", 9)))

@@ -71,3 +71,11 @@ def test_a_finished_run_has_no_hung_test():
         "=================== 1 failed, 1 passed in 0.10s ===\n")
     assert TOOL.tier1_results(out) == (["tests/test_a.py::test_two"], None)
     assert TOOL.tier1_results("") == ([], None)
+
+
+def test_the_tool_runs_the_suites_its_tree_names():
+    # The tool reads the suite list off the tree it tests, so a suite added
+    # to the table joins the corpus with no second list to keep.
+    from latcut.verify import SUITE_NAMES
+
+    assert TOOL.suite_names(ROOT) == list(SUITE_NAMES)

@@ -4,8 +4,9 @@ Each plant is one exact source edit: a file, a text that must occur in it
 exactly once, and the text that replaces it.  A plant is applied to a
 ``git archive`` export of a revision in a temporary directory, never to
 the working tree.  Per plant, Tier-1 runs with ``--hypothesis-seed=0`` and
-each of the 12 ``latcut verify`` suites runs at its defaults, every run a
-process under a timeout.  The JSON written holds, per plant, the failing
+each ``latcut verify`` suite that the exported tree names in
+``latcut.verify.SUITE_NAMES`` runs at its defaults, every run a process
+under a timeout.  The JSON written holds, per plant, the failing
 test ids, Tier-1's exit code, each suite's exit code, and whether any
 suite ended in a traceback.  Tier-1 prints one result line per test, so a
 run that hits its timeout still lists the failures before it, and
@@ -89,14 +90,14 @@ PLANTS = {
         "src/latcut/poset.py",
         "    if sorted(colour[:n]) != sorted(colour[n:]):\n",
         "    if len(size) < n and sorted(colour[:n]) != sorted(colour[n:]):\n"),
+    "lucas-cube-cyclic-test-off-by-one": (
+        "src/latcut/families.py",
+        'if not (s and s[0] == "1" and s[-1] == "1")]',
+        'if not (s and s[0] == "1" and s[-2] == "1")]'),
 }
 
 # Seconds per suite run; Tier-1 gets four times this.
 TIMEOUT = 300
-
-SUITES = ("birkhoff", "cutting-equivalence", "expansion-counts",
-          "rank-recurrence", "q-d-recurrences", "binomial", "euler",
-          "degree-symmetry", "fibonacci", "lucas", "cubes", "random")
 
 
 def apply(tree, name):
@@ -155,21 +156,39 @@ def tier1_results(out):
     return sorted(failing), hung
 
 
+def suite_names(tree):
+    """``latcut.verify.SUITE_NAMES`` of the tree at ``tree``."""
+    code, out, err = _run([sys.executable, "-c", "from latcut.verify import "
+                           "SUITE_NAMES; print(*SUITE_NAMES)"], tree, TIMEOUT)
+    if code != 0:
+        raise SystemExit("cannot read the suite names of %s:\n%s"
+                         % (tree, err))
+    return out.split()
+
+
+def suite_results(tree, names):
+    """Per suite of ``names``, run at its defaults in the tree at ``tree``:
+    its exit code, and whether it ended in a traceback."""
+    suites = {}
+    for suite in names:
+        c, _, err = _run([sys.executable, "-m", "latcut", "verify", suite],
+                         tree, TIMEOUT)
+        suites[suite] = {"exit": c,
+                         "traceback": "Traceback (most recent" in err}
+    return suites
+
+
 def run_plant(rev, name, tests):
     with tempfile.TemporaryDirectory() as tree:
         export(rev, tree)
+        names = suite_names(tree)
         apply(tree, name)
         code, out, _ = _run(
             [sys.executable, "-m", "pytest", "-v", "-p", "no:cacheprovider",
              "--hypothesis-seed=0", "--tb=no", tests],
             tree, TIMEOUT * 4)
         failing, hung = tier1_results(out)
-        suites = {}
-        for suite in SUITES:
-            c, _, err = _run([sys.executable, "-m", "latcut", "verify",
-                              suite], tree, TIMEOUT)
-            suites[suite] = {"exit": c,
-                             "traceback": "Traceback (most recent" in err}
+        suites = suite_results(tree, names)
     return {"file": PLANTS[name][0], "tier1_exit": code,
             "failing_tests": failing, "hung_test": hung, "suites": suites,
             "traceback": any(s["traceback"] for s in suites.values())}

@@ -20,7 +20,7 @@ import sys
 from latcut import (antichain, chain, crown, disjoint_union, ordinal_sum,
                     write_poset_file)
 from latcut.cli import cli_run
-from latcut.verify import _CUTTING_TOPICS
+from latcut.verify import _CUTTING_TOPICS, _SUITES
 
 CORPUS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "data", "transcripts")
@@ -131,14 +131,18 @@ def cases():
         out["%s-crown-8-reversed" % command] = ([command], crown8_reversed)
     out["cube-cover-crown-8-reversed"] = (["cube", "cover", "-"],
                                           crown8_reversed)
-    for suite in _CUTTING_TOPICS + ("birkhoff", "random"):
-        out["verify-%s-trials-3-size-4-seed-9" % suite] = (
-            ["verify", suite, "--trials", "3", "--max-size", "4",
-             "--seed", "9"], "")
-    for suite in ("fibonacci", "lucas", "cubes"):
-        out["verify-%s-max-8" % suite] = (["verify", suite, "--max", "8"], "")
-    for suite in ("lucas", "cubes", "random", "birkhoff", "fibonacci"):
-        out["verify-%s" % suite] = (["verify", suite], "")
+    # Every suite at small bounds of its own flags; every suite but the
+    # cutting topics, which share one pass, at its defaults.
+    for suite, (flags, _) in _SUITES.items():
+        if flags == ("--max",):
+            out["verify-%s-max-8" % suite] = (["verify", suite, "--max", "8"],
+                                              "")
+        else:
+            out["verify-%s-trials-3-size-4-seed-9" % suite] = (
+                ["verify", suite, "--trials", "3", "--max-size", "4",
+                 "--seed", "9"], "")
+        if suite not in _CUTTING_TOPICS:
+            out["verify-%s" % suite] = (["verify", suite], "")
     for suite in ("birkhoff", "random"):
         out["verify-%s-trials-20-size-12-seed-4" % suite] = (
             ["verify", suite, "--trials", "20", "--max-size", "12",
