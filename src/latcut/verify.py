@@ -13,8 +13,9 @@ family suites take ``--max`` alone, and the others ``--trials``,
 topics hands its pool of cases, its per-case check and its line format to
 one runner, _run.  The runner alone keeps the clock and the check count,
 refuses a suite whose largest lattice passes the cap before any work, runs
-each check through _attempt and files its failures.  A check returns None
-when its identity holds and the failure detail otherwise; a check that
+each check through _attempt and files its failures.  A check returns the
+fields of its case's line, if it prints one, and None when its identity
+holds or the failure detail, printed under the case's title; a check that
 raises fails its case, not the suite, with the message of an
 AssertionError, else with ``raised <type>: <message>``.
   birkhoff    every labelled poset up to four elements, then random ones:
@@ -167,28 +168,25 @@ def _run(name, cases, check, seed=None, lines=(), sizes=()):
 
     ``sizes`` are the suite's largest lattices, refused past the cap
     before any work.  ``lines`` open the report.  ``cases`` yields
-    (poset, title, label, args), one check each: check(*args) returns None
-    when its identity holds and otherwise the failure detail, which is
-    filed under ``title`` with the poset inlined, or in the title's %s when
-    it has one.  A check that raises fails its case with _attempt's detail,
-    and the suite goes on.  A case with a ``label`` prints it, then ``ok``
-    or ``FAIL``: its check returns (fields, detail), the fields filling the
-    label's %s slots, each one "?" when the check raised."""
+    (poset, title, label, args), one check each: check(*args) returns
+    (fields, detail), where detail is None when its identity holds and
+    otherwise is filed under ``title`` with the poset inlined.  A check
+    that raises fails its case with _attempt's detail, and the suite goes
+    on.  A case with a ``label`` prints it, its %s slots filled with the
+    fields, each one "?" when the check raised, then ``ok`` or ``FAIL``."""
     _refuse_over_cap(*sizes)
     res = SuiteResult(name, seed=seed, lines=list(lines))
     t0 = time.perf_counter()
     for p, title, label, args in cases:
         res.checks += 1
         got, fault = _attempt(check, *args)
+        fields, detail = got or (None, fault)
         if label is not None:
-            fields, got = got or (None, None)
             res.lines.append("%s,%s" % (
                 label.replace("%s", "?") if fields is None else label % fields,
-                "ok" if fault is None and got is None else "FAIL"))
-        detail = got if fault is None else fault
+                "ok" if detail is None else "FAIL"))
         if detail is not None:
-            res.add_failure(p, *((title % detail,) if "%s" in title
-                                 else (title, detail)))
+            res.add_failure(p, title, detail)
     res.elapsed = time.perf_counter() - t0
     return res
 
@@ -244,13 +242,13 @@ def verify_birkhoff(trials=1000, max_size=8, seed=0):
                enumerate(_levels(_BIRKHOFF_EXHAUSTIVE_MAX, _extend_each))
                for p in level]
     pool = itertools.chain(labeled, _pool_random(trials, max_size, seed))
-    return _run("birkhoff", ((p, "%%s (%s)" % tag, None, (p, lat))
-                             for tag, p, lat in _pooled(pool)),
-                _birkhoff_check, seed=seed, lines=(
-                    "exhaustive labeled posets on <=%d elements: %d"
-                    % (_BIRKHOFF_EXHAUSTIVE_MAX, len(labeled)),
-                    "random posets: trials=%d max_size=%d seed=%d"
-                    % (trials, max_size, seed)))
+    return _run("birkhoff", ((p, "round trip, covers, filters (%s)" % tag,
+                              None, (p, lat)) for tag, p, lat in _pooled(pool)),
+                lambda p, lat: ((), _birkhoff_check(p, lat)), seed=seed,
+                lines=("exhaustive labeled posets on <=%d elements: %d"
+                       % (_BIRKHOFF_EXHAUSTIVE_MAX, len(labeled)),
+                       "random posets: trials=%d max_size=%d seed=%d"
+                       % (trials, max_size, seed)))
 
 
 # -- the cutting pass: one table of checks ------------------------------------------
@@ -488,7 +486,7 @@ def verify_random(trials=200, max_size=7, seed=2):
     return _run("random", ((p, "random-layer invariants (%s)" % tag, None,
                             (lat,)) for tag, p, lat in
                            _pooled(_pool_random(trials, max_size, seed))),
-                _random_check, seed=seed, lines=(
+                lambda lat: ((), _random_check(lat)), seed=seed, lines=(
                     "trials=%d max_size=%d seed=%d" % (trials, max_size, seed),))
 
 

@@ -140,8 +140,9 @@ def test_birkhoff_suite_checks_the_covers_against_their_definition(
     assert cli_run(["verify", "birkhoff"]) == 1
     out = capsys.readouterr().out
     assert out.startswith("suite birkhoff: 1243 checks, ")
-    assert ("smallest failing instance:\nFAIL birkhoff: cover_masks() "
-            "differs from its definition (labeled n=3)\n") in out
+    assert ("smallest failing instance:\nFAIL birkhoff: round trip, covers, "
+            "filters (labeled n=3)\ncover_masks() differs from its "
+            "definition\n") in out
 
 
 def _composite_18():

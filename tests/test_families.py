@@ -553,30 +553,37 @@ def _cycles(*lengths):
 
 
 def test_search_refinements_are_capped(monkeypatch, capsys):
-    """_search refines at most 2n^2 + 2 times.  Four triangles against two
-    triangles and a hexagon take the most refinements measured over the
-    graph tests: the search tries every triangle of h for each one of g,
-    175 refinements at n = 12, under the cap of 290.  With a refinement
-    that splits nothing, C6 against two triangles would try all 720
-    bijections, and graph_isomorphic refuses at the cap instead.  A
-    catalog search past its cap fails as a check: verify exits 1."""
+    """_search refines at most n^3 times.  Refinement cannot tell a hexagon
+    from two triangles, so two triangles and a hexagon, the triangles
+    first, against four triangles take the most refinements measured over
+    the domains of the graph tests: the search tries each of h's 12
+    vertices for g's first triangle, each of the 9 left for its second, and
+    each of the 6 after for the hexagon, 769 refinements at n = 12, under
+    the cap of 1,728.  In the other order it tries only the triangles of h
+    for each one of g, 175.  With a refinement that splits nothing, C6
+    against two triangles would try all 720 bijections, and
+    graph_isomorphic refuses at the cap instead.  A catalog search past its
+    cap fails as a check: verify exits 1."""
     calls, refine = [], poset._refine
     monkeypatch.setattr(poset, "_refine",
                         lambda *args: calls.append(1) or refine(*args))
-    assert not graph_isomorphic(_cycles(3, 3, 3, 3), _cycles(3, 3, 6))
-    assert len(calls) == 175 <= 2 * 12 ** 2 + 2
+    for g, h, count in ((_cycles(3, 3, 6), _cycles(3, 3, 3, 3), 769),
+                        (_cycles(3, 3, 3, 3), _cycles(3, 3, 6), 175)):
+        calls.clear()
+        assert not graph_isomorphic(g, h)
+        assert len(calls) == count <= 12 ** 3
 
     def no_split(adj, n, colour, splitters=None):
         return colour, [colour.count(c) for c in range(max(colour) + 1)]
 
     monkeypatch.setattr(poset, "_refine", no_split)
     with pytest.raises(CapacityExceeded, match="^isomorphism search capped "
-                       "at 74 refinements on 6 vertices$"):
+                       "at 216 refinements on 6 vertices$"):
         graph_isomorphic(_cycles(6), _cycles(3, 3))
 
     def capped(adj_g, *args):
         raise CapacityExceeded("isomorphism search capped at %d refinements "
-                               "on %d vertices" % (2 * len(adj_g) ** 2 + 2,
+                               "on %d vertices" % (len(adj_g) ** 3,
                                                    len(adj_g)))
 
     monkeypatch.setattr(poset, "_search", capped)
@@ -585,7 +592,7 @@ def test_search_refinements_are_capped(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == "" and err == (
         "error: verified property failed: the catalog's isomorphism search "
-        "on 2 points: isomorphism search capped at 10 refinements on 2 "
+        "on 2 points: isomorphism search capped at 8 refinements on 2 "
         "vertices\n")
 
 
@@ -699,9 +706,6 @@ def test_cube_search_work_is_bounded(kind, k, calls_max, visits_max,
     that its last pop created are still on the stack.  So pops <= n - 1.
     Measured: 300 and 217, which leaves 77 and 105 colours unpopped.
 
-    Cap.  Both searches stay far below _search's cap of 2n^2 + 2
-    refinements: 284,260 and 207,370.
-
     Neighbour visits.  In one refinement a vertex's neighbours are read
     once for each popped cell that holds it.  It is popped at most once
     from the starting stack; every later push puts it in a part that is
@@ -730,7 +734,6 @@ def test_cube_search_work_is_bounded(kind, k, calls_max, visits_max,
     g = cover_cube(filter_lattice(p))
     assert graph_isomorphic(g, model)
     assert calls[0] <= calls_max and pops[0] <= g.vertex_count - 1
-    assert calls[0] <= 2 * g.vertex_count ** 2 + 2
     assert visits[0] <= visits_max
     assert (calls[0], pops[0]) == {"fence": (2, 300), "crown": (2, 217)}[kind]
 
