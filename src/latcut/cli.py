@@ -8,10 +8,11 @@ compose through pipes:
 
 Stdout is the one output route; redirect it with ``>`` to keep a result.
 
-``_dispatch`` takes one path: ``family``, ``cube fibonacci|lucas`` and
-``verify`` read no poset and return first.  Every usage check runs next,
-before any input is read.  The poset is then read at one site, and every
-command but ``stats`` and ``decompose`` shares one ``filter_lattice``.
+``_dispatch`` takes one path: a ``--cap`` below 1 is refused first, then
+``family``, ``cube fibonacci|lucas`` and ``verify`` read no poset and
+return.  Every other usage check runs next, before any input is read.
+The poset is then read at one site, and every command but ``stats`` and
+``decompose`` shares one ``filter_lattice``.
 
 Exit codes: 0 success, 1 a verified property failed, 2 usage or input errors.
 All output is deterministic for fixed inputs, flags and seed.
@@ -151,6 +152,8 @@ def cli_run(argv=None):
 
 def _dispatch(args):
     cap = getattr(args, "cap", FILTER_CAP)
+    if cap < 1:
+        raise LatcutError("--cap must be at least 1, got %d" % cap)
     cmd = args.command
 
     # The commands that read no poset.

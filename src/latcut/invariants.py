@@ -43,7 +43,6 @@ expansion it is given.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from itertools import zip_longest
@@ -295,26 +294,37 @@ def _padded_degree_vectors(minus, plus, total):
                          total=poly_trim(total))
 
 
+def _histograms(n, filters, minima, index_of):
+    """The [rank, minus, plus, total] histograms, lists of length n + 1, of
+    the filters ``filters`` of an n-element poset, with ``minima`` their
+    minima and ``index_of`` each filter's position in ``filters``.  F has
+    height n - |F| and up-degree |min F|, and F is a lower cover of F - y
+    for each y in min F, so the down-degrees are counted off the minima."""
+    down = [0] * len(filters)
+    for m, f in zip(minima, filters):
+        while m:
+            y = m & -m
+            m ^= y
+            down[index_of[f ^ y]] += 1
+    # An element's up- and down-covers drop and add distinct elements of
+    # the base, so both degrees and their sum are at most n.
+    rank, minus, plus, total = hists = [[0] * (n + 1) for _ in range(4)]
+    for f, m, d in zip(filters, minima, down):
+        u = m.bit_count()
+        rank[n - f.bit_count()] += 1
+        minus[u] += 1
+        plus[d] += 1
+        total[u + d] += 1
+    return hists
+
+
 def d_vectors(lat):
-    """The degree histograms of ``lat``, computed once per lattice and
-    cached on it; each call returns fresh lists.  The up-degree of F is
-    |min F|, and F is a lower cover of F - y for each y in min F."""
+    """The degree histograms of ``lat`` (:func:`_histograms`), computed
+    once per lattice and cached on it; each call returns fresh lists."""
     if lat._d is None:
-        index_of, down = lat.index_of, [0] * lat.size
-        for m, f in zip(lat.minima, lat.filters):
-            while m:
-                y = m & -m
-                m ^= y
-                down[index_of[f ^ y]] += 1
-        # An element's up- and down-covers drop and add distinct elements
-        # of the base, so both degrees and their sum are at most n.
-        minus, plus, total = hists = [[0] * (lat.base.n + 1) for _ in range(3)]
-        for m, d in zip(lat.minima, down):
-            u = m.bit_count()
-            minus[u] += 1
-            plus[d] += 1
-            total[u + d] += 1
-        lat._d = _padded_degree_vectors(*hists)
+        _, *degrees = _histograms(lat.base.n, lat.filters, lat.minima,
+                                  lat.index_of)
+        lat._d = _padded_degree_vectors(*degrees)
     d = lat._d
     return DegreeVectors(minus=list(d.minus), plus=list(d.plus),
                          total=list(d.total))
@@ -477,12 +487,14 @@ def poset_stats(p, cap=FILTER_CAP):
 
     A prime block, of 4 or more elements, is counted by one fixed rule
     (:func:`_prime_histograms`).  The walk (:func:`_walked_histograms`)
-    lists its filters, and may list up to S of them, the state bound of
-    the transfer-matrix DP (:func:`_transfer_order`): S is the sum over
-    the vertices, in BFS order, of 4^w, w the frontier after the vertex,
-    so 4n - 3 on a fence of n elements.  Past S filters the DP
-    (:func:`_transfer_histograms`) counts the block, in time that grows
-    with S and not with the number of filters.
+    lists its filters once, with their minima, and counts them as
+    :func:`d_vectors` counts a lattice's elements.  It may list up to S
+    filters, the state bound of the transfer-matrix DP
+    (:func:`_transfer_order`): S is the sum over the vertices, in BFS
+    order, of 4^w, w the frontier after the vertex, so 4n - 3 on a fence
+    of n elements.  Past S filters the DP (:func:`_transfer_histograms`)
+    counts the block, in time that grows with S and not with the number
+    of filters.
 
     Raises CapacityExceeded beyond ``cap`` filters, with the messages of a
     walk over all of P: first when the minimal or maximal elements of P
@@ -501,7 +513,8 @@ def poset_stats(p, cap=FILTER_CAP):
     is read as d_minus[1], ``euler_derivative_ok`` holds by definition,
     and ``euler_ok`` only says that exactly one filter, the empty one, has
     no minima.  The informative check of this route is d_minus == d_plus:
-    the walk and the DP count min F and max(P - F) separately.
+    the DP counts min F and max(P - F) separately, and the walk counts the
+    lower covers of G as the filters F = G + y it lists with y in min F.
     """
     p.refuse_wide(cap)
     rank, minus, plus, total = _split_histograms(p, cap)
@@ -551,9 +564,12 @@ def _split_histograms(p, cap):
 def _prime_histograms(q, cap):
     """The histograms of a prime block Q, of 4 or more elements or of
     none, by the walk or by the DP, one fixed rule.  The walk costs about
-    as much per filter as the DP per unit of its state bound S: 1.6 to
-    2.0 us against 1.5 to 2.5 us on fence and crown of 14 to 20 elements
-    (CPython 3.11, one core of a 2-vCPU VM).  So the walk may list up to
+    as much per filter as the DP per unit of its state bound S: 1.2 to
+    1.7 us against 0.9 to 2.2 us on fence and crown of 14 to 20 elements,
+    best of 20 (CPython 3.11, one core of a shared 2-vCPU VM), the walk
+    0.7 to 0.8 times the DP on the fences and 1.3 to 1.4 times on the
+    crowns.  The walk's cost per filter grows with the mean |min F|, as it
+    counts one cover per minimal element.  So the walk may list up to
     S filters, and past that the DP is the cheaper route; a DP run then
     follows a cut walk, which costs less than the DP itself.  Neither runs
     past the cap: when S is over it the walk refuses at the cap, and the
@@ -574,23 +590,13 @@ def _prime_histograms(q, cap):
 
 
 def _walked_histograms(q, cap):
-    """The histograms of F(Q) for a poset Q that does not split.  One
-    antichain walk over Q yields each filter with its minima; the same walk
-    over the dual yields each down-set D = Q - F with its maxima.  Joining
-    the two on F = Q - D counts the triples (height, up-degree,
-    down-degree).  Both walks raise CapacityExceeded beyond ``cap``
-    filters."""
-    full = q.full_mask
-    up_degree = {f: a.bit_count() for f, a in q.filters_with_minima(cap)}
-    triples = Counter((d.bit_count(), up_degree[full ^ d], m.bit_count())
-                      for d, m in q.dual().filters_with_minima(cap))
-    rank, minus, plus, total = hists = [[0] * (q.n + 1) for _ in range(4)]
-    for (h, u, d), c in triples.items():
-        rank[h] += c
-        minus[u] += c
-        plus[d] += c
-        total[u + d] += c
-    return hists
+    """The histograms of F(Q) for a poset Q that does not split, from one
+    antichain walk over Q, which yields each filter with its minima
+    (:func:`_histograms`).  The walk raises CapacityExceeded beyond
+    ``cap`` filters."""
+    filters, minima = zip(*q.filters_with_minima(cap))
+    return _histograms(q.n, filters, minima,
+                       {f: i for i, f in enumerate(filters)})
 
 
 def _transfer_order(q):

@@ -6,6 +6,7 @@ with the package internals beyond reading the order relation itself.
 """
 
 import random
+from collections import Counter
 from functools import reduce
 from itertools import combinations, permutations
 from math import comb
@@ -480,3 +481,24 @@ def q_recurrence_by_components(p):
             plans[mask] = kind, parts
             stack.extend(m for m in parts if m not in done)
     return done[p.full_mask]
+
+
+def histograms_by_two_walks(p):
+    """The [rank, minus, plus, total] histograms of F(P) by two antichain
+    walks, the reference ``invariants._walked_histograms`` is held to: the
+    walk over P yields each filter F with min F, the walk over the dual
+    each down-set D = P - F with max D, and the two are joined on F into
+    (height, up-degree, down-degree) triples.  So max(P - F) is read off a
+    walk of its own, where the package counts the filters F + y that hold
+    y in their minima."""
+    full = p.full_mask
+    up_degree = {f: a.bit_count() for f, a in p.filters_with_minima()}
+    triples = Counter((d.bit_count(), up_degree[full ^ d], m.bit_count())
+                      for d, m in p.dual().filters_with_minima())
+    rank, minus, plus, total = hists = [[0] * (p.n + 1) for _ in range(4)]
+    for (h, u, d), c in triples.items():
+        rank[h] += c
+        minus[u] += c
+        plus[d] += c
+        total[u + d] += c
+    return hists

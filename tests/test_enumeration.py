@@ -363,7 +363,7 @@ _UNSPLIT_COMPOSITES = [
 @pytest.mark.parametrize("make", _UNSPLIT_COMPOSITES)
 def test_split_histograms_equal_one_walk_over_all_of_p(make):
     """Beyond the scan bound the lattice is too costly to compare with, so
-    the split is checked against the two-walk join over the unsplit P."""
+    the split is checked against one walk over the unsplit P."""
     p = make()
     assert p.n > 20
     assert p.split(p.full_mask)[0] != "prime"
@@ -419,9 +419,9 @@ def _count_masks(monkeypatch, name):
     (antichain(15), 0, [], 1, 0),
     (chain(300), 0, [], 1, 0),
     # fence(9): S = 33 < 89 filters, so 33 are walked and the DP counts it.
-    # crown(8): 47 filters within S = 101, walked in full both ways.
+    # crown(8): 47 filters within S = 101, walked in full, once.
     # Splits: the root and its two prime parts; restricts: those parts.
-    (disjoint_union(fence(9), crown(8)), 33 + 2 * lucas(8), [9], 3, 2),
+    (disjoint_union(fence(9), crown(8)), 33 + lucas(8), [9], 3, 2),
 ], ids=["antichain15", "chain300", "fence9+crown8"])
 def test_poset_stats_walks_prime_blocks_up_to_their_state_bound(
         p, walked, counted, splits, restricts, monkeypatch):
@@ -429,6 +429,9 @@ def test_poset_stats_walks_prime_blocks_up_to_their_state_bound(
     transfers = _count_transfers(monkeypatch)
     split_masks = _count_masks(monkeypatch, "split")
     restrict_masks = _count_masks(monkeypatch, "restrict")
+    # The walk counts each down-degree off the minima, and walks no dual.
+    monkeypatch.setattr(Poset, "dual", lambda self: pytest.fail(
+        "poset_stats walked a dual"))
     got = poset_stats(p)
     assert len(walks) == walked and transfers == counted
     assert len(split_masks) == splits
@@ -470,28 +473,35 @@ def test_the_rule_never_runs_the_dp_past_the_cap(cap, transfers,
     assert counted.count(19) == transfers
 
 
-# -- the transfer-matrix DP against the walk ----------------------------------
+# -- the transfer-matrix DP and the walk against the two-walk join ------------
+#
+# The DP and the walk each count a prime block's histograms for poset_stats.
+# The walk shares its cover count with d_vectors, so both are held to
+# oracles.histograms_by_two_walks, which reads max(P - F) off a walk of the
+# dual.
+
+
+def _check_dp_and_walk(p):
+    walked = _walked_histograms(p, FILTER_CAP)
+    assert walked == oracles.histograms_by_two_walks(p)
+    assert _transfer_histograms(p, _transfer_order(p)[0]) == walked
 
 
 def test_transfer_histograms_on_every_labeled_poset_up_to_5():
     for n in range(6):
         for p in all_labeled_posets(n):
-            assert (_transfer_histograms(p, _transfer_order(p)[0])
-                    == _walked_histograms(p, FILTER_CAP))
+            _check_dp_and_walk(p)
 
 
 @settings(max_examples=100, deadline=None)
 @given(posets(max_n=14))
 def test_transfer_histograms_on_random_posets(p):
-    assert (_transfer_histograms(p, _transfer_order(p)[0])
-            == _walked_histograms(p, FILTER_CAP))
+    _check_dp_and_walk(p)
 
 
 @pytest.mark.parametrize("make", _UNSPLIT_COMPOSITES)
 def test_transfer_histograms_on_unsplit_composites(make):
-    p = make()
-    assert (_transfer_histograms(p, _transfer_order(p)[0])
-            == _walked_histograms(p, FILTER_CAP))
+    _check_dp_and_walk(make())
 
 
 # A cap above every size below: |F(P)| <= 2^n.

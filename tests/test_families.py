@@ -560,7 +560,10 @@ def test_search_refinements_are_capped(monkeypatch, capsys):
     vertices for g's first triangle, each of the 9 left for its second, and
     each of the 6 after for the hexagon, 769 refinements at n = 12, under
     the cap of 1,728.  In the other order it tries only the triangles of h
-    for each one of g, 175.  With a refinement that splits nothing, C6
+    for each one of g, 175.  With three triangles before the hexagon, against
+    five triangles, the search goes one level deeper and passes the cap of
+    3,375 at n = 15, so it refuses a pair it could answer; with the hexagon
+    first or third it answers.  With a refinement that splits nothing, C6
     against two triangles would try all 720 bijections, and
     graph_isomorphic refuses at the cap instead.  A catalog search past its
     cap fails as a check: verify exits 1."""
@@ -572,6 +575,11 @@ def test_search_refinements_are_capped(monkeypatch, capsys):
         calls.clear()
         assert not graph_isomorphic(g, h)
         assert len(calls) == count <= 12 ** 3
+    for lengths in ((6, 3, 3, 3), (3, 3, 6, 3)):
+        assert not graph_isomorphic(_cycles(*lengths), _cycles(3, 3, 3, 3, 3))
+    with pytest.raises(CapacityExceeded, match="^isomorphism search capped "
+                       "at 3375 refinements on 15 vertices$"):
+        graph_isomorphic(_cycles(3, 3, 3, 6), _cycles(3, 3, 3, 3, 3))
 
     def no_split(adj, n, colour, splitters=None):
         return colour, [colour.count(c) for c in range(max(colour) + 1)]

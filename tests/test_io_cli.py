@@ -541,6 +541,23 @@ def test_cli_verify_refuses_a_pooled_poset_past_the_pass_work(
                    "cuttings*|L| past 4000000\n" % sizes)
 
 
+@pytest.mark.parametrize("argv", [
+    ["stats", "--cap", "-1"], ["filters", "--cap", "0"],
+    ["cutting", "no-such-file", "--cap", "0"],
+    ["cube", "fibonacci", "3", "--cap", "-7"],
+    ["cube", "cover", "-", "--cap", "0"]],
+    ids=lambda argv: " ".join(argv))
+def test_cli_refuses_a_cap_below_one_before_reading_input(argv, capsys,
+                                                           monkeypatch):
+    class Unread:
+        def read(self):
+            pytest.fail("the input was read")
+
+    monkeypatch.setattr(sys, "stdin", Unread())
+    assert run_cli(argv, capsys=capsys) == (
+        2, "", "error: --cap must be at least 1, got %s\n" % argv[-1])
+
+
 @pytest.mark.parametrize("argv", [["verify", "cubes", "--cap", "5"],
                                   ["family", "fence", "3", "--cap", "1"]])
 def test_cli_refuses_cap_where_no_cap_applies(argv, capsys):

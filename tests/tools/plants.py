@@ -71,8 +71,8 @@ PLANTS = {
         "q[0] -= len(qs)\n"),
     "split-union-sweep-reads-up-only": (
         "src/latcut/poset.py",
-        "new = (up[j] | down[j]) & rest\n",
-        "new = up[j] & rest\n"),
+        "new = ((up[j] | down[j]) ^ flip) & rest\n",
+        "new = (up[j] ^ flip) & rest\n"),
     "refine-skips-balance-check": (
         "src/latcut/poset.py",
         "    if sorted(colour[:n]) != sorted(colour[n:]):\n        return None\n",
@@ -90,6 +90,14 @@ PLANTS = {
         "src/latcut/poset.py",
         "    if sorted(colour[:n]) != sorted(colour[n:]):\n",
         "    if len(size) < n and sorted(colour[:n]) != sorted(colour[n:]):\n"),
+    "histogram-down-count-at-f-or-y": (
+        "src/latcut/invariants.py",
+        "down[index_of[f ^ y]] += 1\n",
+        "down[index_of[f | y]] += 1\n"),
+    "point-leaf-total-one-one": (
+        "src/latcut/invariants.py",
+        "done[mask] = [[1, 1], [1, 1], [1, 1], [0, 2]]\n",
+        "done[mask] = [[1, 1], [1, 1], [1, 1], [1, 1]]\n"),
     "lucas-cube-cyclic-test-off-by-one": (
         "src/latcut/families.py",
         'if not (s and s[0] == "1" and s[-1] == "1")]',
