@@ -14,7 +14,8 @@ lat = filter_lattice(p)
 print("filters of the zigzag, bottom to top:")
 for x in range(lat.size):
     labs = ",".join(lat.base.labels_of(lat.filters[x]))
-    print("  %s  height %d  {%s}" % (lat.bitstring(x), lat.heights[x], labs))
+    height = p.n - lat.filters[x].bit_count()
+    print("  %s  height %d  {%s}" % (lat.bitstring(x), height, labs))
 
 print("rank polynomial coefficients:", rank_gen(lat))
 q = q_vector(lat)

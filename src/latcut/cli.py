@@ -209,7 +209,7 @@ def _dispatch(args):
             "counts_ok": dec.counts_ok,
             "expansion_iso_ok": dec.expansion_iso_ok,
             "product_form": dec.product_form,
-            "product_iso_ok": dec.product_iso_ok,
+            "product_iso_ok": dec.product_form,
         }))
         return 0 if dec.counts_ok and dec.expansion_iso_ok else 1
 
@@ -221,7 +221,7 @@ def _dispatch(args):
         sys.stdout.write(_json_line({
             "size": lat.size,
             "elements": [lat.bitstring(a) for a in range(lat.size)],
-            "heights": list(lat.heights),
+            "heights": [p.n - f.bit_count() for f in lat.filters],
             "covers": lat.covering_graph(),
             "mi": list(lat.meet_irreducibles()),
         }))

@@ -311,9 +311,8 @@ class DecomposeResult:
     counts_ok: bool            # P-x and P*x are the expansion's bases, sizes
                                # add up, a walk over P finds (F, min F)
     expansion_iso_ok: bool     # expanded poset, x moved back, equal to P
-    product_form: bool         # x comparable to nothing: P * x is P - x
-    product_iso_ok: bool       # product_form: P is then (P - x) with x
-                               # beside it, by construction
+    product_form: bool         # x comparable to nothing: P * x is P - x,
+                               # and P is (P - x) with x beside it
 
 
 def _x_interval(p, i):
@@ -361,11 +360,8 @@ def _round_trip(p, x, exp, cap=FILTER_CAP):
     up = _move_back(q.up, i, top)
     up.insert(i, up.pop())
     labels = q.labels[:i] + q.labels[-1:] + q.labels[i:-1]
-    # x is comparable to nothing exactly when P * x is all of P - x, and
-    # then P is (P - x) with x beside it.
-    product_form = p.up[i] | p.down[i] == 0
     return DecomposeResult(
         star=star, expansion=exp,
         size=len(walked), counts_ok=counts_ok,
         expansion_iso_ok=(labels, tuple(up)) == (p.labels, p.up),
-        product_form=product_form, product_iso_ok=product_form)
+        product_form=p.up[i] | p.down[i] == 0)

@@ -112,8 +112,9 @@ def export_dot(lat, *intervals):
         for a in members:
             out.append("    %s;" % _quote(names[a]))
         out.append("  }")
-    for h in range(max(lat.heights) + 1 if lat.size else 0):
-        group = [a for a in range(lat.size) if lat.heights[a] == h]
+    heights = [lat.base.n - f.bit_count() for f in lat.filters]
+    for h in range(max(heights) + 1 if lat.size else 0):
+        group = [a for a in range(lat.size) if heights[a] == h]
         if group:
             out.append("  { rank=same; %s }"
                        % " ".join("%s;" % _quote(names[a]) for a in group))

@@ -110,20 +110,26 @@ def poly_deriv(a):
 # -- rank generating function ------------------------------------------------------
 
 
+def _rank_histogram(n, filters):
+    """The rank histogram, a list of length n + 1, of filters of an
+    n-element poset: coefficient k counts the F of height n - |F| = k."""
+    rank = [0] * (n + 1)
+    for f in filters:
+        rank[n - f.bit_count()] += 1
+    return rank
+
+
 def rank_gen(lat):
-    """Coefficient k counts the elements of height k."""
-    out = [0] * (lat.base.n + 1)
-    for h in lat.heights:
-        out[h] += 1
-    return out
+    """Coefficient k counts the elements of height k, a list of length
+    n + 1 (:func:`_rank_histogram` on the filters of ``lat``)."""
+    return _rank_histogram(lat.base.n, lat.filters)
 
 
 def rank_gen_of(lat, elements):
-    """Rank polynomial of a subset of elements, heights taken in ``lat``."""
-    out = [0] * (lat.base.n + 1)
-    for a in elements:
-        out[lat.heights[a]] += 1
-    return poly_trim(out)
+    """Rank polynomial of a subset of elements, heights taken in ``lat``:
+    the element a has height n - |F_a|."""
+    return poly_trim(_rank_histogram(
+        lat.base.n, [lat.filters[a] for a in elements]))
 
 
 # -- q vector -------------------------------------------------------------------------
@@ -295,11 +301,12 @@ def _padded_degree_vectors(minus, plus, total):
 
 
 def _histograms(n, filters, minima, index_of):
-    """The [rank, minus, plus, total] histograms, lists of length n + 1, of
-    the filters ``filters`` of an n-element poset, with ``minima`` their
-    minima and ``index_of`` each filter's position in ``filters``.  F has
-    height n - |F| and up-degree |min F|, and F is a lower cover of F - y
-    for each y in min F, so the down-degrees are counted off the minima."""
+    """The degree histograms [minus, plus, total], lists of length n + 1,
+    of the filters ``filters`` of an n-element poset, with ``minima``
+    their minima and ``index_of`` each filter's position in ``filters``.
+    F has up-degree |min F|, and F is a lower cover of F - y for each y in
+    min F, so the down-degrees are counted off the minima.  No rank is
+    counted: :func:`_rank_histogram` counts it where it is read."""
     down = [0] * len(filters)
     for m, f in zip(minima, filters):
         while m:
@@ -308,10 +315,9 @@ def _histograms(n, filters, minima, index_of):
             down[index_of[f ^ y]] += 1
     # An element's up- and down-covers drop and add distinct elements of
     # the base, so both degrees and their sum are at most n.
-    rank, minus, plus, total = hists = [[0] * (n + 1) for _ in range(4)]
-    for f, m, d in zip(filters, minima, down):
+    minus, plus, total = hists = [[0] * (n + 1) for _ in range(3)]
+    for m, d in zip(minima, down):
         u = m.bit_count()
-        rank[n - f.bit_count()] += 1
         minus[u] += 1
         plus[d] += 1
         total[u + d] += 1
@@ -322,9 +328,8 @@ def d_vectors(lat):
     """The degree histograms of ``lat`` (:func:`_histograms`), computed
     once per lattice and cached on it; each call returns fresh lists."""
     if lat._d is None:
-        _, *degrees = _histograms(lat.base.n, lat.filters, lat.minima,
-                                  lat.index_of)
-        lat._d = _padded_degree_vectors(*degrees)
+        lat._d = _padded_degree_vectors(*_histograms(
+            lat.base.n, lat.filters, lat.minima, lat.index_of))
     d = lat._d
     return DegreeVectors(minus=list(d.minus), plus=list(d.plus),
                          total=list(d.total))
@@ -487,14 +492,14 @@ def poset_stats(p, cap=FILTER_CAP):
 
     A prime block, of 4 or more elements, is counted by one fixed rule
     (:func:`_prime_histograms`).  The walk (:func:`_walked_histograms`)
-    lists its filters once, with their minima, and counts them as
-    :func:`d_vectors` counts a lattice's elements.  It may list up to S
-    filters, the state bound of the transfer-matrix DP
-    (:func:`_transfer_order`): S is the sum over the vertices, in BFS
-    order, of 4^w, w the frontier after the vertex, so 4n - 3 on a fence
-    of n elements.  Past S filters the DP (:func:`_transfer_histograms`)
-    counts the block, in time that grows with S and not with the number
-    of filters.
+    lists its filters once, with their minima, and counts their degrees
+    as :func:`d_vectors` counts a lattice's elements and their heights as
+    :func:`rank_gen` does.  It may list up to S filters, the state bound
+    of the transfer-matrix DP (:func:`_transfer_order`): S is the sum over
+    the vertices, in BFS order, of 4^w, w the frontier after the vertex,
+    so 4n - 3 on a fence of n elements.  Past S filters the DP
+    (:func:`_transfer_histograms`) counts the block, in time that grows
+    with S and not with the number of filters.
 
     Raises CapacityExceeded beyond ``cap`` filters, with the messages of a
     walk over all of P: first when the minimal or maximal elements of P
@@ -563,17 +568,18 @@ def _split_histograms(p, cap):
 
 def _prime_histograms(q, cap):
     """The histograms of a prime block Q, of 4 or more elements or of
-    none, by the walk or by the DP, one fixed rule.  The walk costs about
-    as much per filter as the DP per unit of its state bound S: 1.2 to
-    1.7 us against 0.9 to 2.2 us on fence and crown of 14 to 20 elements,
-    best of 20 (CPython 3.11, one core of a shared 2-vCPU VM), the walk
-    0.7 to 0.8 times the DP on the fences and 1.3 to 1.4 times on the
-    crowns.  The walk's cost per filter grows with the mean |min F|, as it
-    counts one cover per minimal element.  So the walk may list up to
-    S filters, and past that the DP is the cheaper route; a DP run then
-    follows a cut walk, which costs less than the DP itself.  Neither runs
-    past the cap: when S is over it the walk refuses at the cap, and the
-    DP's exact size is checked against it."""
+    none, by the walk or by the DP, one fixed rule.  The walk, which
+    counts the rank in a pass of its own, costs within a factor of two of
+    the DP's cost per unit of its state bound S: 1.1 to 1.5 us per filter
+    against 0.8 to 1.2 us on fence and crown of 14 to 20 elements, best of
+    20 (CPython 3.11, one core of a shared 2-vCPU VM), the walk 0.9 to 1.3
+    times the DP on the fences and 1.4 to 1.7 times on the crowns.  The
+    walk's cost per filter grows with the mean |min F|, as it counts one
+    cover per minimal element.  So the walk may list up to S filters, and
+    past that the DP is the cheaper route; a DP run then follows a cut
+    walk, which costs less than the DP itself.  Neither runs past the cap:
+    when S is over it the walk refuses at the cap, and the DP's exact size
+    is checked against it."""
     steps, bound = _transfer_order(q)
     budget = min(cap, bound)
     try:
@@ -590,13 +596,15 @@ def _prime_histograms(q, cap):
 
 
 def _walked_histograms(q, cap):
-    """The histograms of F(Q) for a poset Q that does not split, from one
-    antichain walk over Q, which yields each filter with its minima
-    (:func:`_histograms`).  The walk raises CapacityExceeded beyond
-    ``cap`` filters."""
+    """The [rank, minus, plus, total] histograms of F(Q) for a poset Q that
+    does not split, from one antichain walk over Q, which yields each
+    filter with its minima: the rank by :func:`_rank_histogram`, the
+    degrees by :func:`_histograms`.  The walk raises CapacityExceeded
+    beyond ``cap`` filters."""
     filters, minima = zip(*q.filters_with_minima(cap))
-    return _histograms(q.n, filters, minima,
-                       {f: i for i, f in enumerate(filters)})
+    return [_rank_histogram(q.n, filters),
+            *_histograms(q.n, filters, minima,
+                         {f: i for i, f in enumerate(filters)})]
 
 
 def _transfer_order(q):

@@ -7,8 +7,9 @@ Every finite distributive lattice is the lattice of upward closed subsets
 
 So index 0 is the bottom (the full ground set), the last index is the top
 (the empty filter), meet is filter union and join is filter intersection.
-Element heights are |P| - |filter|, which agrees with longest-chain rank
-because the lattice is graded.  By Birkhoff, the meet-irreducibles are the
+An element's height is |P| - |filter|, which agrees with longest-chain
+rank because the lattice is graded; it is read off the filter where it is
+needed, not stored.  By Birkhoff, the meet-irreducibles are the
 principal filters up(x), and ``birkhoff_roundtrip`` certifies that map.
 
 A ``DistLattice`` is immutable; lazily computed caches (the up-cover
@@ -39,24 +40,23 @@ class DistLattice:
     Construction takes every filter F of ``base`` with its minimal
     elements min F, as ``pairs`` (F, min F) in any order.  They are sorted
     by F's mask, then stably by |F|, largest first, and the caller's ints
-    are kept as ``filters`` and ``minima``; each height is n - |F|.
-    |min F| is F's up-degree, and ``up_covers`` (F - y for y in min F) is
-    the one cover cache, built from the minima on first read.  The pairs
-    are trusted, and the caller checks the cap: :func:`filter_lattice`
-    takes them from the antichain walk (:meth:`Poset.filters_with_minima`),
-    and convex expansion derives them from the host lattice.
+    are kept as ``filters`` and ``minima``.  F's height is n - |F|, read
+    off the filter and not stored.  |min F| is F's up-degree, and
+    ``up_covers`` (F - y for y in min F) is the one cover cache, built
+    from the minima on first read.  The pairs are trusted, and the caller
+    checks the cap: :func:`filter_lattice` takes them from the antichain
+    walk (:meth:`Poset.filters_with_minima`), and convex expansion derives
+    them from the host lattice.
     """
 
     def __init__(self, base, pairs):
         self.base = base
-        n = base.n
         # Canonical element order: largest filter first, ties by mask value.
         # That puts the bottom at index 0 and the top at index size-1.
         pairs = sorted(pairs, key=itemgetter(0))
         pairs.sort(key=lambda pair: pair[0].bit_count(), reverse=True)
         self.filters, self.minima = map(tuple, zip(*pairs))
         self.index_of = {f: i for i, f in enumerate(self.filters)}
-        self.heights = tuple([n - f.bit_count() for f in self.filters])
         self._above = None
         # The q vector and the degree histograms, filled in by
         # invariants.q_vector and invariants.d_vectors.

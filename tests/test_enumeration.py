@@ -15,9 +15,9 @@ import oracles
 from conftest import posets
 from latcut import (CapacityExceeded, Poset, all_labeled_posets, antichain,
                     antichain_census, binomial_transform, chain, crown,
-                    disjoint_union, fence, fib, filter_lattice, lucas,
-                    ordinal_sum, poset_from_covers, poset_stats, q_vector,
-                    stats_dict, verify_random, write_poset_file)
+                    d_vectors, disjoint_union, fence, fib, filter_lattice,
+                    lucas, ordinal_sum, poset_from_covers, poset_stats,
+                    q_vector, stats_dict, verify_random, write_poset_file)
 from latcut.bits import iter_bits
 from latcut.cli import _json_line, cli_run
 from latcut.invariants import (_split_histograms, _transfer_histograms,
@@ -99,7 +99,8 @@ def test_lattice_covers_come_from_the_minima(p):
         want = sorted(lat.index_of[f & ~(1 << y)]
                       for y in iter_bits(p.min_of(f)))
         assert list(lat.up_covers[x]) == want
-        assert lat.heights[x] == p.n - f.bit_count()
+    # Each height is read off its filter, as n - |F|, and not stored.
+    assert not hasattr(lat, "heights")
     assert sorted(lat.covering_graph()) == sorted(oracles.naive_covers(lat))
 
 
@@ -440,6 +441,30 @@ def test_poset_stats_walks_prime_blocks_up_to_their_state_bound(
     assert all(m.bit_count() >= 4 for m in restrict_masks)
     monkeypatch.undo()
     assert got == stats_dict(filter_lattice(p))
+
+
+def test_the_rank_is_counted_once_where_it_is_read(monkeypatch):
+    import latcut.invariants as inv
+
+    # fence(9) goes to the DP after a cut walk, crown(8) and crown(6) are
+    # walked in full (47 and 18 filters, within S = 101 and 69), and the
+    # point is a leaf: two walked prime blocks, two rank counts.
+    p = disjoint_union(disjoint_union(fence(9), crown(8)),
+                       disjoint_union(crown(6), chain(1)))
+    lat, fresh = filter_lattice(p), filter_lattice(p)
+    ranks = _count_calls(monkeypatch, inv, "_rank_histogram")
+    degrees = _count_calls(monkeypatch, inv, "_histograms")
+    d_vectors(lat)
+    assert ranks == [] and degrees == [p.n]
+    del degrees[:]
+    rank_gen(lat)
+    assert ranks == [p.n] and degrees == []
+    del ranks[:]
+    stats_dict(fresh)
+    assert ranks == [p.n] and degrees == [p.n]
+    del ranks[:], degrees[:]
+    poset_stats(p)
+    assert sorted(ranks) == [6, 8] and sorted(degrees) == [6, 8]
 
 
 def test_transfer_state_bounds_of_fences_and_crowns():

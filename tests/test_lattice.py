@@ -26,7 +26,9 @@ def test_canonical_element_order():
     lat = z3_lattice()
     assert [lat.bitstring(a) for a in range(lat.size)] == \
         ["111", "101", "100", "001", "000"]
-    assert lat.heights == (0, 1, 2, 2, 3)
+    # No height is stored: an element's height is n - |F|.
+    assert not hasattr(lat, "heights")
+    assert [3 - f.bit_count() for f in lat.filters] == [0, 1, 2, 2, 3]
     assert lat.bottom == 0 and lat.top == lat.size - 1
 
 
@@ -113,7 +115,8 @@ def test_covers_against_naive():
         lat = filter_lattice(poset_from_covers(["a", "b", "c"], covers))
         got = [(a, b) for a in range(lat.size) for b in lat.up_covers[a]]
         assert sorted(got) == sorted(oracles.naive_covers(lat))
-        assert list(lat.heights) == oracles.naive_heights(lat)
+        assert ([lat.base.n - f.bit_count() for f in lat.filters]
+                == oracles.naive_heights(lat))
 
 
 @settings(max_examples=60, deadline=None)
@@ -164,7 +167,8 @@ def test_covering_graph_size():
 
 def test_trivial_lattice():
     lat = filter_lattice(poset_from_covers([], []))
-    assert lat.size == 1 and lat.heights == (0,)
+    assert lat.size == 1
+    assert [lat.base.n - f.bit_count() for f in lat.filters] == [0]
     assert oracles.naive_maximal_chains(lat) == [(0,)]
     assert list(lat.meet_irreducibles()) == []
 
@@ -255,11 +259,12 @@ def test_lattice_axioms_hold(p):
 @given(posets(max_n=6))
 def test_heights_grade_the_lattice(p):
     lat = filter_lattice(p)
-    assert lat.heights[lat.bottom] == 0
-    assert lat.heights[lat.top] == p.n
+    heights = [p.n - f.bit_count() for f in lat.filters]
+    assert heights[lat.bottom] == 0
+    assert heights[lat.top] == p.n
     for a in range(lat.size):
         for b in lat.up_covers[a]:
-            assert lat.heights[b] == lat.heights[a] + 1
+            assert heights[b] == heights[a] + 1
 
 
 # -- work ledger: the up covers are built on first read ----------------------------
@@ -334,15 +339,16 @@ def test_a_build_holds_a_constant_number_of_bytes_per_element(make):
     # The pairs are listed first, so the walk is not traced.  Per lattice
     # element, with N elements in all, the build holds at most:
     # - the sorted list of the pairs, 8 B, and while it is sorted by size,
-    #   8 B of sort keys and a 32 B int for each size past 256;
-    # - ``filters``, ``minima`` and ``heights``, 8 B each, the list the
-    #   heights are built in, 8 B, and a 32 B int for each height past 256;
+    #   8 B of sort keys and a 32 B int for each size past 256, freed
+    #   before anything below is built;
+    # - ``filters`` and ``minima``, 8 B each; no height is stored;
     # - ``index_of``: a dict resized at u <= N keys has fewer than 6u slots
     #   of at most 4 B and 4u entries of 24 B, so less than 120 B a key.
-    # 8 + 24 + 8 + 32 + 120 = 192 B, whatever n is: the F and min F ints are
-    # the caller's, never copied or packed into 3n-bit keys.  64 KiB covers
-    # the fixed objects.  The random poset has 2,114 elements (3,889
-    # filters), so its heights and sizes pass 256.
+    # 8 + 16 + 120 = 144 B, more than the 8 + 8 + 32 = 48 B of the sort,
+    # whatever n is: the F and min F ints are the caller's, never copied or
+    # packed into 3n-bit keys.  64 KiB covers the fixed objects.  The
+    # random poset has 2,114 elements (3,889 filters), so its sizes pass
+    # 256.
     import tracemalloc
 
     p = make()
@@ -354,4 +360,4 @@ def test_a_build_holds_a_constant_number_of_bytes_per_element(make):
     finally:
         tracemalloc.stop()
     assert lat.size == len(pairs)
-    assert peak <= 192 * lat.size + (64 << 10), (peak, peak / lat.size)
+    assert peak <= 144 * lat.size + (64 << 10), (peak, peak / lat.size)

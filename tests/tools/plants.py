@@ -102,6 +102,21 @@ PLANTS = {
         "src/latcut/families.py",
         'if not (s and s[0] == "1" and s[-1] == "1")]',
         'if not (s and s[0] == "1" and s[-2] == "1")]'),
+    "rank-height-off-by-one": (
+        "src/latcut/invariants.py",
+        "        rank[n - f.bit_count()] += 1\n",
+        "        rank[n - f.bit_count() - 1] += 1\n"),
+    "move-back-middle-term-drops-bit": (
+        "src/latcut/expansion.py",
+        "return [m & low | (m & mid) << 1 | (m >> top) << i for m in masks]",
+        "return [m & low | (m & mid & ~(1 << i)) << 1 | (m >> top) << i "
+        "for m in masks]"),
+    "candidate-expansion-skips-transitivity": (
+        "src/latcut/expansion.py",
+        "    for w in iter_bits(below_x):\n"
+        "        if above_x & ~base.up[w]:\n"
+        "            return None\n",
+        ""),
 }
 
 # Seconds per suite run; Tier-1 gets four times this.
