@@ -15,9 +15,9 @@ graphs, with one colouring of it, so a colour means the same in both.  Its
 colour refinement (_refine) splits cells by their neighbour counts in one
 splitter cell at a time, so a search node that individualizes a pair of
 vertices pays for the splits that follow from that pair, not for a re-sort
-of every vertex's neighbour colours.  The cells are ranges of one
-permutation of the vertices, and a split moves only the vertices that
-leave their cell.  The refinement stops at its first discrete colouring,
+of every vertex's neighbour colours.  Each cell is a list of its
+vertices: a split appends each new part as its own list and re-filters
+the cell it left.  The refinement stops at its first discrete colouring,
 whose pair map the leaf's edge test (_leaf_map) accepts or refuses.
 
 Instances are immutable by convention: every operation returns a new poset.
@@ -28,7 +28,7 @@ immutable relation.
 
 from __future__ import annotations
 
-from itertools import accumulate, groupby
+from itertools import groupby
 from operator import itemgetter
 
 from .bits import iter_bits, mask_of
@@ -445,17 +445,17 @@ def _refine(adj, n, colour, splitters=None):
     0..k-1.  A colour is one cell of the union, so it means the same in g
     and h by construction.
 
-    The cells are ranges of one permutation ``order`` of the vertices, a
-    start and a size per colour.  A stack holds the splitter cells: every
-    colour, or only those named in ``splitters`` when each cell already has
-    equal counts into every other one.  For the popped cell, each vertex
-    counts its neighbours inside it (_count_parts), and every cell that a
-    count touches splits by count, in ascending count order: the first part
-    keeps the cell's colour and the others take new ones, each moved by
-    swaps to the end of the cell's range, so a split costs the vertices it
-    moves.  When the split cell was still queued its new parts are pushed;
-    otherwise every part but the largest, since the counts into that one
-    follow from those into the cell and the other parts.
+    Each cell is a list of its vertices.  A stack holds the splitter cells:
+    every colour, or only those named in ``splitters`` when each cell
+    already has equal counts into every other one.  For the popped cell,
+    each vertex counts its neighbours inside it (_count_parts), and every
+    cell that a count touches splits by count, in ascending count order:
+    the first part keeps the cell's colour and the others take new ones,
+    each appended as its own list, and the split cell is re-filtered to the
+    vertices that kept its colour.  When the split cell was still queued
+    its new parts are pushed; otherwise every part but the largest, since
+    the counts into that one follow from those into the cell and the other
+    parts.
 
     The refinement stops at the first colouring with n colours, or when the
     stack is empty, so every colouring it returns with fewer colours is
@@ -473,55 +473,42 @@ def _refine(adj, n, colour, splitters=None):
     every later colouring.  The argument is left unchanged.
 
     A refinement costs about the degree sums of the cells it pops plus the
-    sizes of the parts it moves."""
+    sizes of the cells it splits."""
     colour = list(colour)
-    order = sorted(range(len(colour)), key=colour.__getitem__)
-    pos = [0] * len(order)
-    for i, v in enumerate(order):
-        pos[v] = i
-    size = [0] * (max(colour, default=-1) + 1)
-    for c in colour:
-        size[c] += 1
-    start = [0, *accumulate(size)]
-    start.pop()
-    stack = list(range(len(size))) if splitters is None else list(splitters)
+    cells = [[] for _ in range(max(colour, default=-1) + 1)]
+    for v, c in enumerate(colour):
+        cells[c].append(v)
+    stack = list(range(len(cells))) if splitters is None else list(splitters)
     queued = set(stack)
     tally = [0] * len(colour)
-    while stack and len(size) < n:
+    while stack and len(cells) < n:
         s = stack.pop()
         queued.discard(s)
-        parts = _count_parts(adj, colour, order[start[s]:start[s] + size[s]],
-                             tally)
+        parts = _count_parts(adj, colour, cells[s], tally)
         # a cell splits exactly when its parts are smaller than it is
         split = sorted(key for key, part in parts.items()
-                       if len(part) < size[key[0]])
+                       if len(part) < len(cells[key[0]]))
         for cell, keys in groupby(split, itemgetter(0)):
             keys = list(keys)
-            if sum(len(parts[key]) for key in keys) == size[cell]:
+            members = cells[cell]
+            if sum(len(parts[key]) for key in keys) == len(members):
                 del keys[0]     # every member counted: the lowest count stays
-            first = len(size)
-            end = start[cell] + size[cell]
+            first = len(cells)
             for c, key in enumerate(keys, first):
-                part = parts[key]
-                for v in part:
-                    end -= 1
-                    u, i = order[end], pos[v]
-                    order[i], pos[u] = u, i
-                    order[end], pos[v] = v, end
+                for v in parts[key]:
                     colour[v] = c
-                start.append(end)
-                size.append(len(part))
-            size[cell] = end - start[cell]
+                cells.append(parts[key])
+            cells[cell] = [v for v in members if colour[v] == cell]
             if cell in queued:
-                new = range(first, len(size))
+                new = range(first, len(cells))
             else:
-                new = [cell, *range(first, len(size))]
-                new.remove(max(new, key=size.__getitem__))
+                new = [cell, *range(first, len(cells))]
+                new.remove(max(new, key=lambda c: len(cells[c])))
             queued.update(new)
             stack.extend(new)
     if sorted(colour[:n]) != sorted(colour[n:]):
         return None
-    return colour, size
+    return colour, [len(cell) for cell in cells]
 
 
 def _count_parts(adj, colour, splitter, tally):

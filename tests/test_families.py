@@ -366,13 +366,19 @@ def _equitable(adj_g, adj_h, coloured):
 def _refine_pair(adj_g, adj_h, cg, ch, *splitters):
     """poset._refine on the disjoint union g ⊔ h, with h's vertices after
     g's, and its answer split back into (colours of g, colours of h,
-    number of colours), or None."""
+    number of colours), or None.  The colouring passed in is left
+    unchanged, and the sizes returned, which _search reads to pick its
+    cell, count each colour's vertices."""
     n = len(adj_g)
     union = [*adj_g, *([x + n for x in nbrs] for nbrs in adj_h)]
-    got = poset._refine(union, n, [*cg, *ch], *splitters)
+    start = [*cg, *ch]
+    got = poset._refine(union, n, start, *splitters)
+    assert start == [*cg, *ch]
     if got is None:
         return None
     colour, size = got
+    assert size == [colour.count(c)
+                    for c in range(max(colour, default=-1) + 1)]
     return colour[:n], colour[n:], len(size)
 
 

@@ -2,6 +2,8 @@
 
 import importlib.util
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -79,3 +81,39 @@ def test_the_tool_runs_the_suites_its_tree_names():
     from latcut.verify import SUITE_NAMES
 
     assert TOOL.suite_names(ROOT) == list(SUITE_NAMES)
+
+
+SLOW = """\
+import time
+
+from hypothesis import given, settings, strategies as st
+
+
+@settings(deadline=None)
+@given(st.integers())
+def test_slow(i):
+    time.sleep(60)
+
+
+def test_next():
+    pass
+"""
+
+
+def test_the_time_limit_fails_a_slow_test_and_the_next_one_runs(tmp_path):
+    """The plugin that the tool's Tier-1 run loads fails a test past its
+    limit, here lowered to half a second: a Hypothesis test fails at once,
+    with no falsifying example shrunk, and the test after it still runs."""
+    (tmp_path / "conftest.py").write_text(
+        "import time_limit\n\ntime_limit.LIMIT = 0.5\n")
+    (tmp_path / "test_slow.py").write_text(SLOW)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-v", "-p", "no:cacheprovider",
+         "-p", "time_limit", str(tmp_path)],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=TOOL.TOOLS),
+        capture_output=True, text=True, timeout=120)
+    failing, hung = TOOL.tier1_results(proc.stdout)
+    assert failing == ["test_slow.py::test_slow"] and hung is None
+    assert "test_slow.py::test_next PASSED" in proc.stdout
+    assert "TimeLimitExceeded: test ran past 0.5 s" in proc.stdout
+    assert "Falsifying" not in proc.stdout

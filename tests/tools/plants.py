@@ -6,11 +6,14 @@ exactly once, and the text that replaces it.  A plant is applied to a
 the working tree.  Per plant, Tier-1 runs with ``--hypothesis-seed=0`` and
 each ``latcut verify`` suite that the exported tree names in
 ``latcut.verify.SUITE_NAMES`` runs at its defaults, every run a process
-under a timeout.  The JSON written holds, per plant, the failing
-test ids, Tier-1's exit code, each suite's exit code, and whether any
-suite ended in a traceback.  Tier-1 prints one result line per test, so a
-run that hits its timeout still lists the failures before it, and
-``hung_test`` names the test it was running (None when it finished).
+under a timeout.  Tier-1 loads this directory's ``time_limit`` plugin,
+which fails any one test past its limit, so a plant that sends one test
+into a very long loop costs that limit and the tests after it still run.
+The JSON written holds, per plant, the failing test ids, Tier-1's exit
+code, each suite's exit code, and whether any suite ended in a traceback.
+Tier-1 prints one result line per test, so a run that hits its timeout
+still lists the failures before it, and ``hung_test`` names the test it
+was running (None when it finished).
 
     python tests/tools/plants.py [--rev REV] [--only NAME] [--tests PATH]
                                  [--out FILE]
@@ -32,8 +35,8 @@ import sys
 import tarfile
 import tempfile
 
-ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(
-    __file__))))
+TOOLS = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(os.path.dirname(TOOLS))
 
 # name -> (file, old text, new text)
 PLANTS = {
@@ -82,14 +85,15 @@ PLANTS = {
         "    if all(f[b] in near_h[f[a]] for a, nbrs in enumerate(adj_g) "
         "for b in nbrs):\n        return f\n    return None\n",
         "    return f\n"),
-    "split-range-end-off-by-one": (
+    "split-cell-keeps-moved-vertices": (
         "src/latcut/poset.py",
-        "            end = start[cell] + size[cell]\n",
-        "            end = start[cell] + size[cell] - 1\n"),
+        "cells[cell] = [v for v in members if colour[v] == cell]\n",
+        "cells[cell] = members\n"),
     "refine-stops-before-balance-check": (
         "src/latcut/poset.py",
         "    if sorted(colour[:n]) != sorted(colour[n:]):\n",
-        "    if len(size) < n and sorted(colour[:n]) != sorted(colour[n:]):\n"),
+        "    if len(cells) < n and sorted(colour[:n]) != "
+        "sorted(colour[n:]):\n"),
     "histogram-down-count-at-f-or-y": (
         "src/latcut/invariants.py",
         "down[index_of[f ^ y]] += 1\n",
@@ -111,6 +115,27 @@ PLANTS = {
         "return [m & low | (m & mid) << 1 | (m >> top) << i for m in masks]",
         "return [m & low | (m & mid & ~(1 << i)) << 1 | (m >> top) << i "
         "for m in masks]"),
+    "compress-run-one-too-long": (
+        "src/latcut/poset.py",
+        "length = ((high + 1) & ~high).bit_length() - 1\n",
+        "length = ((high + 1) & ~high).bit_length()\n"),
+    "closure-ors-successor-bit-only": (
+        "src/latcut/poset.py",
+        "            m |= reached\n",
+        "            m |= low\n"),
+    "transpose-shifts-one-too-far": (
+        "src/latcut/poset.py",
+        'word |= int.from_bytes(flags, "little") << t\n',
+        'word |= int.from_bytes(flags, "little") << t + 1\n'),
+    "cover-test-deleted": (
+        "src/latcut/poset.py",
+        "                    if up[i] & down[j] == 0:\n"
+        "                        covers.append((i, j))\n",
+        "                    covers.append((i, j))\n"),
+    "restrict-assumes-prefix": (
+        "src/latcut/poset.py",
+        "squeeze = _compress(keep_mask)\n",
+        "squeeze = keep_mask.__and__\n"),
     "candidate-expansion-skips-transitivity": (
         "src/latcut/expansion.py",
         "    for w in iter_bits(below_x):\n"
@@ -146,9 +171,10 @@ def export(rev, dest):
 
 def _run(argv, cwd, timeout):
     """(exit code, or "timeout", stdout, stderr) of one process; on a
-    timeout, whatever it wrote before it was killed."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(cwd, "src"),
-               PYTHONUNBUFFERED="1")
+    timeout, whatever it wrote before it was killed.  This directory is on
+    the path for the ``time_limit`` plugin."""
+    env = dict(os.environ, PYTHONUNBUFFERED="1",
+               PYTHONPATH=os.pathsep.join([os.path.join(cwd, "src"), TOOLS]))
     try:
         proc = subprocess.run(argv, cwd=cwd, env=env, capture_output=True,
                               text=True, timeout=timeout)
@@ -208,7 +234,7 @@ def run_plant(rev, name, tests):
         apply(tree, name)
         code, out, _ = _run(
             [sys.executable, "-m", "pytest", "-v", "-p", "no:cacheprovider",
-             "--hypothesis-seed=0", "--tb=no", tests],
+             "-p", "time_limit", "--hypothesis-seed=0", "--tb=no", tests],
             tree, TIMEOUT * 4)
         failing, hung = tier1_results(out)
         suites = suite_results(tree, names)
