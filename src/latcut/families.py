@@ -19,9 +19,10 @@ verify suites certify the identification by the classical isomorphism
 filter condition on a zigzag into "no two adjacent 1s".  graph_isomorphic
 is the general tool on two CubeGraphs: it refuses a graph past
 GRAPH_ISO_CAP before it reads either one, reads each into neighbour lists
-once (_read_graph) and runs the exact individualization-refinement search
-of latcut.poset, which colours the disjoint union of the two graphs, from
-the vertices' degree ranks.
+once (_read_graph) and hands both, with the vertices' degrees as their
+signatures, to the exact individualization-refinement search of
+latcut.poset, which compares the two graphs' counts and degree sequences
+itself and colours their disjoint union from the degree ranks.
 
 Deleting element n from Z_{m+n-2} splits it into two smaller fences, and the
 induced convex expansion turns that into the identity
@@ -47,7 +48,7 @@ from .errors import CapacityExceeded, OddSize
 from .expansion import decompose
 from .invariants import check_q_recurrence, poly_eq, poly_eval, q_vector
 from .lattice import filter_lattice
-from .poset import (FILTER_CAP, Poset, _search, disjoint_union,
+from .poset import (FILTER_CAP, Poset, _adjacency, _search, disjoint_union,
                     poset_from_covers)
 
 GRAPH_ISO_CAP = 400
@@ -235,49 +236,38 @@ def _zigzag_translate(g):
 
 
 def _read_graph(g):
-    """Index the vertices of CubeGraph ``g`` as 0..n-1; returns (neighbour
-    lists, edge count).  Each edge becomes its (lower, higher) index pair,
-    so parallel and reversed edges count once, as in a simple graph, and
-    the lists are built from the distinct pairs."""
+    """The neighbour lists of CubeGraph ``g``, its vertices indexed as
+    0..n-1.  Each edge becomes its (lower, higher) index pair, so parallel
+    and reversed edges count once, as in a simple graph, and _adjacency
+    lists the distinct pairs."""
     index = {x: i for i, x in enumerate(g.vertices)}
     pairs = set()
     for u, v in g.edges:
         a, b = index[u], index[v]
         pairs.add((a, b) if a < b else (b, a))
-    adj = [[] for _ in g.vertices]
-    for a, b in pairs:
-        adj[a].append(b)
-        adj[b].append(a)
-    return adj, len(pairs)
+    return _adjacency(len(g.vertices), pairs)
 
 
 def graph_isomorphic(g, h):
     """Whether two undirected CubeGraphs are isomorphic, decided exactly.
 
     Beyond GRAPH_ISO_CAP vertices in either graph it raises CapacityExceeded
-    before it reads either graph; different vertex counts, edge counts or
-    degree sequences return False at once.  Otherwise it runs the
-    individualization-refinement search of latcut.poset (_search) with each
-    vertex coloured by the rank of its degree among the graphs' degrees.
-    Every isomorphism keeps degrees, so the search loses no map by starting
-    there; a True carries an explicit edge-preserving vertex map and a
-    False follows an exhaustive search.  A search past its cap of
-    refinements raises CapacityExceeded too.
+    before it reads either graph.  Otherwise it reads both (_read_graph) and
+    runs the individualization-refinement search of latcut.poset (_search)
+    with each vertex's degree as its signature: the search answers False at
+    once to different vertex counts, edge counts or degree sequences, and
+    starts each vertex from the rank of its degree.  Every isomorphism
+    keeps degrees, so the search loses no map by starting there; a True
+    carries an explicit edge-preserving vertex map and a False follows an
+    exhaustive search.  A search past its cap of refinements raises
+    CapacityExceeded too.
     """
     if max(g.vertex_count, h.vertex_count) > GRAPH_ISO_CAP:
         raise CapacityExceeded(
             "graph isomorphism capped at %d vertices" % GRAPH_ISO_CAP)
-    adj_g, m_g = _read_graph(g)
-    adj_h, m_h = _read_graph(h)
-    n = len(adj_g)
-    if n != len(adj_h) or m_g != m_h:
-        return False
-    deg_g, deg_h = list(map(len, adj_g)), list(map(len, adj_h))
-    if sorted(deg_g) != sorted(deg_h):
-        return False
-    rank = {d: c for c, d in enumerate(sorted(set(deg_g)))}
-    return _search(adj_g, adj_h, [rank[d] for d in deg_g],
-                   [rank[d] for d in deg_h]) is not None
+    adj_g, adj_h = _read_graph(g), _read_graph(h)
+    return _search(adj_g, adj_h, list(map(len, adj_g)),
+                   list(map(len, adj_h))) is not None
 
 
 # -- decomposition reports --------------------------------------------------------

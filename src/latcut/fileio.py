@@ -12,13 +12,16 @@ cover lines (elements must be declared before use).
 
 DOT export draws the Hasse diagram bottom-up (rankdir=BT), one node per
 lattice element named by its filter bitstring, with a same-rank group per
-height.  Passing one (bottom, top) interval highlights it as a cluster;
-passing the two intervals of a fresh expansion shows the original and the
-copy as separate clusters with the connecting cover edges dashed, which is
-how the enlarged lattice is best read.
+height, each one run of the lattice's canonical order.  Passing one
+(bottom, top) interval highlights it as a cluster; passing the two
+intervals of a fresh expansion shows the original and the copy as separate
+clusters with the connecting cover edges dashed, which is how the enlarged
+lattice is best read.
 """
 
 from __future__ import annotations
+
+from itertools import groupby
 
 from .errors import LatcutError, ParseError, UnknownLabel
 from .poset import poset_from_covers
@@ -112,12 +115,12 @@ def export_dot(lat, *intervals):
         for a in members:
             out.append("    %s;" % _quote(names[a]))
         out.append("  }")
-    heights = [lat.base.n - f.bit_count() for f in lat.filters]
-    for h in range(max(heights) + 1 if lat.size else 0):
-        group = [a for a in range(lat.size) if heights[a] == h]
-        if group:
-            out.append("  { rank=same; %s }"
-                       % " ".join("%s;" % _quote(names[a]) for a in group))
+    # Heights n - |F| never fall along the canonical order, so each
+    # height's elements are one run of indices.
+    filters = lat.filters
+    for _, group in groupby(range(lat.size), lambda a: filters[a].bit_count()):
+        out.append("  { rank=same; %s }"
+                   % " ".join("%s;" % _quote(names[a]) for a in group))
     left = right = set()
     if len(clusters) == 2:
         left, right = (set(members) for _, members in clusters)

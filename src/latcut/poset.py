@@ -7,11 +7,14 @@ below.  Subsets handed in and out of the API (filters, antichains, boundary
 sets) are plain int bitmasks over these indices; see :mod:`latcut.bits`.
 
 Isomorphism is decided by the one individualization-refinement search of
-the package (_search), on graphs given as neighbour lists and starting
-colours: poset_isomorphism runs it on the cover graphs, coloured by
-(|down|, |up|), and latcut.families.graph_isomorphic on CubeGraphs,
-coloured by degree.  The search works on the disjoint union of the two
-graphs, with one colouring of it, so a colour means the same in both.  Its
+the package (_search), on two graphs given as neighbour lists (built by
+_adjacency) and one signature per vertex: poset_isomorphism runs it on the
+cover graphs with each element's (|down|, |up|), and
+latcut.families.graph_isomorphic on CubeGraphs with each vertex's degree.
+The search itself refuses graphs whose vertex counts, edge counts or
+sorted signatures differ, and starts each vertex from its signature's
+rank.  It works on the disjoint union of the two graphs, with one
+colouring of it, so a colour means the same in both.  Its
 colour refinement (_refine) splits cells by their neighbour counts in one
 splitter cell at a time, so a search node that individualizes a pair of
 vertices pays for the splits that follow from that pair, not for a re-sort
@@ -556,10 +559,17 @@ def _leaf_map(adj_g, adj_h, colour):
     return None
 
 
-def _search(adj_g, adj_h, cg, ch):
-    """An isomorphism between two undirected graphs of equal vertex and edge
-    counts that keeps the starting colours ``cg``/``ch``: the list f with
-    vertex v of g sent to f[v] of h, or None when there is none.
+def _search(adj_g, adj_h, sig_g, sig_h):
+    """An isomorphism between two undirected graphs, given as neighbour
+    lists, that keeps the vertex signatures ``sig_g``/``sig_h``, one
+    sortable, hashable value per vertex: the list f with vertex v of g sent
+    to f[v] of h, or None when there is none.
+
+    Before any refinement it returns None when the graphs' vertex counts,
+    their edge counts (the sums of the neighbour lists' lengths) or their
+    sorted signatures differ, since every isomorphism keeps all three.
+    Each vertex then starts with the rank of its signature among the
+    distinct signatures.
 
     Individualization-refinement, the method behind nauty (McKay and
     Piperno, J. Symb. Comput. 60, 2014), on the disjoint union g ⊔ h, with
@@ -577,7 +587,7 @@ def _search(adj_g, adj_h, cg, ch):
     the rest of the old cell follow from those into the cell and into the
     new one.  A discrete colouring, one vertex of each graph per colour, is
     accepted only when the colour-to-colour map sends every edge of g to an
-    edge of h (see _leaf_map), which with equal edge counts is an
+    edge of h (see _leaf_map), which, the edge counts being equal, is an
     isomorphism.  So a map comes with a certificate and None follows an
     exhaustive search.  The worst case is exponential; the depth is at most
     the number of vertices, and the search keeps its own stack rather than
@@ -603,9 +613,13 @@ def _search(adj_g, adj_h, cg, ch):
     3,375 at n = 15, though the hexagon first or third is answered.
     """
     n = len(adj_g)
+    if (n != len(adj_h) or sorted(sig_g) != sorted(sig_h)
+            or sum(map(len, adj_g)) != sum(map(len, adj_h))):
+        return None
+    rank = {s: c for c, s in enumerate(sorted(set(sig_g)))}
     adj = [*adj_g, *[[x + n for x in nbrs] for nbrs in adj_h]]
     stack = []      # (colours, v, fresh colour, the w left)
-    coloured = _refine(adj, n, [*cg, *ch])
+    coloured = _refine(adj, n, [rank[s] for s in (*sig_g, *sig_h)])
     refinements, cap = 1, n ** 3
     while True:
         if coloured is not None:
@@ -642,39 +656,30 @@ def _profile(p):
     return [(d.bit_count(), u.bit_count()) for d, u in zip(p.down, p.up)]
 
 
-def _cover_graph(p):
-    """The covers of p as an undirected graph: one neighbour list per
-    element."""
-    adj = [[] for _ in range(p.n)]
-    for i, j in p.cover_masks():
-        adj[i].append(j)
-        adj[j].append(i)
+def _adjacency(n, edges):
+    """Neighbour lists on the vertices 0..n-1 of the undirected graph with
+    these (a, b) edges: each edge is listed at both of its ends."""
+    adj = [[] for _ in range(n)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
     return adj
 
 
 def poset_isomorphism(p, q):
     """An order isomorphism as a label mapping, or None.
 
-    The cover counts and the sorted (|down|, |up|) profiles must agree, and
     _search looks for a map between the undirected cover graphs that keeps
-    each element's colour, its rank in the one sorted list of both posets'
-    (|down i|, |up i|) pairs.  That map is an order isomorphism: if a < b
-    then |down a| < |down b|, so a cover a < b, sent to an edge of q's cover
-    graph with |down f(a)| < |down f(b)|, lands on the cover f(a) < f(b);
-    with equal cover counts the covers correspond one to one, and the order
-    is their transitive closure.  A search past its cap of refinements
-    raises CapacityExceeded.
+    each element's (|down i|, |up i|) profile, and refuses at once posets
+    whose sizes, cover counts or sorted profiles differ.  That map is an
+    order isomorphism: if a < b then |down a| < |down b|, so a cover a < b,
+    sent to an edge of q's cover graph with |down f(a)| < |down f(b)|,
+    lands on the cover f(a) < f(b); with equal cover counts the covers
+    correspond one to one, and the order is their transitive closure.  A
+    search past its cap of refinements raises CapacityExceeded.
     """
-    if p.n != q.n:
-        return None
-    if len(p.cover_masks()) != len(q.cover_masks()):
-        return None
-    prof_p, prof_q = _profile(p), _profile(q)
-    if sorted(prof_p) != sorted(prof_q):
-        return None
-    rank = {s: c for c, s in enumerate(sorted(set(prof_p)))}
-    f = _search(_cover_graph(p), _cover_graph(q),
-                [rank[s] for s in prof_p], [rank[s] for s in prof_q])
+    f = _search(_adjacency(p.n, p.cover_masks()),
+                _adjacency(q.n, q.cover_masks()), _profile(p), _profile(q))
     if f is None:
         return None
     return {p.labels[i]: q.labels[f[i]] for i in range(p.n)}

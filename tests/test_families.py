@@ -172,6 +172,15 @@ def test_graph_isomorphism_edges_and_caps(monkeypatch):
     assert graph_isomorphic(g, g)
     triangle = _graph([("a", "b"), ("b", "c"), ("a", "c")])
     assert not graph_isomorphic(g, triangle)
+    # _search itself refuses, before any refinement, graphs that no map
+    # joins: an edgeless pair against an edge, unequal vertex counts, and
+    # equal edge counts with different signature multisets.
+    monkeypatch.setattr(poset, "_refine",
+                        lambda *args: pytest.fail("refined"))
+    for args in (([[], []], [[1], [0]], [0, 1], [0, 1]),
+                 ([[]], [[], []], [0], [0, 0]),
+                 ([[1], [0], []], [[], [2], [1]], [0, 0, 1], [0, 1, 1])):
+        assert poset._search(*args) is None
     # 610 vertices, past GRAPH_ISO_CAP: refused before either graph is
     # read, whichever side is over the cap.
     big = fibonacci_cube(13)
@@ -267,12 +276,10 @@ def test_search_maps_keep_edges_on_equal_degree_sequences(g, swaps, rng):
     g_cube, h_cube = _graph(g.edges, g.nodes), _graph(h.edges, h.nodes)
     want = nx.is_isomorphic(g, h)
     assert graph_isomorphic(g_cube, h_cube) == want
-    (adj_g, _), (adj_h, _) = map(families._read_graph, (g_cube, h_cube))
+    adj_g, adj_h = map(families._read_graph, (g_cube, h_cube))
     deg_g, deg_h = list(map(len, adj_g)), list(map(len, adj_h))
     assert sorted(deg_g) == sorted(deg_h)
-    rank = {d: c for c, d in enumerate(sorted(set(deg_g)))}
-    f = poset._search(adj_g, adj_h, [rank[d] for d in deg_g],
-                      [rank[d] for d in deg_h])
+    f = poset._search(adj_g, adj_h, deg_g, deg_h)
     assert (f is not None) == want
     if f is not None:
         assert sorted(f) == list(range(len(adj_g)))
@@ -317,8 +324,8 @@ def test_graph_isomorphic_refuses_a_switched_lucas_cube():
     assert sum(tuple(sorted(e)) in switch for e in cube.edges) == 2
     assert graph_isomorphic(g, cube)
     assert not nx.is_isomorphic(nx.Graph(list(g.edges)), nx.Graph(edges))
-    adj_g, _ = families._read_graph(g)
-    adj_h, _ = families._read_graph(_graph(edges))
+    adj_g = families._read_graph(g)
+    adj_h = families._read_graph(_graph(edges))
     n = len(adj_g)
     assert _refine_pair(adj_g, adj_h, [0] * n, [0] * n) is not None
     assert not graph_isomorphic(g, _graph(edges))
@@ -332,7 +339,8 @@ def coloured_graphs(draw):
         g = draw(small_graphs())
         adj = [set(g[v]) for v in range(g.number_of_nodes())]
     else:
-        adj = poset._cover_graph(draw(posets(max_n=8)))
+        p = draw(posets(max_n=8))
+        adj = poset._adjacency(p.n, p.cover_masks())
     raw = draw(st.lists(st.integers(min_value=0, max_value=2),
                         min_size=len(adj), max_size=len(adj)))
     rank = {c: i for i, c in enumerate(sorted(set(raw)))}
@@ -672,20 +680,32 @@ def test_cube_from_strings_on_any_set_of_strings(strings):
 
 def test_read_graph_counts_parallel_and_reversed_edges_once():
     g = _graph([("a", "b"), ("b", "a"), ("a", "b"), ("c", "b")])
-    adj, edges = families._read_graph(g)
-    assert (list(map(sorted, adj)), edges) == ([[1], [0, 2], [1]], 2)
+    adj = families._read_graph(g)
+    assert (list(map(sorted, adj)), sum(map(len, adj)) // 2) == (
+        [[1], [0, 2], [1]], 2)
     assert graph_isomorphic(g, _graph([("x", "y"), ("y", "z")]))
 
 def test_graph_isomorphic_starts_from_the_degree_ranks(monkeypatch):
     """Each vertex starts with the rank of its degree among the degrees of
-    both graphs: a path a-b-c-d against its copy listed from the middle."""
-    seen, search = [], families._search
-    monkeypatch.setattr(families, "_search", lambda *args: seen.append(
-        args[2:]) or search(*args))
+    both graphs: a path a-b-c-d against its copy listed from the middle.
+    Tuple signatures, as _profile gives, search exactly as their ranks
+    do: every refinement starts from the same colouring."""
+    seen, refine = [], poset._refine
+    monkeypatch.setattr(poset, "_refine", lambda adj, n, colour, *rest: (
+        seen.append(list(colour)) or refine(adj, n, colour, *rest)))
     path = _graph([("a", "b"), ("b", "c"), ("c", "d")])
     copy = _graph([("b", "c"), ("b", "a"), ("d", "c")], "bcad")
     assert graph_isomorphic(path, copy)
-    assert seen == [([0, 1, 1, 0], [1, 1, 0, 0])]
+    assert seen[0] == [0, 1, 1, 0, 1, 1, 0, 0]
+    adj_g, adj_h = map(families._read_graph, (path, copy))
+    end, middle = (1, 2), (2, 1)
+    runs = []
+    for sig_g, sig_h in (([end, middle, middle, end],
+                          [middle, middle, end, end]),
+                         ([0, 1, 1, 0], [1, 1, 0, 0])):
+        seen.clear()
+        runs.append((poset._search(adj_g, adj_h, sig_g, sig_h), seen.copy()))
+    assert runs[0] == runs[1] and runs[0][0] is not None
 
 
 @pytest.mark.parametrize("kind,k,calls_max,visits_max", [

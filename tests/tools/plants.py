@@ -94,6 +94,10 @@ PLANTS = {
         "    if sorted(colour[:n]) != sorted(colour[n:]):\n",
         "    if len(cells) < n and sorted(colour[:n]) != "
         "sorted(colour[n:]):\n"),
+    "search-skips-edge-count": (
+        "src/latcut/poset.py",
+        "\n            or sum(map(len, adj_g)) != sum(map(len, adj_h))):\n",
+        "):\n"),
     "histogram-down-count-at-f-or-y": (
         "src/latcut/invariants.py",
         "down[index_of[f ^ y]] += 1\n",
