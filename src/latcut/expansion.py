@@ -334,7 +334,10 @@ def decompose(p, x, cap=FILTER_CAP):
 def _move_back(masks, i, top):
     """``masks`` moved from an expansion's index order, x last at index
     ``top``, to P's, x at index i: the bits from i up to top move up by one
-    and bit top moves to i."""
+    and bit top moves to i.  When x is P's last element too (i == top) the
+    move is the identity, and ``masks`` come back unmoved."""
+    if i == top:
+        return masks
     low, mid = (1 << i) - 1, (1 << top) - (1 << i)
     return [m & low | (m & mid) << 1 | (m >> top) << i for m in masks]
 
@@ -357,7 +360,7 @@ def _round_trip(p, x, exp, cap=FILTER_CAP):
     star = p.star(x)
     counts_ok = ((p.minus(x), star) == (host.base, klat.base)
                  and len(walked) == host.size + klat.size and walked == expanded)
-    up = _move_back(q.up, i, top)
+    up = list(_move_back(q.up, i, top))
     up.insert(i, up.pop())
     labels = q.labels[:i] + q.labels[-1:] + q.labels[i:-1]
     return DecomposeResult(

@@ -10,16 +10,18 @@ is no closure to compute.
 
 The cubes are built independently as graphs on binary strings (no "11"
 substring, additionally no cyclic "11" for the Lucas cube) so that the
-identification with covering graphs is a genuine two-sided check.  The
-builders work on the strings' int values and name the vertices only at the
-end: a cube sets each zero bit of each vertex and looks the result up, and
-cover_cube pairs the filter bitstrings off the lattice's upper covers.  The
+identification with covering graphs is a genuine two-sided check.  A
+CubeGraph holds each string as its int code, bit i for character i as in
+Poset.bitstring, and only its edge_list_text makes the strings.  The cube
+builders generate the codes without two adjacent 1 bits directly, clear
+each 1 bit of each code and look the result up; cover_cube takes the
+lattice's filters as its codes and pairs them off the upper covers.  The
 verify suites certify the identification by the classical isomorphism
-(Gansner 1982), _zigzag_translate: flipping every other bit turns the
-filter condition on a zigzag into "no two adjacent 1s".  graph_isomorphic
-is the general tool on two CubeGraphs: it refuses a graph past
-GRAPH_ISO_CAP before it reads either one, reads each into neighbour lists
-once (_read_graph) and hands both, with the vertices' degrees as their
+(Gansner 1982), _zigzag_translate: flipping every other bit, one XOR per
+code, turns the filter condition on a zigzag into "no two adjacent 1s".
+graph_isomorphic is the general tool on two CubeGraphs: it refuses a graph
+past GRAPH_ISO_CAP before it reads either one, reads each into neighbour
+lists once (_read_graph) and hands both, with the vertices' degrees as their
 signatures, to the exact individualization-refinement search of
 latcut.poset, which compares the two graphs' counts and degree sequences
 itself and colours their disjoint union from the degree ranks.
@@ -120,16 +122,21 @@ def _two_term(name, a, b, n, cap):
     return a
 
 
-# -- string-model cubes ---------------------------------------------------------
+# -- cubes on int codes ---------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class CubeGraph:
-    """Undirected graph on binary-string vertices, edges at Hamming distance 1.
+    """Undirected graph on binary strings of length ``dim``, edges at
+    Hamming distance 1, held as int codes: bit i of a code is character i
+    of its string, as in Poset.bitstring.
 
-    Vertices are lexicographically sorted and edges stored as sorted (u, v)
-    pairs with u < v, so equal graphs compare equal and exports are stable.
+    The builders sort the vertices and store each edge as (u, v) with u < v,
+    the edges sorted, so equal graphs compare equal.  A code u below v at
+    Hamming distance 1 lacks the one bit that v has, so its string sorts
+    first too.
     """
+    dim: int
     vertices: tuple
     edges: tuple
 
@@ -142,39 +149,42 @@ class CubeGraph:
         return len(self.edges)
 
     def edge_list_text(self):
-        """One "u v" line per edge, sorted."""
-        return "".join("%s %s\n" % e for e in self.edges)
+        """One "u v" line per edge, sorted as strings; the only place the
+        strings are made."""
+        top = 1 << self.dim
+        name = {v: format(v | top, "b")[:0:-1] for v in self.vertices}
+        return "".join(sorted(["%s %s\n" % (name[u], name[v])
+                               for u, v in self.edges]))
 
 
-def _cube_from_strings(strings):
-    """The Hamming-distance-1 graph on equal-length binary strings.  Each
-    string is read as an int, and each of its zero bits is set in turn and
-    looked up among the ints: setting a 0 to a 1 gives a string that sorts
-    after its own, so every edge comes out as (u, v) with u < v."""
-    name = {int(s or "0", 2): s for s in strings}
-    full = (1 << len(strings[0])) - 1 if strings else 0
+def _cube(dim, codes):
+    """The Hamming-distance-1 graph on these codes of length-``dim``
+    strings.  Each one bit of each code is cleared in turn and the result
+    looked up among the codes, so every edge comes out as (u, v) with
+    u < v.  The cubes' vertex sets are closed under clearing a bit, so
+    every lookup there finds its edge."""
+    have = set(codes)
     edges = []
-    for v, s in name.items():
-        free = full & ~v
-        while free:
-            low = free & -free
-            free ^= low
-            t = name.get(v | low)
-            if t is not None:
-                edges.append((s, t))
-    return CubeGraph(vertices=tuple(sorted(strings)), edges=tuple(sorted(edges)))
+    for v in have:
+        rest = v
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if v ^ low in have:
+                edges.append((v ^ low, v))
+    return CubeGraph(dim, tuple(sorted(have)), tuple(sorted(edges)))
 
 
 def _no_adjacent_ones(n):
-    """Every length-n binary string without "11": strings of length k are
-    "0" + those of length k-1 and "10" + those of length k-2."""
-    shorter, strings = [""], ["0", "1"]
+    """The codes, in increasing order, of every length-n string without
+    "11": those of length k are the codes of length k - 1, and those of
+    length k - 2 with bit k - 1 set."""
+    shorter, codes = [0], [0, 1]
     if n == 0:
         return shorter
-    for _ in range(n - 1):
-        shorter, strings = strings, (["0" + s for s in strings]
-                                     + ["10" + s for s in shorter])
-    return strings
+    for k in range(1, n):
+        shorter, codes = codes, codes + [c | 1 << k for c in shorter]
+    return codes
 
 
 def fibonacci_cube(n, cap=FILTER_CAP):
@@ -187,7 +197,7 @@ def fibonacci_cube(n, cap=FILTER_CAP):
     if fib(n + 2, cap) > cap:
         raise CapacityExceeded("Fibonacci cube of dimension %d has more "
                                "than %d vertices" % (n, cap))
-    return _cube_from_strings(_no_adjacent_ones(n))
+    return _cube(n, _no_adjacent_ones(n))
 
 
 def lucas_cube(two_n, cap=FILTER_CAP):
@@ -199,47 +209,42 @@ def lucas_cube(two_n, cap=FILTER_CAP):
     if lucas(two_n, cap) > cap:
         raise CapacityExceeded("Lucas cube of dimension %d has more than %d "
                                "vertices" % (two_n, cap))
-    strings = [s for s in _no_adjacent_ones(two_n)
-               if not (s and s[0] == "1" and s[-1] == "1")]
-    return _cube_from_strings(strings)
+    return _cube(two_n, [c for c in _no_adjacent_ones(two_n)
+                         if not (c & 1 and c >> two_n - 1 & 1)])
 
 
 def cover_cube(lat):
-    """Covering graph of a lattice as a CubeGraph on filter bitstrings.
+    """Covering graph of a lattice as a CubeGraph on its filters, strings of
+    length |base|; the empty base's one filter is the empty string.
 
-    Covers in a filter lattice drop exactly one element, so this really is a
-    Hamming-distance-1 graph on strings of length |base|; the empty base's
-    one filter is the empty string.  An upper cover F - y of F has a 0
-    where F has a 1, so its string sorts first: each cover edge (F, F - y)
-    is read as (string of F - y, string of F).
+    Covers in a filter lattice drop exactly one element, so this really is
+    a Hamming-distance-1 graph.  An upper cover F - y of F is the smaller
+    code, so each cover edge (F, F - y) is read as (F - y, F).
     """
-    names = [lat.bitstring(a) if lat.base.n else "" for a in range(lat.size)]
-    return CubeGraph(vertices=tuple(sorted(names)), edges=tuple(sorted(
-        [(names[b], names[a]) for a, b in lat.covering_graph()])))
+    f = lat.filters
+    return CubeGraph(lat.base.n, tuple(sorted(f)), tuple(sorted(
+        [(f[b], f[a]) for a, b in lat.covering_graph()])))
 
 
 def _zigzag_translate(g):
-    """``g`` with every string XORed with "1010..." (a 1 at each even 0-based
-    position): a map that keeps Hamming distance, so equality with a model
-    cube is an isomorphism with the map in hand."""
-    n = len(g.vertices[0])
-    mask = int(("10" * n)[:n] or "0", 2)
-    top = 1 << n
-    moved = {s: format(int(s or "0", 2) ^ mask | top, "b")[1:]
-             for s in g.vertices}
+    """``g`` with every code XORed with the 1s at the even 0-based
+    positions, "1010...": a map that keeps Hamming distance, so equality
+    with a model cube is an isomorphism with the map in hand.  An edge
+    whose bit lies in the mask swaps its ends."""
+    mask = sum(1 << i for i in range(0, g.dim, 2))
     edges = []
     for u, v in g.edges:
-        u, v = moved[u], moved[v]
+        u, v = u ^ mask, v ^ mask
         edges.append((u, v) if u < v else (v, u))
-    return CubeGraph(vertices=tuple(sorted(moved.values())),
-                     edges=tuple(sorted(edges)))
+    return CubeGraph(g.dim, tuple(sorted([v ^ mask for v in g.vertices])),
+                     tuple(sorted(edges)))
 
 
 def _read_graph(g):
-    """The neighbour lists of CubeGraph ``g``, its vertices indexed as
-    0..n-1.  Each edge becomes its (lower, higher) index pair, so parallel
-    and reversed edges count once, as in a simple graph, and _adjacency
-    lists the distinct pairs."""
+    """The neighbour lists of CubeGraph ``g``, its vertex codes indexed as
+    0..n-1 in the order g lists them.  Each edge becomes its (lower,
+    higher) index pair, so parallel and reversed edges count once, as in a
+    simple graph, and _adjacency lists the distinct pairs."""
     index = {x: i for i, x in enumerate(g.vertices)}
     pairs = set()
     for u, v in g.edges:

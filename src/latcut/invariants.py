@@ -44,7 +44,6 @@ expansion it is given.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import zip_longest
 from math import comb, prod
 from operator import add
@@ -208,15 +207,25 @@ def _q_recurrence(p):
             # Every part of the plan was evaluated above it on the stack.
             stack.pop()
             kind, parts = plans.pop(mask)
+            # Inline arithmetic on fresh lists: every Q has nonnegative
+            # coefficients and a positive leading one, so none needs a trim.
             qs = [done[m] for m in parts]
             if kind == "union":
-                q = reduce(poly_mul, qs)
+                q = [1]
+                for r in qs:
+                    out = [0] * (len(q) + len(r) - 1)
+                    for a, c in enumerate(q):
+                        for b, d in enumerate(r):
+                            out[a + b] += c * d
+                    q = out
             elif kind == "sum":
-                q = reduce(poly_add, qs)
+                q = [sum(c) for c in zip_longest(*qs, fillvalue=0)]
                 q[0] -= len(qs) - 1
             else:
                 minus, star = qs
-                q = poly_add(minus, poly_add(star, poly_shift(star, 1)))
+                shifted = [0] + star                    # t Q(P * x)
+                q = [sum(c) for c in zip_longest(minus, star, shifted,
+                                                 fillvalue=0)]
             done[mask] = q
         elif mask.bit_count() == 1:
             # A point is a leaf: splitting it as a prime block instead took

@@ -11,7 +11,7 @@ from functools import reduce
 from itertools import combinations, permutations
 from math import comb
 
-from latcut import CubeGraph, poset_from_covers
+from latcut import poset_from_covers
 from latcut.bits import iter_bits
 from latcut.invariants import (_RECURRENCE_WORK_MAX, poly_add, poly_mul,
                                poly_shift)
@@ -374,7 +374,8 @@ def random_poset_masks(seed, n_max):
 def cube_by_slicing(strings):
     """The Hamming-distance-1 graph on equal-length binary strings: every
     "0" of every string is set to "1" by slicing, and the result looked up
-    among the strings; each edge sorted, as a CubeGraph."""
+    among the strings.  Its sorted vertices and its sorted edges, each
+    edge's two strings sorted."""
     verts = sorted(strings)
     have = set(verts)
     edges = []
@@ -384,27 +385,29 @@ def cube_by_slicing(strings):
                 t = s[:i] + "1" + s[i + 1:]
                 if t in have:
                     edges.append((s, t) if s < t else (t, s))
-    return CubeGraph(vertices=tuple(verts), edges=tuple(sorted(edges)))
+    return tuple(verts), tuple(sorted(edges))
 
 
 def cover_cube_by_sorting(lat):
     """The covering graph of ``lat`` on filter bitstrings ("" for the empty
-    base), from ``covering_graph``, each edge's two strings sorted."""
+    base), from ``covering_graph``: its sorted vertices and its sorted
+    edges, each edge's two strings sorted."""
     names = [lat.bitstring(a) if lat.base.n else "" for a in range(lat.size)]
-    return CubeGraph(vertices=tuple(sorted(names)), edges=tuple(sorted(
-        tuple(sorted((names[a], names[b]))) for a, b in lat.covering_graph())))
+    return tuple(sorted(names)), tuple(sorted(
+        tuple(sorted((names[a], names[b]))) for a, b in lat.covering_graph()))
 
 
-def zigzag_translate_by_chars(g):
-    """``g`` with every string XORed, character by character, with
-    "1010..."; each edge sorted again."""
-    n = len(g.vertices[0])
+def zigzag_translate_by_chars(graph):
+    """A string graph, as the sorted (vertices, edges) above, with every
+    string XORed, character by character, with "1010..."; sorted again."""
+    vertices, edges = graph
+    n = len(vertices[0])
     mask = ("10" * n)[:n]
     moved = {s: "".join("01"[a != b] for a, b in zip(s, mask))
-             for s in g.vertices}
-    return CubeGraph(vertices=tuple(sorted(moved.values())),
-                     edges=tuple(sorted(tuple(sorted((moved[u], moved[v])))
-                                        for u, v in g.edges)))
+             for s in vertices}
+    return (tuple(sorted(moved.values())),
+            tuple(sorted(tuple(sorted((moved[u], moved[v])))
+                         for u, v in edges)))
 
 
 def _components(mask, neighbours):

@@ -92,9 +92,28 @@ def test_lucas_numbers():
 # -- cube graphs ----------------------------------------------------------------------
 
 
+def _code(s):
+    """The code of a binary string: character i is bit i."""
+    return sum(1 << i for i, c in enumerate(s) if c == "1")
+
+
+def _string(code, dim):
+    """The length-``dim`` string of a code, written out bit by bit."""
+    return "".join("01"[code >> i & 1] for i in range(dim))
+
+
+def _names(g):
+    """The vertices of CubeGraph ``g`` as strings and its edges as pairs of
+    strings in g's own (u, v) order; each list sorted."""
+    name = {v: _string(v, g.dim) for v in g.vertices}
+    return (tuple(sorted(name.values())),
+            tuple(sorted((name[u], name[v]) for u, v in g.edges)))
+
+
 def test_fibonacci_cube_small():
     g = fibonacci_cube(3)
-    assert g.vertices == ("000", "001", "010", "100", "101")
+    assert g.vertices == (0, 1, 2, 4, 5)
+    assert _names(g)[0] == ("000", "001", "010", "100", "101")
     assert g.vertex_count == 5 and g.edge_count == 5
     assert fibonacci_cube(0).vertex_count == 1
     assert fibonacci_cube(1).edge_list_text() == "0 1\n"
@@ -105,7 +124,7 @@ def test_fibonacci_cube_small():
 def test_lucas_cube_small():
     g = lucas_cube(4)
     assert g.vertex_count == 7 and g.edge_count == 8
-    assert "1001" not in g.vertices and "0101" in g.vertices
+    assert _code("1001") not in g.vertices and _code("0101") in g.vertices
     with pytest.raises(OddSize):
         lucas_cube(3)
 
@@ -131,10 +150,14 @@ def string_cube(n, cyclic):
 def test_cube_lists_match_brute_force_up_to_12():
     for n in range(13):
         g = fibonacci_cube(n)
-        assert (g.vertices, g.edges) == string_cube(n, cyclic=False), n
+        assert _names(g) == string_cube(n, cyclic=False), n
+        assert (list(g.vertices), list(g.edges)) == (sorted(g.vertices),
+                                                     sorted(g.edges))
     for two_n in range(2, 13, 2):
         g = lucas_cube(two_n)
-        assert (g.vertices, g.edges) == string_cube(two_n, cyclic=True), two_n
+        assert _names(g) == string_cube(two_n, cyclic=True), two_n
+        assert (list(g.vertices), list(g.edges)) == (sorted(g.vertices),
+                                                     sorted(g.edges))
 
 
 def test_cube_caps_are_exact():
@@ -199,12 +222,15 @@ def test_graph_isomorphism_edges_and_caps(monkeypatch):
 
 def _graph(edges, vertices=()):
     """The CubeGraph of ``edges`` on ``vertices`` and then every endpoint
-    not among them, indexed in that order; a networkx graph ``g`` goes in
-    as ``_graph(g.edges, g.nodes)``."""
+    not among them, each named by its int code 0, 1, ... in that order; a
+    networkx graph ``g`` goes in as ``_graph(g.edges, g.nodes)``."""
     names = dict.fromkeys(vertices)
     for e in edges:
         names.update(dict.fromkeys(e))
-    return CubeGraph(vertices=tuple(names), edges=tuple(edges))
+    code = {x: i for i, x in enumerate(names)}
+    return CubeGraph(dim=len(code).bit_length(),
+                     vertices=tuple(code.values()),
+                     edges=tuple((code[u], code[v]) for u, v in edges))
 
 
 def _relabelled(g, rng):
@@ -317,8 +343,9 @@ def test_graph_isomorphic_refuses_a_switched_lucas_cube():
     colour refinement cannot refute, so the search must exhaust its
     candidates to say no."""
     g = cover_cube(filter_lattice(crown(8)))
-    switch = {("00000001", "00000101"): ("00000001", "00001010"),
-              ("00000010", "00001010"): ("00000010", "00000101")}
+    switch = {tuple(map(_code, old)): tuple(map(_code, new)) for old, new in (
+        (("00000001", "00000101"), ("00000001", "00001010")),
+        (("00000010", "00001010"), ("00000010", "00000101")))}
     cube = lucas_cube(8)
     edges = [switch.get(tuple(sorted(e)), e) for e in cube.edges]
     assert sum(tuple(sorted(e)) in switch for e in cube.edges) == 2
@@ -525,7 +552,8 @@ def test_graph_isomorphic_on_the_hypercube_q8():
     names = list(q8.vertices)
     random.Random(8).shuffle(names)
     name = dict(zip(q8.vertices, names))
-    moved = [tuple(name["".join(x[i] for i in perm)] for x in edge)
+    moved = [tuple(name[sum((x >> p & 1) << i for i, p in enumerate(perm))]
+                   for x in edge)
              for edge in q8.edges]
     assert graph_isomorphic(q8, _graph(moved))
 
@@ -541,17 +569,17 @@ def test_graph_isomorphic_at_the_cap(edges_of):
     rng = random.Random(400)
     perm = list(range(GRAPH_ISO_CAP))
     rng.shuffle(perm)
-    names = ["v%03d" % i for i in range(GRAPH_ISO_CAP)]
-    g = CubeGraph(vertices=tuple(names),
-                  edges=tuple((names[a], names[b])
-                              for a, b in edges_of(GRAPH_ISO_CAP)))
-    h = CubeGraph(vertices=tuple(names[perm[i]] for i in range(GRAPH_ISO_CAP)),
-                  edges=tuple((names[perm[a]], names[perm[b]])
+    dim = GRAPH_ISO_CAP.bit_length()
+    g = CubeGraph(dim=dim, vertices=tuple(range(GRAPH_ISO_CAP)),
+                  edges=tuple(edges_of(GRAPH_ISO_CAP)))
+    h = CubeGraph(dim=dim, vertices=tuple(perm),
+                  edges=tuple((perm[a], perm[b])
                               for a, b in edges_of(GRAPH_ISO_CAP)))
     t0 = time.perf_counter()
     assert graph_isomorphic(g, h)
     assert time.perf_counter() - t0 < 2.0
-    big = CubeGraph(vertices=tuple(names) + ("extra",), edges=g.edges)
+    big = CubeGraph(dim=dim, vertices=g.vertices + (GRAPH_ISO_CAP,),
+                    edges=g.edges)
     with pytest.raises(CapacityExceeded,
                        match="^graph isomorphism capped at 400 vertices$"):
         graph_isomorphic(big, big)
@@ -646,27 +674,31 @@ def test_cover_cube_edges_match_naive_covers():
     g = cover_cube(lat)
     want = {tuple(sorted((lat.bitstring(a), lat.bitstring(b))))
             for a, b in oracles.naive_covers(lat)}
-    assert set(g.edges) == want
+    assert set(_names(g)[1]) == want
 
 
 
 def test_cube_builders_equal_their_string_oracles():
     """The int builders of the cubes, the covering graphs and the zigzag
-    translation against the string builders they replaced."""
+    translation, their codes written out as strings, against the string
+    builders they replaced."""
     for n in range(13):
         lat = filter_lattice(fence(n))
         g = cover_cube(lat)
-        assert g == oracles.cover_cube_by_sorting(lat), n
-        assert _zigzag_translate(g) == oracles.zigzag_translate_by_chars(g)
-        assert fibonacci_cube(n) == oracles.cube_by_slicing(
-            families._no_adjacent_ones(n)), n
+        assert _names(g) == oracles.cover_cube_by_sorting(lat), n
+        assert (_names(_zigzag_translate(g))
+                == oracles.zigzag_translate_by_chars(_names(g)))
+        assert _names(fibonacci_cube(n)) == oracles.cube_by_slicing(
+            [_string(c, n) for c in families._no_adjacent_ones(n)]), n
     for two_n in range(4, 13, 2):
         lat = filter_lattice(crown(two_n))
         g = cover_cube(lat)
-        assert g == oracles.cover_cube_by_sorting(lat), two_n
-        assert _zigzag_translate(g) == oracles.zigzag_translate_by_chars(g)
-        assert lucas_cube(two_n) == oracles.cube_by_slicing(
-            [s for s in families._no_adjacent_ones(two_n)
+        assert _names(g) == oracles.cover_cube_by_sorting(lat), two_n
+        assert (_names(_zigzag_translate(g))
+                == oracles.zigzag_translate_by_chars(_names(g)))
+        assert _names(lucas_cube(two_n)) == oracles.cube_by_slicing(
+            [s for s in (_string(c, two_n)
+                         for c in families._no_adjacent_ones(two_n))
              if not s[0] == s[-1] == "1"]), two_n
 
 
@@ -674,8 +706,26 @@ def test_cube_builders_equal_their_string_oracles():
 @given(st.integers(min_value=0, max_value=6).flatmap(
     lambda n: st.sets(st.text("01", min_size=n, max_size=n), min_size=1)))
 def test_cube_from_strings_on_any_set_of_strings(strings):
-    assert (families._cube_from_strings(list(strings))
+    n = len(next(iter(strings)))
+    assert (_names(families._cube(n, [_code(s) for s in strings]))
             == oracles.cube_by_slicing(strings))
+
+
+def test_cube_checks_format_no_vertex_string(monkeypatch):
+    """A ledger: the cubes suite's checks and a cube search keep the codes
+    as ints, writing out no filter bitstring and formatting no vertex
+    string; edge_list_text, the one writer, formats each vertex once."""
+    made = []
+    monkeypatch.setattr(poset.Poset, "bitstring",
+                        lambda self, bits: made.append(bits))
+    monkeypatch.setattr(families, "format", lambda *args: (
+        made.append(args) or format(*args)), raising=False)
+    assert verify_cubes().ok
+    assert graph_isomorphic(cover_cube(filter_lattice(fence(12))),
+                            fibonacci_cube(12))
+    assert made == []
+    fibonacci_cube(2).edge_list_text()
+    assert len(made) == 3
 
 
 def test_read_graph_counts_parallel_and_reversed_edges_once():

@@ -66,8 +66,8 @@ PLANTS = {
         "stack.append((a, f | closed[j], later & incomp[j]))"),
     "recurrence-drops-one-plus-t": (
         "src/latcut/invariants.py",
-        "q = poly_add(minus, poly_add(star, poly_shift(star, 1)))",
-        "q = poly_add(minus, star)"),
+        "shifted = [0] + star",
+        "shifted = [0]"),
     "recurrence-junction-off-by-one": (
         "src/latcut/invariants.py",
         "q[0] -= len(qs) - 1\n",
@@ -108,8 +108,8 @@ PLANTS = {
         "done[mask] = [[1, 1], [1, 1], [1, 1], [1, 1]]\n"),
     "lucas-cube-cyclic-test-off-by-one": (
         "src/latcut/families.py",
-        'if not (s and s[0] == "1" and s[-1] == "1")]',
-        'if not (s and s[0] == "1" and s[-2] == "1")]'),
+        "if not (c & 1 and c >> two_n - 1 & 1)])",
+        "if not (c & 1 and c >> two_n - 2 & 1)])"),
     "rank-height-off-by-one": (
         "src/latcut/invariants.py",
         "        rank[n - f.bit_count()] += 1\n",
