@@ -20,11 +20,10 @@ verify suites certify the identification by the classical isomorphism
 (Gansner 1982), _zigzag_translate: flipping every other bit, one XOR per
 code, turns the filter condition on a zigzag into "no two adjacent 1s".
 graph_isomorphic is the general tool on two CubeGraphs: it refuses a graph
-past GRAPH_ISO_CAP before it reads either one, reads each into neighbour
-lists once (_read_graph) and hands both, with the vertices' degrees as their
-signatures, to the exact individualization-refinement search of
-latcut.poset, which compares the two graphs' counts and degree sequences
-itself and colours their disjoint union from the degree ranks.
+past GRAPH_ISO_CAP before it reads either one, reads each once into
+adjacency masks and hands both, with the vertices' degrees as their
+signatures, to the placement backtrack of latcut.poset, which compares the
+two graphs' sizes and degree sequences itself.
 
 Deleting element n from Z_{m+n-2} splits it into two smaller fences, and the
 induced convex expansion turns that into the identity
@@ -50,7 +49,7 @@ from .errors import CapacityExceeded, OddSize
 from .expansion import decompose
 from .invariants import check_q_recurrence, poly_eq, poly_eval, q_vector
 from .lattice import filter_lattice
-from .poset import (FILTER_CAP, Poset, _adjacency, _search, disjoint_union,
+from .poset import (FILTER_CAP, Poset, _backtrack, disjoint_union,
                     poset_from_covers)
 
 GRAPH_ISO_CAP = 400
@@ -203,10 +202,11 @@ def fibonacci_cube(n, cap=FILTER_CAP):
 def lucas_cube(two_n, cap=FILTER_CAP):
     """Fibonacci-cube strings with the cyclic constraint: no 1 in both the
     first and last position.  Capped like fibonacci_cube, at L(two_n)
-    vertices."""
+    vertices, but at one for two_n = 0: the empty string alone, though
+    L(0) = 2."""
     if two_n % 2:
         raise OddSize("Lucas cube needs an even length, got %d" % two_n)
-    if lucas(two_n, cap) > cap:
+    if (lucas(two_n, cap) if two_n else 1) > cap:
         raise CapacityExceeded("Lucas cube of dimension %d has more than %d "
                                "vertices" % (two_n, cap))
     return _cube(two_n, [c for c in _no_adjacent_ones(two_n)
@@ -240,39 +240,35 @@ def _zigzag_translate(g):
                      tuple(sorted(edges)))
 
 
-def _read_graph(g):
-    """The neighbour lists of CubeGraph ``g``, its vertex codes indexed as
-    0..n-1 in the order g lists them.  Each edge becomes its (lower,
-    higher) index pair, so parallel and reversed edges count once, as in a
-    simple graph, and _adjacency lists the distinct pairs."""
-    index = {x: i for i, x in enumerate(g.vertices)}
-    pairs = set()
-    for u, v in g.edges:
-        a, b = index[u], index[v]
-        pairs.add((a, b) if a < b else (b, a))
-    return _adjacency(len(g.vertices), pairs)
-
-
 def graph_isomorphic(g, h):
     """Whether two undirected CubeGraphs are isomorphic, decided exactly.
 
     Beyond GRAPH_ISO_CAP vertices in either graph it raises CapacityExceeded
-    before it reads either graph.  Otherwise it reads both (_read_graph) and
-    runs the individualization-refinement search of latcut.poset (_search)
-    with each vertex's degree as its signature: the search answers False at
-    once to different vertex counts, edge counts or degree sequences, and
-    starts each vertex from the rank of its degree.  Every isomorphism
-    keeps degrees, so the search loses no map by starting there; a True
-    carries an explicit edge-preserving vertex map and a False follows an
-    exhaustive search.  A search past its cap of refinements raises
-    CapacityExceeded too.
+    before it reads either graph.  Otherwise it reads each vertex's
+    neighbours into one mask, so parallel and reversed edges count once,
+    as in a simple graph, and runs the backtrack of latcut.poset with the
+    masks as both relations and each vertex's degree as its signature: the
+    backtrack answers False at once to different vertex counts or degree
+    sequences.  A True carries an explicit edge-preserving vertex map and a
+    False follows an exhaustive search.  A search past its cap of
+    placements raises CapacityExceeded too.
     """
     if max(g.vertex_count, h.vertex_count) > GRAPH_ISO_CAP:
         raise CapacityExceeded(
             "graph isomorphism capped at %d vertices" % GRAPH_ISO_CAP)
-    adj_g, adj_h = _read_graph(g), _read_graph(h)
-    return _search(adj_g, adj_h, list(map(len, adj_g)),
-                   list(map(len, adj_h))) is not None
+    masks = []
+    for graph in g, h:
+        index = {x: i for i, x in enumerate(graph.vertices)}
+        near = [0] * len(index)
+        for u, v in graph.edges:
+            a, b = index[u], index[v]
+            near[a] |= 1 << b
+            near[b] |= 1 << a
+        masks.append(near)
+    near_g, near_h = masks
+    return _backtrack(near_g, near_g, near_h, near_h,
+                      [m.bit_count() for m in near_g],
+                      [m.bit_count() for m in near_h]) is not None
 
 
 # -- decomposition reports --------------------------------------------------------

@@ -6,22 +6,15 @@ holds the elements strictly above element i, ``down[i]`` those strictly
 below.  Subsets handed in and out of the API (filters, antichains, boundary
 sets) are plain int bitmasks over these indices; see :mod:`latcut.bits`.
 
-Isomorphism is decided by the one individualization-refinement search of
-the package (_search), on two graphs given as neighbour lists (built by
-_adjacency) and one signature per vertex: poset_isomorphism runs it on the
-cover graphs with each element's (|down|, |up|), and
-latcut.families.graph_isomorphic on CubeGraphs with each vertex's degree.
-The search itself refuses graphs whose vertex counts, edge counts or
-sorted signatures differ, and starts each vertex from its signature's
-rank.  It works on the disjoint union of the two graphs, with one
-colouring of it, so a colour means the same in both.  Its
-colour refinement (_refine) splits cells by their neighbour counts in one
-splitter cell at a time, so a search node that individualizes a pair of
-vertices pays for the splits that follow from that pair, not for a re-sort
-of every vertex's neighbour colours.  Each cell is a list of its
-vertices: a split appends each new part as its own list and re-filters
-the cell it left.  The refinement stops at its first discrete colouring,
-whose pair map the leaf's edge test (_leaf_map) accepts or refuses.
+Isomorphism is decided by the one backtrack of the package (_backtrack),
+on two relations given as masks, ``up`` and ``down`` per vertex, and one
+signature per vertex: poset_isomorphism runs it on the order masks with
+each element's (|down|, |up|), and latcut.families.graph_isomorphic on
+CubeGraphs read into adjacency masks, passed as both, with each vertex's
+degree.  It places g's vertices one at a time, each next to as many placed
+ones as it can (_placement_order), on vertices of h that relate to the
+used ones exactly as the vertex to the placed ones, so a complete map is
+an isomorphism by construction.
 
 Instances are immutable by convention: every operation returns a new poset.
 Concurrent readers are safe because the only mutation ever performed is the
@@ -30,9 +23,6 @@ immutable relation.
 """
 
 from __future__ import annotations
-
-from itertools import groupby
-from operator import itemgetter
 
 from .bits import iter_bits, mask_of
 from .errors import CapacityExceeded, CycleDetected, DuplicateLabel, UnknownLabel
@@ -439,216 +429,119 @@ def ordinal_sum(p, q):
 # -- isomorphism ----------------------------------------------------------------
 
 
-def _refine(adj, n, colour, splitters=None):
-    """Refine the colouring ``colour`` of the disjoint union of two graphs,
-    g on the vertices 0..n-1 and h on n..2n-1 (``adj`` holds the union's
-    neighbour lists), towards the coarsest equitable partition that refines
-    it: any two vertices of one colour, in either graph, have equally many
-    neighbours of each colour.  The colouring uses each of the colours
-    0..k-1.  A colour is one cell of the union, so it means the same in g
-    and h by construction.
+def _placement_order(up, down, sig):
+    """The order in which the backtrack places the vertices of one graph
+    (``up`` and ``down`` its relation masks, ``sig`` its signatures): each
+    time, the unplaced vertex with the most placed neighbours, then the
+    rarest signature among the vertices, then the lowest index.  So each
+    vertex but the first of its component lands next to placed ones, and a
+    vertex with no placed neighbour comes only once the placed vertices
+    make up whole components.  Placing breadth first instead, from the
+    rarest signature and each vertex's neighbours rarest first, took 32 s
+    on the covering graph of F(crown(12)) against the Lucas cube, on a
+    2-vCPU VM under CPython 3.11, where this order takes 3 ms.
 
-    Each cell is a list of its vertices.  A stack holds the splitter cells:
-    every colour, or only those named in ``splitters`` when each cell
-    already has equal counts into every other one.  For the popped cell,
-    each vertex counts its neighbours inside it (_count_parts), and every
-    cell that a count touches splits by count, in ascending count order:
-    the first part keeps the cell's colour and the others take new ones,
-    each appended as its own list, and the split cell is re-filtered to the
-    vertices that kept its colour.  When the split cell was still queued
-    its new parts are pushed; otherwise every part but the largest, since
-    the counts into that one follow from those into the cell and the other
-    parts.
-
-    The refinement stops at the first colouring with n colours, or when the
-    stack is empty, so every colouring it returns with fewer colours is
-    equitable.  At n colours, if each holds one vertex of g and one of h,
-    the colouring is discrete, and it is equitable exactly when its pair
-    map is an isomorphism: further splits could only refute that map, and
-    _leaf_map's edge test decides it.  Past n colours some colour holds a
-    single vertex.
-
-    Returns (colours, the number of vertices of each colour), or None when
-    some colour holds unequally many vertices of g and of h.  One comparison of the two
-    graphs' sorted colours, at the end, refuses whatever a comparison at
-    every pop would: a split divides its cell's surplus of g vertices among
-    its parts, so a cell unbalanced at any pop leaves an unbalanced cell in
-    every later colouring.  The argument is left unchanged.
-
-    A refinement costs about the degree sums of the cells it pops plus the
-    sizes of the cells it splits."""
-    colour = list(colour)
-    cells = [[] for _ in range(max(colour, default=-1) + 1)]
-    for v, c in enumerate(colour):
-        cells[c].append(v)
-    stack = list(range(len(cells))) if splitters is None else list(splitters)
-    queued = set(stack)
-    tally = [0] * len(colour)
-    while stack and len(cells) < n:
-        s = stack.pop()
-        queued.discard(s)
-        parts = _count_parts(adj, colour, cells[s], tally)
-        # a cell splits exactly when its parts are smaller than it is
-        split = sorted(key for key, part in parts.items()
-                       if len(part) < len(cells[key[0]]))
-        for cell, keys in groupby(split, itemgetter(0)):
-            keys = list(keys)
-            members = cells[cell]
-            if sum(len(parts[key]) for key in keys) == len(members):
-                del keys[0]     # every member counted: the lowest count stays
-            first = len(cells)
-            for c, key in enumerate(keys, first):
-                for v in parts[key]:
-                    colour[v] = c
-                cells.append(parts[key])
-            cells[cell] = [v for v in members if colour[v] == cell]
-            if cell in queued:
-                new = range(first, len(cells))
-            else:
-                new = [cell, *range(first, len(cells))]
-                new.remove(max(new, key=lambda c: len(cells[c])))
-            queued.update(new)
-            stack.extend(new)
-    if sorted(colour[:n]) != sorted(colour[n:]):
-        return None
-    return colour, [len(cell) for cell in cells]
+    ``level`` maps a count of placed neighbours to the mask of the
+    unplaced vertices with that count, and ``classes`` holds the masks of
+    equally rare signatures, rarest first, so a placement costs a few mask
+    operations per count in use, not one per neighbour."""
+    rare = {}
+    for s in sig:
+        rare[s] = rare.get(s, 0) + 1
+    by_rarity = {}
+    for v, s in enumerate(sig):
+        by_rarity[rare[s]] = by_rarity.get(rare[s], 0) | 1 << v
+    classes = [by_rarity[r] for r in sorted(by_rarity)]
+    level = {0: (1 << len(sig)) - 1}
+    order = []
+    for _ in sig:
+        top = level[max(level)]
+        pick = next(top & c for c in classes if top & c)
+        low = pick & -pick
+        v = low.bit_length() - 1
+        order.append(v)
+        near = up[v] | down[v]
+        moved = {}
+        for c, m in level.items():
+            m &= ~low
+            for c, m in (c, m & ~near), (c + 1, m & near):
+                if m:
+                    moved[c] = moved.get(c, 0) | m
+        level = moved
+    return order
 
 
-def _count_parts(adj, colour, splitter, tally):
-    """The vertices with a neighbour in ``splitter``, as lists keyed by
-    (their colour, their number of neighbours in it).  ``tally``, one zero
-    per vertex, counts and is left all zeros again."""
-    touched = []
-    for u in splitter:
-        for x in adj[u]:
-            if tally[x]:
-                tally[x] += 1
-            else:
-                tally[x] = 1
-                touched.append(x)
-    parts = {}
-    for x in touched:
-        key = colour[x], tally[x]
-        tally[x] = 0
-        part = parts.get(key)
-        if part is None:
-            parts[key] = [x]
-        else:
-            part.append(x)
-    return parts
+def _backtrack(up_g, down_g, up_h, down_h, sig_g, sig_h):
+    """An isomorphism between two relations on the vertices 0..n-1, or
+    None: the list f with vertex v of g sent to f[v] of h.  ``up_g[v]`` and
+    ``down_g[v]`` are masks of the vertices above and below v (for an
+    undirected graph, its neighbours twice), and the same for h.  Each
+    vertex's signature, one sortable and hashable value, must fix how many
+    vertices lie above and below it; an isomorphism keeps it.
 
+    Graphs of different sizes or sorted signatures are refused at once.
+    Then g's vertices are placed one at a time in _placement_order.  A
+    vertex v may go to an unused vertex w of h with v's signature that
+    lies above the images of v's placed vertices below, and below the
+    images of those above, and that has as many used vertices below and
+    above as v has placed ones.  So w relates to the used vertices exactly
+    as v to the placed ones, and a complete map is an isomorphism by
+    construction.  When v has no candidate the search takes back the last
+    placement and tries its next candidate, lowest index first, on a stack
+    of its own, so its depth is not bounded by Python's recursion limit.
 
-def _leaf_map(adj_g, adj_h, colour):
-    """At a discrete colouring of g ⊔ h, map each vertex of g to the vertex
-    of h with its colour; returns that map as a list if every edge of g
-    lands on an edge of h, else None.  h's neighbours are read into sets
-    here, once per leaf, and every edge of g is looked up in them.
+    When v has no placed neighbour, the placed vertices make up whole
+    components of g, and their images, whose signatures count all their
+    neighbours, make up whole components of h.  g is isomorphic to h
+    exactly when the rest of g is to the rest of h, since finite graphs
+    cancel common components, whichever images were chosen.  So the stack
+    is dropped there, and a new component that cannot be placed ends the
+    search.
 
-    This test decides the leaf.  _refine stops at its first discrete
-    colouring, before the splits that would refute a pair map that is not
-    an isomorphism, so the search hands this function colourings that are
-    not equitable."""
-    n = len(adj_g)
-    vertex_of = [0] * n
-    for w, c in enumerate(colour[n:]):
-        vertex_of[c] = w
-    f = [vertex_of[c] for c in colour[:n]]
-    near_h = list(map(set, adj_h))
-    if all(f[b] in near_h[f[a]] for a, nbrs in enumerate(adj_g) for b in nbrs):
-        return f
-    return None
-
-
-def _search(adj_g, adj_h, sig_g, sig_h):
-    """An isomorphism between two undirected graphs, given as neighbour
-    lists, that keeps the vertex signatures ``sig_g``/``sig_h``, one
-    sortable, hashable value per vertex: the list f with vertex v of g sent
-    to f[v] of h, or None when there is none.
-
-    Before any refinement it returns None when the graphs' vertex counts,
-    their edge counts (the sums of the neighbour lists' lengths) or their
-    sorted signatures differ, since every isomorphism keeps all three.
-    Each vertex then starts with the rank of its signature among the
-    distinct signatures.
-
-    Individualization-refinement, the method behind nauty (McKay and
-    Piperno, J. Symb. Comput. 60, 2014), on the disjoint union g ⊔ h, with
-    g's vertices at 0..n-1 and h's at n..2n-1.  The union's starting
-    colouring is refined to its coarsest equitable partition, or until it
-    is discrete (see _refine).  While a cell holds more than one vertex of
-    each graph, the first vertex v of g in the largest such cell, ties
-    going to the lowest colour, is given a fresh colour together with each
-    vertex w of h in that cell in turn, and the search refines and
-    descends, backtracking over every w.  A large cell is where one
-    individualization splits off the most: on the Lucas cube of crown(12)
-    it is an orbit of all 24 automorphisms, and the search refines twice.
-    Such a node refines from its one new cell {v, w} alone: the colouring
-    it came from was not discrete, so it was equitable, and the counts into
-    the rest of the old cell follow from those into the cell and into the
-    new one.  A discrete colouring, one vertex of each graph per colour, is
-    accepted only when the colour-to-colour map sends every edge of g to an
-    edge of h (see _leaf_map), which, the edge counts being equal, is an
-    isomorphism.  So a map comes with a certificate and None follows an
-    exhaustive search.  The worst case is exponential; the depth is at most
-    the number of vertices, and the search keeps its own stack rather than
-    recursing.
-
-    So the refinements of one search are capped, at n^3, the first one
-    included; past the cap it raises CapacityExceeded.  The cap is declared,
-    not derived.  A search that never backtracks refines at most n times,
-    since each refinement adds a colour, and one that finds no map and
-    refutes every branch within three individualizations at most
-    1 + n + n(n-1) + n(n-1)(n-2) times, 1,465 at n = 12.  The most measured
-    over the domains of the graph tests, in both argument orders and with
-    g's components in every order, is 769, at n = 12: two triangles and a
-    hexagon, the triangles first, against four triangles.  Refinement
-    cannot tell a hexagon from two triangles, so the search tries each of
-    h's 12 vertices for g's first triangle, then each of the 9 left for its
-    second, and fails on the hexagon against each of the 6 after:
-    1 + 12 + 12*9 + 12*9*6.  The class catalog needs at most 6, at n = 7.
-    The search prunes no automorphic branches, so k components that
-    refinement cannot tell apart cost about n^k refinements, and from four
-    of them a pair can be refused rather than answered: three triangles and
-    a hexagon, the triangles first, against five triangles pass the cap of
-    3,375 at n = 15, though the hexagon first or third is answered.
+    The placements of one search are capped at n^3; past the cap it raises
+    CapacityExceeded.  The cap is declared, not derived.  A search that
+    never takes a placement back places n vertices.
     """
-    n = len(adj_g)
-    if (n != len(adj_h) or sorted(sig_g) != sorted(sig_h)
-            or sum(map(len, adj_g)) != sum(map(len, adj_h))):
+    n = len(up_g)
+    if n != len(up_h) or sorted(sig_g) != sorted(sig_h):
         return None
-    rank = {s: c for c, s in enumerate(sorted(set(sig_g)))}
-    adj = [*adj_g, *[[x + n for x in nbrs] for nbrs in adj_h]]
-    stack = []      # (colours, v, fresh colour, the w left)
-    coloured = _refine(adj, n, [rank[s] for s in (*sig_g, *sig_h)])
-    refinements, cap = 1, n ** 3
-    while True:
-        if coloured is not None:
-            colour, size = coloured
-            count = len(size)
-            if count == n:
-                f = _leaf_map(adj_g, adj_h, colour)
-                if f is not None:
-                    return f
-            else:
-                cell = max(range(count), key=size.__getitem__)
-                stack.append((colour, colour.index(cell), count,
-                              iter([w for w in range(n, 2 * n)
-                                    if colour[w] == cell])))
-        while stack:
-            colour, v, fresh, ws = stack[-1]
-            w = next(ws, None)
-            if w is not None:
-                break
-            stack.pop()
-        else:
-            return None
-        if refinements == cap:
+    alike = {}
+    for w, s in enumerate(sig_h):
+        alike[s] = alike.get(s, 0) | 1 << w
+    order = _placement_order(up_g, down_g, sig_g)
+    f = [0] * n
+    placed = used = 0
+    stack = []          # (v, its candidates left), since the last drop
+    placements, cap, d = 0, n ** 3, 0
+    while d < n:
+        v = order[d]
+        below, above = down_g[v] & placed, up_g[v] & placed
+        if not below | above:
+            stack.clear()
+        fit = alike[sig_g[v]] & ~used
+        for u in iter_bits(below | above):
+            fit &= up_h[f[u]] if below >> u & 1 else down_h[f[u]]
+        left = mask_of(w for w in iter_bits(fit)
+                       if (down_h[w] & used).bit_count() == below.bit_count()
+                       and (up_h[w] & used).bit_count() == above.bit_count())
+        while not left:
+            if not stack:
+                return None
+            v, left = stack.pop()
+            d -= 1
+            placed ^= 1 << v
+            used ^= 1 << f[v]
+        placements += 1
+        if placements > cap:
             raise CapacityExceeded("isomorphism search capped at %d "
-                                   "refinements on %d vertices" % (cap, n))
-        refinements += 1
-        colour = colour.copy()
-        colour[v] = colour[w] = fresh
-        coloured = _refine(adj, n, colour, [fresh])
+                                   "placements on %d vertices" % (cap, n))
+        low = left & -left
+        stack.append((v, left ^ low))
+        f[v] = low.bit_length() - 1
+        placed |= 1 << v
+        used |= low
+        d += 1
+    return f
 
 
 def _profile(p):
@@ -656,30 +549,16 @@ def _profile(p):
     return [(d.bit_count(), u.bit_count()) for d, u in zip(p.down, p.up)]
 
 
-def _adjacency(n, edges):
-    """Neighbour lists on the vertices 0..n-1 of the undirected graph with
-    these (a, b) edges: each edge is listed at both of its ends."""
-    adj = [[] for _ in range(n)]
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    return adj
-
-
 def poset_isomorphism(p, q):
     """An order isomorphism as a label mapping, or None.
 
-    _search looks for a map between the undirected cover graphs that keeps
-    each element's (|down i|, |up i|) profile, and refuses at once posets
-    whose sizes, cover counts or sorted profiles differ.  That map is an
-    order isomorphism: if a < b then |down a| < |down b|, so a cover a < b,
-    sent to an edge of q's cover graph with |down f(a)| < |down f(b)|,
-    lands on the cover f(a) < f(b); with equal cover counts the covers
-    correspond one to one, and the order is their transitive closure.  A
-    search past its cap of refinements raises CapacityExceeded.
+    _backtrack looks for a map between the strict orders that keeps each
+    element's (|down i|, |up i|) profile, and refuses at once posets whose
+    sizes or sorted profiles differ.  Every map it returns keeps < in both
+    directions.  A search past its cap of placements raises
+    CapacityExceeded.
     """
-    f = _search(_adjacency(p.n, p.cover_masks()),
-                _adjacency(q.n, q.cover_masks()), _profile(p), _profile(q))
+    f = _backtrack(p.up, p.down, q.up, q.down, _profile(p), _profile(q))
     if f is None:
         return None
     return {p.labels[i]: q.labels[f[i]] for i in range(p.n)}

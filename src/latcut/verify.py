@@ -51,9 +51,9 @@ topic, and the pass goes on; only CapacityExceeded stops it, as a refusal.
 A pooled lattice too large for the vote or its expansions is refused before
 either, and before its cuttings are listed when the 2|L| - 1 that hold its
 bottom or top already make it too large.  A listed cutting with no
-expansion, or an isomorphism search past its bound, met while the
-exhaustive pool grows, stops the run with AssertionError, which the CLI
-reports on one line with exit 1.
+expansion, or an isomorphism backtrack past its cap of placements, met
+while the exhaustive pool grows, stops the run with AssertionError, which
+the CLI reports on one line with exit 1.
 """
 
 from __future__ import annotations

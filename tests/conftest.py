@@ -4,6 +4,7 @@ import pytest
 from hypothesis import strategies as st
 
 import latcut.expansion
+import latcut.poset
 from latcut import Poset
 
 _ACCEPTANCE_LINES = []
@@ -71,3 +72,20 @@ def negated_star(monkeypatch):
     monkeypatch.setattr(latcut.expansion, "_CRITERIA", tuple(
         (name, (lambda lat, k, c=c: not c(lat, k)) if name == "star" else c)
         for name, c in latcut.expansion._CRITERIA))
+
+
+@pytest.fixture
+def placement_passes(monkeypatch):
+    """A one-element list counting the passes of the isomorphism
+    backtrack's loop.  Each pass reads the placement order once and places
+    one vertex, but the pass that ends a search with no map places none."""
+    reads, order = [0], latcut.poset._placement_order
+
+    class Counted(list):
+        def __getitem__(self, d):
+            reads[0] += 1
+            return list.__getitem__(self, d)
+
+    monkeypatch.setattr(latcut.poset, "_placement_order",
+                        lambda *args: Counted(order(*args)))
+    return reads

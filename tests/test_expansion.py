@@ -138,8 +138,8 @@ def test_the_star_criterion_is_the_candidate_test_and_runs_no_search(
 
     pool = [filter_lattice(p) for n in range(6) for p in posets_up_to_iso(n)]
     calls = []
-    real = poset._search
-    monkeypatch.setattr(poset, "_search",
+    real = poset._backtrack
+    monkeypatch.setattr(poset, "_backtrack",
                         lambda *args: calls.append(args) or real(*args))
     intervals = 0
     for lat in pool:

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import posets
 from latcut import (CapacityExceeded, CubeGraph, DistLattice, FamilyReport,
                     OddSize, antichain, chain, cover_cube, crown, decompose,
                     fence, fib, fibonacci_cube, filter_lattice,
@@ -170,6 +169,15 @@ def test_cube_caps_are_exact():
 
 
 @pytest.mark.parametrize("kind", ["fibonacci", "lucas"])
+def test_the_cube_of_dimension_0_fits_a_cap_of_1(kind, capsys):
+    # The empty string alone, for the Lucas cube too, though L(0) = 2.
+    assert fibonacci_cube(0, cap=1).vertex_count == 1
+    assert lucas_cube(0, cap=1).vertex_count == 1
+    assert cli_run(["cube", kind, "0", "--cap", "1"]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("kind", ["fibonacci", "lucas"])
 def test_cli_cube_refuses_beyond_the_cap_at_once(kind, capsys):
     t0 = time.perf_counter()
     code = cli_run(["cube", kind, "60", "--cap", "1000"])
@@ -195,26 +203,38 @@ def test_graph_isomorphism_edges_and_caps(monkeypatch):
     assert graph_isomorphic(g, g)
     triangle = _graph([("a", "b"), ("b", "c"), ("a", "c")])
     assert not graph_isomorphic(g, triangle)
-    # _search itself refuses, before any refinement, graphs that no map
-    # joins: an edgeless pair against an edge, unequal vertex counts, and
-    # equal edge counts with different signature multisets.
-    monkeypatch.setattr(poset, "_refine",
-                        lambda *args: pytest.fail("refined"))
-    for args in (([[], []], [[1], [0]], [0, 1], [0, 1]),
-                 ([[]], [[], []], [0], [0, 0]),
-                 ([[1], [0], []], [[], [2], [1]], [0, 0, 1], [0, 1, 1])):
-        assert poset._search(*args) is None
+    # A 4-cycle with a pendant vertex and a triangle with a pendant path
+    # share a degree sequence.
+    c4_pendant = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)]
+    triangle_path = [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4)]
+    assert not graph_isomorphic(_graph(c4_pendant), _graph(triangle_path))
+    # The backtrack itself refuses, before it orders any vertex, graphs
+    # that no map joins: unequal vertex counts, and an edgeless pair
+    # against an edge, whose degree multisets differ.
+    monkeypatch.setattr(poset, "_placement_order",
+                        lambda *args: pytest.fail("placed"))
+    for near_g, near_h in (([0], [0, 0]), ([0, 0], [0b10, 0b01])):
+        sig_g, sig_h = ([m.bit_count() for m in near]
+                        for near in (near_g, near_h))
+        assert poset._backtrack(near_g, near_g, near_h, near_h,
+                                sig_g, sig_h) is None
     # 610 vertices, past GRAPH_ISO_CAP: refused before either graph is
     # read, whichever side is over the cap.
     big = fibonacci_cube(13)
-    monkeypatch.setattr(families, "_search",
+    monkeypatch.setattr(families, "_backtrack",
                         lambda *args: pytest.fail("searched past the cap"))
-    monkeypatch.setattr(families, "_read_graph",
-                        lambda g: pytest.fail("read a graph past the cap"))
-    for pair in ((big, big), (g, big), (big, g)):
+    unread = dataclasses.replace(big, edges=_Unread())
+    for pair in ((big, unread), (g, unread), (unread, g)):
         with pytest.raises(CapacityExceeded,
                            match="graph isomorphism capped at 400 vertices"):
             graph_isomorphic(*pair)
+
+
+class _Unread(tuple):
+    """An edge tuple that fails the test when anything iterates it."""
+
+    def __iter__(self):
+        pytest.fail("read a graph past the cap")
 
 
 # -- graph isomorphism against networkx --------------------------------------------
@@ -292,8 +312,10 @@ def test_search_maps_keep_edges_on_equal_degree_sequences(g, swaps, rng):
     """A random graph against a relabelled copy after up to ``swaps``
     degree-preserving double-edge swaps: equal degree sequences, isomorphic
     or not.  graph_isomorphic gives networkx's verdict, and a map that
-    _search returns is a bijection that sends the edges of g onto those of
-    h."""
+    the backtrack returns is a bijection that sends the edges of g onto
+    those of h.  Tuple signatures, as _profile gives, place exactly as the
+    degrees they stand for: only their equality and how often each occurs
+    choose the placements."""
     h = _relabelled(g, rng)
     if g.number_of_edges() >= 2 and g.number_of_nodes() >= 4:
         with contextlib.suppress(nx.NetworkXAlgorithmError):
@@ -302,17 +324,33 @@ def test_search_maps_keep_edges_on_equal_degree_sequences(g, swaps, rng):
     g_cube, h_cube = _graph(g.edges, g.nodes), _graph(h.edges, h.nodes)
     want = nx.is_isomorphic(g, h)
     assert graph_isomorphic(g_cube, h_cube) == want
-    adj_g, adj_h = map(families._read_graph, (g_cube, h_cube))
-    deg_g, deg_h = list(map(len, adj_g)), list(map(len, adj_h))
+    adj_g, adj_h = _neighbour_lists(g), _neighbour_lists(h)
+    near_g, near_h = _masks(adj_g), _masks(adj_h)
+    deg_g, deg_h = ([m.bit_count() for m in near] for near in (near_g, near_h))
     assert sorted(deg_g) == sorted(deg_h)
-    f = poset._search(adj_g, adj_h, deg_g, deg_h)
+    f = poset._backtrack(near_g, near_g, near_h, near_h, deg_g, deg_h)
     assert (f is not None) == want
+    assert f == poset._backtrack(near_g, near_g, near_h, near_h,
+                                 [(d, d) for d in deg_g],
+                                 [(d, d) for d in deg_h])
     if f is not None:
         assert sorted(f) == list(range(len(adj_g)))
         assert ({frozenset((f[a], f[b])) for a, nbrs in enumerate(adj_g)
                  for b in nbrs}
                 == {frozenset((a, b)) for a, nbrs in enumerate(adj_h)
                     for b in nbrs})
+
+
+def _neighbour_lists(g):
+    """The neighbours of each node of networkx graph ``g`` as positions in
+    g.nodes()."""
+    index = {x: i for i, x in enumerate(g.nodes())}
+    return [[index[x] for x in g[v]] for v in g.nodes()]
+
+
+def _masks(adj):
+    """Neighbour lists as one neighbour mask per vertex."""
+    return [sum(1 << x for x in nbrs) for nbrs in adj]
 
 
 def _agrees_on_regular_pairs(degree, sizes, seeds, rng):
@@ -340,8 +378,9 @@ def test_graph_isomorphic_agrees_with_networkx_on_4_regular_graphs():
 
 def test_graph_isomorphic_refuses_a_switched_lucas_cube():
     """One degree-preserving 2-switch of the Lucas cube of crown(8) that
-    colour refinement cannot refute, so the search must exhaust its
-    candidates to say no."""
+    colour refinement cannot refute (the full-round oracle leaves it
+    unrefuted from one colour), so the search must exhaust its candidates
+    to say no."""
     g = cover_cube(filter_lattice(crown(8)))
     switch = {tuple(map(_code, old)): tuple(map(_code, new)) for old, new in (
         (("00000001", "00000101"), ("00000001", "00001010")),
@@ -351,150 +390,10 @@ def test_graph_isomorphic_refuses_a_switched_lucas_cube():
     assert sum(tuple(sorted(e)) in switch for e in cube.edges) == 2
     assert graph_isomorphic(g, cube)
     assert not nx.is_isomorphic(nx.Graph(list(g.edges)), nx.Graph(edges))
-    adj_g = families._read_graph(g)
-    adj_h = families._read_graph(_graph(edges))
-    n = len(adj_g)
-    assert _refine_pair(adj_g, adj_h, [0] * n, [0] * n) is not None
+    adj_g, adj_h = (_neighbour_lists(nx.Graph(e)) for e in (g.edges, edges))
+    start = [0] * len(adj_g)
+    assert oracles.refine_by_signatures(adj_g, adj_h, start, start) is not None
     assert not graph_isomorphic(g, _graph(edges))
-
-
-@st.composite
-def coloured_graphs(draw):
-    """Neighbour sets with starting colours 0..k-1: a random graph, or the
-    cover graph of a random poset."""
-    if draw(st.booleans()):
-        g = draw(small_graphs())
-        adj = [set(g[v]) for v in range(g.number_of_nodes())]
-    else:
-        p = draw(posets(max_n=8))
-        adj = poset._adjacency(p.n, p.cover_masks())
-    raw = draw(st.lists(st.integers(min_value=0, max_value=2),
-                        min_size=len(adj), max_size=len(adj)))
-    rank = {c: i for i, c in enumerate(sorted(set(raw)))}
-    return adj, [rank[c] for c in raw]
-
-
-def _cells(coloured):
-    """The partition of the vertices of both graphs, ("g", v) and
-    ("h", w), into colour classes."""
-    cg, ch, _ = coloured
-    cells = {}
-    for side, colours in (("g", cg), ("h", ch)):
-        for v, c in enumerate(colours):
-            cells.setdefault(c, set()).add((side, v))
-    return {frozenset(cell) for cell in cells.values()}
-
-
-def _equitable(adj_g, adj_h, coloured):
-    """Any two vertices of one colour, in either graph, have the same
-    multiset of neighbour colours."""
-    cg, ch, _ = coloured
-    seen = {}
-    for adj, colours in ((adj_g, cg), (adj_h, ch)):
-        for v, nbrs in enumerate(adj):
-            around = sorted(colours[x] for x in nbrs)
-            if seen.setdefault(colours[v], around) != around:
-                return False
-    return True
-
-
-def _refine_pair(adj_g, adj_h, cg, ch, *splitters):
-    """poset._refine on the disjoint union g ⊔ h, with h's vertices after
-    g's, and its answer split back into (colours of g, colours of h,
-    number of colours), or None.  The colouring passed in is left
-    unchanged, and the sizes returned, which _search reads to pick its
-    cell, count each colour's vertices."""
-    n = len(adj_g)
-    union = [*adj_g, *([x + n for x in nbrs] for nbrs in adj_h)]
-    start = [*cg, *ch]
-    got = poset._refine(union, n, start, *splitters)
-    assert start == [*cg, *ch]
-    if got is None:
-        return None
-    colour, size = got
-    assert size == [colour.count(c)
-                    for c in range(max(colour, default=-1) + 1)]
-    return colour[:n], colour[n:], len(size)
-
-
-def _refines_as_the_oracle(adj_g, adj_h, cg, ch, *splitters):
-    """_refine's answer, after checking it against the oracle's: None for
-    both, or the same cells, equitable for both graphs together.  A
-    discrete answer, one vertex of each graph per colour, is where the
-    refinement stops without reaching equitability: its pair map is an
-    isomorphism, sending edges to edges (_leaf_map) between graphs of equal
-    edge counts, exactly when the oracle accepts, and then the cells are
-    the oracle's."""
-    got = _refine_pair(adj_g, adj_h, cg, ch, *splitters)
-    want = oracles.refine_by_signatures(adj_g, adj_h, cg, ch)
-    if got is not None and got[2] == len(adj_g):
-        leaf = poset._leaf_map(adj_g, adj_h, [*got[0], *got[1]])
-        iso = (leaf is not None
-               and sum(map(len, adj_g)) == sum(map(len, adj_h)))
-        assert iso == (want is not None)
-        if not iso:
-            return got
-    assert (got is None) == (want is None)
-    if got is not None:
-        assert _equitable(adj_g, adj_h, got)
-        assert _cells(got) == _cells(want)
-    return got
-
-
-def test_refinement_refuses_count_classes_of_unequal_size():
-    """A 4-cycle against a triangle beside an isolated vertex, from one
-    colour: both graphs' vertices count 2 neighbours in the cell, apart
-    from the isolated one, so only the sizes of the count classes differ."""
-    square = [{1, 3}, {0, 2}, {1, 3}, {0, 2}]
-    triangle = [{1, 2}, {0, 2}, {0, 1}, set()]
-    assert _refines_as_the_oracle(square, triangle, [0] * 4, [0] * 4) is None
-
-
-@settings(max_examples=200, deadline=None)
-@given(coloured_graphs(), st.randoms(use_true_random=False))
-def test_refinement_matches_the_signature_rounds(graph, rng):
-    """The splitter refinement against the full-round oracle, first on a
-    graph and a permuted copy.  Then, as the search does, one vertex of
-    each graph in one cell gets a fresh colour and the refinement starts
-    from that singleton alone, whether or not the two vertices correspond.
-    Last, against a random graph on as many vertices, which refinement
-    often refutes."""
-    adj_g, cg = graph
-    n = len(adj_g)
-    perm = list(range(n))
-    rng.shuffle(perm)
-    adj_h, ch = [None] * n, [None] * n
-    for v in range(n):
-        adj_h[perm[v]] = {perm[x] for x in adj_g[v]}
-        ch[perm[v]] = cg[v]
-    got = _refines_as_the_oracle(adj_g, adj_h, cg, ch)
-    assert got is not None
-    fine_g, fine_h, count = got
-    shared = [c for c in range(count) if fine_g.count(c) > 1]
-    if shared:
-        cell = rng.choice(shared)
-        fine_g, fine_h = fine_g.copy(), fine_h.copy()
-        fine_g[rng.choice([v for v in range(n) if fine_g[v] == cell])] = count
-        fine_h[rng.choice([w for w in range(n) if fine_h[w] == cell])] = count
-        _refines_as_the_oracle(adj_g, adj_h, fine_g, fine_h, [count])
-    other = [set() for _ in range(n)]
-    for a, b in combinations(range(n), 2):
-        if rng.random() < 0.5:
-            other[a].add(b)
-            other[b].add(a)
-    _refines_as_the_oracle(adj_g, other, cg, ch)
-
-
-def test_leaf_map_refuses_a_map_that_breaks_an_edge():
-    """The leaf certificate reads the edges themselves.  _refine stops at
-    its first discrete colouring of g ⊔ h, before it is equitable, so on
-    pairs that are not isomorphic this check is what refuses the search's
-    leaves (see test_search_maps_keep_edges_on_equal_degree_sequences);
-    here a discrete colouring of two 3-vertex paths sends the edge 1-2 of
-    g to 0-2 of h."""
-    path = [[1], [0, 2], [1]]
-    assert poset._leaf_map(path, path, [0, 1, 2, 0, 1, 2]) == [0, 1, 2]
-    assert poset._leaf_map(path, path, [0, 1, 2, 1, 0, 2]) is None
 
 
 def test_graph_isomorphic_backtracks_over_the_candidates():
@@ -511,21 +410,6 @@ def test_graph_isomorphic_backtracks_over_the_candidates():
         _graph(g), _graph(k33 + [(a + 6, b + 6) for a, b in k33]))
 
 
-def test_graph_isomorphic_refuses_by_refinement_alone(monkeypatch):
-    """A 4-cycle with a pendant vertex and a triangle with a pendant path
-    have one degree sequence; counting neighbours in the degree cells
-    tells them apart, because a colour means the same in both graphs, so
-    the search stops in its first refinement without individualizing a
-    vertex."""
-    refine, calls = poset._refine, []
-    monkeypatch.setattr(poset, "_refine",
-                        lambda *args: calls.append(args) or refine(*args))
-    c4_pendant = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)]
-    triangle_path = [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4)]
-    assert not graph_isomorphic(_graph(c4_pendant), _graph(triangle_path))
-    assert len(calls) == 1
-
-
 def test_graph_isomorphic_on_equal_degree_sequences():
     triangles = [((i, a), (i, (a + 1) % 3))
                  for i in range(40) for a in range(3)]
@@ -533,8 +417,8 @@ def test_graph_isomorphic_on_equal_degree_sequences():
                 for i in range(20) for a in range(6)]
     assert not graph_isomorphic(_graph(triangles), _graph(hexagons))
     assert not nx.is_isomorphic(nx.Graph(triangles), nx.Graph(hexagons))
-    # a pair whose search reaches discrete colourings that map some edge of
-    # g to a non-edge of h: only the edge check at the leaf refuses them
+    # one degree sequence, and no vertex of g is told from one of h before
+    # some of its neighbours are placed
     g = [(0, 1), (0, 4), (0, 5), (1, 2), (2, 3), (2, 6), (3, 4), (3, 6),
          (4, 5)]
     h = [(0, 1), (0, 3), (0, 5), (1, 2), (2, 4), (2, 6), (3, 4), (3, 6),
@@ -545,8 +429,9 @@ def test_graph_isomorphic_on_equal_degree_sequences():
 
 def test_graph_isomorphic_on_the_hypercube_q8():
     """cover_cube(F(antichain 8)) is Q8, whose colour refinement never splits
-    a cell: the search individualizes its way down.  The copy permutes the
-    coordinates and then renames the vertices at random."""
+    a cell: every vertex has degree 8, so only the placed neighbours guide
+    the backtrack.  The copy permutes the coordinates and then renames the
+    vertices at random."""
     q8 = cover_cube(filter_lattice(antichain(8)))
     perm = [3, 0, 6, 1, 7, 2, 5, 4]
     names = list(q8.vertices)
@@ -563,9 +448,9 @@ def test_graph_isomorphic_on_the_hypercube_q8():
     lambda n: [(2 * i, 2 * i + 1) for i in range(n // 2)],
 ], ids=["no-edges", "perfect-matching"])
 def test_graph_isomorphic_at_the_cap(edges_of):
-    """Graphs at the cap are searched to a discrete colouring one vertex at
-    a time, without recursion; one more vertex is refused before the
-    search."""
+    """Graphs at the cap are placed one vertex at a time, without
+    recursion, each component after the first on a dropped stack; one more
+    vertex is refused before the search."""
     rng = random.Random(400)
     perm = list(range(GRAPH_ISO_CAP))
     rng.shuffle(perm)
@@ -594,55 +479,64 @@ def _cycles(*lengths):
     return _graph(edges)
 
 
-def test_search_refinements_are_capped(monkeypatch, capsys):
-    """_search refines at most n^3 times.  Refinement cannot tell a hexagon
-    from two triangles, so two triangles and a hexagon, the triangles
-    first, against four triangles take the most refinements measured over
-    the domains of the graph tests: the search tries each of h's 12
-    vertices for g's first triangle, each of the 9 left for its second, and
-    each of the 6 after for the hexagon, 769 refinements at n = 12, under
-    the cap of 1,728.  In the other order it tries only the triangles of h
-    for each one of g, 175.  With three triangles before the hexagon, against
-    five triangles, the search goes one level deeper and passes the cap of
-    3,375 at n = 15, so it refuses a pair it could answer; with the hexagon
-    first or third it answers.  With a refinement that splits nothing, C6
-    against two triangles would try all 720 bijections, and
-    graph_isomorphic refuses at the cap instead.  A catalog search past its
-    cap fails as a check: verify exits 1."""
-    calls, refine = [], poset._refine
-    monkeypatch.setattr(poset, "_refine",
-                        lambda *args: calls.append(1) or refine(*args))
-    for g, h, count in ((_cycles(3, 3, 6), _cycles(3, 3, 3, 3), 769),
-                        (_cycles(3, 3, 3, 3), _cycles(3, 3, 6), 175)):
-        calls.clear()
+def _spiders(legs):
+    """Two graphs on one degree sequence, numbered hub first, then the legs'
+    inner vertices, then their feet: the spider whose ``legs`` legs have
+    two edges each, and the hub's star on as many inner vertices, two of
+    them joined, beside the other legs' feet and an edge that joins the
+    two feet left over."""
+    inner = range(1, legs + 1)
+    star = [(0, a) for a in inner]
+    feet = [(a, a + legs) for a in inner]
+    return _graph(star + feet), _graph(
+        star + [(1, 2), (legs + 1, legs + 2)] + feet[2:])
+
+
+def test_search_refinements_are_capped(monkeypatch, capsys,
+                                       placement_passes):
+    """The backtrack places at most n^3 vertices.  Two triangles and a
+    hexagon against four triangles, in either order, took 769 and 175
+    refinements of the search this backtrack replaced; it places 24
+    vertices.
+    Three triangles and a hexagon against five triangles passed that
+    search's cap of 3,375 refinements; the backtrack refuses the pair in
+    27 placements with the hexagon last and in 45 with it first.
+
+    Placing the legs' inner vertices of a spider takes no notice of its
+    feet, so on a spider with seven legs against its counterpart, which
+    only the joined inner vertices tell apart, the backtrack tries the
+    inner vertices in every order that misses one of the joined two,
+    and passes the cap of 3,375 at n = 15.  The pair in the other order,
+    which places the joined inner vertices right after the hub, is refused
+    after 8 placements.  A catalog search past its cap fails as a check:
+    verify exits 1."""
+    for g, h, count in ((_cycles(3, 3, 6), _cycles(3, 3, 3, 3), 25),
+                        (_cycles(3, 3, 3, 3), _cycles(3, 3, 6), 25),
+                        (_cycles(3, 3, 3, 6), _cycles(3, 3, 3, 3, 3), 28),
+                        (_cycles(6, 3, 3, 3), _cycles(3, 3, 3, 3, 3), 46)):
+        placement_passes[0] = 0
         assert not graph_isomorphic(g, h)
-        assert len(calls) == count <= 12 ** 3
-    for lengths in ((6, 3, 3, 3), (3, 3, 6, 3)):
-        assert not graph_isomorphic(_cycles(*lengths), _cycles(3, 3, 3, 3, 3))
+        assert placement_passes[0] == count
+    spider, other = _spiders(7)
+    placement_passes[0] = 0
+    assert not graph_isomorphic(other, spider)
+    assert placement_passes[0] == 9
     with pytest.raises(CapacityExceeded, match="^isomorphism search capped "
-                       "at 3375 refinements on 15 vertices$"):
-        graph_isomorphic(_cycles(3, 3, 3, 6), _cycles(3, 3, 3, 3, 3))
+                       "at 3375 placements on 15 vertices$"):
+        graph_isomorphic(spider, other)
 
-    def no_split(adj, n, colour, splitters=None):
-        return colour, [colour.count(c) for c in range(max(colour) + 1)]
+    def capped(up_g, *args):
+        raise CapacityExceeded("isomorphism search capped at %d placements "
+                               "on %d vertices" % (len(up_g) ** 3,
+                                                   len(up_g)))
 
-    monkeypatch.setattr(poset, "_refine", no_split)
-    with pytest.raises(CapacityExceeded, match="^isomorphism search capped "
-                       "at 216 refinements on 6 vertices$"):
-        graph_isomorphic(_cycles(6), _cycles(3, 3))
-
-    def capped(adj_g, *args):
-        raise CapacityExceeded("isomorphism search capped at %d refinements "
-                               "on %d vertices" % (len(adj_g) ** 3,
-                                                   len(adj_g)))
-
-    monkeypatch.setattr(poset, "_search", capped)
+    monkeypatch.setattr(poset, "_backtrack", capped)
     assert cli_run(["verify", "euler", "--trials", "0",
                     "--max-size", "4"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err == (
         "error: verified property failed: the catalog's isomorphism search "
-        "on 2 points: isomorphism search capped at 8 refinements on 2 "
+        "on 2 points: isomorphism search capped at 8 placements on 2 "
         "vertices\n")
 
 
@@ -728,98 +622,62 @@ def test_cube_checks_format_no_vertex_string(monkeypatch):
     assert len(made) == 3
 
 
-def test_read_graph_counts_parallel_and_reversed_edges_once():
+def test_read_graph_counts_parallel_and_reversed_edges_once(monkeypatch):
+    """graph_isomorphic reads each graph into one neighbour mask per vertex
+    and passes the degrees as the signatures."""
     g = _graph([("a", "b"), ("b", "a"), ("a", "b"), ("c", "b")])
-    adj = families._read_graph(g)
-    assert (list(map(sorted, adj)), sum(map(len, adj)) // 2) == (
-        [[1], [0, 2], [1]], 2)
-    assert graph_isomorphic(g, _graph([("x", "y"), ("y", "z")]))
-
-def test_graph_isomorphic_starts_from_the_degree_ranks(monkeypatch):
-    """Each vertex starts with the rank of its degree among the degrees of
-    both graphs: a path a-b-c-d against its copy listed from the middle.
-    Tuple signatures, as _profile gives, search exactly as their ranks
-    do: every refinement starts from the same colouring."""
-    seen, refine = [], poset._refine
-    monkeypatch.setattr(poset, "_refine", lambda adj, n, colour, *rest: (
-        seen.append(list(colour)) or refine(adj, n, colour, *rest)))
-    path = _graph([("a", "b"), ("b", "c"), ("c", "d")])
-    copy = _graph([("b", "c"), ("b", "a"), ("d", "c")], "bcad")
-    assert graph_isomorphic(path, copy)
-    assert seen[0] == [0, 1, 1, 0, 1, 1, 0, 0]
-    adj_g, adj_h = map(families._read_graph, (path, copy))
-    end, middle = (1, 2), (2, 1)
-    runs = []
-    for sig_g, sig_h in (([end, middle, middle, end],
-                          [middle, middle, end, end]),
-                         ([0, 1, 1, 0], [1, 1, 0, 0])):
-        seen.clear()
-        runs.append((poset._search(adj_g, adj_h, sig_g, sig_h), seen.copy()))
-    assert runs[0] == runs[1] and runs[0][0] is not None
+    path = _graph([("x", "y"), ("y", "z")])
+    assert graph_isomorphic(g, path)
+    assert not graph_isomorphic(g, _graph([("x", "y"), ("y", "z"),
+                                           ("z", "x")]))
+    seen = []
+    monkeypatch.setattr(families, "_backtrack",
+                        lambda *args: seen.append(args) or [0, 1, 2])
+    assert graph_isomorphic(g, path)
+    path_masks = [0b010, 0b101, 0b010]
+    assert seen == [(path_masks, path_masks, path_masks, path_masks,
+                     [1, 2, 1], [1, 2, 1])]
 
 
-@pytest.mark.parametrize("kind,k,calls_max,visits_max", [
-    ("fence", 12, 2, 94_176), ("crown", 12, 5, 192_240)])
-def test_cube_search_work_is_bounded(kind, k, calls_max, visits_max,
-                                     monkeypatch):
-    """A work ledger for graph_isomorphic on the covering graph of F(fence
-    (12)) against the Fibonacci cube (n = 377 vertices, m = 1,308 edges)
-    and of F(crown(12)) against the Lucas cube (n = 322, m = 1,068).
+@pytest.mark.parametrize("kind,placed", [("fence", 521), ("crown", 339)])
+def test_cube_search_placement_ledger(kind, placed, placement_passes):
+    """A placement ledger for graph_isomorphic on the covering graph of
+    F(fence(12)) against the Fibonacci cube (377 vertices) and of
+    F(crown(12)) against the Lucas cube (322 vertices).  A search that
+    finds a map places one vertex per pass: 521 and 339 placements, at
+    most 1.4 times the vertices, where the search this backtrack replaced
+    refined twice for each and popped 300 and 217 cells."""
+    p, model = ((fence(12), fibonacci_cube(12)) if kind == "fence"
+                else (crown(12), lucas_cube(12)))
+    assert graph_isomorphic(cover_cube(filter_lattice(p)), model)
+    assert placement_passes[0] == placed
 
-    Calls.  The first _refine starts from the degree ranks, and each
-    further one follows one individualization.  Every refinement but the
-    last runs to an equitable colouring, and on these graphs its cells are
-    the orbits of the automorphisms that fix the vertices individualized so
-    far, so the first candidate of every cell extends to an isomorphism,
-    the search never backtracks, and each individualization divides the
-    order of that group by its cell's size in g, at least 2.  So calls <= 1
-    + floor(log2 |Aut|): the Fibonacci cube's automorphisms are the
-    identity and the reversal of the strings (2 calls), and the Lucas
-    cube's the 24 rotations and reflections of the cyclic strings (1 +
-    floor(log2 24) = 5 calls).  Measured: 2 and 2, since the largest cell
-    of the Lucas cube is an orbit of all 24, and individualizing in it
-    leaves no automorphism.
 
-    Pops.  The search refines one colouring of the union g ⊔ h.  A pop
-    takes one pushed colour; a refinement pushes its starting colours, or
-    the one fresh colour, and then one colour for each colour it creates.
-    A path that ends in a discrete colouring without backtracking, one
-    vertex of each graph per colour, therefore pushes exactly n colours,
-    one per colour of the union.  Every refinement but the last empties its
-    stack; the last stops at its first discrete colouring, and the colours
-    that its last pop created are still on the stack.  So pops <= n - 1.
-    Measured: 300 and 217, which leaves 77 and 105 colours unpopped.
+def _rook_and_shrikhande():
+    """The 4x4 rook's graph and the Shrikhande graph, both on Z4 x Z4 and
+    6-regular: (a, b) and (c, d) are joined when they share a row or a
+    column, and when their difference is one of (0, ±1), (±1, 0) and
+    ±(1, 1)."""
+    cells = list(product(range(4), repeat=2))
+    steps = {(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)}
+    rook = [(x, y) for x, y in combinations(cells, 2)
+            if x[0] == y[0] or x[1] == y[1]]
+    shrikhande = [(x, y) for x, y in combinations(cells, 2)
+                  if ((x[0] - y[0]) % 4, (x[1] - y[1]) % 4) in steps]
+    return _graph(rook, cells), _graph(shrikhande, cells)
 
-    Neighbour visits.  In one refinement a vertex's neighbours are read
-    once for each popped cell that holds it.  It is popped at most once
-    from the starting stack; every later push puts it in a part that is
-    not the largest of its split cell, so into at most half that cell.  On
-    this path every cell holds as many vertices of g as of h, so a cell
-    shrinks from at most 2n to at least 2 vertices, and the vertex is
-    pushed at most floor(log2 n) = 8 times.  The union's degree sum is
-    2 * 2m, so over every call visits <= calls * 2 * 2m * 9: 2 * 5,232 * 9
-    = 94,176 and 5 * 4,272 * 9 = 192,240.  Measured: 7,232 and 8,098."""
-    calls, pops, visits = [0], [0], [0]
-    refine, count_parts = poset._refine, poset._count_parts
 
-    def counting_refine(*args):
-        calls[0] += 1
-        return refine(*args)
-
-    def counting_parts(adj, colour, splitter, tally):
-        pops[0] += 1
-        visits[0] += sum(len(adj[u]) for u in splitter)
-        return count_parts(adj, colour, splitter, tally)
-
-    monkeypatch.setattr(poset, "_refine", counting_refine)
-    monkeypatch.setattr(poset, "_count_parts", counting_parts)
-    p, model = ((fence(k), fibonacci_cube(k)) if kind == "fence"
-                else (crown(k), lucas_cube(k)))
-    g = cover_cube(filter_lattice(p))
-    assert graph_isomorphic(g, model)
-    assert calls[0] <= calls_max and pops[0] <= g.vertex_count - 1
-    assert visits[0] <= visits_max
-    assert (calls[0], pops[0]) == {"fence": (2, 300), "crown": (2, 217)}[kind]
+def test_the_rook_graph_is_not_the_shrikhande_graph():
+    """Both are strongly regular with the same parameters (16, 6, 2, 2), so
+    colour refinement splits nothing and every pair of adjacent vertices
+    has two common neighbours: only the placements tell them apart."""
+    rook, shrikhande = _rook_and_shrikhande()
+    assert rook.edge_count == shrikhande.edge_count == 48
+    assert not graph_isomorphic(rook, shrikhande)
+    assert not graph_isomorphic(shrikhande, rook)
+    # renumbered by the order in which the reversed edge list meets them
+    for g in rook, shrikhande:
+        assert graph_isomorphic(g, _graph([(v, u) for u, v in g.edges][::-1]))
 
 # -- deletion identities --------------------------------------------------------------
 
@@ -923,17 +781,17 @@ def test_lucas_suite_builds_no_crown_lattice(monkeypatch):
 def test_the_round_trip_and_the_family_reports_run_no_search(monkeypatch,
                                                             case):
     # Each check compares through a map it already has, so the
-    # isomorphism search never runs.  The pool is drawn before counting:
+    # isomorphism backtrack never runs.  The pool is drawn before counting:
     # posets_up_to_iso itself searches.
     pool = [p for n in range(6) for p in posets_up_to_iso(n)]
     calls = []
-    real = poset._search
+    real = poset._backtrack
 
     def counting(*args):
         calls.append(len(args[0]))
         return real(*args)
 
-    monkeypatch.setattr(poset, "_search", counting)
+    monkeypatch.setattr(poset, "_backtrack", counting)
     if case == "decompose":
         assert all(decompose(p, x).counts_ok for p in pool for x in p.labels)
     elif case == "fibonacci":

@@ -1,6 +1,7 @@
 """Poset core: construction, enumeration, derived posets, isomorphism."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -333,6 +334,23 @@ def test_two_crowns_are_not_one_crown():
                                 crown(24))
     assert poset_isomorphic(disjoint_union(crown(12), crown(12)),
                             disjoint_union(crown(12), crown(12)).dual())
+
+
+def test_a_crown_against_two_crowns_is_answered_at_once(placement_passes):
+    """crown(4k) against two crown(2k), both ways, for 2 <= k <= 8: one
+    degree sequence of the cover graphs and one profile per element, so
+    only placing tells the 4k-cycle of covers from the two 2k-cycles.
+    Placing in index order took 25-30 s at k = 5; next to the placed
+    elements, all fourteen searches take a few milliseconds, in 2,842
+    passes of the backtrack's loop.  Without the count of the used
+    elements above each candidate they took 2,982."""
+    t0 = time.perf_counter()
+    for k in range(2, 9):
+        one, two = crown(4 * k), disjoint_union(crown(2 * k), crown(2 * k))
+        assert poset_isomorphism(one, two) is None
+        assert poset_isomorphism(two, one) is None
+    assert time.perf_counter() - t0 < 1.0
+    assert placement_passes[0] == 2842
 
 
 def test_isomorphism_of_a_long_chain():

@@ -76,28 +76,25 @@ PLANTS = {
         "src/latcut/poset.py",
         "new = ((up[j] | down[j]) ^ flip) & rest\n",
         "new = (up[j] ^ flip) & rest\n"),
-    "refine-skips-balance-check": (
+    "backtrack-count-check-skips-up": (
         "src/latcut/poset.py",
-        "    if sorted(colour[:n]) != sorted(colour[n:]):\n        return None\n",
-        ""),
-    "leaf-map-skips-edge-test": (
+        "== below.bit_count()\n"
+        "                       and (up_h[w] & used).bit_count() "
+        "== above.bit_count())\n",
+        "== below.bit_count())\n"),
+    "backtrack-reuses-used-image": (
         "src/latcut/poset.py",
-        "    if all(f[b] in near_h[f[a]] for a, nbrs in enumerate(adj_g) "
-        "for b in nbrs):\n        return f\n    return None\n",
-        "    return f\n"),
-    "split-cell-keeps-moved-vertices": (
+        "fit = alike[sig_g[v]] & ~used\n",
+        "fit = alike[sig_g[v]]\n"),
+    "backtrack-drops-stack-a-vertex-early": (
         "src/latcut/poset.py",
-        "cells[cell] = [v for v in members if colour[v] == cell]\n",
-        "cells[cell] = members\n"),
-    "refine-stops-before-balance-check": (
+        "        if not below | above:\n            stack.clear()\n",
+        "        if not (up_g[v] | down_g[v]) & ~placed:\n"
+        "            stack.clear()\n"),
+    "placement-order-fewest-neighbours-first": (
         "src/latcut/poset.py",
-        "    if sorted(colour[:n]) != sorted(colour[n:]):\n",
-        "    if len(cells) < n and sorted(colour[:n]) != "
-        "sorted(colour[n:]):\n"),
-    "search-skips-edge-count": (
-        "src/latcut/poset.py",
-        "\n            or sum(map(len, adj_g)) != sum(map(len, adj_h))):\n",
-        "):\n"),
+        "top = level[max(level)]\n",
+        "top = level[min(level)]\n"),
     "histogram-down-count-at-f-or-y": (
         "src/latcut/invariants.py",
         "down[index_of[f ^ y]] += 1\n",
