@@ -439,12 +439,16 @@ def _placement_order(up, down, sig):
     make up whole components.  Placing breadth first instead, from the
     rarest signature and each vertex's neighbours rarest first, took 32 s
     on the covering graph of F(crown(12)) against the Lucas cube, on a
-    2-vCPU VM under CPython 3.11, where this order takes 3 ms.
+    2-vCPU VM under CPython 3.11, where the search in this order takes
+    2 ms.
 
-    ``level`` maps a count of placed neighbours to the mask of the
-    unplaced vertices with that count, and ``classes`` holds the masks of
-    equally rare signatures, rarest first, so a placement costs a few mask
-    operations per count in use, not one per neighbour."""
+    ``level`` maps each count of placed neighbours in use to the mask of
+    the unplaced vertices with that count, and ``classes`` holds the masks
+    of equally rare signatures, rarest first.  A placement takes its
+    vertex out of the top level, then walks the counts from the highest
+    down and moves each level's neighbours of the vertex up by one, in
+    place: a few mask operations per count in use, not one per
+    neighbour."""
     rare = {}
     for s in sig:
         rare[s] = rare.get(s, 0) + 1
@@ -455,19 +459,28 @@ def _placement_order(up, down, sig):
     level = {0: (1 << len(sig)) - 1}
     order = []
     for _ in sig:
-        top = level[max(level)]
-        pick = next(top & c for c in classes if top & c)
+        most = max(level)
+        top = level[most]
+        for c in classes:
+            pick = top & c
+            if pick:
+                break
         low = pick & -pick
         v = low.bit_length() - 1
         order.append(v)
+        if top == low:
+            del level[most]
+        else:
+            level[most] = top ^ low
         near = up[v] | down[v]
-        moved = {}
-        for c, m in level.items():
-            m &= ~low
-            for c, m in (c, m & ~near), (c + 1, m & near):
-                if m:
-                    moved[c] = moved.get(c, 0) | m
-        level = moved
+        for c in sorted(level, reverse=True):
+            m = level[c] & near
+            if m:
+                if level[c] == m:
+                    del level[c]
+                else:
+                    level[c] ^= m
+                level[c + 1] = level.get(c + 1, 0) | m
     return order
 
 
@@ -483,12 +496,17 @@ def _backtrack(up_g, down_g, up_h, down_h, sig_g, sig_h):
     Then g's vertices are placed one at a time in _placement_order.  A
     vertex v may go to an unused vertex w of h with v's signature that
     lies above the images of v's placed vertices below, and below the
-    images of those above, and that has as many used vertices below and
-    above as v has placed ones.  So w relates to the used vertices exactly
-    as v to the placed ones, and a complete map is an isomorphism by
-    construction.  When v has no candidate the search takes back the last
-    placement and tries its next candidate, lowest index first, on a stack
-    of its own, so its depth is not bounded by Python's recursion limit.
+    images of those above.  So a complete map sends each relation of g to
+    one of h, and the signatures make their counts equal: it is an
+    isomorphism by construction.  w must also have as many used vertices
+    below and above as v has placed ones, counted once for v and tested
+    per candidate, so that w relates to the used vertices exactly as v to
+    the placed ones.  That check prunes some searches, not all: without it
+    crown(4k) against two crown(2k), both ways for 2 <= k <= 8, takes
+    2,982 passes of the loop, not 2,842, and the cube searches as many.
+    When v has no candidate the search takes back the last placement and
+    tries its next candidate, lowest index first, on a stack of its own,
+    so its depth is not bounded by Python's recursion limit.
 
     When v has no placed neighbour, the placed vertices make up whole
     components of g, and their images, whose signatures count all their
@@ -516,14 +534,24 @@ def _backtrack(up_g, down_g, up_h, down_h, sig_g, sig_h):
     while d < n:
         v = order[d]
         below, above = down_g[v] & placed, up_g[v] & placed
-        if not below | above:
+        rest = below | above
+        if not rest:
             stack.clear()
         fit = alike[sig_g[v]] & ~used
-        for u in iter_bits(below | above):
-            fit &= up_h[f[u]] if below >> u & 1 else down_h[f[u]]
-        left = mask_of(w for w in iter_bits(fit)
-                       if (down_h[w] & used).bit_count() == below.bit_count()
-                       and (up_h[w] & used).bit_count() == above.bit_count())
+        while rest:
+            low = rest & -rest
+            u = low.bit_length() - 1
+            fit &= up_h[f[u]] if below & low else down_h[f[u]]
+            rest ^= low
+        n_below, n_above = below.bit_count(), above.bit_count()
+        left = 0
+        while fit:
+            low = fit & -fit
+            w = low.bit_length() - 1
+            if ((down_h[w] & used).bit_count() == n_below
+                    and (up_h[w] & used).bit_count() == n_above):
+                left |= low
+            fit ^= low
         while not left:
             if not stack:
                 return None

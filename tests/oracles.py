@@ -311,6 +311,26 @@ def refine_by_signatures(adj_g, adj_h, cg, ch):
         count = len(rank)
 
 
+def placement_order_by_scanning(up, down, sig):
+    """The order in which the isomorphism backtrack places the vertices of
+    one graph, by its definition: each time, a scan of every unplaced
+    vertex for the most placed neighbours, then the rarest signature among
+    all the vertices, then the lowest index.  Placing a vertex adds one to
+    the count of each unplaced neighbour, so the order takes O(n^2) steps."""
+    rarity = Counter(sig)
+    placed_near = [0] * len(sig)
+    unplaced = list(range(len(sig)))
+    order = []
+    while unplaced:
+        v = min(unplaced, key=lambda u: (-placed_near[u], rarity[sig[u]], u))
+        unplaced.remove(v)
+        order.append(v)
+        for u in unplaced:
+            if (up[v] | down[v]) >> u & 1:
+                placed_near[u] += 1
+    return order
+
+
 def down_covers(lat):
     """For each element, its lower covers, ascending: one pass over the
     minima lists a under F - y for each y in min F(a)."""

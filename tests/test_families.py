@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import posets
 from latcut import (CapacityExceeded, CubeGraph, DistLattice, FamilyReport,
                     OddSize, antichain, chain, cover_cube, crown, decompose,
                     fence, fib, fibonacci_cube, filter_lattice,
@@ -651,6 +652,39 @@ def test_cube_search_placement_ledger(kind, placed, placement_passes):
                 else (crown(12), lucas_cube(12)))
     assert graph_isomorphic(cover_cube(filter_lattice(p)), model)
     assert placement_passes[0] == placed
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(small_graphs(), regular_graphs()), posets(max_n=12))
+def test_placement_order_is_the_scan(g, p):
+    """The backtrack's placement order against the oracle's scan of every
+    unplaced vertex: on a random graph's neighbour masks, passed as both
+    relations with the degrees, and on a random poset's order masks with
+    its profiles.  The placement ledgers see a changed order only where it
+    changes a count."""
+    near = _masks(_neighbour_lists(g))
+    for up, down, sig in ((near, near, [m.bit_count() for m in near]),
+                          (p.up, p.down, poset._profile(p))):
+        assert (poset._placement_order(up, down, sig)
+                == oracles.placement_order_by_scanning(up, down, sig))
+
+
+@pytest.mark.parametrize("kind", ["fence", "crown", "chain"])
+def test_placement_order_is_the_scan_on_large_inputs(kind, monkeypatch):
+    """The same on the masks the backtrack is handed for the covering
+    graphs of F(fence(12)) and F(crown(12)), as graph_isomorphic reads
+    them, and for chain(1100), whose elements are all comparable."""
+    seen, order = [], poset._placement_order
+    monkeypatch.setattr(poset, "_placement_order",
+                        lambda *args: seen.append(args) or order(*args))
+    if kind == "chain":
+        assert poset.poset_isomorphic(chain(1100), chain(1100))
+    else:
+        p, model = ((fence(12), fibonacci_cube(12)) if kind == "fence"
+                    else (crown(12), lucas_cube(12)))
+        assert graph_isomorphic(cover_cube(filter_lattice(p)), model)
+    (args,) = seen
+    assert order(*args) == oracles.placement_order_by_scanning(*args)
 
 
 def _rook_and_shrikhande():

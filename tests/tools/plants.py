@@ -78,23 +78,22 @@ PLANTS = {
         "new = (up[j] ^ flip) & rest\n"),
     "backtrack-count-check-skips-up": (
         "src/latcut/poset.py",
-        "== below.bit_count()\n"
-        "                       and (up_h[w] & used).bit_count() "
-        "== above.bit_count())\n",
-        "== below.bit_count())\n"),
+        "== n_below\n"
+        "                    and (up_h[w] & used).bit_count() == n_above):\n",
+        "== n_below):\n"),
     "backtrack-reuses-used-image": (
         "src/latcut/poset.py",
         "fit = alike[sig_g[v]] & ~used\n",
         "fit = alike[sig_g[v]]\n"),
     "backtrack-drops-stack-a-vertex-early": (
         "src/latcut/poset.py",
-        "        if not below | above:\n            stack.clear()\n",
+        "        if not rest:\n            stack.clear()\n",
         "        if not (up_g[v] | down_g[v]) & ~placed:\n"
         "            stack.clear()\n"),
     "placement-order-fewest-neighbours-first": (
         "src/latcut/poset.py",
-        "top = level[max(level)]\n",
-        "top = level[min(level)]\n"),
+        "most = max(level)\n",
+        "most = min(level)\n"),
     "histogram-down-count-at-f-or-y": (
         "src/latcut/invariants.py",
         "down[index_of[f ^ y]] += 1\n",
