@@ -31,6 +31,7 @@ isomorphism search.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -176,7 +177,9 @@ def cuttings(lat):
     each.  Only the groups of the tops {y}, y maximal, have all of L as
     parent; any other was met at a T with T - y among its parent's tops.
     So at most |max P|*|L| + n*#cuttings containment tests, O(|L|) steps
-    for the bounds, and one sort of the pairs.
+    for the bounds, and one sort of the pairs.  A group's bottoms are kept
+    only while a child group is left to filter them: a parent is met
+    before its children, and its list goes once the last of them is done.
     """
     base = lat.base
     full, down = base.full_mask, base.down
@@ -199,14 +202,21 @@ def cuttings(lat):
         else:
             tops.append(t)
     outside = [full ^ f for f in filters]
+    children = Counter(parent.values())
     bottoms = {full: range(size)}
     keys = []
     for lo, tops in tops_by_lower.items():
-        if lo != full:
-            need = full ^ lo
-            bottoms[lo] = [a for a in bottoms[parent[lo]]
-                           if not outside[a] & need]
-        keys += [a * size + t for a in bottoms[lo] for t in tops]
+        if lo == full:
+            own = bottoms[full]
+        else:
+            up, need = parent[lo], full ^ lo
+            own = [a for a in bottoms[up] if not outside[a] & need]
+            children[up] -= 1
+            if not children[up]:
+                del bottoms[up]
+            if lo in children:
+                bottoms[lo] = own
+        keys += [a * size + t for a in own for t in tops]
     # bottom * size + top orders the pairs by bottom, then top.
     keys.sort()
     return [divmod(k, size) for k in keys]

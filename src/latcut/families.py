@@ -15,15 +15,16 @@ CubeGraph holds each string as its int code, bit i for character i as in
 Poset.bitstring, and only its edge_list_text makes the strings.  The cube
 builders generate the codes without two adjacent 1 bits directly, clear
 each 1 bit of each code and look the result up; cover_cube takes the
-lattice's filters as its codes and pairs them off the upper covers.  The
-verify suites certify the identification by the classical isomorphism
-(Gansner 1982), _zigzag_translate: flipping every other bit, one XOR per
-code, turns the filter condition on a zigzag into "no two adjacent 1s".
-graph_isomorphic is the general tool on two CubeGraphs: it refuses a graph
-past GRAPH_ISO_CAP before it reads either one, reads each once into
-adjacency masks and hands both, with the vertices' degrees as their
-signatures, to the placement backtrack of latcut.poset, which compares the
-two graphs' sizes and degree sequences itself.
+lattice's filters as its codes and pairs each F with F - y, y in min F,
+off the minima.  The verify suites certify the identification by the
+classical isomorphism (Gansner 1982), _zigzag_translate: flipping every
+other bit, one XOR per code, turns the filter condition on a zigzag into
+"no two adjacent 1s".  graph_isomorphic is the general tool on two
+CubeGraphs: it refuses a graph past GRAPH_ISO_CAP before it reads either
+one, reads each once into adjacency masks and hands both, with the
+vertices' degrees as their signatures, to the placement backtrack of
+latcut.poset, which compares the two graphs' sizes and degree sequences
+itself.
 
 Deleting element n from Z_{m+n-2} splits it into two smaller fences, and the
 induced convex expansion turns that into the identity
@@ -217,13 +218,19 @@ def cover_cube(lat):
     """Covering graph of a lattice as a CubeGraph on its filters, strings of
     length |base|; the empty base's one filter is the empty string.
 
-    Covers in a filter lattice drop exactly one element, so this really is
-    a Hamming-distance-1 graph.  An upper cover F - y of F is the smaller
-    code, so each cover edge (F, F - y) is read as (F - y, F).
+    The upper covers of F are the F - y, y in min F: each drops exactly
+    one element, so this really is a Hamming-distance-1 graph.  Each edge
+    is read off the minima as (F - y, F), the smaller code first, with no
+    cover tuple built and no index looked up.
     """
-    f = lat.filters
-    return CubeGraph(lat.base.n, tuple(sorted(f)), tuple(sorted(
-        [(f[b], f[a]) for a, b in lat.covering_graph()])))
+    edges = []
+    for f, m in zip(lat.filters, lat.minima):
+        while m:
+            low = m & -m
+            m ^= low
+            edges.append((f ^ low, f))
+    return CubeGraph(lat.base.n, tuple(sorted(lat.filters)),
+                     tuple(sorted(edges)))
 
 
 def _zigzag_translate(g):

@@ -183,7 +183,7 @@ class DistLattice:
 
     def covering_graph(self):
         """The cover edges as sorted (lower, upper) index pairs; the
-        ``lattice`` command, the DOT export and the cover cube read them."""
+        ``lattice`` command and the DOT export read them."""
         return [(a, b) for a in range(self.size) for b in self.up_covers[a]]
 
 

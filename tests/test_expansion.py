@@ -279,6 +279,45 @@ def test_cuttings_reads_each_row_a_bounded_number_of_times(name):
         assert count["tests"] <= 2 * lat.size + len(listed)
 
 
+def _most_bottom_lists_held(lat):
+    """``cuttings(lat)`` and the most entries its ``bottoms`` dict held at
+    once, read at each line it runs."""
+    most = [0]
+
+    def line(frame, event, arg):
+        held = frame.f_locals.get("bottoms")
+        if held is not None:
+            most[0] = max(most[0], len(held))
+        return line
+
+    def call(frame, event, arg):
+        return line if frame.f_code is cuttings.__code__ else None
+
+    old = sys.gettrace()
+    sys.settrace(call)
+    try:
+        listed = cuttings(lat)
+    finally:
+        sys.settrace(old)
+    return listed, most[0]
+
+
+@pytest.mark.parametrize("name, want", [
+    # A chain's groups form one path, each the only child of the one
+    # before, so a parent's list goes as soon as its child has filtered it:
+    # one list at a time.  Keeping every list until the listing ends held
+    # one per group, in this order 61, 201, 62, 62, 89, 2, 12, 16, 14, 18.
+    ("chain60", 1), ("chain200+antichain6", 1), ("chain60<antichain6", 1),
+    ("antichain6<chain60", 1), ("chain30^3", 4), ("antichain8", 1),
+    ("fence12", 5), ("fence16", 7), ("crown12", 6), ("crown16", 8),
+])
+def test_cuttings_drops_a_bottom_list_after_its_last_child(name, want):
+    lat = filter_lattice(_NAMED_POSETS[name]())
+    listed, most = _most_bottom_lists_held(lat)
+    assert listed == oracles.per_top_cuttings(lat)
+    assert most == want
+
+
 def listing_by_interval_test(lat):
     """What `latcut cutting` printed before it listed cuttings in poset
     space: every pair a <= b by the containment masks, in index order,

@@ -92,8 +92,8 @@ PLANTS = {
         "            stack.clear()\n"),
     "placement-order-fewest-neighbours-first": (
         "src/latcut/poset.py",
-        "most = max(level)\n",
-        "most = min(level)\n"),
+        "most = in_use.bit_length() - 1\n",
+        "most = (in_use & -in_use).bit_length() - 1\n"),
     "histogram-down-count-at-f-or-y": (
         "src/latcut/invariants.py",
         "down[index_of[f ^ y]] += 1\n",
@@ -106,6 +106,10 @@ PLANTS = {
         "src/latcut/families.py",
         "if not (c & 1 and c >> two_n - 1 & 1)])",
         "if not (c & 1 and c >> two_n - 2 & 1)])"),
+    "cover-cube-skips-lowest-minimum": (
+        "src/latcut/families.py",
+        "for f, m in zip(lat.filters, lat.minima):\n",
+        "for f, m in zip(lat.filters, [m & m - 1 for m in lat.minima]):\n"),
     "rank-height-off-by-one": (
         "src/latcut/invariants.py",
         "        rank[n - f.bit_count()] += 1\n",
