@@ -497,11 +497,11 @@ def test_search_refinements_are_capped(monkeypatch, capsys,
                                        placement_passes):
     """The backtrack places at most n^3 vertices.  Two triangles and a
     hexagon against four triangles, in either order, took 769 and 175
-    refinements of the search this backtrack replaced; it places 24
-    vertices.
+    refinements of the search this backtrack replaced; it places 36
+    vertices in the first order and 24 in the second.
     Three triangles and a hexagon against five triangles passed that
     search's cap of 3,375 refinements; the backtrack refuses the pair in
-    27 placements with the hexagon last and in 45 with it first.
+    39 placements with the hexagon last and in 75 with it first.
 
     Placing the legs' inner vertices of a spider takes no notice of its
     feet, so on a spider with seven legs against its counterpart, which
@@ -511,10 +511,10 @@ def test_search_refinements_are_capped(monkeypatch, capsys,
     which places the joined inner vertices right after the hub, is refused
     after 8 placements.  A catalog search past its cap fails as a check:
     verify exits 1."""
-    for g, h, count in ((_cycles(3, 3, 6), _cycles(3, 3, 3, 3), 25),
+    for g, h, count in ((_cycles(3, 3, 6), _cycles(3, 3, 3, 3), 37),
                         (_cycles(3, 3, 3, 3), _cycles(3, 3, 6), 25),
-                        (_cycles(3, 3, 3, 6), _cycles(3, 3, 3, 3, 3), 28),
-                        (_cycles(6, 3, 3, 3), _cycles(3, 3, 3, 3, 3), 46)):
+                        (_cycles(3, 3, 3, 6), _cycles(3, 3, 3, 3, 3), 40),
+                        (_cycles(6, 3, 3, 3), _cycles(3, 3, 3, 3, 3), 76)):
         placement_passes[0] = 0
         assert not graph_isomorphic(g, h)
         assert placement_passes[0] == count

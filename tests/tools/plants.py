@@ -76,11 +76,6 @@ PLANTS = {
         "src/latcut/poset.py",
         "new = ((up[j] | down[j]) ^ flip) & rest\n",
         "new = (up[j] ^ flip) & rest\n"),
-    "backtrack-count-check-skips-up": (
-        "src/latcut/poset.py",
-        "== n_below\n"
-        "                    and (up_h[w] & used).bit_count() == n_above):\n",
-        "== n_below):\n"),
     "backtrack-reuses-used-image": (
         "src/latcut/poset.py",
         "fit = alike[sig_g[v]] & ~used\n",
